@@ -2,9 +2,11 @@
 
 Conventions: a level-k table for the wide walk covers k steps, i.e. k+1
 sign factors f(a_0)..f(a_k); pure-walk tables h_k cover k vertices (k-1
-steps).  All expectations are plain averages computed in double precision
-with generator-index summation order, so results are bit-identical across
-runs and worker counts.
+steps).  Every walk step averages a table over a Cayley graph's generators
+through graphs.cayley_average: one Walsh-Hadamard transform, a pointwise
+product with the character table, and a second transform.  All arithmetic
+is double precision in a fixed operation order, so results are
+bit-identical across runs.
 """
 from __future__ import annotations
 
@@ -12,12 +14,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, spectrum
+from .graphs import CayleyGraph, cayley_average, spectrum
 from .walks import ReplacementSystem
 
 TOL_BOUND = 1e-12
@@ -54,8 +55,12 @@ class SignedFn:
 
     @classmethod
     def from_support(cls, n: int, support: Sequence[int]) -> "SignedFn":
+        support = list(support)
+        for v in support:
+            if not 0 <= v < n:
+                raise ValueError(f"support vertex {v} out of range 0..{n - 1}")
         bits = np.zeros(n, dtype=np.int64)
-        bits[list(support)] = 1
+        bits[support] = 1
         return cls(bits)
 
     @classmethod
@@ -118,34 +123,43 @@ def moments(table: DpTable) -> Moments:
     return Moments(abs(mean), sigma, eps_a, sigma_a, second)
 
 
-@lru_cache(maxsize=16)
-def _operators(sys: ReplacementSystem):
-    """Index tables driving the vectorized DP steps.
-
-    ROT[a, b] is the rotation target (same array serves forward and
-    backward since outer generators are self-inverse).  PERM[j, b] is the
-    forward inner step shift(b ^ u_j); BPERM[j, b] the backward step
-    shift_inverse(b) ^ u_j.
-    """
-    n_a, n_b = sys.num_outer, sys.num_inner
-    d_b = sys.params.d_inner
-    a_idx = np.arange(n_a, dtype=np.int64)[:, None]
-    b_idx = np.arange(n_b, dtype=np.int64)[None, :]
+def _walk_maps(sys: ReplacementSystem) -> tuple[np.ndarray, np.ndarray]:
+    """rot[a, b], the outer vertex the rotation map reaches from a under
+    inner vertex b (forward and backward alike: outer generators are
+    self-inverse), and shift[b], the forward block shift of every b."""
+    b = np.arange(sys.num_inner, dtype=np.int64)
     gen_a = np.asarray(sys.outer.generators, dtype=np.int64)
-    rot = a_idx ^ gen_a[b_idx & (sys.params.d_outer - 1)]
-    b_lin = np.arange(n_b, dtype=np.int64)
-    shift_f = np.array([sys.shift_fwd(b) for b in range(n_b)], dtype=np.int64)
-    shift_b = np.array([sys.shift_bwd(b) for b in range(n_b)], dtype=np.int64)
-    gen_b = np.asarray(sys.inner.generators, dtype=np.int64)
-    perm = shift_f[b_lin[None, :] ^ gen_b[:, None]]
-    bperm = shift_b[None, :] ^ gen_b[:, None]
-    assert perm.shape == (d_b, n_b) and bperm.shape == (d_b, n_b)
-    return rot, perm, bperm
+    rot = np.arange(sys.num_outer, dtype=np.int64)[:, None] ^ gen_a[b & (sys.params.d_outer - 1)]
+    return rot, np.array([sys.shift_fwd(v) for v in range(sys.num_inner)], dtype=np.int64)
 
 
 def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
     if f.n != sys.num_outer:
         raise ValueError(f"f has {f.n} entries, outer graph has {sys.num_outer}")
+
+
+def _wide_levels(
+    sys: ReplacementSystem, f: SignedFn, base: np.ndarray, levels: int, kind: str
+) -> list[DpTable]:
+    """Tables 0..levels of the wide-walk recursion from per-outer-vertex
+    level-0 values.  A forward level ("g") averages the shifted table
+    over the inner generators, the step shift(b ^ u); a backward level
+    ("gbar") averages first and undoes the shift after, the step
+    shift_inverse(b) ^ u.  Both then take the row the rotation map
+    reaches and multiply by the sign."""
+    rot, shift = _walk_maps(sys)
+    unshift = np.argsort(shift)
+    sign_col = f.signs[:, None]
+    g = np.broadcast_to(base[:, None], (sys.num_outer, sys.num_inner)).copy()
+    tables = [DpTable(g, 0, kind)]
+    for k in range(1, levels + 1):
+        if kind == "g":
+            avg = cayley_average(g[:, shift], sys.inner)
+        else:
+            avg = cayley_average(g, sys.inner)[:, unshift]
+        g = sign_col * np.take_along_axis(avg, rot, axis=0)
+        tables.append(DpTable(g, k, kind))
+    return tables
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
@@ -154,18 +168,7 @@ def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     _require_f(sys, f)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    rot, perm, _ = _operators(sys)
-    d_b = sys.params.d_inner
-    sign_col = f.signs[:, None]
-    g = np.broadcast_to(sign_col, (sys.num_outer, sys.num_inner)).copy()
-    tables = [DpTable(g.copy(), 0, "g")]
-    for k in range(1, kmax + 1):
-        acc = np.zeros_like(g)
-        for j in range(d_b):
-            acc += g[rot, perm[j][None, :]]
-        g = sign_col * (acc / d_b)
-        tables.append(DpTable(g.copy(), k, "g"))
-    return tables
+    return _wide_levels(sys, f, f.signs, kmax, "g")
 
 
 def dp_backwards(
@@ -186,9 +189,6 @@ def dp_backwards(
     _require_f(sys, f)
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    rot, _, bperm = _operators(sys)
-    d_b = sys.params.d_inner
-    sign_col = f.signs[:, None]
     if terminal_weight is None:
         base = f.signs
     else:
@@ -196,39 +196,29 @@ def dp_backwards(
         if w.shape != (sys.num_outer,):
             raise ValueError("terminal_weight must be a per-outer-vertex array")
         base = f.signs * w
-    g = np.broadcast_to(base[:, None], (sys.num_outer, sys.num_inner)).copy()
-    tables = [DpTable(g.copy(), 0, "gbar")]
-    for k in range(1, length + 1):
-        acc = np.zeros_like(g)
-        for j in range(d_b):
-            acc += g[rot, bperm[j][None, :]]
-        g = sign_col * (acc / d_b)
-        tables.append(DpTable(g.copy(), k, "gbar"))
-    return tables
+    return _wide_levels(sys, f, base, length, "gbar")
 
 
-def _neighbor_table(graph: CayleyGraph) -> np.ndarray:
-    verts = np.arange(graph.num_vertices, dtype=np.int64)[:, None]
-    gens = np.asarray(graph.generators, dtype=np.int64)[None, :]
-    return verts ^ gens
-
-
-def dp_hk(graph: CayleyGraph, f: SignedFn, kmax: int) -> list[Optional[DpTable]]:
-    """Pure-walk tables h_1..h_kmax (index = level; slot 0 unused)."""
+def _pure_levels(
+    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str
+) -> list[Optional[DpTable]]:
+    """Pure-walk tables from level 1 = sign * weight: each further level
+    is the sign times the generator average of the previous one."""
     if f.n != graph.num_vertices:
         raise ValueError("f size does not match the graph")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    neigh = _neighbor_table(graph)
-    h = f.signs.copy()
-    tables: list[Optional[DpTable]] = [None, DpTable(h.copy(), 1, "h")]
+    h = f.signs * weight
+    tables: list[Optional[DpTable]] = [None, DpTable(h, 1, kind)]
     for k in range(2, kmax + 1):
-        acc = np.zeros_like(h)
-        for j in range(graph.degree):
-            acc += h[neigh[:, j]]
-        h = f.signs * (acc / graph.degree)
-        tables.append(DpTable(h.copy(), k, "h"))
+        h = f.signs * cayley_average(h, graph)
+        tables.append(DpTable(h, k, kind))
     return tables
+
+
+def dp_hk(graph: CayleyGraph, f: SignedFn, kmax: int) -> list[Optional[DpTable]]:
+    """Pure-walk tables h_1..h_kmax (index = level; slot 0 unused)."""
+    return _pure_levels(graph, f, 1.0, kmax, "h")
 
 
 def dp_hk_weighted(
@@ -239,26 +229,13 @@ def dp_hk_weighted(
 ) -> list[Optional[DpTable]]:
     """Terminal-weighted pure-walk tables: level 1 is sign * H, higher
     levels apply the same sign-times-neighbor-average recursion as dp_hk."""
-    if f.n != graph.num_vertices:
-        raise ValueError("f size does not match the graph")
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
     if callable(H):
         w = np.array([H(a) for a in range(graph.num_vertices)], dtype=np.float64)
     else:
         w = np.asarray(H, dtype=np.float64)
         if w.shape != (graph.num_vertices,):
             raise ValueError("H must be a per-vertex array")
-    neigh = _neighbor_table(graph)
-    h = f.signs * w
-    tables: list[Optional[DpTable]] = [None, DpTable(h.copy(), 1, "hhat")]
-    for k in range(2, kmax + 1):
-        acc = np.zeros_like(h)
-        for j in range(graph.degree):
-            acc += h[neigh[:, j]]
-        h = f.signs * (acc / graph.degree)
-        tables.append(DpTable(h.copy(), k, "hhat"))
-    return tables
+    return _pure_levels(graph, f, w, kmax, "hhat")
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +571,8 @@ def check_middle_start_identity(
     direct = float(tables[k].values.mean())
     gbar = dp_backwards(sys, f, s)[s].values
     rest = tables[k - s].values
-    _, perm, _ = _operators(sys)
-    d_b = sys.params.d_inner
-    acc = 0.0
-    for j in range(d_b):
-        acc += float((f.signs[:, None] * gbar * rest[:, perm[j]]).mean())
-    via = acc / d_b
+    _, shift = _walk_maps(sys)
+    via = float((f.signs[:, None] * gbar * cayley_average(rest[:, shift], sys.inner)).mean())
     residual = abs(direct - via)
     return IdentityCheck(residual <= TOL_IDENTITY, residual, direct, via)
 

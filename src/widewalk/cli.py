@@ -12,7 +12,9 @@ exceeded, 4 hypotheses unmet so no assertion was made.
 
 Every run echoes its resolved configuration: as a "run" object in JSON
 output, as a leading "# {...}" comment line in CSV output.  Outputs are
-deterministic given (config, seed); the worker count never changes them.
+deterministic given (config, seed).  --workers is accepted and echoed in
+the run header only: every computation is single-threaded, so it cannot
+change any other output byte.
 """
 from __future__ import annotations
 
@@ -419,7 +421,7 @@ def _cmd_code_report(args) -> int:
     hypotheses_met = (
         amp.base.measured_bias_exact <= lam_b and lam_a <= lam_b * lam_b
     )
-    report = code_report(amp, workers=args.workers)
+    report = code_report(amp)
     report["hypotheses_met"] = hypotheses_met
     fields = [
         "k", "n0", "base_bias", "t", "block_length", "rate",
@@ -438,7 +440,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--workers", type=int, default=None, help="worker pool size")
+    p.add_argument("--workers", type=int, default=None,
+                   help="echoed in the run header only; computation is single-threaded")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="enumeration budget (items)")
 
@@ -465,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("spectrum", help="expansion of a stored graph")
     p.add_argument("path")
     p.add_argument("--method", default="character-sum",
-                   choices=("character-sum", "character-sum-sampled", "dense-eigen"))
+                   choices=("character-sum", "dense-eigen"))
     _add_common(p)
     p.set_defaults(func=_cmd_graph_spectrum)
 

@@ -9,7 +9,6 @@ order everywhere.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -224,36 +223,23 @@ def encode(
     return np.fromiter(emit(), dtype=np.uint8, count=count)
 
 
-def _message_bias(amp: AmplifiedCode, x: int) -> float:
-    tables = dp_gk(amp.sys, amp.f_for_message(x), amp.t)
-    return moments(tables[amp.t]).eps
-
-
-def code_bias(amp: AmplifiedCode, workers: Optional[int] = None) -> float:
+def code_bias(amp: AmplifiedCode) -> float:
     """Max bias over all nonzero messages, each evaluated by the exact DP
-    on its embedded assignment (codewords never materialized).
-
-    Partitioned by message when workers > 1; the reduction is a max over
-    per-message values collected in message order, so the worker count
-    cannot change the result.
-    """
+    on its embedded assignment (codewords never materialized)."""
     if amp.base.k > MAX_DP_SCAN_K:
         raise ValueError(
             f"k = {amp.base.k} exceeds the exhaustive message scan cap "
             f"{MAX_DP_SCAN_K}"
         )
-    messages = range(1, 1 << amp.base.k)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda x: _message_bias(amp, x), messages))
-    else:
-        values = [_message_bias(amp, x) for x in messages]
-    return max(values)
+    return max(
+        moments(dp_gk(amp.sys, amp.f_for_message(x), amp.t)[amp.t]).eps
+        for x in range(1, 1 << amp.base.k)
+    )
 
 
-def code_report(amp: AmplifiedCode, workers: Optional[int] = None) -> dict:
+def code_report(amp: AmplifiedCode) -> dict:
     """Bias, exact rate, and the one-sided distance bound, JSON-ready."""
-    bias = code_bias(amp, workers=workers)
+    bias = code_bias(amp)
     lam_a, lam_b = measured_lambdas(amp.sys)
     s = amp.sys.params.s
     bound = float((2 * float(lam_b)) ** (amp.t * (1 - 4 / s))) if lam_b > 0 else 0.0

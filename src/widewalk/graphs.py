@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gf2core import (
-    BitWord,
     FieldElem,
     field_mul,
     field_pow,
@@ -77,9 +76,6 @@ class CayleyGraph:
             raise ValueError(f"vertex {v} out of range for dim {self.dim}")
         return v ^ self.generators[i]
 
-    def generator_words(self) -> list[BitWord]:
-        return [BitWord(u, self.dim) for u in self.generators]
-
     def to_json(self) -> str:
         payload = {
             "name": self.name,
@@ -100,11 +96,6 @@ class CayleyGraph:
             name=str(payload.get("name", "")),
             multigraph=bool(payload.get("multigraph", False)),
         )
-
-
-def neighbor(G: CayleyGraph, v: int, i: int) -> int:
-    """Module-level alias for :meth:`CayleyGraph.neighbor`."""
-    return G.neighbor(v, i)
 
 
 @dataclass(frozen=True)
@@ -176,17 +167,23 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
     return CayleyGraph(dim=m, generators=gens, name=f"{tag}-m{m}")
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
-    """Walsh-Hadamard transform, in place, on a length 2**k int64 array."""
+def fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis, whose
+    length must be a power of two, in a's dtype; a is left unchanged.
+
+    Butterfly stage h views the axis as (n/2h, 2, h) blocks and replaces
+    each (lo, hi) pair by (lo + hi, lo - hi), so every stage is one
+    vectorized pass over the array (Fino & Algazi 1976).
+    """
+    a = np.asarray(a)
+    shape, n = a.shape, a.shape[-1]
     h = 1
-    n = a.shape[0]
     while h < n:
-        for start in range(0, n, h * 2):
-            lo = a[start : start + h].copy()
-            hi = a[start + h : start + 2 * h].copy()
-            a[start : start + h] = lo + hi
-            a[start + h : start + 2 * h] = lo - hi
+        v = a.reshape(shape[:-1] + (n // (2 * h), 2, h))
+        lo, hi = v[..., 0, :], v[..., 1, :]
+        a = np.stack((lo + hi, lo - hi), axis=-2)
         h *= 2
+    return a.reshape(shape)
 
 
 def character_table(G: CayleyGraph) -> np.ndarray:
@@ -194,28 +191,36 @@ def character_table(G: CayleyGraph) -> np.ndarray:
     sum over generators u of (-1)^<alpha, u>.  Dividing by the degree gives
     the full eigenvalue spectrum of the normalized adjacency operator.
     """
-    counts = np.zeros(G.num_vertices, dtype=np.int64)
-    for u in G.generators:
-        counts[u] += 1
-    _fwht_inplace(counts)
-    return counts
+    gens = np.asarray(G.generators, dtype=np.int64)
+    return fwht(np.bincount(gens, minlength=G.num_vertices).astype(np.int64))
 
 
-def spectrum(G: CayleyGraph, method: str = "character-sum", rng=None, samples: int = 4096) -> SpectralReport:
+def cayley_average(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
+    """Average of values[..., v ^ u] over the generators u of G, for every
+    vertex v of the last axis (repeated generators count with multiplicity).
+
+    The average is an XOR convolution with the generator multiset, so by
+    the convolution theorem over F_2^dim it is one FWHT, a pointwise
+    product with the character table, and a second FWHT, which equals
+    n times the inverse transform.
+    """
+    return fwht(fwht(values) * character_table(G)) / (G.num_vertices * G.degree)
+
+
+def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     """Expansion of G: max over nonzero alpha of |character sum|.
 
-    The character-sum method is exact (integer arithmetic throughout).  The
-    dense-eigen method builds the normalized adjacency matrix and takes the
-    largest eigenvalue magnitude on the complement of the constant vector;
-    it exists as an independent cross-check.  For dim beyond
-    SPECTRUM_SCAN_LIMIT the exhaustive scan is refused unless the sampled
-    method is requested, which only lower-bounds the true value.
+    The character-sum method is exact (integer arithmetic throughout) and
+    refuses dim beyond SPECTRUM_SCAN_LIMIT.  The dense-eigen method builds
+    the normalized adjacency matrix and takes the largest eigenvalue
+    magnitude on the complement of the constant vector; it exists as an
+    independent cross-check.
     """
     if method == "character-sum":
         if G.dim > SPECTRUM_SCAN_LIMIT:
             raise ValueError(
-                f"dim {G.dim} too large for exhaustive character scan; "
-                "use method='character-sum-sampled'"
+                f"dim {G.dim} exceeds the exhaustive character scan limit "
+                f"{SPECTRUM_SCAN_LIMIT}; no exact spectrum is available"
             )
         numer = character_table(G)
         numer[0] = 0
@@ -226,21 +231,6 @@ def spectrum(G: CayleyGraph, method: str = "character-sum", rng=None, samples: i
             argmax_character=idx,
             method=method,
             lambda_exact=Fraction(num, G.degree),
-        )
-    if method == "character-sum-sampled":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        best, best_alpha = -1, 0
-        for _ in range(samples):
-            alpha = int(rng.integers(1, G.num_vertices))
-            total = sum(1 if parity(alpha & u) == 0 else -1 for u in G.generators)
-            if abs(total) > best:
-                best, best_alpha = abs(total), alpha
-        return SpectralReport(
-            lam=best / G.degree,
-            argmax_character=best_alpha,
-            method=method,
-            lambda_exact=Fraction(best, G.degree),
         )
     if method == "dense-eigen":
         return _spectrum_dense(G)
@@ -288,19 +278,15 @@ def mixing_check(
 ) -> MixingCheck:
     """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g.
 
-    Both sides are evaluated exactly by summing over every (vertex,
-    generator) pair.  lam defaults to the measured expansion of G.
+    The edge expectation pairs f with the generator average of g over
+    every vertex.  lam defaults to the measured expansion of G.
     """
     n = G.num_vertices
     fv = _as_vertex_array(f, n)
     gv = _as_vertex_array(g, n)
     if lam is None:
         lam = spectrum(G).lam
-    idx = np.arange(n)
-    edge_sum = 0.0
-    for u in G.generators:
-        edge_sum += float(np.dot(fv, gv[idx ^ u]))
-    edge_mean = edge_sum / (n * G.degree)
+    edge_mean = float(np.dot(fv, cayley_average(gv, G))) / n
     mu_f, mu_g = float(np.mean(fv)), float(np.mean(gv))
     sigma_f = float(np.sqrt(max(np.mean(fv * fv) - mu_f * mu_f, 0.0)))
     sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))

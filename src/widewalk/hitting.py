@@ -41,12 +41,13 @@ def make_instance(graph: CayleyGraph, subset: Iterable[int], t: int) -> HittingI
     return HittingInstance(graph, frozenset(int(v) for v in subset), t)
 
 
-def hitting_prob_exact(inst: HittingInstance) -> Fraction:
-    """P[a_1..a_t all in S] for a walk with uniform start, exactly.
+def _survival(inst: HittingInstance) -> list[Fraction]:
+    """P[a_1..a_t all in S] for t = 1..inst.t, exactly, from one prefix DP.
 
     Integer path-count DP: count_j(a) = surviving j-vertex paths ending
     at a; one step sums counts over the generator neighbors and zeroes
-    vertices outside S.
+    vertices outside S.  Level j's count total over n * d**(j-1) is the
+    probability for t = j.
     """
     g = inst.graph
     n = g.num_vertices
@@ -54,6 +55,7 @@ def hitting_prob_exact(inst: HittingInstance) -> Fraction:
         raise ValueError(f"instance too large: {n} vertices x t={inst.t}")
     in_s = [1 if v in inst.subset else 0 for v in range(n)]
     counts = in_s[:]
+    probs = [Fraction(sum(counts), n)]
     for _ in range(inst.t - 1):
         nxt = [0] * n
         for a in range(n):
@@ -63,7 +65,13 @@ def hitting_prob_exact(inst: HittingInstance) -> Fraction:
                     total += counts[a ^ u]
                 nxt[a] = total
         counts = nxt
-    return Fraction(sum(counts), n * g.degree ** (inst.t - 1))
+        probs.append(Fraction(sum(counts), n * g.degree ** len(probs)))
+    return probs
+
+
+def hitting_prob_exact(inst: HittingInstance) -> Fraction:
+    """P[a_1..a_t all in S] for a walk with uniform start, exactly."""
+    return _survival(inst)[-1]
 
 
 def hitting_bound(rho: Real, lam: Real, t: int) -> Real:
@@ -124,8 +132,8 @@ def check_hitting(
         lam = rep.lambda_exact
     rows = []
     rho = Fraction(len(sub), graph.num_vertices)
-    for t in range(1, tmax + 1):
-        exact = hitting_prob_exact(HittingInstance(graph, sub, t))
+    probs = _survival(HittingInstance(graph, sub, tmax)) if tmax >= 1 else []
+    for t, exact in enumerate(probs, 1):
         bound = hitting_bound(rho, lam, t)
         rows.append(HittingRow(t, exact, bound, exact <= bound))
     return HittingReport(rho, lam, rows)

@@ -167,11 +167,6 @@ class ReplacementSystem:
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
 
 
-def rotation(sys: ReplacementSystem, a: int, b: int) -> int:
-    """Module-level alias for :meth:`ReplacementSystem.rotation`."""
-    return sys.rotation(a, b)
-
-
 def sample_swalk(
     sys: ReplacementSystem,
     t: int,

@@ -8,6 +8,7 @@ on a 4-vertex outer graph is a signed affine indicator), so the
 deviation channel carries the signal there.
 """
 
+import hashlib
 import json
 import math
 from collections import defaultdict
@@ -42,6 +43,9 @@ from widewalk.amplify import (
 )
 
 G8_FROZEN_EPS = [0.25, 0.5, 0.5, 0.5, 0.5]
+# SHA-256 of the 21 flagship dp_gk(..., 20) tables' float64 bytes, level
+# order, as the per-generator gather DP produced them
+FLAGSHIP_TABLES_SHA256 = "78bf62b5d94dd7c890aa4ae0a21da7c10f7a5c7e6d19aa3504f78310f6ae2c80"
 
 
 def test_signed_fn_basics():
@@ -121,6 +125,15 @@ def test_zero_assignment_gives_unit_tables(g8_system):
     tables = dp_gk(g8_system, SignedFn.zero(8), 3)
     for t in tables:
         assert np.all(t.values == 1.0)
+
+
+def test_flagship_tables_are_pinned_bit_for_bit(flagship_tables):
+    assert len(flagship_tables) == 21
+    digest = hashlib.sha256()
+    for t in flagship_tables:
+        assert t.values.dtype == np.float64
+        digest.update(t.values.tobytes())
+    assert digest.hexdigest() == FLAGSHIP_TABLES_SHA256
 
 
 def test_level_zero_mean_is_bias(g8_system, g8_f, flagship_tables, flagship_f):

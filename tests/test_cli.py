@@ -132,6 +132,20 @@ def test_verify_base_case_hypotheses_unmet(tmp_path, capsys):
     assert doc["report"]["rows"] == []
 
 
+def test_out_of_range_support_is_invalid_input(tmp_path, capsys):
+    # 0xff is past the 4-vertex outer graph; -1 must not wrap to vertex 3
+    cfg = flagship_config(tmp_path)
+    for spec in ("ff", "-1"):
+        capsys.readouterr()
+        assert main(
+            ["verify", "base-case", "--config", cfg, "--support", spec]
+        ) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: support vertex")
+        assert captured.err.count("\n") == 1
+
+
 def test_verify_induction(tmp_path, capsys):
     cfg = flagship_config(tmp_path)
     assert main(["verify", "induction", "--config", cfg]) == EXIT_PASS

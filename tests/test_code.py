@@ -244,11 +244,6 @@ def test_code_bias_matches_materialized():
     assert abs(dp - brute) <= 1e-12
 
 
-def test_code_bias_worker_count_is_invisible():
-    amp = tiny_amp(t=3)
-    assert code_bias(amp) == code_bias(amp, workers=3)
-
-
 def test_code_bias_scan_cap():
     params = WalkParams(m=4, s=2, ell=4)
     sys = ReplacementSystem(build_complete_selfloop(4), build_aghp(8, 4), params)
@@ -300,7 +295,7 @@ def test_bias_decreases_with_walk_length(mono_system):
 
 def test_code_report_keys(mono_system):
     base = LinearCode(3, 8, [0b11, 0b1100, 0b110000])
-    report = code_report(AmplifiedCode(base, mono_system, 5), workers=2)
+    report = code_report(AmplifiedCode(base, mono_system, 5))
     expected = {
         "schema_version", "k", "n0", "base_bias", "t", "block_length",
         "rate", "bias", "bias_bound", "bias_bound_vacuous",

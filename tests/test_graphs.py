@@ -12,15 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from widewalk.gf2core import FieldElem, field_mul
+from widewalk.gf2core import BitWord, FieldElem, character_sum_exact, field_mul
 from widewalk.graphs import (
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
     build_aghp,
     build_complete_selfloop,
+    cayley_average,
     character_table,
+    fwht,
     mixing_check,
-    neighbor,
     spectrum,
 )
 
@@ -133,13 +134,59 @@ def test_character_table_row_zero_is_degree():
     assert tab.dtype == np.int64
 
 
-def test_sampled_spectrum_lower_bounds_exact():
-    g = build_aghp(8, 4)
-    exact = spectrum(g).lambda_exact
-    sampled = spectrum(g, method="character-sum-sampled", samples=2048)
-    assert sampled.lambda_exact <= exact
-    # the scan space is tiny here, so sampling should actually find the max
-    assert sampled.lambda_exact == exact
+def test_character_table_matches_character_sums():
+    g = build_aghp(6, 3)
+    tab = character_table(g)
+    gens = [BitWord(u, g.dim) for u in g.generators]
+    for alpha in range(g.num_vertices):
+        assert tab[alpha] == character_sum_exact(gens, BitWord(alpha, g.dim)) * g.degree
+
+
+def sylvester(n):
+    H = np.ones((1, 1), dtype=np.int64)
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def test_fwht_matches_dense_hadamard():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 8, 64):
+        H = sylvester(n)
+        x = rng.integers(-50, 50, size=n)
+        y = fwht(x)
+        assert y.dtype == np.int64
+        assert np.array_equal(y, H @ x)
+        X = rng.uniform(-1, 1, size=(3, n))
+        X0 = X.copy()
+        Y = fwht(X)
+        assert Y.dtype == np.float64 and Y.shape == (3, n)
+        assert np.allclose(Y, X @ H.T, rtol=0, atol=1e-12)
+        assert np.array_equal(X, X0)  # input left untouched
+
+
+def brute_average(values, g):
+    idx = np.arange(g.num_vertices)
+    return sum(values[..., idx ^ u] for u in g.generators) / g.degree
+
+
+def test_cayley_average_matches_generator_loop():
+    rng = np.random.default_rng(11)
+    k16 = build_complete_selfloop(4, selfloop=False)
+    assert k16.degree == 15
+    for g in (build_aghp(4, 2), k16):
+        x = rng.uniform(-1, 1, size=g.num_vertices)
+        assert np.allclose(cayley_average(x, g), brute_average(x, g), rtol=0, atol=1e-14)
+        X = rng.uniform(-1, 1, size=(5, g.num_vertices))
+        got = cayley_average(X, g)
+        assert got.shape == X.shape
+        assert np.allclose(got, brute_average(X, g), rtol=0, atol=1e-14)
+    # AGHP(4,2) repeats the zero word: every repeat counts
+    g = build_aghp(4, 2)
+    assert len(set(g.generators)) < g.degree
+    e0 = np.zeros(g.num_vertices)
+    e0[0] = 1.0
+    assert cayley_average(e0, g)[0] == g.generators.count(0) / g.degree
 
 
 def test_spectrum_method_validation():
@@ -154,7 +201,6 @@ def test_neighbor_involution():
             for i in range(g.degree):
                 w = g.neighbor(v, i)
                 assert g.neighbor(w, i) == v
-                assert neighbor(g, v, i) == w
 
 
 def test_neighbor_validation():
@@ -215,5 +261,3 @@ def test_spectrum_scan_limit_enforced():
     g = CayleyGraph(dim=SPECTRUM_SCAN_LIMIT + 1, generators=(1, 2))
     with pytest.raises(ValueError):
         spectrum(g)
-    rep = spectrum(g, method="character-sum-sampled", samples=64)
-    assert 0 <= rep.lam <= 1

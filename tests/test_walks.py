@@ -23,7 +23,6 @@ from widewalk import (
     shift,
 )
 from widewalk.graphs import CayleyGraph
-from widewalk.walks import rotation
 
 
 def tiny_system():
@@ -119,7 +118,6 @@ def test_rotation_uses_block_one():
         for b in range(sys.num_inner):
             expect = sys.outer.neighbor(a, b & 0b11)
             assert sys.rotation(a, b) == expect
-            assert rotation(sys, a, b) == expect
 
 
 def test_rotation_is_involution():
