@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .graphs import CayleyGraph, cayley_average, spectrum
-from .walks import ReplacementSystem
+from .walks import ReplacementSystem, walk_tables
 
 TOL_BOUND = 1e-12
 TOL_IDENTITY = 1e-9
@@ -123,16 +123,6 @@ def moments(table: DpTable) -> Moments:
     return Moments(abs(mean), sigma, eps_a, sigma_a, second)
 
 
-def _walk_maps(sys: ReplacementSystem) -> tuple[np.ndarray, np.ndarray]:
-    """rot[a, b], the outer vertex the rotation map reaches from a under
-    inner vertex b (forward and backward alike: outer generators are
-    self-inverse), and shift[b], the forward block shift of every b."""
-    b = np.arange(sys.num_inner, dtype=np.int64)
-    gen_a = np.asarray(sys.outer.generators, dtype=np.int64)
-    rot = np.arange(sys.num_outer, dtype=np.int64)[:, None] ^ gen_a[b & (sys.params.d_outer - 1)]
-    return rot, np.array([sys.shift_fwd(v) for v in range(sys.num_inner)], dtype=np.int64)
-
-
 def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
     if f.n != sys.num_outer:
         raise ValueError(f"f has {f.n} entries, outer graph has {sys.num_outer}")
@@ -147,7 +137,7 @@ def _wide_levels(
     ("gbar") averages first and undoes the shift after, the step
     shift_inverse(b) ^ u.  Both then take the row the rotation map
     reaches and multiply by the sign."""
-    rot, shift = _walk_maps(sys)
+    rot, shift = walk_tables(sys)
     unshift = np.argsort(shift)
     sign_col = f.signs[:, None]
     g = np.broadcast_to(base[:, None], (sys.num_outer, sys.num_inner)).copy()
@@ -571,7 +561,7 @@ def check_middle_start_identity(
     direct = float(tables[k].values.mean())
     gbar = dp_backwards(sys, f, s)[s].values
     rest = tables[k - s].values
-    _, shift = _walk_maps(sys)
+    _, shift = walk_tables(sys)
     via = float((f.signs[:, None] * gbar * cayley_average(rest[:, shift], sys.inner)).mean())
     residual = abs(direct - via)
     return IdentityCheck(residual <= TOL_IDENTITY, residual, direct, via)

@@ -119,6 +119,8 @@ def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
     "inner": "aghp"|path, "support"?: f-spec}.
     """
     cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must be a JSON object")
     params = WalkParams(int(cfg["m"]), int(cfg["s"]), int(cfg["ell"]))
     outer_spec = cfg.get("outer", "complete")
     inner_spec = cfg.get("inner", "aghp")
@@ -549,6 +551,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_PASS
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
         return args.func(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)

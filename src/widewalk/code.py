@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2core
 from .amplify import SignedFn, dp_gk, measured_lambdas, moments
 from .graphs import CayleyGraph
-from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, enumerate_swalk_seeds
+from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, walk_tables
 
 MAX_EXHAUSTIVE_K = 16
 MAX_DP_SCAN_K = 12
@@ -99,6 +99,8 @@ class LinearCode:
     @classmethod
     def from_json(cls, text: Union[str, dict]) -> "LinearCode":
         data = json.loads(text) if isinstance(text, str) else text
+        if not isinstance(data, dict):
+            raise ValueError("a base code must be a JSON object")
         code = cls(
             int(data["k"]),
             int(data["n0"]),
@@ -193,34 +195,36 @@ def rate(amp: AmplifiedCode) -> Fraction:
     return Fraction(amp.base.k, amp.block_length)
 
 
-def encode(
-    amp: AmplifiedCode,
-    x: int,
-    budget: int = DEFAULT_BUDGET,
-    stream: bool = False,
-) -> Union[np.ndarray, Iterator[int]]:
+def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Codeword bits in walk-seed enumeration order: each bit XORs the
     embedded assignment over the t+1 outer vertices of one walk.
 
-    Materializes an array by default; with stream=True returns a bit
-    iterator instead and ignores the budget.
+    Built level by level for one a_0 and one block of b_1 at a time (about
+    2**18 walks, so peak memory stays flat): level i holds the walk
+    prefixes (b_1, u_2, ..., u_i) in lexicographic order, and the next
+    level appends u_{i+1} as the fastest-varying axis.
     """
-    f = amp.f_for_message(x)
-    bits = f.bits
-
-    def emit() -> Iterator[int]:
-        for walk in enumerate_swalk_seeds(amp.sys, amp.t, budget=2**63):
-            acc = 0
-            for a in walk.a_vertices:
-                acc ^= int(bits[a])
-            yield acc
-
-    if stream:
-        return emit()
     count = amp.block_length
     if count > budget:
         raise BudgetExceeded(count, budget)
-    return np.fromiter(emit(), dtype=np.uint8, count=count)
+    rot, shift = walk_tables(amp.sys)
+    gens = np.asarray(amp.sys.inner.generators, dtype=np.int64)
+    bits = amp.f_for_message(x).bits.astype(np.uint8)
+    step = max(1, (1 << 18) // amp.sys.params.d_inner ** (amp.t - 1))
+    out = np.empty(count, dtype=np.uint8)
+    pos = 0
+    for a0 in range(amp.sys.num_outer):
+        for lo in range(0, amp.sys.num_inner, step):
+            b = np.arange(lo, min(lo + step, amp.sys.num_inner))
+            a = rot[a0, b]
+            acc = bits[a0] ^ bits[a]
+            for _ in range(amp.t - 1):
+                b = shift[(b[:, None] ^ gens).ravel()]
+                a = rot[np.repeat(a, gens.size), b]
+                acc = np.repeat(acc, gens.size) ^ bits[a]
+            out[pos:pos + acc.size] = acc
+            pos += acc.size
+    return out
 
 
 def code_bias(amp: AmplifiedCode) -> float:

@@ -1,9 +1,10 @@
-"""Bit-vector arithmetic over F_2^r and field arithmetic over GF(2^ell).
+"""Plain-integer arithmetic over F_2^r and GF(2^ell).
 
-Words of F_2^r are held as nonnegative integers below 2**r together with an
-explicit length r.  Bit 0 is the least significant position.  Serialization
-is lowercase hex with the least significant nibble first, so the wire format
-is bit-exact and independent of word length padding.
+A word of F_2^r is a nonnegative integer below 2**r (or an integer numpy
+array of them), bit 0 the least significant position: addition is ``^``
+and the inner product <x, y> is the parity of ``x & y``.  Serialization
+is lowercase hex with the least significant nibble first, so the wire
+format is bit-exact and independent of word length padding.
 
 Field elements of GF(2^ell) are polynomials over F_2 encoded the same way
 (bit i is the coefficient of x^i), reduced modulo a fixed irreducible
@@ -12,9 +13,7 @@ re-validated by brute force when the module is imported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+import numpy as np
 
 # Lexicographically smallest irreducible polynomial of each degree.  Keeping
 # a fixed table (rather than searching at run time) pins the field, and with
@@ -105,158 +104,25 @@ def _validate_moduli() -> None:
 _validate_moduli()
 
 
-@dataclass(frozen=True)
-class BitWord:
-    """An element of F_2^length, encoded as an integer with bit 0 = LSB.
+def field_mul(a, b, ell: int):
+    """Product of a and b in GF(2^ell), elementwise if either is an integer
+    numpy array; both must be reduced (below 2**ell).
 
-    Parameters
-    ----------
-    value : int
-        Integer in [0, 2**length).
-    length : int
-        The fixed word length r; operations on mismatched lengths raise.
+    Shift and add with the reduction folded into each doubling of a.  No
+    step branches on a value, so Python ints and int64 arrays run the
+    same code.
     """
-
-    value: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"word length must be positive, got {self.length}")
-        if not 0 <= self.value < (1 << self.length):
-            raise ValueError(
-                f"value {self.value} out of range for {self.length}-bit word"
-            )
-
-    def bits(self) -> tuple[int, ...]:
-        """The bits (b_0, ..., b_{length-1}), least significant first."""
-        return tuple((self.value >> i) & 1 for i in range(self.length))
-
-    def to_hex(self) -> str:
-        return hex_encode(self.value, self.length)
-
-    @classmethod
-    def from_hex(cls, text: str, length: int) -> "BitWord":
-        return cls(hex_decode(text, length), length)
-
-
-def _check_lengths(x: BitWord, y: BitWord) -> None:
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
-
-
-def add(x: BitWord, y: BitWord) -> BitWord:
-    """Coordinatewise sum mod 2 (bitwise xor) of two equal-length words."""
-    _check_lengths(x, y)
-    return BitWord(x.value ^ y.value, x.length)
-
-
-def inner_product(x: BitWord, y: BitWord) -> int:
-    """Mod-2 inner product: parity of the AND of the two words."""
-    _check_lengths(x, y)
-    return (x.value & y.value).bit_count() & 1
-
-
-def character_sum(gens: Sequence[BitWord], alpha: BitWord) -> float:
-    """Average of (-1)^<alpha, u> over the generator multiset.
-
-    This realizes the character value of the generator multiset at alpha;
-    for a Cayley graph over F_2^r these values are exactly the eigenvalues
-    of the normalized adjacency operator.
-
-    Parameters
-    ----------
-    gens : sequence of BitWord
-        Generator multiset; must be nonempty and match alpha's length.
-    alpha : BitWord
-        Character index.
-
-    Returns
-    -------
-    float
-        Value in [-1, 1].
-    """
-    return float(character_sum_exact(gens, alpha))
-
-
-def character_sum_exact(gens: Sequence[BitWord], alpha: BitWord) -> Fraction:
-    """Exact rational version of :func:`character_sum`."""
-    if len(gens) == 0:
-        raise ValueError("empty generator list")
-    total = 0
-    for u in gens:
-        _check_lengths(u, alpha)
-        total += -1 if inner_product(u, alpha) else 1
-    return Fraction(total, len(gens))
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of GF(2^ell): ell coefficient bits plus the field modulus.
-
-    Parameters
-    ----------
-    value : int
-        Bit-encoded polynomial of degree < ell.
-    ell : int
-        Field degree; the modulus defaults to the baked-in table entry.
-    modulus : int, optional
-        Override modulus; must be irreducible of degree ell.
-    """
-
-    value: int
-    ell: int
-    modulus: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ell not in IRREDUCIBLE_MODULI and self.modulus == 0:
-            raise ValueError(f"no baked-in modulus for ell={self.ell}")
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", IRREDUCIBLE_MODULI[self.ell])
-        if poly_degree(self.modulus) != self.ell or not is_irreducible(self.modulus):
-            raise ValueError(
-                f"modulus {bin(self.modulus)} is not irreducible of degree {self.ell}"
-            )
-        if not 0 <= self.value < (1 << self.ell):
-            raise ValueError(f"field element {self.value} not reduced mod degree {self.ell}")
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
-def _check_field(x: FieldElem, y: FieldElem) -> None:
-    if x.ell != y.ell or x.modulus != y.modulus:
-        raise ValueError("field mismatch: operands use different moduli")
-
-
-def field_add(x: FieldElem, y: FieldElem) -> FieldElem:
-    """Sum in GF(2^ell) (coefficientwise xor)."""
-    _check_field(x, y)
-    return FieldElem(x.value ^ y.value, x.ell, x.modulus)
-
-
-def field_mul(x: FieldElem, y: FieldElem) -> FieldElem:
-    """Product in GF(2^ell), reduced modulo the field's irreducible modulus."""
-    _check_field(x, y)
-    return FieldElem(poly_mod(poly_mul(x.value, y.value), x.modulus), x.ell, x.modulus)
-
-
-def field_pow(x: FieldElem, i: int) -> FieldElem:
-    """x**i in GF(2^ell) by square and multiply; x**0 = 1 for every x.
-
-    The 0**0 = 1 convention makes power-indexed bit formulas total at the
-    zero element.
-    """
-    if i < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = FieldElem(1, x.ell, x.modulus)
-    base = x
-    while i:
-        if i & 1:
-            result = field_mul(result, base)
-        base = field_mul(base, base)
-        i >>= 1
-    return result
+    if ell not in IRREDUCIBLE_MODULI:
+        raise ValueError(f"no baked-in modulus for ell={ell}")
+    if np.any((a | b) >> ell):
+        raise ValueError(f"operands must be field elements in 0..{(1 << ell) - 1}")
+    modulus = IRREDUCIBLE_MODULI[ell]
+    acc = a & 0
+    for i in range(ell):
+        acc = acc ^ (a * ((b >> i) & 1))
+        a = a << 1
+        a = a ^ (modulus * (a >> ell))
+    return acc
 
 
 def hex_encode(value: int, length: int) -> str:
@@ -282,14 +148,3 @@ def hex_decode(text: str, length: int) -> int:
     if value >= (1 << length):
         raise ValueError(f"decoded value {value} out of range for {length}-bit word")
     return value
-
-
-def parity(x: int) -> int:
-    """Parity of the set bits of a nonnegative integer."""
-    return x.bit_count() & 1
-
-
-def all_words(length: int) -> Iterable[BitWord]:
-    """All 2**length words of F_2^length in increasing integer order."""
-    for v in range(1 << length):
-        yield BitWord(v, length)

@@ -15,17 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gf2core import (
-    FieldElem,
-    field_mul,
-    field_pow,
-    hex_decode,
-    hex_encode,
-    inner_product,
-    parity,
-)
+from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode, hex_encode
 
 SPECTRUM_SCAN_LIMIT = 24  # largest dim for an exhaustive character scan
+AGHP_MAX_DIM = 62  # generator words are built as int64 and must not wrap
 
 
 @dataclass(frozen=True)
@@ -127,28 +120,24 @@ def build_aghp(r: int, ell: int) -> CayleyGraph:
         raise ValueError("r and ell must be positive")
     if 2 * ell > r:
         raise ValueError(f"ell must satisfy ell <= r/2, got ell={ell}, r={r}")
+    if r > AGHP_MAX_DIM:
+        raise ValueError(f"r={r} exceeds {AGHP_MAX_DIM}: generator words are int64")
+    if ell not in IRREDUCIBLE_MODULI:
+        raise ValueError(f"no baked-in modulus for ell={ell}")
+    elems = np.arange(1 << ell, dtype=np.int64)
+    powers = [np.ones_like(elems)]  # x^i for every x, with x^0 = 1 at x = 0 too
+    for _ in range(r - 1):
+        powers.append(field_mul(powers[-1], elems, ell))
+    table = np.stack(powers, axis=1)
+    step = max(1, (1 << 13) // elems.size)  # x values per block of about 2**13 words
     gens: list[int] = []
-    q = 1 << ell
-    for xv in range(q):
-        x = FieldElem(xv, ell)
-        # powers[i] = x^i, reduced in the field
-        powers: list[int] = []
-        p = FieldElem(1, ell)
-        for _ in range(r):
-            powers.append(p.value)
-            p = field_mul(p, x)
-        for yv in range(q):
-            word = 0
-            for i in range(r):
-                if parity(powers[i] & yv):
-                    word |= 1 << i
-            gens.append(word)
-    return CayleyGraph(
-        dim=r,
-        generators=tuple(gens),
-        name=f"aghp-r{r}-l{ell}",
-        multigraph=True,
-    )
+    for lo in range(0, elems.size, step):
+        rows = table[lo:lo + step]
+        words = np.zeros((len(rows), elems.size), dtype=np.int64)
+        for i in range(r):
+            words |= (np.bitwise_count(rows[:, i, None] & elems) & 1).astype(np.int64) << i
+        gens += words.ravel().tolist()
+    return CayleyGraph(dim=r, generators=tuple(gens), name=f"aghp-r{r}-l{ell}", multigraph=True)
 
 
 def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:

@@ -167,6 +167,18 @@ class ReplacementSystem:
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
 
 
+def walk_tables(sys: ReplacementSystem) -> tuple[np.ndarray, np.ndarray]:
+    """rot[a, b], the outer vertex the rotation map reaches from a under
+    inner vertex b (forward and backward alike: outer generators are
+    self-inverse), and shift[b], the forward block shift of every b."""
+    m, r = sys.params.m, sys.params.r
+    b = np.arange(sys.num_inner, dtype=np.int64)
+    block1 = b & (sys.params.d_outer - 1)
+    gen_a = np.asarray(sys.outer.generators, dtype=np.int64)
+    rot = np.arange(sys.num_outer, dtype=np.int64)[:, None] ^ gen_a[block1]
+    return rot, (b >> m) | (block1 << (r - m))
+
+
 def sample_swalk(
     sys: ReplacementSystem,
     t: int,

@@ -39,6 +39,15 @@ def tiny_config(tmp_path, **extra):
     )
 
 
+def assert_one_line_invalid(argv, capsys, prefix):
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+
+
 def test_graph_aghp_json_output(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["graph", "aghp", "--r", "4", "--ell", "2", "--out", str(out)]) == EXIT_PASS
@@ -55,6 +64,8 @@ def test_graph_aghp_json_output(tmp_path, capsys):
 def test_graph_aghp_invalid_params(capsys):
     assert main(["graph", "aghp", "--r", "4", "--ell", "3"]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+    # words wider than 62 bits would wrap in int64
+    assert_one_line_invalid(["graph", "aghp", "--r", "70", "--ell", "1"], capsys, "error: r=70")
 
 
 def test_graph_complete_csv(capsys):
@@ -294,3 +305,13 @@ def test_invalid_inputs(tmp_path, capsys):
     # argparse-level rejection uses the same invalid-input code
     assert main(["bogus"]) == EXIT_INVALID
     capsys.readouterr()
+    # well-formed JSON that is not an object, and a negative budget
+    bad.write_text("[1, 2]")
+    assert_one_line_invalid(["verify", "uniformity", "--config", str(bad)], capsys, "error: config")
+    cfg = tiny_config(tmp_path, t=2)
+    base_path = tmp_path / "base1.json"
+    base_path.write_text("[1, 2]")
+    encode_argv = ["code", "encode", "--config", cfg, "--base", str(base_path), "--message", "1"]
+    assert_one_line_invalid(encode_argv, capsys, "error: a base code")
+    base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
+    assert_one_line_invalid(encode_argv + ["--budget", "-1"], capsys, "error: --budget")

@@ -7,13 +7,14 @@ coordinate functions and the two forms has bias exactly 2^-3.  This
 gives a reproducible low-bias generator matrix without any search.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from widewalk import BudgetExceeded, ReplacementSystem, WalkParams
+from widewalk import BudgetExceeded, ReplacementSystem, WalkParams, enumerate_swalk_seeds
 from widewalk import build_aghp, build_complete_selfloop
 from widewalk.code import (
     AmplifiedCode,
@@ -195,19 +196,35 @@ def test_encode_zero_message_is_zero():
     assert not bits.any()
 
 
-def test_encode_matches_walk_xor():
-    from widewalk import enumerate_swalk_seeds
-
-    amp = tiny_amp()
-    bits = encode(amp, 1)
-    f = amp.f_for_message(1)
-    for idx, w in enumerate(enumerate_swalk_seeds(amp.sys, amp.t)):
+def walk_xor_reference(amp, x):
+    """Codeword bits one enumerated walk at a time."""
+    f = amp.f_for_message(x)
+    out = []
+    for w in enumerate_swalk_seeds(amp.sys, amp.t):
         acc = 0
         for a in w.a_vertices:
             acc ^= int(f.bits[a])
-        assert bits[idx] == acc
-        if idx >= 40:
-            break
+        out.append(acc)
+    return out
+
+
+def test_encode_matches_walk_xor():
+    # full blocks: two outer vertices, and four with a two-block shift
+    wide = ReplacementSystem(build_complete_selfloop(2), build_aghp(4, 1), WalkParams(2, 2, 1))
+    wide_amps = [AmplifiedCode(LinearCode(2, 4, [0b0011, 0b0101]), wide, t) for t in (2, 3)]
+    for amp in [tiny_amp(t) for t in (1, 2, 3, 4)] + wide_amps:
+        for x in range(1, 1 << amp.base.k):
+            assert encode(amp, x).tolist() == walk_xor_reference(amp, x), (amp.t, x)
+
+
+def test_encode_flagship_digest_is_pinned(flagship):
+    # t = 2, message 1: SHA-256 of the little-endian packed bits, as
+    # computed by the per-walk encoder that the level-by-level one replaced
+    amp = AmplifiedCode(LinearCode(2, 4, [0b0011, 0b0101]), flagship, 2)
+    packed = np.packbits(encode(amp, 1), bitorder="little")
+    assert hashlib.sha256(packed.tobytes()).hexdigest() == (
+        "c59b865897b7e93743e908fe307b2d2a3e4105beea998984f70aa43de38a2dd4"
+    )
 
 
 def test_encode_is_linear():
@@ -224,13 +241,11 @@ def flagship_like_small():
     return AmplifiedCode(LinearCode(2, 2, [0b01, 0b10]), sys, 2)
 
 
-def test_encode_stream_and_budget():
+def test_encode_budget():
     amp = tiny_amp()
     with pytest.raises(BudgetExceeded):
         encode(amp, 1, budget=10)
-    stream = encode(amp, 1, budget=10, stream=True)
-    head = [next(stream) for _ in range(16)]
-    assert head == list(encode(amp, 1)[:16])
+    assert encode(amp, 1, budget=amp.block_length).shape == (amp.block_length,)
 
 
 def test_code_bias_matches_materialized():

@@ -1,30 +1,22 @@
-"""Field and bit-word primitives checked against from-scratch oracles."""
+"""Field and integer-word primitives checked against from-scratch oracles."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from widewalk.gf2core import (
     IRREDUCIBLE_MODULI,
-    BitWord,
-    FieldElem,
-    add,
-    all_words,
-    character_sum,
-    character_sum_exact,
-    field_add,
     field_mul,
-    field_pow,
     hex_decode,
     hex_encode,
-    inner_product,
     is_irreducible,
-    parity,
     poly_degree,
     poly_mod,
     poly_mul,
 )
+from widewalk.graphs import CayleyGraph, character_table, spectrum
 
 
 def oracle_mul(a, b):
@@ -102,37 +94,17 @@ def test_moduli_table_covers_degrees_up_to_16():
         assert is_irreducible(m)
 
 
-def test_bitword_validation():
-    with pytest.raises(ValueError):
-        BitWord(4, 2)
-    with pytest.raises(ValueError):
-        BitWord(-1, 2)
-    with pytest.raises(ValueError):
-        BitWord(0, 0)
-    w = BitWord(0b101, 3)
-    assert w.bits() == (1, 0, 1)
-
-
-def test_add_and_inner_product():
-    x = BitWord(0b1100, 4)
-    y = BitWord(0b1010, 4)
-    assert add(x, y).value == 0b0110
-    assert inner_product(x, y) == 1  # overlap is the single bit 3
-    assert inner_product(x, x) == 0
-    with pytest.raises(ValueError):
-        add(x, BitWord(1, 3))
-    with pytest.raises(ValueError):
-        inner_product(x, BitWord(1, 3))
-
-
 def test_hex_round_trip():
     for length in (1, 3, 4, 7, 8, 10):
         width = (length + 3) // 4
-        for w in all_words(length):
-            text = hex_encode(w.value, length)
+        for w in range(1 << length):
+            text = hex_encode(w, length)
             assert len(text) == width
-            assert hex_decode(text, length) == w.value
-            assert BitWord.from_hex(w.to_hex(), length) == w
+            assert hex_decode(text, length) == w
+    with pytest.raises(ValueError):
+        hex_encode(1 << 3, 3)
+    with pytest.raises(ValueError):
+        hex_encode(-1, 3)
 
 
 def test_hex_is_lsb_nibble_first():
@@ -146,124 +118,109 @@ def test_hex_is_lsb_nibble_first():
 
 
 def test_character_sum_hand_values():
-    # single generator u: the character at alpha is (-1)^<alpha, u>
-    u = BitWord(0b011, 3)
-    for alpha in all_words(3):
-        expect = -1 if inner_product(alpha, u) else 1
-        assert character_sum_exact([u], alpha) == expect
+    # character sums of integer words are the graph's character table
+    # divided by its degree; single generator u: (-1)^<alpha, u>
+    u = 0b011
+    tab = character_table(CayleyGraph(3, (u,)))
+    for alpha in range(8):
+        assert tab[alpha] == (-1) ** (bin(alpha & u).count("1") % 2)
     # full group as generators: 1 at alpha = 0, exactly 0 elsewhere
-    gens = list(all_words(3))
-    assert character_sum_exact(gens, BitWord(0, 3)) == 1
-    for alpha in all_words(3):
-        if alpha.value:
-            assert character_sum_exact(gens, alpha) == 0
-    assert character_sum(gens, BitWord(5, 3)) == 0.0
-    with pytest.raises(ValueError):
-        character_sum_exact([], BitWord(0, 3))
+    tab = character_table(CayleyGraph(3, tuple(range(8))))
+    assert tab.tolist() == [8] + [0] * 7
 
 
 def test_character_sum_is_exact_fraction():
-    gens = [BitWord(1, 2), BitWord(2, 2), BitWord(3, 2)]
-    assert character_sum_exact(gens, BitWord(1, 2)) == Fraction(-1, 3)
+    rep = spectrum(CayleyGraph(2, (1, 2, 3)))
+    assert rep.lambda_exact == Fraction(1, 3)
+
+
+def power(x, i, ell):
+    """x**i in GF(2^ell) by repeated field_mul, with x**0 = 1 for every x."""
+    p = 1
+    for _ in range(i):
+        p = field_mul(p, x, ell)
+    return p
 
 
 def test_gf4_multiplication_table():
     # GF(4) with modulus x^2 + x + 1: elements 0, 1, x, x+1
-    x = FieldElem(0b10, 2)
-    x1 = FieldElem(0b11, 2)
-    assert field_mul(x, x) == x1  # x^2 = x + 1
-    assert field_mul(x, x1) == FieldElem(1, 2)  # x * (x+1) = 1
-    assert field_mul(x1, x1) == x
-    assert field_add(x, x1) == FieldElem(1, 2)
+    x, x1 = 0b10, 0b11
+    assert field_mul(x, x, 2) == x1  # x^2 = x + 1
+    assert field_mul(x, x1, 2) == 1  # x * (x+1) = 1
+    assert field_mul(x1, x1, 2) == x
+    assert field_mul(np.array([x, x1, x1]), np.array([x, x, x1]), 2).tolist() == [x1, 1, x]
 
 
 def test_gf8_cube_identity():
     # modulus x^3 + x + 1, so x^3 = x + 1
     assert IRREDUCIBLE_MODULI[3] == 0b1011
-    x = FieldElem(0b010, 3)
-    assert field_pow(x, 3) == FieldElem(0b011, 3)
+    assert power(0b010, 3, 3) == 0b011
+
+
+def test_field_mul_matches_poly_mod_of_poly_mul():
+    for ell in range(1, 17):
+        rng = random.Random(ell)
+        for _ in range(50):
+            a, b = rng.randrange(1 << ell), rng.randrange(1 << ell)
+            assert field_mul(a, b, ell) == poly_mod(poly_mul(a, b), IRREDUCIBLE_MODULI[ell])
 
 
 def test_field_axioms_exhaustive_small():
-    for ell in (1, 2, 3):
+    # every (a, b, c) of GF(2^ell) for ell <= 4, scalar and array calls alike
+    for ell in (1, 2, 3, 4):
         q = 1 << ell
-        elems = [FieldElem(v, ell) for v in range(q)]
-        one = FieldElem(1, ell)
-        for a in elems:
-            assert field_mul(a, one) == a
-            for b in elems:
-                assert field_mul(a, b) == field_mul(b, a)
-                for c in elems:
-                    assert field_mul(field_mul(a, b), c) == field_mul(a, field_mul(b, c))
-                    lhs = field_mul(a, field_add(b, c))
-                    rhs = field_add(field_mul(a, b), field_mul(a, c))
-                    assert lhs == rhs
+        a, b, c = (v.ravel() for v in np.meshgrid(*[np.arange(q, dtype=np.int64)] * 3, indexing="ij"))
+        ab = field_mul(a, b, ell)
+        assert ab.dtype == np.int64
+        assert ab.tolist() == [field_mul(int(x), int(y), ell) for x, y in zip(a, b)]
+        assert np.array_equal(field_mul(a, 1, ell), a)
+        assert np.array_equal(ab, field_mul(b, a, ell))
+        assert np.array_equal(field_mul(ab, c, ell), field_mul(a, field_mul(b, c, ell), ell))
+        assert np.array_equal(field_mul(a, b ^ c, ell), ab ^ field_mul(a, c, ell))
 
 
 def test_field_inverses_exist():
     for ell in (1, 2, 3, 4):
         q = 1 << ell
-        one = FieldElem(1, ell)
         for v in range(1, q):
-            a = FieldElem(v, ell)
-            inverses = [u for u in range(1, q) if field_mul(a, FieldElem(u, ell)) == one]
+            inverses = [u for u in range(1, q) if field_mul(v, u, ell) == 1]
             assert len(inverses) == 1
 
 
 def test_field_pow_conventions():
-    zero = FieldElem(0, 4)
-    one = FieldElem(1, 4)
-    assert field_pow(zero, 0) == one
-    assert field_pow(zero, 5) == zero
+    assert power(0, 0, 4) == 1
+    assert power(0, 5, 4) == 0
     for v in range(1, 16):
-        a = FieldElem(v, 4)
-        assert field_pow(a, 15) == one  # multiplicative group has order 15
-        assert field_pow(a, 16) == a
-    with pytest.raises(ValueError):
-        field_pow(one, -1)
+        assert power(v, 15, 4) == 1  # multiplicative group has order 15
+        assert power(v, 16, 4) == v
 
 
 def test_multiplicative_group_is_cyclic():
     for ell in (2, 3, 4):
         q = 1 << ell
         orders = []
-        for v in range(1, q):
-            a = FieldElem(v, ell)
+        for a in range(1, q):
             k = 1
             p = a
-            while p != FieldElem(1, ell):
-                p = field_mul(p, a)
+            while p != 1:
+                p = field_mul(p, a, ell)
                 k += 1
             orders.append(k)
         assert max(orders) == q - 1
 
 
 def test_field_mismatch_rejected():
+    # an element of GF(8) is not an operand of GF(4) multiplication
     with pytest.raises(ValueError):
-        field_mul(FieldElem(1, 2), FieldElem(1, 3))
-    # same degree, different modulus
-    a = FieldElem(1, 3, 0b1011)
-    b = FieldElem(1, 3, 0b1101)
+        field_mul(0b100, 1, 2)
     with pytest.raises(ValueError):
-        field_add(a, b)
+        field_mul(np.array([1, 0b100]), 1, 2)
 
 
 def test_field_elem_validation():
     with pytest.raises(ValueError):
-        FieldElem(8, 3)
+        field_mul(8, 1, 3)
     with pytest.raises(ValueError):
-        FieldElem(0, 3, 0b1001)  # x^3 + 1 = (x + 1)(x^2 + x + 1) is reducible
+        field_mul(-1, 1, 3)
     with pytest.raises(ValueError):
-        FieldElem(0, 40)  # no baked-in modulus that large
-
-
-def test_parity():
-    assert parity(0) == 0
-    assert parity(0b1011) == 1
-    assert parity(0b1111) == 0
-
-
-def test_all_words_order():
-    ws = list(all_words(2))
-    assert [w.value for w in ws] == [0, 1, 2, 3]
-    assert all(w.length == 2 for w in ws)
+        field_mul(0, 0, 40)  # no baked-in modulus that large

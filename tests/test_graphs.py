@@ -7,12 +7,13 @@ x on which the polynomial with coefficient word alpha vanishes, so the
 expansion is a root count divided by the field size.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from widewalk.gf2core import BitWord, FieldElem, character_sum_exact, field_mul
+from widewalk.gf2core import field_mul
 from widewalk.graphs import (
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
@@ -34,24 +35,55 @@ FROZEN_LAMBDA = {
 }
 
 
+def field_powers(x, r, ell):
+    """[x^0, ..., x^(r-1)] in GF(2^ell) by scalar field_mul, with x^0 = 1."""
+    powers = [1]
+    for _ in range(r - 1):
+        powers.append(field_mul(powers[-1], x, ell))
+    return powers
+
+
 def root_count_lambda(r, ell):
     """max over nonzero alpha of #{x : sum_{i in alpha} x^i = 0} / 2^ell."""
     q = 1 << ell
+    table = [field_powers(x, r, ell) for x in range(q)]
     best = 0
     for alpha in range(1, 1 << r):
         roots = 0
-        for xv in range(q):
-            x = FieldElem(xv, ell)
+        for powers in table:
             acc = 0
-            p = FieldElem(1, ell)
-            for i in range(r):
+            for i, p in enumerate(powers):
                 if (alpha >> i) & 1:
-                    acc ^= p.value
-                p = field_mul(p, x)
+                    acc ^= p
             if acc == 0:
                 roots += 1
         best = max(best, roots)
     return Fraction(best, q)
+
+
+def aghp_loop_reference(r, ell):
+    """AGHP(r, ell) generators one word at a time: bit i of word (x, y),
+    x major, is the parity of x^i & y."""
+    gens = []
+    for x in range(1 << ell):
+        powers = field_powers(x, r, ell)
+        for y in range(1 << ell):
+            gens.append(sum((bin(p & y).count("1") & 1) << i for i, p in enumerate(powers)))
+    return tuple(gens)
+
+
+def test_aghp_matches_loop_reference():
+    for r, ell in [(2, 1), (4, 2), (6, 3), (9, 4), (10, 5), (12, 3), (12, 6), (62, 1)]:
+        assert build_aghp(r, ell).generators == aghp_loop_reference(r, ell), (r, ell)
+
+
+def test_aghp_16_8_generators_are_pinned():
+    # SHA-256 of the int64 generator words, computed with the FieldElem
+    # loop build that build_aghp replaced
+    gens = np.asarray(build_aghp(16, 8).generators, dtype=np.int64)
+    assert hashlib.sha256(gens.tobytes()).hexdigest() == (
+        "1bd338481cb2fd13f374943d1e8908d9fcc4ab3a96f7540a7e233be4ce1c7f20"
+    )
 
 
 def test_aghp_lambda_matches_root_count_oracle():
@@ -94,6 +126,8 @@ def test_aghp_validation():
         build_aghp(0, 1)
     with pytest.raises(ValueError):
         build_aghp(4, 0)
+    with pytest.raises(ValueError):
+        build_aghp(63, 1)  # int64 words would wrap
 
 
 def test_complete_selfloop_lambda_zero():
@@ -137,9 +171,10 @@ def test_character_table_row_zero_is_degree():
 def test_character_table_matches_character_sums():
     g = build_aghp(6, 3)
     tab = character_table(g)
-    gens = [BitWord(u, g.dim) for u in g.generators]
     for alpha in range(g.num_vertices):
-        assert tab[alpha] == character_sum_exact(gens, BitWord(alpha, g.dim)) * g.degree
+        assert tab[alpha] == sum(
+            -1 if bin(alpha & u).count("1") % 2 else 1 for u in g.generators
+        )
 
 
 def sylvester(n):
