@@ -48,6 +48,7 @@ from .graphs import (
     CayleyGraph,
     build_aghp,
     build_complete_selfloop,
+    json_field,
     spectrum,
 )
 from .hitting import check_hitting
@@ -121,9 +122,9 @@ def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must be a JSON object")
-    params = WalkParams(int(cfg["m"]), int(cfg["s"]), int(cfg["ell"]))
-    outer_spec = cfg.get("outer", "complete")
-    inner_spec = cfg.get("inner", "aghp")
+    params = WalkParams(*(json_field(cfg, key, int) for key in ("m", "s", "ell")))
+    outer_spec = json_field(cfg, "outer", str, "complete")
+    inner_spec = json_field(cfg, "inner", str, "aghp")
     outer = (
         build_complete_selfloop(params.m)
         if outer_spec == "complete"
@@ -143,9 +144,9 @@ def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
         "inner": inner_spec,
     }
     if "t" in cfg:
-        resolved["t"] = int(cfg["t"])
+        resolved["t"] = json_field(cfg, "t", int)
     if "support" in cfg:
-        resolved["support"] = cfg["support"]
+        resolved["support"] = json_field(cfg, "support", str)
     return system, resolved
 
 

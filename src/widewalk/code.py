@@ -17,8 +17,8 @@ import numpy as np
 
 from . import gf2core
 from .amplify import SignedFn, dp_gk, measured_lambdas, moments
-from .graphs import CayleyGraph
-from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, walk_tables
+from .graphs import CayleyGraph, json_field
+from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid, walk_expander
 
 MAX_EXHAUSTIVE_K = 16
 MAX_DP_SCAN_K = 12
@@ -101,14 +101,12 @@ class LinearCode:
         data = json.loads(text) if isinstance(text, str) else text
         if not isinstance(data, dict):
             raise ValueError("a base code must be a JSON object")
-        code = cls(
-            int(data["k"]),
-            int(data["n0"]),
-            [gf2core.hex_decode(h, int(data["n0"])) for h in data["rows"]],
-        )
-        if "bias" in data and abs(code.measured_bias - float(data["bias"])) > 1e-12:
+        k, n0 = json_field(data, "k", int), json_field(data, "n0", int)
+        code = cls(k, n0, [gf2core.hex_decode(h, n0) for h in json_field(data, "rows", list)])
+        bias = json_field(data, "bias", float, code.measured_bias)
+        if not abs(code.measured_bias - bias) <= 1e-12:  # "not <=" also refuses NaN
             raise ValueError(
-                f"stored bias {data['bias']} disagrees with recomputed "
+                f"stored bias {bias} disagrees with recomputed "
                 f"{code.measured_bias}"
             )
         return code
@@ -199,31 +197,25 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     """Codeword bits in walk-seed enumeration order: each bit XORs the
     embedded assignment over the t+1 outer vertices of one walk.
 
-    Built level by level for one a_0 and one block of b_1 at a time (about
-    2**18 walks, so peak memory stays flat): level i holds the walk
-    prefixes (b_1, u_2, ..., u_i) in lexicographic order, and the next
-    level appends u_{i+1} as the fastest-varying axis.
+    Walks are expanded for one a_0 and one block of b_1 at a time (about
+    2**18 walks, so peak memory stays flat), each block's seeds in
+    lexicographic order.
     """
     count = amp.block_length
     if count > budget:
         raise BudgetExceeded(count, budget)
-    rot, shift = walk_tables(amp.sys)
-    gens = np.asarray(amp.sys.inner.generators, dtype=np.int64)
+    expand = walk_expander(amp.sys)
     bits = amp.f_for_message(x).bits.astype(np.uint8)
-    step = max(1, (1 << 18) // amp.sys.params.d_inner ** (amp.t - 1))
+    d, n_b = amp.sys.params.d_inner, amp.sys.num_inner
+    step = max(1, (1 << 18) // d ** (amp.t - 1))
     out = np.empty(count, dtype=np.uint8)
     pos = 0
     for a0 in range(amp.sys.num_outer):
-        for lo in range(0, amp.sys.num_inner, step):
-            b = np.arange(lo, min(lo + step, amp.sys.num_inner))
-            a = rot[a0, b]
-            acc = bits[a0] ^ bits[a]
-            for _ in range(amp.t - 1):
-                b = shift[(b[:, None] ^ gens).ravel()]
-                a = rot[np.repeat(a, gens.size), b]
-                acc = np.repeat(acc, gens.size) ^ bits[a]
-            out[pos:pos + acc.size] = acc
-            pos += acc.size
+        for lo in range(0, n_b, step):
+            seeds = choice_grid(min(step, n_b - lo), *(d,) * (amp.t - 1))
+            A, _ = expand(a0, lo + seeds[:, 0], seeds[:, 1:])
+            out[pos:pos + len(A)] = np.bitwise_xor.reduce(bits.take(A.T), axis=0)
+            pos += len(A)
     return out
 
 

@@ -1,4 +1,5 @@
-"""Explicit Cayley graphs over F_2^dim, their exact spectra, and mixing checks.
+"""Explicit Cayley graphs over F_2^dim, their exact spectra, and mixing checks,
+plus the typed JSON field reader that every input file goes through.
 
 Vertices are plain integers in [0, 2**dim); vertex v and generator u are
 adjacent endpoints of an edge v ~ v ^ u.  Every generator is its own inverse
@@ -19,6 +20,28 @@ from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode, hex_encode
 
 SPECTRUM_SCAN_LIMIT = 24  # largest dim for an exhaustive character scan
 AGHP_MAX_DIM = 62  # generator words are built as int64 and must not wrap
+AGHP_MAX_GENERATORS = 1 << 24  # 4**ell generators are kept as Python ints
+
+_JSON_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    list: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+
+
+def json_field(data: dict, key: str, kind: type, default=None):
+    """data[key], checked to be of JSON kind int (bools excluded), float
+    (any number), str, bool or list (of strings).  A missing key gives
+    default, or raises ValueError when default is None."""
+    if key not in data and default is None:
+        raise ValueError(f"missing field {key!r}")
+    value = data.get(key, default)
+    name, ok = _JSON_KINDS[kind]
+    if not ok(value):
+        raise ValueError(f"field {key!r} must be {name}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -81,13 +104,15 @@ class CayleyGraph:
     @classmethod
     def from_json(cls, text: str) -> "CayleyGraph":
         payload = json.loads(text)
-        dim = int(payload["dim"])
-        gens = tuple(hex_decode(h, dim) for h in payload["generators"])
+        if not isinstance(payload, dict):
+            raise ValueError("a graph must be a JSON object")
+        dim = json_field(payload, "dim", int)
+        gens = tuple(hex_decode(h, dim) for h in json_field(payload, "generators", list))
         return cls(
             dim=dim,
             generators=gens,
-            name=str(payload.get("name", "")),
-            multigraph=bool(payload.get("multigraph", False)),
+            name=json_field(payload, "name", str, ""),
+            multigraph=json_field(payload, "multigraph", bool, False),
         )
 
 
@@ -124,6 +149,10 @@ def build_aghp(r: int, ell: int) -> CayleyGraph:
         raise ValueError(f"r={r} exceeds {AGHP_MAX_DIM}: generator words are int64")
     if ell not in IRREDUCIBLE_MODULI:
         raise ValueError(f"no baked-in modulus for ell={ell}")
+    if 1 << (2 * ell) > AGHP_MAX_GENERATORS:
+        raise ValueError(
+            f"ell={ell} gives 4**{ell} generators, more than {AGHP_MAX_GENERATORS}"
+        )
     elems = np.arange(1 << ell, dtype=np.int64)
     powers = [np.ones_like(elems)]  # x^i for every x, with x^0 = 1 at x = 0 too
     for _ in range(r - 1):
@@ -170,7 +199,9 @@ def fwht(a: np.ndarray) -> np.ndarray:
     while h < n:
         v = a.reshape(shape[:-1] + (n // (2 * h), 2, h))
         lo, hi = v[..., 0, :], v[..., 1, :]
-        a = np.stack((lo + hi, lo - hi), axis=-2)
+        a = np.empty_like(v)
+        np.add(lo, hi, out=a[..., 0, :])
+        np.subtract(lo, hi, out=a[..., 1, :])
         h *= 2
     return a.reshape(shape)
 

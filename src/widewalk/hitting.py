@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .graphs import CayleyGraph, spectrum
+import numpy as np
+
+from .graphs import CayleyGraph, character_table, fwht, spectrum
 
 Real = Union[float, Fraction]
 
@@ -45,27 +47,24 @@ def _survival(inst: HittingInstance) -> list[Fraction]:
     """P[a_1..a_t all in S] for t = 1..inst.t, exactly, from one prefix DP.
 
     Integer path-count DP: count_j(a) = surviving j-vertex paths ending
-    at a; one step sums counts over the generator neighbors and zeroes
-    vertices outside S.  Level j's count total over n * d**(j-1) is the
-    probability for t = j.
+    at a; one step sums counts over the generator neighbors (an XOR
+    convolution, taken through the FWHT as in graphs.cayley_average) and
+    zeroes vertices outside S.  Counts are Python ints in object arrays,
+    so they stay exact past 2**63.  Level j's count total over
+    n * d**(j-1) is the probability for t = j.
     """
     g = inst.graph
     n = g.num_vertices
     if n * inst.t > (1 << 28):
         raise ValueError(f"instance too large: {n} vertices x t={inst.t}")
-    in_s = [1 if v in inst.subset else 0 for v in range(n)]
-    counts = in_s[:]
-    probs = [Fraction(sum(counts), n)]
+    in_s = np.zeros(n, dtype=object)
+    in_s[list(inst.subset)] = 1
+    chars = character_table(g)
+    counts = in_s
+    probs = [Fraction(int(counts.sum()), n)]
     for _ in range(inst.t - 1):
-        nxt = [0] * n
-        for a in range(n):
-            if in_s[a]:
-                total = 0
-                for u in g.generators:
-                    total += counts[a ^ u]
-                nxt[a] = total
-        counts = nxt
-        probs.append(Fraction(sum(counts), n * g.degree ** len(probs)))
+        counts = in_s * (fwht(fwht(counts) * chars) // n)
+        probs.append(Fraction(int(counts.sum()), n * g.degree ** len(probs)))
     return probs
 
 

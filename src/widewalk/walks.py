@@ -16,13 +16,23 @@ When a walk segment is generated backwards (for middle starts and reverse
 dynamic programs) the inner step reverses as b_{j} = shift_inverse(b_{j+1})
 ^ u, i.e. the shift is undone before taking the neighbor step, and the
 outer step reuses block 1 of b_{j+1} because generators are self-inverse.
+
+The exact checks enumerate their random choices as the rows of one integer
+grid (:func:`choice_grid`, C order) and expand every row at once with
+:func:`walk_expander`: each step is one gather through the shift table (or
+its inverse) and one through row 0 of the rotation table of
+:func:`walk_tables`, since rot[a, b] = a ^ rot[0, b].
+Two enumerations are compared as multisets of rows by :func:`multiset_tv`
+in exact rationals.  ReplacementSystem.walk_from_seed stays as the scalar
+reference that the sampler and the seed enumerator use.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -127,12 +137,6 @@ class ReplacementSystem:
     def num_inner(self) -> int:
         return self.inner.num_vertices
 
-    def block(self, b: int, j: int) -> int:
-        """Block j (1-based) of inner vertex b."""
-        if not 1 <= j <= self.params.s:
-            raise ValueError(f"block index {j} out of range 1..{self.params.s}")
-        return (b >> (self.params.m * (j - 1))) & self._block_mask
-
     def rotation(self, a: int, b: int) -> int:
         """Step the outer vertex along the generator indexed by block 1 of b."""
         return self.outer.neighbor(a, b & self._block_mask)
@@ -140,16 +144,9 @@ class ReplacementSystem:
     def shift_fwd(self, b: int) -> int:
         return shift(b, self.params.m, self.params.s, "forward")
 
-    def shift_bwd(self, b: int) -> int:
-        return shift(b, self.params.m, self.params.s, "backward")
-
     def inner_step_fwd(self, b: int, u_index: int) -> int:
         """Next inner vertex: shift(b ^ u)."""
         return self.shift_fwd(b ^ self.inner.generators[u_index])
-
-    def inner_step_bwd(self, b: int, u_index: int) -> int:
-        """Previous inner vertex: shift_inverse(b) ^ u."""
-        return self.shift_bwd(b) ^ self.inner.generators[u_index]
 
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
         """Deterministically expand a seed into the full walk."""
@@ -219,6 +216,80 @@ def enumerate_swalk_seeds(
                 yield sys.walk_from_seed(a0, b1, us)
 
 
+def choice_grid(*sizes: int) -> np.ndarray:
+    """Every tuple of range(sizes[0]) x range(sizes[1]) x ..., one per row,
+    in C (lexicographic) order; one empty row when sizes is empty."""
+    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+
+
+def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """The array form of the walk rule: expand(a, b, u, pivot=0) -> (A, B).
+
+    Each row n of the (N, t-1) generator-index array u is one walk.  Its
+    outer vertex at position pivot is a[n] and its inner vertex at
+    position p = max(pivot, 1) is b[n] (a and b may be scalars).  The
+    columns of u take the inner steps forward to positions p+1..t, then
+    backward to positions pivot-1..1; the outer vertices follow by
+    rotation outward from the pivot.  pivot 0 is the standard order, so
+    the seed rows (a_0, b_1, u_2..u_t) give walk_from_seed's walks.  A
+    holds a_0..a_t, (N, t+1), and B holds b_1..b_t, (N, t), in the
+    smallest unsigned dtype that holds every vertex.
+    """
+    rot, fwd = walk_tables(sys)
+    bwd = np.argsort(fwd)
+    gens = np.asarray(sys.inner.generators, dtype=np.int64)
+    dtype = np.min_scalar_type(max(sys.num_outer, sys.num_inner) - 1)
+    # rot[a, b] = a ^ rot[0, b] (the outer graph is a Cayley graph over
+    # F_2^m), so each outer step is a one-dimensional gather
+    hop = rot[0].astype(dtype)
+
+    def expand(a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        n, t = u.shape[0], u.shape[1] + 1
+        if not 0 <= pivot <= t - 1:
+            raise ValueError(f"pivot {pivot} out of range 0..{t - 1}")
+        p = max(pivot, 1)
+        # one contiguous row per position (the transposes returned are views);
+        # take gathers by these small-dtype rows about twice as fast as [] does
+        A = np.empty((t + 1, n), dtype=dtype)
+        B = np.empty((t, n), dtype=dtype)
+        A[pivot] = a
+        B[p - 1] = b
+        cols = iter(u.T)
+        for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
+            B[j] = fwd[B[j - 1] ^ gens[next(cols)]]
+        for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
+            B[j] = bwd.take(B[j + 1]) ^ gens[next(cols)]
+        for j in range(pivot + 1, t + 1):
+            A[j] = A[j - 1] ^ hop.take(B[j - 1])
+        for j in range(pivot - 1, -1, -1):
+            A[j] = A[j + 1] ^ hop.take(B[j])
+        return A.T, B.T
+
+    return expand
+
+
+def multiset_tv(p: np.ndarray, q: np.ndarray) -> tuple[Fraction, Fraction]:
+    """Exact distance between the empirical distributions of the rows of
+    two nonnegative integer arrays with equal column counts: the total
+    variation distance and the largest gap |P(x) - Q(x)| at one row x.
+
+    Each row is one np.void key over the smallest unsigned dtype that holds
+    every entry, so np.unique counts whole rows.  With L = lcm(|p|, |q|)
+    every gap is an integer over L, and all of them sum to at most 2L.
+    """
+    rows = np.concatenate([p, q])
+    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(rows.max()))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    n_p, n_q = len(p), len(q)
+    lcm = math.lcm(n_p, n_q)
+    dtype = np.int64 if lcm < 1 << 62 else object
+    c_p = np.bincount(inverse[:n_p], minlength=len(uniq)).astype(dtype)
+    c_q = np.bincount(inverse[n_p:], minlength=len(uniq)).astype(dtype)
+    gap = np.abs(c_p * (lcm // n_p) - c_q * (lcm // n_q))
+    return Fraction(int(gap.sum()), 2 * lcm), Fraction(int(gap.max()), lcm)
+
+
 def middle_start_sample(
     sys: ReplacementSystem, t: int, i: int, rng: np.random.Generator
 ) -> SWalk:
@@ -229,61 +300,20 @@ def middle_start_sample(
     generated backward (inverse shifts, and rotations reusing the same block
     because outer generators are self-inverse).  The output distribution is
     identical to :func:`sample_swalk`'s.  i = 0 reduces to the standard
-    order.
+    order.  The u-index field of the returned seed is a placeholder
+    (indices cannot be recovered uniquely when the inner graph has repeated
+    generators).
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    if not 0 <= i <= t - 1:
-        raise ValueError(f"pivot {i} out of range 0..{t - 1}")
     d = sys.params.d_inner
     a_pivot = int(rng.integers(sys.num_outer))
     b_pivot = int(rng.integers(sys.num_inner))
     u_edge = int(rng.integers(d))
-    draws = tuple(int(u) for u in rng.integers(d, size=max(t - 2, 0)))
-    return _middle_start_from_choices(sys, t, i, a_pivot, b_pivot, u_edge, draws)
-
-
-def _middle_start_from_choices(
-    sys: ReplacementSystem,
-    t: int,
-    i: int,
-    a_pivot: int,
-    b_pivot: int,
-    u_edge: int,
-    draws: Sequence[int],
-) -> SWalk:
-    """Deterministic middle-start expansion from explicit random choices.
-
-    draws supplies the t-2 remaining inner steps (forward ones first, then
-    backward ones for positions i-1 down to 1); exposing it keeps the whole
-    randomness space enumerable for exact distribution comparison.  The
-    returned walk's u-index seed field is a placeholder (indices cannot be
-    recovered uniquely when the inner graph has repeated generators).
-    """
-    b: dict[int, int] = {}
-    if i == 0:
-        # pivot at the start degenerates to the standard order: u_edge is
-        # simply the first inner step
-        b[1] = b_pivot
-        if t >= 2:
-            b[2] = sys.inner_step_fwd(b_pivot, u_edge)
-        start_fwd = 3
-    else:
-        b[i] = b_pivot
-        b[i + 1] = sys.inner_step_fwd(b_pivot, u_edge)
-        start_fwd = i + 2
-    it = iter(draws)
-    for j in range(start_fwd, t + 1):
-        b[j] = sys.inner_step_fwd(b[j - 1], next(it))
-    for j in range(i - 1, 0, -1):
-        b[j] = sys.inner_step_bwd(b[j + 1], next(it))
-    a: dict[int, int] = {i: a_pivot}
-    for j in range(i + 1, t + 1):
-        a[j] = sys.rotation(a[j - 1], b[j])
-    for j in range(i - 1, -1, -1):
-        a[j] = sys.rotation(a[j + 1], b[j + 1])
-    a_list = tuple(a[j] for j in range(t + 1))
-    b_list = tuple(b[j] for j in range(1, t + 1))
+    draws = rng.integers(d, size=max(t - 2, 0))
+    u = np.concatenate([[u_edge], draws])[None, : t - 1]
+    A, B = walk_expander(sys)(a_pivot, b_pivot, u, pivot=i)
+    a_list, b_list = tuple(A[0].tolist()), tuple(B[0].tolist())
     return SWalk(a_list, b_list, (a_list[0], b_list[0], (-1,) * (t - 1)))
 
 
@@ -313,36 +343,13 @@ def check_pseudorandomness(
     n_pure = sys.outer.degree ** (k - 1)
     if sys.num_outer * (n_wide + n_pure) > budget:
         raise BudgetExceeded(sys.num_outer * (n_wide + n_pure), budget)
-    d = sys.params.d_inner
-    worst = Fraction(0)
-    for a_start in range(sys.num_outer):
-        wide: dict[tuple[int, ...], int] = {}
-        for b1 in range(sys.num_inner):
-            for us in itertools.product(range(d), repeat=max(k - 2, 0)):
-                traj = []
-                a_cur, b_cur = a_start, b1
-                if k >= 2:
-                    a_cur = sys.rotation(a_cur, b_cur)
-                    traj.append(a_cur)
-                    for u in us:
-                        b_cur = sys.inner_step_fwd(b_cur, u)
-                        a_cur = sys.rotation(a_cur, b_cur)
-                        traj.append(a_cur)
-                wide[tuple(traj)] = wide.get(tuple(traj), 0) + 1
-        pure: dict[tuple[int, ...], int] = {}
-        for idxs in itertools.product(range(sys.outer.degree), repeat=k - 1):
-            a_cur = a_start
-            traj = []
-            for ix in idxs:
-                a_cur = sys.outer.neighbor(a_cur, ix)
-                traj.append(a_cur)
-            pure[tuple(traj)] = pure.get(tuple(traj), 0) + 1
-        tv = Fraction(0)
-        for key in set(wide) | set(pure):
-            p = Fraction(wide.get(key, 0), n_wide)
-            q = Fraction(pure.get(key, 0), n_pure)
-            tv += abs(p - q)
-        worst = max(worst, tv / 2)
+    # walks of max(k-1, 1) steps from every (a_0, b_1), truncated to k vertices
+    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
+    A, _ = walk_expander(sys)(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
+    wide = A[:, :k].reshape(sys.num_outer, n_wide, k)
+    steps = np.asarray(sys.outer.generators)[choice_grid(*(sys.outer.degree,) * (k - 1))]
+    pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
+    worst = max(multiset_tv(wide[a], pure ^ a)[0] for a in range(sys.num_outer))
     return DistributionCheck(
         equal=(worst == 0), tv_distance=float(worst), max_deviation=float(worst)
     )
@@ -359,35 +366,14 @@ def check_first_coord_uniform(
     """
     if not 1 <= k <= sys.params.s:
         raise ValueError(f"k must be in 1..s={sys.params.s}, got {k}")
-    d = sys.params.d_inner
-    total = sys.num_inner * d ** (k - 1)
+    total = sys.num_inner * sys.params.d_inner ** (k - 1)
     if total > budget:
         raise BudgetExceeded(total, budget)
+    seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (k - 1))
+    _, B = walk_expander(sys)(0, seeds[:, 0], seeds[:, 1:])
     d_out = sys.params.d_outer
-    cells = d_out ** k
-    if total % cells != 0:
-        return DistributionCheck(equal=False, tv_distance=1.0, max_deviation=1.0)
-    counts: dict[tuple[int, ...], int] = {}
-    for b1 in range(sys.num_inner):
-        for us in itertools.product(range(d), repeat=k - 1):
-            b_cur = b1
-            key = [b_cur & (d_out - 1)]
-            for u in us:
-                b_cur = sys.inner_step_fwd(b_cur, u)
-                key.append(b_cur & (d_out - 1))
-            counts[tuple(key)] = counts.get(tuple(key), 0) + 1
-    target = total // cells
-    tv = Fraction(0)
-    max_dev = Fraction(0)
-    for cell in itertools.product(range(d_out), repeat=k):
-        c = counts.get(cell, 0)
-        dev = abs(Fraction(c, total) - Fraction(1, cells))
-        tv += dev
-        max_dev = max(max_dev, dev)
-    equal = all(counts.get(cell, 0) == target for cell in counts) and len(counts) <= cells
-    return DistributionCheck(
-        equal=equal and tv == 0, tv_distance=float(tv / 2), max_deviation=float(max_dev)
-    )
+    tv, gap = multiset_tv(B & (d_out - 1), choice_grid(*(d_out,) * k))
+    return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
 
 
 def check_local_invertibility(sys: ReplacementSystem) -> bool:
@@ -407,31 +393,17 @@ def middle_start_distribution_equal(
 ) -> DistributionCheck:
     """Exact comparison of middle-start and standard walk distributions.
 
-    Enumerates every random choice of both procedures and compares the
-    resulting distributions over complete walk tuples in exact arithmetic.
+    Both procedures consume the same choices (an outer vertex, an inner
+    vertex and t-1 generator indices), so every choice row is expanded
+    once in the standard order and once outward from pivot i, and the two
+    multisets of complete walks are compared in exact arithmetic.
     """
-    d = sys.params.d_inner
-    total = sys.num_outer * sys.num_inner * d ** (t - 1)
+    total = sys.seed_count(t)
     if 2 * total > budget:
         raise BudgetExceeded(2 * total, budget)
-    standard: dict[tuple, int] = {}
-    for w in enumerate_swalk_seeds(sys, t, budget):
-        key = (w.a_vertices, w.b_vertices)
-        standard[key] = standard.get(key, 0) + 1
-    middle: dict[tuple, int] = {}
-    for a_pivot in range(sys.num_outer):
-        for b_pivot in range(sys.num_inner):
-            for u_edge in range(d):
-                for draws in itertools.product(range(d), repeat=max(t - 2, 0)):
-                    w = _middle_start_from_choices(
-                        sys, t, i, a_pivot, b_pivot, u_edge, draws
-                    )
-                    key = (w.a_vertices, w.b_vertices)
-                    middle[key] = middle.get(key, 0) + 1
-    n_std = sum(standard.values())
-    n_mid = sum(middle.values())
-    tv = Fraction(0)
-    for key in set(standard) | set(middle):
-        tv += abs(Fraction(standard.get(key, 0), n_std) - Fraction(middle.get(key, 0), n_mid))
-    tv = tv / 2
+    expand = walk_expander(sys)
+    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    standard = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:]))
+    middle = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:], pivot=i))
+    tv, _ = multiset_tv(standard, middle)
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(tv))

@@ -180,13 +180,12 @@ def test_acceptance_11_hitting_probabilities(k16):
     lam = Fraction(1, 15)
     ok = spectrum(k16).lambda_exact == lam
     # exhaustive over every subset of size 1..4, all walk lengths to 12
+    # (one prefix DP per subset gives every length)
     for size in (1, 2, 3, 4):
-        rho = Fraction(size, 16)
         for subset in itertools.combinations(range(16), size):
-            for t in range(1, 13):
-                exact = hitting_prob_exact(make_instance(k16, subset, t))
-                if exact > hitting_bound(rho, lam, t):
-                    ok = False
+            rows = check_hitting(k16, subset, 12, lam).rows
+            if [r.t for r in rows] != list(range(1, 13)) or not all(r.passed for r in rows):
+                ok = False
     # 100 random larger subsets
     rng = np.random.default_rng(0)
     for _ in range(100):

@@ -4,6 +4,8 @@ byte-level determinism.  All invocations go through main(argv)."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from widewalk.cli import (
     EXIT_BUDGET,
@@ -66,6 +68,8 @@ def test_graph_aghp_invalid_params(capsys):
     assert "error:" in capsys.readouterr().err
     # words wider than 62 bits would wrap in int64
     assert_one_line_invalid(["graph", "aghp", "--r", "70", "--ell", "1"], capsys, "error: r=70")
+    # 4**16 generators are refused before anything is allocated
+    assert_one_line_invalid(["graph", "aghp", "--r", "32", "--ell", "16"], capsys, "error: ell=16")
 
 
 def test_graph_complete_csv(capsys):
@@ -315,3 +319,103 @@ def test_invalid_inputs(tmp_path, capsys):
     assert_one_line_invalid(encode_argv, capsys, "error: a base code")
     base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
     assert_one_line_invalid(encode_argv + ["--budget", "-1"], capsys, "error: --budget")
+    # config fields of the wrong JSON type; floats and bools are not integers
+    good = {"m": 1, "s": 2, "ell": 1, "t": 2}
+    for field, value in (("m", None), ("m", 2.7), ("m", True), ("t", "2"),
+                         ("outer", 7), ("inner", None), ("support", 5)):
+        bad.write_text(json.dumps({**good, field: value}))
+        argv = ["code", "encode", "--config", str(bad), "--base", str(base_path), "--message", "1"]
+        assert_one_line_invalid(argv, capsys, f"error: field '{field}'")
+    # graph files: a field of the wrong type, and a graph that is not an object
+    gpath = tmp_path / "g.json"
+    spectrum_argv = ["graph", "spectrum", str(gpath)]
+    hitting_argv = ["verify", "hitting", "--graph", str(gpath), "--set", "first-1"]
+    for field, payload, argvs in (
+        ("dim", {"dim": None, "generators": ["0"]}, [spectrum_argv]),
+        ("generators", {"dim": 1, "generators": 5}, [spectrum_argv, hitting_argv]),
+        ("multigraph", {"dim": 1, "generators": ["1"], "multigraph": 1}, [spectrum_argv]),
+    ):
+        gpath.write_text(json.dumps(payload))
+        for argv in argvs:
+            assert_one_line_invalid(argv, capsys, f"error: field '{field}'")
+    gpath.write_text("[]")
+    assert_one_line_invalid(spectrum_argv, capsys, "error: a graph")
+    # base code fields of the wrong type
+    for field, value in (("k", None), ("rows", "1"), ("bias", "0.0")):
+        base_path.write_text(json.dumps({"k": 1, "n0": 2, "rows": ["1"], field: value}))
+        assert_one_line_invalid(encode_argv, capsys, f"error: field '{field}'")
+
+
+# Fuzzed input files: fields are missing, well typed, or any JSON value.
+# Integers stay in 0..3 and every run gets --budget 4096, so each run is tiny.
+_JSON_VALUES = [
+    None, True, False, 0, 1, 2, 3, 0.5, 2.0, -1.5,
+    "", "0", "1", "3", "zz", "0,1", "complete", "aghp", "balanced", "empty",
+    [], ["0"], ["1", "3"], [1, 2], {},
+]
+_FIELD_KINDS = {
+    "m": int, "s": int, "ell": int, "t": int, "outer": str, "inner": str, "support": str,
+    "dim": int, "generators": list, "name": str, "multigraph": bool,
+    "k": int, "n0": int, "rows": list, "bias": float,
+}
+
+
+def _well_typed(kind, value) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _fuzzed_object(typical: dict):
+    """A JSON object over the keys of typical: either one key set to a
+    value of the wrong JSON type (the only fault), or every key
+    independently dropped, kept or set to any JSON value."""
+    def one_wrong(key):
+        wrong = [v for v in _JSON_VALUES if not _well_typed(_FIELD_KINDS[key], v)]
+        return st.sampled_from(wrong).map(lambda v: {**typical, key: v})
+
+    anything = st.sampled_from(_JSON_VALUES)
+    return st.one_of(
+        st.sampled_from(list(typical)).flatmap(one_wrong),
+        st.fixed_dictionaries(
+            {}, optional={k: st.one_of(st.just(v), anything) for k, v in typical.items()}
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cfg=_fuzzed_object({"m": 1, "s": 2, "ell": 1, "t": 2, "outer": "complete",
+                        "inner": "aghp", "support": "0"}),
+    graph=_fuzzed_object({"dim": 2, "generators": ["1", "2", "3"], "name": "g",
+                          "multigraph": False}),
+    base=_fuzzed_object({"k": 1, "n0": 2, "rows": ["1"], "bias": 0.0}),
+    command=st.sampled_from(["pseudorandomness", "uniformity", "base-case", "bias-lemma",
+                             "spectrum", "hitting", "encode", "report"]),
+)
+def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph, base, command):
+    paths = {}
+    for name, doc in (("cfg", cfg), ("graph", graph), ("base", base)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = {
+        "spectrum": ["graph", "spectrum", paths["graph"]],
+        "hitting": ["verify", "hitting", "--graph", paths["graph"], "--set", "first-1",
+                    "--tmax", "3"],
+        "encode": ["code", "encode", "--config", paths["cfg"], "--base", paths["base"],
+                   "--message", "1"],
+        "report": ["code", "report", "--config", paths["cfg"], "--base", paths["base"]],
+    }.get(command, ["verify", command, "--config", paths["cfg"]])
+    read = [graph] if command in ("spectrum", "hitting") else [cfg]
+    if command in ("encode", "report"):
+        read.append(base)
+    ill_typed = any(not _well_typed(_FIELD_KINDS[k], v) for doc in read for k, v in doc.items())
+    capsys.readouterr()
+    code = main(argv + ["--budget", "4096"])
+    assert code in (EXIT_PASS, EXIT_VIOLATION, EXIT_INVALID, EXIT_BUDGET, EXIT_HYPOTHESES)
+    if ill_typed:
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.count("\n") == 1

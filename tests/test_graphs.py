@@ -128,6 +128,8 @@ def test_aghp_validation():
         build_aghp(4, 0)
     with pytest.raises(ValueError):
         build_aghp(63, 1)  # int64 words would wrap
+    with pytest.raises(ValueError):
+        build_aghp(32, 16)  # 4**16 generators, refused before allocating
 
 
 def test_complete_selfloop_lambda_zero():

@@ -3,6 +3,7 @@ and the exact distribution checks.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from widewalk import (
     shift,
 )
 from widewalk.graphs import CayleyGraph
+from widewalk.walks import choice_grid, multiset_tv, walk_expander, walk_tables
 
 
 def tiny_system():
@@ -33,6 +35,12 @@ def tiny_system():
 def sys_22():
     params = WalkParams(m=2, s=2, ell=2)
     return ReplacementSystem(build_complete_selfloop(2), build_aghp(4, 2), params)
+
+
+def sys_13():
+    # s = 3, so the backward shift differs from the forward one
+    params = WalkParams(m=1, s=3, ell=1)
+    return ReplacementSystem(build_complete_selfloop(1), build_aghp(3, 1), params)
 
 
 def test_walk_params_validation():
@@ -77,11 +85,13 @@ def test_shift_bijection_and_order():
 
 
 def test_shift_moves_blocks():
-    sys = sys_22()
+    params = WalkParams(m=2, s=3, ell=3)
+    sys = ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), params)
+    _, fwd = walk_tables(sys)
     for b in range(sys.num_inner):
-        f = sys.shift_fwd(b)
-        assert sys.block(f, 1) == sys.block(b, 2)
-        assert sys.block(f, 2) == sys.block(b, 1)
+        assert fwd[b] == sys.shift_fwd(b) == shift(b, 2, 3)
+        blocks = [(b >> 2 * j) & 0b11 for j in range(3)]
+        assert [(int(fwd[b]) >> 2 * j) & 0b11 for j in range(3)] == blocks[1:] + blocks[:1]
 
 
 def test_shift_validation():
@@ -92,14 +102,14 @@ def test_shift_validation():
 
 
 def test_block_indexing():
+    # block 1 is the low m bits: the rotation reads it, and one forward
+    # shift brings block 2 down into its place
     sys = sys_22()
+    rot, fwd = walk_tables(sys)
     b = 0b1110  # blocks (low first): 10, 11
-    assert sys.block(b, 1) == 0b10
-    assert sys.block(b, 2) == 0b11
-    with pytest.raises(ValueError):
-        sys.block(b, 0)
-    with pytest.raises(ValueError):
-        sys.block(b, 3)
+    for a in range(sys.num_outer):
+        assert rot[a, b] == a ^ sys.outer.generators[0b10]
+        assert rot[a, fwd[b]] == a ^ sys.outer.generators[0b11]
 
 
 def test_system_wiring_validation():
@@ -141,11 +151,16 @@ def test_walk_from_seed_hand_trace():
 
 
 def test_inner_step_round_trip():
+    # the backward inner step undoes the shift (argsort of the shift
+    # table), then takes the same generator
     sys = sys_22()
+    _, fwd = walk_tables(sys)
+    bwd = np.argsort(fwd)
     for b in range(sys.num_inner):
+        assert bwd[b] == shift(b, 2, 2, "backward")
         for u in range(sys.params.d_inner):
-            fwd = sys.inner_step_fwd(b, u)
-            assert sys.inner_step_bwd(fwd, u) == b
+            nxt = sys.inner_step_fwd(b, u)
+            assert bwd[nxt] ^ sys.inner.generators[u] == b
 
 
 def test_seed_count():
@@ -168,7 +183,7 @@ def test_enumeration_count_and_validity():
             assert w.a_vertices[j + 1] == sys.rotation(w.a_vertices[j], w.b_vertices[j])
         for j in range(2):
             # some generator index explains each inner transition
-            diffs = sys.shift_bwd(w.b_vertices[j + 1]) ^ w.b_vertices[j]
+            diffs = shift(w.b_vertices[j + 1], 1, 2, "backward") ^ w.b_vertices[j]
             assert diffs in sys.inner.generators
 
 
@@ -221,11 +236,11 @@ def test_pseudorandomness_within_window():
 
 def test_pseudorandomness_breaks_past_window():
     # one vertex past the window the distributions separate; the gap is a
-    # frozen regression value
+    # frozen regression value, exact
     sys = sys_22()
     chk = check_pseudorandomness(sys, 4)
     assert not chk.equal
-    assert abs(chk.tv_distance - 0.0625) <= 1e-12
+    assert chk.tv_distance == float(Fraction(1, 16))
 
 
 def test_pseudorandomness_validation_and_budget():
@@ -275,7 +290,7 @@ def test_middle_start_sample_is_valid_walk():
         for j in range(t):
             assert w.a_vertices[j + 1] == sys.rotation(w.a_vertices[j], w.b_vertices[j])
         for j in range(t - 1):
-            diff = sys.shift_bwd(w.b_vertices[j + 1]) ^ w.b_vertices[j]
+            diff = shift(w.b_vertices[j + 1], 2, 2, "backward") ^ w.b_vertices[j]
             assert diff in sys.inner.generators
 
 
@@ -295,3 +310,76 @@ def test_invertibility_holds_with_selfloop_multigraph():
     params = WalkParams(m=1, s=2, ell=1)
     sys = ReplacementSystem(outer, build_aghp(2, 1), params)
     assert check_local_invertibility(sys)
+
+
+def _seed_rows(sys, t):
+    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    return seeds[:, 0], seeds[:, 1], seeds[:, 2:]
+
+
+def test_walk_expander_matches_seed_enumeration():
+    for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
+        expand = walk_expander(sys)
+        for t in range(1, tmax + 1):
+            A, B = expand(*_seed_rows(sys, t))
+            walks = list(enumerate_swalk_seeds(sys, t))
+            assert len(walks) == len(A)
+            for w, a_row, b_row in zip(walks, A.tolist(), B.tolist()):
+                assert (w.a_vertices, w.b_vertices) == (tuple(a_row), tuple(b_row))
+
+
+def _middle_start_scalar(sys, t, i, a_pivot, b_pivot, u_edge, draws):
+    """Scalar middle-start expansion, kept as the reference for the array
+    form: forward inner steps above the pivot, then backward ones below."""
+    m, s = sys.params.m, sys.params.s
+    b = {}
+    if i == 0:
+        b[1] = b_pivot
+        if t >= 2:
+            b[2] = sys.inner_step_fwd(b_pivot, u_edge)
+        start_fwd = 3
+    else:
+        b[i] = b_pivot
+        b[i + 1] = sys.inner_step_fwd(b_pivot, u_edge)
+        start_fwd = i + 2
+    it = iter(draws)
+    for j in range(start_fwd, t + 1):
+        b[j] = sys.inner_step_fwd(b[j - 1], next(it))
+    for j in range(i - 1, 0, -1):
+        b[j] = shift(b[j + 1], m, s, "backward") ^ sys.inner.generators[next(it)]
+    a = {i: a_pivot}
+    for j in range(i + 1, t + 1):
+        a[j] = sys.rotation(a[j - 1], b[j])
+    for j in range(i - 1, -1, -1):
+        a[j] = sys.rotation(a[j + 1], b[j + 1])
+    return tuple(a[j] for j in range(t + 1)), tuple(b[j] for j in range(1, t + 1))
+
+
+def test_middle_start_expansion_matches_scalar_reference():
+    for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
+        expand = walk_expander(sys)
+        for t in range(1, tmax + 1):
+            a, b, u = _seed_rows(sys, t)
+            for i in range(t):
+                A, B = expand(a, b, u, pivot=i)
+                for n in range(len(A)):
+                    us = u[n].tolist()
+                    u_edge, draws = (us[0], us[1:]) if us else (0, ())
+                    expect = _middle_start_scalar(sys, t, i, int(a[n]), int(b[n]), u_edge, draws)
+                    assert (tuple(A[n].tolist()), tuple(B[n].tolist())) == expect
+            with pytest.raises(ValueError):
+                expand(a, b, u, pivot=t)
+
+
+def test_multiset_tv_hand_values():
+    # P puts 3/4 on x and 1/4 on y; Q puts 1/3 on each of x, z and w.
+    # Entries above 255 need two bytes, and z is x with its bytes swapped.
+    x, y, z, w = [1, 256], [0, 0], [256, 1], [3, 3]
+    p = np.array([x, x, x, y])
+    q = np.array([x, z, w])
+    tv, gap = multiset_tv(p, q)
+    # (|3/4 - 1/3| + 1/4 + 1/3 + 1/3) / 2 and the largest single gap
+    assert (tv, gap) == (Fraction(2, 3), Fraction(5, 12))
+    assert multiset_tv(q, p) == (tv, gap)
+    # the same distribution at another multiplicity is at distance 0
+    assert multiset_tv(p, np.concatenate([p, p[::-1]])) == (0, 0)
