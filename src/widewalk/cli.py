@@ -172,7 +172,7 @@ def _parse_set(spec: str, n: int) -> list[int]:
 
 
 def _graph_payload(g: CayleyGraph) -> dict:
-    payload = json.loads(g.to_json())
+    payload = g.to_json_dict()
     if g.dim <= SPECTRUM_SCAN_LIMIT:
         rep = spectrum(g)
         payload["lambda"] = rep.lam

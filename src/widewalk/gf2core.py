@@ -4,7 +4,8 @@ A word of F_2^r is a nonnegative integer below 2**r (or an integer numpy
 array of them), bit 0 the least significant position: addition is ``^``
 and the inner product <x, y> is the parity of ``x & y``.  Serialization
 is lowercase hex with the least significant nibble first, so the wire
-format is bit-exact and independent of word length padding.
+format is bit-exact and independent of word length padding; one word at a
+time for Python ints, or a whole int64 array at once.
 
 Field elements of GF(2^ell) are polynomials over F_2 encoded the same way
 (bit i is the coefficient of x^i), reduced modulo a fixed irreducible
@@ -148,3 +149,50 @@ def hex_decode(text: str, length: int) -> int:
     if value >= (1 << length):
         raise ValueError(f"decoded value {value} out of range for {length}-bit word")
     return value
+
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_VALUES = np.full(256, 255, dtype=np.uint8)  # ASCII byte -> nibble, 255 if not hex
+_HEX_VALUES[_HEX_DIGITS] = np.arange(16)
+_HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+
+
+def _check_array_length(length: int) -> None:
+    if not 0 < length < 64:
+        raise ValueError(f"array words are int64: length must be in 1..63, got {length}")
+
+
+def hex_encode_array(words: np.ndarray, length: int) -> list[str]:
+    """:func:`hex_encode` of every entry of a 1-D integer array, by one
+    nibble gather per hex digit."""
+    _check_array_length(length)
+    words = np.asarray(words, dtype=np.int64)
+    if words.size and (words.min() < 0 or words.max() >> length):
+        raise ValueError(f"a word is out of range for {length}-bit words")
+    ndigits = (length + 3) // 4
+    chars = np.empty((words.size, ndigits), dtype=np.uint8)
+    for j in range(ndigits):
+        chars[:, j] = _HEX_DIGITS[(words >> (4 * j)) & 0xF]
+    return chars.view(f"S{ndigits}").ravel().astype(f"U{ndigits}").tolist()
+
+
+def hex_decode_array(texts: list[str], length: int) -> np.ndarray:
+    """:func:`hex_decode` of every string at once, as an int64 array
+    (ASCII hex digits only)."""
+    _check_array_length(length)
+    ndigits = (length + 3) // 4
+    if any(len(h) != ndigits for h in texts):
+        raise ValueError(f"expected {ndigits} hex digits for every {length}-bit word")
+    try:
+        raw = "".join(texts).encode("ascii")
+    except UnicodeEncodeError:
+        raise ValueError("words must be ASCII hex strings") from None
+    nibbles = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)].reshape(len(texts), ndigits)
+    if np.any(nibbles == 255):
+        raise ValueError("words must be ASCII hex strings")
+    words = np.zeros(len(texts), dtype=np.uint64)
+    for j in range(ndigits):
+        words |= nibbles[:, j].astype(np.uint64) << np.uint64(4 * j)
+    if np.any(words >> np.uint64(length)):
+        raise ValueError(f"a decoded word is out of range for {length}-bit words")
+    return words.view(np.int64)

@@ -4,8 +4,8 @@ plus the typed JSON field reader that every input file goes through.
 Vertices are plain integers in [0, 2**dim); vertex v and generator u are
 adjacent endpoints of an edge v ~ v ^ u.  Every generator is its own inverse
 over F_2, so all graphs here are undirected by construction.  The generator
-list is ordered and that order defines neighbor indexing; duplicates are
-permitted only when the graph is flagged as a multigraph.
+list is one read-only int64 array; its order defines neighbor indexing, and
+duplicates are permitted only when the graph is flagged as a multigraph.
 """
 from __future__ import annotations
 
@@ -16,11 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode, hex_encode
+from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode_array, hex_encode_array
 
 SPECTRUM_SCAN_LIMIT = 24  # largest dim for an exhaustive character scan
 AGHP_MAX_DIM = 62  # generator words are built as int64 and must not wrap
-AGHP_MAX_GENERATORS = 1 << 24  # 4**ell generators are kept as Python ints
+AGHP_MAX_GENERATORS = 1 << 24  # largest generator array a builder allocates (128 MiB)
 
 _JSON_KINDS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -44,16 +44,18 @@ def json_field(data: dict, key: str, kind: type, default=None):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CayleyGraph:
     """Cayley graph over F_2^dim with an ordered generator list.
 
     Parameters
     ----------
     dim : int
-        Group dimension; the graph has 2**dim vertices.
-    generators : tuple of int
-        Generator words, indexed 0..degree-1.  Order is significant.
+        Group dimension, 1..AGHP_MAX_DIM; the graph has 2**dim vertices.
+    generators : sequence or array of int
+        Generator words, indexed 0..degree-1.  Order is significant.  They
+        are kept as one read-only int64 array; an int64 array passed in is
+        not copied, so the graph shares its memory.
     name : str
         Label used in reports and serialized files.
     multigraph : bool
@@ -61,24 +63,44 @@ class CayleyGraph:
     """
 
     dim: int
-    generators: tuple[int, ...]
+    generators: np.ndarray
     name: str = ""
     multigraph: bool = False
 
     def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        if len(self.generators) == 0:
+        _check_dim(self.dim)
+        gens = np.asarray(self.generators)
+        if gens.size == 0:
             raise ValueError("generator list must be nonempty")
-        for u in self.generators:
-            if not 0 <= u < (1 << self.dim):
-                raise ValueError(f"generator {u} out of range for dim {self.dim}")
-        if not self.multigraph and len(set(self.generators)) != len(self.generators):
-            raise ValueError("duplicate generators require multigraph=True")
+        if gens.ndim != 1 or gens.dtype.kind not in "iu":
+            raise ValueError("generators must be a flat sequence of integers")
+        # a view, so that an int64 array passed in keeps its own writeable flag
+        gens = gens.astype(np.int64, copy=False).view()
+        lo, hi = int(gens.min()), int(gens.max())
+        if lo < 0 or hi >> self.dim:
+            raise ValueError(f"generator {lo if lo < 0 else hi} out of range for dim {self.dim}")
+        # sort and compare rather than np.unique, whose first call imports numpy.ma
+        if not self.multigraph:
+            ordered = np.sort(gens)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("duplicate generators require multigraph=True")
+        gens.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CayleyGraph):
+            return NotImplemented
+        return (
+            (self.dim, self.name, self.multigraph) == (other.dim, other.name, other.multigraph)
+            and np.array_equal(self.generators, other.generators)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.name, self.multigraph, self.generators.tobytes()))
 
     @property
     def degree(self) -> int:
-        return len(self.generators)
+        return self.generators.size
 
     @property
     def num_vertices(self) -> int:
@@ -90,16 +112,18 @@ class CayleyGraph:
             raise IndexError(f"generator index {i} out of range 0..{self.degree - 1}")
         if not 0 <= v < self.num_vertices:
             raise ValueError(f"vertex {v} out of range for dim {self.dim}")
-        return v ^ self.generators[i]
+        return v ^ int(self.generators[i])
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "name": self.name,
             "dim": self.dim,
-            "generators": [hex_encode(u, self.dim) for u in self.generators],
+            "generators": hex_encode_array(self.generators, self.dim),
             "multigraph": self.multigraph,
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CayleyGraph":
@@ -107,13 +131,18 @@ class CayleyGraph:
         if not isinstance(payload, dict):
             raise ValueError("a graph must be a JSON object")
         dim = json_field(payload, "dim", int)
-        gens = tuple(hex_decode(h, dim) for h in json_field(payload, "generators", list))
+        _check_dim(dim)
         return cls(
             dim=dim,
-            generators=gens,
+            generators=hex_decode_array(json_field(payload, "generators", list), dim),
             name=json_field(payload, "name", str, ""),
             multigraph=json_field(payload, "multigraph", bool, False),
         )
+
+
+def _check_dim(dim: int) -> None:
+    if not 0 < dim <= AGHP_MAX_DIM:
+        raise ValueError(f"dim must be in 1..{AGHP_MAX_DIM} (words are int64), got {dim}")
 
 
 @dataclass(frozen=True)
@@ -158,15 +187,13 @@ def build_aghp(r: int, ell: int) -> CayleyGraph:
     for _ in range(r - 1):
         powers.append(field_mul(powers[-1], elems, ell))
     table = np.stack(powers, axis=1)
+    words = np.zeros((elems.size, elems.size), dtype=np.int64)  # words[x, y]
     step = max(1, (1 << 13) // elems.size)  # x values per block of about 2**13 words
-    gens: list[int] = []
     for lo in range(0, elems.size, step):
-        rows = table[lo:lo + step]
-        words = np.zeros((len(rows), elems.size), dtype=np.int64)
+        rows, block = table[lo:lo + step], words[lo:lo + step]
         for i in range(r):
-            words |= (np.bitwise_count(rows[:, i, None] & elems) & 1).astype(np.int64) << i
-        gens += words.ravel().tolist()
-    return CayleyGraph(dim=r, generators=tuple(gens), name=f"aghp-r{r}-l{ell}", multigraph=True)
+            block |= (np.bitwise_count(rows[:, i, None] & elems) & 1).astype(np.int64) << i
+    return CayleyGraph(dim=r, generators=words.ravel(), name=f"aghp-r{r}-l{ell}", multigraph=True)
 
 
 def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
@@ -179,8 +206,9 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    start = 0 if selfloop else 1
-    gens = tuple(range(start, 1 << m))
+    if 1 << m > AGHP_MAX_GENERATORS:
+        raise ValueError(f"m={m} gives 2**{m} generators, more than {AGHP_MAX_GENERATORS}")
+    gens = np.arange(0 if selfloop else 1, 1 << m, dtype=np.int64)
     tag = "complete-selfloop" if selfloop else "complete-nonzero"
     return CayleyGraph(dim=m, generators=gens, name=f"{tag}-m{m}")
 
@@ -211,8 +239,7 @@ def character_table(G: CayleyGraph) -> np.ndarray:
     sum over generators u of (-1)^<alpha, u>.  Dividing by the degree gives
     the full eigenvalue spectrum of the normalized adjacency operator.
     """
-    gens = np.asarray(G.generators, dtype=np.int64)
-    return fwht(np.bincount(gens, minlength=G.num_vertices).astype(np.int64))
+    return fwht(np.bincount(G.generators, minlength=G.num_vertices).astype(np.int64, copy=False))
 
 
 def cayley_average(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
@@ -267,10 +294,8 @@ def _spectrum_dense(G: CayleyGraph) -> SpectralReport:
     if n > (1 << 12):
         raise ValueError("dense eigendecomposition limited to 2**12 vertices")
     M = np.zeros((n, n), dtype=np.float64)
-    w = 1.0 / G.degree
-    for u in G.generators:
-        idx = np.arange(n)
-        M[idx, idx ^ u] += w
+    idx = np.arange(n)[:, None]
+    np.add.at(M, (idx, idx ^ G.generators), 1.0 / G.degree)
     P = np.eye(n) - np.full((n, n), 1.0 / n)
     vals = np.linalg.eigvalsh(P @ M @ P)
     return SpectralReport(

@@ -146,7 +146,7 @@ class ReplacementSystem:
 
     def inner_step_fwd(self, b: int, u_index: int) -> int:
         """Next inner vertex: shift(b ^ u)."""
-        return self.shift_fwd(b ^ self.inner.generators[u_index])
+        return self.shift_fwd(b ^ int(self.inner.generators[u_index]))
 
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
         """Deterministically expand a seed into the full walk."""
@@ -171,8 +171,7 @@ def walk_tables(sys: ReplacementSystem) -> tuple[np.ndarray, np.ndarray]:
     m, r = sys.params.m, sys.params.r
     b = np.arange(sys.num_inner, dtype=np.int64)
     block1 = b & (sys.params.d_outer - 1)
-    gen_a = np.asarray(sys.outer.generators, dtype=np.int64)
-    rot = np.arange(sys.num_outer, dtype=np.int64)[:, None] ^ gen_a[block1]
+    rot = np.arange(sys.num_outer, dtype=np.int64)[:, None] ^ sys.outer.generators[block1]
     return rot, (b >> m) | (block1 << (r - m))
 
 
@@ -237,7 +236,7 @@ def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.
     """
     rot, fwd = walk_tables(sys)
     bwd = np.argsort(fwd)
-    gens = np.asarray(sys.inner.generators, dtype=np.int64)
+    gens = sys.inner.generators
     dtype = np.min_scalar_type(max(sys.num_outer, sys.num_inner) - 1)
     # rot[a, b] = a ^ rot[0, b] (the outer graph is a Cayley graph over
     # F_2^m), so each outer step is a one-dimensional gather
@@ -347,7 +346,7 @@ def check_pseudorandomness(
     seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
     A, _ = walk_expander(sys)(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
     wide = A[:, :k].reshape(sys.num_outer, n_wide, k)
-    steps = np.asarray(sys.outer.generators)[choice_grid(*(sys.outer.degree,) * (k - 1))]
+    steps = sys.outer.generators[choice_grid(*(sys.outer.degree,) * (k - 1))]
     pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
     worst = max(multiset_tv(wide[a], pure ^ a)[0] for a in range(sys.num_outer))
     return DistributionCheck(
@@ -379,7 +378,11 @@ def check_first_coord_uniform(
 def check_local_invertibility(sys: ReplacementSystem) -> bool:
     """Rotation twice with the same block-1 index returns the start vertex.
 
-    Exhaustive over all outer vertices and all block-1 values.
+    Exhaustive over all outer vertices and all block-1 values.  For a
+    Cayley graph over F_2 this holds by construction, since
+    (a ^ u) ^ u = a for every generator u, so the check cannot fail on
+    any system built here; it is kept as the stated precondition of
+    backward walk generation.
     """
     for a in range(sys.num_outer):
         for bhat in range(sys.params.d_outer):

@@ -73,6 +73,9 @@ def test_acceptance_03_first_block_uniformity():
 
 
 def test_acceptance_04_local_invertibility(flagship, g8_system, mono_system):
+    # holds by construction: every generator of a Cayley graph over F_2 is
+    # its own inverse, so this item records the precondition of backward
+    # walk generation rather than a quantity that could fail
     systems = [
         flagship,
         g8_system,

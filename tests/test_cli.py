@@ -340,6 +340,14 @@ def test_invalid_inputs(tmp_path, capsys):
             assert_one_line_invalid(argv, capsys, f"error: field '{field}'")
     gpath.write_text("[]")
     assert_one_line_invalid(spectrum_argv, capsys, "error: a graph")
+    # words wider than 62 bits do not fit int64: refused by dim, not by an overflow
+    gpath.write_text(json.dumps({"dim": 70, "generators": ["0" * 17 + "2"]}))
+    assert_one_line_invalid(spectrum_argv, capsys, "error: dim must be in 1..62")
+    # 2**40 complete-graph generators are refused before anything is allocated
+    bad.write_text(json.dumps({**good, "m": 40}))
+    argv = ["code", "encode", "--config", str(bad), "--base", str(base_path), "--message", "1"]
+    assert_one_line_invalid(argv, capsys, "error: m=40")
+    assert_one_line_invalid(["graph", "complete", "--m", "40"], capsys, "error: m=40")
     # base code fields of the wrong type
     for field, value in (("k", None), ("rows", "1"), ("bias", "0.0")):
         base_path.write_text(json.dumps({"k": 1, "n0": 2, "rows": ["1"], field: value}))

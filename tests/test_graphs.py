@@ -74,7 +74,7 @@ def aghp_loop_reference(r, ell):
 
 def test_aghp_matches_loop_reference():
     for r, ell in [(2, 1), (4, 2), (6, 3), (9, 4), (10, 5), (12, 3), (12, 6), (62, 1)]:
-        assert build_aghp(r, ell).generators == aghp_loop_reference(r, ell), (r, ell)
+        assert build_aghp(r, ell).generators.tolist() == list(aghp_loop_reference(r, ell)), (r, ell)
 
 
 def test_aghp_16_8_generators_are_pinned():
@@ -107,16 +107,16 @@ def test_aghp_shape():
     assert g.multigraph
     assert g.name == "aghp-r6-l3"
     # every pair with y = 0 contributes the zero word
-    assert g.generators.count(0) >= 8
+    assert np.count_nonzero(g.generators == 0) >= 8
 
 
 def test_aghp_first_generators_lex_order():
     # x = 0 block: bit i of word(0, y) is <0^i, y>, nonzero only at i = 0
     g = build_aghp(4, 2)
-    assert g.generators[0:4] == (0, 1, 0, 1)
+    assert g.generators[0:4].tolist() == [0, 1, 0, 1]
     # x = 1 block: every power is the element 1, so bit i of word(1, y)
     # is <1, y> = y_0 for all i
-    assert g.generators[4:8] == (0, 0b1111, 0, 0b1111)
+    assert g.generators[4:8].tolist() == [0, 0b1111, 0, 0b1111]
 
 
 def test_aghp_validation():
@@ -137,6 +137,13 @@ def test_complete_selfloop_lambda_zero():
         g = build_complete_selfloop(m)
         assert g.degree == 1 << m
         assert spectrum(g).lambda_exact == 0
+
+
+def test_complete_validation():
+    with pytest.raises(ValueError):
+        build_complete_selfloop(0)
+    with pytest.raises(ValueError):
+        build_complete_selfloop(40)  # 2**40 generators, refused before allocating
 
 
 def test_complete_no_selfloop_lambda():
@@ -223,7 +230,7 @@ def test_cayley_average_matches_generator_loop():
     assert len(set(g.generators)) < g.degree
     e0 = np.zeros(g.num_vertices)
     e0[0] = 1.0
-    assert cayley_average(e0, g)[0] == g.generators.count(0) / g.degree
+    assert cayley_average(e0, g)[0] == np.count_nonzero(g.generators == 0) / g.degree
 
 
 def test_spectrum_method_validation():
@@ -258,6 +265,31 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         CayleyGraph(dim=2, generators=(1, 1))  # duplicates need multigraph
     CayleyGraph(dim=2, generators=(1, 1), multigraph=True)
+    with pytest.raises(ValueError):
+        CayleyGraph(dim=63, generators=(1,))  # words are int64
+    with pytest.raises(ValueError):
+        CayleyGraph(dim=70, generators=(1 << 69,))  # ValueError, not OverflowError
+    with pytest.raises(ValueError):
+        CayleyGraph(dim=2, generators=(1.5,))
+    with pytest.raises(ValueError):
+        CayleyGraph(dim=2, generators=((1, 2),))
+
+
+def test_generators_are_read_only_int64():
+    for g in (build_aghp(4, 2), build_complete_selfloop(2), CayleyGraph(dim=3, generators=(1, 2))):
+        assert g.generators.dtype == np.int64 and g.generators.ndim == 1
+        with pytest.raises(ValueError):
+            g.generators[0] = 1
+    words = np.array([1, 2, 4], dtype=np.int64)
+    g = CayleyGraph(dim=3, generators=words)
+    assert np.shares_memory(g.generators, words)  # an int64 array is not copied
+    for same in ((1, 2, 4), [1, 2, 4], np.array([1, 2, 4], dtype=np.uint8)):
+        h = CayleyGraph(dim=3, generators=same)
+        assert h == g and hash(h) == hash(g)
+    assert g != CayleyGraph(dim=3, generators=(1, 4, 2))
+    assert g != CayleyGraph(dim=3, generators=(1, 2, 4), name="other")
+    assert g != CayleyGraph(dim=3, generators=(1, 2, 4), multigraph=True)
+    assert g != CayleyGraph(dim=4, generators=(1, 2, 4))
 
 
 def test_json_round_trip():

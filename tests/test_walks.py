@@ -140,7 +140,7 @@ def test_rotation_is_involution():
 def test_walk_from_seed_hand_trace():
     sys = tiny_system()
     # inner AGHP(2,1) generators: pairs (x, y) over GF(2)
-    assert sys.inner.generators == (0, 1, 0, 3)
+    assert sys.inner.generators.tolist() == [0, 1, 0, 3]
     w = sys.walk_from_seed(0, 0b01, (3,))
     # b_2 = shift(b_1 ^ u_3) = shift(01 ^ 11) = shift(10) = 01
     assert w.b_vertices == (0b01, 0b01)
