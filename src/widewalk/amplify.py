@@ -161,17 +161,11 @@ def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     return _wide_levels(sys, f, f.signs, kmax, "g")
 
 
-def dp_backwards(
-    sys: ReplacementSystem,
-    f: SignedFn,
-    length: int,
-    terminal_weight: Optional[np.ndarray] = None,
-) -> list[DpTable]:
+def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTable]:
     """Backward-walk tables levels 0..length.
 
-    Level-j entry (a, b) is the mean of the sign product (times the
-    terminal weight at the walk's far end, if given) over a j-step wide
-    walk conditioned on ending at (a_j, b_j) = (a, b).  Backward steps
+    Level-j entry (a, b) is the mean of the sign product over a j-step
+    wide walk conditioned on ending at (a_j, b_j) = (a, b).  Backward steps
     undo the shift before taking the neighbor step; the outer step reuses
     block 1 of the current inner vertex.  Only length <= s is meaningful
     (and accepted): beyond that the conditioning argument breaks.
@@ -179,14 +173,7 @@ def dp_backwards(
     _require_f(sys, f)
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    if terminal_weight is None:
-        base = f.signs
-    else:
-        w = np.asarray(terminal_weight, dtype=np.float64)
-        if w.shape != (sys.num_outer,):
-            raise ValueError("terminal_weight must be a per-outer-vertex array")
-        base = f.signs * w
-    return _wide_levels(sys, f, base, length, "gbar")
+    return _wide_levels(sys, f, f.signs, length, "gbar")
 
 
 def _pure_levels(
@@ -321,9 +308,11 @@ def measured_lambdas(sys: ReplacementSystem) -> tuple[Fraction, Fraction]:
     return rep_a.lambda_exact, rep_b.lambda_exact
 
 
-def _hypotheses(sys: ReplacementSystem, f: SignedFn) -> tuple[bool, str, Fraction, Fraction]:
+def lemma_hypotheses(
+    sys: ReplacementSystem, bias: Fraction
+) -> tuple[bool, str, Fraction, Fraction]:
+    """Bias <= lambda_B and lambda_A <= lambda_B^2, exactly on the measured spectra."""
     lam_a, lam_b = measured_lambdas(sys)
-    bias = f.bias_exact
     ok_bias = bias <= lam_b
     ok_lam = lam_a <= lam_b * lam_b
     detail = (
@@ -402,7 +391,7 @@ def check_base_case(
 ) -> MomentReport:
     """Wide-walk base-case bounds for k = 0..s:
     eps_k <= (2*lam)^(k+1)/2 and sigma_k <= 2*(2*lam)^(k-1)."""
-    met, detail, _, lam_b = _hypotheses(sys, f)
+    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
     lam = float(lam_b)
     report = MomentReport("base-case", lam, f.bias, met, detail)
     if not met:
@@ -448,7 +437,7 @@ def check_induction_step(
                    *(eps_{k-s} + (2+lam)*sigma_{k-s})/2
                  + lam^s*sigma_{k-s}*sigma_{k-1} + lam^2*sigma_{k-1}^2
     """
-    met, detail, _, lam_b = _hypotheses(sys, f)
+    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
     lam = float(lam_b)
     report = MomentReport("induction-step", lam, f.bias, met, detail)
     if not met:
@@ -489,6 +478,11 @@ def check_induction_step(
     return report
 
 
+def bias_bound(lam: float, t: int, s: int) -> float:
+    """The headline bound (2*lam)^(t*(1-4/s)); 0 on a lam = 0 inner graph."""
+    return (2 * lam) ** (t * (1 - 4 / s)) if lam > 0 else 0.0
+
+
 def check_bias_reduction_lemma(
     sys: ReplacementSystem,
     f: SignedFn,
@@ -499,7 +493,7 @@ def check_bias_reduction_lemma(
     Bias(f) <= lambda_B and lambda_A <= lambda_B^2 (both measured)."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    met, detail, _, lam_b = _hypotheses(sys, f)
+    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
     lam = float(lam_b)
     report = MomentReport("bias-reduction", lam, f.bias, met, detail)
     if not met:
@@ -508,7 +502,7 @@ def check_bias_reduction_lemma(
     if tables is None or len(tables) <= t:
         tables = dp_gk(sys, f, t)
     mom = moments(tables[t])
-    bound = (2 * lam) ** (t * (1 - 4 / s)) if lam > 0 else 0.0
+    bound = bias_bound(lam, t, s)
     vacuous = bound >= 1.0
     ok = mom.eps <= bound + TOL_BOUND
     report.rows.append(LevelRow(t, mom.eps, mom.sigma, bound, None, ok, vacuous))
@@ -590,54 +584,51 @@ class ArithmeticReport:
         return self.spot_checks_passed and all(r.passed for r in self.rows if r.valid)
 
 
+def _log_sum(logs: list[float]) -> float:
+    """ln(sum of exp(x)), shifted by the largest x so that no term overflows."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
 def verify_induction_arithmetic(
     lambda_grid: Sequence[float], s_grid: Sequence[int], kmax: int
 ) -> ArithmeticReport:
-    """Substitute the closed forms eps_j = (2*lam)^(j*(1-4/s)) and
-    sigma_j = (2*lam)^((j-2)*(1-4/s)) into both induction-step recurrences
-    and check RHS <= closed form at level k, for k = s+1..kmax.
+    """Substitute the closed forms eps_j = c^j and sigma_j = c^(j-2),
+    c = (2*lam)^(1-4/s), into both induction-step recurrences and check
+    RHS <= closed form at every level k = s+1..kmax.
 
-    Everything is computed in log space: at kmax = 200 the quantities
-    reach exp(-1300) and underflow flat doubles, so the comparison uses a
-    relative slack of 1e-9 on log values instead of an absolute one.
-    Grid points with lam outside (0, 1/4] or s < 5 are outside the
-    proof's validity region: they are evaluated and flagged, not asserted.
+    Divided by its level-k closed form, each recurrence is k-free: with
+    y = 2*lam, so that lam/c = y^(4/s)/2, the eps ratio is
+    (y^4 + 3*y^(2+8/s))/2 and the sigma^2 ratio is
+    (1 + lam/c)*(y^(4-8/s) + (2+lam)*y^2)/2 + 2^(-s)*y^(3+4/s) + lam^2/c^2.
+    Each is a sum of positive monomials in y, summed in log space once per
+    (lam, s); max_log_violation is the larger log.  Grid points with lam
+    outside (0, 1/4] or s < 5 are outside the proof's validity region:
+    they are evaluated and flagged, not asserted.
     """
-    log_slack = 1e-9
+    for lam in lambda_grid:
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+    for s in s_grid:
+        if not 1 <= s < kmax:
+            raise ValueError(f"s={s} must be at least 1 and below kmax={kmax}")
     rows = []
     for lam in lambda_grid:
         for s in s_grid:
-            valid = 0.0 < lam <= 0.25 and s >= 5
             L = math.log(2 * lam)
-            rate = 1 - 4 / s
-            log_eps = lambda j: j * rate * L
-            log_sig = lambda j: (j - 2) * rate * L
-            worst = -math.inf
-            for k in range(s + 1, kmax + 1):
-                rhs_e = (
-                    math.log(0.5)
-                    + s * L
-                    + np.logaddexp(log_eps(k - s), math.log(3) + log_sig(k - s))
-                )
-                worst = max(worst, rhs_e - log_eps(k))
-                t1 = (
-                    math.log(0.5)
-                    + (s - 2) * L
-                    + np.logaddexp(log_eps(k - 2), math.log(lam) + log_sig(k - 1))
-                    + np.logaddexp(
-                        log_eps(k - s), math.log(2 + lam) + log_sig(k - s)
-                    )
-                )
-                t2 = s * math.log(lam) + log_sig(k - s) + log_sig(k - 1)
-                t3 = 2 * math.log(lam) + 2 * log_sig(k - 1)
-                rhs_s = np.logaddexp(np.logaddexp(t1, t2), t3)
-                worst = max(worst, rhs_s - 2 * log_sig(k))
-            rows.append(ArithmeticRow(lam, s, valid, bool(worst <= log_slack), float(worst)))
-    lam = 0.25
-    spot = (
-        abs(2 * lam**2 * (4 * lam**2 + 3) - 0.40625) <= TOL_BOUND
-        and 2 * lam**2 * (4 * lam**2 + 3) <= 1.0
-        and abs(8 * lam**2 + 6 * lam**3 - 0.59375) <= TOL_BOUND
-        and 8 * lam**2 + 6 * lam**3 <= 0.75
-    )
+            eps = [math.log(1 / 2) + 4 * L, math.log(3 / 2) + (2 + 8 / s) * L]
+            sig_sq = [
+                math.log(1 / 2) + (4 - 8 / s) * L,
+                math.log(1 / 4) + (4 - 4 / s) * L,
+                math.log((2 + lam) / 2) + 2 * L,
+                math.log((2 + lam) / 4) + (2 + 4 / s) * L,
+                -s * math.log(2) + (3 + 4 / s) * L,
+                math.log(1 / 4) + 8 / s * L,
+            ]
+            worst = max(_log_sum(eps), _log_sum(sig_sq))
+            valid = 0.0 < lam <= 0.25 and s >= 5
+            rows.append(ArithmeticRow(lam, s, valid, worst <= 0.0, worst))
+    # the proof's two spot values at lam = 1/4, 13/32 and 19/32, in exact rationals
+    lam = Fraction(1, 4)
+    spot = 2 * lam**2 * (4 * lam**2 + 3) <= 1 and 8 * lam**2 + 6 * lam**3 <= Fraction(3, 4)
     return ArithmeticReport(rows, spot)

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import gf2core
-from .amplify import SignedFn, dp_gk, measured_lambdas, moments
+from .amplify import SignedFn, bias_bound, dp_gk, lemma_hypotheses, moments
 from .graphs import CayleyGraph, json_field
 from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid, walk_expander
 
@@ -234,11 +234,11 @@ def code_bias(amp: AmplifiedCode) -> float:
 
 
 def code_report(amp: AmplifiedCode) -> dict:
-    """Bias, exact rate, and the one-sided distance bound, JSON-ready."""
+    """Bias, exact rate, the one-sided distance bound and the lemma's
+    hypotheses on the base code's bias, JSON-ready."""
     bias = code_bias(amp)
-    lam_a, lam_b = measured_lambdas(amp.sys)
-    s = amp.sys.params.s
-    bound = float((2 * float(lam_b)) ** (amp.t * (1 - 4 / s))) if lam_b > 0 else 0.0
+    met, _, lam_a, lam_b = lemma_hypotheses(amp.sys, amp.base.measured_bias_exact)
+    bound = bias_bound(float(lam_b), amp.t, amp.sys.params.s)
     r = rate(amp)
     return {
         "schema_version": 1,
@@ -252,6 +252,7 @@ def code_report(amp: AmplifiedCode) -> dict:
         "bias_bound": bound,
         "bias_bound_vacuous": bound >= 1.0,
         "distance_lower_bound": (1.0 - bias) / 2.0,
+        "hypotheses_met": met,
         "lambda_A": float(lam_a),
         "lambda_B": float(lam_b),
     }

@@ -138,14 +138,23 @@ def hex_encode(value: int, length: int) -> str:
     return "".join("0123456789abcdef"[(value >> (4 * j)) & 0xF] for j in range(ndigits))
 
 
+_HEX_CHARS = frozenset("0123456789abcdefABCDEF")
+
+
+def parse_hex(text: str, what: str) -> int:
+    """Value of nonempty ASCII hex, most significant digit first; unlike
+    int(text, 16) it refuses a sign, 0x, _, whitespace and non-ASCII digits."""
+    if not text or not _HEX_CHARS.issuperset(text):
+        raise ValueError(f"{what} {text!r} is not a string of ASCII hex digits")
+    return int(text, 16)
+
+
 def hex_decode(text: str, length: int) -> int:
     """Inverse of :func:`hex_encode`."""
     ndigits = (length + 3) // 4
     if len(text) != ndigits:
         raise ValueError(f"expected {ndigits} hex digits for a {length}-bit word, got {len(text)}")
-    value = 0
-    for j, ch in enumerate(text.lower()):
-        value |= int(ch, 16) << (4 * j)
+    value = parse_hex(text[::-1], "word (digits reversed)")
     if value >= (1 << length):
         raise ValueError(f"decoded value {value} out of range for {length}-bit word")
     return value

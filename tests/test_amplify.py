@@ -14,6 +14,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,8 +181,6 @@ def test_dp_backwards_matches_enumeration(g8_system, g8_f):
 def test_dp_backwards_validation(g8_system, g8_f):
     with pytest.raises(ValueError):
         dp_backwards(g8_system, g8_f, 3)  # length > s
-    with pytest.raises(ValueError):
-        dp_backwards(g8_system, g8_f, 2, terminal_weight=np.ones(3))
 
 
 def test_backward_forward_means_agree(g8_system, g8_f, flagship, flagship_f):
@@ -403,6 +402,63 @@ def test_induction_arithmetic_grid():
     assert report.all_passed
     assert len(report.rows) == 20
     assert all(r.valid for r in report.rows)
+
+
+def test_induction_arithmetic_matches_level_k_oracle():
+    # independent oracle: the closed forms put into the original level-k
+    # recurrences (check_induction_step's docstring) at 50 digits; k
+    # cancels, so every level must give the k-free margin.  The default
+    # grid is bound by the sigma recurrence; the rows outside the validity
+    # region include some bound by the eps recurrence.
+    lambdas, s_values = [0.01, 0.05, 0.1, 0.2, 0.25], [5, 8, 16, 32]
+    report = verify_induction_arithmetic(lambdas, s_values, 200)
+    assert verify_induction_arithmetic(lambdas, s_values, 33).rows == report.rows
+    outside = verify_induction_arithmetic([0.3, 1.0], [2, 4, 5], 200)
+    eps_bound = 0
+    with mpmath.workdps(50):
+        for row in report.rows + outside.rows:
+            lam, s = mpmath.mpf(row.lam), row.s
+            c = (2 * lam) ** (1 - mpmath.mpf(4) / s)
+
+            def eps(j):
+                return c**j
+
+            def sig(j):
+                return c ** (j - 2)
+
+            for k in (s + 1, s + 7, 200):
+                rhs_eps = (2 * lam) ** s * (eps(k - s) + 3 * sig(k - s)) / 2
+                rhs_sig_sq = (
+                    (2 * lam) ** (s - 2)
+                    * (eps(k - 2) + lam * sig(k - 1))
+                    * (eps(k - s) + (2 + lam) * sig(k - s))
+                    / 2
+                    + lam**s * sig(k - s) * sig(k - 1)
+                    + lam**2 * sig(k - 1) ** 2
+                )
+                log_eps = mpmath.log(rhs_eps / eps(k))
+                log_sig_sq = mpmath.log(rhs_sig_sq / sig(k) ** 2)
+                margin = max(log_eps, log_sig_sq)
+                assert abs(float(margin) - row.max_log_violation) <= 1e-12, (row, k)
+                assert row.passed == (margin <= 0)
+                eps_bound += log_eps > log_sig_sq
+    assert eps_bound > 0
+
+
+def test_induction_arithmetic_at_huge_s_stays_finite():
+    # 2^-s and c^-s are far outside double range at s = 10^6; the margin
+    # tends to log(23/32), the sigma ratio at lam = 1/4 as s -> infinity
+    (row,) = verify_induction_arithmetic([0.25], [10**6], 10**6 + 1).rows
+    assert row.valid and row.passed
+    assert abs(row.max_log_violation - (-0.3302)) <= 1e-4
+    assert abs(row.max_log_violation - math.log(23 / 32)) <= 1e-5
+
+
+def test_induction_arithmetic_needs_a_level_above_every_s():
+    verify_induction_arithmetic([0.25], [5, 8], 9)
+    for kmax in (8, 5, 3):
+        with pytest.raises(ValueError, match=f"below kmax={kmax}"):
+            verify_induction_arithmetic([0.25], [5, 8], kmax)
 
 
 def test_induction_arithmetic_flags_invalid_region():

@@ -352,6 +352,44 @@ def test_invalid_inputs(tmp_path, capsys):
     for field, value in (("k", None), ("rows", "1"), ("bias", "0.0")):
         base_path.write_text(json.dumps({"k": 1, "n0": 2, "rows": ["1"], field: value}))
         assert_one_line_invalid(encode_argv, capsys, f"error: field '{field}'")
+    # the arithmetic grid: no s below 1, no nonpositive or non-finite lambda,
+    # and kmax above every s
+    arithmetic = ["verify", "arithmetic"]
+    for flag, value, prefix in (
+        ("--s-values", "0", "error: s=0 must be at least 1"),
+        ("--s-values", "5,-3", "error: s=-3 must be at least 1"),
+        ("--lambdas", "nan", "error: lambda must be positive and finite, got nan"),
+        ("--lambdas", "inf", "error: lambda must be positive and finite, got inf"),
+        ("--lambdas", "0", "error: lambda must be positive and finite, got 0.0"),
+        ("--lambdas", "-1", "error: lambda must be positive and finite, got -1.0"),
+        ("--kmax", "3", "error: s=5 must be at least 1 and below kmax=3"),
+        ("--kmax", "32", "error: s=32 must be at least 1 and below kmax=32"),
+    ):
+        assert_one_line_invalid(arithmetic + [flag, value], capsys, prefix)
+
+
+def test_hex_inputs_are_ascii_digits_only(tmp_path, capsys):
+    cfg = flagship_config(tmp_path, t=1)
+    base_path = tmp_path / "base.json"
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which int(ch, 16) reads as 3
+    base_path.write_text(json.dumps({"k": 1, "n0": 2, "rows": ["\u0663"]}))
+    report_argv = ["code", "report", "--config", cfg, "--base", str(base_path)]
+    assert_one_line_invalid(report_argv, capsys, "error: word")
+    base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
+    encode_argv = ["code", "encode", "--config", cfg, "--base", str(base_path)]
+    assert_one_line_invalid(encode_argv + ["--message", "0x1"], capsys, "error: message '0x1'")
+    assert_one_line_invalid(
+        ["verify", "base-case", "--config", cfg, "--support", "0x1"],
+        capsys,
+        "error: support vertex '0x1'",
+    )
+    gpath = tmp_path / "k16.json"
+    main(["graph", "complete", "--m", "4", "--no-selfloop", "--out", str(gpath)])
+    assert_one_line_invalid(
+        ["verify", "hitting", "--graph", str(gpath), "--set", "1_0"],
+        capsys,
+        "error: set vertex '1_0'",
+    )
 
 
 # Fuzzed input files: fields are missing, well typed, or any JSON value.

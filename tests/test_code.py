@@ -314,7 +314,7 @@ def test_code_report_keys(mono_system):
     expected = {
         "schema_version", "k", "n0", "base_bias", "t", "block_length",
         "rate", "bias", "bias_bound", "bias_bound_vacuous",
-        "distance_lower_bound", "lambda_A", "lambda_B",
+        "distance_lower_bound", "lambda_A", "lambda_B", "hypotheses_met",
     }
     assert set(report) == expected
     assert report["k"] == 3 and report["n0"] == 8

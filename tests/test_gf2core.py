@@ -14,6 +14,7 @@ from widewalk.gf2core import (
     hex_encode,
     hex_encode_array,
     is_irreducible,
+    parse_hex,
     poly_degree,
     poly_mod,
     poly_mul,
@@ -117,6 +118,16 @@ def test_hex_is_lsb_nibble_first():
         hex_decode("100", 8)
     with pytest.raises(ValueError):
         hex_decode("f", 1)  # decodes to 15, out of range for 1 bit
+
+
+def test_parse_hex_takes_ascii_digits_only():
+    assert parse_hex("1aF", "word") == 0x1AF
+    # all of these are accepted by int(text, 16)
+    for text in ("", "0x1", "1_0", "+1", "-1", " 1", "\u0663", "\uff11"):
+        with pytest.raises(ValueError, match="is not a string of ASCII hex digits"):
+            parse_hex(text, "word")
+        with pytest.raises(ValueError):
+            hex_decode(text, 4 * max(len(text), 1))
 
 
 def test_hex_array_codec_matches_scalar_codec():

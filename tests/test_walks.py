@@ -241,6 +241,8 @@ def test_pseudorandomness_breaks_past_window():
     chk = check_pseudorandomness(sys, 4)
     assert not chk.equal
     assert chk.tv_distance == float(Fraction(1, 16))
+    # the largest single-row gap, not a copy of the TV
+    assert chk.max_deviation == float(Fraction(3, 1024))
 
 
 def test_pseudorandomness_validation_and_budget():
@@ -275,7 +277,7 @@ def test_middle_start_distribution_all_pivots():
     for i in (0, 1, 2):
         chk = middle_start_distribution_equal(sys, 3, i)
         assert chk.equal, i
-        assert chk.tv_distance == 0.0
+        assert chk.tv_distance == 0.0 and chk.max_deviation == 0.0
     # t=1 edge case: the only pivot is 0
     chk = middle_start_distribution_equal(sys, 1, 0)
     assert chk.equal
