@@ -10,7 +10,6 @@ bit-identical across runs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -243,45 +242,6 @@ class MomentReport:
     @property
     def all_passed(self) -> bool:
         return self.hypotheses_met and all(r.passed for r in self.rows)
-
-    def to_csv(self) -> str:
-        def cell(x):
-            return "" if x is None else repr(x)
-
-        lines = ["k,epsilon,sigma,bound_eps,bound_sigma,pass,vacuous"]
-        for r in self.rows:
-            lines.append(
-                f"{r.k},{r.epsilon!r},{r.sigma!r},{cell(r.bound_eps)},"
-                f"{cell(r.bound_sigma)},{r.passed},{r.vacuous}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": self.kind,
-            "lambda": self.lam,
-            "bias": self.bias,
-            "hypotheses_met": self.hypotheses_met,
-            "hypothesis_detail": self.hypothesis_detail,
-            "all_passed": self.all_passed,
-            "rows": [
-                {
-                    "k": r.k,
-                    "epsilon": r.epsilon,
-                    "sigma": r.sigma,
-                    "bound_eps": r.bound_eps,
-                    "bound_sigma": r.bound_sigma,
-                    "pass": r.passed,
-                    "vacuous": r.vacuous,
-                }
-                for r in self.rows
-            ],
-            "extra": self.extra,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -606,6 +566,8 @@ def verify_induction_arithmetic(
     outside (0, 1/4] or s < 5 are outside the proof's validity region:
     they are evaluated and flagged, not asserted.
     """
+    if not lambda_grid or not s_grid:
+        raise ValueError("the lambda and s grids must each be nonempty")
     for lam in lambda_grid:
         if not 0.0 < lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {lam!r}")

@@ -19,8 +19,11 @@ change any other output byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -28,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .amplify import (
+    MomentReport,
     SignedFn,
     TOL_BOUND,
     check_base_case,
@@ -59,7 +63,6 @@ from .walks import (
     ReplacementSystem,
     WalkParams,
     check_first_coord_uniform,
-    check_local_invertibility,
     check_pseudorandomness,
 )
 
@@ -77,21 +80,62 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-def _emit(args, header: dict, payload: dict, csv_body: str, flat: bool = False) -> None:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _emit(
+    args,
+    header: dict,
+    payload: dict,
+    columns: tuple[str, ...],
+    rows: Optional[list[dict]] = None,
+    flat: bool = False,
+) -> None:
+    """Write one run to --out or stdout, the only place that knows the formats.
+
+    JSON: {"schema_version", "run": header} with the payload under "report",
+    or merged in when flat; streamed chunk by chunk, so a large payload is
+    never held as one string.  CSV: "# " + the header as one JSON line, the
+    column names, then those columns of rows (default payload["rows"]), the
+    same dicts the JSON prints.
+    """
     if args.format == "csv":
-        text = "# " + json.dumps(header, sort_keys=True, default=_json_default) + "\n"
-        text += csv_body
+        lines = ["# " + json.dumps(header, sort_keys=True, default=_json_default), ",".join(columns)]
+        for row in payload["rows"] if rows is None else rows:
+            lines.append(",".join(_csv_cell(row[c]) for c in columns))
+        chunks = [line + "\n" for line in lines]
     else:
         doc = {"schema_version": SCHEMA_VERSION, "run": header}
         if flat:
             doc.update(payload)
         else:
             doc["report"] = payload
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
+        chunks = itertools.chain(encoder.iterencode(doc), ["\n"])
+    chunks = iter(chunks)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        # a write per chunk would cost more than the encoding; join a batch first
+        while batch := list(itertools.islice(chunks, 4096)):
+            out.write("".join(batch))
+
+
+def _decimal(kind):
+    """The parser of every decimal input: what kind() accepts, less non-ASCII
+    digits and "_" separators.  It is named after kind, so that argparse
+    errors read "invalid int value"."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{text!r} is not an ASCII decimal {kind.__name__}")
+        return kind(text)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_int, _float = _decimal(int), _decimal(float)
 
 
 def _header(args, system: Optional[dict] = None, **extra) -> dict:
@@ -163,49 +207,32 @@ def _resolve_f(spec: str, n: int) -> SignedFn:
 def _parse_set(spec: str, n: int) -> list[int]:
     """Vertex subset: "first-K" shorthand or a comma-separated hex list."""
     if spec.startswith("first-"):
-        count = int(spec[len("first-"):])
+        count = _int(spec[len("first-"):])
         if not 1 <= count <= n:
             raise ValueError(f"first-{count} out of range for {n} vertices")
         return list(range(count))
     return [parse_hex(tok.strip(), "set vertex") for tok in spec.split(",") if tok.strip()]
 
 
-def _graph_payload(g: CayleyGraph) -> dict:
+def _emit_graph(args, g: CayleyGraph, **extra) -> int:
     payload = g.to_json_dict()
     if g.dim <= SPECTRUM_SCAN_LIMIT:
         rep = spectrum(g)
         payload["lambda"] = rep.lam
         payload["lambda_exact"] = rep.lambda_exact
-    return payload
-
-
-def _graph_csv(payload: dict) -> str:
-    lam = payload.get("lambda")
-    return (
-        "name,dim,degree,lambda\n"
-        f"{payload['name']},{payload['dim']},{len(payload['generators'])},"
-        f"{'' if lam is None else repr(lam)}\n"
-    )
+    row = {**payload, "degree": g.degree, "lambda": payload.get("lambda")}
+    _emit(args, _header(args, **extra), payload, ("name", "dim", "degree", "lambda"), [row], flat=True)
+    return EXIT_PASS
 
 
 def _cmd_graph_aghp(args) -> int:
-    g = build_aghp(args.r, args.ell)
-    payload = _graph_payload(g)
-    _emit(args, _header(args, r=args.r, ell=args.ell), payload, _graph_csv(payload), flat=True)
-    return EXIT_PASS
+    return _emit_graph(args, build_aghp(args.r, args.ell), r=args.r, ell=args.ell)
 
 
 def _cmd_graph_complete(args) -> int:
-    g = build_complete_selfloop(args.m, selfloop=not args.no_selfloop)
-    payload = _graph_payload(g)
-    _emit(
-        args,
-        _header(args, m=args.m, selfloop=not args.no_selfloop),
-        payload,
-        _graph_csv(payload),
-        flat=True,
-    )
-    return EXIT_PASS
+    selfloop = not args.no_selfloop
+    g = build_complete_selfloop(args.m, selfloop=selfloop)
+    return _emit_graph(args, g, m=args.m, selfloop=selfloop)
 
 
 def _cmd_graph_spectrum(args) -> int:
@@ -220,65 +247,47 @@ def _cmd_graph_spectrum(args) -> int:
         "argmax_character": rep.argmax_character,
         "method": rep.method,
     }
-    csv = "name,lambda,method\n" + f"{g.name},{rep.lam!r},{rep.method}\n"
-    _emit(args, _header(args, path=args.path), payload, csv)
+    _emit(args, _header(args, path=args.path), payload, ("name", "lambda", "method"), [payload])
     return EXIT_PASS
 
 
-def _cmd_verify_pseudorandomness(args) -> int:
+def _cmd_verify_distribution(args) -> int:
+    """verify pseudorandomness (k = 1..s+1 by default) and verify
+    uniformity (k = 1..s, whose rows also carry max_deviation)."""
     system, resolved = _load_system(args.config)
-    kmax = args.kmax if args.kmax is not None else system.params.s + 1
+    uniformity = args.subcommand == "uniformity"
+    check = check_first_coord_uniform if uniformity else check_pseudorandomness
+    columns = ("k", "tv", "max_deviation", "pass") if uniformity else ("k", "tv", "pass")
+    s = system.params.s
+    kmax = args.kmax if args.kmax is not None else (s if uniformity else s + 1)
     rows = []
     for k in range(1, kmax + 1):
-        chk = check_pseudorandomness(system, k, budget=args.budget)
-        rows.append((k, chk.tv_distance, chk.equal))
+        chk = check(system, k, budget=args.budget)
+        row = {"k": k, "tv": chk.tv_distance, "max_deviation": chk.max_deviation, "pass": chk.equal}
+        rows.append({c: row[c] for c in columns})
+    payload = {"check": args.subcommand, "rows": rows}
+    _emit(args, _header(args, system=resolved, kmax=kmax), payload, columns)
+    return EXIT_PASS if all(row["pass"] for row in rows) else EXIT_VIOLATION
+
+
+def _emit_moment(args, resolved: dict, report: MomentReport, **extra) -> int:
+    # LevelRow's fields, in order
+    columns = ("k", "epsilon", "sigma", "bound_eps", "bound_sigma", "pass", "vacuous")
     payload = {
-        "check": "pseudorandomness",
-        "rows": [{"k": k, "tv": tv, "pass": ok} for k, tv, ok in rows],
+        "schema_version": SCHEMA_VERSION,
+        "kind": report.kind,
+        "lambda": report.lam,
+        "bias": report.bias,
+        "hypotheses_met": report.hypotheses_met,
+        "hypothesis_detail": report.hypothesis_detail,
+        "all_passed": report.all_passed,
+        "rows": [dict(zip(columns, astuple(r))) for r in report.rows],
+        "extra": report.extra,
     }
-    csv = "k,tv,pass\n" + "".join(f"{k},{tv!r},{ok}\n" for k, tv, ok in rows)
-    _emit(args, _header(args, system=resolved, kmax=kmax), payload, csv)
-    return EXIT_PASS if all(ok for _, _, ok in rows) else EXIT_VIOLATION
-
-
-def _cmd_verify_uniformity(args) -> int:
-    system, resolved = _load_system(args.config)
-    kmax = args.kmax if args.kmax is not None else system.params.s
-    rows = []
-    for k in range(1, kmax + 1):
-        chk = check_first_coord_uniform(system, k, budget=args.budget)
-        rows.append((k, chk.tv_distance, chk.max_deviation, chk.equal))
-    payload = {
-        "check": "uniformity",
-        "rows": [
-            {"k": k, "tv": tv, "max_deviation": dev, "pass": ok}
-            for k, tv, dev, ok in rows
-        ],
-    }
-    csv = "k,tv,max_deviation,pass\n" + "".join(
-        f"{k},{tv!r},{dev!r},{ok}\n" for k, tv, dev, ok in rows
-    )
-    _emit(args, _header(args, system=resolved, kmax=kmax), payload, csv)
-    return EXIT_PASS if all(ok for *_, ok in rows) else EXIT_VIOLATION
-
-
-def _emit_moment(args, resolved: dict, report, **extra) -> int:
-    _emit(
-        args,
-        _header(args, system=resolved, **extra),
-        report.to_json_dict(),
-        report.to_csv(),
-    )
+    _emit(args, _header(args, system=resolved, **extra), payload, columns)
     if not report.hypotheses_met:
         return EXIT_HYPOTHESES
     return EXIT_PASS if report.all_passed else EXIT_VIOLATION
-
-
-def _system_for(args) -> tuple[ReplacementSystem, dict]:
-    system, resolved = _load_system(args.config)
-    if not check_local_invertibility(system):
-        raise ValueError("outer graph is not locally invertible")
-    return system, resolved
 
 
 def _f_for(args, system: ReplacementSystem, resolved: dict) -> SignedFn:
@@ -288,14 +297,14 @@ def _f_for(args, system: ReplacementSystem, resolved: dict) -> SignedFn:
 
 
 def _cmd_verify_base_case(args) -> int:
-    system, resolved = _system_for(args)
+    system, resolved = _load_system(args.config)
     f = _f_for(args, system, resolved)
     report = check_base_case(system, f)
     return _emit_moment(args, resolved, report)
 
 
 def _cmd_verify_induction(args) -> int:
-    system, resolved = _system_for(args)
+    system, resolved = _load_system(args.config)
     f = _f_for(args, system, resolved)
     kmax = args.kmax if args.kmax is not None else 2 * system.params.s
     report = check_induction_step(system, f, kmax)
@@ -303,7 +312,7 @@ def _cmd_verify_induction(args) -> int:
 
 
 def _cmd_verify_bias_lemma(args) -> int:
-    system, resolved = _system_for(args)
+    system, resolved = _load_system(args.config)
     f = _f_for(args, system, resolved)
     t = args.t if args.t is not None else resolved.get("t")
     if t is None:
@@ -313,35 +322,23 @@ def _cmd_verify_bias_lemma(args) -> int:
 
 
 def _cmd_verify_arithmetic(args) -> int:
-    lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
-    s_values = [int(tok) for tok in args.s_values.split(",") if tok.strip()]
+    lambdas = [_float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+    s_values = [_int(tok) for tok in args.s_values.split(",") if tok.strip()]
     report = verify_induction_arithmetic(lambdas, s_values, args.kmax)
+    # ArithmeticRow's fields, in order
+    columns = ("lambda", "s", "valid_region", "pass", "max_log_violation")
     payload = {
         "check": "induction-arithmetic",
         "spot_checks_passed": report.spot_checks_passed,
         "all_passed": report.all_passed,
-        "rows": [
-            {
-                "lambda": r.lam,
-                "s": r.s,
-                "valid_region": r.valid,
-                "pass": r.passed,
-                "max_log_violation": r.max_log_violation,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(columns, astuple(r))) for r in report.rows],
     }
-    csv = "lambda,s,valid_region,pass,max_log_violation\n" + "".join(
-        f"{r.lam!r},{r.s},{r.valid},{r.passed},{r.max_log_violation!r}\n"
-        for r in report.rows
-    )
-    _emit(
-        args,
-        _header(args, lambdas=lambdas, s_values=s_values, kmax=args.kmax),
-        payload,
-        csv,
-    )
-    return EXIT_PASS if report.all_passed else EXIT_VIOLATION
+    header = _header(args, lambdas=lambdas, s_values=s_values, kmax=args.kmax)
+    _emit(args, header, payload, columns)
+    if not report.all_passed:
+        return EXIT_VIOLATION
+    # rows outside the proof's validity region are not asserted
+    return EXIT_PASS if any(r.valid for r in report.rows) else EXIT_HYPOTHESES
 
 
 def _cmd_verify_hitting(args) -> int:
@@ -367,7 +364,7 @@ def _cmd_verify_hitting(args) -> int:
         args,
         _header(args, graph=args.graph, set=args.set, tmax=args.tmax),
         payload,
-        report.to_csv(),
+        ("t", "exact", "bound", "pass"),
     )
     return EXIT_PASS if report.all_passed else EXIT_VIOLATION
 
@@ -376,12 +373,12 @@ def _cmd_code_gen_base(args) -> int:
     rng = np.random.default_rng(args.seed)
     base = gen_base_code(args.k, args.n0, args.target_bias, rng, max_tries=args.max_tries)
     payload = base.to_json_dict()
-    csv = "k,n0,bias\n" + f"{base.k},{base.n0},{base.measured_bias!r}\n"
     _emit(
         args,
         _header(args, k=args.k, n0=args.n0, target_bias=args.target_bias),
         payload,
-        csv,
+        ("k", "n0", "bias"),
+        [payload],
         flat=True,
     )
     return EXIT_PASS
@@ -411,8 +408,8 @@ def _cmd_code_encode(args) -> int:
         "bits_hex": packed.tobytes().hex(),
         "ones": int(bits.sum()),
     }
-    csv = "message,length,ones\n" + f"{args.message},{bits.size},{int(bits.sum())}\n"
-    _emit(args, _header(args, system=resolved, base=args.base, message=args.message), payload, csv)
+    header = _header(args, system=resolved, base=args.base, message=args.message)
+    _emit(args, header, payload, ("message", "length", "ones"), [payload])
     return EXIT_PASS
 
 
@@ -423,8 +420,8 @@ def _cmd_code_report(args) -> int:
         "k", "n0", "base_bias", "t", "block_length", "rate",
         "bias", "bias_bound", "bias_bound_vacuous", "distance_lower_bound",
     ]
-    csv = "key,value\n" + "".join(f"{k},{report[k]}\n" for k in fields)
-    _emit(args, _header(args, system=resolved, base=args.base), report, csv)
+    rows = [{"key": k, "value": report[k]} for k in fields]
+    _emit(args, _header(args, system=resolved, base=args.base), report, ("key", "value"), rows)
     if not report["hypotheses_met"]:
         return EXIT_HYPOTHESES
     if report["bias_bound_vacuous"]:
@@ -433,12 +430,12 @@ def _cmd_code_report(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
+    p.add_argument("--seed", type=_int, default=0, help="RNG seed (64-bit)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_int, default=None,
                    help="echoed in the run header only; computation is single-threaded")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET,
                    help="enumeration budget (items)")
 
 
@@ -452,12 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
     graph = top.add_parser("graph", help="construct graphs and report expansion")
     gsub = graph.add_subparsers(dest="subcommand", required=True)
     p = gsub.add_parser("aghp", help="small-bias Cayley graph over F_2^r")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--ell", type=_int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_graph_aghp)
     p = gsub.add_parser("complete", help="complete graph over F_2^m")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--no-selfloop", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_graph_complete)
@@ -477,14 +474,14 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(q)
         return q
 
-    p = vparser("pseudorandomness", _cmd_verify_pseudorandomness,
+    p = vparser("pseudorandomness", _cmd_verify_distribution,
                 help="wide walk vs pure walk, exact TV per k")
     p.add_argument("--config", required=True)
-    p.add_argument("--kmax", type=int, default=None, help="max vertex count (default s+1)")
-    p = vparser("uniformity", _cmd_verify_uniformity,
+    p.add_argument("--kmax", type=_int, default=None, help="max vertex count (default s+1)")
+    p = vparser("uniformity", _cmd_verify_distribution,
                 help="first-block tuple uniformity for k <= s")
     p.add_argument("--config", required=True)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=_int, default=None)
     p = vparser("base-case", _cmd_verify_base_case,
                 help="moment bounds for k = 0..s")
     p.add_argument("--config", required=True)
@@ -494,45 +491,45 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="moment recurrences for k > s")
     p.add_argument("--config", required=True)
     p.add_argument("--support", default=None)
-    p.add_argument("--kmax", type=int, default=None, help="default 2s")
+    p.add_argument("--kmax", type=_int, default=None, help="default 2s")
     p = vparser("bias-lemma", _cmd_verify_bias_lemma,
                 help="end-to-end bias bound at walk length t")
     p.add_argument("--config", required=True)
     p.add_argument("--support", default=None)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_int, default=None)
     p = vparser("arithmetic", _cmd_verify_arithmetic,
                 help="closed-form-into-recurrence substitutions on a grid")
     p.add_argument("--lambdas", default="0.01,0.05,0.1,0.2,0.25")
     p.add_argument("--s-values", dest="s_values", default="5,8,16,32")
-    p.add_argument("--kmax", type=int, default=200,
+    p.add_argument("--kmax", type=_int, default=200,
                    help="levels s+1..kmax: k cancels, so it changes no row; must exceed every s")
     p = vparser("hitting", _cmd_verify_hitting,
                 help="confined-walk survival vs closed-form bound")
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--set", required=True,
                    help='subset: "first-K" or comma-separated hex vertices')
-    p.add_argument("--tmax", type=int, default=12)
+    p.add_argument("--tmax", type=_int, default=12)
 
     code = top.add_parser("code", help="base-code search, encoding, bias report")
     csub = code.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("gen-base", help="randomized search for a low-bias base code")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--target-bias", dest="target_bias", type=float, required=True)
-    p.add_argument("--max-tries", dest="max_tries", type=int, default=1000)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--n0", type=_int, required=True)
+    p.add_argument("--target-bias", dest="target_bias", type=_float, required=True)
+    p.add_argument("--max-tries", dest="max_tries", type=_int, default=1000)
     _add_common(p)
     p.set_defaults(func=_cmd_code_gen_base)
     p = csub.add_parser("encode", help="encode one message as walk-XOR bits")
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True, help="base code JSON path")
     p.add_argument("--message", required=True, help="message as hex")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_code_encode)
     p = csub.add_parser("report", help="bias, rate, and distance bound")
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_code_report)
 

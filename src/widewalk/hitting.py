@@ -105,12 +105,6 @@ class HittingReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_csv(self) -> str:
-        lines = ["t,exact,bound,pass"]
-        for r in self.rows:
-            lines.append(f"{r.t},{float(r.exact)!r},{float(r.bound)!r},{r.passed}")
-        return "\n".join(lines) + "\n"
-
 
 def check_hitting(
     graph: CayleyGraph,

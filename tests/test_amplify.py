@@ -9,7 +9,6 @@ deviation channel carries the signal there.
 """
 
 import hashlib
-import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -467,15 +466,3 @@ def test_induction_arithmetic_flags_invalid_region():
     report = verify_induction_arithmetic([0.3], [4, 8], 50)
     assert all(not r.valid for r in report.rows)
     assert report.all_passed  # only invalid rows present
-
-
-def test_moment_report_serialization(k16):
-    report = check_pure_walk_bounds(k16, SignedFn.balanced(16), 3)
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == "k,epsilon,sigma,bound_eps,bound_sigma,pass,vacuous"
-    assert len(csv.splitlines()) == 4
-    payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 1
-    assert payload["all_passed"] is True
-    assert len(payload["rows"]) == 3
-    assert payload["rows"][0]["k"] == 1

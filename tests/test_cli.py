@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, output shapes, and
 byte-level determinism.  All invocations go through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from widewalk.cli import (
     main,
 )
 from widewalk.code import LinearCode
-from widewalk.graphs import CayleyGraph
+from widewalk.graphs import CayleyGraph, build_complete_selfloop
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -165,7 +166,13 @@ def test_verify_induction(tmp_path, capsys):
     cfg = flagship_config(tmp_path)
     assert main(["verify", "induction", "--config", cfg]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["schema_version"] == 1
+    assert doc["report"]["all_passed"] is True
     assert [r["k"] for r in doc["report"]["rows"]] == [6, 7, 8, 9, 10]
+    assert main(["verify", "induction", "--config", cfg, "--format", "csv"]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "k,epsilon,sigma,bound_eps,bound_sigma,pass,vacuous"
+    assert len(lines) == 7
 
 
 def test_verify_bias_lemma(tmp_path, capsys):
@@ -203,6 +210,8 @@ def test_verify_hitting(tmp_path, capsys):
     ) == EXIT_PASS
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "t,exact,bound,pass"
+    assert len(lines) == 7
+    assert lines[2].startswith("1,0.25,0.25,True")
     assert lines[6] == "5,0.0004,0.002025,True"
     # hex-list form selects the same subset
     assert main(
@@ -364,8 +373,31 @@ def test_invalid_inputs(tmp_path, capsys):
         ("--lambdas", "-1", "error: lambda must be positive and finite, got -1.0"),
         ("--kmax", "3", "error: s=5 must be at least 1 and below kmax=3"),
         ("--kmax", "32", "error: s=32 must be at least 1 and below kmax=32"),
+        ("--lambdas", "", "error: the lambda and s grids must each be nonempty"),
+        ("--s-values", ",", "error: the lambda and s grids must each be nonempty"),
+        # decimals are ASCII only: no Arabic-Indic digits, no "_" separators
+        ("--s-values", "\u0668,1_6", "error: '\u0668' is not an ASCII decimal int"),
+        ("--s-values", "8,1_6", "error: '1_6' is not an ASCII decimal int"),
+        ("--lambdas", "\uff10.1", "error: '\uff10.1' is not an ASCII decimal float"),
     ):
         assert_one_line_invalid(arithmetic + [flag, value], capsys, prefix)
+    gpath.write_text(build_complete_selfloop(4).to_json())
+    assert_one_line_invalid(
+        ["verify", "hitting", "--graph", str(gpath), "--set", "first-\u0663"],
+        capsys,
+        "error: '\u0663' is not an ASCII decimal int",
+    )
+    # decimal options are refused by argparse, which also prints its usage
+    for argv in (
+        ["graph", "complete", "--m", "\u0663"],
+        ["graph", "aghp", "--r", "1_0", "--ell", "2"],
+        ["verify", "arithmetic", "--kmax", "2_00"],
+        ["code", "gen-base", "--k", "1", "--n0", "2", "--target-bias", "\uff10.5"],
+    ):
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "value: " in captured.err.splitlines()[-1]
 
 
 def test_hex_inputs_are_ascii_digits_only(tmp_path, capsys):
@@ -390,6 +422,164 @@ def test_hex_inputs_are_ascii_digits_only(tmp_path, capsys):
         capsys,
         "error: set vertex '1_0'",
     )
+
+
+# Every subcommand in both formats on small instances.  The digests were
+# taken from the CLI that wrote each command's CSV by hand, before CSV rows
+# came from the JSON rows.  Paths are relative, so the run header echoes
+# the same bytes in every directory.
+_PINNED_CASES = {
+    "graph-aghp": (["graph", "aghp", "--r", "4", "--ell", "2"], EXIT_PASS),
+    "graph-aghp-unscanned": (["graph", "aghp", "--r", "25", "--ell", "1"], EXIT_PASS),
+    "graph-complete": (["graph", "complete", "--m", "2"], EXIT_PASS),
+    "graph-complete-noloop": (["graph", "complete", "--m", "3", "--no-selfloop"], EXIT_PASS),
+    "graph-spectrum": (["graph", "spectrum", "k16.json"], EXIT_PASS),
+    "graph-spectrum-dense": (
+        ["graph", "spectrum", "k16.json", "--method", "dense-eigen"], EXIT_PASS),
+    "verify-pseudorandomness": (
+        ["verify", "pseudorandomness", "--config", "sys22.json"], EXIT_PASS),
+    "verify-pseudorandomness-gap": (
+        ["verify", "pseudorandomness", "--config", "sys22.json", "--kmax", "4"],
+        EXIT_VIOLATION),
+    "verify-uniformity": (["verify", "uniformity", "--config", "sys22.json"], EXIT_PASS),
+    "verify-base-case": (["verify", "base-case", "--config", "flag.json"], EXIT_PASS),
+    "verify-base-case-unmet": (
+        ["verify", "base-case", "--config", "flag.json", "--support", "empty"],
+        EXIT_HYPOTHESES),
+    "verify-induction": (
+        ["verify", "induction", "--config", "flag.json", "--kmax", "7"], EXIT_PASS),
+    "verify-bias-lemma": (["verify", "bias-lemma", "--config", "flag.json"], EXIT_PASS),
+    "verify-arithmetic": (["verify", "arithmetic"], EXIT_PASS),
+    # no grid point in the validity region, so nothing is asserted; this
+    # exit code is the one case that changed (it was 0), its stdout did not
+    "verify-arithmetic-outside-region": (
+        ["verify", "arithmetic", "--lambdas", "0.3"], EXIT_HYPOTHESES),
+    "verify-hitting": (
+        ["verify", "hitting", "--graph", "k16.json", "--set", "first-4", "--tmax", "5"],
+        EXIT_PASS),
+    "code-gen-base": (
+        ["code", "gen-base", "--k", "4", "--n0", "16", "--target-bias", "0.5",
+         "--seed", "3"], EXIT_PASS),
+    "code-encode": (
+        ["code", "encode", "--config", "tiny.json", "--base", "base1.json",
+         "--message", "1"], EXIT_PASS),
+    "code-report": (
+        ["code", "report", "--config", "m3.json", "--base", "base3.json"], EXIT_PASS),
+    "code-report-unmet": (
+        ["code", "report", "--config", "m3.json", "--base", "allones.json"],
+        EXIT_HYPOTHESES),
+}
+
+_PINNED_SHA256 = {
+    ("code-encode", "json"):
+        "5321f3b1c4e7e82a876c9536647c523abfdb6229f4df48aef037d0f210cd34d8",
+    ("code-encode", "csv"):
+        "2653dd3d68574314a3f623cd595044624fe5fcb33b4273916d96255c909bc1e8",
+    ("code-gen-base", "json"):
+        "ee8c914eca187a203804f4c1c99ecaa326581195b83c45e18123a19038e71eb9",
+    ("code-gen-base", "csv"):
+        "c74ae88cf8bf13ab4c1bf23f7f33177c8636f521166966c6e7b1db6a8cf68210",
+    ("code-report", "json"):
+        "972905513700223a5a419b8e2747405b28ff1ec5baf740badfe244b6eb52d5d5",
+    ("code-report", "csv"):
+        "db1ad843ab4d45db698c6a121c0d5f8896e599084ddf681976b92c8316847f87",
+    ("code-report-unmet", "json"):
+        "595528ad9b47627cd8dbb9b0d58537177039656ddf63017a419a396762eb8cd7",
+    ("code-report-unmet", "csv"):
+        "48ccee1beaefd809f786eb92f4352e3357d5c8029e22a88e4db975d3ea597fe5",
+    ("graph-aghp", "json"):
+        "4e198a0b86ea566fa1da0d016c88e6ece46e6478eb940618fbf5efbf386dd919",
+    ("graph-aghp", "csv"):
+        "b9c4e4e6a26b0b5338db71e7ddabc285366fd38f6a78b43a06c6b3e533da0a64",
+    ("graph-aghp-unscanned", "json"):
+        "617961b8ef21c062423a5d46b5677b9ef10f9c198ec27733319dcf1046489297",
+    ("graph-aghp-unscanned", "csv"):
+        "2dd204d8adabda1d1875152e3ecca079bfb9ff95f1ae86316bcebfbe5cec895a",
+    ("graph-complete", "json"):
+        "a04255f4f4eb3abebbaefcf09b1cb42522f9ff0b2f126efc3b88c4c73b0bdc0c",
+    ("graph-complete", "csv"):
+        "b6bfc8830a348105790a43002bdcf55c0810001ada669c6c341114eb0301be84",
+    ("graph-complete-noloop", "json"):
+        "5a134349f39f2a74cae6c24070a8e92950fbfad7ddaa62861f02412734d67a9e",
+    ("graph-complete-noloop", "csv"):
+        "f36a8ffe827574e70d6c6cc1488291f7140c10f8e9c5745dcd08cb6ce3ef9d94",
+    ("graph-spectrum", "json"):
+        "b4ebf05e3658b6a0ce6fe833b20698333547e833c7b498d7cd93077f225c9aed",
+    ("graph-spectrum", "csv"):
+        "075e9a3f006744e1d15797a72528fc7c5aa6d1bdac44a788af326ccc7d9a068c",
+    ("graph-spectrum-dense", "json"):
+        "32f590e203f38cbb230b8b7517206c79547db5439e58a8b82a04bcc48fe70e6c",
+    ("graph-spectrum-dense", "csv"):
+        "698849f6ea6508072f6591096f461c80e1bb38bbab688baee8f746cf2847ce68",
+    ("verify-arithmetic-outside-region", "json"):
+        "d6b2a1153b1c30696bd964fd29c4737b0f28f31e6ba96253da8cc31adff8bb31",
+    ("verify-arithmetic-outside-region", "csv"):
+        "7d1fae4132eda820a2adb644d8344213223d6ce9b7fbf23bf8d764cbc80aec94",
+    ("verify-arithmetic", "json"):
+        "0adb73beb79958f46c33ec6bb7424643a619d683b377be62055e74eed733f91a",
+    ("verify-arithmetic", "csv"):
+        "a6a61f081e76e599b834fd07463219f266942ac113b8c577979bc16e3b041428",
+    ("verify-base-case", "json"):
+        "ed95a40571064f584190964cce5a2ab50a6d8c10a1c2b545be5f977dd7578a94",
+    ("verify-base-case", "csv"):
+        "2ac9af2882701d7cc134901f15e119e27aa3f70f5baa059f8fb3557da164d7f4",
+    ("verify-base-case-unmet", "json"):
+        "594a154cce5504196d88bb50d3c432777d591404f949b6319da36644f9585875",
+    ("verify-base-case-unmet", "csv"):
+        "eb0b2af7c5524d77f0a6e0816cddf545fec99507b34b72758656f78397653aaa",
+    ("verify-bias-lemma", "json"):
+        "fc13ab984ccee92aa4a042e8a688b6006e4a7f6d70f9b351ea6876a1c1f16171",
+    ("verify-bias-lemma", "csv"):
+        "583256cb7fcca9abd1400c543f244a59efab921b445b1f8f1a83c1c6d10aadee",
+    ("verify-hitting", "json"):
+        "11569b134aafde524cfb2b2a8ca7352c75a8dbd988b5a9d4386ed8b944ae7379",
+    ("verify-hitting", "csv"):
+        "6e7d07f1c579cd64ded5af87538cba9b1cb8d66058a415deaa1c24fc3945f01e",
+    ("verify-induction", "json"):
+        "07cc79c4bd6ea2bbf04d66bb4a9e6c35caa595f5737cd93a0398f6802a06a60d",
+    ("verify-induction", "csv"):
+        "d9a6631a32f1afa7022aee650d28a03d71ef67973a5fbe2972c54f745310492b",
+    ("verify-pseudorandomness", "json"):
+        "587d9c252ebb535243f76f5a83057b9c9b85399bd78194d0b8a2508945d8b878",
+    ("verify-pseudorandomness", "csv"):
+        "bbb394fa2a66b1a518b4d9f52f238c6274e574704e7720cdcc5ebe338bd69078",
+    ("verify-pseudorandomness-gap", "json"):
+        "05937f9945addf22c53ac1116639061bef1cb900518368d937678b4a397c7ad9",
+    ("verify-pseudorandomness-gap", "csv"):
+        "2a622b416b905cd6c7a3c98197611a44ca1846baeea146dd293fd2a6f1112d2d",
+    ("verify-uniformity", "json"):
+        "bac88e7a0ed3bb1753781f6c0c03b7cc41ee6424b576f49a891833024e5100b5",
+    ("verify-uniformity", "csv"):
+        "c0b821504fb31df64b9e037257114a7eb5e042fcfb9865774ba35bf1c6922480",
+}
+
+
+def _write_pinned_inputs(directory) -> None:
+    for name, cfg in (
+        ("sys22.json", {"m": 2, "s": 2, "ell": 2}),
+        ("flag.json", {"m": 2, "s": 5, "ell": 5, "t": 10}),
+        ("tiny.json", {"m": 1, "s": 2, "ell": 1, "t": 2}),
+        ("m3.json", {"m": 3, "s": 2, "ell": 3, "t": 5}),
+    ):
+        (directory / name).write_text(json.dumps(cfg))
+    for name, code in (
+        ("base1.json", LinearCode(1, 2, [0b01])),
+        ("base3.json", LinearCode(3, 8, [0b11, 0b1100, 0b110000])),
+        ("allones.json", LinearCode(1, 8, [0xFF])),
+    ):
+        (directory / name).write_text(code.to_json())
+    (directory / "k16.json").write_text(build_complete_selfloop(4, selfloop=False).to_json())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_stdout_bytes_are_pinned(tmp_path, monkeypatch, capsys, case, fmt):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_inputs(tmp_path)
+    argv, expected_code = _PINNED_CASES[case]
+    assert main(argv + ["--format", fmt]) == expected_code
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _PINNED_SHA256[case, fmt]
 
 
 # Fuzzed input files: fields are missing, well typed, or any JSON value.

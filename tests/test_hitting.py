@@ -131,14 +131,6 @@ def test_check_hitting_rejects_unscannable_graph():
         check_hitting(g, {0}, 2)
 
 
-def test_csv_output(k16):
-    report = check_hitting(k16, range(4), 3)
-    lines = report.to_csv().splitlines()
-    assert lines[0] == "t,exact,bound,pass"
-    assert len(lines) == 4
-    assert lines[1].startswith("1,0.25,0.25,True")
-
-
 def test_budget_guard():
     g = CayleyGraph(dim=20, generators=(1, 2))
     inst = make_instance(g, {0, 1}, 1 << 10)
