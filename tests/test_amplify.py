@@ -8,7 +8,9 @@ on a 4-vertex outer graph is a signed affine indicator), so the
 deviation channel carries the signal there.
 """
 
+import argparse
 import hashlib
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -466,3 +468,26 @@ def test_induction_arithmetic_flags_invalid_region():
     report = verify_induction_arithmetic([0.3], [4, 8], 50)
     assert all(not r.valid for r in report.rows)
     assert report.all_passed  # only invalid rows present
+
+
+def test_moment_report_serialization(k16, capsys):
+    # a MomentReport is written out only by the CLI's renderer
+    from widewalk.cli import _emit_moment
+
+    report = check_pure_walk_bounds(k16, SignedFn.balanced(16), 3)
+    args = argparse.Namespace(
+        command="verify", subcommand="base-case", format="csv", out=None,
+        seed=0, budget=None, workers=None,
+    )
+    assert _emit_moment(args, {}, report) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# ")
+    assert lines[1] == "k,epsilon,sigma,bound_eps,bound_sigma,pass,vacuous"
+    assert len(lines) == 5
+    args.format = "json"
+    assert _emit_moment(args, {}, report) == 0
+    payload = json.loads(capsys.readouterr().out)["report"]
+    assert payload["schema_version"] == 1
+    assert payload["all_passed"] is True
+    assert len(payload["rows"]) == 3
+    assert payload["rows"][0]["k"] == 1

@@ -131,6 +131,22 @@ def test_check_hitting_rejects_unscannable_graph():
         check_hitting(g, {0}, 2)
 
 
+def test_csv_output(k16, tmp_path, capsys):
+    # a HittingReport is written out only by the CLI's renderer
+    from widewalk.cli import main
+
+    gpath = tmp_path / "k16.json"
+    gpath.write_text(k16.to_json())
+    argv = ["verify", "hitting", "--graph", str(gpath), "--set", "first-4",
+            "--tmax", "3", "--format", "csv"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# ")
+    assert lines[1] == "t,exact,bound,pass"
+    assert len(lines) == 5
+    assert lines[2].startswith("1,0.25,0.25,True")
+
+
 def test_budget_guard():
     g = CayleyGraph(dim=20, generators=(1, 2))
     inst = make_instance(g, {0, 1}, 1 << 10)
