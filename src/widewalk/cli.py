@@ -429,6 +429,14 @@ def _cmd_code_report(args) -> int:
     return EXIT_PASS if report["bias"] <= report["bias_bound"] + TOL_BOUND else EXIT_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one "error: ..." line and
+    exit 2; --help is unchanged, and subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {self.prog}: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_int, default=0, help="RNG seed (64-bit)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -440,7 +448,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="widewalk",
         description="wide replacement-walk construction and verification toolkit",
     )

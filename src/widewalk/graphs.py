@@ -217,21 +217,33 @@ def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, whose
     length must be a power of two, in a's dtype; a is left unchanged.
 
-    Butterfly stage h views the axis as (n/2h, 2, h) blocks and replaces
-    each (lo, hi) pair by (lo + hi, lo - hi), so every stage is one
-    vectorized pass over the array (Fino & Algazi 1976).
+    Stages run in constant geometry (Pease 1968): each stage reads the
+    neighbour pairs lo = x[..., 0::2], hi = x[..., 1::2] and writes lo + hi
+    to the low half of its output and lo - hi to the high half, so every
+    stage is two full-length ufunc calls, where the strided butterfly of
+    Fino & Algazi (1976) ran numpy inner loops of h = 1, 2, 4 ... elements.
+    Each stage rotates the index bits right by one, so stage j combines
+    bit j and after all log2(n) stages natural order is back.  That is the
+    bit order (0 first) and the same two operations on the same pairs as
+    the strided butterfly, so the result is bit-identical to it.  Both
+    ping-pong buffers come from one allocation, which the result shares.
     """
     a = np.asarray(a)
     shape, n = a.shape, a.shape[-1]
-    h = 1
-    while h < n:
-        v = a.reshape(shape[:-1] + (n // (2 * h), 2, h))
-        lo, hi = v[..., 0, :], v[..., 1, :]
-        a = np.empty_like(v)
-        np.add(lo, hi, out=a[..., 0, :])
-        np.subtract(lo, hi, out=a[..., 1, :])
-        h *= 2
-    return a.reshape(shape)
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"fwht needs a power-of-two length, got {n}")
+    if n == 1:
+        return a.copy()
+    half = n // 2
+    bufs = np.empty((2, *shape), a.dtype)
+    x = a
+    for stage in range(n.bit_length() - 1):
+        out = bufs[stage % 2]
+        lo, hi = x[..., 0::2], x[..., 1::2]
+        np.add(lo, hi, out=out[..., :half])
+        np.subtract(lo, hi, out=out[..., half:])
+        x = out
+    return x
 
 
 def character_table(G: CayleyGraph) -> np.ndarray:

@@ -23,8 +23,10 @@ grid (:func:`choice_grid`, C order) and expand every row at once with
 its inverse) and one through row 0 of the rotation table of
 :func:`walk_tables`, since rot[a, b] = a ^ rot[0, b].
 Two enumerations are compared as multisets of rows by :func:`multiset_tv`
-in exact rationals.  ReplacementSystem.walk_from_seed stays as the scalar
-reference that the sampler and the seed enumerator use.
+in exact rationals, each row packed into one int64 key by shift-or, so
+np.unique sorts plain integers rather than np.void byte strings.
+ReplacementSystem.walk_from_seed stays as the scalar reference that the
+sampler and the seed enumerator use.
 """
 from __future__ import annotations
 
@@ -267,20 +269,44 @@ def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.
     return expand
 
 
+def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The dense rank of every entry of x, and the bits the ranks take."""
+    uniq, inverse = np.unique(x, return_inverse=True)
+    return inverse, (len(uniq) - 1).bit_length()
+
+
 def multiset_tv(p: np.ndarray, q: np.ndarray) -> tuple[Fraction, Fraction]:
     """Exact distance between the empirical distributions of the rows of
     two nonnegative integer arrays with equal column counts: the total
     variation distance and the largest gap |P(x) - Q(x)| at one row x.
 
-    Each row is one np.void key over the smallest unsigned dtype that holds
-    every entry, so np.unique counts whole rows.  With L = lcm(|p|, |q|)
-    every gap is an integer over L, and all of them sum to at most 2L.
+    Each row is packed into one int64 key, column by column by shift-or,
+    each column as wide as its largest entry in p or q needs.  When the
+    next column would take the keys past 63 bits, the keys so far are
+    first replaced by their joint dense ranks (and so is the column, if it
+    is still too wide), so keys stay injective for up to 2**31 rows.
+    np.unique then counts whole rows.  With L = lcm(|p|, |q|) every gap is
+    an integer over L, and all of them sum to at most 2L.
     """
-    rows = np.concatenate([p, q])
-    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(rows.max()))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
     n_p, n_q = len(p), len(q)
+    if n_p + n_q > 1 << 31:
+        raise ValueError(f"multiset_tv takes at most 2**31 rows, got {n_p + n_q}")
+    if min(p.min(), q.min()) < 0:
+        raise ValueError("multiset_tv needs nonnegative entries")
+    keys, bits = np.zeros(n_p + n_q, np.int64), 0
+    for col_p, col_q in zip(p.T, q.T):
+        width = int(max(col_p.max(), col_q.max())).bit_length()
+        if bits + width > 63:
+            keys, bits = _dense_ranks(keys)
+        if bits + width > 63:
+            ranks, width = _dense_ranks(np.concatenate([col_p, col_q]))
+            col_p, col_q = ranks[:n_p], ranks[n_p:]
+        keys <<= width
+        # entries fit 63 bits by now, so the cast of a uint64 column is exact
+        for part, col in ((keys[:n_p], col_p), (keys[n_p:], col_q)):
+            np.bitwise_or(part, col, out=part, dtype=np.int64, casting="unsafe")
+        bits += width
+    uniq, inverse = np.unique(keys, return_inverse=True)
     lcm = math.lcm(n_p, n_q)
     dtype = np.int64 if lcm < 1 << 62 else object
     c_p = np.bincount(inverse[:n_p], minlength=len(uniq)).astype(dtype)

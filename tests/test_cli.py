@@ -315,9 +315,11 @@ def test_invalid_inputs(tmp_path, capsys):
     assert main(["verify", "pseudorandomness", "--config", str(bad)]) == EXIT_INVALID
     missing = str(tmp_path / "absent.json")
     assert main(["verify", "pseudorandomness", "--config", missing]) == EXIT_INVALID
-    # argparse-level rejection uses the same invalid-input code
-    assert main(["bogus"]) == EXIT_INVALID
-    capsys.readouterr()
+    # argparse-level rejection uses the same invalid-input code and one line
+    assert_one_line_invalid(["bogus"], capsys, "error: widewalk: argument command: invalid choice")
+    assert_one_line_invalid(
+        ["verify"], capsys, "error: widewalk verify: the following arguments are required"
+    )
     # well-formed JSON that is not an object, and a negative budget
     bad.write_text("[1, 2]")
     assert_one_line_invalid(["verify", "uniformity", "--config", str(bad)], capsys, "error: config")
@@ -387,17 +389,20 @@ def test_invalid_inputs(tmp_path, capsys):
         capsys,
         "error: '\u0663' is not an ASCII decimal int",
     )
-    # decimal options are refused by argparse, which also prints its usage
-    for argv in (
-        ["graph", "complete", "--m", "\u0663"],
-        ["graph", "aghp", "--r", "1_0", "--ell", "2"],
-        ["verify", "arithmetic", "--kmax", "2_00"],
-        ["code", "gen-base", "--k", "1", "--n0", "2", "--target-bias", "\uff10.5"],
+    # bad option values are refused by argparse, in one line without its usage
+    for argv, flag in (
+        (["graph", "complete", "--m", "x"], "--m"),
+        (["graph", "complete", "--m", "\u0663"], "--m"),
+        (["graph", "aghp", "--r", "1_0", "--ell", "2"], "--r"),
+        (["verify", "arithmetic", "--kmax", "2_00"], "--kmax"),
+        (["code", "gen-base", "--k", "1", "--n0", "2", "--target-bias", "\uff10.5"], "--target-bias"),
     ):
-        assert main(argv) == EXIT_INVALID
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "value: " in captured.err.splitlines()[-1]
+        prefix = f"error: widewalk {argv[0]} {argv[1]}: argument {flag}: invalid"
+        assert_one_line_invalid(argv, capsys, prefix)
+    # --help still prints the usage to stdout and exits 0
+    assert main(["graph", "complete", "--help"]) == EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: widewalk graph complete") and captured.err == ""
 
 
 def test_hex_inputs_are_ascii_digits_only(tmp_path, capsys):

@@ -209,6 +209,46 @@ def test_fwht_matches_dense_hadamard():
         assert np.array_equal(X, X0)  # input left untouched
 
 
+def strided_fwht(a):
+    """Reference: the strided butterfly (Fino & Algazi 1976) that graphs.fwht
+    replaced.  Stage h views the axis as (n/2h, 2, h) blocks and replaces
+    each (lo, hi) pair by (lo + hi, lo - hi)."""
+    shape, n = a.shape, a.shape[-1]
+    h = 1
+    while h < n:
+        v = a.reshape(shape[:-1] + (n // (2 * h), 2, h))
+        lo, hi = v[..., 0, :], v[..., 1, :]
+        a = np.empty_like(v)
+        np.add(lo, hi, out=a[..., 0, :])
+        np.subtract(lo, hi, out=a[..., 1, :])
+        h *= 2
+    return a.reshape(shape)
+
+
+def test_fwht_is_bit_identical_to_the_strided_butterfly():
+    rng = np.random.default_rng(8)
+    for r in range(13):
+        n = 1 << r
+        for lead in ((), (3,), (2, 3)):
+            shape = lead + (n,)
+            wide = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 41, shape))
+            ints = rng.integers(-(1 << 40), 1 << 40, shape)
+            # Python ints above 2**63, for which only object arrays are exact
+            big = np.array([(1 << 70) + int(v) for v in ints.ravel()], dtype=object)
+            for x in (wide, ints, big.reshape(shape)):
+                x0 = x.copy()
+                y = fwht(x)
+                assert y.dtype == x.dtype and y.shape == shape
+                if x.dtype == object:
+                    assert y.tolist() == strided_fwht(x).tolist()
+                else:
+                    assert y.tobytes() == strided_fwht(x).tobytes()
+                assert np.array_equal(x, x0)  # input left unchanged
+    for n in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match="power-of-two"):
+            fwht(np.ones((2, n)))
+
+
 def brute_average(values, g):
     idx = np.arange(g.num_vertices)
     return sum(values[..., idx ^ u] for u in g.generators) / g.degree

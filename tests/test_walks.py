@@ -385,3 +385,41 @@ def test_multiset_tv_hand_values():
     assert multiset_tv(q, p) == (tv, gap)
     # the same distribution at another multiplicity is at distance 0
     assert multiset_tv(p, np.concatenate([p, p[::-1]])) == (0, 0)
+
+
+def counter_tv(p, q):
+    """Reference: exact TV and largest gap from Counters over row tuples."""
+    cp, cq = Counter(map(tuple, p.tolist())), Counter(map(tuple, q.tolist()))
+    gaps = [abs(Fraction(cp[x], len(p)) - Fraction(cq[x], len(q))) for x in cp.keys() | cq.keys()]
+    return sum(gaps) / 2, max(gaps)
+
+
+def test_multiset_tv_matches_counter_oracle():
+    rng = np.random.default_rng(5)
+    tops = {np.uint8: 1 << 8, np.uint16: 1 << 16, np.int64: 1 << 63, np.uint64: 1 << 64}
+    for dtype, top in tops.items():
+        for cols in (1, 2, 5):
+            # five rows drawn at unequal rates, which differ only in the
+            # first column, the one shifted furthest; at top 2**63 and 2**64
+            # two columns already exceed 63 bits, so keys are ranked
+            pool = rng.integers(0, top, size=(5, cols), dtype=np.uint64).astype(dtype)
+            pool[:, 1:] = pool[0, 1:]
+            for n_p, n_q in ((40, 40), (12, 30), (7, 1)):
+                p = pool[rng.integers(0, 5, n_p)]
+                q = pool[rng.integers(0, 3, n_q)]
+                assert multiset_tv(p, q) == counter_tv(p, q)
+                assert multiset_tv(q, p) == counter_tv(q, p)
+    # 20 columns of 5 bits each take 100 bits: the dense-rank path with
+    # many distinct rows, against rows that differ only in the first column
+    p = rng.integers(0, 32, size=(300, 20))
+    q = np.concatenate([p[:100] ^ np.eye(20, dtype=np.int64)[0], p[100:]])
+    tv, gap = multiset_tv(p, q)
+    assert (tv, gap) == counter_tv(p, q) == (Fraction(1, 3), Fraction(1, 300))
+    assert multiset_tv(q, p) == (tv, gap)
+    with pytest.raises(ValueError, match="nonnegative"):
+        multiset_tv(np.array([[0, 1]]), np.array([[0, -1]]))
+    # past 2**31 rows dense ranks could take more than 63 bits; a
+    # zero-stride view of that many rows is refused before any pass
+    huge = np.broadcast_to(np.zeros((1, 1), np.int64), (1 << 31, 1))
+    with pytest.raises(ValueError, match="at most 2"):
+        multiset_tv(huge, huge[:1])
