@@ -260,6 +260,8 @@ def _cmd_verify_distribution(args) -> int:
     columns = ("k", "tv", "max_deviation", "pass") if uniformity else ("k", "tv", "pass")
     s = system.params.s
     kmax = args.kmax if args.kmax is not None else (s if uniformity else s + 1)
+    if kmax < 1:
+        raise ValueError(f"--kmax must be at least 1, got {kmax}")
     rows = []
     for k in range(1, kmax + 1):
         chk = check(system, k, budget=args.budget)

@@ -106,14 +106,6 @@ class CayleyGraph:
     def num_vertices(self) -> int:
         return 1 << self.dim
 
-    def neighbor(self, v: int, i: int) -> int:
-        """The i-th neighbor of v, namely v ^ generators[i]."""
-        if not 0 <= i < self.degree:
-            raise IndexError(f"generator index {i} out of range 0..{self.degree - 1}")
-        if not 0 <= v < self.num_vertices:
-            raise ValueError(f"vertex {v} out of range for dim {self.dim}")
-        return v ^ int(self.generators[i])
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

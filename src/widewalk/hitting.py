@@ -117,6 +117,8 @@ def check_hitting(
     lam defaults to the measured expansion; with exact rationals on both
     sides the comparison needs no slack.
     """
+    if tmax < 1:
+        raise ValueError(f"tmax must be at least 1, got {tmax}")
     sub = frozenset(int(v) for v in subset)
     if lam is None:
         rep = spectrum(graph)
@@ -125,8 +127,7 @@ def check_hitting(
         lam = rep.lambda_exact
     rows = []
     rho = Fraction(len(sub), graph.num_vertices)
-    probs = _survival(HittingInstance(graph, sub, tmax)) if tmax >= 1 else []
-    for t, exact in enumerate(probs, 1):
+    for t, exact in enumerate(_survival(HittingInstance(graph, sub, tmax)), 1):
         bound = hitting_bound(rho, lam, t)
         rows.append(HittingRow(t, exact, bound, exact <= bound))
     return HittingReport(rho, lam, rows)

@@ -25,16 +25,13 @@ its inverse) and one through row 0 of the rotation table of
 Two enumerations are compared as multisets of rows by :func:`multiset_tv`
 in exact rationals, each row packed into one int64 key by shift-or, so
 np.unique sorts plain integers rather than np.void byte strings.
-ReplacementSystem.walk_from_seed stays as the scalar reference that the
-sampler and the seed enumerator use.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -83,22 +80,6 @@ class WalkParams:
         return 1 << (2 * self.ell)
 
 
-def shift(b: int, m: int, s: int, direction: str = "forward") -> int:
-    """Cyclic block shift of an (m*s)-bit word.
-
-    Forward moves block tuple (c_1, ..., c_s) to (c_2, ..., c_s, c_1),
-    which is a rotate right by m bits; backward is the inverse.
-    """
-    r = m * s
-    if not 0 <= b < (1 << r):
-        raise ValueError(f"word {b} out of range for {r} bits")
-    if direction == "forward":
-        return (b >> m) | ((b & ((1 << m) - 1)) << (r - m))
-    if direction == "backward":
-        return ((b << m) & ((1 << r) - 1)) | (b >> (r - m))
-    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-
-
 @dataclass(frozen=True)
 class SWalk:
     """One realized walk: t+1 outer vertices, t inner vertices, and its seed."""
@@ -129,7 +110,6 @@ class ReplacementSystem:
         self.outer = outer
         self.inner = inner
         self.params = params
-        self._block_mask = params.d_outer - 1
 
     @property
     def num_outer(self) -> int:
@@ -139,26 +119,23 @@ class ReplacementSystem:
     def num_inner(self) -> int:
         return self.inner.num_vertices
 
-    def rotation(self, a: int, b: int) -> int:
-        """Step the outer vertex along the generator indexed by block 1 of b."""
-        return self.outer.neighbor(a, b & self._block_mask)
-
-    def shift_fwd(self, b: int) -> int:
-        return shift(b, self.params.m, self.params.s, "forward")
-
-    def inner_step_fwd(self, b: int, u_index: int) -> int:
-        """Next inner vertex: shift(b ^ u)."""
-        return self.shift_fwd(b ^ int(self.inner.generators[u_index]))
-
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
-        """Deterministically expand a seed into the full walk."""
-        a = [a0]
-        b = [b1]
-        for u in u_indices:
-            b.append(self.inner_step_fwd(b[-1], u))
-        for bi in b:
-            a.append(self.rotation(a[-1], bi))
-        return SWalk(tuple(a), tuple(b), (a0, b1, tuple(u_indices)))
+        """Expand one seed (a_0, b_1, (u_2, ..., u_t)) into its walk.
+
+        Refuses a seed with a_0, b_1 or some u out of range, rather than
+        letting a negative index wrap.  Each call builds the walk tables
+        again; a caller that draws many walks should call
+        :func:`walk_expander` once with one row per walk.
+        """
+        us = tuple(int(u) for u in u_indices)
+        if not (0 <= a0 < self.num_outer and 0 <= b1 < self.num_inner
+                and all(0 <= u < self.params.d_inner for u in us)):
+            raise ValueError(
+                f"seed ({a0}, {b1}, {us}) out of range: a_0 < {self.num_outer}, "
+                f"b_1 < {self.num_inner} and every u < {self.params.d_inner}"
+            )
+        A, B = walk_expander(self)(a0, b1, np.array(us, dtype=np.int64)[None])
+        return SWalk(tuple(A[0].tolist()), tuple(B[0].tolist()), (a0, b1, us))
 
     def seed_count(self, t: int) -> int:
         if t < 1:
@@ -185,7 +162,8 @@ def sample_swalk(
 ) -> SWalk:
     """Draw one t-step walk; deterministic given the rng state.
 
-    start optionally pins (a_0, b_1); otherwise both are uniform.
+    start optionally pins (a_0, b_1); otherwise both are uniform.  The
+    seed is checked and expanded by ReplacementSystem.walk_from_seed.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -194,27 +172,7 @@ def sample_swalk(
         b1 = int(rng.integers(sys.num_inner))
     else:
         a0, b1 = start
-    us = tuple(int(u) for u in rng.integers(sys.params.d_inner, size=t - 1))
-    return sys.walk_from_seed(a0, b1, us)
-
-
-def enumerate_swalk_seeds(
-    sys: ReplacementSystem, t: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[SWalk]:
-    """Yield every walk seed exactly once, in lexicographic seed order.
-
-    Each yielded walk has probability 1 / (|A| * |B| * d_B**(t-1)) under the
-    walk distribution.  Refuses with the computed count if it would exceed
-    the budget.
-    """
-    count = sys.seed_count(t)
-    if count > budget:
-        raise BudgetExceeded(count, budget)
-    d = sys.params.d_inner
-    for a0 in range(sys.num_outer):
-        for b1 in range(sys.num_inner):
-            for us in itertools.product(range(d), repeat=t - 1):
-                yield sys.walk_from_seed(a0, b1, us)
+    return sys.walk_from_seed(a0, b1, rng.integers(sys.params.d_inner, size=t - 1))
 
 
 def choice_grid(*sizes: int) -> np.ndarray:
@@ -231,8 +189,8 @@ def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.
     position p = max(pivot, 1) is b[n] (a and b may be scalars).  The
     columns of u take the inner steps forward to positions p+1..t, then
     backward to positions pivot-1..1; the outer vertices follow by
-    rotation outward from the pivot.  pivot 0 is the standard order, so
-    the seed rows (a_0, b_1, u_2..u_t) give walk_from_seed's walks.  A
+    rotation outward from the pivot.  pivot 0 is the standard order, in
+    which the seed row (a_0, b_1, u_2..u_t) expands to its walk.  A
     holds a_0..a_t, (N, t+1), and B holds b_1..b_t, (N, t), in the
     smallest unsigned dtype that holds every vertex.
     """
@@ -412,11 +370,8 @@ def check_local_invertibility(sys: ReplacementSystem) -> bool:
     any system built here; it is kept as the stated precondition of
     backward walk generation.
     """
-    for a in range(sys.num_outer):
-        for bhat in range(sys.params.d_outer):
-            if sys.outer.neighbor(sys.outer.neighbor(a, bhat), bhat) != a:
-                return False
-    return True
+    rot = walk_tables(sys)[0][:, : sys.params.d_outer]
+    return bool((np.take_along_axis(rot, rot, axis=0) == np.arange(sys.num_outer)[:, None]).all())
 
 
 def middle_start_distribution_equal(

@@ -389,6 +389,17 @@ def test_invalid_inputs(tmp_path, capsys):
         capsys,
         "error: '\u0663' is not an ASCII decimal int",
     )
+    # an empty range of levels is refused, not passed with no rows
+    hitting = ["verify", "hitting", "--graph", str(gpath), "--set", "first-1", "--tmax"]
+    for argv, prefix in (
+        (hitting + ["0"], "error: tmax must be at least 1, got 0"),
+        (hitting + ["-3"], "error: tmax must be at least 1, got -3"),
+        (["verify", "pseudorandomness", "--config", cfg, "--kmax", "0"],
+         "error: --kmax must be at least 1, got 0"),
+        (["verify", "uniformity", "--config", cfg, "--kmax", "0"],
+         "error: --kmax must be at least 1, got 0"),
+    ):
+        assert_one_line_invalid(argv, capsys, prefix)
     # bad option values are refused by argparse, in one line without its usage
     for argv, flag in (
         (["graph", "complete", "--m", "x"], "--m"),

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from widewalk import BudgetExceeded, ReplacementSystem, WalkParams, enumerate_swalk_seeds
+from widewalk import BudgetExceeded, ReplacementSystem, WalkParams
 from widewalk import build_aghp, build_complete_selfloop
 from widewalk.code import (
     AmplifiedCode,
@@ -28,6 +28,8 @@ from widewalk.code import (
     rate,
     word_bias,
 )
+
+import walk_oracle as oracle
 
 MONO_CHAIN = {
     5: 0.019550323486328125,
@@ -200,9 +202,9 @@ def walk_xor_reference(amp, x):
     """Codeword bits one enumerated walk at a time."""
     f = amp.f_for_message(x)
     out = []
-    for w in enumerate_swalk_seeds(amp.sys, amp.t):
+    for _, a_vertices, _ in oracle.walks(amp.sys, amp.t):
         acc = 0
-        for a in w.a_vertices:
+        for a in a_vertices:
             acc ^= int(f.bits[a])
         out.append(acc)
     return out

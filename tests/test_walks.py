@@ -1,5 +1,6 @@
 """Wide walks on the replacement system: stepping, enumeration, sampling,
-and the exact distribution checks.
+and the exact distribution checks, held against the scalar walk rule of
+walk_oracle.
 """
 
 from collections import Counter
@@ -17,14 +18,14 @@ from widewalk import (
     check_first_coord_uniform,
     check_local_invertibility,
     check_pseudorandomness,
-    enumerate_swalk_seeds,
     middle_start_distribution_equal,
     middle_start_sample,
     sample_swalk,
-    shift,
 )
 from widewalk.graphs import CayleyGraph
-from widewalk.walks import choice_grid, multiset_tv, walk_expander, walk_tables
+from widewalk.walks import SWalk, choice_grid, multiset_tv, walk_expander, walk_tables
+
+import walk_oracle as oracle
 
 
 def tiny_system():
@@ -62,43 +63,45 @@ def test_walk_params_derived():
     assert p.d_inner == 1024
 
 
+def sys_23():
+    params = WalkParams(m=2, s=3, ell=3)
+    return ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), params)
+
+
+def _seed_rows(sys, t):
+    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    return seeds[:, 0], seeds[:, 1], seeds[:, 2:]
+
+
 def test_shift_example():
     # m=1, s=3: block tuple (1, 0, 1) shifts forward to (0, 1, 1)
-    assert shift(0b101, 1, 3) == 0b110
-    assert shift(0b110, 1, 3, "backward") == 0b101
+    _, fwd = walk_tables(sys_13())
+    assert fwd[0b101] == oracle.shift(0b101, 1, 3) == 0b110
+    assert np.argsort(fwd)[0b110] == oracle.shift(0b110, 1, 3, "backward") == 0b101
 
 
 def test_shift_bijection_and_order():
-    for m, s in ((1, 3), (2, 2), (2, 3)):
-        r = m * s
-        seen = set()
-        for b in range(1 << r):
-            f = shift(b, m, s)
-            seen.add(f)
-            assert shift(f, m, s, "backward") == b
-            # s applications come back around
-            cur = b
-            for _ in range(s):
-                cur = shift(cur, m, s)
-            assert cur == b
-        assert len(seen) == 1 << r
+    for sys in (sys_13(), sys_22(), sys_23()):
+        m, s = sys.params.m, sys.params.s
+        _, fwd = walk_tables(sys)
+        assert sorted(fwd.tolist()) == list(range(sys.num_inner))
+        # s applications come back around
+        cur = np.arange(sys.num_inner)
+        for _ in range(s):
+            cur = fwd[cur]
+        assert cur.tolist() == list(range(sys.num_inner))
+        for b in range(sys.num_inner):
+            assert fwd[b] == oracle.shift(b, m, s)
+            assert oracle.shift(oracle.shift(b, m, s), m, s, "backward") == b
 
 
 def test_shift_moves_blocks():
-    params = WalkParams(m=2, s=3, ell=3)
-    sys = ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), params)
+    sys = sys_23()
     _, fwd = walk_tables(sys)
     for b in range(sys.num_inner):
-        assert fwd[b] == sys.shift_fwd(b) == shift(b, 2, 3)
+        assert fwd[b] == oracle.shift(b, 2, 3)
         blocks = [(b >> 2 * j) & 0b11 for j in range(3)]
         assert [(int(fwd[b]) >> 2 * j) & 0b11 for j in range(3)] == blocks[1:] + blocks[:1]
-
-
-def test_shift_validation():
-    with pytest.raises(ValueError):
-        shift(8, 1, 3)
-    with pytest.raises(ValueError):
-        shift(1, 1, 3, "sideways")
 
 
 def test_block_indexing():
@@ -124,10 +127,11 @@ def test_system_wiring_validation():
 
 def test_rotation_uses_block_one():
     sys = sys_22()
+    rot, _ = walk_tables(sys)
     for a in range(sys.num_outer):
         for b in range(sys.num_inner):
-            expect = sys.outer.neighbor(a, b & 0b11)
-            assert sys.rotation(a, b) == expect
+            expect = a ^ int(sys.outer.generators[b & 0b11])
+            assert rot[a, b] == oracle.rotation(sys, a, b) == expect
 
 
 def test_rotation_is_involution():
@@ -157,10 +161,11 @@ def test_inner_step_round_trip():
     _, fwd = walk_tables(sys)
     bwd = np.argsort(fwd)
     for b in range(sys.num_inner):
-        assert bwd[b] == shift(b, 2, 2, "backward")
+        assert bwd[b] == oracle.shift(b, 2, 2, "backward")
         for u in range(sys.params.d_inner):
-            nxt = sys.inner_step_fwd(b, u)
+            nxt = oracle.inner_step(sys, b, u)
             assert bwd[nxt] ^ sys.inner.generators[u] == b
+            assert oracle.inner_step_back(sys, nxt, u) == b
 
 
 def test_seed_count():
@@ -173,25 +178,26 @@ def test_seed_count():
 
 def test_enumeration_count_and_validity():
     sys = tiny_system()
-    walks = list(enumerate_swalk_seeds(sys, 3))
-    assert len(walks) == sys.seed_count(3)
+    a0, b1, u = _seed_rows(sys, 3)
+    A, B = walk_expander(sys)(a0, b1, u)
+    assert len(A) == sys.seed_count(3)
     # seeds are distinct and walks are consistent chains
-    assert len({w.seed for w in walks}) == len(walks)
-    for w in walks:
-        assert w.steps == 3
+    assert len({tuple(row) for row in np.column_stack([a0, b1, u]).tolist()}) == len(A)
+    for a_row, b_row in zip(A.tolist(), B.tolist()):
         for j in range(3):
-            assert w.a_vertices[j + 1] == sys.rotation(w.a_vertices[j], w.b_vertices[j])
+            assert a_row[j + 1] == oracle.rotation(sys, a_row[j], b_row[j])
         for j in range(2):
             # some generator index explains each inner transition
-            diffs = shift(w.b_vertices[j + 1], 1, 2, "backward") ^ w.b_vertices[j]
+            diffs = oracle.shift(b_row[j + 1], 1, 2, "backward") ^ b_row[j]
             assert diffs in sys.inner.generators
 
 
 def test_enumeration_budget():
+    # the exact enumeration refuses with the computed count before expanding
     sys = sys_22()
     with pytest.raises(BudgetExceeded) as info:
-        list(enumerate_swalk_seeds(sys, 5, budget=1000))
-    assert info.value.needed == sys.seed_count(5)
+        middle_start_distribution_equal(sys, 5, 2, budget=1000)
+    assert info.value.needed == 2 * sys.seed_count(5)
 
 
 def test_sampler_matches_enumeration():
@@ -203,9 +209,7 @@ def test_sampler_matches_enumeration():
     for _ in range(n_draws):
         w = sample_swalk(sys, 3, rng)
         counts[(w.a_vertices, w.b_vertices)] += 1
-    space = Counter()
-    for w in enumerate_swalk_seeds(sys, 3):
-        space[(w.a_vertices, w.b_vertices)] += 1
+    space = Counter((a, b) for _, a, b in oracle.walks(sys, 3))
     total = sum(space.values())
     assert set(counts) <= set(space)
     for key, mult in space.items():
@@ -222,6 +226,40 @@ def test_sampler_start_pin():
     assert w.b_vertices[0] == 7
     with pytest.raises(ValueError):
         sample_swalk(sys, 0, rng)
+    with pytest.raises(ValueError, match="out of range"):
+        sample_swalk(sys, 3, rng, start=(0, sys.num_inner))
+
+
+def test_walk_from_seed_refuses_out_of_range_seeds():
+    # a negative generator index used to wrap to the last generator
+    sys = sys_22()
+    n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_inner
+    for seed in ((0, 1, (-1,)), (0, 1, (d,)), (0, n_b, ()), (n_a, 0, (0,)), (-1, 0, ())):
+        with pytest.raises(ValueError, match="out of range"):
+            sys.walk_from_seed(*seed)
+    assert sys.walk_from_seed(n_a - 1, n_b - 1, (d - 1,)).seed == (n_a - 1, n_b - 1, (d - 1,))
+
+
+def test_sampler_draws_are_pinned():
+    # the first draws from default_rng(0), as the scalar sampler made them:
+    # a change in how the samplers consume the rng shows here
+    sys = sys_22()
+    rng = np.random.default_rng(0)
+    assert [sample_swalk(sys, t, rng) for t in (1, 3, 4)] == [
+        SWalk((3, 1), (10,), (3, 10, ())),
+        SWalk((2, 2, 3, 3), (4, 1, 4), (2, 4, (4, 0))),
+        SWalk((0, 0, 0, 2, 0), (0, 0, 14, 2), (0, 0, (2, 13, 10))),
+    ]
+    assert sample_swalk(sys, 4, rng, start=(2, 7)) == SWalk(
+        (2, 1, 1, 0, 3), (7, 4, 1, 3), (2, 7, (14, 8, 9))
+    )
+    rng = np.random.default_rng(0)
+    assert [middle_start_sample(sys, t, i, rng) for t, i in ((1, 0), (3, 1), (4, 3), (5, 2))] == [
+        SWalk((3, 1), (10,), (3, 10, ())),
+        SWalk((1, 1, 0, 0), (4, 1, 0), (1, 4, (-1, -1))),
+        SWalk((1, 0, 2, 0, 2), (13, 14, 2, 6), (1, 13, (-1, -1, -1))),
+        SWalk((1, 3, 2, 3, 1, 2), (6, 9, 1, 10, 3), (1, 6, (-1, -1, -1, -1))),
+    ]
 
 
 def test_pseudorandomness_within_window():
@@ -290,9 +328,9 @@ def test_middle_start_sample_is_valid_walk():
         w = middle_start_sample(sys, t, i, rng)
         assert w.steps == t
         for j in range(t):
-            assert w.a_vertices[j + 1] == sys.rotation(w.a_vertices[j], w.b_vertices[j])
+            assert w.a_vertices[j + 1] == oracle.rotation(sys, w.a_vertices[j], w.b_vertices[j])
         for j in range(t - 1):
-            diff = shift(w.b_vertices[j + 1], 2, 2, "backward") ^ w.b_vertices[j]
+            diff = oracle.shift(w.b_vertices[j + 1], 2, 2, "backward") ^ w.b_vertices[j]
             assert diff in sys.inner.generators
 
 
@@ -314,47 +352,23 @@ def test_invertibility_holds_with_selfloop_multigraph():
     assert check_local_invertibility(sys)
 
 
-def _seed_rows(sys, t):
-    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
-    return seeds[:, 0], seeds[:, 1], seeds[:, 2:]
-
-
 def test_walk_expander_matches_seed_enumeration():
     for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
         expand = walk_expander(sys)
         for t in range(1, tmax + 1):
             A, B = expand(*_seed_rows(sys, t))
-            walks = list(enumerate_swalk_seeds(sys, t))
+            walks = list(oracle.walks(sys, t))
             assert len(walks) == len(A)
-            for w, a_row, b_row in zip(walks, A.tolist(), B.tolist()):
-                assert (w.a_vertices, w.b_vertices) == (tuple(a_row), tuple(b_row))
+            for (_, a, b), a_row, b_row in zip(walks, A.tolist(), B.tolist()):
+                assert (a, b) == (tuple(a_row), tuple(b_row))
 
 
-def _middle_start_scalar(sys, t, i, a_pivot, b_pivot, u_edge, draws):
-    """Scalar middle-start expansion, kept as the reference for the array
-    form: forward inner steps above the pivot, then backward ones below."""
-    m, s = sys.params.m, sys.params.s
-    b = {}
-    if i == 0:
-        b[1] = b_pivot
-        if t >= 2:
-            b[2] = sys.inner_step_fwd(b_pivot, u_edge)
-        start_fwd = 3
-    else:
-        b[i] = b_pivot
-        b[i + 1] = sys.inner_step_fwd(b_pivot, u_edge)
-        start_fwd = i + 2
-    it = iter(draws)
-    for j in range(start_fwd, t + 1):
-        b[j] = sys.inner_step_fwd(b[j - 1], next(it))
-    for j in range(i - 1, 0, -1):
-        b[j] = shift(b[j + 1], m, s, "backward") ^ sys.inner.generators[next(it)]
-    a = {i: a_pivot}
-    for j in range(i + 1, t + 1):
-        a[j] = sys.rotation(a[j - 1], b[j])
-    for j in range(i - 1, -1, -1):
-        a[j] = sys.rotation(a[j + 1], b[j + 1])
-    return tuple(a[j] for j in range(t + 1)), tuple(b[j] for j in range(1, t + 1))
+def test_walk_from_seed_matches_oracle():
+    for sys in (tiny_system(), sys_22(), sys_13()):
+        for t in (1, 2, 3):
+            for seed, a, b in oracle.walks(sys, t):
+                w = sys.walk_from_seed(*seed)
+                assert (w.a_vertices, w.b_vertices, w.seed) == (a, b, seed)
 
 
 def test_middle_start_expansion_matches_scalar_reference():
@@ -367,7 +381,7 @@ def test_middle_start_expansion_matches_scalar_reference():
                 for n in range(len(A)):
                     us = u[n].tolist()
                     u_edge, draws = (us[0], us[1:]) if us else (0, ())
-                    expect = _middle_start_scalar(sys, t, i, int(a[n]), int(b[n]), u_edge, draws)
+                    expect = oracle.middle_start(sys, t, i, int(a[n]), int(b[n]), u_edge, draws)
                     assert (tuple(A[n].tolist()), tuple(B[n].tolist())) == expect
             with pytest.raises(ValueError):
                 expand(a, b, u, pivot=t)
