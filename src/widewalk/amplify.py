@@ -2,11 +2,14 @@
 
 Conventions: a level-k table for the wide walk covers k steps, i.e. k+1
 sign factors f(a_0)..f(a_k); pure-walk tables h_k cover k vertices (k-1
-steps).  Every walk step averages a table over a Cayley graph's generators
-through graphs.cayley_average: one Walsh-Hadamard transform, a pointwise
-product with the character table, and a second transform.  All arithmetic
-is double precision in a fixed operation order, so results are
-bit-identical across runs.
+steps).  A walk step averages a table over a Cayley graph's generators by
+the convolution theorem: a Walsh-Hadamard transform, a pointwise product
+with the character table, and the transform back.  The pure-walk DPs take
+the whole step through graphs.cayley_average; the wide-walk DPs stay in the
+transformed domain of inner blocks 2..s between levels, transform only
+block 1 per step, and leave that domain only for the levels they return
+(see _wide_levels).  All arithmetic is double precision in a fixed
+operation order, so results are bit-identical across runs.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, cayley_average, spectrum
+from .graphs import CayleyGraph, cayley_average, character_table, fwht, spectrum
 from .walks import ReplacementSystem, walk_tables
 
 TOL_BOUND = 1e-12
@@ -128,36 +131,76 @@ def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
 
 
 def _wide_levels(
-    sys: ReplacementSystem, f: SignedFn, base: np.ndarray, levels: int, kind: str
+    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, last_only: bool = False
 ) -> list[DpTable]:
-    """Tables 0..levels of the wide-walk recursion from per-outer-vertex
-    level-0 values.  A forward level ("g") averages the shifted table
+    """Tables 0..levels (or level `levels` alone) of the wide-walk recursion
+    from g_0(a, b) = f(a).  A forward level ("g") averages the shifted table
     over the inner generators, the step shift(b ^ u); a backward level
     ("gbar") averages first and undoes the shift after, the step
-    shift_inverse(b) ^ u.  Both then take the row the rotation map
-    reaches and multiply by the sign."""
-    rot, shift = walk_tables(sys)
-    unshift = np.argsort(shift)
-    sign_col = f.signs[:, None]
-    g = np.broadcast_to(base[:, None], (sys.num_outer, sys.num_inner)).copy()
-    tables = [DpTable(g, 0, kind)]
-    for k in range(1, levels + 1):
-        if kind == "g":
-            avg = cayley_average(g[:, shift], sys.inner)
-        else:
-            avg = cayley_average(g, sys.inner)[:, unshift]
-        g = sign_col * np.take_along_axis(avg, rot, axis=0)
-        tables.append(DpTable(g, k, kind))
+    shift_inverse(b) ^ u.  Both then take the row the rotation map reaches
+    and multiply by the sign.
+
+    The Hadamard matrix on F_2^(m*s) is the Kronecker power of the one on a
+    block, so the loop keeps each level in a mixed domain: shape (n_A, block
+    1, block 2 .. block s), with block 1 primal and blocks 2..s
+    Walsh-Hadamard transformed.  The block shift is a cyclic roll of the
+    block axes, which commutes with per-block transforms, and the rotation
+    map reads block 1 only.  So one level transforms block 1, multiplies by
+    the character table (scaled by 1 / (2^m * d_B), a power of two), rolls
+    the block axes, transforms the new block 1 back and gathers rows by
+    (a, block 1): 2*m butterfly stages a level, where two full transforms
+    take 2*m*s.  Only the levels returned are taken back to the primal
+    domain, by one transform over blocks 2..s.
+    """
+    _require_f(sys, f)
+    if levels < 0:
+        raise ValueError(f"the level count must be nonnegative, got {levels}")
+    n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
+    rest = sys.num_inner // d  # cells of blocks 2..s
+    blocks = (n_a,) + (d,) * s
+    # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
+    chars = character_table(sys.inner).reshape((d,) * s).T / (d * sys.params.d_inner)
+    if kind == "g":  # the product precedes the roll, so index it as the unshifted table
+        chars, roll = np.moveaxis(chars, 0, -1), (-1, 1)
+    else:
+        roll = (1, -1)
+    chars = chars.reshape(d, rest)
+    rows = ((np.arange(n_a)[:, None] ^ sys.outer.generators) * d + np.arange(d)).ravel()
+    signs = np.repeat(f.signs, d)[:, None]
+
+    def table(x: np.ndarray, k: int) -> DpTable:
+        # the sign multiplies primal values, so an exact zero takes its sign
+        # from f(a) as in a primal-domain step
+        primal = (fwht(x) / rest).reshape(blocks).transpose(0, *range(s, 0, -1))
+        return DpTable(f.signs[:, None] * primal.reshape(n_a, sys.num_inner), k, kind)
+
+    # a level before its sign factor; level 0 is the constant 1, which has
+    # only the zero frequency of blocks 2..s
+    x = np.zeros((n_a * d, rest))
+    x[:, 0] = rest
+    tables = []
+    for k in range(levels + 1):
+        if k:
+            y = fwht(x.reshape(n_a, d, rest), axis=1)
+            y *= chars
+            y = np.moveaxis(y.reshape(blocks), *roll).reshape(n_a, d, rest)
+            x = fwht(y, axis=1).reshape(n_a * d, rest).take(rows, axis=0)
+        if k == levels or not last_only:
+            tables.append(table(x, k))
+        x *= signs
     return tables
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     """Wide-walk tables g_0..g_kmax; g_k(a,b) is the conditional mean of
     the walk's sign product given start (a_0, b_1) = (a, b)."""
-    _require_f(sys, f)
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    return _wide_levels(sys, f, f.signs, kmax, "g")
+    return _wide_levels(sys, f, kmax, "g")
+
+
+def dp_gk_level(sys: ReplacementSystem, f: SignedFn, k: int) -> DpTable:
+    """The table g_k of dp_gk alone: the same levels, but only level k is
+    taken back to the primal domain and kept."""
+    return _wide_levels(sys, f, k, "g", last_only=True)[0]
 
 
 def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTable]:
@@ -169,10 +212,9 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
     block 1 of the current inner vertex.  Only length <= s is meaningful
     (and accepted): beyond that the conditioning argument breaks.
     """
-    _require_f(sys, f)
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    return _wide_levels(sys, f, f.signs, length, "gbar")
+    return _wide_levels(sys, f, length, "gbar")
 
 
 def _pure_levels(
@@ -459,9 +501,8 @@ def check_bias_reduction_lemma(
     if not met:
         return report
     s = sys.params.s
-    if tables is None or len(tables) <= t:
-        tables = dp_gk(sys, f, t)
-    mom = moments(tables[t])
+    table = tables[t] if tables is not None and len(tables) > t else dp_gk_level(sys, f, t)
+    mom = moments(table)
     bound = bias_bound(lam, t, s)
     vacuous = bound >= 1.0
     ok = mom.eps <= bound + TOL_BOUND
@@ -513,7 +554,7 @@ def check_middle_start_identity(
     if tables is None or len(tables) <= k:
         tables = dp_gk(sys, f, k)
     direct = float(tables[k].values.mean())
-    gbar = dp_backwards(sys, f, s)[s].values
+    gbar = _wide_levels(sys, f, s, "gbar", last_only=True)[0].values
     rest = tables[k - s].values
     _, shift = walk_tables(sys)
     via = float((f.signs[:, None] * gbar * cayley_average(rest[:, shift], sys.inner)).mean())

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import gf2core
-from .amplify import SignedFn, bias_bound, dp_gk, lemma_hypotheses, moments
+from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments
 from .graphs import CayleyGraph, json_field
 from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid, walk_expander
 
@@ -228,7 +228,7 @@ def code_bias(amp: AmplifiedCode) -> float:
             f"{MAX_DP_SCAN_K}"
         )
     return max(
-        moments(dp_gk(amp.sys, amp.f_for_message(x), amp.t)[amp.t]).eps
+        moments(dp_gk_level(amp.sys, amp.f_for_message(x), amp.t)).eps
         for x in range(1, 1 << amp.base.k)
     )
 

@@ -10,6 +10,7 @@ duplicates are permitted only when the graph is flagged as a multigraph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -178,13 +179,16 @@ def build_aghp(r: int, ell: int) -> CayleyGraph:
     powers = [np.ones_like(elems)]  # x^i for every x, with x^0 = 1 at x = 0 too
     for _ in range(r - 1):
         powers.append(field_mul(powers[-1], elems, ell))
-    table = np.stack(powers, axis=1)
+    # word(x, y) is F_2-linear in y: basis[x, j] = word(x, 2^j) has bit i
+    # equal to bit j of x^i, and the words of y in [2^j, 2^(j+1)) are those
+    # of y - 2^j with basis[x, j] xored in
+    bits = np.arange(ell)
+    basis = np.zeros((elems.size, ell), dtype=np.int64)
+    for i, power in enumerate(powers):
+        basis |= ((power[:, None] >> bits) & 1) << i
     words = np.zeros((elems.size, elems.size), dtype=np.int64)  # words[x, y]
-    step = max(1, (1 << 13) // elems.size)  # x values per block of about 2**13 words
-    for lo in range(0, elems.size, step):
-        rows, block = table[lo:lo + step], words[lo:lo + step]
-        for i in range(r):
-            block |= (np.bitwise_count(rows[:, i, None] & elems) & 1).astype(np.int64) << i
+    for j in range(ell):
+        np.bitwise_xor(words[:, : 1 << j], basis[:, j, None], out=words[:, 1 << j : 2 << j])
     return CayleyGraph(dim=r, generators=words.ravel(), name=f"aghp-r{r}-l{ell}", multigraph=True)
 
 
@@ -205,37 +209,40 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
     return CayleyGraph(dim=m, generators=gens, name=f"{tag}-m{m}")
 
 
-def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis, whose
-    length must be a power of two, in a's dtype; a is left unchanged.
+def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along one axis (the last by
+    default), whose length must be a power of two, in a's dtype; a is left
+    unchanged.
 
-    Stages run in constant geometry (Pease 1968): each stage reads the
-    neighbour pairs lo = x[..., 0::2], hi = x[..., 1::2] and writes lo + hi
-    to the low half of its output and lo - hi to the high half, so every
-    stage is two full-length ufunc calls, where the strided butterfly of
-    Fino & Algazi (1976) ran numpy inner loops of h = 1, 2, 4 ... elements.
-    Each stage rotates the index bits right by one, so stage j combines
-    bit j and after all log2(n) stages natural order is back.  That is the
-    bit order (0 first) and the same two operations on the same pairs as
-    the strided butterfly, so the result is bit-identical to it.  Both
-    ping-pong buffers come from one allocation, which the result shares.
+    Stages run in constant geometry (Pease 1968) over a (pre, n, post) view
+    of a: each stage reads the neighbour pairs lo = x[:, 0::2], hi =
+    x[:, 1::2] and writes lo + hi to the low half of its output and lo - hi
+    to the high half, so every stage is two full-length ufunc calls, where
+    the strided butterfly of Fino & Algazi (1976) ran numpy inner loops of
+    h = 1, 2, 4 ... elements.  Each stage rotates the index bits right by
+    one, so stage j combines bit j and after all log2(n) stages natural
+    order is back.  That is the bit order (0 first) and the same two
+    operations on the same pairs as the strided butterfly, so the result is
+    bit-identical to it.  Both ping-pong buffers come from one allocation,
+    which the result shares.
     """
     a = np.asarray(a)
-    shape, n = a.shape, a.shape[-1]
+    shape, axis = a.shape, range(a.ndim)[axis]
+    n = shape[axis]
     if n < 1 or n & (n - 1):
         raise ValueError(f"fwht needs a power-of-two length, got {n}")
     if n == 1:
         return a.copy()
     half = n // 2
-    bufs = np.empty((2, *shape), a.dtype)
-    x = a
+    x = a.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
+    bufs = np.empty((2, *x.shape), a.dtype)
     for stage in range(n.bit_length() - 1):
         out = bufs[stage % 2]
-        lo, hi = x[..., 0::2], x[..., 1::2]
-        np.add(lo, hi, out=out[..., :half])
-        np.subtract(lo, hi, out=out[..., half:])
+        lo, hi = x[:, 0::2], x[:, 1::2]
+        np.add(lo, hi, out=out[:, :half])
+        np.subtract(lo, hi, out=out[:, half:])
         x = out
-    return x
+    return x.reshape(shape)
 
 
 def character_table(G: CayleyGraph) -> np.ndarray:

@@ -24,7 +24,8 @@ its inverse) and one through row 0 of the rotation table of
 :func:`walk_tables`, since rot[a, b] = a ^ rot[0, b].
 Two enumerations are compared as multisets of rows by :func:`multiset_tv`
 in exact rationals, each row packed into one int64 key by shift-or, so
-np.unique sorts plain integers rather than np.void byte strings.
+that each side sorts plain integers in place rather than np.void byte
+strings.
 """
 from __future__ import annotations
 
@@ -242,9 +243,11 @@ def multiset_tv(p: np.ndarray, q: np.ndarray) -> tuple[Fraction, Fraction]:
     each column as wide as its largest entry in p or q needs.  When the
     next column would take the keys past 63 bits, the keys so far are
     first replaced by their joint dense ranks (and so is the column, if it
-    is still too wide), so keys stay injective for up to 2**31 rows.
-    np.unique then counts whole rows.  With L = lcm(|p|, |q|) every gap is
-    an integer over L, and all of them sum to at most 2L.
+    is still too wide), so keys stay injective for up to 2**31 rows.  The
+    p keys and the q keys are sorted in place; equal multisets return 0 at
+    once, and otherwise runs of equal keys are counted on each side and
+    matched by binary search.  With L = lcm(|p|, |q|) every gap is an
+    integer over L, and all of them sum to at most 2L.
     """
     n_p, n_q = len(p), len(q)
     if n_p + n_q > 1 << 31:
@@ -264,13 +267,25 @@ def multiset_tv(p: np.ndarray, q: np.ndarray) -> tuple[Fraction, Fraction]:
         for part, col in ((keys[:n_p], col_p), (keys[n_p:], col_q)):
             np.bitwise_or(part, col, out=part, dtype=np.int64, casting="unsafe")
         bits += width
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    key_p, key_q = keys[:n_p], keys[n_p:]
+    key_p.sort()
+    key_q.sort()
+    if n_p == n_q and np.array_equal(key_p, key_q):
+        return Fraction(0), Fraction(0)
+    # L <= |p| * |q| <= 2**60 under the row cap, so int64 gaps cannot wrap
     lcm = math.lcm(n_p, n_q)
-    dtype = np.int64 if lcm < 1 << 62 else object
-    c_p = np.bincount(inverse[:n_p], minlength=len(uniq)).astype(dtype)
-    c_q = np.bincount(inverse[n_p:], minlength=len(uniq)).astype(dtype)
-    gap = np.abs(c_p * (lcm // n_p) - c_q * (lcm // n_q))
-    return Fraction(int(gap.sum()), 2 * lcm), Fraction(int(gap.max()), lcm)
+    (val_p, c_p), (val_q, c_q) = _runs(key_p), _runs(key_q)
+    distinct = np.union1d(val_p, val_q)
+    gap = np.zeros(len(distinct), np.int64)
+    gap[np.searchsorted(distinct, val_p)] = c_p * (lcm // n_p)
+    gap[np.searchsorted(distinct, val_q)] -= c_q * (lcm // n_q)
+    return Fraction(int(np.abs(gap).sum()), 2 * lcm), Fraction(int(np.abs(gap).max()), lcm)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of sorted keys and how often each occurs."""
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 def middle_start_sample(
@@ -283,9 +298,11 @@ def middle_start_sample(
     generated backward (inverse shifts, and rotations reusing the same block
     because outer generators are self-inverse).  The output distribution is
     identical to :func:`sample_swalk`'s.  i = 0 reduces to the standard
-    order.  The u-index field of the returned seed is a placeholder
-    (indices cannot be recovered uniquely when the inner graph has repeated
-    generators).
+    order.  The returned seed is the walk's standard-order seed: a backward
+    step b_j = shift_inverse(b_(j+1)) ^ u uses the same generator index as
+    the forward step b_(j+1) = shift(b_j ^ u), so the backward indices,
+    reversed, are u_2..u_p and the forward ones u_(p+1)..u_t, p = max(i, 1);
+    ReplacementSystem.walk_from_seed(*seed) gives the same walk back.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -294,10 +311,12 @@ def middle_start_sample(
     b_pivot = int(rng.integers(sys.num_inner))
     u_edge = int(rng.integers(d))
     draws = rng.integers(d, size=max(t - 2, 0))
-    u = np.concatenate([[u_edge], draws])[None, : t - 1]
-    A, B = walk_expander(sys)(a_pivot, b_pivot, u, pivot=i)
+    u = np.concatenate([[u_edge], draws])[: t - 1]
+    A, B = walk_expander(sys)(a_pivot, b_pivot, u[None], pivot=i)
+    forward = t - max(i, 1)
+    seed_u = tuple(u[forward:][::-1].tolist() + u[:forward].tolist())
     a_list, b_list = tuple(A[0].tolist()), tuple(B[0].tolist())
-    return SWalk(a_list, b_list, (a_list[0], b_list[0], (-1,) * (t - 1)))
+    return SWalk(a_list, b_list, (a_list[0], b_list[0], seed_u))
 
 
 @dataclass(frozen=True)

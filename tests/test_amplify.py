@@ -27,6 +27,7 @@ from widewalk import (
     build_complete_selfloop,
 )
 from widewalk.amplify import (
+    DpTable,
     check_base_case,
     check_bias_reduction_lemma,
     check_first_step_trick,
@@ -36,12 +37,15 @@ from widewalk.amplify import (
     check_weighted_walk_bounds,
     dp_backwards,
     dp_gk,
+    dp_gk_level,
     dp_hk,
     dp_hk_weighted,
     measured_lambdas,
     moments,
     verify_induction_arithmetic,
 )
+from widewalk.graphs import cayley_average
+from widewalk.walks import walk_tables
 
 import walk_oracle as oracle
 
@@ -160,6 +164,51 @@ def test_moment_consistency(g8_system, g8_f):
         assert abs(m.second_moment - (mean * mean + m.sigma**2)) <= 1e-12
         # per-vertex means average back to the global (signed) mean
         assert abs(float(m.eps_a.mean()) - mean) <= 1e-15
+
+
+def full_transform_levels(sys, f, levels, kind):
+    """Reference: the wide-walk levels with a full Walsh-Hadamard transform
+    over all m*s bits of b on each side of every step, as dp_gk and
+    dp_backwards took them before they kept blocks 2..s transformed.  A
+    forward level averages the shifted table, a backward level averages
+    and then undoes the shift; both take the rotation row and the sign."""
+    rot, shift = walk_tables(sys)
+    unshift = np.argsort(shift)
+    sign_col = f.signs[:, None]
+    g = np.broadcast_to(f.signs[:, None], (sys.num_outer, sys.num_inner)).copy()
+    tables = [DpTable(g, 0, kind)]
+    for k in range(1, levels + 1):
+        if kind == "g":
+            avg = cayley_average(g[:, shift], sys.inner)
+        else:
+            avg = cayley_average(g, sys.inner)[:, unshift]
+        g = sign_col * np.take_along_axis(avg, rot, axis=0)
+        tables.append(DpTable(g, k, kind))
+    return tables
+
+
+def test_wide_levels_equal_the_full_transform_reference(flagship, g8_system, mono_system):
+    # exact float equality at every level (a zero may change its sign: the
+    # last operation that makes it differs); the flagship balanced tables
+    # are also pinned byte for byte above
+    witness = ReplacementSystem(
+        build_complete_selfloop(3), build_aghp(15, 5), WalkParams(m=3, s=5, ell=5)
+    )
+    cases = [(flagship, SignedFn.from_support(4, sup), 20) for sup in
+             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    cases += [(sys, f, 12) for sys in (g8_system, mono_system)
+              for f in (SignedFn.from_support(8, {0, 1, 2}), SignedFn.balanced(8))]
+    cases += [(witness, SignedFn.from_support(8, sup), 6) for sup in ((0, 1, 2), (1, 4, 6), (3, 5, 7))]
+    for sys, f, kmax in cases:
+        s = sys.params.s
+        forward = dp_gk(sys, f, kmax)
+        for got, want in ((forward, full_transform_levels(sys, f, kmax, "g")),
+                          (dp_backwards(sys, f, s), full_transform_levels(sys, f, s, "gbar"))):
+            assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
+            for a, b in zip(got, want):
+                assert np.array_equal(a.values, b.values), (sys.params, f.bits, a.kind, a.level)
+        # the single-level path runs the same levels and converts only the last
+        assert dp_gk_level(sys, f, kmax).values.tobytes() == forward[kmax].values.tobytes()
 
 
 def test_dp_backwards_matches_enumeration(g8_system, g8_f):

@@ -79,6 +79,25 @@ def test_aghp_matches_loop_reference():
         assert build_aghp(r, ell).generators.tolist() == list(aghp_loop_reference(r, ell)), (r, ell)
 
 
+def aghp_parity_reference(r, ell):
+    """AGHP(r, ell) generators as build_aghp made them before it used
+    linearity in y: a parity over all of y, for every bit i of every word."""
+    elems = np.arange(1 << ell, dtype=np.int64)
+    powers = [np.ones_like(elems)]
+    for _ in range(r - 1):
+        powers.append(field_mul(powers[-1], elems, ell))
+    words = np.zeros((elems.size, elems.size), dtype=np.int64)
+    for i, power in enumerate(powers):
+        words |= (np.bitwise_count(power[:, None] & elems) & 1).astype(np.int64) << i
+    return words.ravel()
+
+
+def test_aghp_matches_parity_reference():
+    # (20, 10) and up are too large for the one-word-at-a-time loop reference
+    for r, ell in [(12, 6), (20, 10), (40, 10), (62, 5)]:
+        assert np.array_equal(build_aghp(r, ell).generators, aghp_parity_reference(r, ell)), (r, ell)
+
+
 def test_aghp_16_8_generators_are_pinned():
     # SHA-256 of the int64 generator words, computed with the FieldElem
     # loop build that build_aghp replaced
@@ -249,6 +268,21 @@ def test_fwht_is_bit_identical_to_the_strided_butterfly():
     for n in (0, 3, 6, 12):
         with pytest.raises(ValueError, match="power-of-two"):
             fwht(np.ones((2, n)))
+
+
+def test_fwht_along_any_axis_is_the_strided_butterfly_on_that_axis():
+    rng = np.random.default_rng(9)
+    for shape in ((8,), (3, 8), (4, 2, 5), (2, 16, 3, 4)):
+        x = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 41, shape))
+        for axis in range(-len(shape), len(shape)):
+            if shape[axis] & (shape[axis] - 1):
+                with pytest.raises(ValueError, match="power-of-two"):
+                    fwht(x, axis=axis)
+                continue
+            want = np.moveaxis(strided_fwht(np.moveaxis(x, axis, -1)), -1, axis)
+            got = fwht(x, axis=axis)
+            assert got.shape == shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def brute_average(values, g):

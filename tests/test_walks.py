@@ -256,9 +256,9 @@ def test_sampler_draws_are_pinned():
     rng = np.random.default_rng(0)
     assert [middle_start_sample(sys, t, i, rng) for t, i in ((1, 0), (3, 1), (4, 3), (5, 2))] == [
         SWalk((3, 1), (10,), (3, 10, ())),
-        SWalk((1, 1, 0, 0), (4, 1, 0), (1, 4, (-1, -1))),
-        SWalk((1, 0, 2, 0, 2), (13, 14, 2, 6), (1, 13, (-1, -1, -1))),
-        SWalk((1, 3, 2, 3, 1, 2), (6, 9, 1, 10, 3), (1, 6, (-1, -1, -1, -1))),
+        SWalk((1, 1, 0, 0), (4, 1, 0), (1, 4, (0, 1))),
+        SWalk((1, 0, 2, 0, 2), (13, 14, 2, 6), (1, 13, (14, 10, 13))),
+        SWalk((1, 3, 2, 3, 1, 2), (6, 9, 1, 10, 3), (1, 6, (8, 15, 11, 10))),
     ]
 
 
@@ -332,6 +332,18 @@ def test_middle_start_sample_is_valid_walk():
         for j in range(t - 1):
             diff = oracle.shift(w.b_vertices[j + 1], 2, 2, "backward") ^ w.b_vertices[j]
             assert diff in sys.inner.generators
+
+
+def test_middle_start_sample_seed_expands_to_the_walk():
+    # the seed is the standard-order one, whatever the pivot; AGHP(4,2)
+    # repeats generators, so the indices are not recoverable from the walk
+    sys = sys_22()
+    rng = np.random.default_rng(11)
+    for t in range(1, 5):
+        for i in range(t):
+            for _ in range(8):
+                w = middle_start_sample(sys, t, i, rng)
+                assert sys.walk_from_seed(*w.seed) == w, (t, i)
 
 
 def test_middle_start_sample_validation():
