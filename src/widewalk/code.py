@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2core
 from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments
 from .graphs import CayleyGraph, json_field
-from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid, walk_expander
+from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, walk_tables
 
 MAX_EXHAUSTIVE_K = 16
 MAX_DP_SCAN_K = 12
@@ -195,28 +195,52 @@ def rate(amp: AmplifiedCode) -> Fraction:
 
 def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Codeword bits in walk-seed enumeration order: each bit XORs the
-    embedded assignment over the t+1 outer vertices of one walk.
+    embedded assignment f over the t+1 outer vertices of one walk.
 
-    Walks are expanded for one a_0 and one block of b_1 at a time (about
-    2**18 walks, so peak memory stays flat), each block's seeds in
-    lexicographic order.
+    The outer graph is a Cayley graph over F_2, so the walk of seed
+    (a_0, b_1, u) has outer vertices a_j = a_0 ^ c_j, where the offset
+    c_j (c_0 = 0) depends on (b_1, u) alone.  Each inner walk is therefore
+    expanded once, its state packed as the key c_j * |B| + b_j, and every
+    a_0 is read off it at once: lane bit a_0 of mask[c] is f(a_0 ^ c),
+    a lane holds at most 64 a_0, and the XOR of mask[c_j] over j holds the
+    bits of all of them.  Inner walks go in lexicographic seed order, b_1
+    in blocks of about 2**18 walks, so peak memory stays flat.
     """
     count = amp.block_length
     if count > budget:
         raise BudgetExceeded(count, budget)
-    expand = walk_expander(amp.sys)
-    bits = amp.f_for_message(x).bits.astype(np.uint8)
-    d, n_b = amp.sys.params.d_inner, amp.sys.num_inner
-    step = max(1, (1 << 18) // d ** (amp.t - 1))
-    out = np.empty(count, dtype=np.uint8)
-    pos = 0
-    for a0 in range(amp.sys.num_outer):
-        for lo in range(0, n_b, step):
-            seeds = choice_grid(min(step, n_b - lo), *(d,) * (amp.t - 1))
-            A, _ = expand(a0, lo + seeds[:, 0], seeds[:, 1:])
-            out[pos:pos + len(A)] = np.bitwise_xor.reduce(bits.take(A.T), axis=0)
-            pos += len(A)
-    return out
+    sys, t = amp.sys, amp.t
+    n_a, n_b, d, r = sys.num_outer, sys.num_inner, sys.params.d_inner, sys.params.r
+    rot, fwd = walk_tables(sys)
+    hop = rot[0]
+    key_type = np.min_scalar_type(n_a * n_b - 1)
+    # a step from key c * |B| + b by generator u lands on b' = fwd[b ^ u]
+    # and c' = c ^ hop[b']; nxt[c * |B| + (b ^ u)] is the key c' * |B| + b'
+    nxt = ((np.arange(n_a)[:, None] ^ hop[fwd]) << r | fwd).astype(key_type).ravel()
+    gens = sys.inner.generators.astype(key_type)
+    bits = amp.f_for_message(x).bits
+    width = min(64, max(8, 1 << (n_a - 1).bit_length()))
+    lane_type = np.dtype(f"u{width // 8}")
+    per_b = d ** (t - 1)
+    step = max(1, (1 << 18) // per_b)
+    out = np.empty((n_a, n_b * per_b), dtype=np.uint8)
+    for lo in range(0, n_b, step):
+        b = np.arange(lo, min(lo + step, n_b))
+        keys = [(hop[b] << r | b).astype(key_type)]
+        for _ in range(t - 1):
+            keys.append(nxt.take(keys[-1][:, None] ^ gens).ravel())
+        cols = slice(lo * per_b, lo * per_b + len(keys[-1]))
+        for a_lo in range(0, n_a, width):
+            lane = np.arange(a_lo, min(a_lo + width, n_a))
+            shifts = np.arange(len(lane), dtype=lane_type)
+            terms = bits[np.arange(n_a)[:, None] ^ lane].astype(lane_type) << shifts
+            mask = np.bitwise_or.reduce(terms, axis=1)
+            acc = mask[0] ^ mask.take(keys[0] >> r)
+            for key in keys[1:]:
+                acc = (acc[:, None] ^ mask.take(key >> r).reshape(-1, d)).ravel()
+            for a0, shift in zip(lane, shifts):
+                out[a0, cols] = (acc >> shift) & 1
+    return out.ravel()
 
 
 def code_bias(amp: AmplifiedCode) -> float:

@@ -249,8 +249,12 @@ def character_table(G: CayleyGraph) -> np.ndarray:
     """Integer numerators of all character sums: entry alpha is
     sum over generators u of (-1)^<alpha, u>.  Dividing by the degree gives
     the full eigenvalue spectrum of the normalized adjacency operator.
+
+    Every partial sum of the transform is at most the degree in absolute
+    value, so the table is int32 unless the degree reaches 2**31.
     """
-    return fwht(np.bincount(G.generators, minlength=G.num_vertices).astype(np.int64, copy=False))
+    dtype = np.int32 if G.degree < 1 << 31 else np.int64
+    return fwht(np.bincount(G.generators, minlength=G.num_vertices).astype(dtype))
 
 
 def cayley_average(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
@@ -282,8 +286,12 @@ def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
             )
         numer = character_table(G)
         numer[0] = 0
-        idx = int(np.argmax(np.abs(numer)))
-        num = int(abs(numer[idx]))
+        # np.argmax(np.abs(numer)) without the copy: the first index of
+        # the largest |value| is the first index of the max or of the min
+        hi, lo = int(np.argmax(numer)), int(np.argmin(numer))
+        top, bottom = int(numer[hi]), -int(numer[lo])
+        idx = hi if top > bottom else lo if bottom > top else min(hi, lo)
+        num = max(top, bottom)
         return SpectralReport(
             lam=num / G.degree,
             argmax_character=idx,

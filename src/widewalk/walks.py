@@ -26,6 +26,16 @@ Two enumerations are compared as multisets of rows by :func:`multiset_tv`
 in exact rationals, each row packed into one int64 key by shift-or, so
 that each side sorts plain integers in place rather than np.void byte
 strings.
+
+The same symmetry lets every exact check enumerate each inner walk once,
+from a_0 = 0: the walk of seed (a_0, b_1, u) has outer vertices
+a_j = a_0 ^ c_j, where c_j = hop[b_1] ^ ... ^ hop[b_j] does not depend on
+a_0, and XOR by a is a bijection on rows.  So a multiset that runs a_0
+over the whole outer graph is the translates, one per a, of the multiset
+taken at a_0 = 0.  Two such multisets of N rows per start are compared
+by comparing their a_0 = 0 parts: each gap |P(x) - Q(x)| over the n_A*N
+rows is a gap over the N rows divided by n_A, and summing over the n_A
+translates leaves the total variation distance as it is.
 """
 from __future__ import annotations
 
@@ -230,8 +240,8 @@ def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.
 
 def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
     """The dense rank of every entry of x, and the bits the ranks take."""
-    uniq, inverse = np.unique(x, return_inverse=True)
-    return inverse, (len(uniq) - 1).bit_length()
+    uniq, _ = _runs(np.sort(x))
+    return np.searchsorted(uniq, x), (len(uniq) - 1).bit_length()
 
 
 def multiset_tv(p: np.ndarray, q: np.ndarray) -> tuple[Fraction, Fraction]:
@@ -275,7 +285,8 @@ def multiset_tv(p: np.ndarray, q: np.ndarray) -> tuple[Fraction, Fraction]:
     # L <= |p| * |q| <= 2**60 under the row cap, so int64 gaps cannot wrap
     lcm = math.lcm(n_p, n_q)
     (val_p, c_p), (val_q, c_q) = _runs(key_p), _runs(key_q)
-    distinct = np.union1d(val_p, val_q)
+    # np.union1d and np.unique import numpy.ma (about 14 ms) on first use
+    distinct, _ = _runs(np.sort(np.concatenate([val_p, val_q])))
     gap = np.zeros(len(distinct), np.int64)
     gap[np.searchsorted(distinct, val_p)] = c_p * (lcm // n_p)
     gap[np.searchsorted(distinct, val_q)] -= c_q * (lcm // n_q)
@@ -338,7 +349,10 @@ def check_pseudorandomness(
     b_1 and the k-2 inner generator choices, and under the pure walk by
     enumerating the k-1 outer generator indices.  Returns the max over
     starts of the total-variation distance and of the largest single-row
-    gap, both computed in exact rationals.
+    gap, both computed in exact rationals.  Both sides from start a are
+    their sides from start 0 translated by a (the module docstring), so
+    every start has the same distance and only a = 0 is enumerated.  The
+    budget still counts the rows of every start.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -346,17 +360,13 @@ def check_pseudorandomness(
     n_pure = sys.outer.degree ** (k - 1)
     if sys.num_outer * (n_wide + n_pure) > budget:
         raise BudgetExceeded(sys.num_outer * (n_wide + n_pure), budget)
-    # walks of max(k-1, 1) steps from every (a_0, b_1), truncated to k vertices
-    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
-    A, _ = walk_expander(sys)(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
-    wide = A[:, :k].reshape(sys.num_outer, n_wide, k)
+    # walks of max(k-1, 1) steps from every (0, b_1), truncated to k vertices
+    seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
+    A, _ = walk_expander(sys)(0, seeds[:, 0], seeds[:, 1:])
     steps = sys.outer.generators[choice_grid(*(sys.outer.degree,) * (k - 1))]
     pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
-    tvs, gaps = zip(*(multiset_tv(wide[a], pure ^ a) for a in range(sys.num_outer)))
-    worst = max(tvs)
-    return DistributionCheck(
-        equal=(worst == 0), tv_distance=float(worst), max_deviation=float(max(gaps))
-    )
+    tv, gap = multiset_tv(A[:, :k], pure)
+    return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
 
 
 def check_first_coord_uniform(
@@ -399,16 +409,25 @@ def middle_start_distribution_equal(
     """Exact comparison of middle-start and standard walk distributions.
 
     Both procedures consume the same choices (an outer vertex, an inner
-    vertex and t-1 generator indices), so every choice row is expanded
-    once in the standard order and once outward from pivot i, and the two
-    multisets of complete walks are compared in exact arithmetic.
+    vertex and t-1 generator indices), and both multisets of complete
+    walks are invariant under translation by any outer vertex a (the
+    module docstring).  So each inner choice row is expanded once in the
+    standard order from a_0 = 0 and once outward from pivot vertex
+    a_i = 0; each middle-start walk is translated by its own a_0, so that
+    it starts at 0 too, and the two multisets are compared in exact
+    arithmetic.  The distance is that of the full enumeration, and the
+    largest gap is the one found divided by |A|.  The budget still
+    counts both full enumerations.
     """
     total = sys.seed_count(t)
+    if not 0 <= i <= t - 1:
+        raise ValueError(f"pivot {i} out of range 0..{t - 1}")
     if 2 * total > budget:
         raise BudgetExceeded(2 * total, budget)
     expand = walk_expander(sys)
-    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
-    standard = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:]))
-    middle = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:], pivot=i))
-    tv, gap = multiset_tv(standard, middle)
+    seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    standard = np.hstack(expand(0, seeds[:, 0], seeds[:, 1:]))
+    A, B = expand(0, seeds[:, 0], seeds[:, 1:], pivot=i)
+    tv, gap = multiset_tv(standard, np.hstack([A ^ A[:, :1], B]))
+    gap /= sys.num_outer
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))

@@ -16,6 +16,7 @@ import pytest
 
 from widewalk import BudgetExceeded, ReplacementSystem, WalkParams
 from widewalk import build_aghp, build_complete_selfloop
+from widewalk.graphs import CayleyGraph
 from widewalk.code import (
     AmplifiedCode,
     BaseCodeSearchFailed,
@@ -227,6 +228,24 @@ def test_encode_flagship_digest_is_pinned(flagship):
     assert hashlib.sha256(packed.tobytes()).hexdigest() == (
         "c59b865897b7e93743e908fe307b2d2a3e4105beea998984f70aa43de38a2dd4"
     )
+
+
+def test_encode_equals_the_all_starts_encoder(flagship):
+    # the flagship at t = 1 and 2 (t = 3 would be 2**32 bits; the
+    # (2, 3, 3) system takes it) and a 128-vertex outer graph, which
+    # needs two 64-lane groups of starts
+    base = LinearCode(2, 4, [0b0011, 0b0101])
+    s233 = ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), WalkParams(2, 3, 3))
+    g128 = ReplacementSystem(
+        CayleyGraph(7, (1, 2), name="g128"), build_aghp(2, 1), WalkParams(1, 2, 1)
+    )
+    rng = np.random.default_rng(7)
+    base128 = LinearCode(3, 128, [int.from_bytes(rng.bytes(16), "little") for _ in range(3)])
+    amps = [AmplifiedCode(base, flagship, t) for t in (1, 2)] + [AmplifiedCode(base, s233, 3)]
+    amps += [AmplifiedCode(base128, g128, t) for t in (1, 2, 3)]
+    for amp in amps:
+        for x in range(1 << amp.base.k):
+            assert np.array_equal(encode(amp, x), oracle.encode_all_starts(amp, x)), (amp.t, x)
 
 
 def test_encode_is_linear():

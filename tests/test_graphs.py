@@ -195,7 +195,27 @@ def test_character_table_row_zero_is_degree():
     g = build_aghp(4, 2)
     tab = character_table(g)
     assert tab[0] == g.degree
-    assert tab.dtype == np.int64
+    assert tab.dtype == np.int32
+
+
+def test_spectrum_argmax_breaks_ties_as_argmax_of_abs():
+    # +v before -v, -v before +v, ties among negatives, an all-zero
+    # nontrivial spectrum (complete graph), then random multisets
+    graphs = [CayleyGraph(2, (2,)), CayleyGraph(2, (1,)), CayleyGraph(2, (1, 2, 3)),
+              build_complete_selfloop(3), build_aghp(6, 3)]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        dim = int(rng.integers(1, 6))
+        degree = int(rng.integers(1, 9))
+        gens = tuple(rng.integers(0, 1 << dim, degree).tolist())
+        graphs.append(CayleyGraph(dim, gens, multigraph=True))
+    for g in graphs:
+        numer = character_table(g).astype(np.int64)
+        numer[0] = 0
+        want = int(np.argmax(np.abs(numer)))
+        rep = spectrum(g)
+        assert rep.argmax_character == want, g.generators
+        assert rep.lambda_exact == Fraction(int(abs(numer[want])), g.degree)
 
 
 def test_character_table_matches_character_sums():

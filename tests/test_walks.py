@@ -3,8 +3,12 @@ and the exact distribution checks, held against the scalar walk rule of
 walk_oracle.
 """
 
+import os
+import subprocess
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -319,6 +323,53 @@ def test_middle_start_distribution_all_pivots():
     # t=1 edge case: the only pivot is 0
     chk = middle_start_distribution_equal(sys, 1, 0)
     assert chk.equal
+    # a bad pivot or t is refused before the budget is weighed or the
+    # choice grid is built
+    for t, i in ((3, 3), (3, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            middle_start_distribution_equal(sys, t, i, budget=0)
+
+
+def sys_128():
+    # 128 outer vertices: more than one 64-lane group of starts
+    outer = CayleyGraph(7, (1, 2), name="g128")
+    return ReplacementSystem(outer, build_aghp(2, 1), WalkParams(m=1, s=2, ell=1))
+
+
+def test_checks_from_start_zero_equal_the_all_starts_enumeration():
+    for sys in (tiny_system(), sys_13(), sys_22(), sys_128()):
+        for k in (1, 2, 3, 4):
+            assert check_pseudorandomness(sys, k) == oracle.pseudorandomness_all_starts(sys, k)
+        for t in (1, 2, 3):
+            for i in range(t):
+                assert middle_start_distribution_equal(sys, t, i) == \
+                    oracle.middle_start_all_starts(sys, t, i), (t, i)
+
+
+def test_middle_start_translation_keeps_a_nonzero_distance(monkeypatch):
+    # reversing the B columns of every middle-start walk makes the two
+    # multisets differ; the a_0 = 0 comparison must still give the full
+    # enumeration's TV and largest gap (the gap scaled by 1/|A|)
+    expander = walk_expander
+
+    def reversing_expander(sys):
+        expand = expander(sys)
+
+        def reversed_middle(a, b, u, pivot=None):
+            if pivot is None:
+                return expand(a, b, u)
+            A, B = expand(a, b, u, pivot=pivot)
+            return A, B[:, ::-1]
+
+        return reversed_middle
+
+    monkeypatch.setattr("widewalk.walks.walk_expander", reversing_expander)
+    for sys in (sys_22(), sys_128()):
+        for t in (2, 3):
+            for i in range(t):
+                chk = middle_start_distribution_equal(sys, t, i)
+                assert not chk.equal and chk.max_deviation > 0, (t, i)
+                assert chk == oracle.middle_start_all_starts(sys, t, i), (t, i)
 
 
 def test_middle_start_sample_is_valid_walk():
@@ -449,3 +500,30 @@ def test_multiset_tv_matches_counter_oracle():
     huge = np.broadcast_to(np.zeros((1, 1), np.int64), (1 << 31, 1))
     with pytest.raises(ValueError, match="at most 2"):
         multiset_tv(huge, huge[:1])
+
+
+NO_MASKED_ARRAYS = """
+import sys
+
+import numpy as np
+from widewalk.walks import multiset_tv
+
+# unequal sizes, so the distinct keys of both sides are merged
+assert multiset_tv(np.array([[1], [2], [2]]), np.array([[2], [3]]))[0] > 0
+# 2 columns of 40 bits each: the dense-rank path
+wide = np.array([[1 << 39, 5], [3, 1 << 39]])
+assert multiset_tv(wide, wide[:1])[0] > 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_multiset_tv_does_not_import_numpy_ma():
+    # np.unique and np.union1d import numpy.ma on first use, about 14 ms
+    # of every fresh process that runs an exact check
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [executable, "-c", NO_MASKED_ARRAYS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -7,9 +7,19 @@ tests can hold the array walk rule against an independent statement of it:
 * b_i = shift(b_{i-1} ^ u_i) for i >= 2, where shift moves the block tuple
   (c_1, ..., c_s) of an (m*s)-bit word to (c_2, ..., c_s, c_1);
 * a_i = a_{i-1} ^ (outer generator indexed by block 1 of b_i).
+
+It also holds the exact checks and the encoder without the outer
+translation symmetry: every start a_0 is expanded through walk_expander,
+so the tests can hold the a_0 = 0 enumerations of widewalk.walks and
+widewalk.code.encode against the full ones.  They look walk_expander up
+on the module at each call, so a test that patches it patches both sides.
 """
 
 import itertools
+
+import numpy as np
+
+from widewalk import walks as ww
 
 
 def neighbor(graph, v, i):
@@ -79,3 +89,49 @@ def middle_start(sys, t, i, a_pivot, b_pivot, u_edge, draws):
     for j in range(i - 1, -1, -1):
         a[j] = rotation(sys, a[j + 1], b[j + 1])
     return tuple(a[j] for j in range(t + 1)), tuple(b[j] for j in range(1, t + 1))
+
+
+def encode_all_starts(amp, x):
+    """Codeword bits of message x, every walk expanded from its own a_0:
+    one a_0 and one block of about 2**18 b_1 rows at a time."""
+    expand = ww.walk_expander(amp.sys)
+    bits = amp.f_for_message(x).bits.astype(np.uint8)
+    d, n_b = amp.sys.params.d_inner, amp.sys.num_inner
+    step = max(1, (1 << 18) // d ** (amp.t - 1))
+    out = np.empty(amp.block_length, dtype=np.uint8)
+    pos = 0
+    for a0 in range(amp.sys.num_outer):
+        for lo in range(0, n_b, step):
+            seeds = ww.choice_grid(min(step, n_b - lo), *(d,) * (amp.t - 1))
+            A, _ = expand(a0, lo + seeds[:, 0], seeds[:, 1:])
+            out[pos:pos + len(A)] = np.bitwise_xor.reduce(bits.take(A.T), axis=0)
+            pos += len(A)
+    return out
+
+
+def pseudorandomness_all_starts(sys, k):
+    """check_pseudorandomness with both sides enumerated from every start
+    a: the max over a of the exact distances."""
+    n_wide = sys.num_inner * sys.params.d_inner ** max(k - 2, 0)
+    n_pure = sys.outer.degree ** (k - 1)
+    seeds = ww.choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
+    A, _ = ww.walk_expander(sys)(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
+    wide = A[:, :k].reshape(sys.num_outer, n_wide, k)
+    steps = sys.outer.generators[ww.choice_grid(*(sys.outer.degree,) * (k - 1))]
+    pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
+    tvs, gaps = zip(*(ww.multiset_tv(wide[a], pure ^ a) for a in range(sys.num_outer)))
+    worst = max(tvs)
+    return ww.DistributionCheck(
+        equal=(worst == 0), tv_distance=float(worst), max_deviation=float(max(gaps))
+    )
+
+
+def middle_start_all_starts(sys, t, i):
+    """middle_start_distribution_equal with every choice row (a, b, u)
+    expanded once from a_0 = a and once from pivot vertex a_i = a."""
+    expand = ww.walk_expander(sys)
+    seeds = ww.choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    standard = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:]))
+    middle = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:], pivot=i))
+    tv, gap = ww.multiset_tv(standard, middle)
+    return ww.DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
