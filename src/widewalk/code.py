@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2core
 from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments
 from .graphs import CayleyGraph, json_field
-from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, walk_tables
+from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid, walk_expander
 
 MAX_EXHAUSTIVE_K = 16
 MAX_DP_SCAN_K = 12
@@ -157,8 +157,9 @@ def embed(word: int, n0: int, graph: CayleyGraph) -> SignedFn:
     if n < n0:
         raise ValueError(f"outer graph has {n} vertices < n0 = {n0}")
     bits = np.zeros(n, dtype=np.int64)
-    for i in range(n0):
-        bits[i] = (word >> i) & 1
+    word &= (1 << n0) - 1
+    packed = np.frombuffer(word.to_bytes(-(-n0 // 8), "little"), dtype=np.uint8)
+    bits[:n0] = np.unpackbits(packed, count=n0, bitorder="little")
     return SignedFn(bits)
 
 
@@ -198,48 +199,53 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     embedded assignment f over the t+1 outer vertices of one walk.
 
     The outer graph is a Cayley graph over F_2, so the walk of seed
-    (a_0, b_1, u) has outer vertices a_j = a_0 ^ c_j, where the offset
-    c_j (c_0 = 0) depends on (b_1, u) alone.  Each inner walk is therefore
-    expanded once, its state packed as the key c_j * |B| + b_j, and every
-    a_0 is read off it at once: lane bit a_0 of mask[c] is f(a_0 ^ c),
-    a lane holds at most 64 a_0, and the XOR of mask[c_j] over j holds the
-    bits of all of them.  Inner walks go in lexicographic seed order, b_1
-    in blocks of about 2**18 walks, so peak memory stays flat.
+    (a_0, b_1, u) has outer vertices a_j = a_0 ^ c_j, where c_j is a_j of
+    the walk (0, b_1, u).  Each inner walk is therefore expanded once, by
+    walk_expander from a_0 = 0, and every a_0 is read off it at once.  The
+    starts go in lanes of w = min(64, |A|) bits, where bit i of mask[c] is
+    f(i ^ c).  As |A| is a power of two and a lane starts at a multiple g
+    of w, bit i of mask[c ^ g] is f((g + i) ^ c), so bit i of the XOR of
+    mask[c_j ^ g] over j is the codeword bit of start g + i.  mask[q w + r]
+    is the word of f on vertices q w .. q w + w-1 with bit i moved to bit
+    i ^ r, which log2 w block swaps build.
+
+    With N = |B| * d_B**(t-1) walks from 0, the work is O(|A|) to build
+    mask, (t+1) N |A| / w gathers and |A| N bytes written: linear in the
+    block length plus |A|.  b_1 goes in blocks of about 2**16 walks and the
+    lanes in batches of about 2**16 words, so peak memory stays flat.
     """
     count = amp.block_length
     if count > budget:
         raise BudgetExceeded(count, budget)
     sys, t = amp.sys, amp.t
-    n_a, n_b, d, r = sys.num_outer, sys.num_inner, sys.params.d_inner, sys.params.r
-    rot, fwd = walk_tables(sys)
-    hop = rot[0]
-    key_type = np.min_scalar_type(n_a * n_b - 1)
-    # a step from key c * |B| + b by generator u lands on b' = fwd[b ^ u]
-    # and c' = c ^ hop[b']; nxt[c * |B| + (b ^ u)] is the key c' * |B| + b'
-    nxt = ((np.arange(n_a)[:, None] ^ hop[fwd]) << r | fwd).astype(key_type).ravel()
-    gens = sys.inner.generators.astype(key_type)
-    bits = amp.f_for_message(x).bits
-    width = min(64, max(8, 1 << (n_a - 1).bit_length()))
-    lane_type = np.dtype(f"u{width // 8}")
+    n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_inner
+    width = min(64, n_a)
+    lane_type = np.dtype(f"<u{max(8, width) // 8}")
+    words = np.packbits(amp.f_for_message(x).bits.astype(np.uint8), bitorder="little")
+    mask = np.repeat(words.view(lane_type), width).reshape(-1, width)
+    for k in range(width.bit_length() - 1):
+        s = 1 << k
+        low = lane_type.type(sum(1 << i for i in range(width) if not i & s))
+        moved = mask.reshape(len(mask), -1, 2, s)[:, :, 1]  # the columns r with bit k set
+        moved[...] = (moved >> s) & low | (moved & low) << s
+    mask = mask.ravel()
+    expand = walk_expander(sys)
     per_b = d ** (t - 1)
-    step = max(1, (1 << 18) // per_b)
+    step = max(1, (1 << 16) // per_b)
     out = np.empty((n_a, n_b * per_b), dtype=np.uint8)
     for lo in range(0, n_b, step):
-        b = np.arange(lo, min(lo + step, n_b))
-        keys = [(hop[b] << r | b).astype(key_type)]
-        for _ in range(t - 1):
-            keys.append(nxt.take(keys[-1][:, None] ^ gens).ravel())
-        cols = slice(lo * per_b, lo * per_b + len(keys[-1]))
-        for a_lo in range(0, n_a, width):
-            lane = np.arange(a_lo, min(a_lo + width, n_a))
-            shifts = np.arange(len(lane), dtype=lane_type)
-            terms = bits[np.arange(n_a)[:, None] ^ lane].astype(lane_type) << shifts
-            mask = np.bitwise_or.reduce(terms, axis=1)
-            acc = mask[0] ^ mask.take(keys[0] >> r)
-            for key in keys[1:]:
-                acc = (acc[:, None] ^ mask.take(key >> r).reshape(-1, d)).ravel()
-            for a0, shift in zip(lane, shifts):
-                out[a0, cols] = (acc >> shift) & 1
+        seeds = choice_grid(min(step, n_b - lo), *(d,) * (t - 1))
+        A, _ = expand(0, lo + seeds[:, 0], seeds[:, 1:])
+        cols = slice(lo * per_b, lo * per_b + len(A))
+        lanes = max(1, (1 << 16) // len(A))
+        for g_lo in range(0, n_a, lanes * width):
+            g = np.arange(g_lo, min(g_lo + lanes * width, n_a), width, dtype=A.dtype)[:, None]
+            acc = mask.take(g)  # c_0 = 0
+            for c in A.T[1:]:
+                acc = acc ^ mask.take(g ^ c)
+            rows = out[g_lo:g_lo + len(g) * width, cols]
+            for i in range(width):
+                rows[i::width] = (acc >> i) & 1
     return out.ravel()
 
 

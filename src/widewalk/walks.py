@@ -206,9 +206,10 @@ def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.
     smallest unsigned dtype that holds every vertex.
     """
     rot, fwd = walk_tables(sys)
-    bwd = np.argsort(fwd)
-    gens = sys.inner.generators
     dtype = np.min_scalar_type(max(sys.num_outer, sys.num_inner) - 1)
+    bwd = np.argsort(fwd).astype(dtype)
+    fwd = fwd.astype(dtype)
+    gens = sys.inner.generators.astype(dtype)
     # rot[a, b] = a ^ rot[0, b] (the outer graph is a Cayley graph over
     # F_2^m), so each outer step is a one-dimensional gather
     hop = rot[0].astype(dtype)
@@ -226,9 +227,9 @@ def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.
         B[p - 1] = b
         cols = iter(u.T)
         for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
-            B[j] = fwd[B[j - 1] ^ gens[next(cols)]]
+            B[j] = fwd.take(B[j - 1] ^ gens.take(next(cols)))
         for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
-            B[j] = bwd.take(B[j + 1]) ^ gens[next(cols)]
+            B[j] = bwd.take(B[j + 1]) ^ gens.take(next(cols))
         for j in range(pivot + 1, t + 1):
             A[j] = A[j - 1] ^ hop.take(B[j - 1])
         for j in range(pivot - 1, -1, -1):

@@ -230,22 +230,39 @@ def test_encode_flagship_digest_is_pinned(flagship):
     )
 
 
+def random_code(k, n0, seed):
+    rng = np.random.default_rng(seed)
+    return LinearCode(k, n0, [int.from_bytes(rng.bytes(n0 // 8), "little") for _ in range(k)])
+
+
 def test_encode_equals_the_all_starts_encoder(flagship):
     # the flagship at t = 1 and 2 (t = 3 would be 2**32 bits; the
-    # (2, 3, 3) system takes it) and a 128-vertex outer graph, which
-    # needs two 64-lane groups of starts
+    # (2, 3, 3) system takes it), a 128-vertex outer graph, which needs
+    # two 64-lane groups of starts, and a 2**12-vertex one with 4 and 8
+    # walks from a_0 = 0, far fewer than its 64 lane groups
     base = LinearCode(2, 4, [0b0011, 0b0101])
     s233 = ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), WalkParams(2, 3, 3))
     g128 = ReplacementSystem(
         CayleyGraph(7, (1, 2), name="g128"), build_aghp(2, 1), WalkParams(1, 2, 1)
     )
-    rng = np.random.default_rng(7)
-    base128 = LinearCode(3, 128, [int.from_bytes(rng.bytes(16), "little") for _ in range(3)])
+    g4096 = ReplacementSystem(CayleyGraph(12, (1, 2)), build_aghp(2, 1), WalkParams(1, 2, 1))
     amps = [AmplifiedCode(base, flagship, t) for t in (1, 2)] + [AmplifiedCode(base, s233, 3)]
-    amps += [AmplifiedCode(base128, g128, t) for t in (1, 2, 3)]
+    amps += [AmplifiedCode(random_code(3, 128, 7), g128, t) for t in (1, 2, 3)]
+    amps += [AmplifiedCode(random_code(2, 1 << 12, 11), g4096, t) for t in (1, 2)]
     for amp in amps:
         for x in range(1 << amp.base.k):
             assert np.array_equal(encode(amp, x), oracle.encode_all_starts(amp, x)), (amp.t, x)
+
+
+def test_encode_million_vertex_outer_graph_at_t1():
+    # 2**20 starts, 4 walks from 0, 2**22 bits: bit (a_0, b_1) is
+    # f(a_0) ^ f(a_1), held against the scalar rotation on whole columns
+    sys = ReplacementSystem(CayleyGraph(20, (1, 2)), build_aghp(2, 1), WalkParams(1, 2, 1))
+    amp = AmplifiedCode(random_code(2, 1 << 20, 12), sys, 1)
+    f = amp.f_for_message(3).bits
+    a0 = np.arange(sys.num_outer)
+    want = np.stack([f ^ f[oracle.rotation(sys, a0, b1)] for b1 in range(sys.num_inner)], axis=1)
+    assert np.array_equal(encode(amp, 3), want.ravel())
 
 
 def test_encode_is_linear():
