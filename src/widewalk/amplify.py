@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .graphs import CayleyGraph, cayley_average, character_table, fwht, spectrum
-from .walks import ReplacementSystem, walk_tables
+from .walks import ReplacementSystem
 
 TOL_BOUND = 1e-12
 TOL_IDENTITY = 1e-9
@@ -91,17 +91,12 @@ class DpTable:
     level: int
     kind: str
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class Moments:
     eps: float
     sigma: float
     eps_a: np.ndarray
-    sigma_a: np.ndarray
     second_moment: float
 
 
@@ -115,14 +110,8 @@ def moments(table: DpTable) -> Moments:
     mean = float(v.mean())
     second = float((v * v).mean())
     sigma = math.sqrt(max(second - mean * mean, 0.0))
-    if v.ndim == 2:
-        eps_a = v.mean(axis=1)
-        second_a = (v * v).mean(axis=1)
-        sigma_a = np.sqrt(np.maximum(second_a - eps_a * eps_a, 0.0))
-    else:
-        eps_a = v.copy()
-        sigma_a = np.zeros_like(v)
-    return Moments(abs(mean), sigma, eps_a, sigma_a, second)
+    eps_a = v.mean(axis=1) if v.ndim == 2 else v.copy()
+    return Moments(abs(mean), sigma, eps_a, second)
 
 
 def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
@@ -324,13 +313,11 @@ def lemma_hypotheses(
     return ok_bias and ok_lam, detail, lam_a, lam_b
 
 
-def check_pure_walk_bounds(
-    graph: CayleyGraph, f: SignedFn, kmax: int, lam: Optional[float] = None
-) -> MomentReport:
+def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
     """Measured pure-walk moments against the eps <= (4*lam)^(k/2)/2 and
-    E[h_k^2] <= (4*lam)^(k-1) bounds; hypothesis Bias(f) <= sqrt(lam)."""
-    if lam is None:
-        lam = float(spectrum(graph).lam)
+    E[h_k^2] <= (4*lam)^(k-1) bounds, lam the measured expansion of the
+    graph; hypothesis Bias(f) <= sqrt(lam)."""
+    lam = float(spectrum(graph).lam)
     met = f.bias <= math.sqrt(lam) + TOL_BOUND
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(lam)!r}"
     report = MomentReport("pure-walk", lam, f.bias, met, detail)
@@ -361,11 +348,9 @@ def check_weighted_walk_bounds(
     f: SignedFn,
     H: Union[np.ndarray, Callable[[int], float]],
     kmax: int,
-    lam: Optional[float] = None,
 ) -> MomentReport:
     """Terminal-weighted analogue: bounds in terms of the level-1 moments."""
-    if lam is None:
-        lam = float(spectrum(graph).lam)
+    lam = float(spectrum(graph).lam)
     met = f.bias <= math.sqrt(lam) + TOL_BOUND
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(lam)!r}"
     report = MomentReport("weighted-walk", lam, f.bias, met, detail)
@@ -517,14 +502,12 @@ def check_first_step_trick(
     f: SignedFn,
     k: int,
     tables: Optional[list[DpTable]] = None,
-    lam: Optional[float] = None,
 ) -> InequalityCheck:
     """sigma_k^2 <= E_a[eps_{k-1}(a)^2] + lam^2 * sigma_{k-1}^2, lam = the
     measured inner-graph expansion."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if lam is None:
-        lam = float(spectrum(sys.inner).lam)
+    lam = float(spectrum(sys.inner).lam)
     if tables is None or len(tables) <= k:
         tables = dp_gk(sys, f, k)
     mom_k = moments(tables[k])
@@ -556,8 +539,7 @@ def check_middle_start_identity(
     direct = float(tables[k].values.mean())
     gbar = _wide_levels(sys, f, s, "gbar", last_only=True)[0].values
     rest = tables[k - s].values
-    _, shift = walk_tables(sys)
-    via = float((f.signs[:, None] * gbar * cayley_average(rest[:, shift], sys.inner)).mean())
+    via = float((f.signs[:, None] * gbar * cayley_average(rest[:, sys.shift], sys.inner)).mean())
     residual = abs(direct - via)
     return IdentityCheck(residual <= TOL_IDENTITY, residual, direct, via)
 

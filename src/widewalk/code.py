@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import gf2core
 from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments
 from .graphs import CayleyGraph, json_field
-from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid, walk_expander
+from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid
 
 MAX_EXHAUSTIVE_K = 16
 MAX_DP_SCAN_K = 12
@@ -80,10 +80,6 @@ class LinearCode:
             if (x >> i) & 1:
                 word ^= self.rows[i]
         return word
-
-    def codewords(self) -> Iterator[tuple[int, int]]:
-        for x in range(1 << self.k):
-            yield x, self.encode(x)
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,13 +197,13 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     The outer graph is a Cayley graph over F_2, so the walk of seed
     (a_0, b_1, u) has outer vertices a_j = a_0 ^ c_j, where c_j is a_j of
     the walk (0, b_1, u).  Each inner walk is therefore expanded once, by
-    walk_expander from a_0 = 0, and every a_0 is read off it at once.  The
-    starts go in lanes of w = min(64, |A|) bits, where bit i of mask[c] is
-    f(i ^ c).  As |A| is a power of two and a lane starts at a multiple g
-    of w, bit i of mask[c ^ g] is f((g + i) ^ c), so bit i of the XOR of
-    mask[c_j ^ g] over j is the codeword bit of start g + i.  mask[q w + r]
-    is the word of f on vertices q w .. q w + w-1 with bit i moved to bit
-    i ^ r, which log2 w block swaps build.
+    ReplacementSystem.expand from a_0 = 0, and every a_0 is read off it at
+    once.  The starts go in lanes of w = min(64, |A|) bits, where bit i of
+    mask[c] is f(i ^ c).  As |A| is a power of two and a lane starts at a
+    multiple g of w, bit i of mask[c ^ g] is f((g + i) ^ c), so bit i of
+    the XOR of mask[c_j ^ g] over j is the codeword bit of start g + i.
+    mask[q w + r] is the word of f on vertices q w .. q w + w-1 with bit i
+    moved to bit i ^ r, which log2 w block swaps build.
 
     With N = |B| * d_B**(t-1) walks from 0, the work is O(|A|) to build
     mask, (t+1) N |A| / w gathers and |A| N bytes written: linear in the
@@ -229,13 +225,12 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
         moved = mask.reshape(len(mask), -1, 2, s)[:, :, 1]  # the columns r with bit k set
         moved[...] = (moved >> s) & low | (moved & low) << s
     mask = mask.ravel()
-    expand = walk_expander(sys)
     per_b = d ** (t - 1)
     step = max(1, (1 << 16) // per_b)
     out = np.empty((n_a, n_b * per_b), dtype=np.uint8)
     for lo in range(0, n_b, step):
         seeds = choice_grid(min(step, n_b - lo), *(d,) * (t - 1))
-        A, _ = expand(0, lo + seeds[:, 0], seeds[:, 1:])
+        A, _ = sys.expand(0, lo + seeds[:, 0], seeds[:, 1:])
         cols = slice(lo * per_b, lo * per_b + len(A))
         lanes = max(1, (1 << 16) // len(A))
         for g_lo in range(0, n_a, lanes * width):

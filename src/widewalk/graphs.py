@@ -338,9 +338,8 @@ def mixing_check(
     f: Sequence[float] | np.ndarray | Callable[[int], float],
     g: Sequence[float] | np.ndarray | Callable[[int], float],
     lam: Optional[float] = None,
-    slack: float = 1e-12,
 ) -> MixingCheck:
-    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g.
+    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g + 1e-12.
 
     The edge expectation pairs f with the generator average of g over
     every vertex.  lam defaults to the measured expansion of G.
@@ -356,7 +355,7 @@ def mixing_check(
     sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))
     lhs = abs(edge_mean - mu_f * mu_g)
     rhs = lam * sigma_f * sigma_g
-    return MixingCheck(holds=lhs <= rhs + slack, lhs=lhs, rhs=rhs, lam=lam)
+    return MixingCheck(holds=lhs <= rhs + 1e-12, lhs=lhs, rhs=rhs, lam=lam)
 
 
 def _as_vertex_array(f, n: int) -> np.ndarray:

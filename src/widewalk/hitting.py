@@ -39,10 +39,6 @@ class HittingInstance:
         return Fraction(len(self.subset), self.graph.num_vertices)
 
 
-def make_instance(graph: CayleyGraph, subset: Iterable[int], t: int) -> HittingInstance:
-    return HittingInstance(graph, frozenset(int(v) for v in subset), t)
-
-
 def _survival(inst: HittingInstance) -> list[Fraction]:
     """P[a_1..a_t all in S] for t = 1..inst.t, exactly, from one prefix DP.
 
@@ -121,10 +117,7 @@ def check_hitting(
         raise ValueError(f"tmax must be at least 1, got {tmax}")
     sub = frozenset(int(v) for v in subset)
     if lam is None:
-        rep = spectrum(graph)
-        if rep.lambda_exact is None:
-            raise ValueError("no exact spectrum available; pass lam explicitly")
-        lam = rep.lambda_exact
+        lam = spectrum(graph).lambda_exact
     rows = []
     rho = Fraction(len(sub), graph.num_vertices)
     for t, exact in enumerate(_survival(HittingInstance(graph, sub, tmax)), 1):

@@ -17,32 +17,36 @@ dynamic programs) the inner step reverses as b_{j} = shift_inverse(b_{j+1})
 ^ u, i.e. the shift is undone before taking the neighbor step, and the
 outer step reuses block 1 of b_{j+1} because generators are self-inverse.
 
-The exact checks enumerate their random choices as the rows of one integer
-grid (:func:`choice_grid`, C order) and expand every row at once with
-:func:`walk_expander`: each step is one gather through the shift table (or
-its inverse) and one through row 0 of the rotation table of
-:func:`walk_tables`, since rot[a, b] = a ^ rot[0, b].
+The outer graph is a Cayley graph over F_2, so the rotation map takes a to
+a ^ hop[b], where hop[b] is the outer generator that block 1 of b selects.
+ReplacementSystem holds the walk rule as three tables over inner vertices
+(hop, shift and its inverse unshift) and expands walks with
+ReplacementSystem.expand.  The exact checks enumerate their random choices
+as the rows of one integer grid (:func:`choice_grid`, C order) and expand
+every row at once: each step is one gather through shift (or unshift) and
+one through hop.
 Two enumerations are compared as multisets of rows by :func:`multiset_tv`
 in exact rationals, each row packed into one int64 key by shift-or, so
 that each side sorts plain integers in place rather than np.void byte
 strings.
 
-The same symmetry lets every exact check enumerate each inner walk once,
-from a_0 = 0: the walk of seed (a_0, b_1, u) has outer vertices
-a_j = a_0 ^ c_j, where c_j = hop[b_1] ^ ... ^ hop[b_j] does not depend on
-a_0, and XOR by a is a bijection on rows.  So a multiset that runs a_0
-over the whole outer graph is the translates, one per a, of the multiset
-taken at a_0 = 0.  Two such multisets of N rows per start are compared
-by comparing their a_0 = 0 parts: each gap |P(x) - Q(x)| over the n_A*N
-rows is a gap over the N rows divided by n_A, and summing over the n_A
-translates leaves the total variation distance as it is.
+The rotation a -> a ^ hop[b] also lets every exact check enumerate each
+inner walk once, from a_0 = 0: the walk of seed (a_0, b_1, u) has outer
+vertices a_j = a_0 ^ c_j, where c_j = hop[b_1] ^ ... ^ hop[b_j] does not
+depend on a_0, and XOR by a is a bijection on rows.  So a multiset that
+runs a_0 over the whole outer graph is the translates, one per a, of the
+multiset taken at a_0 = 0.  Two such multisets of N rows per start are
+compared by comparing their a_0 = 0 parts: each gap |P(x) - Q(x)| over
+the n_A*N rows is a gap over the N rows divided by n_A, and summing over
+the n_A translates leaves the total variation distance as it is.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,16 +103,16 @@ class SWalk:
     b_vertices: tuple[int, ...]
     seed: tuple[int, int, tuple[int, ...]]
 
-    @property
-    def steps(self) -> int:
-        return len(self.a_vertices) - 1
-
 
 class ReplacementSystem:
     """Outer graph + inner graph wired together by the rotation map.
 
     The outer graph must have exactly 2**m generators (block 1 of an inner
     vertex indexes them) and the inner graph must live over F_2^(m*s).
+    The walk rule is read from three read-only tables over inner vertices,
+    hop, shift and unshift, each built on first use: an inner graph too
+    large to tabulate is refused by the budget of a check before any of
+    them is allocated.
     """
 
     def __init__(self, outer: CayleyGraph, inner: CayleyGraph, params: WalkParams):
@@ -130,13 +134,74 @@ class ReplacementSystem:
     def num_inner(self) -> int:
         return self.inner.num_vertices
 
+    @property
+    def _dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every vertex."""
+        return np.min_scalar_type(max(self.num_outer, self.num_inner) - 1)
+
+    @cached_property
+    def hop(self) -> np.ndarray:
+        """hop[b], the outer generator that block 1 of inner vertex b
+        selects: the rotation map takes a to a ^ hop[b], forward and
+        backward alike, since outer generators are self-inverse."""
+        gens = self.outer.generators.astype(self._dtype)
+        return _read_only(np.tile(gens, self.num_inner // len(gens)))
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """shift[b], the forward block shift: a rotate right by m bits."""
+        m, r = self.params.m, self.params.r
+        b = np.arange(self.num_inner, dtype=self._dtype)
+        return _read_only((b >> m) | (b & (self.params.d_outer - 1)) << (r - m))
+
+    @cached_property
+    def unshift(self) -> np.ndarray:
+        """unshift[b], the inverse of shift: a rotate left by m bits."""
+        m, r = self.params.m, self.params.r
+        b = np.arange(self.num_inner, dtype=self._dtype)
+        return _read_only((b << m) & (self.num_inner - 1) | b >> (r - m))
+
+    def expand(self, a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The array form of the walk rule: (A, B) for one walk per row.
+
+        Each row n of the (N, t-1) generator-index array u is one walk.  Its
+        outer vertex at position pivot is a[n] and its inner vertex at
+        position p = max(pivot, 1) is b[n] (a and b may be scalars).  The
+        columns of u take the inner steps forward to positions p+1..t, then
+        backward to positions pivot-1..1; the outer vertices follow by
+        rotation outward from the pivot.  pivot 0 is the standard order, in
+        which the seed row (a_0, b_1, u_2..u_t) expands to its walk.  A
+        holds a_0..a_t, (N, t+1), and B holds b_1..b_t, (N, t), in the
+        smallest unsigned dtype that holds every vertex.
+        """
+        n, t = u.shape[0], u.shape[1] + 1
+        if not 0 <= pivot <= t - 1:
+            raise ValueError(f"pivot {pivot} out of range 0..{t - 1}")
+        p = max(pivot, 1)
+        hop, fwd, bwd = self.hop, self.shift, self.unshift
+        gens = self.inner.generators.astype(hop.dtype)
+        # one contiguous row per position (the transposes returned are views);
+        # take gathers by these small-dtype rows about twice as fast as [] does
+        A = np.empty((t + 1, n), dtype=hop.dtype)
+        B = np.empty((t, n), dtype=hop.dtype)
+        A[pivot] = a
+        B[p - 1] = b
+        cols = iter(u.T)
+        for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
+            B[j] = fwd.take(B[j - 1] ^ gens.take(next(cols)))
+        for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
+            B[j] = bwd.take(B[j + 1]) ^ gens.take(next(cols))
+        for j in range(pivot + 1, t + 1):
+            A[j] = A[j - 1] ^ hop.take(B[j - 1])
+        for j in range(pivot - 1, -1, -1):
+            A[j] = A[j + 1] ^ hop.take(B[j])
+        return A.T, B.T
+
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
         """Expand one seed (a_0, b_1, (u_2, ..., u_t)) into its walk.
 
         Refuses a seed with a_0, b_1 or some u out of range, rather than
-        letting a negative index wrap.  Each call builds the walk tables
-        again; a caller that draws many walks should call
-        :func:`walk_expander` once with one row per walk.
+        letting a negative index wrap.
         """
         us = tuple(int(u) for u in u_indices)
         if not (0 <= a0 < self.num_outer and 0 <= b1 < self.num_inner
@@ -145,7 +210,7 @@ class ReplacementSystem:
                 f"seed ({a0}, {b1}, {us}) out of range: a_0 < {self.num_outer}, "
                 f"b_1 < {self.num_inner} and every u < {self.params.d_inner}"
             )
-        A, B = walk_expander(self)(a0, b1, np.array(us, dtype=np.int64)[None])
+        A, B = self.expand(a0, b1, np.array(us, dtype=np.int64)[None])
         return SWalk(tuple(A[0].tolist()), tuple(B[0].tolist()), (a0, b1, us))
 
     def seed_count(self, t: int) -> int:
@@ -154,15 +219,9 @@ class ReplacementSystem:
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
 
 
-def walk_tables(sys: ReplacementSystem) -> tuple[np.ndarray, np.ndarray]:
-    """rot[a, b], the outer vertex the rotation map reaches from a under
-    inner vertex b (forward and backward alike: outer generators are
-    self-inverse), and shift[b], the forward block shift of every b."""
-    m, r = sys.params.m, sys.params.r
-    b = np.arange(sys.num_inner, dtype=np.int64)
-    block1 = b & (sys.params.d_outer - 1)
-    rot = np.arange(sys.num_outer, dtype=np.int64)[:, None] ^ sys.outer.generators[block1]
-    return rot, (b >> m) | (block1 << (r - m))
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 def sample_swalk(
@@ -190,53 +249,6 @@ def choice_grid(*sizes: int) -> np.ndarray:
     """Every tuple of range(sizes[0]) x range(sizes[1]) x ..., one per row,
     in C (lexicographic) order; one empty row when sizes is empty."""
     return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
-
-
-def walk_expander(sys: ReplacementSystem) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """The array form of the walk rule: expand(a, b, u, pivot=0) -> (A, B).
-
-    Each row n of the (N, t-1) generator-index array u is one walk.  Its
-    outer vertex at position pivot is a[n] and its inner vertex at
-    position p = max(pivot, 1) is b[n] (a and b may be scalars).  The
-    columns of u take the inner steps forward to positions p+1..t, then
-    backward to positions pivot-1..1; the outer vertices follow by
-    rotation outward from the pivot.  pivot 0 is the standard order, in
-    which the seed row (a_0, b_1, u_2..u_t) expands to its walk.  A
-    holds a_0..a_t, (N, t+1), and B holds b_1..b_t, (N, t), in the
-    smallest unsigned dtype that holds every vertex.
-    """
-    rot, fwd = walk_tables(sys)
-    dtype = np.min_scalar_type(max(sys.num_outer, sys.num_inner) - 1)
-    bwd = np.argsort(fwd).astype(dtype)
-    fwd = fwd.astype(dtype)
-    gens = sys.inner.generators.astype(dtype)
-    # rot[a, b] = a ^ rot[0, b] (the outer graph is a Cayley graph over
-    # F_2^m), so each outer step is a one-dimensional gather
-    hop = rot[0].astype(dtype)
-
-    def expand(a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        n, t = u.shape[0], u.shape[1] + 1
-        if not 0 <= pivot <= t - 1:
-            raise ValueError(f"pivot {pivot} out of range 0..{t - 1}")
-        p = max(pivot, 1)
-        # one contiguous row per position (the transposes returned are views);
-        # take gathers by these small-dtype rows about twice as fast as [] does
-        A = np.empty((t + 1, n), dtype=dtype)
-        B = np.empty((t, n), dtype=dtype)
-        A[pivot] = a
-        B[p - 1] = b
-        cols = iter(u.T)
-        for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
-            B[j] = fwd.take(B[j - 1] ^ gens.take(next(cols)))
-        for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
-            B[j] = bwd.take(B[j + 1]) ^ gens.take(next(cols))
-        for j in range(pivot + 1, t + 1):
-            A[j] = A[j - 1] ^ hop.take(B[j - 1])
-        for j in range(pivot - 1, -1, -1):
-            A[j] = A[j + 1] ^ hop.take(B[j])
-        return A.T, B.T
-
-    return expand
 
 
 def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -324,7 +336,7 @@ def middle_start_sample(
     u_edge = int(rng.integers(d))
     draws = rng.integers(d, size=max(t - 2, 0))
     u = np.concatenate([[u_edge], draws])[: t - 1]
-    A, B = walk_expander(sys)(a_pivot, b_pivot, u[None], pivot=i)
+    A, B = sys.expand(a_pivot, b_pivot, u[None], pivot=i)
     forward = t - max(i, 1)
     seed_u = tuple(u[forward:][::-1].tolist() + u[:forward].tolist())
     a_list, b_list = tuple(A[0].tolist()), tuple(B[0].tolist())
@@ -363,7 +375,7 @@ def check_pseudorandomness(
         raise BudgetExceeded(sys.num_outer * (n_wide + n_pure), budget)
     # walks of max(k-1, 1) steps from every (0, b_1), truncated to k vertices
     seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
-    A, _ = walk_expander(sys)(0, seeds[:, 0], seeds[:, 1:])
+    A, _ = sys.expand(0, seeds[:, 0], seeds[:, 1:])
     steps = sys.outer.generators[choice_grid(*(sys.outer.degree,) * (k - 1))]
     pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
     tv, gap = multiset_tv(A[:, :k], pure)
@@ -385,7 +397,7 @@ def check_first_coord_uniform(
     if total > budget:
         raise BudgetExceeded(total, budget)
     seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (k - 1))
-    _, B = walk_expander(sys)(0, seeds[:, 0], seeds[:, 1:])
+    _, B = sys.expand(0, seeds[:, 0], seeds[:, 1:])
     d_out = sys.params.d_outer
     tv, gap = multiset_tv(B & (d_out - 1), choice_grid(*(d_out,) * k))
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
@@ -400,7 +412,7 @@ def check_local_invertibility(sys: ReplacementSystem) -> bool:
     any system built here; it is kept as the stated precondition of
     backward walk generation.
     """
-    rot = walk_tables(sys)[0][:, : sys.params.d_outer]
+    rot = np.arange(sys.num_outer)[:, None] ^ sys.hop[: sys.params.d_outer]
     return bool((np.take_along_axis(rot, rot, axis=0) == np.arange(sys.num_outer)[:, None]).all())
 
 
@@ -425,10 +437,9 @@ def middle_start_distribution_equal(
         raise ValueError(f"pivot {i} out of range 0..{t - 1}")
     if 2 * total > budget:
         raise BudgetExceeded(2 * total, budget)
-    expand = walk_expander(sys)
     seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (t - 1))
-    standard = np.hstack(expand(0, seeds[:, 0], seeds[:, 1:]))
-    A, B = expand(0, seeds[:, 0], seeds[:, 1:], pivot=i)
+    standard = np.hstack(sys.expand(0, seeds[:, 0], seeds[:, 1:]))
+    A, B = sys.expand(0, seeds[:, 0], seeds[:, 1:], pivot=i)
     tv, gap = multiset_tv(standard, np.hstack([A ^ A[:, :1], B]))
     gap /= sys.num_outer
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))

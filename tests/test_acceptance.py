@@ -36,7 +36,7 @@ from widewalk.amplify import (
 )
 from widewalk.code import AmplifiedCode, LinearCode, code_bias, rate
 from widewalk.graphs import CayleyGraph
-from widewalk.hitting import check_hitting, hitting_bound, hitting_prob_exact, make_instance
+from widewalk.hitting import HittingInstance, check_hitting, hitting_bound, hitting_prob_exact
 
 import walk_oracle as oracle
 
@@ -200,7 +200,7 @@ def test_acceptance_11_hitting_probabilities(k16):
     # zero-expansion graph: the bound is met with equality
     g0 = build_complete_selfloop(2)
     for t in (1, 3, 6):
-        exact = hitting_prob_exact(make_instance(g0, {0, 1}, t))
+        exact = hitting_prob_exact(HittingInstance(g0, frozenset({0, 1}), t))
         if exact != hitting_bound(Fraction(1, 2), Fraction(0), t):
             ok = False
     record(11, "hitting-probabilities", ok)

@@ -284,6 +284,22 @@ def test_code_report_hypotheses_unmet(tmp_path, capsys):
     ) == EXIT_HYPOTHESES
 
 
+def test_untabulable_inner_graph_keeps_its_exit_codes(tmp_path, capsys):
+    # a 2**40-vertex inner graph: its walk tables cannot be allocated, so
+    # each command must refuse before it would build them
+    cfg = write_config(tmp_path, m=8, s=5, ell=2)
+    base_path = tmp_path / "base1.json"
+    base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
+    assert main(["verify", "base-case", "--config", cfg]) == EXIT_INVALID
+    for argv in (
+        ["verify", "pseudorandomness", "--config", cfg],
+        ["verify", "uniformity", "--config", cfg],
+        ["code", "encode", "--config", cfg, "--base", str(base_path), "--t", "1", "--message", "1"],
+    ):
+        assert main(argv) == EXIT_BUDGET, argv
+    assert capsys.readouterr().err.count("\n") == 4
+
+
 def test_runs_are_deterministic(tmp_path):
     cfg = sys22_config(tmp_path)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

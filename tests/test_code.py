@@ -83,7 +83,6 @@ def test_linear_code_basics():
     assert code.encode(2) == 0b0101
     assert code.encode(3) == 0b0110
     assert code.measured_bias_exact == 0
-    assert list(code.codewords()) == [(0, 0), (1, 3), (2, 5), (3, 6)]
     with pytest.raises(ValueError):
         code.encode(4)
 

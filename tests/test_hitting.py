@@ -14,7 +14,6 @@ from widewalk.hitting import (
     check_phi_identity,
     hitting_bound,
     hitting_prob_exact,
-    make_instance,
 )
 
 import walk_oracle as oracle
@@ -44,7 +43,7 @@ def test_instance_validation(k16):
         HittingInstance(k16, frozenset({16}), 3)
     with pytest.raises(ValueError):
         HittingInstance(k16, frozenset({0}), 0)
-    inst = make_instance(k16, [0, 1, 2, 3], 5)
+    inst = HittingInstance(k16, frozenset([0, 1, 2, 3]), 5)
     assert inst.rho == Fraction(1, 4)
     # no levels to check is refused rather than reported as a pass
     for tmax in (0, -3):
@@ -56,13 +55,13 @@ def test_exact_matches_oracle_small():
     g = CayleyGraph(dim=3, generators=(1, 2, 4))
     for subset in ({0}, {0, 1}, {0, 3, 5}, {1, 2, 4, 7}):
         for t in (1, 2, 3, 4):
-            inst = make_instance(g, subset, t)
+            inst = HittingInstance(g, frozenset(subset), t)
             assert hitting_prob_exact(inst) == oracle_prob(g, subset, t), (subset, t)
 
 
 def test_exact_matches_oracle_k16(k16):
     # frozen value: first 4 vertices of the 15-regular complete graph
-    inst = make_instance(k16, range(4), 5)
+    inst = HittingInstance(k16, frozenset(range(4)), 5)
     exact = hitting_prob_exact(inst)
     assert exact == oracle_prob(k16, set(range(4)), 5)
     assert exact == Fraction(1, 2500)
@@ -70,7 +69,7 @@ def test_exact_matches_oracle_k16(k16):
 
 def test_single_step_is_density(k16):
     for subset in ({3}, {0, 9, 11}):
-        inst = make_instance(k16, subset, 1)
+        inst = HittingInstance(k16, frozenset(subset), 1)
         assert hitting_prob_exact(inst) == Fraction(len(subset), 16)
 
 
@@ -81,7 +80,7 @@ def test_zero_lambda_equality():
     subset = {0, 2}
     rho = Fraction(1, 2)
     for t in (1, 2, 3, 6):
-        inst = make_instance(g, subset, t)
+        inst = HittingInstance(g, frozenset(subset), t)
         assert hitting_prob_exact(inst) == rho**t
         assert hitting_bound(rho, Fraction(0), t) == rho**t
 
@@ -155,7 +154,7 @@ def test_csv_output(k16, tmp_path, capsys):
 
 def test_budget_guard():
     g = CayleyGraph(dim=20, generators=(1, 2))
-    inst = make_instance(g, {0, 1}, 1 << 10)
+    inst = HittingInstance(g, frozenset({0, 1}), 1 << 10)
     with pytest.raises(ValueError):
         hitting_prob_exact(inst)
 

@@ -1,8 +1,8 @@
-"""The benchmark's enumerate-exact jobs against its pinned references:
-perfbench/workloads.py runs encode and the exact distribution checks and
-judges each output with workloads.check against references.json, so a
-change to those calls that the benchmark would count as a failed job fails
-here first.  perfbench is loaded from its file and never changed."""
+"""The benchmark's jobs against its pinned references: perfbench/workloads.py
+runs the public calls of each part and judges each output with
+workloads.check against references.json, so a change to those calls that
+the benchmark would count as a failed job fails here first.  perfbench is
+loaded from its file and never changed."""
 
 import importlib.util
 from pathlib import Path
@@ -10,7 +10,6 @@ from pathlib import Path
 import widewalk
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-PART = "enumerate-exact"
 
 
 def load_workloads():
@@ -20,14 +19,31 @@ def load_workloads():
     return module
 
 
+def check_part(wl, refs, seed: int, part: str) -> list[str]:
+    """Run the jobs of one part of inprocess-exact for one seed, in run
+    order, assert that workloads.check finds no failure, and return their
+    names."""
+    inp = wl.inputs("inprocess-exact", seed)
+    ctx = wl.setup(widewalk, inp)
+    names = []
+    for job, thunk in wl.jobs(widewalk, ctx, inp):
+        if job.startswith(part + "/"):
+            assert wl.check(job, thunk(), inp, refs, ctx) == [], (seed, job)
+            names.append(job.split("/", 1)[1])
+    return names
+
+
 def test_enumerate_exact_jobs_match_the_references():
     wl = load_workloads()
     refs = wl.load_references()
     for seed in (0, 1, 2):
-        inp = wl.inputs("inprocess-exact", seed)
-        ctx = wl.setup(widewalk, inp)
-        jobs = [(job, thunk) for job, thunk in wl.jobs(widewalk, ctx, inp)
-                if job.startswith(PART + "/")]
-        assert [job for job, _ in jobs][:2] == [f"{PART}/encode", f"{PART}/middle-start-equal"]
-        for job, thunk in jobs:
-            assert wl.check(job, thunk(), inp, refs, ctx) == [], (seed, job)
+        assert check_part(wl, refs, seed, "enumerate-exact")[:2] == ["encode", "middle-start-equal"]
+
+
+def test_witness_dp_jobs_match_the_references():
+    # the middle-start identity takes the block shift from the system, and
+    # only these jobs hold its residual and signed mean to the references
+    wl = load_workloads()
+    assert check_part(wl, wl.load_references(), 0, "witness-dp") == [
+        "dp_gk", "base-case", "induction", "bias-lemma", "middle-start-identity"
+    ]

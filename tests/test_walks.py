@@ -5,6 +5,7 @@ walk_oracle.
 
 import os
 import subprocess
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +27,9 @@ from widewalk import (
     middle_start_sample,
     sample_swalk,
 )
+from widewalk.code import AmplifiedCode, LinearCode, encode
 from widewalk.graphs import CayleyGraph
-from widewalk.walks import SWalk, choice_grid, multiset_tv, walk_expander, walk_tables
+from widewalk.walks import SWalk, choice_grid, multiset_tv
 
 import walk_oracle as oracle
 
@@ -79,15 +81,15 @@ def _seed_rows(sys, t):
 
 def test_shift_example():
     # m=1, s=3: block tuple (1, 0, 1) shifts forward to (0, 1, 1)
-    _, fwd = walk_tables(sys_13())
-    assert fwd[0b101] == oracle.shift(0b101, 1, 3) == 0b110
-    assert np.argsort(fwd)[0b110] == oracle.shift(0b110, 1, 3, "backward") == 0b101
+    sys = sys_13()
+    assert sys.shift[0b101] == oracle.shift(0b101, 1, 3) == 0b110
+    assert sys.unshift[0b110] == oracle.shift(0b110, 1, 3, "backward") == 0b101
 
 
 def test_shift_bijection_and_order():
     for sys in (sys_13(), sys_22(), sys_23()):
         m, s = sys.params.m, sys.params.s
-        _, fwd = walk_tables(sys)
+        fwd = sys.shift
         assert sorted(fwd.tolist()) == list(range(sys.num_inner))
         # s applications come back around
         cur = np.arange(sys.num_inner)
@@ -101,7 +103,7 @@ def test_shift_bijection_and_order():
 
 def test_shift_moves_blocks():
     sys = sys_23()
-    _, fwd = walk_tables(sys)
+    fwd = sys.shift
     for b in range(sys.num_inner):
         assert fwd[b] == oracle.shift(b, 2, 3)
         blocks = [(b >> 2 * j) & 0b11 for j in range(3)]
@@ -112,11 +114,9 @@ def test_block_indexing():
     # block 1 is the low m bits: the rotation reads it, and one forward
     # shift brings block 2 down into its place
     sys = sys_22()
-    rot, fwd = walk_tables(sys)
     b = 0b1110  # blocks (low first): 10, 11
-    for a in range(sys.num_outer):
-        assert rot[a, b] == a ^ sys.outer.generators[0b10]
-        assert rot[a, fwd[b]] == a ^ sys.outer.generators[0b11]
+    assert sys.hop[b] == sys.outer.generators[0b10]
+    assert sys.hop[sys.shift[b]] == sys.outer.generators[0b11]
 
 
 def test_system_wiring_validation():
@@ -131,11 +131,48 @@ def test_system_wiring_validation():
 
 def test_rotation_uses_block_one():
     sys = sys_22()
-    rot, _ = walk_tables(sys)
     for a in range(sys.num_outer):
         for b in range(sys.num_inner):
             expect = a ^ int(sys.outer.generators[b & 0b11])
-            assert rot[a, b] == oracle.rotation(sys, a, b) == expect
+            assert a ^ sys.hop[b] == oracle.rotation(sys, a, b) == expect
+
+
+def test_walk_tables_invert_and_select_the_outer_generators():
+    for sys in (tiny_system(), sys_13(), sys_22(), sys_23(), sys_128()):
+        # built on first use, never by the constructor
+        assert not {"hop", "shift", "unshift"} & vars(sys).keys()
+        n_b, dtype = sys.num_inner, np.min_scalar_type(max(sys.num_outer, sys.num_inner) - 1)
+        assert np.array_equal(sys.unshift[sys.shift], np.arange(n_b))
+        assert np.array_equal(sys.shift[sys.unshift], np.arange(n_b))
+        assert np.array_equal(sys.unshift, np.argsort(sys.shift))
+        assert np.array_equal(sys.hop[: sys.params.d_outer], sys.outer.generators)
+        for table in (sys.hop, sys.shift, sys.unshift):
+            assert table.dtype == dtype and not table.flags.writeable
+
+
+def test_walk_expansion_memory_does_not_grow_with_the_outer_graph():
+    # 2**14 outer vertices and 2**10 inner ones: an (n_A, n_B) int64
+    # rotation table would take 128 MiB
+    def peak(call):
+        outer = CayleyGraph(14, [0, 1, 2, 3])
+        sys = ReplacementSystem(outer, build_aghp(10, 5), WalkParams(m=2, s=5, ell=5))
+        tracemalloc.start()
+        try:
+            out = call(sys)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    for call in (
+        lambda sys: check_pseudorandomness(sys, 1),
+        lambda sys: check_first_coord_uniform(sys, 1),
+        lambda sys: middle_start_distribution_equal(sys, 1, 0),
+        lambda sys: sys.walk_from_seed(5, 6, ()),
+    ):
+        assert peak(call)[0] < 4 << 20
+    base = LinearCode(2, 4, [0b0011, 0b0101])
+    used, bits = peak(lambda sys: encode(AmplifiedCode(base, sys, 1), 1))
+    assert bits.size == 1 << 24 and used < 2 * bits.nbytes
 
 
 def test_rotation_is_involution():
@@ -154,16 +191,14 @@ def test_walk_from_seed_hand_trace():
     assert w.b_vertices == (0b01, 0b01)
     # a_1 = a_0 ^ block_1(b_1) = 0 ^ 1, a_2 = a_1 ^ block_1(b_2) = 1 ^ 1
     assert w.a_vertices == (0, 1, 0)
-    assert w.steps == 2
     assert w.seed == (0, 1, (3,))
 
 
 def test_inner_step_round_trip():
-    # the backward inner step undoes the shift (argsort of the shift
-    # table), then takes the same generator
+    # the backward inner step undoes the shift, then takes the same
+    # generator
     sys = sys_22()
-    _, fwd = walk_tables(sys)
-    bwd = np.argsort(fwd)
+    bwd = sys.unshift
     for b in range(sys.num_inner):
         assert bwd[b] == oracle.shift(b, 2, 2, "backward")
         for u in range(sys.params.d_inner):
@@ -183,7 +218,7 @@ def test_seed_count():
 def test_enumeration_count_and_validity():
     sys = tiny_system()
     a0, b1, u = _seed_rows(sys, 3)
-    A, B = walk_expander(sys)(a0, b1, u)
+    A, B = sys.expand(a0, b1, u)
     assert len(A) == sys.seed_count(3)
     # seeds are distinct and walks are consistent chains
     assert len({tuple(row) for row in np.column_stack([a0, b1, u]).tolist()}) == len(A)
@@ -350,20 +385,15 @@ def test_middle_start_translation_keeps_a_nonzero_distance(monkeypatch):
     # reversing the B columns of every middle-start walk makes the two
     # multisets differ; the a_0 = 0 comparison must still give the full
     # enumeration's TV and largest gap (the gap scaled by 1/|A|)
-    expander = walk_expander
+    expand = ReplacementSystem.expand
 
-    def reversing_expander(sys):
-        expand = expander(sys)
+    def reversed_middle(sys, a, b, u, pivot=None):
+        if pivot is None:
+            return expand(sys, a, b, u)
+        A, B = expand(sys, a, b, u, pivot=pivot)
+        return A, B[:, ::-1]
 
-        def reversed_middle(a, b, u, pivot=None):
-            if pivot is None:
-                return expand(a, b, u)
-            A, B = expand(a, b, u, pivot=pivot)
-            return A, B[:, ::-1]
-
-        return reversed_middle
-
-    monkeypatch.setattr("widewalk.walks.walk_expander", reversing_expander)
+    monkeypatch.setattr(ReplacementSystem, "expand", reversed_middle)
     for sys in (sys_22(), sys_128()):
         for t in (2, 3):
             for i in range(t):
@@ -377,7 +407,7 @@ def test_middle_start_sample_is_valid_walk():
     rng = np.random.default_rng(7)
     for t, i in ((1, 0), (3, 1), (4, 3), (5, 2)):
         w = middle_start_sample(sys, t, i, rng)
-        assert w.steps == t
+        assert len(w.a_vertices) - 1 == t
         for j in range(t):
             assert w.a_vertices[j + 1] == oracle.rotation(sys, w.a_vertices[j], w.b_vertices[j])
         for j in range(t - 1):
@@ -417,9 +447,8 @@ def test_invertibility_holds_with_selfloop_multigraph():
 
 def test_walk_expander_matches_seed_enumeration():
     for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
-        expand = walk_expander(sys)
         for t in range(1, tmax + 1):
-            A, B = expand(*_seed_rows(sys, t))
+            A, B = sys.expand(*_seed_rows(sys, t))
             walks = list(oracle.walks(sys, t))
             assert len(walks) == len(A)
             for (_, a, b), a_row, b_row in zip(walks, A.tolist(), B.tolist()):
@@ -436,7 +465,7 @@ def test_walk_from_seed_matches_oracle():
 
 def test_middle_start_expansion_matches_scalar_reference():
     for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
-        expand = walk_expander(sys)
+        expand = sys.expand
         for t in range(1, tmax + 1):
             a, b, u = _seed_rows(sys, t)
             for i in range(t):

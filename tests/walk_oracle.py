@@ -1,18 +1,20 @@
 """Scalar reference for the wide-walk rule, one walk at a time.
 
 Plain Python ints over the generator arrays of the outer and inner graphs,
-with no call into widewalk.walks.walk_tables or walk_expander, so the
-tests can hold the array walk rule against an independent statement of it:
+with no read of the tables of widewalk.walks.ReplacementSystem and no call
+of its expand method, so the tests can hold the array walk rule against an
+independent statement of it:
 
 * b_i = shift(b_{i-1} ^ u_i) for i >= 2, where shift moves the block tuple
   (c_1, ..., c_s) of an (m*s)-bit word to (c_2, ..., c_s, c_1);
 * a_i = a_{i-1} ^ (outer generator indexed by block 1 of b_i).
 
 It also holds the exact checks and the encoder without the outer
-translation symmetry: every start a_0 is expanded through walk_expander,
-so the tests can hold the a_0 = 0 enumerations of widewalk.walks and
-widewalk.code.encode against the full ones.  They look walk_expander up
-on the module at each call, so a test that patches it patches both sides.
+translation symmetry: every start a_0 is expanded through
+ReplacementSystem.expand, so the tests can hold the a_0 = 0 enumerations
+of widewalk.walks and widewalk.code.encode against the full ones.  They
+call expand on the system, so a test that patches ReplacementSystem.expand
+patches both sides.
 """
 
 import itertools
@@ -94,7 +96,7 @@ def middle_start(sys, t, i, a_pivot, b_pivot, u_edge, draws):
 def encode_all_starts(amp, x):
     """Codeword bits of message x, every walk expanded from its own a_0:
     one a_0 and one block of about 2**18 b_1 rows at a time."""
-    expand = ww.walk_expander(amp.sys)
+    expand = amp.sys.expand
     bits = amp.f_for_message(x).bits.astype(np.uint8)
     d, n_b = amp.sys.params.d_inner, amp.sys.num_inner
     step = max(1, (1 << 18) // d ** (amp.t - 1))
@@ -115,7 +117,7 @@ def pseudorandomness_all_starts(sys, k):
     n_wide = sys.num_inner * sys.params.d_inner ** max(k - 2, 0)
     n_pure = sys.outer.degree ** (k - 1)
     seeds = ww.choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
-    A, _ = ww.walk_expander(sys)(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
+    A, _ = sys.expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
     wide = A[:, :k].reshape(sys.num_outer, n_wide, k)
     steps = sys.outer.generators[ww.choice_grid(*(sys.outer.degree,) * (k - 1))]
     pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
@@ -129,7 +131,7 @@ def pseudorandomness_all_starts(sys, k):
 def middle_start_all_starts(sys, t, i):
     """middle_start_distribution_equal with every choice row (a, b, u)
     expanded once from a_0 = a and once from pivot vertex a_i = a."""
-    expand = ww.walk_expander(sys)
+    expand = sys.expand
     seeds = ww.choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
     standard = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:]))
     middle = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:], pivot=i))
