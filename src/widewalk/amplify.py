@@ -8,15 +8,18 @@ with the character table, and the transform back.  The pure-walk DPs take
 the whole step through graphs.cayley_average; the wide-walk DPs stay in the
 transformed domain of inner blocks 2..s between levels, transform only
 block 1 per step, and leave that domain only for the levels they return
-(see _wide_levels).  All arithmetic is double precision in a fixed
-operation order, so results are bit-identical across runs.
+(see _wide_levels).  Their working set is one (3, n_A * n_B) float block
+per call, the level and the FWHT's two buffers, plus the tables they
+return; the middle-start identity returns none.  All arithmetic is double
+precision in a fixed operation order, so results are bit-identical across
+runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -120,76 +123,106 @@ def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
 
 
 def _wide_levels(
-    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, last_only: bool = False
-) -> list[DpTable]:
-    """Tables 0..levels (or level `levels` alone) of the wide-walk recursion
-    from g_0(a, b) = f(a).  A forward level ("g") averages the shifted table
-    over the inner generators, the step shift(b ^ u); a backward level
-    ("gbar") averages first and undoes the shift after, the step
-    shift_inverse(b) ^ u.  Both then take the row the rotation map reaches
-    and multiply by the sign.
+    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str
+) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+    """Levels 0..levels of the wide-walk recursion from g_0(a, b) = f(a),
+    yielded as (k, x, work) in the mixed domain described below.  A forward
+    level ("g") averages the shifted table over the inner generators, the
+    step shift(b ^ u); a backward level ("gbar") averages first and undoes
+    the shift after, the step shift_inverse(b) ^ u.  Both then take the row
+    the rotation map reaches and multiply by the sign.
 
     The Hadamard matrix on F_2^(m*s) is the Kronecker power of the one on a
-    block, so the loop keeps each level in a mixed domain: shape (n_A, block
-    1, block 2 .. block s), with block 1 primal and blocks 2..s
-    Walsh-Hadamard transformed.  The block shift is a cyclic roll of the
-    block axes, which commutes with per-block transforms, and the rotation
-    map reads block 1 only.  So one level transforms block 1, multiplies by
-    the character table (scaled by 1 / (2^m * d_B), a power of two), rolls
-    the block axes, transforms the new block 1 back and gathers rows by
-    (a, block 1): 2*m butterfly stages a level, where two full transforms
-    take 2*m*s.  Only the levels returned are taken back to the primal
-    domain, by one transform over blocks 2..s.
+    block, so the loop keeps each level in a mixed domain: x has shape
+    (n_A * block 1, blocks 2..s), with block 1 primal and blocks 2..s
+    Walsh-Hadamard transformed, and holds level k before its sign factor
+    f(a).  The block shift is a cyclic roll of the block axes, which
+    commutes with per-block transforms, and the rotation map reads block 1
+    only.  So one level transforms block 1, multiplies by the character
+    table (scaled by 1 / (2^m * d_B), a power of two), rolls the block axes,
+    transforms the new block 1 back and gathers rows by (a, block 1): 2*m
+    butterfly stages a level, where two full transforms take 2*m*s.
+
+    Working set: one (3, n_A * n_B) float64 block, allocated once per call,
+    holds x and fwht's work pair, and every step stays inside it.  The first
+    transform reads x and ends in one half of the pair; the roll is a view
+    of that half ("g") or one copy into the other half ("gbar"); the second
+    transform reads the rolled half and ends in the other one, with x as its
+    scratch (which half a transform ends in follows the parity of m, see
+    fwht); and np.take gathers the rows back into x.  x and work are reused
+    by the next step: a caller reads x, and may use work as scratch, before
+    it resumes the loop.
     """
     _require_f(sys, f)
     if levels < 0:
         raise ValueError(f"the level count must be nonnegative, got {levels}")
-    n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
+    n_a, d, m, s = sys.num_outer, sys.params.d_outer, sys.params.m, sys.params.s
     rest = sys.num_inner // d  # cells of blocks 2..s
     blocks = (n_a,) + (d,) * s
     # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
     chars = character_table(sys.inner).reshape((d,) * s).T / (d * sys.params.d_inner)
     if kind == "g":  # the product precedes the roll, so index it as the unshifted table
-        chars, roll = np.moveaxis(chars, 0, -1), (-1, 1)
-    else:
-        roll = (1, -1)
+        chars = np.moveaxis(chars, 0, -1)
     chars = chars.reshape(d, rest)
     rows = ((np.arange(n_a)[:, None] ^ sys.outer.generators) * d + np.arange(d)).ravel()
     signs = np.repeat(f.signs, d)[:, None]
 
-    def table(x: np.ndarray, k: int) -> DpTable:
-        # the sign multiplies primal values, so an exact zero takes its sign
-        # from f(a) as in a primal-domain step
-        primal = (fwht(x) / rest).reshape(blocks).transpose(0, *range(s, 0, -1))
-        return DpTable(f.signs[:, None] * primal.reshape(n_a, sys.num_inner), k, kind)
-
-    # a level before its sign factor; level 0 is the constant 1, which has
-    # only the zero frequency of blocks 2..s
-    x = np.zeros((n_a * d, rest))
+    block = np.empty((3, n_a * sys.num_inner))
+    x, work = block[0].reshape(n_a * d, rest), (block[1], block[2])
+    # level 0 is the constant 1, which has only the zero frequency of blocks 2..s
+    x.fill(0.0)
     x[:, 0] = rest
-    tables = []
     for k in range(levels + 1):
         if k:
-            y = fwht(x.reshape(n_a, d, rest), axis=1)
+            x *= signs
+            y = fwht(x.reshape(n_a, d, rest), axis=1, work=work)
             y *= chars
-            y = np.moveaxis(y.reshape(blocks), *roll).reshape(n_a, d, rest)
-            x = fwht(y, axis=1).reshape(n_a * d, rest).take(rows, axis=0)
+            spare = work[m % 2]  # the half the transform did not end in
+            if kind == "g":  # block s moves to the front: a view of y
+                rolled, out = np.moveaxis(y.reshape(blocks), -1, 1), spare
+            else:  # block 1 moves to the back: one copy into the spare half
+                rolled, out = spare.reshape(blocks), y
+                np.copyto(rolled, np.moveaxis(y.reshape(blocks), 1, -1))
+            z = fwht(rolled.reshape(n_a, d, rest), axis=1, work=(out, x) if m % 2 else (x, out))
+            # the rows are in range, and mode="wrap" lets take write into x unbuffered
+            np.take(z.reshape(n_a * d, rest), rows, axis=0, out=x, mode="wrap")
+        yield k, x, work
+
+
+def _wide_tables(
+    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, last_only: bool = False
+) -> list[DpTable]:
+    """Tables 0..levels of _wide_levels (or level `levels` alone), each
+    taken back to the primal domain by one transform over blocks 2..s in
+    the loop's work pair.  The sign f(a) and the 1/2^(m*(s-1)) of that
+    inverse transform are one factor, +-1 over a power of two, so a single
+    exact multiply, through the transposed view that puts b in C order,
+    writes each table once.  A zero takes its sign from f(a), as in a
+    primal-domain step."""
+    n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
+    blocks = (n_a,) + (d,) * s
+    scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
+    tables = []
+    for k, x, work in _wide_levels(sys, f, levels, kind):
         if k == levels or not last_only:
-            tables.append(table(x, k))
-        x *= signs
+            values = np.empty((n_a, sys.num_inner))
+            # x runs block 1..s along its axes, b's C order block s..1
+            out = values.reshape(blocks).transpose(0, *range(s, 0, -1))
+            np.multiply(fwht(x, work=work).reshape(blocks), scale, out=out)
+            tables.append(DpTable(values, k, kind))
     return tables
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     """Wide-walk tables g_0..g_kmax; g_k(a,b) is the conditional mean of
     the walk's sign product given start (a_0, b_1) = (a, b)."""
-    return _wide_levels(sys, f, kmax, "g")
+    return _wide_tables(sys, f, kmax, "g")
 
 
 def dp_gk_level(sys: ReplacementSystem, f: SignedFn, k: int) -> DpTable:
     """The table g_k of dp_gk alone: the same levels, but only level k is
     taken back to the primal domain and kept."""
-    return _wide_levels(sys, f, k, "g", last_only=True)[0]
+    return _wide_tables(sys, f, k, "g", last_only=True)[0]
 
 
 def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTable]:
@@ -203,7 +236,7 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
     """
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    return _wide_levels(sys, f, length, "gbar")
+    return _wide_tables(sys, f, length, "gbar")
 
 
 def _pure_levels(
@@ -530,16 +563,42 @@ def check_middle_start_identity(
 ) -> IdentityCheck:
     """Split the k-step mean at position s: the signed global mean of g_k
     must equal the edge expectation of sign(a) * gbar_s(a,b) * g_{k-s}(a,b')
-    over b' a shifted neighbor of b.  Requires k > s."""
+    over b' a shifted neighbor of b.  Requires k > s.
+
+    The via side is taken by Parseval in the Walsh-Hadamard domain.  With
+    gbar_s = f(a) * G, the edge expectation is the mean of G times the
+    inner-graph average of g_{k-s}(a, shift(b)), and the transform of that
+    average is chi * R^(shift(xi)) / d_B, with R^ = fwht(g_{k-s}) and chi
+    the character table.  So
+
+        via = sum over (a, xi) of G^ * chi * R^[:, shift] / (n_A * n_B^2 * d_B),
+
+    where G^ is the block-1 transform of the mixed-domain gbar_s that the
+    level loop leaves (its blocks 2..s are transformed already): no primal
+    gbar_s and no cayley_average.  All of it runs in the level loop's one
+    block.  The sum is elementwise products and ndarray.sum, not np.dot or
+    np.vdot: those call BLAS, whose thread pool, once started, slows every
+    later numpy call of the process.
+    """
     s = sys.params.s
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
     if tables is None or len(tables) <= k:
         tables = dp_gk(sys, f, k)
     direct = float(tables[k].values.mean())
-    gbar = _wide_levels(sys, f, s, "gbar", last_only=True)[0].values
-    rest = tables[k - s].values
-    via = float((f.signs[:, None] * gbar * cayley_average(rest[:, sys.shift], sys.inner)).mean())
+    n_a, n_b, d, m = sys.num_outer, sys.num_inner, sys.params.d_outer, sys.params.m
+    for _, x, work in _wide_levels(sys, f, s, "gbar"):
+        pass  # the loop ends with x = gbar_s before its sign, in the mixed domain
+    ghat = fwht(x.reshape(n_a, d, n_b // d), axis=1, work=work).reshape(n_a, n_b)
+    free = (x, work[m % 2])  # the buffers the transform did not end in
+    rhat = fwht(np.asarray(tables[k - s].values, dtype=np.float64), work=free)
+    # R^[:, shift] in the block-1-first order of the loop, gathered into the other free half
+    order = np.arange(n_b).reshape((d,) * s).T.ravel()
+    out = free[(m * s) % 2].reshape(n_a, n_b)
+    np.take(rhat, sys.shift[order], axis=1, out=out, mode="wrap")
+    ghat *= character_table(sys.inner).reshape((d,) * s).T.ravel()
+    ghat *= out
+    via = float(ghat.sum()) / (n_a * n_b * n_b * sys.params.d_inner)
     residual = abs(direct - via)
     return IdentityCheck(residual <= TOL_IDENTITY, residual, direct, via)
 

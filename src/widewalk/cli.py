@@ -26,7 +26,7 @@ import sys
 from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .code import (
     encode as encode_message,
     gen_base_code,
 )
-from .gf2core import parse_hex
+from .gf2core import hex_digits_array, parse_hex
 from .graphs import (
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
@@ -80,6 +80,37 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
+class _HexWords:
+    """A list of hex_encode words for a top-level key of a JSON document,
+    written from the int64 array in batches: the same bytes that
+    json.JSONEncoder(indent=2) writes for the list of strings, without
+    building that list."""
+
+    BATCH = 1 << 12
+
+    def __init__(self, words: np.ndarray, length: int):
+        self.words, self.length = words, length
+
+    def chunks(self) -> Iterator[str]:
+        n = self.words.size
+        if not n:
+            yield "[]"
+            return
+        # one row per word: newline, the 4-space indent of depth 2, the
+        # quoted digits and the item separator; the last row drops its comma
+        ndigits = (self.length + 3) // 4
+        yield "["
+        for start in range(0, n, self.BATCH):
+            digits = hex_digits_array(self.words[start:start + self.BATCH], self.length)
+            rows = np.empty((len(digits), ndigits + 8), dtype=np.uint8)
+            rows[:, :6] = np.frombuffer(b'\n    "', dtype=np.uint8)
+            rows[:, 6:-2] = digits
+            rows[:, -2:] = np.frombuffer(b'",', dtype=np.uint8)
+            text = rows.tobytes().decode("ascii")
+            yield text if start + self.BATCH < n else text[:-1]
+        yield "\n  ]"
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -98,9 +129,11 @@ def _emit(
 
     JSON: {"schema_version", "run": header} with the payload under "report",
     or merged in when flat; streamed chunk by chunk, so a large payload is
-    never held as one string.  CSV: "# " + the header as one JSON line, the
-    column names, then those columns of rows (default payload["rows"]), the
-    same dicts the JSON prints.
+    never held as one string.  A _HexWords value of a flat payload is
+    encoded as a marker string, and its chunks take that marker's place.
+    CSV: "# " + the header as one JSON line, the column names, then those
+    columns of rows (default payload["rows"]), the same dicts the JSON
+    prints.
     """
     if args.format == "csv":
         lines = ["# " + json.dumps(header, sort_keys=True, default=_json_default), ",".join(columns)]
@@ -113,13 +146,29 @@ def _emit(
             doc.update(payload)
         else:
             doc["report"] = payload
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
-        chunks = itertools.chain(encoder.iterencode(doc), ["\n"])
-    chunks = iter(chunks)
+        streamed = {}
+
+        def default(obj):
+            if isinstance(obj, _HexWords):
+                marker = f"\0hex-words-{len(streamed)}"
+                streamed[json.dumps(marker)] = obj
+                return marker
+            return _json_default(obj)
+
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
+        chunks = itertools.chain.from_iterable(
+            streamed[c].chunks() if c in streamed else (c,) for c in encoder.iterencode(doc))
+        chunks = itertools.chain(chunks, ["\n"])
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        # a write per chunk would cost more than the encoding; join a batch first
-        while batch := list(itertools.islice(chunks, 4096)):
-            out.write("".join(batch))
+        # a write per chunk would cost more than the encoding; join about 64 KiB first
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= 1 << 16:
+                out.write("".join(batch))
+                batch, size = [], 0
+        out.write("".join(batch))
 
 
 def _decimal(kind):
@@ -215,7 +264,9 @@ def _parse_set(spec: str, n: int) -> list[int]:
 
 
 def _emit_graph(args, g: CayleyGraph, **extra) -> int:
-    payload = g.to_json_dict()
+    # CayleyGraph.to_json_dict, with the generators streamed from the array
+    payload = {"name": g.name, "dim": g.dim, "generators": _HexWords(g.generators, g.dim),
+               "multigraph": g.multigraph}
     if g.dim <= SPECTRUM_SCAN_LIMIT:
         rep = spectrum(g)
         payload["lambda"] = rep.lam

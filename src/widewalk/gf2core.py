@@ -172,8 +172,14 @@ def _check_array_length(length: int) -> None:
 
 
 def hex_encode_array(words: np.ndarray, length: int) -> list[str]:
-    """:func:`hex_encode` of every entry of a 1-D integer array, by one
-    nibble gather per hex digit."""
+    """:func:`hex_encode` of every entry of a 1-D integer array."""
+    ndigits = (length + 3) // 4
+    return hex_digits_array(words, length).view(f"S{ndigits}").ravel().astype(f"U{ndigits}").tolist()
+
+
+def hex_digits_array(words: np.ndarray, length: int) -> np.ndarray:
+    """The ASCII bytes of :func:`hex_encode_array`, one row of digits per
+    word, as a (words, digits) uint8 array: one nibble gather per digit."""
     _check_array_length(length)
     words = np.asarray(words, dtype=np.int64)
     if words.size and (words.min() < 0 or words.max() >> length):
@@ -182,7 +188,7 @@ def hex_encode_array(words: np.ndarray, length: int) -> list[str]:
     chars = np.empty((words.size, ndigits), dtype=np.uint8)
     for j in range(ndigits):
         chars[:, j] = _HEX_DIGITS[(words >> (4 * j)) & 0xF]
-    return chars.view(f"S{ndigits}").ravel().astype(f"U{ndigits}").tolist()
+    return chars
 
 
 def hex_decode_array(texts: list[str], length: int) -> np.ndarray:

@@ -209,7 +209,7 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
     return CayleyGraph(dim=m, generators=gens, name=f"{tag}-m{m}")
 
 
-def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along one axis (the last by
     default), whose length must be a power of two, in a's dtype; a is left
     unchanged.
@@ -223,19 +223,27 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     one, so stage j combines bit j and after all log2(n) stages natural
     order is back.  That is the bit order (0 first) and the same two
     operations on the same pairs as the strided butterfly, so the result is
-    bit-identical to it.  Both ping-pong buffers come from one allocation,
-    which the result shares.
+    bit-identical to it.
+
+    The stages ping-pong between two buffers, which the result shares.  By
+    default they are one new allocation.  work=(w0, w1) lends them instead:
+    two C-contiguous arrays of a's size and dtype that overlap neither a nor
+    each other.  Stage j writes w[j % 2], so the result is a view of
+    w[(log2(n) - 1) % 2] (of w0 when n = 1) and the other half is left as
+    scratch.  a itself may be a strided view; only the reshape to (pre, n,
+    post) may copy it.
     """
     a = np.asarray(a)
     shape, axis = a.shape, range(a.ndim)[axis]
     n = shape[axis]
     if n < 1 or n & (n - 1):
         raise ValueError(f"fwht needs a power-of-two length, got {n}")
-    if n == 1:
-        return a.copy()
     half = n // 2
     x = a.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
-    bufs = np.empty((2, *x.shape), a.dtype)
+    bufs = np.empty((2, *x.shape), a.dtype) if work is None else _work_pair(work, a, x.shape)
+    if n == 1:
+        np.copyto(bufs[0], x)
+        return bufs[0].reshape(shape)
     for stage in range(n.bit_length() - 1):
         out = bufs[stage % 2]
         lo, hi = x[:, 0::2], x[:, 1::2]
@@ -243,6 +251,24 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
         np.subtract(lo, hi, out=out[:, half:])
         x = out
     return x.reshape(shape)
+
+
+def _work_pair(work, a: np.ndarray, shape: tuple) -> list[np.ndarray]:
+    """fwht's lent buffers, checked and viewed in the (pre, n, post) shape."""
+    if len(work) != 2:
+        raise ValueError("fwht's work must be a pair of arrays")
+    bufs = []
+    for w in work:
+        if not isinstance(w, np.ndarray) or w.dtype != a.dtype or w.size != a.size:
+            raise ValueError(f"each fwht work array must be a {a.dtype} array of {a.size} items")
+        if not w.flags.c_contiguous:
+            raise ValueError("each fwht work array must be C-contiguous")
+        if np.shares_memory(w, a):
+            raise ValueError("an fwht work array overlaps the input")
+        bufs.append(w.reshape(shape))
+    if np.shares_memory(*bufs):
+        raise ValueError("the two fwht work arrays overlap")
+    return bufs
 
 
 def character_table(G: CayleyGraph) -> np.ndarray:

@@ -61,3 +61,10 @@ def g8_f(g8_system):
 def mono_system():
     params = WalkParams(m=3, s=2, ell=3)
     return ReplacementSystem(build_complete_selfloop(3), build_aghp(6, 3), params)
+
+
+@pytest.fixture(scope="session")
+def witness():
+    # the benchmark's witness-dp system: one 2 MiB float table per level
+    params = WalkParams(m=3, s=5, ell=5)
+    return ReplacementSystem(build_complete_selfloop(3), build_aghp(15, 5), params)

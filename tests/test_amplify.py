@@ -15,6 +15,8 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from widewalk import (
 )
 from widewalk.amplify import (
     DpTable,
+    _wide_tables,
     check_base_case,
     check_bias_reduction_lemma,
     check_first_step_trick,
@@ -44,7 +47,7 @@ from widewalk.amplify import (
     moments,
     verify_induction_arithmetic,
 )
-from widewalk.graphs import cayley_average
+from widewalk.graphs import cayley_average, character_table, fwht
 
 import walk_oracle as oracle
 
@@ -188,13 +191,86 @@ def full_transform_levels(sys, f, levels, kind):
     return tables
 
 
-def test_wide_levels_equal_the_full_transform_reference(flagship, g8_system, mono_system):
+def allocating_levels(sys, f, levels, kind, last_only=False):
+    """Reference: the mixed-domain level loop as it stood before it kept one
+    working set per call.  Every step allocates fwht's two buffers for each
+    block-1 transform, a moveaxis copy and the take; every returned level a
+    transform, a divide, a transposed copy and the sign product."""
+    n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
+    rest = sys.num_inner // d
+    blocks = (n_a,) + (d,) * s
+    chars = character_table(sys.inner).reshape((d,) * s).T / (d * sys.params.d_inner)
+    if kind == "g":
+        chars, roll = np.moveaxis(chars, 0, -1), (-1, 1)
+    else:
+        roll = (1, -1)
+    chars = chars.reshape(d, rest)
+    rows = ((np.arange(n_a)[:, None] ^ sys.outer.generators) * d + np.arange(d)).ravel()
+    signs = np.repeat(f.signs, d)[:, None]
+
+    def table(x, k):
+        primal = (fwht(x) / rest).reshape(blocks).transpose(0, *range(s, 0, -1))
+        return DpTable(f.signs[:, None] * primal.reshape(n_a, sys.num_inner), k, kind)
+
+    x = np.zeros((n_a * d, rest))
+    x[:, 0] = rest
+    tables = []
+    for k in range(levels + 1):
+        if k:
+            y = fwht(x.reshape(n_a, d, rest), axis=1)
+            y *= chars
+            y = np.moveaxis(y.reshape(blocks), *roll).reshape(n_a, d, rest)
+            x = fwht(y, axis=1).reshape(n_a * d, rest).take(rows, axis=0)
+        if k == levels or not last_only:
+            tables.append(table(x, k))
+        x *= signs
+    return tables
+
+
+def test_wide_tables_equal_the_allocating_loop_byte_for_byte(flagship, witness):
+    # m = 1, 2 and 3: which half of the work pair a block-1 transform ends
+    # in follows the parity of m
+    tracer = ReplacementSystem(build_complete_selfloop(1), build_aghp(2, 1), WalkParams(1, 2, 1))
+    cases = [(tracer, SignedFn.from_support(2, {0}), 8)]
+    cases += [(flagship, SignedFn.from_support(4, sup), 20) for sup in ({0}, {0, 3}, {1, 2, 3})]
+    cases += [(witness, SignedFn.from_support(8, sup), 6) for sup in ({0, 1, 2}, {2, 6, 7})]
+    for sys, f, levels in cases:
+        for kind in ("g", "gbar"):
+            for last_only in (False, True):
+                got = _wide_tables(sys, f, levels, kind, last_only)
+                want = allocating_levels(sys, f, levels, kind, last_only)
+                assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
+                for a, b in zip(got, want):
+                    assert a.values.shape == b.values.shape and a.values.flags.c_contiguous
+                    assert a.values.tobytes() == b.values.tobytes(), (sys.params, kind, a.level)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees numpy and Python allocate in call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_walk_working_set_is_one_block_per_call(witness):
+    # in units of one n_A * n_B float64 table (2 MiB on the witness): the
+    # level loop holds three (x and fwht's work pair), the identity nothing
+    # more, dp_gk_level one returned table more and dp_gk seven
+    f = SignedFn.from_support(8, {0, 1, 2})
+    tables = dp_gk(witness, f, 6)  # also builds the system's lazy tables
+    table = tables[0].values.nbytes
+    assert traced_peak(lambda: dp_gk_level(witness, f, 6)) < 4.5 * table
+    assert traced_peak(lambda: dp_gk(witness, f, 6)) < 10.5 * table
+    assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 4 * table
+
+
+def test_wide_levels_equal_the_full_transform_reference(flagship, g8_system, mono_system, witness):
     # exact float equality at every level (a zero may change its sign: the
     # last operation that makes it differs); the flagship balanced tables
     # are also pinned byte for byte above
-    witness = ReplacementSystem(
-        build_complete_selfloop(3), build_aghp(15, 5), WalkParams(m=3, s=5, ell=5)
-    )
     cases = [(flagship, SignedFn.from_support(4, sup), 20) for sup in
              ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     cases += [(sys, f, 12) for sys in (g8_system, mono_system)
@@ -430,6 +506,31 @@ def test_middle_start_identity(flagship, flagship_f, flagship_tables, g8_system,
     assert abs(chk8.direct - chk8.via) <= 1e-9
     with pytest.raises(ValueError):
         check_middle_start_identity(flagship, flagship_f, 5, flagship_tables)
+
+
+def full_transform_via(sys, f, k, tables):
+    """Reference: the via side as check_middle_start_identity took it before
+    it used Parseval: the primal gbar_s times a full-transform
+    cayley_average of the shifted g_{k-s}."""
+    s = sys.params.s
+    gbar = dp_backwards(sys, f, s)[s].values
+    rest = tables[k - s].values
+    return float((f.signs[:, None] * gbar * cayley_average(rest[:, sys.shift], sys.inner)).mean())
+
+
+def test_middle_start_identity_is_exact_on_the_witness(witness):
+    # nonzero signed means that both sides reach exactly; a via side that
+    # undoes the shift in place of applying it misses by 5e-6 or more
+    for sup in ({0, 1, 2}, {0, 3, 5}, {2, 6, 7}):
+        f = SignedFn.from_support(8, sup)
+        tables = dp_gk(witness, f, 7)
+        for k in (6, 7):
+            chk = check_middle_start_identity(witness, f, k, tables)
+            assert chk.direct != 0.0
+            assert chk.residual == 0.0 and chk.passed
+            assert chk.via == full_transform_via(witness, f, k, tables), (sup, k)
+        # without tables the check runs its own levels and agrees
+        assert check_middle_start_identity(witness, f, 6) == check_middle_start_identity(witness, f, 6, tables)
 
 
 def test_eps_sequence_nonincreasing_on_admissible_instance(mono_system):

@@ -17,7 +17,7 @@ from widewalk.cli import (
     main,
 )
 from widewalk.code import LinearCode
-from widewalk.graphs import CayleyGraph, build_complete_selfloop
+from widewalk.graphs import CayleyGraph, build_aghp, build_complete_selfloop
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -62,6 +62,28 @@ def test_graph_aghp_json_output(tmp_path, capsys):
     # the flat payload doubles as a loadable graph file
     g = CayleyGraph.from_json(out.read_text())
     assert g.dim == 4 and g.degree == 16
+
+
+def test_graph_json_streams_the_bytes_json_dumps_writes(tmp_path, capsys):
+    # the generator list is written from the int64 array in batches of 4096
+    # words; the document must be the one json.dumps(indent=2) writes with
+    # the list of hex strings: one, several, and an inexact number of
+    # batches, digit counts 1..7, and dims that are not a multiple of 4
+    cases = [(["graph", "aghp", "--r", str(r), "--ell", str(ell)], build_aghp(r, ell))
+             for r, ell in ((2, 1), (4, 2), (9, 4), (16, 8), (25, 6))]
+    cases += [(["graph", "complete", "--m", str(m), *flag], build_complete_selfloop(m, not flag))
+              for m, flag in ((1, []), (3, []), (13, ["--no-selfloop"]))]
+    for argv, g in cases:
+        capsys.readouterr()
+        assert main(argv) == EXIT_PASS
+        text = capsys.readouterr().out
+        expected = json.loads(text)
+        expected["generators"] = g.to_json_dict()["generators"]
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n", argv
+        out = tmp_path / "g.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        assert out.read_text() == text
+        assert CayleyGraph.from_json(text) == g
 
 
 def test_graph_aghp_invalid_params(capsys):

@@ -305,6 +305,43 @@ def test_fwht_along_any_axis_is_the_strided_butterfly_on_that_axis():
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def test_fwht_with_a_work_pair_is_bit_identical_and_ends_in_the_stage_parity_half():
+    rng = np.random.default_rng(10)
+    for shape, axis in (((8,), 0), ((1,), 0), ((3, 8), 1), ((4, 2, 5), 1), ((2, 16, 3, 4), 1),
+                        ((2, 16, 3, 4), 3), ((8, 8, 8), 0)):
+        x = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 41, shape))
+        for view in (x, np.moveaxis(x, axis, -1)):  # contiguous and strided inputs
+            ax = axis if view is x else -1
+            before = view.copy()
+            block = np.full((3, x.size), np.nan)
+            got = fwht(view, axis=ax, work=(block[1], block[2]))
+            assert got.tobytes() == fwht(view, axis=ax).tobytes()
+            assert np.array_equal(view, before)  # input left unchanged
+            stages = view.shape[ax].bit_length() - 1
+            assert np.shares_memory(got, block[1 + max(stages - 1, 0) % 2])
+            assert np.isnan(block[0]).all()  # nothing outside the pair is written
+    ints = rng.integers(-99, 99, (4, 16))
+    work = np.empty((2, 64), dtype=np.int64)
+    assert fwht(ints, work=work).tobytes() == fwht(ints).tobytes()
+
+
+def test_fwht_refuses_a_work_pair_that_overlaps_or_does_not_fit():
+    block = np.zeros((3, 64))
+    x = block[0].reshape(4, 16)
+    for work in ((block[0], block[1]), (block[1], block[0]), (block[1], block[1]),
+                 (block.ravel()[32:96], block[2])):
+        with pytest.raises(ValueError, match="overlap"):
+            fwht(x, work=work)
+    # a strided view of one half overlaps that half too
+    with pytest.raises(ValueError, match="overlap"):
+        fwht(np.moveaxis(block[1].reshape(4, 16), 0, 1), axis=0, work=(block[1], block[2]))
+    for work in ((block[1],), (block[1][:32], block[2][:32]),
+                 (block[1].astype(np.float32), block[2]), (np.zeros((64, 2))[:, 0], block[2])):
+        with pytest.raises(ValueError):
+            fwht(x, work=work)
+    assert np.array_equal(block, np.zeros((3, 64)))
+
+
 def brute_average(values, g):
     idx = np.arange(g.num_vertices)
     return sum(values[..., idx ^ u] for u in g.generators) / g.degree

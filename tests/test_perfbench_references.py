@@ -21,14 +21,16 @@ def load_workloads():
 
 def check_part(wl, refs, seed: int, part: str) -> list[str]:
     """Run the jobs of one part of inprocess-exact for one seed, in run
-    order, assert that workloads.check finds no failure, and return their
-    names."""
+    order, after its checked set-up outputs, assert that workloads.check
+    finds no failure, and return their names."""
     inp = wl.inputs("inprocess-exact", seed)
     ctx = wl.setup(widewalk, inp)
     names = []
-    for job, thunk in wl.jobs(widewalk, ctx, inp):
+    outputs = wl.setup_outputs(ctx) + [(job, thunk()) for job, thunk in wl.jobs(widewalk, ctx, inp)
+                                       if job.startswith(part + "/")]
+    for job, out in outputs:
         if job.startswith(part + "/"):
-            assert wl.check(job, thunk(), inp, refs, ctx) == [], (seed, job)
+            assert wl.check(job, out, inp, refs, ctx) == [], (seed, job)
             names.append(job.split("/", 1)[1])
     return names
 
@@ -46,4 +48,13 @@ def test_witness_dp_jobs_match_the_references():
     wl = load_workloads()
     assert check_part(wl, wl.load_references(), 0, "witness-dp") == [
         "dp_gk", "base-case", "induction", "bias-lemma", "middle-start-identity"
+    ]
+
+
+def test_spectra_hitting_jobs_match_the_references():
+    # spectrum and the hitting DP run on graphs.fwht, and the set-up
+    # outputs are the two AGHP graphs whose generator digests are pinned
+    wl = load_workloads()
+    assert check_part(wl, wl.load_references(), 0, "spectra-hitting") == [
+        "build-aghp20", "build-aghp10", "spectrum-aghp20", "hitting", "arithmetic"
     ]
