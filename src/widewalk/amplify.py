@@ -126,7 +126,7 @@ def _wide_levels(
     sys: ReplacementSystem, f: SignedFn, levels: int, kind: str
 ) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """Levels 0..levels of the wide-walk recursion from g_0(a, b) = f(a),
-    yielded as (k, x, work) in the mixed domain described below.  A forward
+    yielded as (k, x, (w0, w1)) in the mixed domain described below.  A forward
     level ("g") averages the shifted table over the inner generators, the
     step shift(b ^ u); a backward level ("gbar") averages first and undoes
     the shift after, the step shift_inverse(b) ^ u.  Both then take the row
@@ -144,19 +144,17 @@ def _wide_levels(
     butterfly stages a level, where two full transforms take 2*m*s.
 
     Working set: one (3, n_A * n_B) float64 block, allocated once per call,
-    holds x and fwht's work pair, and every step stays inside it.  The first
-    transform reads x and ends in one half of the pair; the roll is a view
-    of that half ("g") or one copy into the other half ("gbar"); the second
-    transform reads the rolled half and ends in the other one, with x as its
-    scratch (which half a transform ends in follows the parity of m, see
-    fwht); and np.take gathers the rows back into x.  x and work are reused
-    by the next step: a caller reads x, and may use work as scratch, before
-    it resumes the loop.
+    holds x, w0 and w1, and every step stays inside it.  The first transform
+    reads x and ends in w0; the roll is a view of w0 ("g") or one copy into
+    w1 ("gbar"); the second transform reads the rolled table and ends in the
+    free one of w0 and w1, with x as its scratch; and np.take gathers the
+    rows back into x.  All three are reused by the next step: a caller reads
+    x, and may use (w0, w1) as scratch, before it resumes the loop.
     """
     _require_f(sys, f)
     if levels < 0:
         raise ValueError(f"the level count must be nonnegative, got {levels}")
-    n_a, d, m, s = sys.num_outer, sys.params.d_outer, sys.params.m, sys.params.s
+    n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     rest = sys.num_inner // d  # cells of blocks 2..s
     blocks = (n_a,) + (d,) * s
     # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
@@ -168,25 +166,24 @@ def _wide_levels(
     signs = np.repeat(f.signs, d)[:, None]
 
     block = np.empty((3, n_a * sys.num_inner))
-    x, work = block[0].reshape(n_a * d, rest), (block[1], block[2])
+    x, w0, w1 = block[0].reshape(n_a * d, rest), block[1], block[2]
     # level 0 is the constant 1, which has only the zero frequency of blocks 2..s
     x.fill(0.0)
     x[:, 0] = rest
     for k in range(levels + 1):
         if k:
             x *= signs
-            y = fwht(x.reshape(n_a, d, rest), axis=1, work=work)
+            y = fwht(x.reshape(n_a, d, rest), axis=1, work=(w0, w1))
             y *= chars
-            spare = work[m % 2]  # the half the transform did not end in
-            if kind == "g":  # block s moves to the front: a view of y
-                rolled, out = np.moveaxis(y.reshape(blocks), -1, 1), spare
-            else:  # block 1 moves to the back: one copy into the spare half
-                rolled, out = spare.reshape(blocks), y
+            if kind == "g":  # block s moves to the front: a view of w0
+                rolled, work = np.moveaxis(y.reshape(blocks), -1, 1), (w1, x)
+            else:  # block 1 moves to the back: one copy into w1
+                rolled, work = w1.reshape(blocks), (w0, x)
                 np.copyto(rolled, np.moveaxis(y.reshape(blocks), 1, -1))
-            z = fwht(rolled.reshape(n_a, d, rest), axis=1, work=(out, x) if m % 2 else (x, out))
+            z = fwht(rolled.reshape(n_a, d, rest), axis=1, work=work)
             # the rows are in range, and mode="wrap" lets take write into x unbuffered
             np.take(z.reshape(n_a * d, rest), rows, axis=0, out=x, mode="wrap")
-        yield k, x, work
+        yield k, x, (w0, w1)
 
 
 def _wide_tables(
@@ -586,15 +583,14 @@ def check_middle_start_identity(
     if tables is None or len(tables) <= k:
         tables = dp_gk(sys, f, k)
     direct = float(tables[k].values.mean())
-    n_a, n_b, d, m = sys.num_outer, sys.num_inner, sys.params.d_outer, sys.params.m
-    for _, x, work in _wide_levels(sys, f, s, "gbar"):
+    n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
+    for _, x, (w0, w1) in _wide_levels(sys, f, s, "gbar"):
         pass  # the loop ends with x = gbar_s before its sign, in the mixed domain
-    ghat = fwht(x.reshape(n_a, d, n_b // d), axis=1, work=work).reshape(n_a, n_b)
-    free = (x, work[m % 2])  # the buffers the transform did not end in
-    rhat = fwht(np.asarray(tables[k - s].values, dtype=np.float64), work=free)
-    # R^[:, shift] in the block-1-first order of the loop, gathered into the other free half
+    ghat = fwht(x.reshape(n_a, d, n_b // d), axis=1, work=(w0, w1)).reshape(n_a, n_b)
+    rhat = fwht(np.asarray(tables[k - s].values, dtype=np.float64), work=(w1, x))
+    # R^[:, shift] in the block-1-first order of the loop, gathered into x
     order = np.arange(n_b).reshape((d,) * s).T.ravel()
-    out = free[(m * s) % 2].reshape(n_a, n_b)
+    out = x.reshape(n_a, n_b)
     np.take(rhat, sys.shift[order], axis=1, out=out, mode="wrap")
     ghat *= character_table(sys.inner).reshape((d,) * s).T.ravel()
     ghat *= out

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .code import (
     encode as encode_message,
     gen_base_code,
 )
-from .gf2core import hex_digits_array, parse_hex
+from .gf2core import parse_hex
 from .graphs import (
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
@@ -80,37 +79,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-class _HexWords:
-    """A list of hex_encode words for a top-level key of a JSON document,
-    written from the int64 array in batches: the same bytes that
-    json.JSONEncoder(indent=2) writes for the list of strings, without
-    building that list."""
-
-    BATCH = 1 << 12
-
-    def __init__(self, words: np.ndarray, length: int):
-        self.words, self.length = words, length
-
-    def chunks(self) -> Iterator[str]:
-        n = self.words.size
-        if not n:
-            yield "[]"
-            return
-        # one row per word: newline, the 4-space indent of depth 2, the
-        # quoted digits and the item separator; the last row drops its comma
-        ndigits = (self.length + 3) // 4
-        yield "["
-        for start in range(0, n, self.BATCH):
-            digits = hex_digits_array(self.words[start:start + self.BATCH], self.length)
-            rows = np.empty((len(digits), ndigits + 8), dtype=np.uint8)
-            rows[:, :6] = np.frombuffer(b'\n    "', dtype=np.uint8)
-            rows[:, 6:-2] = digits
-            rows[:, -2:] = np.frombuffer(b'",', dtype=np.uint8)
-            text = rows.tobytes().decode("ascii")
-            yield text if start + self.BATCH < n else text[:-1]
-        yield "\n  ]"
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -124,51 +92,33 @@ def _emit(
     columns: tuple[str, ...],
     rows: Optional[list[dict]] = None,
     flat: bool = False,
+    graph: Optional[CayleyGraph] = None,
 ) -> None:
     """Write one run to --out or stdout, the only place that knows the formats.
 
     JSON: {"schema_version", "run": header} with the payload under "report",
-    or merged in when flat; streamed chunk by chunk, so a large payload is
-    never held as one string.  A _HexWords value of a flat payload is
-    encoded as a marker string, and its chunks take that marker's place.
+    or merged in when flat, as one json.dumps string.  A graph's flat
+    payload holds null for "generators", and graph.generators_json writes
+    the list in its place, chunk by chunk.
     CSV: "# " + the header as one JSON line, the column names, then those
     columns of rows (default payload["rows"]), the same dicts the JSON
-    prints.
+    prints, as one string.
     """
     if args.format == "csv":
         lines = ["# " + json.dumps(header, sort_keys=True, default=_json_default), ",".join(columns)]
         for row in payload["rows"] if rows is None else rows:
             lines.append(",".join(_csv_cell(row[c]) for c in columns))
-        chunks = [line + "\n" for line in lines]
+        chunks = ["\n".join(lines) + "\n"]
     else:
         doc = {"schema_version": SCHEMA_VERSION, "run": header}
         if flat:
             doc.update(payload)
         else:
             doc["report"] = payload
-        streamed = {}
-
-        def default(obj):
-            if isinstance(obj, _HexWords):
-                marker = f"\0hex-words-{len(streamed)}"
-                streamed[json.dumps(marker)] = obj
-                return marker
-            return _json_default(obj)
-
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
-        chunks = itertools.chain.from_iterable(
-            streamed[c].chunks() if c in streamed else (c,) for c in encoder.iterencode(doc))
-        chunks = itertools.chain(chunks, ["\n"])
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+        chunks = [text] if graph is None else graph.generators_json(text)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        # a write per chunk would cost more than the encoding; join about 64 KiB first
-        batch, size = [], 0
-        for chunk in chunks:
-            batch.append(chunk)
-            size += len(chunk)
-            if size >= 1 << 16:
-                out.write("".join(batch))
-                batch, size = [], 0
-        out.write("".join(batch))
+        out.writelines(chunks)
 
 
 def _decimal(kind):
@@ -264,15 +214,15 @@ def _parse_set(spec: str, n: int) -> list[int]:
 
 
 def _emit_graph(args, g: CayleyGraph, **extra) -> int:
-    # CayleyGraph.to_json_dict, with the generators streamed from the array
-    payload = {"name": g.name, "dim": g.dim, "generators": _HexWords(g.generators, g.dim),
-               "multigraph": g.multigraph}
+    # the fields of CayleyGraph.to_json; _emit writes the generators
+    payload = {"name": g.name, "dim": g.dim, "generators": None, "multigraph": g.multigraph}
     if g.dim <= SPECTRUM_SCAN_LIMIT:
         rep = spectrum(g)
         payload["lambda"] = rep.lam
         payload["lambda_exact"] = rep.lambda_exact
     row = {**payload, "degree": g.degree, "lambda": payload.get("lambda")}
-    _emit(args, _header(args, **extra), payload, ("name", "dim", "degree", "lambda"), [row], flat=True)
+    _emit(args, _header(args, **extra), payload, ("name", "dim", "degree", "lambda"), [row],
+          flat=True, graph=g)
     return EXIT_PASS
 
 

@@ -5,7 +5,8 @@ array of them), bit 0 the least significant position: addition is ``^``
 and the inner product <x, y> is the parity of ``x & y``.  Serialization
 is lowercase hex with the least significant nibble first, so the wire
 format is bit-exact and independent of word length padding; one word at a
-time for Python ints, or a whole int64 array at once.
+time for Python ints, or a whole int64 array at once (decoding to it, or
+encoding it to an array of ASCII digits).
 
 Field elements of GF(2^ell) are polynomials over F_2 encoded the same way
 (bit i is the coefficient of x^i), reduced modulo a fixed irreducible
@@ -166,24 +167,11 @@ _HEX_VALUES[_HEX_DIGITS] = np.arange(16)
 _HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
-def _check_array_length(length: int) -> None:
-    if not 0 < length < 64:
-        raise ValueError(f"array words are int64: length must be in 1..63, got {length}")
-
-
-def hex_encode_array(words: np.ndarray, length: int) -> list[str]:
-    """:func:`hex_encode` of every entry of a 1-D integer array."""
-    ndigits = (length + 3) // 4
-    return hex_digits_array(words, length).view(f"S{ndigits}").ravel().astype(f"U{ndigits}").tolist()
-
-
 def hex_digits_array(words: np.ndarray, length: int) -> np.ndarray:
-    """The ASCII bytes of :func:`hex_encode_array`, one row of digits per
-    word, as a (words, digits) uint8 array: one nibble gather per digit."""
-    _check_array_length(length)
-    words = np.asarray(words, dtype=np.int64)
-    if words.size and (words.min() < 0 or words.max() >> length):
-        raise ValueError(f"a word is out of range for {length}-bit words")
+    """The ASCII digits of :func:`hex_encode` of every entry of a 1-D int64
+    array of length-bit words, as a (words, digits) uint8 array: one nibble
+    gather per digit.  The words must be in range, as a CayleyGraph's are;
+    they are not checked here."""
     ndigits = (length + 3) // 4
     chars = np.empty((words.size, ndigits), dtype=np.uint8)
     for j in range(ndigits):
@@ -194,7 +182,8 @@ def hex_digits_array(words: np.ndarray, length: int) -> np.ndarray:
 def hex_decode_array(texts: list[str], length: int) -> np.ndarray:
     """:func:`hex_decode` of every string at once, as an int64 array
     (ASCII hex digits only)."""
-    _check_array_length(length)
+    if not 0 < length < 64:
+        raise ValueError(f"array words are int64: length must be in 1..63, got {length}")
     ndigits = (length + 3) // 4
     if any(len(h) != ndigits for h in texts):
         raise ValueError(f"expected {ndigits} hex digits for every {length}-bit word")

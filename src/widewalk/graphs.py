@@ -13,15 +13,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode_array, hex_encode_array
+from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode_array, hex_digits_array
 
 SPECTRUM_SCAN_LIMIT = 24  # largest dim for an exhaustive character scan
 AGHP_MAX_DIM = 62  # generator words are built as int64 and must not wrap
 AGHP_MAX_GENERATORS = 1 << 24  # largest generator array a builder allocates (128 MiB)
+GENERATOR_BATCH = 1 << 12  # words per chunk of CayleyGraph.generators_json
 
 _JSON_KINDS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -107,16 +108,37 @@ class CayleyGraph:
     def num_vertices(self) -> int:
         return 1 << self.dim
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "generators": hex_encode_array(self.generators, self.dim),
-            "multigraph": self.multigraph,
-        }
+    def generators_json(self, document: str) -> Iterator[str]:
+        """document, a json.dumps(indent=2) text whose top-level "generators"
+        field is null, in chunks, with that null replaced by this graph's
+        generator list: the bytes json.dumps(indent=2) writes there for the
+        list of hex_encode strings of the words, written from the int64
+        array GENERATOR_BATCH words a chunk without building that list.
+
+        The words were range-checked when the graph was built, so nothing
+        here checks them again, and nothing can raise once the first chunk
+        is out."""
+        head, tail = document.split('"generators": null')
+        yield head + '"generators": ['
+        # one row per word: newline, the 4-space indent of depth 2, the
+        # quoted digits and the item separator; the last row drops its comma
+        n, ndigits = self.degree, (self.dim + 3) // 4
+        for start in range(0, n, GENERATOR_BATCH):
+            digits = hex_digits_array(self.generators[start:start + GENERATOR_BATCH], self.dim)
+            rows = np.empty((len(digits), ndigits + 8), dtype=np.uint8)
+            rows[:, :6] = np.frombuffer(b'\n    "', dtype=np.uint8)
+            rows[:, 6:-2] = digits
+            rows[:, -2:] = np.frombuffer(b'",', dtype=np.uint8)
+            text = rows.tobytes().decode("ascii")
+            yield text if start + GENERATOR_BATCH < n else text[:-1]
+        yield "\n  ]" + tail
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """{"name", "dim", "generators", "multigraph"} as json.dumps(indent=2)
+        writes it, the generators as their hex_encode strings."""
+        fields = {"name": self.name, "dim": self.dim, "generators": None,
+                  "multigraph": self.multigraph}
+        return "".join(self.generators_json(json.dumps(fields, indent=2)))
 
     @classmethod
     def from_json(cls, text: str) -> "CayleyGraph":
@@ -225,32 +247,32 @@ def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
     operations on the same pairs as the strided butterfly, so the result is
     bit-identical to it.
 
-    The stages ping-pong between two buffers, which the result shares.  By
-    default they are one new allocation.  work=(w0, w1) lends them instead:
-    two C-contiguous arrays of a's size and dtype that overlap neither a nor
-    each other.  Stage j writes w[j % 2], so the result is a view of
-    w[(log2(n) - 1) % 2] (of w0 when n = 1) and the other half is left as
-    scratch.  a itself may be a strided view; only the reshape to (pre, n,
-    post) may copy it.
+    The stages ping-pong between two buffers, one of which holds the
+    result.  By default they are one new allocation.  work=(out, scratch)
+    lends them instead: two C-contiguous arrays of a's size and dtype that
+    overlap neither a nor each other.  Stage j of log2(n) writes
+    work[(log2(n) - 1 - j) % 2], so the last stage writes out and the
+    result is always a view of out (a length-1 axis is copied into it);
+    scratch is left as scratch.  a itself may be a strided view; only the
+    reshape to (pre, n, post) may copy it.
     """
     a = np.asarray(a)
     shape, axis = a.shape, range(a.ndim)[axis]
     n = shape[axis]
     if n < 1 or n & (n - 1):
         raise ValueError(f"fwht needs a power-of-two length, got {n}")
-    half = n // 2
+    half, stages = n // 2, n.bit_length() - 1
     x = a.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
     bufs = np.empty((2, *x.shape), a.dtype) if work is None else _work_pair(work, a, x.shape)
-    if n == 1:
+    if not stages:
         np.copyto(bufs[0], x)
-        return bufs[0].reshape(shape)
-    for stage in range(n.bit_length() - 1):
-        out = bufs[stage % 2]
+    for stage in range(stages):
+        out = bufs[(stages - 1 - stage) % 2]
         lo, hi = x[:, 0::2], x[:, 1::2]
         np.add(lo, hi, out=out[:, :half])
         np.subtract(lo, hi, out=out[:, half:])
         x = out
-    return x.reshape(shape)
+    return bufs[0].reshape(shape)
 
 
 def _work_pair(work, a: np.ndarray, shape: tuple) -> list[np.ndarray]:
@@ -375,7 +397,9 @@ def mixing_check(
     gv = _as_vertex_array(g, n)
     if lam is None:
         lam = spectrum(G).lam
-    edge_mean = float(np.dot(fv, cayley_average(gv, G))) / n
+    # an elementwise product and sum, not np.dot: BLAS's thread pool, once
+    # started, slows every later numpy call of the process
+    edge_mean = float((fv * cayley_average(gv, G)).sum()) / n
     mu_f, mu_g = float(np.mean(fv)), float(np.mean(gv))
     sigma_f = float(np.sqrt(max(np.mean(fv * fv) - mu_f * mu_f, 0.0)))
     sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))

@@ -228,8 +228,7 @@ def allocating_levels(sys, f, levels, kind, last_only=False):
 
 
 def test_wide_tables_equal_the_allocating_loop_byte_for_byte(flagship, witness):
-    # m = 1, 2 and 3: which half of the work pair a block-1 transform ends
-    # in follows the parity of m
+    # m = 1, 2 and 3: block-1 transforms of odd and even stage counts
     tracer = ReplacementSystem(build_complete_selfloop(1), build_aghp(2, 1), WalkParams(1, 2, 1))
     cases = [(tracer, SignedFn.from_support(2, {0}), 8)]
     cases += [(flagship, SignedFn.from_support(4, sup), 20) for sup in ({0}, {0, 3}, {1, 2, 3})]

@@ -17,6 +17,7 @@ from widewalk.cli import (
     main,
 )
 from widewalk.code import LinearCode
+from widewalk.gf2core import hex_encode
 from widewalk.graphs import CayleyGraph, build_aghp, build_complete_selfloop
 
 
@@ -65,10 +66,10 @@ def test_graph_aghp_json_output(tmp_path, capsys):
 
 
 def test_graph_json_streams_the_bytes_json_dumps_writes(tmp_path, capsys):
-    # the generator list is written from the int64 array in batches of 4096
+    # the generator list is written from the int64 array in chunks of 4096
     # words; the document must be the one json.dumps(indent=2) writes with
-    # the list of hex strings: one, several, and an inexact number of
-    # batches, digit counts 1..7, and dims that are not a multiple of 4
+    # the list of scalar hex_encode strings: one, several, and an inexact
+    # number of chunks, digit counts 1..7, and dims that are not a multiple of 4
     cases = [(["graph", "aghp", "--r", str(r), "--ell", str(ell)], build_aghp(r, ell))
              for r, ell in ((2, 1), (4, 2), (9, 4), (16, 8), (25, 6))]
     cases += [(["graph", "complete", "--m", str(m), *flag], build_complete_selfloop(m, not flag))
@@ -78,7 +79,7 @@ def test_graph_json_streams_the_bytes_json_dumps_writes(tmp_path, capsys):
         assert main(argv) == EXIT_PASS
         text = capsys.readouterr().out
         expected = json.loads(text)
-        expected["generators"] = g.to_json_dict()["generators"]
+        expected["generators"] = [hex_encode(int(w), g.dim) for w in g.generators]
         assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n", argv
         out = tmp_path / "g.json"
         assert main(argv + ["--out", str(out)]) == EXIT_PASS
@@ -661,7 +662,9 @@ def _well_typed(kind, value) -> bool:
 def _fuzzed_object(typical: dict):
     """A JSON object over the keys of typical: either one key set to a
     value of the wrong JSON type (the only fault), or every key
-    independently dropped, kept or set to any JSON value."""
+    independently dropped, kept or set to any JSON value, or every key
+    kept and every integer one set to any of 1..3 (so that more runs get
+    far enough to assert something)."""
     def one_wrong(key):
         wrong = [v for v in _JSON_VALUES if not _well_typed(_FIELD_KINDS[key], v)]
         return st.sampled_from(wrong).map(lambda v: {**typical, key: v})
@@ -672,6 +675,8 @@ def _fuzzed_object(typical: dict):
         st.fixed_dictionaries(
             {}, optional={k: st.one_of(st.just(v), anything) for k, v in typical.items()}
         ),
+        st.fixed_dictionaries({k: st.integers(1, 3) if _FIELD_KINDS[k] is int else st.just(v)
+                               for k, v in typical.items()}),
     )
 
 
@@ -706,6 +711,19 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph,
     capsys.readouterr()
     code = main(argv + ["--budget", "4096"])
     assert code in (EXIT_PASS, EXIT_VIOLATION, EXIT_INVALID, EXIT_BUDGET, EXIT_HYPOTHESES)
+    captured = capsys.readouterr()
     if ill_typed:
         assert code == EXIT_INVALID
-        assert capsys.readouterr().err.count("\n") == 1
+    if code in (EXIT_INVALID, EXIT_BUDGET):
+        # an input or budget error writes one stderr line and no output
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return
+    report = json.loads(captured.out)["report"]  # stdout is one JSON document
+    met = report.get("hypotheses_met", True)
+    if command == "report":
+        failed = not report["bias_bound_vacuous"] and report["bias"] > report["bias_bound"]
+    else:
+        failed = not all(row["pass"] for row in report.get("rows", []))
+    assert (code == EXIT_HYPOTHESES) == (not met)
+    assert (code == EXIT_VIOLATION) == (met and failed)

@@ -8,13 +8,15 @@ expansion is a root count divided by the field size.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from widewalk.gf2core import field_mul
+from widewalk.gf2core import field_mul, hex_encode
 from widewalk.graphs import (
+    GENERATOR_BATCH,
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
     build_aghp,
@@ -305,24 +307,31 @@ def test_fwht_along_any_axis_is_the_strided_butterfly_on_that_axis():
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_fwht_with_a_work_pair_is_bit_identical_and_ends_in_the_stage_parity_half():
+def test_fwht_with_a_work_pair_is_bit_identical_and_ends_in_its_first_array():
+    # stage counts 0..4 (both parities), float and int inputs, the transform
+    # axis first, inner or last, contiguous and strided
     rng = np.random.default_rng(10)
-    for shape, axis in (((8,), 0), ((1,), 0), ((3, 8), 1), ((4, 2, 5), 1), ((2, 16, 3, 4), 1),
-                        ((2, 16, 3, 4), 3), ((8, 8, 8), 0)):
-        x = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 41, shape))
-        for view in (x, np.moveaxis(x, axis, -1)):  # contiguous and strided inputs
-            ax = axis if view is x else -1
-            before = view.copy()
-            block = np.full((3, x.size), np.nan)
-            got = fwht(view, axis=ax, work=(block[1], block[2]))
-            assert got.tobytes() == fwht(view, axis=ax).tobytes()
-            assert np.array_equal(view, before)  # input left unchanged
-            stages = view.shape[ax].bit_length() - 1
-            assert np.shares_memory(got, block[1 + max(stages - 1, 0) % 2])
-            assert np.isnan(block[0]).all()  # nothing outside the pair is written
-    ints = rng.integers(-99, 99, (4, 16))
-    work = np.empty((2, 64), dtype=np.int64)
-    assert fwht(ints, work=work).tobytes() == fwht(ints).tobytes()
+    for stages in range(5):
+        n = 1 << stages
+        for shape, axis in (((n,), 0), ((3, n), 1), ((4, n, 5), 1), ((n, 2, 3), 0)):
+            wide = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 41, shape))
+            ints = rng.integers(-(1 << 40), 1 << 40, shape)
+            for x in (wide, ints):
+                for view, ax in ((x, axis), (np.moveaxis(x, axis, -1), -1)):
+                    before = view.copy()
+                    # the pair is rows 1 and 3 of a block whose other rows must stay untouched
+                    fill = np.nan if x.dtype.kind == "f" else -1
+                    block = np.full((5, x.size), fill, dtype=x.dtype)
+                    out, scratch = block[1], block[3]
+                    got = fwht(view, axis=ax, work=(out, scratch))
+                    want = np.moveaxis(strided_fwht(np.moveaxis(view, ax, -1)), -1, ax)
+                    assert got.shape == view.shape and got.dtype == x.dtype
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+                    assert np.array_equal(view, before)  # input left unchanged
+                    assert np.shares_memory(got, out) and not np.shares_memory(got, scratch)
+                    assert out.tobytes() == got.tobytes()  # got is out in C order
+                    for row in (0, 2, 4):  # nothing outside the pair is written
+                        assert np.array_equal(block[row], np.full(x.size, fill), equal_nan=True)
 
 
 def test_fwht_refuses_a_work_pair_that_overlaps_or_does_not_fit():
@@ -427,6 +436,27 @@ def test_generators_are_read_only_int64():
 def test_json_round_trip():
     for g in (build_aghp(6, 3), build_complete_selfloop(3), CayleyGraph(dim=3, generators=(1, 2))):
         assert CayleyGraph.from_json(g.to_json()) == g
+
+
+def test_to_json_is_json_dumps_of_the_scalar_hex_strings():
+    # the generator list is written from the int64 array in chunks of
+    # GENERATOR_BATCH words: one, several and an inexact number of chunks,
+    # digit counts 1..16, dims that are not a multiple of 4, and a name
+    # that quotes the field the list is spliced into
+    rng = np.random.default_rng(11)
+    top = (1 << 62) - 1
+    wide = np.concatenate([[0, 1, top], rng.integers(0, top, size=5000, endpoint=True)])
+    graphs = [build_aghp(r, ell) for r, ell in ((2, 1), (4, 2), (9, 4), (16, 8), (25, 6))]
+    graphs += [build_complete_selfloop(m, selfloop=m != 13) for m in (1, 3, 13)]
+    graphs.append(CayleyGraph(dim=62, generators=wide, name='w "generators": null \u00e9'))
+    assert any(g.degree > GENERATOR_BATCH and g.degree % GENERATOR_BATCH for g in graphs)
+    for g in graphs:
+        fields = {"name": g.name, "dim": g.dim,
+                  "generators": [hex_encode(int(w), g.dim) for w in g.generators],
+                  "multigraph": g.multigraph}
+        text = g.to_json()
+        assert text == json.dumps(fields, indent=2), g.name
+        assert CayleyGraph.from_json(text) == g
 
 
 def test_mixing_check_equality_at_top_character():

@@ -1,13 +1,16 @@
 """The benchmark's jobs against its pinned references: perfbench/workloads.py
 runs the public calls of each part and judges each output with
-workloads.check against references.json, so a change to those calls that
-the benchmark would count as a failed job fails here first.  perfbench is
-loaded from its file and never changed."""
+workloads.check against references.json, and judges each flagship CLI run
+with workloads.check_cli, so a change to those calls or to the CLI's output
+that the benchmark would count as a failed job fails here first.  perfbench
+is loaded from its file and never changed."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import widewalk
+from widewalk.cli import main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -58,3 +61,23 @@ def test_spectra_hitting_jobs_match_the_references():
     assert check_part(wl, wl.load_references(), 0, "spectra-hitting") == [
         "build-aghp20", "build-aghp10", "spectrum-aghp20", "hitting", "arithmetic"
     ]
+
+
+def test_flagship_cli_jobs_match_the_references(tmp_path, monkeypatch, capsys):
+    # the six CLI jobs of flagship-cli for every support, run in-process
+    # from a directory that holds the benchmark's config and base code, so
+    # the echoed paths are the ones the pinned digests were taken with
+    wl = load_workloads()
+    refs = wl.load_references()
+    (tmp_path / "config.json").write_text(json.dumps(wl.FLAGSHIP_CONFIG))
+    (tmp_path / "base.json").write_text(json.dumps(wl.FLAGSHIP_BASE))
+    monkeypatch.chdir(tmp_path)
+    for support in wl.FLAGSHIP_SUPPORTS:
+        runs = {}
+        for job, argv in wl.flagship_commands(support):
+            capsys.readouterr()
+            code = main(argv)
+            runs[job] = code, capsys.readouterr().out.encode()
+        plain = runs["code-report"][1]
+        for job, (code, stdout) in runs.items():
+            assert wl.check_cli(job, code, stdout, support, refs, plain) == [], (support, job)
