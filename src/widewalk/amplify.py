@@ -23,10 +23,9 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, cayley_average, character_table, fwht, spectrum
+from .graphs import CayleyGraph, cayley_average, character_table, fwht, holds, spectrum
 from .walks import ReplacementSystem
 
-TOL_BOUND = 1e-12
 TOL_IDENTITY = 1e-9
 
 
@@ -241,16 +240,30 @@ def _pure_levels(
 ) -> list[Optional[DpTable]]:
     """Pure-walk tables from level 1 = sign * weight: each further level
     is the sign times the generator average of the previous one."""
-    if f.n != graph.num_vertices:
-        raise ValueError("f size does not match the graph")
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+    _require_pure(graph, f, kmax)
     h = f.signs * weight
     tables: list[Optional[DpTable]] = [None, DpTable(h, 1, kind)]
     for k in range(2, kmax + 1):
         h = f.signs * cayley_average(h, graph)
         tables.append(DpTable(h, k, kind))
     return tables
+
+
+def _require_pure(graph: CayleyGraph, f: SignedFn, kmax: int) -> None:
+    if f.n != graph.num_vertices:
+        raise ValueError("f size does not match the graph")
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+
+
+def _weights(graph: CayleyGraph, H: Union[np.ndarray, Callable[[int], float]]) -> np.ndarray:
+    """H as a float array over the vertices of graph."""
+    if callable(H):
+        return np.array([H(a) for a in range(graph.num_vertices)], dtype=np.float64)
+    w = np.asarray(H, dtype=np.float64)
+    if w.shape != (graph.num_vertices,):
+        raise ValueError("H must be a per-vertex array")
+    return w
 
 
 def dp_hk(graph: CayleyGraph, f: SignedFn, kmax: int) -> list[Optional[DpTable]]:
@@ -266,13 +279,7 @@ def dp_hk_weighted(
 ) -> list[Optional[DpTable]]:
     """Terminal-weighted pure-walk tables: level 1 is sign * H, higher
     levels apply the same sign-times-neighbor-average recursion as dp_hk."""
-    if callable(H):
-        w = np.array([H(a) for a in range(graph.num_vertices)], dtype=np.float64)
-    else:
-        w = np.asarray(H, dtype=np.float64)
-        if w.shape != (graph.num_vertices,):
-            raise ValueError("H must be a per-vertex array")
-    return _pure_levels(graph, f, w, kmax, "hhat")
+    return _pure_levels(graph, f, _weights(graph, H), kmax, "hhat")
 
 
 # ---------------------------------------------------------------------------
@@ -343,33 +350,33 @@ def lemma_hypotheses(
     return ok_bias and ok_lam, detail, lam_a, lam_b
 
 
+def _pure_report(kind: str, graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
+    """A pure-walk report with no rows yet: the arguments checked, then the
+    hypothesis Bias(f) <= sqrt(lambda), as Bias(f)^2 <= lambda exactly on
+    the measured spectrum."""
+    _require_pure(graph, f, kmax)
+    rep = spectrum(graph)
+    met = f.bias_exact**2 <= rep.lambda_exact
+    detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(rep.lam)!r}"
+    return MomentReport(kind, float(rep.lam), f.bias, met, detail)
+
+
 def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
     """Measured pure-walk moments against the eps <= (4*lam)^(k/2)/2 and
     E[h_k^2] <= (4*lam)^(k-1) bounds, lam the measured expansion of the
     graph; hypothesis Bias(f) <= sqrt(lam)."""
-    lam = float(spectrum(graph).lam)
-    met = f.bias <= math.sqrt(lam) + TOL_BOUND
-    detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(lam)!r}"
-    report = MomentReport("pure-walk", lam, f.bias, met, detail)
-    if not met:
+    report = _pure_report("pure-walk", graph, f, kmax)
+    if not report.hypotheses_met:
         return report
+    lam = report.lam
     tables = dp_hk(graph, f, kmax)
     for k in range(1, kmax + 1):
         mom = moments(tables[k])
         bound_eps = 0.5 * (4 * lam) ** (k / 2)
         bound_sq = (4 * lam) ** (k - 1)
-        ok = mom.eps <= bound_eps + TOL_BOUND and mom.second_moment <= bound_sq + TOL_BOUND
-        report.rows.append(
-            LevelRow(
-                k,
-                mom.eps,
-                math.sqrt(mom.second_moment),
-                bound_eps,
-                math.sqrt(bound_sq) if bound_sq >= 0 else None,
-                ok,
-                bound_eps > 1.0,
-            )
-        )
+        ok = holds(mom.eps, bound_eps) and holds(mom.second_moment, bound_sq)
+        rms, bound_rms = math.sqrt(mom.second_moment), math.sqrt(bound_sq)
+        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, bound_eps > 1.0))
     return report
 
 
@@ -380,13 +387,12 @@ def check_weighted_walk_bounds(
     kmax: int,
 ) -> MomentReport:
     """Terminal-weighted analogue: bounds in terms of the level-1 moments."""
-    lam = float(spectrum(graph).lam)
-    met = f.bias <= math.sqrt(lam) + TOL_BOUND
-    detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(lam)!r}"
-    report = MomentReport("weighted-walk", lam, f.bias, met, detail)
-    if not met:
+    weight = _weights(graph, H)
+    report = _pure_report("weighted-walk", graph, f, kmax)
+    if not report.hypotheses_met:
         return report
-    tables = dp_hk_weighted(graph, f, H, kmax)
+    lam = report.lam
+    tables = dp_hk_weighted(graph, f, weight, kmax)
     m1 = moments(tables[1])
     e1, s1 = m1.eps, m1.sigma
     report.extra["eps1"] = e1
@@ -396,11 +402,25 @@ def check_weighted_walk_bounds(
         bound_eps = 2.0 ** (k - 2) * (lam ** ((k - 1) / 2) * e1 + lam ** (k / 2) * s1)
         bound_rms = 2.0 ** (k - 2) * (lam ** ((k - 2) / 2) * e1 + lam ** ((k - 1) / 2) * s1)
         rms = math.sqrt(mom.second_moment)
-        ok = mom.eps <= bound_eps + TOL_BOUND and rms <= bound_rms + TOL_BOUND
-        report.rows.append(
-            LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, bound_eps > 1.0)
-        )
+        ok = holds(mom.eps, bound_eps) and holds(rms, bound_rms)
+        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, bound_eps > 1.0))
     return report
+
+
+def _lemma_report(kind: str, sys: ReplacementSystem, f: SignedFn) -> MomentReport:
+    """A wide-walk report with no rows yet: f checked against the outer
+    graph, then the lemma's hypotheses on the measured spectra."""
+    _require_f(sys, f)
+    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
+    return MomentReport(kind, float(lam_b), f.bias, met, detail)
+
+
+def _tables(
+    sys: ReplacementSystem, f: SignedFn, k: int, tables: Optional[list[DpTable]]
+) -> list[DpTable]:
+    """The caller's dp_gk tables when they reach level k, else dp_gk(sys, f, k):
+    passing one dp_gk list lets several checks share one DP."""
+    return tables if tables is not None and len(tables) > k else dp_gk(sys, f, k)
 
 
 def check_base_case(
@@ -408,14 +428,11 @@ def check_base_case(
 ) -> MomentReport:
     """Wide-walk base-case bounds for k = 0..s:
     eps_k <= (2*lam)^(k+1)/2 and sigma_k <= 2*(2*lam)^(k-1)."""
-    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
-    lam = float(lam_b)
-    report = MomentReport("base-case", lam, f.bias, met, detail)
-    if not met:
+    report = _lemma_report("base-case", sys, f)
+    if not report.hypotheses_met:
         return report
-    s = sys.params.s
-    if tables is None or len(tables) <= s:
-        tables = dp_gk(sys, f, s)
+    lam, s = report.lam, sys.params.s
+    tables = _tables(sys, f, s, tables)
     for k in range(0, s + 1):
         mom = moments(tables[k])
         bound_eps = 0.5 * (2 * lam) ** (k + 1)
@@ -425,7 +442,7 @@ def check_base_case(
             bound_sigma = math.inf
         else:
             bound_sigma = 2.0 * (2 * lam) ** (k - 1)
-        ok = mom.eps <= bound_eps + TOL_BOUND and mom.sigma <= bound_sigma + TOL_BOUND
+        ok = holds(mom.eps, bound_eps) and holds(mom.sigma, bound_sigma)
         report.rows.append(
             LevelRow(
                 k,
@@ -454,17 +471,14 @@ def check_induction_step(
                    *(eps_{k-s} + (2+lam)*sigma_{k-s})/2
                  + lam^s*sigma_{k-s}*sigma_{k-1} + lam^2*sigma_{k-1}^2
     """
-    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
-    lam = float(lam_b)
-    report = MomentReport("induction-step", lam, f.bias, met, detail)
-    if not met:
-        return report
     s = sys.params.s
     if kmax <= s:
         raise ValueError(f"kmax must exceed s={s}")
-    if tables is None or len(tables) <= kmax:
-        tables = dp_gk(sys, f, kmax)
-    mom = [moments(t) for t in tables]
+    report = _lemma_report("induction-step", sys, f)
+    if not report.hypotheses_met:
+        return report
+    lam = report.lam
+    mom = [moments(t) for t in _tables(sys, f, kmax, tables)]
     eps = [m.eps for m in mom]
     sig = [m.sigma for m in mom]
     for k in range(s + 1, kmax + 1):
@@ -477,20 +491,9 @@ def check_induction_step(
             + lam**s * sig[k - s] * sig[k - 1]
             + lam**2 * sig[k - 1] ** 2
         )
-        ok = (
-            eps[k] <= bound_eps + TOL_BOUND
-            and sig[k] ** 2 <= bound_sig_sq + TOL_BOUND
-        )
+        ok = holds(eps[k], bound_eps) and holds(sig[k] ** 2, bound_sig_sq)
         report.rows.append(
-            LevelRow(
-                k,
-                eps[k],
-                sig[k],
-                bound_eps,
-                math.sqrt(max(bound_sig_sq, 0.0)),
-                ok,
-                bound_eps > 1.0,
-            )
+            LevelRow(k, eps[k], sig[k], bound_eps, math.sqrt(bound_sig_sq), ok, bound_eps > 1.0)
         )
     return report
 
@@ -507,23 +510,21 @@ def check_bias_reduction_lemma(
     tables: Optional[list[DpTable]] = None,
 ) -> MomentReport:
     """The headline bound: eps_t <= (2*lambda_B)^(t*(1-4/s)), hypotheses
-    Bias(f) <= lambda_B and lambda_A <= lambda_B^2 (both measured)."""
+    Bias(f) <= lambda_B and lambda_A <= lambda_B^2 (both measured).  Without
+    tables that reach level t it runs dp_gk_level, which keeps one table
+    where dp_gk keeps t+1."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
-    lam = float(lam_b)
-    report = MomentReport("bias-reduction", lam, f.bias, met, detail)
-    if not met:
+    report = _lemma_report("bias-reduction", sys, f)
+    if not report.hypotheses_met:
         return report
-    s = sys.params.s
     table = tables[t] if tables is not None and len(tables) > t else dp_gk_level(sys, f, t)
     mom = moments(table)
-    bound = bias_bound(lam, t, s)
-    vacuous = bound >= 1.0
-    ok = mom.eps <= bound + TOL_BOUND
-    report.rows.append(LevelRow(t, mom.eps, mom.sigma, bound, None, ok, vacuous))
+    bound = bias_bound(report.lam, t, sys.params.s)
+    ok = holds(mom.eps, bound)
+    report.rows.append(LevelRow(t, mom.eps, mom.sigma, bound, None, ok, bound >= 1.0))
     report.extra["eps0"] = f.bias
-    report.extra["eps_t_le_eps0"] = mom.eps <= f.bias + TOL_BOUND
+    report.extra["eps_t_le_eps0"] = holds(mom.eps, f.bias)
     return report
 
 
@@ -538,18 +539,12 @@ def check_first_step_trick(
     if k < 1:
         raise ValueError("k must be at least 1")
     lam = float(spectrum(sys.inner).lam)
-    if tables is None or len(tables) <= k:
-        tables = dp_gk(sys, f, k)
+    tables = _tables(sys, f, k, tables)
     mom_k = moments(tables[k])
     mom_prev = moments(tables[k - 1])
     lhs = mom_k.sigma**2
     rhs = float((mom_prev.eps_a**2).mean()) + lam**2 * mom_prev.sigma**2
-    return InequalityCheck(
-        lhs <= rhs + TOL_BOUND,
-        lhs,
-        rhs,
-        f"k={k} lam={lam!r}",
-    )
+    return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"k={k} lam={lam!r}")
 
 
 def check_middle_start_identity(
@@ -580,8 +575,7 @@ def check_middle_start_identity(
     s = sys.params.s
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
-    if tables is None or len(tables) <= k:
-        tables = dp_gk(sys, f, k)
+    tables = _tables(sys, f, k, tables)
     direct = float(tables[k].values.mean())
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
     for _, x, (w0, w1) in _wide_levels(sys, f, s, "gbar"):

@@ -32,7 +32,6 @@ import numpy as np
 from .amplify import (
     MomentReport,
     SignedFn,
-    TOL_BOUND,
     check_base_case,
     check_bias_reduction_lemma,
     check_induction_step,
@@ -52,6 +51,7 @@ from .graphs import (
     CayleyGraph,
     build_aghp,
     build_complete_selfloop,
+    holds,
     json_field,
     spectrum,
 )
@@ -293,35 +293,29 @@ def _emit_moment(args, resolved: dict, report: MomentReport, **extra) -> int:
     return EXIT_PASS if report.all_passed else EXIT_VIOLATION
 
 
-def _f_for(args, system: ReplacementSystem, resolved: dict) -> SignedFn:
-    spec = args.support if args.support is not None else resolved.get("support", "balanced")
-    resolved["support"] = spec
-    return _resolve_f(spec, system.num_outer)
-
-
-def _cmd_verify_base_case(args) -> int:
-    system, resolved = _load_system(args.config)
-    f = _f_for(args, system, resolved)
-    report = check_base_case(system, f)
-    return _emit_moment(args, resolved, report)
-
-
-def _cmd_verify_induction(args) -> int:
-    system, resolved = _load_system(args.config)
-    f = _f_for(args, system, resolved)
-    kmax = args.kmax if args.kmax is not None else 2 * system.params.s
-    report = check_induction_step(system, f, kmax)
-    return _emit_moment(args, resolved, report, kmax=kmax)
-
-
-def _cmd_verify_bias_lemma(args) -> int:
-    system, resolved = _load_system(args.config)
-    f = _f_for(args, system, resolved)
+def _walk_length(args, resolved: dict) -> int:
+    """--t, else the config's "t"."""
     t = args.t if args.t is not None else resolved.get("t")
     if t is None:
         raise ValueError("walk length required: pass --t or put \"t\" in the config")
-    report = check_bias_reduction_lemma(system, f, int(t))
-    return _emit_moment(args, resolved, report, t=int(t))
+    return t
+
+
+def _cmd_verify_moment(args) -> int:
+    """verify base-case (k = 0..s), induction (k = s+1..kmax, 2s by
+    default) and bias-lemma (one walk length t), for the f of --support,
+    else of the config's "support", else balanced."""
+    system, resolved = _load_system(args.config)
+    spec = args.support if args.support is not None else resolved.get("support", "balanced")
+    resolved["support"] = spec
+    f = _resolve_f(spec, system.num_outer)
+    if args.subcommand == "base-case":
+        return _emit_moment(args, resolved, check_base_case(system, f))
+    if args.subcommand == "induction":
+        kmax = args.kmax if args.kmax is not None else 2 * system.params.s
+        return _emit_moment(args, resolved, check_induction_step(system, f, kmax), kmax=kmax)
+    t = _walk_length(args, resolved)
+    return _emit_moment(args, resolved, check_bias_reduction_lemma(system, f, t), t=t)
 
 
 def _cmd_verify_arithmetic(args) -> int:
@@ -390,11 +384,9 @@ def _cmd_code_gen_base(args) -> int:
 def _amplified_for(args) -> tuple[AmplifiedCode, dict]:
     system, resolved = _load_system(args.config)
     base = LinearCode.from_json(json.loads(Path(args.base).read_text()))
-    t = args.t if args.t is not None else resolved.get("t")
-    if t is None:
-        raise ValueError("walk length required: pass --t or put \"t\" in the config")
-    resolved["t"] = int(t)
-    return AmplifiedCode(base, system, int(t)), resolved
+    t = _walk_length(args, resolved)
+    resolved["t"] = t
+    return AmplifiedCode(base, system, t), resolved
 
 
 def _cmd_code_encode(args) -> int:
@@ -429,7 +421,7 @@ def _cmd_code_report(args) -> int:
         return EXIT_HYPOTHESES
     if report["bias_bound_vacuous"]:
         return EXIT_PASS
-    return EXIT_PASS if report["bias"] <= report["bias_bound"] + TOL_BOUND else EXIT_VIOLATION
+    return EXIT_PASS if holds(report["bias"], report["bias_bound"]) else EXIT_VIOLATION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,65 +449,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
+    def sub(family, name, func, help):
+        """One subcommand of family, with its handler and the common options."""
+        p = family.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        _add_common(p)
+        return p
+
     graph = top.add_parser("graph", help="construct graphs and report expansion")
     gsub = graph.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("aghp", help="small-bias Cayley graph over F_2^r")
+    p = sub(gsub, "aghp", _cmd_graph_aghp, "small-bias Cayley graph over F_2^r")
     p.add_argument("--r", type=_int, required=True)
     p.add_argument("--ell", type=_int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_aghp)
-    p = gsub.add_parser("complete", help="complete graph over F_2^m")
+    p = sub(gsub, "complete", _cmd_graph_complete, "complete graph over F_2^m")
     p.add_argument("--m", type=_int, required=True)
     p.add_argument("--no-selfloop", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_complete)
-    p = gsub.add_parser("spectrum", help="expansion of a stored graph")
+    p = sub(gsub, "spectrum", _cmd_graph_spectrum, "expansion of a stored graph")
     p.add_argument("path")
     p.add_argument("--method", default="character-sum",
                    choices=("character-sum", "dense-eigen"))
-    _add_common(p)
-    p.set_defaults(func=_cmd_graph_spectrum)
 
     verify = top.add_parser("verify", help="run an exact verification suite")
     vsub = verify.add_subparsers(dest="subcommand", required=True)
-
-    def vparser(name, func, **kwargs):
-        q = vsub.add_parser(name, **kwargs)
-        q.set_defaults(func=func)
-        _add_common(q)
-        return q
-
-    p = vparser("pseudorandomness", _cmd_verify_distribution,
-                help="wide walk vs pure walk, exact TV per k")
+    p = sub(vsub, "pseudorandomness", _cmd_verify_distribution,
+            "wide walk vs pure walk, exact TV per k")
     p.add_argument("--config", required=True)
     p.add_argument("--kmax", type=_int, default=None, help="max vertex count (default s+1)")
-    p = vparser("uniformity", _cmd_verify_distribution,
-                help="first-block tuple uniformity for k <= s")
+    p = sub(vsub, "uniformity", _cmd_verify_distribution,
+            "first-block tuple uniformity for k <= s")
     p.add_argument("--config", required=True)
     p.add_argument("--kmax", type=_int, default=None)
-    p = vparser("base-case", _cmd_verify_base_case,
-                help="moment bounds for k = 0..s")
+    p = sub(vsub, "base-case", _cmd_verify_moment, "moment bounds for k = 0..s")
     p.add_argument("--config", required=True)
     p.add_argument("--support", default=None,
                    help='f spec: "balanced", "empty", or hex vertex list')
-    p = vparser("induction", _cmd_verify_induction,
-                help="moment recurrences for k > s")
+    p = sub(vsub, "induction", _cmd_verify_moment, "moment recurrences for k > s")
     p.add_argument("--config", required=True)
     p.add_argument("--support", default=None)
     p.add_argument("--kmax", type=_int, default=None, help="default 2s")
-    p = vparser("bias-lemma", _cmd_verify_bias_lemma,
-                help="end-to-end bias bound at walk length t")
+    p = sub(vsub, "bias-lemma", _cmd_verify_moment, "end-to-end bias bound at walk length t")
     p.add_argument("--config", required=True)
     p.add_argument("--support", default=None)
     p.add_argument("--t", type=_int, default=None)
-    p = vparser("arithmetic", _cmd_verify_arithmetic,
-                help="closed-form-into-recurrence substitutions on a grid")
+    p = sub(vsub, "arithmetic", _cmd_verify_arithmetic,
+            "closed-form-into-recurrence substitutions on a grid")
     p.add_argument("--lambdas", default="0.01,0.05,0.1,0.2,0.25")
     p.add_argument("--s-values", dest="s_values", default="5,8,16,32")
     p.add_argument("--kmax", type=_int, default=200,
                    help="levels s+1..kmax: k cancels, so it changes no row; must exceed every s")
-    p = vparser("hitting", _cmd_verify_hitting,
-                help="confined-walk survival vs closed-form bound")
+    p = sub(vsub, "hitting", _cmd_verify_hitting, "confined-walk survival vs closed-form bound")
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--set", required=True,
                    help='subset: "first-K" or comma-separated hex vertices')
@@ -523,26 +505,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     code = top.add_parser("code", help="base-code search, encoding, bias report")
     csub = code.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("gen-base", help="randomized search for a low-bias base code")
+    p = sub(csub, "gen-base", _cmd_code_gen_base, "randomized search for a low-bias base code")
     p.add_argument("--k", type=_int, required=True)
     p.add_argument("--n0", type=_int, required=True)
     p.add_argument("--target-bias", dest="target_bias", type=_float, required=True)
     p.add_argument("--max-tries", dest="max_tries", type=_int, default=1000)
-    _add_common(p)
-    p.set_defaults(func=_cmd_code_gen_base)
-    p = csub.add_parser("encode", help="encode one message as walk-XOR bits")
+    p = sub(csub, "encode", _cmd_code_encode, "encode one message as walk-XOR bits")
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True, help="base code JSON path")
     p.add_argument("--message", required=True, help="message as hex")
     p.add_argument("--t", type=_int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_code_encode)
-    p = csub.add_parser("report", help="bias, rate, and distance bound")
+    p = sub(csub, "report", _cmd_code_report, "bias, rate, and distance bound")
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--t", type=_int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_code_report)
 
     return parser
 

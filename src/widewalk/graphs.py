@@ -1,5 +1,6 @@
 """Explicit Cayley graphs over F_2^dim, their exact spectra, and mixing checks,
-plus the typed JSON field reader that every input file goes through.
+plus the typed JSON field reader that every input file goes through and
+holds, the verdict rule of every float bound check in the package.
 
 Vertices are plain integers in [0, 2**dim); vertex v and generator u are
 adjacent endpoints of an edge v ~ v ^ u.  Every generator is its own inverse
@@ -23,6 +24,13 @@ SPECTRUM_SCAN_LIMIT = 24  # largest dim for an exhaustive character scan
 AGHP_MAX_DIM = 62  # generator words are built as int64 and must not wrap
 AGHP_MAX_GENERATORS = 1 << 24  # largest generator array a builder allocates (128 MiB)
 GENERATOR_BATCH = 1 << 12  # words per chunk of CayleyGraph.generators_json
+TOL_BOUND = 1e-12  # the slack of holds
+
+
+def holds(value: float, bound: float) -> bool:
+    """The verdict of every float bound check: value <= bound + TOL_BOUND.
+    A NaN on either side fails."""
+    return value <= bound + TOL_BOUND
 
 _JSON_KINDS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -387,7 +395,7 @@ def mixing_check(
     g: Sequence[float] | np.ndarray | Callable[[int], float],
     lam: Optional[float] = None,
 ) -> MixingCheck:
-    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g + 1e-12.
+    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g by holds.
 
     The edge expectation pairs f with the generator average of g over
     every vertex.  lam defaults to the measured expansion of G.
@@ -405,7 +413,7 @@ def mixing_check(
     sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))
     lhs = abs(edge_mean - mu_f * mu_g)
     rhs = lam * sigma_f * sigma_g
-    return MixingCheck(holds=lhs <= rhs + 1e-12, lhs=lhs, rhs=rhs, lam=lam)
+    return MixingCheck(holds=holds(lhs, rhs), lhs=lhs, rhs=rhs, lam=lam)
 
 
 def _as_vertex_array(f, n: int) -> np.ndarray:

@@ -405,6 +405,29 @@ def test_pure_walk_hypothesis_gate(k16):
     assert not report.hypotheses_met
     assert report.rows == []
     assert not report.all_passed
+    # the hypothesis Bias(f)^2 <= lambda is exact and holds at equality
+    complete4 = build_complete_selfloop(2)
+    assert check_pure_walk_bounds(complete4, SignedFn.balanced(4), 3).hypotheses_met
+
+
+def test_argument_errors_come_before_the_hypotheses(k16, g8_system, g8_f):
+    # every f, kmax and H below has unmet hypotheses (bias 1, or g8's
+    # lambda_A = 1), so a check that read the spectra first would return
+    # an unmet report in place of the error
+    zero = SignedFn.zero(16)
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        check_pure_walk_bounds(k16, zero, 0)
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        check_weighted_walk_bounds(k16, zero, np.ones(16), 0)
+    with pytest.raises(ValueError, match="H must be a per-vertex array"):
+        check_weighted_walk_bounds(k16, zero, np.ones(3), 4)
+    with pytest.raises(ValueError, match="f size does not match"):
+        check_pure_walk_bounds(k16, SignedFn.zero(8), 3)
+    with pytest.raises(ValueError, match="kmax must exceed s=2"):
+        check_induction_step(g8_system, g8_f, 2)
+    for check in (check_base_case, lambda sys, f: check_bias_reduction_lemma(sys, f, 3)):
+        with pytest.raises(ValueError, match="f has 4 entries, outer graph has 8"):
+            check(g8_system, SignedFn.zero(4))
 
 
 def test_weighted_walk_bounds_k16(k16):

@@ -5,7 +5,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from widewalk.cli import (
@@ -437,6 +437,9 @@ def test_invalid_inputs(tmp_path, capsys):
          "error: --kmax must be at least 1, got 0"),
         (["verify", "uniformity", "--config", cfg, "--kmax", "0"],
          "error: --kmax must be at least 1, got 0"),
+        # an argument error, even where the hypotheses are unmet (bias 1)
+        (["verify", "induction", "--config", flagship_config(tmp_path), "--kmax", "3",
+          "--support", "empty"], "error: kmax must exceed s=5"),
     ):
         assert_one_line_invalid(argv, capsys, prefix)
     # bad option values are refused by argparse, in one line without its usage
@@ -680,18 +683,32 @@ def _fuzzed_object(typical: dict):
     )
 
 
+_CFG = {"m": 1, "s": 2, "ell": 1, "t": 2, "outer": "complete", "inner": "aghp", "support": "0"}
+_GRAPH = {"dim": 2, "generators": ["1", "2", "3"], "name": "g", "multigraph": False}
+_BASE = {"k": 1, "n0": 2, "rows": ["1"], "bias": 0.0}
+
+
+def _unmet(command):
+    """An example that reaches exit 4 for sure: bias 1 > lambda_B = 1/2."""
+    return example(cfg=_CFG, graph=_GRAPH, base=_BASE, command=command, support="empty")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@_unmet("base-case")
+@_unmet("induction")
+@_unmet("bias-lemma")
 @given(
-    cfg=_fuzzed_object({"m": 1, "s": 2, "ell": 1, "t": 2, "outer": "complete",
-                        "inner": "aghp", "support": "0"}),
-    graph=_fuzzed_object({"dim": 2, "generators": ["1", "2", "3"], "name": "g",
-                          "multigraph": False}),
-    base=_fuzzed_object({"k": 1, "n0": 2, "rows": ["1"], "bias": 0.0}),
-    command=st.sampled_from(["pseudorandomness", "uniformity", "base-case", "bias-lemma",
-                             "spectrum", "hitting", "encode", "report"]),
+    cfg=_fuzzed_object(_CFG),
+    graph=_fuzzed_object(_GRAPH),
+    base=_fuzzed_object(_BASE),
+    command=st.sampled_from(["pseudorandomness", "uniformity", "base-case", "induction",
+                             "bias-lemma", "spectrum", "hitting", "encode", "report"]),
+    # --support of the moment checks; "empty" (bias 1) leaves their hypotheses unmet
+    support=st.sampled_from([None, "empty", "balanced", "0,1", "3"]),
 )
-def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph, base, command):
+def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph, base, command,
+                                                   support):
     paths = {}
     for name, doc in (("cfg", cfg), ("graph", graph), ("base", base)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -704,6 +721,8 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph,
                    "--message", "1"],
         "report": ["code", "report", "--config", paths["cfg"], "--base", paths["base"]],
     }.get(command, ["verify", command, "--config", paths["cfg"]])
+    if support is not None and command in ("base-case", "induction", "bias-lemma"):
+        argv += ["--support", support]
     read = [graph] if command in ("spectrum", "hitting") else [cfg]
     if command in ("encode", "report"):
         read.append(base)

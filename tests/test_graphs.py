@@ -7,9 +7,12 @@ x on which the polynomial with coefficient word alpha vanishes, so the
 expansion is a root count divided by the field size.
 """
 
+import ast
 import hashlib
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +21,14 @@ from widewalk.gf2core import field_mul, hex_encode
 from widewalk.graphs import (
     GENERATOR_BATCH,
     SPECTRUM_SCAN_LIMIT,
+    TOL_BOUND,
     CayleyGraph,
     build_aghp,
     build_complete_selfloop,
     cayley_average,
     character_table,
     fwht,
+    holds,
     mixing_check,
     spectrum,
 )
@@ -457,6 +462,61 @@ def test_to_json_is_json_dumps_of_the_scalar_hex_strings():
         text = g.to_json()
         assert text == json.dumps(fields, indent=2), g.name
         assert CayleyGraph.from_json(text) == g
+
+
+def test_holds_is_value_at_most_bound_plus_the_slack():
+    assert holds(1.0, 1.0) and holds(1.0 + 5e-13, 1.0) and holds(-math.inf, 0.0)
+    assert holds(2.0, math.inf) and holds(TOL_BOUND, 0.0)
+    assert not holds(1.0 + 2e-12, 1.0)
+    assert not holds(math.nan, 1.0) and not holds(0.0, math.nan)
+
+
+def _nodes_by_function(tree: ast.AST):
+    """(name of the innermost enclosing function or None, node) for every node."""
+    def visit(node, func):
+        yield func, node
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def _is_float(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def test_every_float_bound_verdict_goes_through_holds():
+    """TOL_BOUND is assigned once, in graphs, and read only by holds, and no
+    comparison in the package adds a float literal as its slack.  The
+    comparisons with other slacks are different rules: amplify's
+    TOL_IDENTITY for identity residuals, hitting.check_phi_identity's tol,
+    and the stored-bias check of LinearCode.from_json, which is the one
+    comparison allowed a tolerance-sized float literal."""
+    import widewalk
+
+    offenders = []
+    for path in sorted(Path(widewalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func, node in _nodes_by_function(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.alias) and node.name == "TOL_BOUND":
+                offenders.append(f"{where} imports TOL_BOUND")
+            if isinstance(node, ast.Name) and node.id == "TOL_BOUND":
+                defined = isinstance(node.ctx, ast.Store) and func is None
+                if path.name != "graphs.py" or not (defined or func == "holds"):
+                    offenders.append(f"{where} uses TOL_BOUND outside holds")
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in (node.left, *node.comparators):
+                for sub in ast.walk(operand):
+                    if isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Add, ast.Sub)) \
+                            and any(map(_is_float, (sub.left, sub.right))):
+                        offenders.append(f"{where} adds a float literal in a comparison")
+                tiny = _is_float(operand) and 0 < abs(operand.value) < 1e-6
+                if tiny and (path.name, func) != ("code.py", "from_json"):
+                    offenders.append(f"{where} compares with a tolerance literal")
+    assert offenders == []
 
 
 def test_mixing_check_equality_at_top_character():
