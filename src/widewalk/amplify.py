@@ -10,9 +10,10 @@ transformed domain of inner blocks 2..s between levels, transform only
 block 1 per step, and leave that domain only for the levels they return
 (see _wide_levels).  Their working set is one (3, n_A * n_B) float block
 per call, the level and the FWHT's two buffers, plus the tables they
-return; the middle-start identity returns none.  All arithmetic is double
-precision in a fixed operation order, so results are bit-identical across
-runs.
+return.  The DP loops yield their levels one at a time, and a check given
+no tables reads the moments of each level as it comes and drops it (see
+_moments).  All arithmetic is double precision in a fixed operation order,
+so results are bit-identical across runs.
 """
 from __future__ import annotations
 
@@ -186,9 +187,9 @@ def _wide_levels(
 
 
 def _wide_tables(
-    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, last_only: bool = False
-) -> list[DpTable]:
-    """Tables 0..levels of _wide_levels (or level `levels` alone), each
+    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, first: int = 0
+) -> Iterator[DpTable]:
+    """Tables first..levels of _wide_levels as the loop reaches them, each
     taken back to the primal domain by one transform over blocks 2..s in
     the loop's work pair.  The sign f(a) and the 1/2^(m*(s-1)) of that
     inverse transform are one factor, +-1 over a power of two, so a single
@@ -198,27 +199,26 @@ def _wide_tables(
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     blocks = (n_a,) + (d,) * s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
-    tables = []
     for k, x, work in _wide_levels(sys, f, levels, kind):
-        if k == levels or not last_only:
+        if k >= first:
             values = np.empty((n_a, sys.num_inner))
             # x runs block 1..s along its axes, b's C order block s..1
             out = values.reshape(blocks).transpose(0, *range(s, 0, -1))
             np.multiply(fwht(x, work=work).reshape(blocks), scale, out=out)
-            tables.append(DpTable(values, k, kind))
-    return tables
+            yield DpTable(values, k, kind)
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     """Wide-walk tables g_0..g_kmax; g_k(a,b) is the conditional mean of
     the walk's sign product given start (a_0, b_1) = (a, b)."""
-    return _wide_tables(sys, f, kmax, "g")
+    return list(_wide_tables(sys, f, kmax, "g"))
 
 
 def dp_gk_level(sys: ReplacementSystem, f: SignedFn, k: int) -> DpTable:
     """The table g_k of dp_gk alone: the same levels, but only level k is
-    taken back to the primal domain and kept."""
-    return _wide_tables(sys, f, k, "g", last_only=True)[0]
+    taken back to the primal domain, and the loop's block is freed before
+    it returns."""
+    return next(_wide_tables(sys, f, k, "g", first=k))
 
 
 def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTable]:
@@ -232,21 +232,21 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
     """
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    return _wide_tables(sys, f, length, "gbar")
+    return list(_wide_tables(sys, f, length, "gbar"))
 
 
 def _pure_levels(
     graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str
-) -> list[Optional[DpTable]]:
-    """Pure-walk tables from level 1 = sign * weight: each further level
-    is the sign times the generator average of the previous one."""
+) -> Iterator[DpTable]:
+    """Pure-walk tables 1..kmax as the recursion reaches them, from level 1
+    = sign * weight: each further level is the sign times the generator
+    average of the previous one."""
     _require_pure(graph, f, kmax)
     h = f.signs * weight
-    tables: list[Optional[DpTable]] = [None, DpTable(h, 1, kind)]
+    yield DpTable(h, 1, kind)
     for k in range(2, kmax + 1):
         h = f.signs * cayley_average(h, graph)
-        tables.append(DpTable(h, k, kind))
-    return tables
+        yield DpTable(h, k, kind)
 
 
 def _require_pure(graph: CayleyGraph, f: SignedFn, kmax: int) -> None:
@@ -268,7 +268,7 @@ def _weights(graph: CayleyGraph, H: Union[np.ndarray, Callable[[int], float]]) -
 
 def dp_hk(graph: CayleyGraph, f: SignedFn, kmax: int) -> list[Optional[DpTable]]:
     """Pure-walk tables h_1..h_kmax (index = level; slot 0 unused)."""
-    return _pure_levels(graph, f, 1.0, kmax, "h")
+    return [None, *_pure_levels(graph, f, 1.0, kmax, "h")]
 
 
 def dp_hk_weighted(
@@ -279,7 +279,7 @@ def dp_hk_weighted(
 ) -> list[Optional[DpTable]]:
     """Terminal-weighted pure-walk tables: level 1 is sign * H, higher
     levels apply the same sign-times-neighbor-average recursion as dp_hk."""
-    return _pure_levels(graph, f, _weights(graph, H), kmax, "hhat")
+    return [None, *_pure_levels(graph, f, _weights(graph, H), kmax, "hhat")]
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +369,8 @@ def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> Moment
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    tables = dp_hk(graph, f, kmax)
-    for k in range(1, kmax + 1):
-        mom = moments(tables[k])
+    for table in _pure_levels(graph, f, 1.0, kmax, "h"):
+        k, mom = table.level, moments(table)
         bound_eps = 0.5 * (4 * lam) ** (k / 2)
         bound_sq = (4 * lam) ** (k - 1)
         ok = holds(mom.eps, bound_eps) and holds(mom.second_moment, bound_sq)
@@ -392,13 +391,10 @@ def check_weighted_walk_bounds(
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    tables = dp_hk_weighted(graph, f, weight, kmax)
-    m1 = moments(tables[1])
-    e1, s1 = m1.eps, m1.sigma
-    report.extra["eps1"] = e1
-    report.extra["sigma1"] = s1
-    for k in range(2, kmax + 1):
-        mom = moments(tables[k])
+    levels = map(moments, _pure_levels(graph, f, weight, kmax, "hhat"))
+    e1, s1 = next((m.eps, m.sigma) for m in levels)  # level 1's eps_a is not kept
+    report.extra.update(eps1=e1, sigma1=s1)
+    for k, mom in enumerate(levels, 2):
         bound_eps = 2.0 ** (k - 2) * (lam ** ((k - 1) / 2) * e1 + lam ** (k / 2) * s1)
         bound_rms = 2.0 ** (k - 2) * (lam ** ((k - 2) / 2) * e1 + lam ** ((k - 1) / 2) * s1)
         rms = math.sqrt(mom.second_moment)
@@ -415,12 +411,15 @@ def _lemma_report(kind: str, sys: ReplacementSystem, f: SignedFn) -> MomentRepor
     return MomentReport(kind, float(lam_b), f.bias, met, detail)
 
 
-def _tables(
-    sys: ReplacementSystem, f: SignedFn, k: int, tables: Optional[list[DpTable]]
-) -> list[DpTable]:
-    """The caller's dp_gk tables when they reach level k, else dp_gk(sys, f, k):
-    passing one dp_gk list lets several checks share one DP."""
-    return tables if tables is not None and len(tables) > k else dp_gk(sys, f, k)
+def _moments(
+    sys: ReplacementSystem, f: SignedFn, k: int, tables: Optional[list[DpTable]], first: int = 0
+) -> list[Moments]:
+    """Moments of the g levels first..k: of the caller's dp_gk tables when
+    they reach level k, so that several checks share one DP, else of the
+    levels as the DP loop yields them, each table dropped once read."""
+    if tables is not None and len(tables) > k:
+        return [moments(t) for t in tables[first : k + 1]]
+    return [moments(t) for t in _wide_tables(sys, f, k, "g", first)]
 
 
 def check_base_case(
@@ -432,28 +431,15 @@ def check_base_case(
     if not report.hypotheses_met:
         return report
     lam, s = report.lam, sys.params.s
-    tables = _tables(sys, f, s, tables)
-    for k in range(0, s + 1):
-        mom = moments(tables[k])
+    for k, mom in enumerate(_moments(sys, f, s, tables)):
         bound_eps = 0.5 * (2 * lam) ** (k + 1)
         # 0**0 = 1 keeps the k=1 bound meaningful on a lam = 0 inner graph;
         # only k=0 (negative exponent at lam=0) needs the inf escape
-        if k == 0 and lam == 0.0:
-            bound_sigma = math.inf
-        else:
-            bound_sigma = 2.0 * (2 * lam) ** (k - 1)
+        bound_sigma = math.inf if k == 0 and lam == 0.0 else 2.0 * (2 * lam) ** (k - 1)
         ok = holds(mom.eps, bound_eps) and holds(mom.sigma, bound_sigma)
-        report.rows.append(
-            LevelRow(
-                k,
-                mom.eps,
-                mom.sigma,
-                bound_eps,
-                None if math.isinf(bound_sigma) else bound_sigma,
-                ok,
-                bound_eps > 1.0 or bound_sigma > 1.0,
-            )
-        )
+        vacuous = bound_eps > 1.0 or bound_sigma > 1.0
+        shown = None if math.isinf(bound_sigma) else bound_sigma
+        report.rows.append(LevelRow(k, mom.eps, mom.sigma, bound_eps, shown, ok, vacuous))
     return report
 
 
@@ -478,7 +464,7 @@ def check_induction_step(
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    mom = [moments(t) for t in _tables(sys, f, kmax, tables)]
+    mom = _moments(sys, f, kmax, tables)
     eps = [m.eps for m in mom]
     sig = [m.sigma for m in mom]
     for k in range(s + 1, kmax + 1):
@@ -511,8 +497,8 @@ def check_bias_reduction_lemma(
 ) -> MomentReport:
     """The headline bound: eps_t <= (2*lambda_B)^(t*(1-4/s)), hypotheses
     Bias(f) <= lambda_B and lambda_A <= lambda_B^2 (both measured).  Without
-    tables that reach level t it runs dp_gk_level, which keeps one table
-    where dp_gk keeps t+1."""
+    tables that reach level t it runs dp_gk_level, which frees the loop's
+    block before the moments are taken."""
     if t < 1:
         raise ValueError("t must be at least 1")
     report = _lemma_report("bias-reduction", sys, f)
@@ -539,9 +525,7 @@ def check_first_step_trick(
     if k < 1:
         raise ValueError("k must be at least 1")
     lam = float(spectrum(sys.inner).lam)
-    tables = _tables(sys, f, k, tables)
-    mom_k = moments(tables[k])
-    mom_prev = moments(tables[k - 1])
+    mom_prev, mom_k = _moments(sys, f, k, tables, first=k - 1)
     lhs = mom_k.sigma**2
     rhs = float((mom_prev.eps_a**2).mean()) + lam**2 * mom_prev.sigma**2
     return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"k={k} lam={lam!r}")
@@ -568,14 +552,17 @@ def check_middle_start_identity(
     where G^ is the block-1 transform of the mixed-domain gbar_s that the
     level loop leaves (its blocks 2..s are transformed already): no primal
     gbar_s and no cayley_average.  All of it runs in the level loop's one
-    block.  The sum is elementwise products and ndarray.sum, not np.dot or
-    np.vdot: those call BLAS, whose thread pool, once started, slows every
-    later numpy call of the process.
+    block; without tables that reach level k, the forward levels stream
+    and only g_{k-s} and g_k are kept.  The sum is elementwise products and
+    ndarray.sum, not np.dot or np.vdot: those call BLAS, whose thread pool,
+    once started, slows every later numpy call of the process.
     """
     s = sys.params.s
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
-    tables = _tables(sys, f, k, tables)
+    if tables is None or len(tables) <= k:  # keep levels k-s and k of the stream only
+        stream = _wide_tables(sys, f, k, "g", k - s)
+        tables = {t.level: t for t in stream if t.level in (k - s, k)}
     direct = float(tables[k].values.mean())
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
     for _, x, (w0, w1) in _wide_levels(sys, f, s, "gbar"):

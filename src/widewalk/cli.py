@@ -38,6 +38,7 @@ from .amplify import (
     verify_induction_arithmetic,
 )
 from .code import (
+    MAX_EXHAUSTIVE_K,
     AmplifiedCode,
     BaseCodeSearchFailed,
     LinearCode,
@@ -367,6 +368,9 @@ def _cmd_verify_hitting(args) -> int:
 
 
 def _cmd_code_gen_base(args) -> int:
+    # each try draws k * n0 bits (a k out of range is gen_base_code's argument error)
+    if 1 <= args.k <= MAX_EXHAUSTIVE_K and args.k * args.n0 > args.budget:
+        raise BudgetExceeded(args.k * args.n0, args.budget)
     rng = np.random.default_rng(args.seed)
     base = gen_base_code(args.k, args.n0, args.target_bias, rng, max_tries=args.max_tries)
     payload = base.to_json_dict()

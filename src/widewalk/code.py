@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -117,27 +117,29 @@ def gen_base_code(
 ) -> LinearCode:
     """Draw random generator matrices until the exhaustive bias meets the
     target.  Deterministic given the rng state; raises with the best bias
-    found if max_tries is exhausted."""
+    found if max_tries is exhausted.  Each try draws k * n0 bits."""
+    if not 1 <= k <= MAX_EXHAUSTIVE_K:
+        raise ValueError(f"k must be in 1..{MAX_EXHAUSTIVE_K} for exhaustive bias")
     if n0 < k:
         raise ValueError("n0 must be at least k")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     if isinstance(target_bias, Fraction):
         target = target_bias
     else:
         # str() round-trips the shortest decimal, so 0.28 means 28/100
         # rather than the nearest binary double
         target = Fraction(str(float(target_bias)))
-    best: Optional[Fraction] = None
+    best = Fraction(1)
     for _ in range(max_tries):
         rows = []
         for _ in range(k):
-            bits = rng.integers(0, 2, size=n0)
-            rows.append(int(sum(int(b) << i for i, b in enumerate(bits))))
+            bits = rng.integers(0, 2, size=n0)  # bit i of the row is bits[i]
+            rows.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
         code = LinearCode(k, n0, rows)
         if code.measured_bias_exact <= target:
             return code
-        if best is None or code.measured_bias_exact < best:
-            best = code.measured_bias_exact
-    assert best is not None
+        best = min(best, code.measured_bias_exact)
     raise BaseCodeSearchFailed(max_tries, best)
 
 

@@ -332,7 +332,9 @@ def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     refuses dim beyond SPECTRUM_SCAN_LIMIT.  The dense-eigen method builds
     the normalized adjacency matrix and takes the largest eigenvalue
     magnitude on the complement of the constant vector; it exists as an
-    independent cross-check.
+    independent cross-check.  Its matrix products start OpenBLAS's thread
+    pool, which slows later numpy work in the same process; the CLI runs
+    it in a process of its own.
     """
     if method == "character-sum":
         if G.dim > SPECTRUM_SCAN_LIMIT:

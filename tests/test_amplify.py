@@ -191,7 +191,7 @@ def full_transform_levels(sys, f, levels, kind):
     return tables
 
 
-def allocating_levels(sys, f, levels, kind, last_only=False):
+def allocating_levels(sys, f, levels, kind, first=0):
     """Reference: the mixed-domain level loop as it stood before it kept one
     working set per call.  Every step allocates fwht's two buffers for each
     block-1 transform, a moveaxis copy and the take; every returned level a
@@ -221,7 +221,7 @@ def allocating_levels(sys, f, levels, kind, last_only=False):
             y *= chars
             y = np.moveaxis(y.reshape(blocks), *roll).reshape(n_a, d, rest)
             x = fwht(y, axis=1).reshape(n_a * d, rest).take(rows, axis=0)
-        if k == levels or not last_only:
+        if k >= first:
             tables.append(table(x, k))
         x *= signs
     return tables
@@ -235,10 +235,12 @@ def test_wide_tables_equal_the_allocating_loop_byte_for_byte(flagship, witness):
     cases += [(witness, SignedFn.from_support(8, sup), 6) for sup in ({0, 1, 2}, {2, 6, 7})]
     for sys, f, levels in cases:
         for kind in ("g", "gbar"):
-            for last_only in (False, True):
-                got = _wide_tables(sys, f, levels, kind, last_only)
-                want = allocating_levels(sys, f, levels, kind, last_only)
+            # all levels, the middle-start's k-s.., the first step's k-1.. and k alone
+            for first in (0, levels - sys.params.s, levels - 1, levels):
+                got = list(_wide_tables(sys, f, levels, kind, first))
+                want = allocating_levels(sys, f, levels, kind, first)
                 assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
+                assert [t.level for t in got] == list(range(first, levels + 1))
                 for a, b in zip(got, want):
                     assert a.values.shape == b.values.shape and a.values.flags.c_contiguous
                     assert a.values.tobytes() == b.values.tobytes(), (sys.params, kind, a.level)
@@ -264,6 +266,46 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     assert traced_peak(lambda: dp_gk_level(witness, f, 6)) < 4.5 * table
     assert traced_peak(lambda: dp_gk(witness, f, 6)) < 10.5 * table
     assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 4 * table
+    # without tables a check reads each level as the loop yields it and
+    # drops it: the block, the level before, the new one and a moment's
+    # temporary, whatever the level count
+    for kmax in (12, 24):
+        assert traced_peak(lambda: check_induction_step(witness, f, kmax)) < 6 * table, kmax
+    assert traced_peak(lambda: check_base_case(witness, f)) < 6 * table
+    assert traced_peak(lambda: check_first_step_trick(witness, f, 12)) < 6 * table
+    # the identity keeps g_{k-s} and g_k of the stream, and its own block
+    assert traced_peak(lambda: check_middle_start_identity(witness, f, 12)) < 7 * table
+    # the lemma reads its one level after dp_gk_level has freed the block
+    assert traced_peak(lambda: check_bias_reduction_lemma(witness, f, 20)) < 4.5 * table
+    # the pure walks stream their levels too, in units of one 2^16-entry table
+    graph = build_aghp(16, 8)
+    f = SignedFn.balanced(graph.num_vertices)
+    H = np.linspace(-1.0, 1.0, graph.num_vertices)
+    assert check_pure_walk_bounds(graph, f, 2).hypotheses_met  # builds the spectrum once
+    table = graph.num_vertices * 8
+    assert traced_peak(lambda: check_pure_walk_bounds(graph, f, 24)) < 7 * table
+    assert traced_peak(lambda: check_weighted_walk_bounds(graph, f, H, 24)) < 7 * table
+
+
+def test_moment_checks_agree_with_and_without_tables(
+    flagship, flagship_f, flagship_tables, g8_system, g8_f, witness
+):
+    # a caller's dp_gk list and the checks' own streamed levels give equal
+    # reports, at the levels the acceptance tests read and on the witness
+    wf = SignedFn.from_support(8, {0, 1, 2})
+    cases = [(flagship, flagship_f, flagship_tables, 15, (10, 15, 20)),
+             (g8_system, g8_f, dp_gk(g8_system, g8_f, 4), 4, (3, 4)),
+             (witness, wf, dp_gk(witness, wf, 12), 12, (6, 12))]
+    for sys, f, tables, kmax, ts in cases:
+        s = sys.params.s
+        assert check_base_case(sys, f) == check_base_case(sys, f, tables)
+        assert check_induction_step(sys, f, kmax) == check_induction_step(sys, f, kmax, tables)
+        for t in ts:
+            assert check_bias_reduction_lemma(sys, f, t) == check_bias_reduction_lemma(sys, f, t, tables)
+        for k in range(1, kmax + 1):
+            assert check_first_step_trick(sys, f, k) == check_first_step_trick(sys, f, k, tables), k
+        for k in range(s + 1, kmax + 1):
+            assert check_middle_start_identity(sys, f, k) == check_middle_start_identity(sys, f, k, tables), k
 
 
 def test_wide_levels_equal_the_full_transform_reference(flagship, g8_system, mono_system, witness):

@@ -452,6 +452,15 @@ def test_invalid_inputs(tmp_path, capsys):
     ):
         prefix = f"error: widewalk {argv[0]} {argv[1]}: argument {flag}: invalid"
         assert_one_line_invalid(argv, capsys, prefix)
+    # a base-code search with no tries is an argument error; one whose k * n0
+    # drawn bits exceed the budget is refused before anything is drawn
+    gen_base = ["code", "gen-base", "--k", "2", "--target-bias", "0.5"]
+    assert_one_line_invalid(gen_base + ["--n0", "8", "--max-tries", "0"], capsys,
+                            "error: max_tries must be at least 1, got 0")
+    assert main(gen_base + ["--n0", "3000000000"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: enumeration needs 6000000000 items")
     # --help still prints the usage to stdout and exits 0
     assert main(["graph", "complete", "--help"]) == EXIT_PASS
     captured = capsys.readouterr()

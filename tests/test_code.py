@@ -158,6 +158,17 @@ def test_gen_base_code_impossible_target():
         gen_base_code(4, 2, 0.5, rng)
 
 
+def test_gen_base_code_argument_errors_draw_nothing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for k, n0, max_tries, message in ((2, 8, 0, "max_tries must be at least 1, got 0"),
+                                      (2, 8, -3, "max_tries must be at least 1, got -3"),
+                                      (17, 10**12, 1, "k must be in 1..16")):
+        with pytest.raises(ValueError, match=message):
+            gen_base_code(k, n0, 0.5, rng, max_tries=max_tries)
+    assert rng.bit_generator.state == state
+
+
 def test_bent_code_bias():
     code = bent_k8_code()
     assert code.k == 8 and code.n0 == 64
@@ -357,3 +368,11 @@ def test_code_report_keys(mono_system):
     assert report["k"] == 3 and report["n0"] == 8
     assert report["block_length"] == 8 * 64 * 64**4
     json.dumps(report)  # must be serializable as-is
+
+
+def test_gen_base_code_rows_are_the_draws_low_bit_first():
+    # a target of 1 accepts the first draw; n0 = 70 ends in a partial byte
+    code = gen_base_code(3, 70, 1.0, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    want = [sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, size=70))) for _ in range(3)]
+    assert code.rows == want
