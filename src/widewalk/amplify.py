@@ -97,6 +97,9 @@ class DpTable:
 
 @dataclass(frozen=True)
 class Moments:
+    """The moments of one table.  A pure-walk table's eps_a is the table's
+    own array, not a copy."""
+
     eps: float
     sigma: float
     eps_a: np.ndarray
@@ -113,7 +116,7 @@ def moments(table: DpTable) -> Moments:
     mean = float(v.mean())
     second = float((v * v).mean())
     sigma = math.sqrt(max(second - mean * mean, 0.0))
-    eps_a = v.mean(axis=1) if v.ndim == 2 else v.copy()
+    eps_a = v.mean(axis=1) if v.ndim == 2 else v
     return Moments(abs(mean), sigma, eps_a, second)
 
 
@@ -162,7 +165,7 @@ def _wide_levels(
     if kind == "g":  # the product precedes the roll, so index it as the unshifted table
         chars = np.moveaxis(chars, 0, -1)
     chars = chars.reshape(d, rest)
-    rows = ((np.arange(n_a)[:, None] ^ sys.outer.generators) * d + np.arange(d)).ravel()
+    rows = ((np.arange(n_a)[:, None] ^ sys.hop(np.arange(d))) * d + np.arange(d)).ravel()
     signs = np.repeat(f.signs, d)[:, None]
 
     block = np.empty((3, n_a * sys.num_inner))
@@ -572,7 +575,7 @@ def check_middle_start_identity(
     # R^[:, shift] in the block-1-first order of the loop, gathered into x
     order = np.arange(n_b).reshape((d,) * s).T.ravel()
     out = x.reshape(n_a, n_b)
-    np.take(rhat, sys.shift[order], axis=1, out=out, mode="wrap")
+    np.take(rhat, sys.shift(order), axis=1, out=out, mode="wrap")
     ghat *= character_table(sys.inner).reshape((d,) * s).T.ravel()
     ghat *= out
     via = float(ghat.sum()) / (n_a * n_b * n_b * sys.params.d_inner)

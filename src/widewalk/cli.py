@@ -368,9 +368,11 @@ def _cmd_verify_hitting(args) -> int:
 
 
 def _cmd_code_gen_base(args) -> int:
-    # each try draws k * n0 bits (a k out of range is gen_base_code's argument error)
-    if 1 <= args.k <= MAX_EXHAUSTIVE_K and args.k * args.n0 > args.budget:
-        raise BudgetExceeded(args.k * args.n0, args.budget)
+    # each try scans 2^k - 1 codewords of n0 bits, which bounds its k * n0
+    # drawn bits too (a k out of range is gen_base_code's argument error)
+    scan = ((1 << args.k) - 1) * args.n0
+    if 1 <= args.k <= MAX_EXHAUSTIVE_K and scan > args.budget:
+        raise BudgetExceeded(scan, args.budget)
     rng = np.random.default_rng(args.seed)
     base = gen_base_code(args.k, args.n0, args.target_bias, rng, max_tries=args.max_tries)
     payload = base.to_json_dict()

@@ -117,7 +117,8 @@ def gen_base_code(
 ) -> LinearCode:
     """Draw random generator matrices until the exhaustive bias meets the
     target.  Deterministic given the rng state; raises with the best bias
-    found if max_tries is exhausted.  Each try draws k * n0 bits."""
+    found if max_tries is exhausted.  Each try draws k * n0 bits and
+    scans the 2^k - 1 nonzero codewords of n0 bits."""
     if not 1 <= k <= MAX_EXHAUSTIVE_K:
         raise ValueError(f"k must be in 1..{MAX_EXHAUSTIVE_K} for exhaustive bias")
     if n0 < k:

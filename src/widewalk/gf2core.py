@@ -135,8 +135,8 @@ def hex_encode(value: int, length: int) -> str:
     """
     if not 0 <= value < (1 << length):
         raise ValueError(f"value {value} out of range for {length}-bit word")
-    ndigits = (length + 3) // 4
-    return "".join("0123456789abcdef"[(value >> (4 * j)) & 0xF] for j in range(ndigits))
+    # format writes the most significant digit first
+    return f"{value:0{(length + 3) // 4}x}"[::-1]
 
 
 _HEX_CHARS = frozenset("0123456789abcdefABCDEF")

@@ -18,21 +18,22 @@ dynamic programs) the inner step reverses as b_{j} = shift_inverse(b_{j+1})
 outer step reuses block 1 of b_{j+1} because generators are self-inverse.
 
 The outer graph is a Cayley graph over F_2, so the rotation map takes a to
-a ^ hop[b], where hop[b] is the outer generator that block 1 of b selects.
-ReplacementSystem holds the walk rule as three tables over inner vertices
-(hop, shift and its inverse unshift) and expands walks with
-ReplacementSystem.expand.  The exact checks enumerate their random choices
+a ^ hop(b), where hop(b) is the outer generator that block 1 of b selects.
+ReplacementSystem computes the walk rule as three bit operations on an int
+or an integer array, with no table over inner vertices: hop masks block 1
+and looks up its generator, shift rotates the r = m*s bits right by m and
+its inverse unshift rotates them left by m.  ReplacementSystem.expand
+expands walks with them.  The exact checks enumerate their random choices
 as the rows of one integer grid (:func:`choice_grid`, C order) and expand
-every row at once: each step is one gather through shift (or unshift) and
-one through hop.
+every row at once: each step is a few whole-row bit operations.
 Two enumerations are compared as multisets of rows by :func:`multiset_tv`
 in exact rationals, each row packed into one int64 key by shift-or, so
 that each side sorts plain integers in place rather than np.void byte
 strings.
 
-The rotation a -> a ^ hop[b] also lets every exact check enumerate each
+The rotation a -> a ^ hop(b) also lets every exact check enumerate each
 inner walk once, from a_0 = 0: the walk of seed (a_0, b_1, u) has outer
-vertices a_j = a_0 ^ c_j, where c_j = hop[b_1] ^ ... ^ hop[b_j] does not
+vertices a_j = a_0 ^ c_j, where c_j = hop(b_1) ^ ... ^ hop(b_j) does not
 depend on a_0, and XOR by a is a bijection on rows.  So a multiset that
 runs a_0 over the whole outer graph is the translates, one per a, of the
 multiset taken at a_0 = 0.  Two such multisets of N rows per start are
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,10 +109,9 @@ class ReplacementSystem:
 
     The outer graph must have exactly 2**m generators (block 1 of an inner
     vertex indexes them) and the inner graph must live over F_2^(m*s).
-    The walk rule is read from three read-only tables over inner vertices,
-    hop, shift and unshift, each built on first use: an inner graph too
-    large to tabulate is refused by the budget of a check before any of
-    them is allocated.
+    The walk rule is three bit operations, hop, shift and unshift, computed
+    on an int or an integer array, so the system stores no array and its
+    memory does not grow with the inner graph.
     """
 
     def __init__(self, outer: CayleyGraph, inner: CayleyGraph, params: WalkParams):
@@ -139,27 +138,25 @@ class ReplacementSystem:
         """The smallest unsigned dtype that holds every vertex."""
         return np.min_scalar_type(max(self.num_outer, self.num_inner) - 1)
 
-    @cached_property
-    def hop(self) -> np.ndarray:
-        """hop[b], the outer generator that block 1 of inner vertex b
-        selects: the rotation map takes a to a ^ hop[b], forward and
-        backward alike, since outer generators are self-inverse."""
-        gens = self.outer.generators.astype(self._dtype)
-        return _read_only(np.tile(gens, self.num_inner // len(gens)))
+    def hop(self, b):
+        """The outer generator that block 1 of inner vertex b selects (an
+        int or an integer array b): the rotation map takes a to a ^ hop(b),
+        forward and backward alike, since outer generators are
+        self-inverse."""
+        return self.outer.generators.astype(self._dtype).take(b & (self.params.d_outer - 1))
 
-    @cached_property
-    def shift(self) -> np.ndarray:
-        """shift[b], the forward block shift: a rotate right by m bits."""
+    def shift(self, b):
+        """The forward block shift of b: a rotate right of its r = m*s bits
+        by m."""
         m, r = self.params.m, self.params.r
-        b = np.arange(self.num_inner, dtype=self._dtype)
-        return _read_only((b >> m) | (b & (self.params.d_outer - 1)) << (r - m))
+        return (b >> m) | (b & (self.params.d_outer - 1)) << (r - m)
 
-    @cached_property
-    def unshift(self) -> np.ndarray:
-        """unshift[b], the inverse of shift: a rotate left by m bits."""
+    def unshift(self, b):
+        """The inverse of shift: a rotate left of b's r bits by m.  On an
+        array the left shift wraps in its own dtype before the mask, which
+        is exact because the dtype holds at least r bits."""
         m, r = self.params.m, self.params.r
-        b = np.arange(self.num_inner, dtype=self._dtype)
-        return _read_only((b << m) & (self.num_inner - 1) | b >> (r - m))
+        return (b << m) & (self.num_inner - 1) | b >> (r - m)
 
     def expand(self, a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The array form of the walk rule: (A, B) for one walk per row.
@@ -178,23 +175,23 @@ class ReplacementSystem:
         if not 0 <= pivot <= t - 1:
             raise ValueError(f"pivot {pivot} out of range 0..{t - 1}")
         p = max(pivot, 1)
-        hop, fwd, bwd = self.hop, self.shift, self.unshift
-        gens = self.inner.generators.astype(hop.dtype)
+        dtype = self._dtype
+        gens = self.inner.generators.astype(dtype)
         # one contiguous row per position (the transposes returned are views);
         # take gathers by these small-dtype rows about twice as fast as [] does
-        A = np.empty((t + 1, n), dtype=hop.dtype)
-        B = np.empty((t, n), dtype=hop.dtype)
+        A = np.empty((t + 1, n), dtype=dtype)
+        B = np.empty((t, n), dtype=dtype)
         A[pivot] = a
         B[p - 1] = b
         cols = iter(u.T)
         for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
-            B[j] = fwd.take(B[j - 1] ^ gens.take(next(cols)))
+            B[j] = self.shift(B[j - 1] ^ gens.take(next(cols)))
         for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
-            B[j] = bwd.take(B[j + 1]) ^ gens.take(next(cols))
+            B[j] = self.unshift(B[j + 1]) ^ gens.take(next(cols))
         for j in range(pivot + 1, t + 1):
-            A[j] = A[j - 1] ^ hop.take(B[j - 1])
+            A[j] = A[j - 1] ^ self.hop(B[j - 1])
         for j in range(pivot - 1, -1, -1):
-            A[j] = A[j + 1] ^ hop.take(B[j])
+            A[j] = A[j + 1] ^ self.hop(B[j])
         return A.T, B.T
 
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
@@ -217,11 +214,6 @@ class ReplacementSystem:
         if t < 1:
             raise ValueError("t must be at least 1")
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
 
 
 def sample_swalk(
@@ -412,8 +404,9 @@ def check_local_invertibility(sys: ReplacementSystem) -> bool:
     any system built here; it is kept as the stated precondition of
     backward walk generation.
     """
-    rot = np.arange(sys.num_outer)[:, None] ^ sys.hop[: sys.params.d_outer]
-    return bool((np.take_along_axis(rot, rot, axis=0) == np.arange(sys.num_outer)[:, None]).all())
+    a = np.arange(sys.num_outer, dtype=sys._dtype)[:, None]
+    rot = a ^ sys.hop(np.arange(sys.params.d_outer))
+    return bool((np.take_along_axis(rot, rot, axis=0) == a).all())
 
 
 def middle_start_distribution_equal(

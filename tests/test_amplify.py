@@ -174,9 +174,10 @@ def full_transform_levels(sys, f, levels, kind):
     dp_backwards took them before they kept blocks 2..s transformed.  A
     forward level averages the shifted table, a backward level averages
     and then undoes the shift; both take the rotation row and the sign.
-    The rotation is the whole (n_A, n_B) table rot[a, b] = a ^ hop[b]."""
-    rot = np.arange(sys.num_outer)[:, None] ^ sys.hop
-    shift = sys.shift
+    The rotation is the whole (n_A, n_B) table rot[a, b] = a ^ hop(b)."""
+    b = np.arange(sys.num_inner)
+    rot = np.arange(sys.num_outer)[:, None] ^ sys.hop(b)
+    shift = sys.shift(b)
     unshift = np.argsort(shift)
     sign_col = f.signs[:, None]
     g = np.broadcast_to(f.signs[:, None], (sys.num_outer, sys.num_inner)).copy()
@@ -261,7 +262,7 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     # level loop holds three (x and fwht's work pair), the identity nothing
     # more, dp_gk_level one returned table more and dp_gk seven
     f = SignedFn.from_support(8, {0, 1, 2})
-    tables = dp_gk(witness, f, 6)  # also builds the system's lazy tables
+    tables = dp_gk(witness, f, 6)
     table = tables[0].values.nbytes
     assert traced_peak(lambda: dp_gk_level(witness, f, 6)) < 4.5 * table
     assert traced_peak(lambda: dp_gk(witness, f, 6)) < 10.5 * table
@@ -283,8 +284,8 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     H = np.linspace(-1.0, 1.0, graph.num_vertices)
     assert check_pure_walk_bounds(graph, f, 2).hypotheses_met  # builds the spectrum once
     table = graph.num_vertices * 8
-    assert traced_peak(lambda: check_pure_walk_bounds(graph, f, 24)) < 7 * table
-    assert traced_peak(lambda: check_weighted_walk_bounds(graph, f, H, 24)) < 7 * table
+    assert traced_peak(lambda: check_pure_walk_bounds(graph, f, 24)) < 6 * table
+    assert traced_peak(lambda: check_weighted_walk_bounds(graph, f, H, 24)) < 6 * table
 
 
 def test_moment_checks_agree_with_and_without_tables(
@@ -578,8 +579,8 @@ def full_transform_via(sys, f, k, tables):
     cayley_average of the shifted g_{k-s}."""
     s = sys.params.s
     gbar = dp_backwards(sys, f, s)[s].values
-    rest = tables[k - s].values
-    return float((f.signs[:, None] * gbar * cayley_average(rest[:, sys.shift], sys.inner)).mean())
+    rest = tables[k - s].values[:, sys.shift(np.arange(sys.num_inner))]
+    return float((f.signs[:, None] * gbar * cayley_average(rest, sys.inner)).mean())
 
 
 def test_middle_start_identity_is_exact_on_the_witness(witness):

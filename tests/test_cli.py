@@ -308,8 +308,9 @@ def test_code_report_hypotheses_unmet(tmp_path, capsys):
 
 
 def test_untabulable_inner_graph_keeps_its_exit_codes(tmp_path, capsys):
-    # a 2**40-vertex inner graph: its walk tables cannot be allocated, so
-    # each command must refuse before it would build them
+    # a 2**40-vertex inner graph: base-case's hypotheses are unmet, and the
+    # enumeration of each command below exceeds the budget, so it is
+    # refused before it starts
     cfg = write_config(tmp_path, m=8, s=5, ell=2)
     base_path = tmp_path / "base1.json"
     base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
@@ -460,7 +461,13 @@ def test_invalid_inputs(tmp_path, capsys):
     assert main(gen_base + ["--n0", "3000000000"]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: enumeration needs 6000000000 items")
+    assert captured.err.startswith("error: enumeration needs 9000000000 items")
+    # one try at k = 16 scans 65535 codewords of n0 bits, past the default budget
+    assert main(["code", "gen-base", "--k", "16", "--n0", "8192", "--target-bias", "1",
+                 "--max-tries", "1"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: enumeration needs 536862720 items")
     # --help still prints the usage to stdout and exits 0
     assert main(["graph", "complete", "--help"]) == EXIT_PASS
     captured = capsys.readouterr()

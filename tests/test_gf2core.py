@@ -109,6 +109,16 @@ def test_hex_round_trip():
         hex_encode(-1, 3)
 
 
+def test_hex_encode_matches_the_per_digit_reference():
+    def per_digit(value, length):
+        return "".join("0123456789abcdef"[(value >> (4 * j)) & 0xF] for j in range((length + 3) // 4))
+
+    rng = random.Random(5)
+    for length in (1, 4, 5, 63, 64, 65, 4097):
+        for w in [0, 1, (1 << length) - 1] + [rng.getrandbits(length) for _ in range(20)]:
+            assert hex_encode(w, length) == per_digit(w, length), (length, w)
+
+
 def test_hex_is_lsb_nibble_first():
     assert hex_encode(1, 8) == "10"
     assert hex_encode(0x2f, 8) == "f2"

@@ -82,14 +82,14 @@ def _seed_rows(sys, t):
 def test_shift_example():
     # m=1, s=3: block tuple (1, 0, 1) shifts forward to (0, 1, 1)
     sys = sys_13()
-    assert sys.shift[0b101] == oracle.shift(0b101, 1, 3) == 0b110
-    assert sys.unshift[0b110] == oracle.shift(0b110, 1, 3, "backward") == 0b101
+    assert sys.shift(0b101) == oracle.shift(0b101, 1, 3) == 0b110
+    assert sys.unshift(0b110) == oracle.shift(0b110, 1, 3, "backward") == 0b101
 
 
 def test_shift_bijection_and_order():
     for sys in (sys_13(), sys_22(), sys_23()):
         m, s = sys.params.m, sys.params.s
-        fwd = sys.shift
+        fwd = sys.shift(np.arange(sys.num_inner))
         assert sorted(fwd.tolist()) == list(range(sys.num_inner))
         # s applications come back around
         cur = np.arange(sys.num_inner)
@@ -97,13 +97,13 @@ def test_shift_bijection_and_order():
             cur = fwd[cur]
         assert cur.tolist() == list(range(sys.num_inner))
         for b in range(sys.num_inner):
-            assert fwd[b] == oracle.shift(b, m, s)
+            assert fwd[b] == sys.shift(b) == oracle.shift(b, m, s)
             assert oracle.shift(oracle.shift(b, m, s), m, s, "backward") == b
 
 
 def test_shift_moves_blocks():
     sys = sys_23()
-    fwd = sys.shift
+    fwd = sys.shift(np.arange(sys.num_inner))
     for b in range(sys.num_inner):
         assert fwd[b] == oracle.shift(b, 2, 3)
         blocks = [(b >> 2 * j) & 0b11 for j in range(3)]
@@ -115,8 +115,8 @@ def test_block_indexing():
     # shift brings block 2 down into its place
     sys = sys_22()
     b = 0b1110  # blocks (low first): 10, 11
-    assert sys.hop[b] == sys.outer.generators[0b10]
-    assert sys.hop[sys.shift[b]] == sys.outer.generators[0b11]
+    assert sys.hop(b) == sys.outer.generators[0b10]
+    assert sys.hop(sys.shift(b)) == sys.outer.generators[0b11]
 
 
 def test_system_wiring_validation():
@@ -134,20 +134,22 @@ def test_rotation_uses_block_one():
     for a in range(sys.num_outer):
         for b in range(sys.num_inner):
             expect = a ^ int(sys.outer.generators[b & 0b11])
-            assert a ^ sys.hop[b] == oracle.rotation(sys, a, b) == expect
+            assert a ^ sys.hop(b) == oracle.rotation(sys, a, b) == expect
 
 
 def test_walk_tables_invert_and_select_the_outer_generators():
     for sys in (tiny_system(), sys_13(), sys_22(), sys_23(), sys_128()):
-        # built on first use, never by the constructor
-        assert not {"hop", "shift", "unshift"} & vars(sys).keys()
+        # the system stores no array: the rule is computed on each call
+        assert vars(sys).keys() == {"outer", "inner", "params"}
         n_b, dtype = sys.num_inner, np.min_scalar_type(max(sys.num_outer, sys.num_inner) - 1)
-        assert np.array_equal(sys.unshift[sys.shift], np.arange(n_b))
-        assert np.array_equal(sys.shift[sys.unshift], np.arange(n_b))
-        assert np.array_equal(sys.unshift, np.argsort(sys.shift))
-        assert np.array_equal(sys.hop[: sys.params.d_outer], sys.outer.generators)
-        for table in (sys.hop, sys.shift, sys.unshift):
-            assert table.dtype == dtype and not table.flags.writeable
+        b = np.arange(n_b, dtype=dtype)
+        hop, shift, unshift = sys.hop(b), sys.shift(b), sys.unshift(b)
+        assert np.array_equal(unshift[shift], b)
+        assert np.array_equal(shift[unshift], b)
+        assert np.array_equal(unshift, np.argsort(shift))
+        assert np.array_equal(hop[: sys.params.d_outer], sys.outer.generators)
+        for table in (hop, shift, unshift):
+            assert table.dtype == dtype
 
 
 def test_walk_expansion_memory_does_not_grow_with_the_outer_graph():
@@ -175,6 +177,25 @@ def test_walk_expansion_memory_does_not_grow_with_the_outer_graph():
     assert bits.size == 1 << 24 and used < 2 * bits.nbytes
 
 
+def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
+    # hop, shift and unshift are computed, not tabulated: on (8, 5, 5) the
+    # inner graph has 2**40 vertices, and on (4, 6, 5) one uint32 table
+    # over its 2**24 would take 64 MiB
+    for m, s, ell in ((8, 5, 5), (4, 6, 5)):
+        sys = ReplacementSystem(build_complete_selfloop(m), build_aghp(m * s, ell), WalkParams(m, s, ell))
+        rng = np.random.default_rng(3)
+        for draw in (lambda: sample_swalk(sys, 5, rng), lambda: middle_start_sample(sys, 5, 2, rng)):
+            tracemalloc.start()
+            try:
+                w = draw()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert oracle.walk(sys, *w.seed) == (w.a_vertices, w.b_vertices), (m, s, ell)
+            assert peak < 2 << 20, (m, s, ell, peak)
+        assert check_local_invertibility(sys)
+
+
 def test_rotation_is_involution():
     # stepping twice along the same block-1 index returns to the start;
     # this is the local invertibility the backward generation relies on
@@ -198,12 +219,11 @@ def test_inner_step_round_trip():
     # the backward inner step undoes the shift, then takes the same
     # generator
     sys = sys_22()
-    bwd = sys.unshift
     for b in range(sys.num_inner):
-        assert bwd[b] == oracle.shift(b, 2, 2, "backward")
+        assert sys.unshift(b) == oracle.shift(b, 2, 2, "backward")
         for u in range(sys.params.d_inner):
             nxt = oracle.inner_step(sys, b, u)
-            assert bwd[nxt] ^ sys.inner.generators[u] == b
+            assert sys.unshift(nxt) ^ sys.inner.generators[u] == b
             assert oracle.inner_step_back(sys, nxt, u) == b
 
 

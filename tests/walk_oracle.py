@@ -1,8 +1,8 @@
 """Scalar reference for the wide-walk rule, one walk at a time.
 
 Plain Python ints over the generator arrays of the outer and inner graphs,
-with no read of the tables of widewalk.walks.ReplacementSystem and no call
-of its expand method, so the tests can hold the array walk rule against an
+with no call of the hop, shift, unshift or expand methods of
+widewalk.walks.ReplacementSystem, so the tests can hold the array walk rule against an
 independent statement of it:
 
 * b_i = shift(b_{i-1} ^ u_i) for i >= 2, where shift moves the block tuple
