@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, cayley_average, character_table, fwht, holds, spectrum
+from .graphs import CayleyGraph, cayley_average, character_table, fwht, holds, spectrum, vertex_values
 from .walks import ReplacementSystem
 
 TOL_IDENTITY = 1e-9
@@ -48,7 +48,7 @@ class SignedFn:
 
     @property
     def bias(self) -> float:
-        return abs(float(self.signs.mean()))
+        return float(self.bias_exact)
 
     @property
     def bias_exact(self) -> Fraction:
@@ -259,16 +259,6 @@ def _require_pure(graph: CayleyGraph, f: SignedFn, kmax: int) -> None:
         raise ValueError("kmax must be at least 1")
 
 
-def _weights(graph: CayleyGraph, H: Union[np.ndarray, Callable[[int], float]]) -> np.ndarray:
-    """H as a float array over the vertices of graph."""
-    if callable(H):
-        return np.array([H(a) for a in range(graph.num_vertices)], dtype=np.float64)
-    w = np.asarray(H, dtype=np.float64)
-    if w.shape != (graph.num_vertices,):
-        raise ValueError("H must be a per-vertex array")
-    return w
-
-
 def dp_hk(graph: CayleyGraph, f: SignedFn, kmax: int) -> list[Optional[DpTable]]:
     """Pure-walk tables h_1..h_kmax (index = level; slot 0 unused)."""
     return [None, *_pure_levels(graph, f, 1.0, kmax, "h")]
@@ -282,7 +272,7 @@ def dp_hk_weighted(
 ) -> list[Optional[DpTable]]:
     """Terminal-weighted pure-walk tables: level 1 is sign * H, higher
     levels apply the same sign-times-neighbor-average recursion as dp_hk."""
-    return [None, *_pure_levels(graph, f, _weights(graph, H), kmax, "hhat")]
+    return [None, *_pure_levels(graph, f, vertex_values(H, graph, "H"), kmax, "hhat")]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +379,7 @@ def check_weighted_walk_bounds(
     kmax: int,
 ) -> MomentReport:
     """Terminal-weighted analogue: bounds in terms of the level-1 moments."""
-    weight = _weights(graph, H)
+    weight = vertex_values(H, graph, "H")
     report = _pure_report("weighted-walk", graph, f, kmax)
     if not report.hypotheses_met:
         return report

@@ -10,8 +10,8 @@ encoding it to an array of ASCII digits).
 
 Field elements of GF(2^ell) are polynomials over F_2 encoded the same way
 (bit i is the coefficient of x^i), reduced modulo a fixed irreducible
-polynomial of degree ell.  The moduli for ell = 1..16 are baked in and
-re-validated by brute force when the module is imported.
+polynomial of degree ell.  The moduli for ell = 1..16 are baked in;
+tests/test_gf2core.py proves each is the smallest irreducible of its degree.
 """
 from __future__ import annotations
 
@@ -38,72 +38,6 @@ IRREDUCIBLE_MODULI: dict[int, int] = {
     15: 0b1000000000000011,
     16: 0b10000000000101011,
 }
-
-
-def poly_degree(p: int) -> int:
-    """Degree of a polynomial over F_2; the zero polynomial has degree -1."""
-    return p.bit_length() - 1
-
-
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two polynomials over F_2.
-
-    Parameters
-    ----------
-    a, b : int
-        Bit-encoded polynomials (bit i = coefficient of x^i).
-
-    Returns
-    -------
-    int
-        The unreduced product polynomial.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("polynomials must be encoded as nonnegative integers")
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of a modulo m, both bit-encoded polynomials over F_2."""
-    if m <= 0:
-        raise ValueError("modulus must be a nonzero polynomial")
-    dm = poly_degree(m)
-    while a and poly_degree(a) >= dm:
-        a ^= m << (poly_degree(a) - dm)
-    return a
-
-
-def is_irreducible(p: int) -> bool:
-    """Brute-force irreducibility test by trial division.
-
-    A polynomial of degree d is reducible iff it has a divisor of degree
-    between 1 and d // 2; we try every candidate in that range.  Intended
-    for the small degrees used here (d <= 16).
-    """
-    d = poly_degree(p)
-    if d <= 0:
-        return False
-    for q in range(2, 1 << (d // 2 + 1)):
-        if poly_mod(p, q) == 0:
-            return False
-    return True
-
-
-def _validate_moduli() -> None:
-    for ell, p in IRREDUCIBLE_MODULI.items():
-        if poly_degree(p) != ell:
-            raise AssertionError(f"modulus table entry for ell={ell} has wrong degree")
-        if not is_irreducible(p):
-            raise AssertionError(f"modulus table entry for ell={ell} is reducible")
-
-
-_validate_moduli()
 
 
 def field_mul(a, b, ell: int):

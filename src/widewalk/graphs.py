@@ -403,8 +403,8 @@ def mixing_check(
     every vertex.  lam defaults to the measured expansion of G.
     """
     n = G.num_vertices
-    fv = _as_vertex_array(f, n)
-    gv = _as_vertex_array(g, n)
+    fv = vertex_values(f, G, "f")
+    gv = vertex_values(g, G, "g")
     if lam is None:
         lam = spectrum(G).lam
     # an elementwise product and sum, not np.dot: BLAS's thread pool, once
@@ -418,10 +418,13 @@ def mixing_check(
     return MixingCheck(holds=holds(lhs, rhs), lhs=lhs, rhs=rhs, lam=lam)
 
 
-def _as_vertex_array(f, n: int) -> np.ndarray:
+def vertex_values(f, graph: CayleyGraph, name: str) -> np.ndarray:
+    """f (a callable on the vertices, or an array of one value per vertex)
+    as a float64 array with one value per vertex of graph."""
+    n = graph.num_vertices
     if callable(f):
         return np.array([float(f(v)) for v in range(n)], dtype=np.float64)
     arr = np.asarray(f, dtype=np.float64)
     if arr.shape != (n,):
-        raise ValueError(f"function must be defined on all {n} vertices, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a per-vertex array of {n} values, got shape {arr.shape}")
     return arr

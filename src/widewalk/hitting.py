@@ -115,26 +115,36 @@ def check_hitting(
     """
     if tmax < 1:
         raise ValueError(f"tmax must be at least 1, got {tmax}")
-    sub = frozenset(int(v) for v in subset)
+    inst = HittingInstance(graph, frozenset(int(v) for v in subset), tmax)
     if lam is None:
         lam = spectrum(graph).lambda_exact
     rows = []
-    rho = Fraction(len(sub), graph.num_vertices)
-    for t, exact in enumerate(_survival(HittingInstance(graph, sub, tmax)), 1):
-        bound = hitting_bound(rho, lam, t)
+    for t, exact in enumerate(_survival(inst), 1):
+        bound = hitting_bound(inst.rho, lam, t)
         rows.append(HittingRow(t, exact, bound, exact <= bound))
-    return HittingReport(rho, lam, rows)
+    return HittingReport(inst.rho, lam, rows)
 
 
-def check_phi_identity(
-    rho_grid: Iterable[float], lam_grid: Iterable[float], tol: float = 1e-12
-) -> bool:
+def check_phi_identity(rho_grid: Iterable[float], lam_grid: Iterable[float]) -> bool:
     """Phi = rho + lam*(1 - rho) solves Phi = lam/2 + sqrt(lam^2/4 +
-    rho*(1 - lam)*Phi) on the whole grid."""
-    for rho in rho_grid:
-        for lam in lam_grid:
+    rho*(1 - lam)*Phi) on the whole grid.
+
+    Checked exactly in rationals, as Phi - lam/2 >= 0 and (Phi - lam/2)^2
+    = lam^2/4 + rho*(1 - lam)*Phi.  Each grid is read once; a value that
+    is not finite raises ValueError.
+    """
+    rhos, lams = _rationals(rho_grid, "rho"), _rationals(lam_grid, "lambda")
+    for rho in rhos:
+        for lam in lams:
             phi = rho + lam * (1 - rho)
-            rhs = lam / 2 + math.sqrt(lam * lam / 4 + rho * (1 - lam) * phi)
-            if abs(phi - rhs) > tol:
+            root = phi - lam / 2
+            if root < 0 or root * root != lam * lam / 4 + rho * (1 - lam) * phi:
                 return False
     return True
+
+
+def _rationals(grid: Iterable[float], name: str) -> list[Fraction]:
+    values = list(grid)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} grid must be finite, got {values}")
+    return [Fraction(v) for v in values]

@@ -12,11 +12,7 @@ from widewalk.gf2core import (
     hex_decode,
     hex_decode_array,
     hex_encode,
-    is_irreducible,
     parse_hex,
-    poly_degree,
-    poly_mod,
-    poly_mul,
 )
 from widewalk.graphs import CayleyGraph, character_table, spectrum
 
@@ -49,51 +45,23 @@ def oracle_irreducible(p):
     return True
 
 
-def test_poly_mul_matches_oracle():
-    rng = random.Random(7)
-    for _ in range(500):
-        a = rng.randrange(0, 1 << 12)
-        b = rng.randrange(0, 1 << 12)
-        assert poly_mul(a, b) == oracle_mul(a, b)
-    assert poly_mul(0, 0b1011) == 0
-    assert poly_mul(1, 0b1011) == 0b1011
-    # (x + 1)^2 = x^2 + 1 in characteristic 2
-    assert poly_mul(0b11, 0b11) == 0b101
-
-
-def test_poly_mod_matches_oracle():
-    rng = random.Random(8)
-    for _ in range(500):
-        a = rng.randrange(0, 1 << 14)
-        m = rng.randrange(2, 1 << 7)
-        assert poly_mod(a, m) == oracle_mod(a, m)
-
-
-def test_poly_degree():
-    assert poly_degree(1) == 0
-    assert poly_degree(0b1011) == 3
-    assert poly_degree(0) < 0
-
-
-def test_is_irreducible_matches_oracle():
-    for p in range(2, 1 << 9):
-        assert is_irreducible(p) == oracle_irreducible(p), bin(p)
+def test_oracle_irreducible_hand_values():
+    # x, x + 1, x^2 + x + 1, x^3 + x + 1 are irreducible; 0, 1, x^2 = x * x
+    # and x^2 + 1 = (x + 1)^2 are not
+    for p in (0b10, 0b11, 0b111, 0b1011):
+        assert oracle_irreducible(p), bin(p)
+    for p in (0, 1, 0b100, 0b101):
+        assert not oracle_irreducible(p), bin(p)
 
 
 def test_moduli_table_is_lex_minimal():
-    # each baked-in modulus must be the smallest irreducible of its degree
-    for ell in range(1, 9):
-        candidates = [
-            p for p in range(1 << ell, 1 << (ell + 1)) if oracle_irreducible(p)
-        ]
-        assert IRREDUCIBLE_MODULI[ell] == min(candidates)
-
-
-def test_moduli_table_covers_degrees_up_to_16():
-    for ell in range(1, 17):
-        m = IRREDUCIBLE_MODULI[ell]
-        assert poly_degree(m) == ell
-        assert is_irreducible(m)
+    # each baked-in modulus has degree ell, is irreducible, and no smaller
+    # polynomial of degree ell is
+    assert sorted(IRREDUCIBLE_MODULI) == list(range(1, 17))
+    for ell, m in IRREDUCIBLE_MODULI.items():
+        assert m.bit_length() - 1 == ell
+        assert oracle_irreducible(m), ell
+        assert not any(oracle_irreducible(p) for p in range(1 << ell, m)), ell
 
 
 def test_hex_round_trip():
@@ -200,12 +168,12 @@ def test_gf8_cube_identity():
     assert power(0b010, 3, 3) == 0b011
 
 
-def test_field_mul_matches_poly_mod_of_poly_mul():
+def test_field_mul_matches_oracle_mod_of_oracle_mul():
     for ell in range(1, 17):
         rng = random.Random(ell)
         for _ in range(50):
             a, b = rng.randrange(1 << ell), rng.randrange(1 << ell)
-            assert field_mul(a, b, ell) == poly_mod(poly_mul(a, b), IRREDUCIBLE_MODULI[ell])
+            assert field_mul(a, b, ell) == oracle_mod(oracle_mul(a, b), IRREDUCIBLE_MODULI[ell])
 
 
 def test_field_axioms_exhaustive_small():

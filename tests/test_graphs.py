@@ -490,9 +490,9 @@ def test_every_float_bound_verdict_goes_through_holds():
     """TOL_BOUND is assigned once, in graphs, and read only by holds, and no
     comparison in the package adds a float literal as its slack.  The
     comparisons with other slacks are different rules: amplify's
-    TOL_IDENTITY for identity residuals, hitting.check_phi_identity's tol,
-    and the stored-bias check of LinearCode.from_json, which is the one
-    comparison allowed a tolerance-sized float literal."""
+    TOL_IDENTITY for identity residuals, and the stored-bias check of
+    LinearCode.from_json, which is the one comparison allowed a
+    tolerance-sized float literal."""
     import widewalk
 
     offenders = []

@@ -2,6 +2,7 @@
 oracle and the closed-form bound."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,9 @@ def test_check_hitting_rejects_unscannable_graph():
     g = CayleyGraph(dim=30, generators=(1, 2))
     with pytest.raises(ValueError):
         check_hitting(g, {0}, 2)
+    # a bad subset is refused before the spectrum is read
+    with pytest.raises(ValueError, match="subset must be nonempty"):
+        check_hitting(g, [], 2)
 
 
 def test_csv_output(k16, tmp_path, capsys):
@@ -163,4 +167,10 @@ def test_phi_identity_grid():
     grid_rho = [0.05, 0.1, 0.25, 0.5, 0.9, 1.0]
     grid_lam = [0.0, 0.01, 0.1, 0.5, 0.99]
     assert check_phi_identity(grid_rho, grid_lam)
-    assert check_phi_identity(grid_rho, grid_lam, tol=1e-15)
+    # rho = 2 breaks the identity for lambda = 3, also when the lambda grid
+    # is an iterator that only the first rho could read
+    assert not check_phi_identity([0.5, 2.0], [3.0])
+    assert not check_phi_identity([0.5, 2.0], iter([3.0]))
+    for rho_grid, lam_grid in (([math.nan], [0.5]), ([0.5], [math.inf])):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_phi_identity(rho_grid, lam_grid)
