@@ -5,15 +5,16 @@ sign factors f(a_0)..f(a_k); pure-walk tables h_k cover k vertices (k-1
 steps).  A walk step averages a table over a Cayley graph's generators by
 the convolution theorem: a Walsh-Hadamard transform, a pointwise product
 with the character table, and the transform back.  The pure-walk DPs take
-the whole step through graphs.cayley_average; the wide-walk DPs stay in the
-transformed domain of inner blocks 2..s between levels, transform only
-block 1 per step, and leave that domain only for the levels they return
-(see _wide_levels).  Their working set is one (3, n_A * n_B) float block
-per call, the level and the FWHT's two buffers, plus the tables they
-return.  The DP loops yield their levels one at a time, and a check given
-no tables reads the moments of each level as it comes and drops it (see
-_moments).  All arithmetic is double precision in a fixed operation order,
-so results are bit-identical across runs.
+the whole step through graphs._convolve, with the character table built
+once per call; the wide-walk DPs stay in the transformed domain of inner
+blocks 2..s between levels, transform only block 1 per step, and leave
+that domain only for the levels they return (see _wide_levels).  Their
+working set is one (3, n_A * n_B) float block per call, the level and the
+FWHT's two buffers, plus the tables they return.  The DP loops yield their
+levels one at a time, and a check given no tables reads the moments of
+each level as it comes and drops it (see _moments).  All arithmetic is
+double precision in a fixed operation order, so results are bit-identical
+across runs.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, cayley_average, character_table, fwht, holds, spectrum, vertex_values
+from .graphs import CayleyGraph, _convolve, character_table, fwht, holds, spectrum, vertex_values
 from .walks import ReplacementSystem
 
 TOL_IDENTITY = 1e-9
@@ -34,9 +35,11 @@ class SignedFn:
     """A {0,1} assignment on outer vertices together with its sign table."""
 
     def __init__(self, bits: Union[Sequence[int], np.ndarray]):
-        arr = np.asarray(bits, dtype=np.int64)
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("bits must be a nonempty 1-d sequence")
+        if arr.dtype.kind not in "biu":  # refused, not truncated to an integer
+            raise ValueError(f"bits must be integers, got {arr.dtype} values")
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("bits must be 0/1 valued")
         self.bits = arr.astype(np.int8)
@@ -243,12 +246,14 @@ def _pure_levels(
 ) -> Iterator[DpTable]:
     """Pure-walk tables 1..kmax as the recursion reaches them, from level 1
     = sign * weight: each further level is the sign times the generator
-    average of the previous one."""
+    average of the previous one: graphs.cayley_average's convolution and
+    division, with the character table built once."""
     _require_pure(graph, f, kmax)
+    chars, scale = character_table(graph), graph.num_vertices * graph.degree
     h = f.signs * weight
     yield DpTable(h, 1, kind)
     for k in range(2, kmax + 1):
-        h = f.signs * cayley_average(h, graph)
+        h = f.signs * (_convolve(h, chars) / scale)
         yield DpTable(h, k, kind)
 
 

@@ -313,16 +313,21 @@ def character_table(G: CayleyGraph) -> np.ndarray:
     return fwht(np.bincount(G.generators, minlength=G.num_vertices).astype(dtype))
 
 
+def _convolve(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """n times the sum of values[..., v ^ u] over the generators u of the
+    graph whose character table is chars, for every vertex v of the last
+    axis (repeated generators count with multiplicity): the XOR convolution
+    with the generator multiset, which by the convolution theorem over
+    F_2^dim is one FWHT, a pointwise product with chars, and a second FWHT
+    (n times the inverse transform).  It divides nothing, so it is exact on
+    integer and object arrays, and a walk loop builds chars once."""
+    return fwht(fwht(values) * chars)
+
+
 def cayley_average(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
     """Average of values[..., v ^ u] over the generators u of G, for every
-    vertex v of the last axis (repeated generators count with multiplicity).
-
-    The average is an XOR convolution with the generator multiset, so by
-    the convolution theorem over F_2^dim it is one FWHT, a pointwise
-    product with the character table, and a second FWHT, which equals
-    n times the inverse transform.
-    """
-    return fwht(fwht(values) * character_table(G)) / (G.num_vertices * G.degree)
+    vertex v of the last axis: _convolve over n * degree."""
+    return _convolve(values, character_table(G)) / (G.num_vertices * G.degree)
 
 
 def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:

@@ -7,14 +7,14 @@ arbitrary-precision ints and the result is a Fraction with denominator
 """
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, character_table, fwht, spectrum
+from .graphs import CayleyGraph, _convolve, character_table, spectrum
 
 Real = Union[float, Fraction]
 
@@ -29,6 +29,9 @@ class HittingInstance:
         n = self.graph.num_vertices
         if not self.subset:
             raise ValueError("subset must be nonempty")
+        for v in self.subset:  # a float vertex is refused, not truncated
+            if not isinstance(v, numbers.Integral):
+                raise ValueError(f"subset vertex {v!r} is not an integer")
         if any(not 0 <= v < n for v in self.subset):
             raise ValueError("subset contains out-of-range vertices")
         if self.t < 1:
@@ -43,10 +46,10 @@ def _survival(inst: HittingInstance) -> list[Fraction]:
     """P[a_1..a_t all in S] for t = 1..inst.t, exactly, from one prefix DP.
 
     Integer path-count DP: count_j(a) = surviving j-vertex paths ending
-    at a; one step sums counts over the generator neighbors (an XOR
-    convolution, taken through the FWHT as in graphs.cayley_average) and
-    zeroes vertices outside S.  Counts are Python ints in object arrays,
-    so they stay exact past 2**63.  Level j's count total over
+    at a; one step sums counts over the generator neighbors (the Cayley
+    convolution graphs._convolve, over n, with the character table built
+    once) and zeroes vertices outside S.  Counts are Python ints in object
+    arrays, so they stay exact past 2**63.  Level j's count total over
     n * d**(j-1) is the probability for t = j.
     """
     g = inst.graph
@@ -59,7 +62,7 @@ def _survival(inst: HittingInstance) -> list[Fraction]:
     counts = in_s
     probs = [Fraction(int(counts.sum()), n)]
     for _ in range(inst.t - 1):
-        counts = in_s * (fwht(fwht(counts) * chars) // n)
+        counts = in_s * (_convolve(counts, chars) // n)
         probs.append(Fraction(int(counts.sum()), n * g.degree ** len(probs)))
     return probs
 
@@ -72,7 +75,10 @@ def hitting_prob_exact(inst: HittingInstance) -> Fraction:
 def hitting_bound(rho: Real, lam: Real, t: int) -> Real:
     """Closed form rho * (rho + lam*(1 - rho))**(t-1).
 
-    Exact when both inputs are Fractions.
+    Exact when both inputs are Fractions.  Phi = rho + lam*(1 - rho) solves
+    Phi = lam/2 + sqrt(lam^2/4 + rho*(1 - lam)*Phi) for every rho in (0, 1]
+    and lam in [0, 1]: squared, the sides differ by Phi*(Phi - rho - lam +
+    lam*rho), which is 0, and Phi - lam/2 = rho*(1 - lam) + lam/2 >= 0.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -115,7 +121,7 @@ def check_hitting(
     """
     if tmax < 1:
         raise ValueError(f"tmax must be at least 1, got {tmax}")
-    inst = HittingInstance(graph, frozenset(int(v) for v in subset), tmax)
+    inst = HittingInstance(graph, frozenset(subset), tmax)
     if lam is None:
         lam = spectrum(graph).lambda_exact
     rows = []
@@ -123,28 +129,3 @@ def check_hitting(
         bound = hitting_bound(inst.rho, lam, t)
         rows.append(HittingRow(t, exact, bound, exact <= bound))
     return HittingReport(inst.rho, lam, rows)
-
-
-def check_phi_identity(rho_grid: Iterable[float], lam_grid: Iterable[float]) -> bool:
-    """Phi = rho + lam*(1 - rho) solves Phi = lam/2 + sqrt(lam^2/4 +
-    rho*(1 - lam)*Phi) on the whole grid.
-
-    Checked exactly in rationals, as Phi - lam/2 >= 0 and (Phi - lam/2)^2
-    = lam^2/4 + rho*(1 - lam)*Phi.  Each grid is read once; a value that
-    is not finite raises ValueError.
-    """
-    rhos, lams = _rationals(rho_grid, "rho"), _rationals(lam_grid, "lambda")
-    for rho in rhos:
-        for lam in lams:
-            phi = rho + lam * (1 - rho)
-            root = phi - lam / 2
-            if root < 0 or root * root != lam * lam / 4 + rho * (1 - lam) * phi:
-                return False
-    return True
-
-
-def _rationals(grid: Iterable[float], name: str) -> list[Fraction]:
-    values = list(grid)
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} grid must be finite, got {values}")
-    return [Fraction(v) for v in values]

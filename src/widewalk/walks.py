@@ -44,6 +44,7 @@ the n_A translates leaves the total variation distance as it is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -197,10 +198,14 @@ class ReplacementSystem:
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
         """Expand one seed (a_0, b_1, (u_2, ..., u_t)) into its walk.
 
-        Refuses a seed with a_0, b_1 or some u out of range, rather than
-        letting a negative index wrap.
+        Refuses a seed with a_0, b_1 or some u not an integer or out of
+        range, rather than truncating a float or letting a negative index
+        wrap.
         """
-        us = tuple(int(u) for u in u_indices)
+        us = tuple(u_indices)
+        if not all(isinstance(v, numbers.Integral) for v in (a0, b1, *us)):
+            raise ValueError(f"seed ({a0}, {b1}, {us}) must be integers")
+        us = tuple(map(int, us))
         if not (0 <= a0 < self.num_outer and 0 <= b1 < self.num_inner
                 and all(0 <= u < self.params.d_inner for u in us)):
             raise ValueError(

@@ -5,9 +5,12 @@ s=5) is expensive enough that its DP tables are computed once per
 session and shared.  The small g8 system exists because its walk
 conditional means are nonzero at every level, which makes it a better
 witness for identity tests than instances where everything collapses
-to an exact zero.
+to an exact zero.  The skew16 outer multigraph is the one outer graph
+with lambda_A strictly between 0 and 1, so the hypothesis
+lambda_A <= lambda_B^2 is met by a nonzero lambda_A only on its systems.
 """
 
+import numpy as np
 import pytest
 
 from widewalk import (
@@ -68,3 +71,12 @@ def witness():
     # the benchmark's witness-dp system: one 2 MiB float table per level
     params = WalkParams(m=3, s=5, ell=5)
     return ReplacementSystem(build_complete_selfloop(3), build_aghp(15, 5), params)
+
+
+@pytest.fixture(scope="session")
+def skew16():
+    # every vertex of F_2^3 twice, except 0 three times and 7 once: 16
+    # generators (an outer graph for m = 4) whose character sum at a
+    # nonzero alpha is 1 - (-1)^parity(alpha), so lambda_A = 2/16 = 1/8
+    gens = np.repeat(np.arange(8), [3, 2, 2, 2, 2, 2, 2, 1])
+    return CayleyGraph(dim=3, generators=gens, name="skew16", multigraph=True)

@@ -95,20 +95,23 @@ def test_acceptance_04_local_invertibility(flagship, g8_system, mono_system):
     record(4, "local-invertibility", ok)
 
 
-def test_acceptance_05_dp_equals_brute_force(g8_system, g8_f):
-    # the pinned small system, with both outer-graph choices: the default
-    # complete outer and the g8 outer whose means are nonzero everywhere
+def test_acceptance_05_dp_equals_brute_force(g8_system, g8_f, skew16):
+    # the pinned small system, with three outer-graph choices: the default
+    # complete outer, the g8 outer whose means are nonzero everywhere, and
+    # skew16 with lambda_A = 1/8 (every walk at t = 1 and 2: 524,288 at t = 2)
     tiny = ReplacementSystem(
         build_complete_selfloop(1), build_aghp(2, 1), WalkParams(1, 2, 1)
     )
+    skewed = ReplacementSystem(skew16, build_aghp(8, 4), WalkParams(4, 2, 4))
     cases = [
-        (tiny, SignedFn.balanced(2)),
-        (g8_system, g8_f),
+        (tiny, SignedFn.balanced(2), 4),
+        (g8_system, g8_f, 4),
+        (skewed, SignedFn.from_support(8, [0, 1, 2]), 2),
     ]
     ok = True
-    for sys, f in cases:
-        tables = dp_gk(sys, f, 4)
-        for t in range(1, 5):
+    for sys, f, tmax in cases:
+        tables = dp_gk(sys, f, tmax)
+        for t in range(1, tmax + 1):
             sums = {}
             counts = {}
             for _, a_vertices, b_vertices in oracle.walks(sys, t):

@@ -55,6 +55,15 @@ G8_FROZEN_EPS = [0.25, 0.5, 0.5, 0.5, 0.5]
 # SHA-256 of the 21 flagship dp_gk(..., 20) tables' float64 bytes, level
 # order, as the per-generator gather DP produced them
 FLAGSHIP_TABLES_SHA256 = "78bf62b5d94dd7c890aa4ae0a21da7c10f7a5c7e6d19aa3504f78310f6ae2c80"
+# SHA-256 of the float64 bytes of levels 1..12 of dp_hk and dp_hk_weighted
+# (f balanced, H = default_rng(5).uniform(-1, 1, n)), as the loop that
+# rebuilt the character table at every level produced them
+PURE_TABLES_SHA256 = {
+    ("complete-nonzero-m4", "h"): "638ff1ecd56d5a7576cbff01f3195cd8ccdf4f2b1b7f6c799a4a74e0caa2cd8f",
+    ("complete-nonzero-m4", "hhat"): "9f5562ca16cb80d5629051165f097569a6241a0181bfb5a70a9fc27b0de6e6cf",
+    ("aghp-r10-l5", "h"): "5b01b6d8c3741c24ff4367a5d8cbd8091155c063f9b5aad069880cdca48955a9",
+    ("aghp-r10-l5", "hhat"): "e85c65da20fb9410634aa19550d64b6efee9e7f7f1939b4c72a02b47773e4b92",
+}
 
 
 def test_signed_fn_basics():
@@ -67,6 +76,16 @@ def test_signed_fn_basics():
     z = SignedFn.zero(4)
     assert z.bias == 1.0
     assert list(z.signs) == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_signed_fn_refuses_non_integer_bits():
+    # a float is refused, not truncated: [0.5, 1.9, 0, 1] is not bits 0, 1, 0, 1
+    for bits in ([0.5, 1.9, 0, 1], np.array([0.0, 1.0]), [1, None]):
+        with pytest.raises(ValueError, match="bits must be integers"):
+            SignedFn(bits)
+    for bits in ([0, 1, 0, 1], np.array([0, 1, 0, 1], np.uint8), np.array([0, 1, 0, 1]) == 1):
+        f = SignedFn(bits)
+        assert f.bits.tolist() == [0, 1, 0, 1] and f.signs.tolist() == [1.0, -1.0, 1.0, -1.0]
 
 
 def test_signed_fn_balanced():
@@ -384,6 +403,38 @@ def test_dp_hk_matches_enumeration(g8_system, g8_f):
         assert np.max(np.abs(tables[k].values - brute)) <= 1e-12, k
 
 
+def test_pure_walk_tables_are_pinned_bit_for_bit(k16):
+    for g in (k16, build_aghp(10, 5)):
+        n = g.num_vertices
+        f = SignedFn.balanced(n)
+        H = np.random.default_rng(5).uniform(-1, 1, n)
+        for kind, tables in (("h", dp_hk(g, f, 12)), ("hhat", dp_hk_weighted(g, f, H, 12))):
+            digest = hashlib.sha256()
+            for t in tables[1:]:
+                digest.update(t.values.tobytes())
+            assert digest.hexdigest() == PURE_TABLES_SHA256[g.name, kind], (g.name, kind)
+
+
+def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
+    # counted under both names it is called by, so a table rebuilt at every
+    # level (through graphs.cayley_average) would count once per level
+    from widewalk import amplify, graphs
+
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return character_table(G)
+
+    monkeypatch.setattr(amplify, "character_table", counted)
+    monkeypatch.setattr(graphs, "character_table", counted)
+    f = SignedFn.balanced(16)
+    for run in (lambda: dp_hk(k16, f, 8), lambda: dp_hk_weighted(k16, f, np.ones(16), 8)):
+        calls.clear()
+        run()
+        assert calls == [k16]
+
+
 def test_dp_hk_weighted_unit_weight_equals_plain(k16):
     f = SignedFn.balanced(16)
     plain = dp_hk(k16, f, 6)
@@ -518,6 +569,23 @@ def test_base_case_zero_lambda_inner():
     assert by_k[0].bound_sigma is None
     assert by_k[1].bound_sigma == 2.0
     assert by_k[2].bound_sigma == 0.0
+
+
+def test_base_case_and_induction_with_positive_lambda_a(skew16):
+    # lambda_A = 1/8 <= lambda_B^2 = 225/1024: the outer graph's expansion
+    # enters met hypotheses, and every eps_k is nonzero
+    sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    f = SignedFn.from_support(8, [0, 1, 2])
+    assert measured_lambdas(sys) == (Fraction(1, 8), Fraction(15, 32))
+    tables = dp_gk(sys, f, 10)
+    base = check_base_case(sys, f, tables)
+    ind = check_induction_step(sys, f, 10, tables)
+    assert base.hypotheses_met and base.all_passed
+    assert ind.hypotheses_met and ind.all_passed
+    rows = base.rows + ind.rows
+    assert [r.k for r in rows] == list(range(11))
+    assert [r.k for r in rows if not r.vacuous] == [6, 7, 8, 9, 10]
+    assert all(r.epsilon > 0 for r in rows)
 
 
 def test_hypothesis_gate_disconnected_outer(g8_system, g8_f):

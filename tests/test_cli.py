@@ -4,6 +4,7 @@ byte-level determinism.  All invocations go through main(argv)."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,12 @@ def tiny_config(tmp_path, **extra):
     return write_config(
         tmp_path, name="tiny.json", m=1, s=2, ell=1, outer="complete", inner="aghp", **extra
     )
+
+
+def skew16_graph():
+    """The skew16 outer multigraph of tests/conftest.py, lambda_A = 1/8."""
+    gens = np.repeat(np.arange(8), [3, 2, 2, 2, 2, 2, 2, 1])
+    return CayleyGraph(dim=3, generators=gens, name="skew16", multigraph=True)
 
 
 def assert_one_line_invalid(argv, capsys, prefix):
@@ -169,6 +176,23 @@ def test_verify_base_case_hypotheses_unmet(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["hypotheses_met"] is False
     assert doc["report"]["rows"] == []
+
+
+def test_skew16_system_fails_only_the_lambda_a_hypothesis(tmp_path, capsys):
+    # the outer graph's expansion enters a verdict: lambda_A = 1/8 is met
+    # under lambda_B = 15/32 (ell = 5) and is the one unmet hypothesis
+    # under lambda_B = 15/64 (ell = 6), where f is balanced
+    (tmp_path / "skew16.json").write_text(skew16_graph().to_json())
+    outer = str(tmp_path / "skew16.json")
+    for ell, support, code, detail in (
+        (5, "0,1,2", EXIT_PASS, "Bias(f)=1/4 <= lambda_B=15/32; lambda_A=1/8 <= lambda_B^2=225/1024"),
+        (6, "0,1,2,3", EXIT_HYPOTHESES, "Bias(f)=0 <= lambda_B=15/64; lambda_A=1/8 > lambda_B^2=225/4096"),
+    ):
+        cfg = write_config(tmp_path, m=4, s=4, ell=ell, outer=outer)
+        assert main(["verify", "induction", "--config", cfg, "--support", support]) == code
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["hypothesis_detail"] == detail
+        assert report["hypotheses_met"] is (code == EXIT_PASS)
 
 
 def test_out_of_range_support_is_invalid_input(tmp_path, capsys):
@@ -522,6 +546,13 @@ _PINNED_CASES = {
         EXIT_HYPOTHESES),
     "verify-induction": (
         ["verify", "induction", "--config", "flag.json", "--kmax", "7"], EXIT_PASS),
+    # lambda_A = 1/8 > 0 on the skew16 outer multigraph (see _write_pinned_inputs)
+    "verify-base-case-skew16": (["verify", "base-case", "--config", "skew.json"], EXIT_PASS),
+    "verify-induction-skew16": (["verify", "induction", "--config", "skew.json"], EXIT_PASS),
+    # lambda_B = 15/64, so only lambda_A <= lambda_B^2 fails (the bias is 0)
+    "verify-induction-skew16-unmet": (
+        ["verify", "induction", "--config", "skew-l6.json", "--support", "0,1,2,3"],
+        EXIT_HYPOTHESES),
     "verify-bias-lemma": (["verify", "bias-lemma", "--config", "flag.json"], EXIT_PASS),
     "verify-arithmetic": (["verify", "arithmetic"], EXIT_PASS),
     # no grid point in the validity region, so nothing is asserted; this
@@ -613,6 +644,18 @@ _PINNED_SHA256 = {
         "07cc79c4bd6ea2bbf04d66bb4a9e6c35caa595f5737cd93a0398f6802a06a60d",
     ("verify-induction", "csv"):
         "d9a6631a32f1afa7022aee650d28a03d71ef67973a5fbe2972c54f745310492b",
+    ("verify-base-case-skew16", "json"):
+        "1ad050d597844a1d88960c28ef645b75a19f21ed6f6a652e1ae8ada8ef3fd605",
+    ("verify-base-case-skew16", "csv"):
+        "afd65cc932df3a904dfc4fede17de784631a2dca3d0f0e29b2711f2c3c237a5d",
+    ("verify-induction-skew16", "json"):
+        "33db9c43ab8627e31ac3f62dfe75d156d7c8bf4ddda7a67592a47b99446c9e73",
+    ("verify-induction-skew16", "csv"):
+        "dc02e48f991d8b7a08749e97ea6fa7e773053370c3c012bac61d6801d5c3af18",
+    ("verify-induction-skew16-unmet", "json"):
+        "9873bec19242e362ffea267b0a254c03a8919fdcf9d8fc3c83d5f9a3878607ad",
+    ("verify-induction-skew16-unmet", "csv"):
+        "1b3bd1ccc0d9838ca738c4f48662b95a256d910d3f577d319745db8f3b94b01f",
     ("verify-pseudorandomness", "json"):
         "587d9c252ebb535243f76f5a83057b9c9b85399bd78194d0b8a2508945d8b878",
     ("verify-pseudorandomness", "csv"):
@@ -634,8 +677,11 @@ def _write_pinned_inputs(directory) -> None:
         ("flag.json", {"m": 2, "s": 5, "ell": 5, "t": 10}),
         ("tiny.json", {"m": 1, "s": 2, "ell": 1, "t": 2}),
         ("m3.json", {"m": 3, "s": 2, "ell": 3, "t": 5}),
+        ("skew.json", {"m": 4, "s": 4, "ell": 5, "outer": "skew16.json", "support": "0,1,2"}),
+        ("skew-l6.json", {"m": 4, "s": 4, "ell": 6, "outer": "skew16.json"}),
     ):
         (directory / name).write_text(json.dumps(cfg))
+    (directory / "skew16.json").write_text(skew16_graph().to_json())
     for name, code in (
         ("base1.json", LinearCode(1, 2, [0b01])),
         ("base3.json", LinearCode(3, 8, [0b11, 0b1100, 0b110000])),

@@ -519,6 +519,43 @@ def test_every_float_bound_verdict_goes_through_holds():
     assert offenders == []
 
 
+# numpy entry points that call BLAS; "inner" only as np.inner, since
+# .inner is also the inner graph of a replacement system
+_BLAS_ANYWHERE = {"dot", "vdot", "matmul", "tensordot", "einsum", "linalg"}
+_BLAS_ON_NUMPY = _BLAS_ANYWHERE | {"inner"}
+
+
+def test_no_blas_call_outside_the_dense_spectrum():
+    """BLAS's thread pool, once started, slows every later numpy call of
+    the process, so the package sums with elementwise products and .sum()
+    (see mixing_check and check_middle_start_identity).  No np.dot, vdot,
+    matmul, inner, tensordot, einsum, np.linalg, .dot( or @ appears in it
+    outside graphs._spectrum_dense, the dense-eigen cross-check, which the
+    CLI runs in a process of its own."""
+    import widewalk
+
+    offenders = []
+    for path in sorted(Path(widewalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func, node in _nodes_by_function(tree):
+            if (path.name, func) == ("graphs.py", "_spectrum_dense"):
+                continue
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                offenders.append(f"{where} uses @")
+            elif isinstance(node, ast.Attribute):
+                on_numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                if node.attr in (_BLAS_ON_NUMPY if on_numpy else _BLAS_ANYWHERE):
+                    offenders.append(f"{where} reads .{node.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                for alias in node.names:
+                    parts = {*module.split("."), *alias.name.split(".")}
+                    if "numpy" in parts and parts & _BLAS_ON_NUMPY:
+                        offenders.append(f"{where} imports {alias.name} from {module or 'numpy'}")
+    assert offenders == []
+
+
 def test_mixing_check_equality_at_top_character():
     # the bound is tight when f = g = the argmax character
     for g in (build_aghp(4, 2), build_complete_selfloop(4, selfloop=False)):

@@ -2,9 +2,9 @@
 oracle and the closed-form bound."""
 
 import itertools
-import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from widewalk import build_complete_selfloop
@@ -12,7 +12,6 @@ from widewalk.graphs import CayleyGraph
 from widewalk.hitting import (
     HittingInstance,
     check_hitting,
-    check_phi_identity,
     hitting_bound,
     hitting_prob_exact,
 )
@@ -50,6 +49,17 @@ def test_instance_validation(k16):
     for tmax in (0, -3):
         with pytest.raises(ValueError, match="tmax must be at least 1"):
             check_hitting(k16, [0], tmax)
+
+
+def test_float_vertices_are_refused_not_truncated(k16):
+    # [0.5, 1.7] used to run on the subset {0, 1}
+    for subset in ([0.5, 1.7], [0, 1.0 + 2**-52], [2, np.float64(3)]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            check_hitting(k16, subset, 3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        HittingInstance(k16, frozenset({1.5}), 3)
+    exact = [r.exact for r in check_hitting(k16, [0, 1], 3).rows]
+    assert [r.exact for r in check_hitting(k16, np.array([0, 1]), 3).rows] == exact
 
 
 def test_exact_matches_oracle_small():
@@ -161,16 +171,3 @@ def test_budget_guard():
     inst = HittingInstance(g, frozenset({0, 1}), 1 << 10)
     with pytest.raises(ValueError):
         hitting_prob_exact(inst)
-
-
-def test_phi_identity_grid():
-    grid_rho = [0.05, 0.1, 0.25, 0.5, 0.9, 1.0]
-    grid_lam = [0.0, 0.01, 0.1, 0.5, 0.99]
-    assert check_phi_identity(grid_rho, grid_lam)
-    # rho = 2 breaks the identity for lambda = 3, also when the lambda grid
-    # is an iterator that only the first rho could read
-    assert not check_phi_identity([0.5, 2.0], [3.0])
-    assert not check_phi_identity([0.5, 2.0], iter([3.0]))
-    for rho_grid, lam_grid in (([math.nan], [0.5]), ([0.5], [math.inf])):
-        with pytest.raises(ValueError, match="must be finite"):
-            check_phi_identity(rho_grid, lam_grid)
