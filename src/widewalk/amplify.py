@@ -19,13 +19,23 @@ across runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import CayleyGraph, _convolve, character_table, fwht, holds, spectrum, vertex_values
+from .graphs import (
+    CayleyGraph,
+    _character_sum_spectrum,
+    _convolve,
+    character_table,
+    fwht,
+    holds,
+    spectrum,
+    vertex_values,
+)
 from .walks import ReplacementSystem
 
 TOL_IDENTITY = 1e-9
@@ -65,6 +75,9 @@ class SignedFn:
     def from_support(cls, n: int, support: Sequence[int]) -> "SignedFn":
         support = list(support)
         for v in support:
+            # a float or bool would reach numpy indexing as a bad index or a mask
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"support vertex {v!r} must be an integer")
             if not 0 <= v < n:
                 raise ValueError(f"support vertex {v} out of range 0..{n - 1}")
         bits = np.zeros(n, dtype=np.int64)
@@ -242,14 +255,17 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
 
 
 def _pure_levels(
-    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str
+    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str,
+    chars: Optional[np.ndarray] = None,
 ) -> Iterator[DpTable]:
     """Pure-walk tables 1..kmax as the recursion reaches them, from level 1
     = sign * weight: each further level is the sign times the generator
     average of the previous one: graphs.cayley_average's convolution and
-    division, with the character table built once."""
+    division, with the character table built once (or the caller's chars
+    taken)."""
     _require_pure(graph, f, kmax)
-    chars, scale = character_table(graph), graph.num_vertices * graph.degree
+    chars = character_table(graph) if chars is None else chars
+    scale = graph.num_vertices * graph.degree
     h = f.signs * weight
     yield DpTable(h, 1, kind)
     for k in range(2, kmax + 1):
@@ -348,26 +364,29 @@ def lemma_hypotheses(
     return ok_bias and ok_lam, detail, lam_a, lam_b
 
 
-def _pure_report(kind: str, graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
+def _pure_report(
+    kind: str, graph: CayleyGraph, f: SignedFn, kmax: int
+) -> tuple[MomentReport, np.ndarray]:
     """A pure-walk report with no rows yet: the arguments checked, then the
     hypothesis Bias(f) <= sqrt(lambda), as Bias(f)^2 <= lambda exactly on
-    the measured spectrum."""
+    the measured spectrum; and the character table that spectrum was read
+    from, for the check's DP."""
     _require_pure(graph, f, kmax)
-    rep = spectrum(graph)
+    rep, chars = _character_sum_spectrum(graph)
     met = f.bias_exact**2 <= rep.lambda_exact
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(rep.lam)!r}"
-    return MomentReport(kind, float(rep.lam), f.bias, met, detail)
+    return MomentReport(kind, float(rep.lam), f.bias, met, detail), chars
 
 
 def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
     """Measured pure-walk moments against the eps <= (4*lam)^(k/2)/2 and
     E[h_k^2] <= (4*lam)^(k-1) bounds, lam the measured expansion of the
     graph; hypothesis Bias(f) <= sqrt(lam)."""
-    report = _pure_report("pure-walk", graph, f, kmax)
+    report, chars = _pure_report("pure-walk", graph, f, kmax)
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    for table in _pure_levels(graph, f, 1.0, kmax, "h"):
+    for table in _pure_levels(graph, f, 1.0, kmax, "h", chars):
         k, mom = table.level, moments(table)
         bound_eps = 0.5 * (4 * lam) ** (k / 2)
         bound_sq = (4 * lam) ** (k - 1)
@@ -385,11 +404,11 @@ def check_weighted_walk_bounds(
 ) -> MomentReport:
     """Terminal-weighted analogue: bounds in terms of the level-1 moments."""
     weight = vertex_values(H, graph, "H")
-    report = _pure_report("weighted-walk", graph, f, kmax)
+    report, chars = _pure_report("weighted-walk", graph, f, kmax)
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    levels = map(moments, _pure_levels(graph, f, weight, kmax, "hhat"))
+    levels = map(moments, _pure_levels(graph, f, weight, kmax, "hhat", chars))
     e1, s1 = next((m.eps, m.sigma) for m in levels)  # level 1's eps_a is not kept
     report.extra.update(eps1=e1, sigma1=s1)
     for k, mom in enumerate(levels, 2):

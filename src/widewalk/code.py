@@ -233,7 +233,8 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     out = np.empty((n_a, n_b * per_b), dtype=np.uint8)
     for lo in range(0, n_b, step):
         seeds = choice_grid(min(step, n_b - lo), *(d,) * (t - 1))
-        A, _ = sys.expand(0, lo + seeds[:, 0], seeds[:, 1:])
+        # the grid's dtype holds only its own values, so b_1 is summed in the system's
+        A, _ = sys.expand(0, np.add(seeds[:, 0], lo, dtype=sys._dtype), seeds[:, 1:])
         cols = slice(lo * per_b, lo * per_b + len(A))
         lanes = max(1, (1 << 16) // len(A))
         for g_lo in range(0, n_a, lanes * width):

@@ -242,7 +242,7 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
 def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along one axis (the last by
     default), whose length must be a power of two, in a's dtype; a is left
-    unchanged.
+    unchanged unless it is lent as a work buffer.
 
     Stages run in constant geometry (Pease 1968) over a (pre, n, post) view
     of a: each stage reads the neighbour pairs lo = x[:, 0::2], hi =
@@ -258,11 +258,13 @@ def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
     The stages ping-pong between two buffers, one of which holds the
     result.  By default they are one new allocation.  work=(out, scratch)
     lends them instead: two C-contiguous arrays of a's size and dtype that
-    overlap neither a nor each other.  Stage j of log2(n) writes
+    do not overlap each other.  Stage j of log2(n) writes
     work[(log2(n) - 1 - j) % 2], so the last stage writes out and the
     result is always a view of out (a length-1 axis is copied into it);
-    scratch is left as scratch.  a itself may be a strided view; only the
-    reshape to (pre, n, post) may copy it.
+    scratch is left as scratch.  Neither may overlap a, with one exception:
+    a itself, the same array object, may be lent as work[log2(n) % 2], the
+    buffer that the first stage only reads, and is then consumed.  a may be
+    a strided view; only the reshape to (pre, n, post) may copy it.
     """
     a = np.asarray(a)
     shape, axis = a.shape, range(a.ndim)[axis]
@@ -271,7 +273,7 @@ def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
         raise ValueError(f"fwht needs a power-of-two length, got {n}")
     half, stages = n // 2, n.bit_length() - 1
     x = a.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
-    bufs = np.empty((2, *x.shape), a.dtype) if work is None else _work_pair(work, a, x.shape)
+    bufs = np.empty((2, *x.shape), a.dtype) if work is None else _work_pair(work, a, x.shape, stages)
     if not stages:
         np.copyto(bufs[0], x)
     for stage in range(stages):
@@ -283,18 +285,20 @@ def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
     return bufs[0].reshape(shape)
 
 
-def _work_pair(work, a: np.ndarray, shape: tuple) -> list[np.ndarray]:
+def _work_pair(work, a: np.ndarray, shape: tuple, stages: int) -> list[np.ndarray]:
     """fwht's lent buffers, checked and viewed in the (pre, n, post) shape."""
     if len(work) != 2:
         raise ValueError("fwht's work must be a pair of arrays")
     bufs = []
-    for w in work:
+    for i, w in enumerate(work):
         if not isinstance(w, np.ndarray) or w.dtype != a.dtype or w.size != a.size:
             raise ValueError(f"each fwht work array must be a {a.dtype} array of {a.size} items")
         if not w.flags.c_contiguous:
             raise ValueError("each fwht work array must be C-contiguous")
-        if np.shares_memory(w, a):
-            raise ValueError("an fwht work array overlaps the input")
+        if np.shares_memory(w, a) and not (w is a and i == stages % 2):
+            raise ValueError(
+                f"an fwht work array overlaps the input (only the input itself, "
+                f"as work[{stages % 2}], may be lent)")
         bufs.append(w.reshape(shape))
     if np.shares_memory(*bufs):
         raise ValueError("the two fwht work arrays overlap")
@@ -307,10 +311,22 @@ def character_table(G: CayleyGraph) -> np.ndarray:
     the full eigenvalue spectrum of the normalized adjacency operator.
 
     Every partial sum of the transform is at most the degree in absolute
-    value, so the table is int32 unless the degree reaches 2**31.
+    value, so the table is int32 unless the degree reaches 2**31.  The
+    generator counts go straight into a table of that dtype (np.bincount
+    would copy the read-only generators and count in int64), which the
+    transform then consumes: two tables at the peak.
     """
-    dtype = np.int32 if G.degree < 1 << 31 else np.int64
-    return fwht(np.bincount(G.generators, minlength=G.num_vertices).astype(dtype))
+    counts = np.zeros(G.num_vertices, np.int32 if G.degree < 1 << 31 else np.int64)
+    # a scalar of the table's own dtype keeps add.at on its fast path
+    np.add.at(counts, G.generators, counts.dtype.type(1))
+    return fwht(counts, work=_consuming(counts, np.empty_like(counts)))
+
+
+def _consuming(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The work pair with which fwht, along a's last axis, consumes a: a as
+    work[log2(n) % 2], the buffer its first stage only reads, and spare as
+    the other."""
+    return (a, spare) if a.shape[-1].bit_length() % 2 else (spare, a)
 
 
 def _convolve(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
@@ -320,8 +336,17 @@ def _convolve(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
     with the generator multiset, which by the convolution theorem over
     F_2^dim is one FWHT, a pointwise product with chars, and a second FWHT
     (n times the inverse transform).  It divides nothing, so it is exact on
-    integer and object arrays, and a walk loop builds chars once."""
-    return fwht(fwht(values) * chars)
+    integer and object arrays, and a walk loop builds chars once.
+
+    Both transforms run in the product's dtype, in one pair of buffers: the
+    first ends in one of them, the product is taken there in place, and
+    the second transform consumes it.  So the peak is two arrays of
+    values' size, where a product and a fresh pair would be three."""
+    dtype = np.result_type(values, chars)
+    pair = np.empty((2, *np.shape(values)), dtype)
+    x = fwht(np.asarray(values, dtype), work=pair)
+    np.multiply(x, chars, out=x)
+    return fwht(x, work=_consuming(x, pair[1]))
 
 
 def cayley_average(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
@@ -342,28 +367,36 @@ def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     it in a process of its own.
     """
     if method == "character-sum":
-        if G.dim > SPECTRUM_SCAN_LIMIT:
-            raise ValueError(
-                f"dim {G.dim} exceeds the exhaustive character scan limit "
-                f"{SPECTRUM_SCAN_LIMIT}; no exact spectrum is available"
-            )
-        numer = character_table(G)
-        numer[0] = 0
-        # np.argmax(np.abs(numer)) without the copy: the first index of
-        # the largest |value| is the first index of the max or of the min
-        hi, lo = int(np.argmax(numer)), int(np.argmin(numer))
-        top, bottom = int(numer[hi]), -int(numer[lo])
-        idx = hi if top > bottom else lo if bottom > top else min(hi, lo)
-        num = max(top, bottom)
-        return SpectralReport(
-            lam=num / G.degree,
-            argmax_character=idx,
-            method=method,
-            lambda_exact=Fraction(num, G.degree),
-        )
+        return _character_sum_spectrum(G)[0]
     if method == "dense-eigen":
         return _spectrum_dense(G)
     raise ValueError(f"unknown spectrum method {method!r}")
+
+
+def _character_sum_spectrum(G: CayleyGraph) -> tuple[SpectralReport, np.ndarray]:
+    """spectrum(G)'s character-sum report, and the character table it was
+    read from, left whole, for a caller that needs both."""
+    if G.dim > SPECTRUM_SCAN_LIMIT:
+        raise ValueError(
+            f"dim {G.dim} exceeds the exhaustive character scan limit "
+            f"{SPECTRUM_SCAN_LIMIT}; no exact spectrum is available"
+        )
+    numer = character_table(G)
+    trivial, numer[0] = numer[0], 0
+    # np.argmax(np.abs(numer)) without the copy: the first index of
+    # the largest |value| is the first index of the max or of the min
+    hi, lo = int(np.argmax(numer)), int(np.argmin(numer))
+    top, bottom = int(numer[hi]), -int(numer[lo])
+    numer[0] = trivial
+    idx = hi if top > bottom else lo if bottom > top else min(hi, lo)
+    num = max(top, bottom)
+    report = SpectralReport(
+        lam=num / G.degree,
+        argmax_character=idx,
+        method="character-sum",
+        lambda_exact=Fraction(num, G.degree),
+    )
+    return report, numer
 
 
 def _spectrum_dense(G: CayleyGraph) -> SpectralReport:

@@ -149,15 +149,26 @@ class ReplacementSystem:
     def shift(self, b):
         """The forward block shift of b: a rotate right of its r = m*s bits
         by m."""
-        m, r = self.params.m, self.params.r
-        return (b >> m) | (b & (self.params.d_outer - 1)) << (r - m)
+        return self._rotate(b, self.params.m)
 
     def unshift(self, b):
-        """The inverse of shift: a rotate left of b's r bits by m.  On an
-        array the left shift wraps in its own dtype before the mask, which
-        is exact because the dtype holds at least r bits."""
-        m, r = self.params.m, self.params.r
-        return (b << m) & (self.num_inner - 1) | b >> (r - m)
+        """The inverse of shift: a rotate left of b's r bits by m, which is
+        a rotate right by r - m."""
+        return self._rotate(b, self.params.r - self.params.m)
+
+    def _rotate(self, b, k: int, out: Optional[np.ndarray] = None):
+        """b's r = m*s bits rotated right by k (an int or an integer array
+        b).  With out, an array of b's shape and dtype that may be b
+        itself, the rotation is written there with one temporary, b's low
+        k bits.  The dtype holds r bits, so neither shift loses one."""
+        r = self.params.r
+        if out is None:
+            return (b >> k) | (b & ((1 << k) - 1)) << (r - k)
+        low = np.bitwise_and(b, (1 << k) - 1)
+        np.right_shift(b, k, out=out)
+        low <<= r - k
+        out |= low
+        return out
 
     def expand(self, a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The array form of the walk rule: (A, B) for one walk per row.
@@ -185,14 +196,18 @@ class ReplacementSystem:
         A[pivot] = a
         B[p - 1] = b
         cols = iter(u.T)
+        m, r = self.params.m, self.params.r
+        # every step writes its own row in place
         for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
-            B[j] = self.shift(B[j - 1] ^ gens.take(next(cols)))
+            np.bitwise_xor(B[j - 1], gens.take(next(cols)), out=B[j])
+            self._rotate(B[j], m, out=B[j])
         for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
-            B[j] = self.unshift(B[j + 1]) ^ gens.take(next(cols))
+            self._rotate(B[j + 1], r - m, out=B[j])
+            B[j] ^= gens.take(next(cols))
         for j in range(pivot + 1, t + 1):
-            A[j] = A[j - 1] ^ self.hop(B[j - 1])
+            np.bitwise_xor(A[j - 1], self.hop(B[j - 1]), out=A[j])
         for j in range(pivot - 1, -1, -1):
-            A[j] = A[j + 1] ^ self.hop(B[j])
+            np.bitwise_xor(A[j + 1], self.hop(B[j]), out=A[j])
         return A.T, B.T
 
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
@@ -244,8 +259,12 @@ def sample_swalk(
 
 def choice_grid(*sizes: int) -> np.ndarray:
     """Every tuple of range(sizes[0]) x range(sizes[1]) x ..., one per row,
-    in C (lexicographic) order; one empty row when sizes is empty."""
-    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+    in C (lexicographic) order; one empty row when sizes is empty.  The
+    grid is in the smallest unsigned dtype that holds max(sizes) - 1, so a
+    caller that adds an offset to a column forms the sum in a dtype wide
+    enough for it."""
+    dtype = np.min_scalar_type(max((1, *sizes)) - 1)
+    return np.indices(sizes, dtype=dtype).reshape(len(sizes), math.prod(sizes)).T
 
 
 def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:

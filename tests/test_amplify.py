@@ -88,6 +88,15 @@ def test_signed_fn_refuses_non_integer_bits():
         assert f.bits.tolist() == [0, 1, 0, 1] and f.signs.tolist() == [1.0, -1.0, 1.0, -1.0]
 
 
+def test_from_support_refuses_a_non_integer_vertex():
+    # a float would reach numpy indexing as a bad index and a bool as a mask
+    for support in ([1.0], [0.5], [True]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SignedFn.from_support(8, support)
+    f = SignedFn.from_support(8, [np.int64(1), np.uint8(3)])
+    assert f.bits.tolist() == [0, 1, 0, 1, 0, 0, 0, 0]
+
+
 def test_signed_fn_balanced():
     b4 = SignedFn.balanced(4)
     assert list(b4.bits) == [1, 1, 0, 0]
@@ -417,7 +426,8 @@ def test_pure_walk_tables_are_pinned_bit_for_bit(k16):
 
 def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
     # counted under both names it is called by, so a table rebuilt at every
-    # level (through graphs.cayley_average) would count once per level
+    # level (through graphs.cayley_average) would count once per level, and
+    # a check that read its spectrum from a table of its own would count 2
     from widewalk import amplify, graphs
 
     calls = []
@@ -429,7 +439,9 @@ def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
     monkeypatch.setattr(amplify, "character_table", counted)
     monkeypatch.setattr(graphs, "character_table", counted)
     f = SignedFn.balanced(16)
-    for run in (lambda: dp_hk(k16, f, 8), lambda: dp_hk_weighted(k16, f, np.ones(16), 8)):
+    for run in (lambda: dp_hk(k16, f, 8), lambda: dp_hk_weighted(k16, f, np.ones(16), 8),
+                lambda: check_pure_walk_bounds(k16, f, 8),
+                lambda: check_weighted_walk_bounds(k16, f, np.ones(16), 8)):
         calls.clear()
         run()
         assert calls == [k16]

@@ -240,6 +240,18 @@ def test_encode_flagship_digest_is_pinned(flagship):
     )
 
 
+def test_encode_with_b1_blocks_past_the_grid_dtype():
+    # 2**9 inner vertices and 2**8 generators, so encode's b_1 blocks start
+    # past 255, the largest b_1 of its uint8 choice grid: the pinned digest
+    # is that of the encoder before the grid was narrowed
+    sys = ReplacementSystem(build_complete_selfloop(3), build_aghp(9, 4), WalkParams(3, 3, 4))
+    amp = AmplifiedCode(LinearCode(2, 8, [0x0F, 0x33]), sys, 2)
+    packed = np.packbits(encode(amp, 3), bitorder="little")
+    assert hashlib.sha256(packed.tobytes()).hexdigest() == (
+        "8f6677e81eb4c728295ac9cf6fd626ba3478b7ca8100312423ac11aa020a8bdb"
+    )
+
+
 def random_code(k, n0, seed):
     rng = np.random.default_rng(seed)
     return LinearCode(k, n0, [int.from_bytes(rng.bytes(n0 // 8), "little") for _ in range(k)])

@@ -11,6 +11,7 @@ import ast
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from widewalk.graphs import (
     SPECTRUM_SCAN_LIMIT,
     TOL_BOUND,
     CayleyGraph,
+    _convolve,
     build_aghp,
     build_complete_selfloop,
     cayley_average,
@@ -205,6 +207,37 @@ def test_character_table_row_zero_is_degree():
     assert tab.dtype == np.int32
 
 
+def test_character_table_is_the_transform_of_the_generator_counts():
+    # the counts built by add.at, transformed in place, equal the bincount
+    # that character_table used before, cast and transformed out of place
+    graphs = [build_aghp(r, ell) for r, ell in FROZEN_LAMBDA] + [
+        build_aghp(16, 8), build_complete_selfloop(3), build_complete_selfloop(4, selfloop=False),
+        CayleyGraph(1, (1,)), CayleyGraph(3, (5, 5, 5, 0), multigraph=True)]
+    for g in graphs:
+        want = fwht(np.bincount(g.generators, minlength=g.num_vertices).astype(np.int32))
+        got = character_table(g)
+        assert got.dtype == np.int32 and got.tobytes() == want.tobytes(), g.name
+        assert not g.generators.flags.writeable
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees numpy and Python allocate in call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_character_table_peaks_at_two_tables():
+    # the counts and the transform's other buffer: no int64 bincount, no
+    # copy of the read-only generators, no cast (4 tables before)
+    g = build_aghp(16, 8)
+    table = character_table(g).nbytes
+    assert traced_peak(lambda: character_table(g)) <= 2.25 * table
+
+
 def test_spectrum_argmax_breaks_ties_as_argmax_of_abs():
     # +v before -v, -v before +v, ties among negatives, an all-zero
     # nontrivial spectrum (complete graph), then random multisets
@@ -354,6 +387,48 @@ def test_fwht_refuses_a_work_pair_that_overlaps_or_does_not_fit():
         with pytest.raises(ValueError):
             fwht(x, work=work)
     assert np.array_equal(block, np.zeros((3, 64)))
+
+
+def test_fwht_consumes_its_input_lent_as_the_first_read_buffer():
+    # at both parities of log2(n), the input lent as work[log2(n) % 2] gives
+    # the out-of-place result bit for bit; in the other slot it is refused
+    rng = np.random.default_rng(12)
+    for stages in (4, 5):
+        n = 1 << stages
+        for x in (rng.standard_normal((3, n)) * np.exp2(rng.integers(-40, 41, (3, n))),
+                  rng.integers(-(1 << 40), 1 << 40, (3, n))):
+            want = fwht(x)
+            a, spare = x.copy(), np.empty_like(x)
+            pair = [spare, spare]
+            pair[stages % 2] = a
+            got = fwht(a, work=pair)
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, pair[0])
+            pair = [spare, spare]
+            pair[1 - stages % 2] = a
+            with pytest.raises(ValueError, match="overlap"):
+                fwht(a, work=pair)
+            # a different view of the input's memory is refused in either slot
+            for slot in (0, 1):
+                pair = [spare, spare]
+                pair[slot] = a.view()
+                with pytest.raises(ValueError, match="overlap"):
+                    fwht(a, work=pair)
+
+
+def test_convolve_reuses_one_pair_of_buffers():
+    # the product is taken in the first transform's output and the second
+    # transform consumes it: two tables at the peak, where three were
+    g = build_aghp(16, 8)
+    chars = character_table(g)
+    values = np.random.default_rng(13).standard_normal(g.num_vertices)
+    want = fwht(fwht(values) * chars)
+    assert _convolve(values, chars).tobytes() == want.tobytes()
+    assert traced_peak(lambda: _convolve(values, chars)) <= 2.25 * values.nbytes
+    big = np.array([(1 << 70) + v for v in range(16)], dtype=object)
+    k16 = build_complete_selfloop(4, selfloop=False)
+    assert _convolve(big, character_table(k16)).tolist() == (
+        fwht(fwht(big) * character_table(k16))).tolist()
 
 
 def brute_average(values, g):

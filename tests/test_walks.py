@@ -3,6 +3,7 @@ and the exact distribution checks, held against the scalar walk rule of
 walk_oracle.
 """
 
+import itertools
 import os
 import subprocess
 import tracemalloc
@@ -194,6 +195,23 @@ def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
             assert oracle.walk(sys, *w.seed) == (w.a_vertices, w.b_vertices), (m, s, ell)
             assert peak < 2 << 20, (m, s, ell, peak)
         assert check_local_invertibility(sys)
+
+
+def test_choice_grid_is_in_the_smallest_unsigned_dtype():
+    # rows in C order, values in the smallest unsigned dtype that holds
+    # them: uint8 up to 256 choices (int64 would be 6 MiB at 64**3 rows)
+    for sizes, dtype in (((64, 64, 64), np.uint8), ((3, 256), np.uint8),
+                         ((257, 2), np.uint16), ((2, 1), np.uint8), ((), np.uint8)):
+        grid = choice_grid(*sizes)
+        assert grid.dtype == dtype, sizes
+        assert grid.tolist() == [list(row) for row in itertools.product(*map(range, sizes))]
+    tracemalloc.start()
+    try:
+        choice_grid(64, 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_rotation_is_involution():

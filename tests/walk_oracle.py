@@ -105,7 +105,7 @@ def encode_all_starts(amp, x):
     for a0 in range(amp.sys.num_outer):
         for lo in range(0, n_b, step):
             seeds = ww.choice_grid(min(step, n_b - lo), *(d,) * (amp.t - 1))
-            A, _ = expand(a0, lo + seeds[:, 0], seeds[:, 1:])
+            A, _ = expand(a0, np.add(seeds[:, 0], lo, dtype=np.int64), seeds[:, 1:])
             out[pos:pos + len(A)] = np.bitwise_xor.reduce(bits.take(A.T), axis=0)
             pos += len(A)
     return out
