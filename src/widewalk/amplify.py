@@ -571,8 +571,9 @@ def check_middle_start_identity(
     gbar_s and no cayley_average.  All of it runs in the level loop's one
     block; without tables that reach level k, the forward levels stream
     and only g_{k-s} and g_k are kept.  The sum is elementwise products and
-    ndarray.sum, not np.dot or np.vdot: those call BLAS, whose thread pool,
-    once started, slows every later numpy call of the process.
+    ndarray.sum, not np.dot or np.vdot: those would change the summation
+    order, and so the pinned bytes, and start BLAS's thread pool (see
+    graphs.spectrum).
     """
     s = sys.params.s
     if k <= s:

@@ -54,6 +54,9 @@ import numpy as np
 from .graphs import CayleyGraph
 
 DEFAULT_BUDGET = 1 << 28
+# rows per gather in expand: take copies its index block into intp, 8 bytes
+# a row, so a bounded block keeps that copy at 512 KiB
+GATHER_ROWS = 1 << 16
 
 
 class BudgetExceeded(Exception):
@@ -199,15 +202,15 @@ class ReplacementSystem:
         m, r = self.params.m, self.params.r
         # every step writes its own row in place
         for j in range(p, t):  # b_{j+1} = shift(b_j ^ u)
-            np.bitwise_xor(B[j - 1], gens.take(next(cols)), out=B[j])
+            _xor_gather(B[j], B[j - 1], gens.take, next(cols))
             self._rotate(B[j], m, out=B[j])
         for j in range(p - 2, -1, -1):  # b_{j+1} = shift^-1(b_{j+2}) ^ u
             self._rotate(B[j + 1], r - m, out=B[j])
-            B[j] ^= gens.take(next(cols))
+            _xor_gather(B[j], B[j], gens.take, next(cols))
         for j in range(pivot + 1, t + 1):
-            np.bitwise_xor(A[j - 1], self.hop(B[j - 1]), out=A[j])
+            _xor_gather(A[j], A[j - 1], self.hop, B[j - 1])
         for j in range(pivot - 1, -1, -1):
-            np.bitwise_xor(A[j + 1], self.hop(B[j]), out=A[j])
+            _xor_gather(A[j], A[j + 1], self.hop, B[j])
         return A.T, B.T
 
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
@@ -255,6 +258,15 @@ def sample_swalk(
     else:
         a0, b1 = start
     return sys.walk_from_seed(a0, b1, rng.integers(sys.params.d_inner, size=t - 1))
+
+
+def _xor_gather(out: np.ndarray, base: np.ndarray, gather, index: np.ndarray) -> None:
+    """out = base ^ gather(index), GATHER_ROWS rows at a time, so that the
+    index copy and the gathered temporary stay one block whatever the rows
+    (out may be base)."""
+    for lo in range(0, len(index), GATHER_ROWS):
+        rows = slice(lo, lo + GATHER_ROWS)
+        np.bitwise_xor(base[rows], gather(index[rows]), out=out[rows])
 
 
 def choice_grid(*sizes: int) -> np.ndarray:

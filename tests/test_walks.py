@@ -30,6 +30,7 @@ from widewalk import (
 )
 from widewalk.code import AmplifiedCode, LinearCode, encode
 from widewalk.graphs import CayleyGraph
+from widewalk import walks
 from widewalk.walks import SWalk, choice_grid, multiset_tv
 
 import walk_oracle as oracle
@@ -501,6 +502,36 @@ def test_walk_expander_matches_seed_enumeration():
             assert len(walks) == len(A)
             for (_, a, b), a_row, b_row in zip(walks, A.tolist(), B.tolist()):
                 assert (a, b) == (tuple(a_row), tuple(b_row))
+
+
+def test_expand_in_small_gather_blocks_gives_the_same_bytes(monkeypatch):
+    cases = [(sys, t, _seed_rows(sys, t)) for sys, t in ((sys_22(), 3), (sys_13(), 4))]
+    whole = [[sys.expand(*rows, pivot=i) for i in range(t)] for sys, t, rows in cases]
+    # blocks of 5 rows: every step crosses block edges and leaves 4 rows over
+    monkeypatch.setattr(walks, "GATHER_ROWS", 5)
+    for (sys, t, rows), unblocked in zip(cases, whole):
+        for i in range(t):
+            for blocked, want in zip(sys.expand(*rows, pivot=i), unblocked[i]):
+                assert blocked.tobytes() == want.tobytes()
+
+
+def test_expand_peaks_near_its_output():
+    # on 2**20 uint16 walks of t = 4, A and B hold 9 rows and the rotation
+    # takes one more; a gather that copied a whole column into intp would
+    # add 4 rows, so each gathers one block of rows at a time
+    sys = ReplacementSystem(build_complete_selfloop(2), build_aghp(10, 5), WalkParams(2, 5, 5))
+    n = 1 << 20
+    rng = np.random.default_rng(1)
+    u = rng.integers(0, sys.params.d_inner, (n, 3)).astype(np.uint8)
+    b = rng.integers(0, sys.num_inner, n).astype(np.uint16)
+    for pivot in (0, 2):
+        tracemalloc.start()
+        try:
+            sys.expand(0, b, u, pivot=pivot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 2 * n, pivot
 
 
 def test_walk_from_seed_matches_oracle():
