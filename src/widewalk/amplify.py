@@ -12,7 +12,7 @@ that domain only for the levels they return (see _wide_levels).  Their
 working set is one (3, n_A * n_B) float block per call, the level and the
 FWHT's two buffers, plus the tables they return.  The DP loops yield their
 levels one at a time, and a check given no tables reads the moments of
-each level as it comes and drops it (see _moments).  All arithmetic is
+each level as it comes and drops it (see _levels).  All arithmetic is
 double precision in a fixed operation order, so results are bit-identical
 across runs.
 """
@@ -300,6 +300,18 @@ def dp_hk_weighted(
 # reports
 
 
+def vacuous(*bounds: float, lam: Optional[float] = None, s: Optional[int] = None) -> bool:
+    """The one rule for whether a bound row asserts nothing, for every row
+    kind and for code_report's bias_bound_vacuous.  A sign mean and its
+    deviation lie in [0, 1], so a bound informs only below 1; one of
+    exactly 1 (or NaN) is vacuous.  The headline bound (2*lam)^(t*(1-4/s))
+    also passes lam = lambda_B and s: the theorem claims it only for s >= 5
+    and lam < 1/2, outside which its exponent is <= 0 or its base >= 1."""
+    if s is not None and not (s >= 5 and lam < 0.5):
+        return True
+    return not all(b < 1.0 for b in bounds)
+
+
 @dataclass
 class LevelRow:
     k: int
@@ -323,7 +335,8 @@ class MomentReport:
 
     @property
     def all_passed(self) -> bool:
-        return self.hypotheses_met and all(r.passed for r in self.rows)
+        """The hypotheses hold and every asserted (not vacuous) row passed."""
+        return self.hypotheses_met and all(r.passed for r in self.rows if not r.vacuous)
 
 
 @dataclass(frozen=True)
@@ -392,7 +405,7 @@ def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> Moment
         bound_sq = (4 * lam) ** (k - 1)
         ok = holds(mom.eps, bound_eps) and holds(mom.second_moment, bound_sq)
         rms, bound_rms = math.sqrt(mom.second_moment), math.sqrt(bound_sq)
-        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, bound_eps > 1.0))
+        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, vacuous(bound_eps)))
     return report
 
 
@@ -402,8 +415,12 @@ def check_weighted_walk_bounds(
     H: Union[np.ndarray, Callable[[int], float]],
     kmax: int,
 ) -> MomentReport:
-    """Terminal-weighted analogue: bounds in terms of the level-1 moments."""
+    """Terminal-weighted analogue: bounds in terms of the level-1 moments.
+    H takes values in [-1, 1], so that, as vacuous() assumes, every eps and
+    sigma of the walk lies in [0, 1]."""
     weight = vertex_values(H, graph, "H")
+    if not np.all(np.abs(weight) <= 1):
+        raise ValueError("H must take values in [-1, 1]")
     report, chars = _pure_report("weighted-walk", graph, f, kmax)
     if not report.hypotheses_met:
         return report
@@ -416,7 +433,7 @@ def check_weighted_walk_bounds(
         bound_rms = 2.0 ** (k - 2) * (lam ** ((k - 2) / 2) * e1 + lam ** ((k - 1) / 2) * s1)
         rms = math.sqrt(mom.second_moment)
         ok = holds(mom.eps, bound_eps) and holds(rms, bound_rms)
-        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, bound_eps > 1.0))
+        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, vacuous(bound_eps)))
     return report
 
 
@@ -428,15 +445,15 @@ def _lemma_report(kind: str, sys: ReplacementSystem, f: SignedFn) -> MomentRepor
     return MomentReport(kind, float(lam_b), f.bias, met, detail)
 
 
-def _moments(
+def _levels(
     sys: ReplacementSystem, f: SignedFn, k: int, tables: Optional[list[DpTable]], first: int = 0
-) -> list[Moments]:
-    """Moments of the g levels first..k: of the caller's dp_gk tables when
-    they reach level k, so that several checks share one DP, else of the
-    levels as the DP loop yields them, each table dropped once read."""
+) -> Iterator[DpTable]:
+    """The g tables first..k that every wide-walk check reads: the caller's
+    dp_gk tables when they reach level k, so that several checks share one
+    DP, else the levels as the DP loop yields them, each dropped once read."""
     if tables is not None and len(tables) > k:
-        return [moments(t) for t in tables[first : k + 1]]
-    return [moments(t) for t in _wide_tables(sys, f, k, "g", first)]
+        return iter(tables[first : k + 1])
+    return _wide_tables(sys, f, k, "g", first)
 
 
 def check_base_case(
@@ -448,15 +465,15 @@ def check_base_case(
     if not report.hypotheses_met:
         return report
     lam, s = report.lam, sys.params.s
-    for k, mom in enumerate(_moments(sys, f, s, tables)):
+    for k, mom in enumerate(map(moments, _levels(sys, f, s, tables))):
         bound_eps = 0.5 * (2 * lam) ** (k + 1)
         # 0**0 = 1 keeps the k=1 bound meaningful on a lam = 0 inner graph;
         # only k=0 (negative exponent at lam=0) needs the inf escape
         bound_sigma = math.inf if k == 0 and lam == 0.0 else 2.0 * (2 * lam) ** (k - 1)
         ok = holds(mom.eps, bound_eps) and holds(mom.sigma, bound_sigma)
-        vacuous = bound_eps > 1.0 or bound_sigma > 1.0
         shown = None if math.isinf(bound_sigma) else bound_sigma
-        report.rows.append(LevelRow(k, mom.eps, mom.sigma, bound_eps, shown, ok, vacuous))
+        flag = vacuous(bound_eps, bound_sigma)
+        report.rows.append(LevelRow(k, mom.eps, mom.sigma, bound_eps, shown, ok, flag))
     return report
 
 
@@ -481,7 +498,7 @@ def check_induction_step(
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    mom = _moments(sys, f, kmax, tables)
+    mom = [moments(t) for t in _levels(sys, f, kmax, tables)]
     eps = [m.eps for m in mom]
     sig = [m.sigma for m in mom]
     for k in range(s + 1, kmax + 1):
@@ -496,7 +513,7 @@ def check_induction_step(
         )
         ok = holds(eps[k], bound_eps) and holds(sig[k] ** 2, bound_sig_sq)
         report.rows.append(
-            LevelRow(k, eps[k], sig[k], bound_eps, math.sqrt(bound_sig_sq), ok, bound_eps > 1.0)
+            LevelRow(k, eps[k], sig[k], bound_eps, math.sqrt(bound_sig_sq), ok, vacuous(bound_eps))
         )
     return report
 
@@ -513,19 +530,20 @@ def check_bias_reduction_lemma(
     tables: Optional[list[DpTable]] = None,
 ) -> MomentReport:
     """The headline bound: eps_t <= (2*lambda_B)^(t*(1-4/s)), hypotheses
-    Bias(f) <= lambda_B and lambda_A <= lambda_B^2 (both measured).  Without
-    tables that reach level t it runs dp_gk_level, which frees the loop's
-    block before the moments are taken."""
+    Bias(f) <= lambda_B and lambda_A <= lambda_B^2 (both measured), asserted
+    only where vacuous() finds it informative.  Without tables that reach
+    level t, the stream runs to its end, which frees the loop's block,
+    before the moments are taken."""
     if t < 1:
         raise ValueError("t must be at least 1")
     report = _lemma_report("bias-reduction", sys, f)
     if not report.hypotheses_met:
         return report
-    table = tables[t] if tables is not None and len(tables) > t else dp_gk_level(sys, f, t)
-    mom = moments(table)
-    bound = bias_bound(report.lam, t, sys.params.s)
-    ok = holds(mom.eps, bound)
-    report.rows.append(LevelRow(t, mom.eps, mom.sigma, bound, None, ok, bound >= 1.0))
+    (table,) = _levels(sys, f, t, tables, t)
+    mom, s = moments(table), sys.params.s
+    bound = bias_bound(report.lam, t, s)
+    flag = vacuous(bound, lam=report.lam, s=s)
+    report.rows.append(LevelRow(t, mom.eps, mom.sigma, bound, None, holds(mom.eps, bound), flag))
     report.extra["eps0"] = f.bias
     report.extra["eps_t_le_eps0"] = holds(mom.eps, f.bias)
     return report
@@ -542,7 +560,7 @@ def check_first_step_trick(
     if k < 1:
         raise ValueError("k must be at least 1")
     lam = float(spectrum(sys.inner).lam)
-    mom_prev, mom_k = _moments(sys, f, k, tables, first=k - 1)
+    mom_prev, mom_k = map(moments, _levels(sys, f, k, tables, k - 1))
     lhs = mom_k.sigma**2
     rhs = float((mom_prev.eps_a**2).mean()) + lam**2 * mom_prev.sigma**2
     return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"k={k} lam={lam!r}")
@@ -578,15 +596,13 @@ def check_middle_start_identity(
     s = sys.params.s
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
-    if tables is None or len(tables) <= k:  # keep levels k-s and k of the stream only
-        stream = _wide_tables(sys, f, k, "g", k - s)
-        tables = {t.level: t for t in stream if t.level in (k - s, k)}
-    direct = float(tables[k].values.mean())
+    kept = {t.level: t for t in _levels(sys, f, k, tables, k - s) if t.level in (k - s, k)}
+    direct = float(kept[k].values.mean())
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
     for _, x, (w0, w1) in _wide_levels(sys, f, s, "gbar"):
         pass  # the loop ends with x = gbar_s before its sign, in the mixed domain
     ghat = fwht(x.reshape(n_a, d, n_b // d), axis=1, work=(w0, w1)).reshape(n_a, n_b)
-    rhat = fwht(np.asarray(tables[k - s].values, dtype=np.float64), work=(w1, x))
+    rhat = fwht(np.asarray(kept[k - s].values, dtype=np.float64), work=(w1, x))
     # R^[:, shift] in the block-1-first order of the loop, gathered into x
     order = np.arange(n_b).reshape((d,) * s).T.ravel()
     out = x.reshape(n_a, n_b)

@@ -8,7 +8,7 @@ code gen-base|encode|report    base-code search, encoding, bias report
 
 Exit codes are exactly five: 0 all assertions pass, 1 a verified
 violation (or a failed randomized search), 2 invalid input, 3 budget
-exceeded, 4 hypotheses unmet so no assertion was made.
+exceeded, 4 hypotheses unmet or no row asserted, so no verdict was made.
 
 Every run echoes its resolved configuration: as a "run" object in JSON
 output, as a leading "# {...}" comment line in CSV output.  Outputs are
@@ -72,6 +72,22 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_HYPOTHESES = 4
+
+
+def _exit_code(report) -> int:
+    """The one exit rule of verify * and code report: 4 when the hypotheses
+    are unmet or no row is asserted, 1 when an asserted row failed, else 0.
+    report is a MomentReport (rows asserted unless vacuous) or a command's
+    (met, asserted, passed).  The moment report's last line is its own:
+    perfbench/test_gate.py rewrites it to fail the three verify jobs."""
+    if not isinstance(report, MomentReport):
+        met, asserted, passed = report
+        if not met or not asserted:
+            return EXIT_HYPOTHESES
+        return EXIT_PASS if passed else EXIT_VIOLATION
+    if not report.hypotheses_met or all(r.vacuous for r in report.rows):
+        return EXIT_HYPOTHESES
+    return EXIT_PASS if report.all_passed else EXIT_VIOLATION
 
 
 def _json_default(obj):
@@ -271,7 +287,7 @@ def _cmd_verify_distribution(args) -> int:
         rows.append({c: row[c] for c in columns})
     payload = {"check": args.subcommand, "rows": rows}
     _emit(args, _header(args, system=resolved, kmax=kmax), payload, columns)
-    return EXIT_PASS if all(row["pass"] for row in rows) else EXIT_VIOLATION
+    return _exit_code((True, bool(rows), all(row["pass"] for row in rows)))
 
 
 def _emit_moment(args, resolved: dict, report: MomentReport, **extra) -> int:
@@ -289,9 +305,7 @@ def _emit_moment(args, resolved: dict, report: MomentReport, **extra) -> int:
         "extra": report.extra,
     }
     _emit(args, _header(args, system=resolved, **extra), payload, columns)
-    if not report.hypotheses_met:
-        return EXIT_HYPOTHESES
-    return EXIT_PASS if report.all_passed else EXIT_VIOLATION
+    return _exit_code(report)
 
 
 def _walk_length(args, resolved: dict) -> int:
@@ -333,10 +347,8 @@ def _cmd_verify_arithmetic(args) -> int:
     }
     header = _header(args, lambdas=lambdas, s_values=s_values, kmax=args.kmax)
     _emit(args, header, payload, columns)
-    if not report.all_passed:
-        return EXIT_VIOLATION
     # rows outside the proof's validity region are not asserted
-    return EXIT_PASS if any(r.valid for r in report.rows) else EXIT_HYPOTHESES
+    return _exit_code((True, any(r.valid for r in report.rows), report.all_passed))
 
 
 def _cmd_verify_hitting(args) -> int:
@@ -364,7 +376,7 @@ def _cmd_verify_hitting(args) -> int:
         payload,
         ("t", "exact", "bound", "pass"),
     )
-    return EXIT_PASS if report.all_passed else EXIT_VIOLATION
+    return _exit_code((True, bool(report.rows), report.all_passed))
 
 
 def _cmd_code_gen_base(args) -> int:
@@ -423,11 +435,8 @@ def _cmd_code_report(args) -> int:
     ]
     rows = [{"key": k, "value": report[k]} for k in fields]
     _emit(args, _header(args, system=resolved, base=args.base), report, ("key", "value"), rows)
-    if not report["hypotheses_met"]:
-        return EXIT_HYPOTHESES
-    if report["bias_bound_vacuous"]:
-        return EXIT_PASS
-    return EXIT_PASS if holds(report["bias"], report["bias_bound"]) else EXIT_VIOLATION
+    passed = holds(report["bias"], report["bias_bound"])
+    return _exit_code((report["hypotheses_met"], not report["bias_bound_vacuous"], passed))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from . import gf2core
-from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments
+from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments, vacuous
 from .graphs import CayleyGraph, json_field
 from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid
 
@@ -264,10 +264,12 @@ def code_bias(amp: AmplifiedCode) -> float:
 
 def code_report(amp: AmplifiedCode) -> dict:
     """Bias, exact rate, the one-sided distance bound and the lemma's
-    hypotheses on the base code's bias, JSON-ready."""
+    hypotheses on the base code's bias, JSON-ready; the headline bound is
+    flagged by amplify.vacuous, as in the bias-lemma check."""
     bias = code_bias(amp)
     met, _, lam_a, lam_b = lemma_hypotheses(amp.sys, amp.base.measured_bias_exact)
-    bound = bias_bound(float(lam_b), amp.t, amp.sys.params.s)
+    lam, s = float(lam_b), amp.sys.params.s
+    bound = bias_bound(lam, amp.t, s)
     r = rate(amp)
     return {
         "schema_version": 1,
@@ -279,7 +281,7 @@ def code_report(amp: AmplifiedCode) -> dict:
         "rate": f"{r.numerator}/{r.denominator}",
         "bias": bias,
         "bias_bound": bound,
-        "bias_bound_vacuous": bound >= 1.0,
+        "bias_bound_vacuous": vacuous(bound, lam=lam, s=s),
         "distance_lower_bound": (1.0 - bias) / 2.0,
         "hypotheses_met": met,
         "lambda_A": float(lam_a),

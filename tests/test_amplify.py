@@ -45,6 +45,7 @@ from widewalk.amplify import (
     dp_hk_weighted,
     measured_lambdas,
     moments,
+    vacuous,
     verify_induction_arithmetic,
 )
 from widewalk.graphs import cayley_average, character_table, fwht
@@ -548,6 +549,18 @@ def test_weighted_walk_bounds_k16(k16):
     assert check_weighted_walk_bounds(k16, f, np.ones(16), 8).all_passed
 
 
+def test_weighted_walk_refuses_weights_beyond_1(k16):
+    # the vacuity rule takes a bound of 1 or more as trivial, which holds
+    # only while |H| <= 1: doubling H doubles every eps and every bound, so
+    # a row failing against a bound of 0.6 would fail against 1.2, flagged
+    # vacuous and unseen by all_passed; such an H is refused, as is NaN
+    f = SignedFn.balanced(16)
+    assert check_weighted_walk_bounds(k16, f, -np.ones(16), 8).all_passed
+    for bad in (2 * np.ones(16), np.full(16, np.nan)):
+        with pytest.raises(ValueError, match=r"H must take values in \[-1, 1\]"):
+            check_weighted_walk_bounds(k16, f, bad, 8)
+
+
 def test_measured_lambdas(flagship, g8_system):
     lam_a, lam_b = measured_lambdas(flagship)
     assert lam_a == 0
@@ -629,6 +642,27 @@ def test_bias_reduction_flagship(flagship, flagship_f, flagship_tables):
     assert report.extra["eps_t_le_eps0"]
     with pytest.raises(ValueError):
         check_bias_reduction_lemma(flagship, flagship_f, 0)
+
+
+def test_vacuous_is_one_rule_for_every_bound():
+    # a bound informs only below 1; exactly 1 and NaN assert nothing
+    assert not vacuous(0.999) and vacuous(1.0) and vacuous(math.nan) and vacuous(math.inf)
+    # base-case rows flag eps and sigma: either at 1 or above makes the row vacuous
+    assert not vacuous(0.5, 0.875) and vacuous(0.5, 1.0) and vacuous(2.0, 0.5)
+    # the headline bound also needs s >= 5 and lambda_B < 1/2
+    assert not vacuous(0.5, lam=0.375, s=5)
+    assert vacuous(0.125, lam=1.0, s=2) and vacuous(0.5, lam=0.375, s=4)
+    assert vacuous(0.5, lam=0.5, s=5) and vacuous(1.0, lam=0.375, s=5)
+
+
+def test_bias_reduction_lemma_is_vacuous_below_s_5(skew16):
+    # s = 4: the exponent t*(1-4/s) is 0, the bound reads 1 and asserts
+    # nothing, although eps_t > 0 and the hypotheses hold
+    sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    report = check_bias_reduction_lemma(sys, SignedFn.from_support(8, [0, 1, 2]), 6)
+    assert report.hypotheses_met and report.all_passed
+    (row,) = report.rows
+    assert row.vacuous and row.bound_eps == 1.0 and row.epsilon > 0
 
 
 def test_first_step_trick(flagship, flagship_f, flagship_tables, g8_system, g8_f):

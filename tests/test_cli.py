@@ -311,13 +311,16 @@ def test_code_encode(tmp_path, capsys):
 
 
 def test_code_report(tmp_path, capsys):
+    # s = 2 and lambda_B = 5/8 lie outside the headline bound's region
+    # (s >= 5, lambda_B < 1/2): its 0.328 is vacuous, so nothing is asserted
     cfg = write_config(tmp_path, m=3, s=2, ell=3, outer="complete", inner="aghp", t=5)
     base_path = tmp_path / "base3.json"
     base_path.write_text(LinearCode(3, 8, [0b11, 0b1100, 0b110000]).to_json())
-    assert main(["code", "report", "--config", cfg, "--base", str(base_path)]) == EXIT_PASS
+    assert main(["code", "report", "--config", cfg, "--base", str(base_path)]) == EXIT_HYPOTHESES
     doc = json.loads(capsys.readouterr().out)
     rep = doc["report"]
     assert rep["hypotheses_met"] is True
+    assert rep["bias_bound_vacuous"] is True and rep["bias_bound"] < 1
     assert abs(rep["bias"] - 0.019550323486328125) <= 1e-12
     assert rep["k"] == 3
 
@@ -357,6 +360,7 @@ def test_runs_are_deterministic(tmp_path):
 
 
 def test_worker_count_changes_nothing_but_the_echo(tmp_path):
+    # s = 2: the headline bound is vacuous, so the report exits 4
     cfg = tiny_config(tmp_path, t=3)
     base_path = tmp_path / "base1.json"
     base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
@@ -366,7 +370,7 @@ def test_worker_count_changes_nothing_but_the_echo(tmp_path):
         assert main(
             ["code", "report", "--config", cfg, "--base", str(base_path),
              "--workers", workers, "--out", str(out)]
-        ) == EXIT_PASS
+        ) == EXIT_HYPOTHESES
         docs.append(json.loads(out.read_text()))
     for doc in docs:
         del doc["run"]["workers"]
@@ -546,9 +550,24 @@ _PINNED_CASES = {
         EXIT_HYPOTHESES),
     "verify-induction": (
         ["verify", "induction", "--config", "flag.json", "--kmax", "7"], EXIT_PASS),
-    # lambda_A = 1/8 > 0 on the skew16 outer multigraph (see _write_pinned_inputs)
-    "verify-base-case-skew16": (["verify", "base-case", "--config", "skew.json"], EXIT_PASS),
+    # lambda_A = 1/8 > 0 on the skew16 outer multigraph (see _write_pinned_inputs);
+    # every base-case sigma bound is at least 1 there, so nothing is asserted
+    "verify-base-case-skew16": (
+        ["verify", "base-case", "--config", "skew.json"], EXIT_HYPOTHESES),
     "verify-induction-skew16": (["verify", "induction", "--config", "skew.json"], EXIT_PASS),
+    # balanced f: eps_k > 0 at every odd k, asserted from k = 6 on
+    "verify-induction-skew16-balanced": (
+        ["verify", "induction", "--config", "skew.json", "--kmax", "12", "--support", "0,1,2,4"],
+        EXIT_PASS),
+    # the witness, lambda_B = 3/8: every asserted eps_k > 0
+    "verify-base-case-witness": (
+        ["verify", "base-case", "--config", "witness.json", "--support", "0,1,2"], EXIT_PASS),
+    "verify-induction-witness": (
+        ["verify", "induction", "--config", "witness.json", "--kmax", "10", "--support", "0,1,2"],
+        EXIT_PASS),
+    "verify-bias-lemma-witness": (
+        ["verify", "bias-lemma", "--config", "witness.json", "--t", "10", "--support", "0,1,2"],
+        EXIT_PASS),
     # lambda_B = 15/64, so only lambda_A <= lambda_B^2 fails (the bias is 0)
     "verify-induction-skew16-unmet": (
         ["verify", "induction", "--config", "skew-l6.json", "--support", "0,1,2,3"],
@@ -568,8 +587,9 @@ _PINNED_CASES = {
     "code-encode": (
         ["code", "encode", "--config", "tiny.json", "--base", "base1.json",
          "--message", "1"], EXIT_PASS),
+    # s = 2: the headline bound is vacuous, so nothing is asserted
     "code-report": (
-        ["code", "report", "--config", "m3.json", "--base", "base3.json"], EXIT_PASS),
+        ["code", "report", "--config", "m3.json", "--base", "base3.json"], EXIT_HYPOTHESES),
     "code-report-unmet": (
         ["code", "report", "--config", "m3.json", "--base", "allones.json"],
         EXIT_HYPOTHESES),
@@ -585,13 +605,13 @@ _PINNED_SHA256 = {
     ("code-gen-base", "csv"):
         "c74ae88cf8bf13ab4c1bf23f7f33177c8636f521166966c6e7b1db6a8cf68210",
     ("code-report", "json"):
-        "972905513700223a5a419b8e2747405b28ff1ec5baf740badfe244b6eb52d5d5",
+        "737f5ac8013fd92d5fee71524ce085ac93bd4e7bc0b48c662c55b35a857d2e68",
     ("code-report", "csv"):
-        "db1ad843ab4d45db698c6a121c0d5f8896e599084ddf681976b92c8316847f87",
+        "d8b8777a754224a290776780027440cae8107bbe501519c9a5529141bc21fcf9",
     ("code-report-unmet", "json"):
-        "595528ad9b47627cd8dbb9b0d58537177039656ddf63017a419a396762eb8cd7",
+        "860ab6389f01080b3606e044a239ce0312b9bb8c817bb681bb1d159f0c4c071d",
     ("code-report-unmet", "csv"):
-        "48ccee1beaefd809f786eb92f4352e3357d5c8029e22a88e4db975d3ea597fe5",
+        "31e069e679b6b3444bd58e9368ea383b7c0eddaad8c618d64614700ff95ca947",
     ("graph-aghp", "json"):
         "4e198a0b86ea566fa1da0d016c88e6ece46e6478eb940618fbf5efbf386dd919",
     ("graph-aghp", "csv"):
@@ -652,6 +672,22 @@ _PINNED_SHA256 = {
         "33db9c43ab8627e31ac3f62dfe75d156d7c8bf4ddda7a67592a47b99446c9e73",
     ("verify-induction-skew16", "csv"):
         "dc02e48f991d8b7a08749e97ea6fa7e773053370c3c012bac61d6801d5c3af18",
+    ("verify-induction-skew16-balanced", "json"):
+        "df7ee25c5f3939240fa00a3e3c50945cc84ea89f477d3bb7980b7bad57faf9b7",
+    ("verify-induction-skew16-balanced", "csv"):
+        "da37a5d18e09799230f2162aab6280ddaba408f1c12152bdb176cb1f7afebab2",
+    ("verify-base-case-witness", "json"):
+        "80f535e02e03145caafb0f4c355aabf3ccbcbd2021e64d8d9f22d440ae4eef06",
+    ("verify-base-case-witness", "csv"):
+        "6e45dd1060abfb102bb09c20ce3a303c98329aee8991eaf364ebaea978e2b1ce",
+    ("verify-induction-witness", "json"):
+        "3df9b6c7989d326981ad9eb31ac410d010f01cc174ecf23df8596c1c4841858d",
+    ("verify-induction-witness", "csv"):
+        "cf4a8a3c4ebeb9df7c3bb817a7bd3987ab75b6dcb703b9fc16ed56a4fd38a57b",
+    ("verify-bias-lemma-witness", "json"):
+        "330443adc2f86a3b16b6c42e172134de31988804cbfc6b460d05778b6a8fbd67",
+    ("verify-bias-lemma-witness", "csv"):
+        "ecfef5e1f9c0a4295eb9e6528acbf15a81b8f955a833c5a2281ccaf0a18d840e",
     ("verify-induction-skew16-unmet", "json"):
         "9873bec19242e362ffea267b0a254c03a8919fdcf9d8fc3c83d5f9a3878607ad",
     ("verify-induction-skew16-unmet", "csv"):
@@ -675,6 +711,7 @@ def _write_pinned_inputs(directory) -> None:
     for name, cfg in (
         ("sys22.json", {"m": 2, "s": 2, "ell": 2}),
         ("flag.json", {"m": 2, "s": 5, "ell": 5, "t": 10}),
+        ("witness.json", {"m": 3, "s": 5, "ell": 5}),
         ("tiny.json", {"m": 1, "s": 2, "ell": 1, "t": 2}),
         ("m3.json", {"m": 3, "s": 2, "ell": 3, "t": 5}),
         ("skew.json", {"m": 4, "s": 4, "ell": 5, "outer": "skew16.json", "support": "0,1,2"}),
@@ -700,6 +737,34 @@ def test_stdout_bytes_are_pinned(tmp_path, monkeypatch, capsys, case, fmt):
     assert main(argv + ["--format", fmt]) == expected_code
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _PINNED_SHA256[case, fmt]
+
+
+@pytest.mark.parametrize("case", ["verify-induction-skew16-balanced", "verify-base-case-witness",
+                                  "verify-induction-witness", "verify-bias-lemma-witness"])
+def test_pins_assert_rows_that_can_fail(tmp_path, monkeypatch, capsys, case):
+    # a pin whose every asserted eps is 0 checks only 0 <= bound; these
+    # assert at least one row where eps > 0 stands against a bound below 1
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_inputs(tmp_path)
+    assert main(_PINNED_CASES[case][0]) == EXIT_PASS
+    rows = json.loads(capsys.readouterr().out)["report"]["rows"]
+    assert any(not row["vacuous"] and row["epsilon"] > 0 and row["bound_eps"] < 1 for row in rows)
+
+
+def test_nothing_asserted_exits_4(tmp_path, capsys):
+    # hypotheses met, but no bound below 1 (or the headline bound outside
+    # s >= 5, lambda_B < 1/2): the commands exited 1 and 0 before they
+    # shared one vacuity rule and one exit rule
+    for cfg, command, support in (
+        ({"m": 3, "s": 2, "ell": 2, "t": 3}, "bias-lemma", "0"),
+        ({"m": 3, "s": 3, "ell": 1}, "base-case", "empty"),
+        ({"m": 3, "s": 3, "ell": 1}, "induction", "empty"),
+    ):
+        path = write_config(tmp_path, **cfg)
+        assert main(["verify", command, "--config", path, "--support", support]) == EXIT_HYPOTHESES
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["hypotheses_met"] is True and report["rows"]
+        assert all(row["vacuous"] for row in report["rows"]), command
 
 
 # Fuzzed input files: fields are missing, well typed, or any JSON value.
@@ -750,9 +815,10 @@ _GRAPH = {"dim": 2, "generators": ["1", "2", "3"], "name": "g", "multigraph": Fa
 _BASE = {"k": 1, "n0": 2, "rows": ["1"], "bias": 0.0}
 
 
-def _unmet(command):
-    """An example that reaches exit 4 for sure: bias 1 > lambda_B = 1/2."""
-    return example(cfg=_CFG, graph=_GRAPH, base=_BASE, command=command, support="empty")
+def _unmet(command, cfg=_CFG, support="empty"):
+    """An example that reaches exit 4 for sure: by default bias 1 >
+    lambda_B = 1/2; the configs below meet the hypotheses but assert no row."""
+    return example(cfg=cfg, graph=_GRAPH, base=_BASE, command=command, support=support)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -760,6 +826,9 @@ def _unmet(command):
 @_unmet("base-case")
 @_unmet("induction")
 @_unmet("bias-lemma")
+@_unmet("bias-lemma", {"m": 3, "s": 2, "ell": 2, "t": 3, "support": "0"}, None)
+@_unmet("base-case", {"m": 3, "s": 3, "ell": 1})
+@_unmet("induction", {"m": 3, "s": 3, "ell": 1})
 @given(
     cfg=_fuzzed_object(_CFG),
     graph=_fuzzed_object(_GRAPH),
@@ -801,10 +870,13 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph,
         assert captured.err.count("\n") == 1
         return
     report = json.loads(captured.out)["report"]  # stdout is one JSON document
-    met = report.get("hypotheses_met", True)
+    # (asserted, passed) per row; a row without a vacuous flag is always asserted
     if command == "report":
-        failed = not report["bias_bound_vacuous"] and report["bias"] > report["bias_bound"]
+        rows = [(not report["bias_bound_vacuous"], report["bias"] <= report["bias_bound"])]
     else:
-        failed = not all(row["pass"] for row in report.get("rows", []))
-    assert (code == EXIT_HYPOTHESES) == (not met)
-    assert (code == EXIT_VIOLATION) == (met and failed)
+        rows = [(not row.get("vacuous", False), row["pass"]) for row in report.get("rows", [])]
+    asserted = [passed for is_asserted, passed in rows if is_asserted]
+    judged = command not in ("spectrum", "encode")  # these two judge nothing and exit 0
+    no_verdict = not report.get("hypotheses_met", True) or (judged and not asserted)
+    assert (code == EXIT_HYPOTHESES) == no_verdict
+    assert (code == EXIT_VIOLATION) == (not no_verdict and not all(asserted))

@@ -594,6 +594,59 @@ def test_every_float_bound_verdict_goes_through_holds():
     assert offenders == []
 
 
+_VERDICT_EXITS = {"EXIT_PASS", "EXIT_VIOLATION", "EXIT_HYPOTHESES"}
+
+
+def _mentions_bound(node: ast.AST) -> bool:
+    """Whether a name, attribute or string key under node says "bound"."""
+    for sub in ast.walk(node):
+        text = getattr(sub, "id", None) or getattr(sub, "attr", None) or getattr(sub, "value", None)
+        if isinstance(text, str) and "bound" in text:
+            return True
+    return False
+
+
+def _verdict_exits(node: ast.AST) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id in _VERDICT_EXITS}
+
+
+def test_the_assertion_policy_has_one_owner():
+    """Whether a bound row is asserted is decided by amplify.vacuous alone:
+    no other comparison in the package sets a float against the literal
+    1.0, or anything named a bound against 1.  Which of exit 0, 1 and 4 a
+    verdict earns is decided by cli._exit_code alone: elsewhere no `if`
+    returns one of them, no conditional expression picks between two of
+    them, and exit 4 is not named at all.  A command that judges nothing
+    returns EXIT_PASS, and a failed base-code search EXIT_VIOLATION."""
+    import widewalk
+
+    offenders = []
+    for path in sorted(Path(widewalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func, node in _nodes_by_function(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.alias) and node.name in _VERDICT_EXITS:
+                offenders.append(f"{where} imports {node.name}")
+            if (path.name, func) != ("cli.py", "_exit_code"):
+                if isinstance(node, ast.Name) and node.id in _VERDICT_EXITS:
+                    defined = isinstance(node.ctx, ast.Store) and func is None
+                    if path.name != "cli.py" or node.id == "EXIT_HYPOTHESES" and not defined:
+                        offenders.append(f"{where} names {node.id} outside _exit_code")
+                if isinstance(node, ast.IfExp) and all(map(_verdict_exits, (node.body, node.orelse))):
+                    offenders.append(f"{where} picks an exit code outside _exit_code")
+                if isinstance(node, ast.If) and any(
+                        isinstance(sub, ast.Return) and _verdict_exits(sub) for sub in ast.walk(node)):
+                    offenders.append(f"{where} returns an exit code under an if outside _exit_code")
+            if not isinstance(node, ast.Compare) or (path.name, func) == ("amplify.py", "vacuous"):
+                continue
+            operands = [node.left, *node.comparators]
+            ones = [o.value for o in operands
+                    if isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 1]
+            if any(isinstance(v, float) for v in ones) or ones and any(map(_mentions_bound, operands)):
+                offenders.append(f"{where} compares a bound with 1 outside vacuous")
+    assert offenders == []
+
+
 # numpy entry points that call BLAS; "inner" only as np.inner, since
 # .inner is also the inner graph of a replacement system
 _BLAS_ANYWHERE = {"dot", "vdot", "matmul", "tensordot", "einsum", "linalg"}
