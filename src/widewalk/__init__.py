@@ -21,9 +21,6 @@ from .amplify import (
     dp_backwards,
     dp_gk,
     dp_gk_level,
-    dp_hk,
-    dp_hk_weighted,
-    measured_lambdas,
     moments,
     verify_induction_arithmetic,
 )
@@ -41,7 +38,6 @@ from .code import (
 )
 from .graphs import (
     CayleyGraph,
-    MixingCheck,
     SpectralReport,
     build_aghp,
     build_complete_selfloop,
@@ -80,7 +76,6 @@ __all__ = [
     "DpTable",
     "HittingInstance",
     "LinearCode",
-    "MixingCheck",
     "Moments",
     "ReplacementSystem",
     "SWalk",
@@ -106,14 +101,11 @@ __all__ = [
     "dp_backwards",
     "dp_gk",
     "dp_gk_level",
-    "dp_hk",
-    "dp_hk_weighted",
     "embed",
     "encode",
     "gen_base_code",
     "hitting_bound",
     "hitting_prob_exact",
-    "measured_lambdas",
     "middle_start_distribution_equal",
     "middle_start_sample",
     "mixing_check",

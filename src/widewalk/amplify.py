@@ -28,6 +28,7 @@ import numpy as np
 
 from .graphs import (
     CayleyGraph,
+    InequalityCheck,
     _character_sum_spectrum,
     _convolve,
     character_table,
@@ -255,45 +256,19 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
 
 
 def _pure_levels(
-    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str,
-    chars: Optional[np.ndarray] = None,
+    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str, chars: np.ndarray
 ) -> Iterator[DpTable]:
     """Pure-walk tables 1..kmax as the recursion reaches them, from level 1
     = sign * weight: each further level is the sign times the generator
-    average of the previous one: graphs.cayley_average's convolution and
-    division, with the character table built once (or the caller's chars
-    taken)."""
-    _require_pure(graph, f, kmax)
-    chars = character_table(graph) if chars is None else chars
+    average of the previous one, graphs._convolve with the caller's
+    character table of graph, over n * degree.  The caller has checked
+    its arguments (see _pure_report)."""
     scale = graph.num_vertices * graph.degree
     h = f.signs * weight
     yield DpTable(h, 1, kind)
     for k in range(2, kmax + 1):
         h = f.signs * (_convolve(h, chars) / scale)
         yield DpTable(h, k, kind)
-
-
-def _require_pure(graph: CayleyGraph, f: SignedFn, kmax: int) -> None:
-    if f.n != graph.num_vertices:
-        raise ValueError("f size does not match the graph")
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-
-
-def dp_hk(graph: CayleyGraph, f: SignedFn, kmax: int) -> list[Optional[DpTable]]:
-    """Pure-walk tables h_1..h_kmax (index = level; slot 0 unused)."""
-    return [None, *_pure_levels(graph, f, 1.0, kmax, "h")]
-
-
-def dp_hk_weighted(
-    graph: CayleyGraph,
-    f: SignedFn,
-    H: Union[np.ndarray, Callable[[int], float]],
-    kmax: int,
-) -> list[Optional[DpTable]]:
-    """Terminal-weighted pure-walk tables: level 1 is sign * H, higher
-    levels apply the same sign-times-neighbor-average recursion as dp_hk."""
-    return [None, *_pure_levels(graph, f, vertex_values(H, graph, "H"), kmax, "hhat")]
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +315,6 @@ class MomentReport:
 
 
 @dataclass(frozen=True)
-class InequalityCheck:
-    passed: bool
-    lhs: float
-    rhs: float
-    detail: str
-
-
-@dataclass(frozen=True)
 class IdentityCheck:
     passed: bool
     residual: float
@@ -355,19 +322,12 @@ class IdentityCheck:
     via: float
 
 
-def measured_lambdas(sys: ReplacementSystem) -> tuple[Fraction, Fraction]:
-    """Exact spectral expansions (outer, inner) via character sums."""
-    rep_a = spectrum(sys.outer)
-    rep_b = spectrum(sys.inner)
-    assert rep_a.lambda_exact is not None and rep_b.lambda_exact is not None
-    return rep_a.lambda_exact, rep_b.lambda_exact
-
-
 def lemma_hypotheses(
     sys: ReplacementSystem, bias: Fraction
 ) -> tuple[bool, str, Fraction, Fraction]:
-    """Bias <= lambda_B and lambda_A <= lambda_B^2, exactly on the measured spectra."""
-    lam_a, lam_b = measured_lambdas(sys)
+    """Bias <= lambda_B and lambda_A <= lambda_B^2, exactly on the measured
+    spectra (character sums, so lambda_exact is always there)."""
+    lam_a, lam_b = spectrum(sys.outer).lambda_exact, spectrum(sys.inner).lambda_exact
     ok_bias = bias <= lam_b
     ok_lam = lam_a <= lam_b * lam_b
     detail = (
@@ -384,7 +344,10 @@ def _pure_report(
     hypothesis Bias(f) <= sqrt(lambda), as Bias(f)^2 <= lambda exactly on
     the measured spectrum; and the character table that spectrum was read
     from, for the check's DP."""
-    _require_pure(graph, f, kmax)
+    if f.n != graph.num_vertices:
+        raise ValueError("f size does not match the graph")
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
     rep, chars = _character_sum_spectrum(graph)
     met = f.bias_exact**2 <= rep.lambda_exact
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(rep.lam)!r}"
@@ -586,7 +549,7 @@ def check_middle_start_identity(
 
     where G^ is the block-1 transform of the mixed-domain gbar_s that the
     level loop leaves (its blocks 2..s are transformed already): no primal
-    gbar_s and no cayley_average.  All of it runs in the level loop's one
+    gbar_s and no primal average.  All of it runs in the level loop's one
     block; without tables that reach level k, the forward levels stream
     and only g_{k-s} and g_k are kept.  The sum is elementwise products and
     ndarray.sum, not np.dot or np.vdot: those would change the summation

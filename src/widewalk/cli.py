@@ -8,7 +8,8 @@ code gen-base|encode|report    base-code search, encoding, bias report
 
 Exit codes are exactly five: 0 all assertions pass, 1 a verified
 violation (or a failed randomized search), 2 invalid input, 3 budget
-exceeded, 4 hypotheses unmet or no row asserted, so no verdict was made.
+exceeded or an allocation refused, 4 hypotheses unmet or no row
+asserted, so no verdict was made.
 
 Every run echoes its resolved configuration: as a "run" object in JSON
 output, as a leading "# {...}" comment line in CSV output.  Outputs are
@@ -376,7 +377,7 @@ def _cmd_verify_hitting(args) -> int:
         payload,
         ("t", "exact", "bound", "pass"),
     )
-    return _exit_code((True, bool(report.rows), report.all_passed))
+    return _exit_code((True, report.asserted, report.all_passed))
 
 
 def _cmd_code_gen_base(args) -> int:
@@ -401,7 +402,7 @@ def _cmd_code_gen_base(args) -> int:
 
 def _amplified_for(args) -> tuple[AmplifiedCode, dict]:
     system, resolved = _load_system(args.config)
-    base = LinearCode.from_json(json.loads(Path(args.base).read_text()))
+    base = LinearCode.from_json(Path(args.base).read_text())
     t = _walk_length(args, resolved)
     resolved["t"] = t
     return AmplifiedCode(base, system, t), resolved
@@ -550,6 +551,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as e:  # numpy's message names the refused allocation
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except BaseCodeSearchFailed as e:
         print(f"error: {e}", file=sys.stderr)

@@ -93,8 +93,8 @@ class LinearCode:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: Union[str, dict]) -> "LinearCode":
-        data = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, text: str) -> "LinearCode":
+        data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a base code must be a JSON object")
         k, n0 = json_field(data, "k", int), json_field(data, "n0", int)

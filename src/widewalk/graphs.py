@@ -349,12 +349,6 @@ def _convolve(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
     return fwht(x, work=_consuming(x, pair[1]))
 
 
-def cayley_average(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
-    """Average of values[..., v ^ u] over the generators u of G, for every
-    vertex v of the last axis: _convolve over n * degree."""
-    return _convolve(values, character_table(G)) / (G.num_vertices * G.degree)
-
-
 def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     """Expansion of G: max over nonzero alpha of |character sum|.
 
@@ -424,11 +418,13 @@ def _spectrum_dense(G: CayleyGraph) -> SpectralReport:
 
 
 @dataclass(frozen=True)
-class MixingCheck:
-    holds: bool
+class InequalityCheck:
+    """One inequality lhs <= rhs, judged by holds."""
+
+    passed: bool
     lhs: float
     rhs: float
-    lam: float
+    detail: str
 
 
 def mixing_check(
@@ -436,26 +432,31 @@ def mixing_check(
     f: Sequence[float] | np.ndarray | Callable[[int], float],
     g: Sequence[float] | np.ndarray | Callable[[int], float],
     lam: Optional[float] = None,
-) -> MixingCheck:
+) -> InequalityCheck:
     """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g by holds.
 
     The edge expectation pairs f with the generator average of g over
-    every vertex.  lam defaults to the measured expansion of G.
+    every vertex: _convolve over n * degree, with the character table
+    built once, and read for the spectrum too when lam is not given.
+    lam defaults to the measured expansion of G.
     """
     n = G.num_vertices
     fv = vertex_values(f, G, "f")
     gv = vertex_values(g, G, "g")
     if lam is None:
-        lam = spectrum(G).lam
+        rep, chars = _character_sum_spectrum(G)
+        lam = rep.lam
+    else:
+        chars = character_table(G)
     # an elementwise product and sum, not np.dot, whose summation order
     # would differ, and which starts BLAS's thread pool (see spectrum)
-    edge_mean = float((fv * cayley_average(gv, G)).sum()) / n
+    edge_mean = float((fv * (_convolve(gv, chars) / (n * G.degree))).sum()) / n
     mu_f, mu_g = float(np.mean(fv)), float(np.mean(gv))
     sigma_f = float(np.sqrt(max(np.mean(fv * fv) - mu_f * mu_f, 0.0)))
     sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))
     lhs = abs(edge_mean - mu_f * mu_g)
     rhs = lam * sigma_f * sigma_g
-    return MixingCheck(holds=holds(lhs, rhs), lhs=lhs, rhs=rhs, lam=lam)
+    return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"lam={lam!r}")
 
 
 def vertex_values(f, graph: CayleyGraph, name: str) -> np.ndarray:

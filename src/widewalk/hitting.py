@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from .amplify import vacuous
 from .graphs import CayleyGraph, _convolve, character_table, spectrum
 
 Real = Union[float, Fraction]
@@ -106,6 +107,11 @@ class HittingReport:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
+
+    @property
+    def asserted(self) -> bool:
+        """Some row's bound informs (amplify.vacuous); at rho = 1 none does."""
+        return any(not vacuous(float(r.bound)) for r in self.rows)
 
 
 def check_hitting(

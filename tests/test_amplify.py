@@ -30,6 +30,7 @@ from widewalk import (
 )
 from widewalk.amplify import (
     DpTable,
+    _pure_levels,
     _wide_tables,
     check_base_case,
     check_bias_reduction_lemma,
@@ -41,14 +42,12 @@ from widewalk.amplify import (
     dp_backwards,
     dp_gk,
     dp_gk_level,
-    dp_hk,
-    dp_hk_weighted,
-    measured_lambdas,
+    lemma_hypotheses,
     moments,
     vacuous,
     verify_induction_arithmetic,
 )
-from widewalk.graphs import cayley_average, character_table, fwht
+from widewalk.graphs import character_table, fwht, mixing_check, vertex_values
 
 import walk_oracle as oracle
 
@@ -56,9 +55,9 @@ G8_FROZEN_EPS = [0.25, 0.5, 0.5, 0.5, 0.5]
 # SHA-256 of the 21 flagship dp_gk(..., 20) tables' float64 bytes, level
 # order, as the per-generator gather DP produced them
 FLAGSHIP_TABLES_SHA256 = "78bf62b5d94dd7c890aa4ae0a21da7c10f7a5c7e6d19aa3504f78310f6ae2c80"
-# SHA-256 of the float64 bytes of levels 1..12 of dp_hk and dp_hk_weighted
-# (f balanced, H = default_rng(5).uniform(-1, 1, n)), as the loop that
-# rebuilt the character table at every level produced them
+# SHA-256 of the float64 bytes of pure-walk levels 1..12, unweighted (h) and
+# weighted by H (hhat), with f balanced and H = default_rng(5).uniform(-1, 1, n),
+# as the loop that rebuilt the character table at every level produced them
 PURE_TABLES_SHA256 = {
     ("complete-nonzero-m4", "h"): "638ff1ecd56d5a7576cbff01f3195cd8ccdf4f2b1b7f6c799a4a74e0caa2cd8f",
     ("complete-nonzero-m4", "hhat"): "9f5562ca16cb80d5629051165f097569a6241a0181bfb5a70a9fc27b0de6e6cf",
@@ -213,9 +212,9 @@ def full_transform_levels(sys, f, levels, kind):
     tables = [DpTable(g, 0, kind)]
     for k in range(1, levels + 1):
         if kind == "g":
-            avg = cayley_average(g[:, shift], sys.inner)
+            avg = oracle.cayley_average(g[:, shift], sys.inner)
         else:
-            avg = cayley_average(g, sys.inner)[:, unshift]
+            avg = oracle.cayley_average(g, sys.inner)[:, unshift]
         g = sign_col * np.take_along_axis(avg, rot, axis=0)
         tables.append(DpTable(g, k, kind))
     return tables
@@ -392,12 +391,20 @@ def test_backward_forward_means_agree(g8_system, g8_f, flagship, flagship_f):
             assert abs(float(fwd[j].values.mean()) - float(bwd[j].values.mean())) <= 1e-12
 
 
+def pure_tables(g, f, kmax, H=None):
+    """The pure-walk levels 1..kmax as a list indexed by level (slot 0
+    None), unweighted, or weighted by H when it is given."""
+    weight = 1.0 if H is None else H
+    return [None, *_pure_levels(g, f, weight, kmax, "h" if H is None else "hhat",
+                                character_table(g))]
+
+
 def test_dp_hk_matches_enumeration(g8_system, g8_f):
     import itertools
 
     g = g8_system.outer
     f = g8_f
-    tables = dp_hk(g, f, 4)
+    tables = pure_tables(g, f, 4)
     for k in range(1, 5):
         brute = np.zeros(g.num_vertices)
         for a in range(g.num_vertices):
@@ -418,7 +425,7 @@ def test_pure_walk_tables_are_pinned_bit_for_bit(k16):
         n = g.num_vertices
         f = SignedFn.balanced(n)
         H = np.random.default_rng(5).uniform(-1, 1, n)
-        for kind, tables in (("h", dp_hk(g, f, 12)), ("hhat", dp_hk_weighted(g, f, H, 12))):
+        for kind, tables in (("h", pure_tables(g, f, 12)), ("hhat", pure_tables(g, f, 12, H))):
             digest = hashlib.sha256()
             for t in tables[1:]:
                 digest.update(t.values.tobytes())
@@ -427,8 +434,8 @@ def test_pure_walk_tables_are_pinned_bit_for_bit(k16):
 
 def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
     # counted under both names it is called by, so a table rebuilt at every
-    # level (through graphs.cayley_average) would count once per level, and
-    # a check that read its spectrum from a table of its own would count 2
+    # level would count once per level, and a check that read its spectrum
+    # from a table of its own (as mixing_check did) would count 2
     from widewalk import amplify, graphs
 
     calls = []
@@ -440,9 +447,9 @@ def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
     monkeypatch.setattr(amplify, "character_table", counted)
     monkeypatch.setattr(graphs, "character_table", counted)
     f = SignedFn.balanced(16)
-    for run in (lambda: dp_hk(k16, f, 8), lambda: dp_hk_weighted(k16, f, np.ones(16), 8),
-                lambda: check_pure_walk_bounds(k16, f, 8),
-                lambda: check_weighted_walk_bounds(k16, f, np.ones(16), 8)):
+    for run in (lambda: check_pure_walk_bounds(k16, f, 8),
+                lambda: check_weighted_walk_bounds(k16, f, np.ones(16), 8),
+                lambda: mixing_check(k16, f.signs, f.signs)):
         calls.clear()
         run()
         assert calls == [k16]
@@ -450,23 +457,31 @@ def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
 
 def test_dp_hk_weighted_unit_weight_equals_plain(k16):
     f = SignedFn.balanced(16)
-    plain = dp_hk(k16, f, 6)
-    weighted = dp_hk_weighted(k16, f, np.ones(16), 6)
-    for k in range(1, 7):
-        assert np.array_equal(plain[k].values, weighted[k].values)
-    # callable form
-    weighted2 = dp_hk_weighted(k16, f, lambda a: 1.0, 3)
-    assert np.array_equal(plain[3].values, weighted2[3].values)
+    plain = pure_tables(k16, f, 6)
+    for H in (np.ones(16), vertex_values(lambda a: 1.0, k16, "H")):
+        weighted = pure_tables(k16, f, 6, H)
+        for k in range(1, 7):
+            assert np.array_equal(plain[k].values, weighted[k].values)
+    # the checks measure the same walk, H given as an array or a callable
+    pure = check_pure_walk_bounds(k16, f, 6)
+    measured = [(r.k, r.epsilon, r.sigma) for r in pure.rows[1:]]
+    assert pure.hypotheses_met and [k for k, _, _ in measured] == [2, 3, 4, 5, 6]
+    for H in (np.ones(16), lambda a: 1.0):
+        report = check_weighted_walk_bounds(k16, f, H, 6)
+        assert report.hypotheses_met
+        assert [(r.k, r.epsilon, r.sigma) for r in report.rows] == measured
 
 
 def test_dp_hk_validation(k16):
     f = SignedFn.balanced(16)
-    with pytest.raises(ValueError):
-        dp_hk(k16, f, 0)
-    with pytest.raises(ValueError):
-        dp_hk(k16, SignedFn.balanced(4), 2)
-    with pytest.raises(ValueError):
-        dp_hk_weighted(k16, f, np.ones(7), 2)
+    weighted = lambda f, kmax: check_weighted_walk_bounds(k16, f, np.ones(16), kmax)
+    for check in (lambda f, kmax: check_pure_walk_bounds(k16, f, kmax), weighted):
+        with pytest.raises(ValueError, match="kmax must be at least 1"):
+            check(f, 0)
+        with pytest.raises(ValueError, match="f size does not match the graph"):
+            check(SignedFn.balanced(4), 2)
+    with pytest.raises(ValueError, match="H must be a per-vertex array of 16 values"):
+        check_weighted_walk_bounds(k16, f, np.ones(7), 2)
 
 
 def test_weighted_level_one_recovers_two_back(g8_system, g8_f, flagship, flagship_f, flagship_tables):
@@ -478,7 +493,7 @@ def test_weighted_level_one_recovers_two_back(g8_system, g8_f, flagship, flagshi
     ):
         for k in range(2, 7):
             H = moments(tables[k - 1]).eps_a
-            hw = dp_hk_weighted(sys.outer, f, H, 1)
+            hw = pure_tables(sys.outer, f, 1, H)
             assert abs(moments(hw[1]).eps - moments(tables[k - 2]).eps) <= 1e-12
 
 
@@ -489,7 +504,7 @@ def test_backwards_terminal_mean_is_pure_walk(g8_system, g8_f, flagship, flagshi
     for sys, f in ((g8_system, g8_f), (flagship, flagship_f)):
         s = sys.params.s
         gbar = dp_backwards(sys, f, s)[s].values.mean(axis=1)
-        h = dp_hk(sys.outer, f, s + 1)[s + 1].values
+        h = pure_tables(sys.outer, f, s + 1)[s + 1].values
         assert np.max(np.abs(gbar - h)) <= 1e-12
 
 
@@ -562,10 +577,11 @@ def test_weighted_walk_refuses_weights_beyond_1(k16):
 
 
 def test_measured_lambdas(flagship, g8_system):
-    lam_a, lam_b = measured_lambdas(flagship)
+    # lemma_hypotheses returns the exact (lambda_A, lambda_B) it judged
+    lam_a, lam_b = lemma_hypotheses(flagship, Fraction(0))[2:]
     assert lam_a == 0
     assert lam_b == Fraction(7, 32)
-    lam_a8, lam_b8 = measured_lambdas(g8_system)
+    lam_a8, lam_b8 = lemma_hypotheses(g8_system, Fraction(0))[2:]
     assert lam_a8 == 1  # generators span only the low bits: disconnected
     assert lam_b8 == Fraction(1, 2)
 
@@ -601,7 +617,7 @@ def test_base_case_and_induction_with_positive_lambda_a(skew16):
     # enters met hypotheses, and every eps_k is nonzero
     sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     f = SignedFn.from_support(8, [0, 1, 2])
-    assert measured_lambdas(sys) == (Fraction(1, 8), Fraction(15, 32))
+    assert lemma_hypotheses(sys, f.bias_exact)[2:] == (Fraction(1, 8), Fraction(15, 32))
     tables = dp_gk(sys, f, 10)
     base = check_base_case(sys, f, tables)
     ind = check_induction_step(sys, f, 10, tables)
@@ -694,7 +710,7 @@ def full_transform_via(sys, f, k, tables):
     s = sys.params.s
     gbar = dp_backwards(sys, f, s)[s].values
     rest = tables[k - s].values[:, sys.shift(np.arange(sys.num_inner))]
-    return float((f.signs[:, None] * gbar * cayley_average(rest, sys.inner)).mean())
+    return float((f.signs[:, None] * gbar * oracle.cayley_average(rest, sys.inner)).mean())
 
 
 def test_middle_start_identity_is_exact_on_the_witness(witness):

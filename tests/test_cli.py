@@ -20,6 +20,7 @@ from widewalk.cli import (
 from widewalk.code import LinearCode
 from widewalk.gf2core import hex_encode
 from widewalk.graphs import CayleyGraph, build_aghp, build_complete_selfloop
+from widewalk.hitting import HittingReport, HittingRow
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -265,6 +266,14 @@ def test_verify_hitting(tmp_path, capsys):
         ["verify", "hitting", "--graph", str(gpath), "--set", "0,1,2,3",
          "--tmax", "5"]
     ) == EXIT_PASS
+    # rho = 1: every bound is exactly 1, so no row is asserted
+    capsys.readouterr()
+    assert main(
+        ["verify", "hitting", "--graph", str(gpath), "--set", "first-16",
+         "--tmax", "3", "--format", "csv"]
+    ) == EXIT_HYPOTHESES
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [f"{t},1.0,1.0,True" for t in (1, 2, 3)]
 
 
 def test_code_gen_base_pinned_seed(tmp_path):
@@ -396,6 +405,8 @@ def test_invalid_inputs(tmp_path, capsys):
     base_path.write_text("[1, 2]")
     encode_argv = ["code", "encode", "--config", cfg, "--base", str(base_path), "--message", "1"]
     assert_one_line_invalid(encode_argv, capsys, "error: a base code")
+    base_path.write_text("not json{")
+    assert_one_line_invalid(encode_argv, capsys, "error: Expecting value: line 1 column 1 (char 0)")
     base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
     assert_one_line_invalid(encode_argv + ["--budget", "-1"], capsys, "error: --budget")
     # config fields of the wrong JSON type; floats and bools are not integers
@@ -870,9 +881,15 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph,
         assert captured.err.count("\n") == 1
         return
     report = json.loads(captured.out)["report"]  # stdout is one JSON document
-    # (asserted, passed) per row; a row without a vacuous flag is always asserted
+    # (asserted, passed) per row: hitting rows are asserted when
+    # HittingReport.asserted finds some bound informative, a distribution
+    # row (no vacuous flag, no bound) always
     if command == "report":
         rows = [(not report["bias_bound_vacuous"], report["bias"] <= report["bias_bound"])]
+    elif command == "hitting":
+        hit = HittingReport(report["rho"], report["lambda"], [
+            HittingRow(row["t"], row["exact"], row["bound"], row["pass"]) for row in report["rows"]])
+        rows = [(hit.asserted, row.passed) for row in hit.rows]
     else:
         rows = [(not row.get("vacuous", False), row["pass"]) for row in report.get("rows", [])]
     asserted = [passed for is_asserted, passed in rows if is_asserted]

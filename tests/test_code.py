@@ -127,7 +127,7 @@ def test_json_bias_cross_check():
     payload = json.loads(LinearCode(1, 2, [0b01]).to_json())
     payload["bias"] = 0.75  # tampered
     with pytest.raises(ValueError):
-        LinearCode.from_json(payload)
+        LinearCode.from_json(json.dumps(payload))
 
 
 def test_gen_base_code_pinned_seed():

@@ -135,6 +135,15 @@ def test_check_hitting_k16(k16):
     assert all(r.exact < r.bound for r in report.rows[1:])
 
 
+def test_check_hitting_asserts_only_informative_bounds(k16):
+    # t = 1 bounds rho itself, so rho < 1 is asserted from the first row;
+    # at rho = 1 every bound is exactly 1 and no row is asserted
+    assert check_hitting(k16, range(4), 1).asserted
+    whole = check_hitting(k16, range(16), 3)
+    assert [(r.exact, r.bound) for r in whole.rows] == [(1, 1)] * 3
+    assert not whole.asserted
+
+
 def test_check_hitting_explicit_lambda(k16):
     report = check_hitting(k16, range(8), 6, lam=Fraction(1, 2))
     assert report.lam == Fraction(1, 2)

@@ -1,12 +1,17 @@
 """What importing widewalk does to its own process: the OpenBLAS idle-spin
-default that the package sets before numpy loads."""
+default that the package sets before numpy loads, and the public names it
+exports; and how a CLI process ends when the memory it asks for is refused."""
 
 import ast
+import json
 import os
+import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import widewalk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 READ_TIMEOUT = "import widewalk, os; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
@@ -58,3 +63,34 @@ def test_a_cli_process_spends_no_more_cpu_than_wall_time():
     wall = time.monotonic() - start
     assert os.waitstatus_to_exitcode(status) == 0
     assert ru.ru_utime + ru.ru_stime <= wall + 0.05
+
+
+def test_every_exported_name_resolves_once_and_survives_star_import():
+    names = widewalk.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(widewalk, name) for name in names)
+    scope = {}
+    exec("from widewalk import *", scope)
+    assert {name: scope[name] for name in names} == {name: getattr(widewalk, name) for name in names}
+
+
+def _address_space_of(limit):
+    def apply():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return apply
+
+
+def test_a_refused_allocation_exits_3_with_one_line(tmp_path):
+    # m = 10, s = 2, ell = 1 meets its hypotheses; the DP's working set is
+    # 3 * 2^30 floats (24 GiB), more than the 4 GiB address space allowed
+    # here, whatever the host's overcommit setting
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 10, "s": 2, "ell": 1}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "widewalk.cli", "verify", "base-case", "--config", str(config)],
+        env=_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=_address_space_of(4 << 30),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1

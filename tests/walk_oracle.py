@@ -15,6 +15,9 @@ ReplacementSystem.expand, so the tests can hold the a_0 = 0 enumerations
 of widewalk.walks and widewalk.code.encode against the full ones.  They
 call expand on the system, so a test that patches ReplacementSystem.expand
 patches both sides.
+
+cayley_average is the generator average that the reference DPs of the
+tests step by.
 """
 
 import itertools
@@ -22,6 +25,14 @@ import itertools
 import numpy as np
 
 from widewalk import walks as ww
+from widewalk.graphs import _convolve, character_table
+
+
+def cayley_average(values, graph):
+    """Average of values[..., v ^ u] over the generators u of graph, for
+    every vertex v of the last axis: the library's one Cayley convolution
+    over n * degree, as the pure-walk levels and mixing_check divide it."""
+    return _convolve(values, character_table(graph)) / (graph.num_vertices * graph.degree)
 
 
 def neighbor(graph, v, i):
