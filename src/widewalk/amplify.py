@@ -8,13 +8,15 @@ with the character table, and the transform back.  The pure-walk DPs take
 the whole step through graphs._convolve, with the character table built
 once per call; the wide-walk DPs stay in the transformed domain of inner
 blocks 2..s between levels, transform only block 1 per step, and leave
-that domain only for the levels they return (see _wide_levels).  Their
-working set is one (3, n_A * n_B) float block per call, the level and the
-FWHT's two buffers, plus the tables they return.  The DP loops yield their
-levels one at a time, and a check given no tables reads the moments of
-each level as it comes and drops it (see _levels).  All arithmetic is
-double precision in a fixed operation order, so results are bit-identical
-across runs.
+that domain only for the levels they return (see _wide_levels).  A level
+k < s holds only the blocks its walk has read, d^(k-1) of the d^(s-1)
+columns of blocks 2..s, and its table is broadcast along the others.
+Their working set is one (3, n_A * n_B) float block per call, the level
+and the FWHT's two buffers, plus the tables they return.  The DP loops
+yield their levels one at a time, and a check given no tables reads the
+moments of each level as it comes and drops it (see _levels).  All
+arithmetic is double precision in a fixed operation order, so results
+are bit-identical across runs.
 """
 from __future__ import annotations
 
@@ -153,69 +155,91 @@ def _wide_levels(
     the rotation map reaches and multiply by the sign.
 
     The Hadamard matrix on F_2^(m*s) is the Kronecker power of the one on a
-    block, so the loop keeps each level in a mixed domain: x has shape
-    (n_A * block 1, blocks 2..s), with block 1 primal and blocks 2..s
+    block, so the loop keeps each level in a mixed domain: x has the axes
+    (n_A, block 1, ..., block s), with block 1 primal and blocks 2..s
     Walsh-Hadamard transformed, and holds level k before its sign factor
     f(a).  The block shift is a cyclic roll of the block axes, which
     commutes with per-block transforms, and the rotation map reads block 1
     only.  So one level transforms block 1, multiplies by the character
     table (scaled by 1 / (2^m * d_B), a power of two), rolls the block axes,
-    transforms the new block 1 back and gathers rows by (a, block 1): 2*m
-    butterfly stages a level, where two full transforms take 2*m*s.
+    transforms the new block 1 back and gathers rows by (a, block 1).
+
+    Active blocks.  A k-step walk from (a_0, b_1) reads blocks 1..k of b_1,
+    so g_k is constant along blocks k+1..s; gbar_k, read backwards, along
+    blocks 2..s-k+1.  Along such a block the transform is zero but at
+    frequency 0, and x keeps only that frequency, as an axis of length 1:
+    level k < s holds d^(k-1) of the d^(s-1) columns of blocks 2..s (level
+    0 one), "g" blocks 2..k and "gbar" blocks s-k+2..s, and level s and on
+    all of them.  Level 0 is constant along block 1 as well, so step 1 keeps
+    its frequency 0 alone.  The roll moves the old block 1 into the active
+    set, and while k <= s it brings an inactive block to block 1.  The
+    inverse transform of a vector that is zero but at frequency 0 is that
+    value at every point, so that step drops the second transform, and its
+    gather takes whole rows by a ^ hop(block 1) and broadcasts the new block
+    1.  From step s+1 on, the same step finds block 1 read and transforms
+    it back.  Butterfly stages: step k takes m over level k-1's cells, and
+    m more over all n_A * n_B once k > s, where two full transforms took
+    2*m*s; _wide_tables takes m*(k-1) over level k's cells, m*(s-1) from
+    level s on.
 
     Working set: one (3, n_A * n_B) float64 block, allocated once per call,
-    holds x, w0 and w1, and every step stays inside it.  The first transform
-    reads x and ends in w0; the roll is a view of w0 ("g") or one copy into
-    w1 ("gbar"); the second transform reads the rolled table and ends in the
-    free one of w0 and w1, with x as its scratch; and np.take gathers the
-    rows back into x.  All three are reused by the next step: a caller reads
-    x, and may use (w0, w1) as scratch, before it resumes the loop.
+    holds x, w0 and w1 in the leading cells of its rows, and every step
+    stays inside it.  The first transform reads x and ends in w0; the roll
+    is a view of w0 ("g") or one copy into w1 ("gbar"); the second
+    transform reads the rolled table and ends in the free one of w0 and w1,
+    with x as its scratch; and np.take gathers the rows back into x.  All
+    three are reused by the next step: a caller reads x, and may use
+    (w0, w1), which have x's size, as scratch, before it resumes the loop.
     """
     _require_f(sys, f)
     if levels < 0:
         raise ValueError(f"the level count must be nonnegative, got {levels}")
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
-    rest = sys.num_inner // d  # cells of blocks 2..s
-    blocks = (n_a,) + (d,) * s
     # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
     chars = character_table(sys.inner).reshape((d,) * s).T / (d * sys.params.d_inner)
     if kind == "g":  # the product precedes the roll, so index it as the unshifted table
         chars = np.moveaxis(chars, 0, -1)
-    chars = chars.reshape(d, rest)
-    rows = ((np.arange(n_a)[:, None] ^ sys.hop(np.arange(d))) * d + np.arange(d)).ravel()
-    signs = np.repeat(f.signs, d)[:, None]
+    hops = np.arange(n_a)[:, None] ^ sys.hop(np.arange(d))
+    rows = {1: hops.ravel(), d: (hops * d + np.arange(d)).ravel()}  # by new block 1's length
+    sign = f.signs.reshape((n_a,) + (1,) * s)
 
     block = np.empty((3, n_a * sys.num_inner))
-    x, w0, w1 = block[0].reshape(n_a * d, rest), block[1], block[2]
     # level 0 is the constant 1, which has only the zero frequency of blocks 2..s
-    x.fill(0.0)
-    x[:, 0] = rest
+    x = block[0, : n_a * d].reshape((n_a, d) + (1,) * (s - 1))
+    x.fill(sys.num_inner // d)
     for k in range(levels + 1):
         if k:
-            x *= signs
-            y = fwht(x.reshape(n_a, d, rest), axis=1, work=(w0, w1))
-            y *= chars
+            x *= sign
+            y = fwht(x, axis=1, work=(block[1, : x.size], block[2, : x.size]))
+            if k == 1:  # level 0 is constant along block 1 too: frequency 0 alone
+                y = y[:, :1]
+            y *= chars[tuple(slice(n) for n in y.shape[1:])]
             if kind == "g":  # block s moves to the front: a view of w0
-                rolled, work = np.moveaxis(y.reshape(blocks), -1, 1), (w1, x)
+                rolled, free = np.moveaxis(y, -1, 1), block[2]
             else:  # block 1 moves to the back: one copy into w1
-                rolled, work = w1.reshape(blocks), (w0, x)
-                np.copyto(rolled, np.moveaxis(y.reshape(blocks), 1, -1))
-            z = fwht(rolled.reshape(n_a, d, rest), axis=1, work=work)
+                moved = np.moveaxis(y, 1, -1)
+                rolled, free = block[2, : y.size].reshape(moved.shape), block[1]
+                np.copyto(rolled, moved)
+            e, cols = rolled.shape[1], rolled.shape[2:]
+            if e > 1:  # the walk has read the new block 1: transform it back
+                rolled = fwht(rolled, axis=1, work=(free, x))
+            x = block[0, : n_a * d * math.prod(cols)].reshape((n_a, d) + cols)
             # the rows are in range, and mode="wrap" lets take write into x unbuffered
-            np.take(z.reshape(n_a * d, rest), rows, axis=0, out=x, mode="wrap")
-        yield k, x, (w0, w1)
+            np.take(rolled.reshape(n_a * e, -1), rows[e], axis=0, out=x.reshape(n_a * d, -1), mode="wrap")
+        yield k, x, (block[1, : x.size], block[2, : x.size])
 
 
 def _wide_tables(
     sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, first: int = 0
 ) -> Iterator[DpTable]:
     """Tables first..levels of _wide_levels as the loop reaches them, each
-    taken back to the primal domain by one transform over blocks 2..s in
-    the loop's work pair.  The sign f(a) and the 1/2^(m*(s-1)) of that
+    taken back to the primal domain by one transform over its active blocks
+    in the loop's work pair.  The sign f(a) and the 1/2^(m*(s-1)) of that
     inverse transform are one factor, +-1 over a power of two, so a single
     exact multiply, through the transposed view that puts b in C order,
-    writes each table once.  A zero takes its sign from f(a), as in a
-    primal-domain step."""
+    writes each table once and broadcasts it along the blocks the walk has
+    not read.  As in a primal-domain step, f(a) is the last factor: a zero
+    gets f(a)'s sign times that of the transform's zero."""
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     blocks = (n_a,) + (d,) * s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
@@ -224,7 +248,8 @@ def _wide_tables(
             values = np.empty((n_a, sys.num_inner))
             # x runs block 1..s along its axes, b's C order block s..1
             out = values.reshape(blocks).transpose(0, *range(s, 0, -1))
-            np.multiply(fwht(x, work=work).reshape(blocks), scale, out=out)
+            primal = fwht(x.reshape(n_a * d, -1), work=work).reshape(x.shape)
+            np.multiply(primal, scale, out=out)
             yield DpTable(values, k, kind)
 
 

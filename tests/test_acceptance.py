@@ -35,7 +35,7 @@ from widewalk.amplify import (
     verify_induction_arithmetic,
 )
 from widewalk.code import AmplifiedCode, LinearCode, code_bias, rate
-from widewalk.graphs import CayleyGraph
+from widewalk.graphs import CayleyGraph, character_table
 from widewalk.hitting import HittingInstance, check_hitting, hitting_bound, hitting_prob_exact
 
 import walk_oracle as oracle
@@ -205,6 +205,20 @@ def test_acceptance_11_hitting_probabilities(k16):
     for t in (1, 3, 6):
         exact = hitting_prob_exact(HittingInstance(g0, frozenset({0, 1}), t))
         if exact != hitting_bound(Fraction(1, 2), Fraction(0), t):
+            ok = False
+    # lambda > 0 meets the bound with equality too: S = ker(alpha) for a
+    # character with chi(alpha) = +lambda * d keeps a step in S with
+    # probability (1 + lambda)/2, so the survival is rho * (rho + lambda *
+    # (1 - rho))^(t-1) at rho = 1/2 for every t
+    for r, ell in ((8, 4), (10, 5), (12, 6)):
+        g = build_aghp(r, ell)
+        lam = spectrum(g).lambda_exact
+        alpha = int(np.flatnonzero(character_table(g) == int(lam * g.degree))[0])
+        kernel = [v for v in range(g.num_vertices) if (v & alpha).bit_count() % 2 == 0]
+        report = check_hitting(g, kernel, 8)
+        if report.rho != Fraction(1, 2) or len(report.rows) != 8:
+            ok = False
+        if not all(row.exact == row.bound for row in report.rows):
             ok = False
     record(11, "hitting-probabilities", ok)
 

@@ -10,6 +10,7 @@ deviation channel carries the signal there.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 from collections import defaultdict
@@ -356,6 +357,72 @@ def test_wide_levels_equal_the_full_transform_reference(flagship, g8_system, mon
                 assert np.array_equal(a.values, b.values), (sys.params, f.bits, a.kind, a.level)
         # the single-level path runs the same levels and converts only the last
         assert dp_gk_level(sys, f, kmax).values.tobytes() == forward[kmax].values.tobytes()
+
+
+def test_closed_form_on_complete_outer_graphs(flagship, witness):
+    # with self-loops, hop is a bijection from a block onto the outer
+    # vertices, and the first s outer steps of a walk from (a_0, b_1) read
+    # blocks 1..s of the uniform b_1: they are i.i.d. uniform, and
+    # eps_k = Bias(f)^(k+1) exactly for k <= s
+    cases = [(flagship, SignedFn.from_support(4, sup))
+             for size in range(5) for sup in itertools.combinations(range(4), size)]
+    cases += [(witness, SignedFn.from_support(8, sup))
+              for sup in ({0, 1, 2}, {0, 3, 5}, {4}, {1, 6})]
+    for sys, f in cases:
+        s = sys.params.s
+        for k, table in enumerate(dp_gk(sys, f, s)):
+            assert abs(float(table.values.mean())) == f.bias_exact ** (k + 1), (sys.params, f.bits, k)
+    # past s the inner walk enters: the closed form is off by 4.4e-6 relative
+    f = SignedFn.from_support(8, {0, 1, 2})
+    eps = abs(float(dp_gk_level(witness, f, 6).values.mean()))
+    assert eps != f.bias_exact**7 and abs(eps / float(f.bias_exact**7) - 1) < 1e-5
+
+
+def constant_blocks(sys, values) -> set[int]:
+    """The blocks j of b (bits (j-1)*m .. j*m-1) along which a table is constant."""
+    d, s = sys.params.d_outer, sys.params.s
+    v = values.reshape((sys.num_outer,) + (d,) * s)  # block j is axis s-j+1
+    return {j for j in range(1, s + 1) if (v == v.take([0], axis=s - j + 1)).all()}
+
+
+def test_levels_are_constant_along_the_blocks_the_walk_has_not_read(flagship, witness):
+    # the compact levels of _wide_levels rest on this: a k-step walk reads
+    # blocks 1..k of b ("g") or blocks 1 and s-k+2..s ("gbar"), and on these
+    # supports every table varies along every block it reads (g_s and
+    # gbar_s along all s)
+    cases = [(flagship, SignedFn.from_support(4, {0}))]
+    cases += [(witness, SignedFn.from_support(8, sup)) for sup in ({0, 1, 2}, {0, 3, 5})]
+    for sys, f in cases:
+        s = sys.params.s
+        forward, backward = dp_gk(sys, f, s), dp_backwards(sys, f, s)
+        for k in range(1, s + 1):
+            assert constant_blocks(sys, forward[k].values) == set(range(k + 1, s + 1)), k
+            assert constant_blocks(sys, backward[k].values) == set(range(2, s - k + 2)), k
+
+
+def test_compact_levels_bound_the_transform_work(witness, monkeypatch):
+    # a timing-free cost guard: cells times butterfly stages over every
+    # fwht call of the wide-walk DP, in units of one n_A * n_B table.  Full
+    # levels took 120 for dp_gk and 48 for the identity; compact ones 31.7
+    # and 18.4
+    import widewalk.amplify as amplify
+
+    f = SignedFn.from_support(8, {0, 1, 2})
+    tables = dp_gk(witness, f, 6)
+    cost = []
+
+    def counted(a, axis=-1, work=None):
+        a = np.asarray(a)
+        cost.append(a.size * (a.shape[axis].bit_length() - 1))
+        return fwht(a, axis, work)
+
+    monkeypatch.setattr(amplify, "fwht", counted)
+    cells = witness.num_outer * witness.num_inner
+    assert dp_gk(witness, f, 6)[6].values.tobytes() == tables[6].values.tobytes()
+    assert sum(cost) <= 32 * cells
+    cost.clear()
+    check_middle_start_identity(witness, f, 6, tables)
+    assert 0 < sum(cost) <= 19 * cells
 
 
 def test_dp_backwards_matches_enumeration(g8_system, g8_f):
