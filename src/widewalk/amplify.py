@@ -4,13 +4,14 @@ Conventions: a level-k table for the wide walk covers k steps, i.e. k+1
 sign factors f(a_0)..f(a_k); pure-walk tables h_k cover k vertices (k-1
 steps).  A walk step averages a table over a Cayley graph's generators by
 the convolution theorem: a Walsh-Hadamard transform, a pointwise product
-with the character table, and the transform back.  The pure-walk DPs take
-the whole step through graphs._convolve, with the character table built
-once per call; the wide-walk DPs stay in the transformed domain of inner
-blocks 2..s between levels, transform only block 1 per step, and leave
-that domain only for the levels they return (see _wide_levels).  A level
-k < s holds only the blocks its walk has read, d^(k-1) of the d^(s-1)
-columns of blocks 2..s, and its table is broadcast along the others.
+with the character table that each graph builds once and keeps
+(graphs.character_table), and the transform back.  The pure-walk DPs
+take the whole step through graphs._convolve; the wide-walk DPs stay in
+the transformed domain of inner blocks 2..s between levels, transform
+only block 1 per step, and leave that domain only for the levels they
+return (see _wide_levels).  A level k < s holds only the blocks its walk
+has read, d^(k-1) of the d^(s-1) columns of blocks 2..s, and its table
+is broadcast along the others.
 Their working set is one (3, n_A * n_B) float block per call, the level
 and the FWHT's two buffers, plus the tables they return.  The DP loops
 yield their levels one at a time, and a check given no tables reads the
@@ -31,7 +32,6 @@ import numpy as np
 from .graphs import (
     CayleyGraph,
     InequalityCheck,
-    _character_sum_spectrum,
     _convolve,
     character_table,
     fwht,
@@ -281,18 +281,17 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
 
 
 def _pure_levels(
-    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str, chars: np.ndarray
+    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str
 ) -> Iterator[DpTable]:
     """Pure-walk tables 1..kmax as the recursion reaches them, from level 1
     = sign * weight: each further level is the sign times the generator
-    average of the previous one, graphs._convolve with the caller's
-    character table of graph, over n * degree.  The caller has checked
-    its arguments (see _pure_report)."""
+    average of the previous one, graphs._convolve over n * degree.  The
+    caller has checked its arguments (see _pure_report)."""
     scale = graph.num_vertices * graph.degree
     h = f.signs * weight
     yield DpTable(h, 1, kind)
     for k in range(2, kmax + 1):
-        h = f.signs * (_convolve(h, chars) / scale)
+        h = f.signs * (_convolve(h, graph) / scale)
         yield DpTable(h, k, kind)
 
 
@@ -362,32 +361,29 @@ def lemma_hypotheses(
     return ok_bias and ok_lam, detail, lam_a, lam_b
 
 
-def _pure_report(
-    kind: str, graph: CayleyGraph, f: SignedFn, kmax: int
-) -> tuple[MomentReport, np.ndarray]:
+def _pure_report(kind: str, graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
     """A pure-walk report with no rows yet: the arguments checked, then the
     hypothesis Bias(f) <= sqrt(lambda), as Bias(f)^2 <= lambda exactly on
-    the measured spectrum; and the character table that spectrum was read
-    from, for the check's DP."""
+    the measured spectrum."""
     if f.n != graph.num_vertices:
         raise ValueError("f size does not match the graph")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    rep, chars = _character_sum_spectrum(graph)
+    rep = spectrum(graph)
     met = f.bias_exact**2 <= rep.lambda_exact
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(rep.lam)!r}"
-    return MomentReport(kind, float(rep.lam), f.bias, met, detail), chars
+    return MomentReport(kind, float(rep.lam), f.bias, met, detail)
 
 
 def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
     """Measured pure-walk moments against the eps <= (4*lam)^(k/2)/2 and
     E[h_k^2] <= (4*lam)^(k-1) bounds, lam the measured expansion of the
     graph; hypothesis Bias(f) <= sqrt(lam)."""
-    report, chars = _pure_report("pure-walk", graph, f, kmax)
+    report = _pure_report("pure-walk", graph, f, kmax)
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    for table in _pure_levels(graph, f, 1.0, kmax, "h", chars):
+    for table in _pure_levels(graph, f, 1.0, kmax, "h"):
         k, mom = table.level, moments(table)
         bound_eps = 0.5 * (4 * lam) ** (k / 2)
         bound_sq = (4 * lam) ** (k - 1)
@@ -409,11 +405,11 @@ def check_weighted_walk_bounds(
     weight = vertex_values(H, graph, "H")
     if not np.all(np.abs(weight) <= 1):
         raise ValueError("H must take values in [-1, 1]")
-    report, chars = _pure_report("weighted-walk", graph, f, kmax)
+    report = _pure_report("weighted-walk", graph, f, kmax)
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    levels = map(moments, _pure_levels(graph, f, weight, kmax, "hhat", chars))
+    levels = map(moments, _pure_levels(graph, f, weight, kmax, "hhat"))
     e1, s1 = next((m.eps, m.sigma) for m in levels)  # level 1's eps_a is not kept
     report.extra.update(eps1=e1, sigma1=s1)
     for k, mom in enumerate(levels, 2):
@@ -575,22 +571,23 @@ def check_middle_start_identity(
     where G^ is the block-1 transform of the mixed-domain gbar_s that the
     level loop leaves (its blocks 2..s are transformed already): no primal
     gbar_s and no primal average.  All of it runs in the level loop's one
-    block; without tables that reach level k, the forward levels stream
-    and only g_{k-s} and g_k are kept.  The sum is elementwise products and
-    ndarray.sum, not np.dot or np.vdot: those would change the summation
-    order, and so the pinned bytes, and start BLAS's thread pool (see
-    graphs.spectrum).
+    block; without tables that reach level k, two forward runs take only
+    g_k and g_{k-s} to the primal domain.  The sum is elementwise products
+    and ndarray.sum, not np.dot or np.vdot: those would change the
+    summation order, and so the pinned bytes, and start BLAS's thread pool
+    (see graphs.spectrum).
     """
     s = sys.params.s
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
-    kept = {t.level: t for t in _levels(sys, f, k, tables, k - s) if t.level in (k - s, k)}
-    direct = float(kept[k].values.mean())
+    (table,) = _levels(sys, f, k, tables, k)
+    direct = float(table.values.mean())
+    (table,) = _levels(sys, f, k - s, tables, k - s)
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
     for _, x, (w0, w1) in _wide_levels(sys, f, s, "gbar"):
         pass  # the loop ends with x = gbar_s before its sign, in the mixed domain
     ghat = fwht(x.reshape(n_a, d, n_b // d), axis=1, work=(w0, w1)).reshape(n_a, n_b)
-    rhat = fwht(np.asarray(kept[k - s].values, dtype=np.float64), work=(w1, x))
+    rhat = fwht(np.asarray(table.values, dtype=np.float64), work=(w1, x))
     # R^[:, shift] in the block-1-first order of the loop, gathered into x
     order = np.arange(n_b).reshape((d,) * s).T.ravel()
     out = x.reshape(n_a, n_b)
@@ -645,7 +642,9 @@ def verify_induction_arithmetic(
     Each is a sum of positive monomials in y, summed in log space once per
     (lam, s); max_log_violation is the larger log.  Grid points with lam
     outside (0, 1/4] or s < 5 are outside the proof's validity region:
-    they are evaluated and flagged, not asserted.
+    they are evaluated and flagged, not asserted.  The proof's spot check
+    at lam = 1/4 takes no input, so spot_checks_passed is the same
+    constant on every call.
     """
     if not lambda_grid or not s_grid:
         raise ValueError("the lambda and s grids must each be nonempty")
@@ -671,7 +670,7 @@ def verify_induction_arithmetic(
             worst = max(_log_sum(eps), _log_sum(sig_sq))
             valid = 0.0 < lam <= 0.25 and s >= 5
             rows.append(ArithmeticRow(lam, s, valid, worst <= 0.0, worst))
-    # the proof's two spot values at lam = 1/4, 13/32 and 19/32, in exact rationals
+    # the proof's two spot values at lam = 1/4, in exact rationals: 13/32 <= 1 and 19/32 <= 3/4
     lam = Fraction(1, 4)
     spot = 2 * lam**2 * (4 * lam**2 + 3) <= 1 and 8 * lam**2 + 6 * lam**3 <= Fraction(3, 4)
     return ArithmeticReport(rows, spot)

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -115,6 +116,16 @@ class CayleyGraph:
     @property
     def num_vertices(self) -> int:
         return 1 << self.dim
+
+    @cached_property
+    def _character_table(self) -> np.ndarray:
+        """character_table(self), built on the first read and kept."""
+        counts = np.zeros(self.num_vertices, np.int32 if self.degree < 1 << 31 else np.int64)
+        # a scalar of the table's own dtype keeps add.at on its fast path
+        np.add.at(counts, self.generators, counts.dtype.type(1))
+        table = fwht(counts, work=_consuming(counts, np.empty_like(counts)))
+        table.flags.writeable = False
+        return table
 
     def generators_json(self, document: str) -> Iterator[str]:
         """document, a json.dumps(indent=2) text whose top-level "generators"
@@ -310,16 +321,15 @@ def character_table(G: CayleyGraph) -> np.ndarray:
     sum over generators u of (-1)^<alpha, u>.  Dividing by the degree gives
     the full eigenvalue spectrum of the normalized adjacency operator.
 
-    Every partial sum of the transform is at most the degree in absolute
-    value, so the table is int32 unless the degree reaches 2**31.  The
-    generator counts go straight into a table of that dtype (np.bincount
-    would copy the read-only generators and count in int64), which the
-    transform then consumes: two tables at the peak.
+    The table is built on G's first call and kept on G, read-only, so every
+    spectrum, convolution and DP on G reads the one table.  Every partial
+    sum of the transform is at most the degree in absolute value, so the
+    table is int32 unless the degree reaches 2**31.  The generator counts go
+    straight into a table of that dtype (np.bincount would copy the
+    read-only generators and count in int64), which the transform then
+    consumes: two tables at the peak, and the one it writes is kept.
     """
-    counts = np.zeros(G.num_vertices, np.int32 if G.degree < 1 << 31 else np.int64)
-    # a scalar of the table's own dtype keeps add.at on its fast path
-    np.add.at(counts, G.generators, counts.dtype.type(1))
-    return fwht(counts, work=_consuming(counts, np.empty_like(counts)))
+    return G._character_table
 
 
 def _consuming(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,22 +339,22 @@ def _consuming(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (a, spare) if a.shape[-1].bit_length() % 2 else (spare, a)
 
 
-def _convolve(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """n times the sum of values[..., v ^ u] over the generators u of the
-    graph whose character table is chars, for every vertex v of the last
-    axis (repeated generators count with multiplicity): the XOR convolution
-    with the generator multiset, which by the convolution theorem over
-    F_2^dim is one FWHT, a pointwise product with chars, and a second FWHT
-    (n times the inverse transform).  It divides nothing, so it is exact on
-    integer and object arrays, and a walk loop builds chars once.
+def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
+    """n times the sum of values[..., v ^ u] over the generators u of G, for
+    every vertex v of the last axis (repeated generators count with
+    multiplicity): the XOR convolution with the generator multiset, which
+    by the convolution theorem over F_2^dim is one FWHT, a pointwise
+    product with G's character table, and a second FWHT (n times the
+    inverse transform).  It divides nothing, so it is exact on integer and
+    object arrays.
 
     Both transforms run in the product's dtype, in one pair of buffers: the
     first ends in one of them, the product is taken there in place, and
     the second transform consumes it.  So the peak is two arrays of
     values' size, where a product and a fresh pair would be three."""
-    dtype = np.result_type(values, chars)
-    pair = np.empty((2, *np.shape(values)), dtype)
-    x = fwht(np.asarray(values, dtype), work=pair)
+    chars = character_table(G)
+    pair = np.empty((2, *np.shape(values)), np.result_type(values, chars))
+    x = fwht(np.asarray(values, pair.dtype), work=pair)
     np.multiply(x, chars, out=x)
     return fwht(x, work=_consuming(x, pair[1]))
 
@@ -352,47 +362,38 @@ def _convolve(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
 def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     """Expansion of G: max over nonzero alpha of |character sum|.
 
-    The character-sum method is exact (integer arithmetic throughout) and
-    refuses dim beyond SPECTRUM_SCAN_LIMIT.  The dense-eigen method builds
-    the normalized adjacency matrix and takes the largest eigenvalue
-    magnitude on the complement of the constant vector; it exists as an
-    independent cross-check.  Its matrix products start OpenBLAS's thread
-    pool.  Under the package's OPENBLAS_THREAD_TIMEOUT default the idle
-    pool costs later numpy work nothing measurable (encode right after a
-    2^18-float np.vdot: 15.5 against 15.3 ms after an elementwise sum, on
-    2 vCPUs); with OpenBLAS's own default spin it took 27.1 ms.
+    The character-sum method reads the table character_table keeps on G,
+    is exact (integer arithmetic throughout) and refuses dim beyond
+    SPECTRUM_SCAN_LIMIT.  The dense-eigen method builds the normalized
+    adjacency matrix and takes the largest eigenvalue magnitude on the
+    complement of the constant vector; it exists as an independent
+    cross-check.  Its matrix products start OpenBLAS's thread pool.  Under
+    the package's OPENBLAS_THREAD_TIMEOUT default the idle pool costs later
+    numpy work nothing measurable (encode right after a 2^18-float np.vdot:
+    15.5 against 15.3 ms after an elementwise sum, on 2 vCPUs); with
+    OpenBLAS's own default spin it took 27.1 ms.
     """
-    if method == "character-sum":
-        return _character_sum_spectrum(G)[0]
     if method == "dense-eigen":
         return _spectrum_dense(G)
-    raise ValueError(f"unknown spectrum method {method!r}")
-
-
-def _character_sum_spectrum(G: CayleyGraph) -> tuple[SpectralReport, np.ndarray]:
-    """spectrum(G)'s character-sum report, and the character table it was
-    read from, left whole, for a caller that needs both."""
+    if method != "character-sum":
+        raise ValueError(f"unknown spectrum method {method!r}")
     if G.dim > SPECTRUM_SCAN_LIMIT:
         raise ValueError(
             f"dim {G.dim} exceeds the exhaustive character scan limit "
             f"{SPECTRUM_SCAN_LIMIT}; no exact spectrum is available"
         )
-    numer = character_table(G)
-    trivial, numer[0] = numer[0], 0
-    # np.argmax(np.abs(numer)) without the copy: the first index of
-    # the largest |value| is the first index of the max or of the min
-    hi, lo = int(np.argmax(numer)), int(np.argmin(numer))
-    top, bottom = int(numer[hi]), -int(numer[lo])
-    numer[0] = trivial
-    idx = hi if top > bottom else lo if bottom > top else min(hi, lo)
-    num = max(top, bottom)
-    report = SpectralReport(
+    numer = character_table(G)[1:]
+    num = max(int(numer.max()), -int(numer.min()))
+    # np.argmax(np.abs(numer)) over the nontrivial characters, found by
+    # comparison (argmax would copy the read-only table), and character 0
+    # when all of them are 0 (complete graphs)
+    idx = 1 + int(np.argmax((numer == num) | (numer == -num))) if num else 0
+    return SpectralReport(
         lam=num / G.degree,
         argmax_character=idx,
         method="character-sum",
         lambda_exact=Fraction(num, G.degree),
     )
-    return report, numer
 
 
 def _spectrum_dense(G: CayleyGraph) -> SpectralReport:
@@ -436,21 +437,16 @@ def mixing_check(
     """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g by holds.
 
     The edge expectation pairs f with the generator average of g over
-    every vertex: _convolve over n * degree, with the character table
-    built once, and read for the spectrum too when lam is not given.
-    lam defaults to the measured expansion of G.
+    every vertex: _convolve over n * degree.  lam defaults to the measured
+    expansion of G.
     """
     n = G.num_vertices
     fv = vertex_values(f, G, "f")
     gv = vertex_values(g, G, "g")
-    if lam is None:
-        rep, chars = _character_sum_spectrum(G)
-        lam = rep.lam
-    else:
-        chars = character_table(G)
+    lam = spectrum(G).lam if lam is None else lam
     # an elementwise product and sum, not np.dot, whose summation order
     # would differ, and which starts BLAS's thread pool (see spectrum)
-    edge_mean = float((fv * (_convolve(gv, chars) / (n * G.degree))).sum()) / n
+    edge_mean = float((fv * (_convolve(gv, G) / (n * G.degree))).sum()) / n
     mu_f, mu_g = float(np.mean(fv)), float(np.mean(gv))
     sigma_f = float(np.sqrt(max(np.mean(fv * fv) - mu_f * mu_f, 0.0)))
     sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))

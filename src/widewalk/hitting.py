@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .amplify import vacuous
-from .graphs import CayleyGraph, _convolve, character_table, spectrum
+from .graphs import CayleyGraph, _convolve, spectrum
 
 Real = Union[float, Fraction]
 
@@ -48,10 +48,10 @@ def _survival(inst: HittingInstance) -> list[Fraction]:
 
     Integer path-count DP: count_j(a) = surviving j-vertex paths ending
     at a; one step sums counts over the generator neighbors (the Cayley
-    convolution graphs._convolve, over n, with the character table built
-    once) and zeroes vertices outside S.  Counts are Python ints in object
-    arrays, so they stay exact past 2**63.  Level j's count total over
-    n * d**(j-1) is the probability for t = j.
+    convolution graphs._convolve, over n) and zeroes vertices outside S.
+    Counts are Python ints in object arrays, so they stay exact past
+    2**63.  Level j's count total over n * d**(j-1) is the probability
+    for t = j.
     """
     g = inst.graph
     n = g.num_vertices
@@ -59,11 +59,10 @@ def _survival(inst: HittingInstance) -> list[Fraction]:
         raise ValueError(f"instance too large: {n} vertices x t={inst.t}")
     in_s = np.zeros(n, dtype=object)
     in_s[list(inst.subset)] = 1
-    chars = character_table(g)
     counts = in_s
     probs = [Fraction(int(counts.sum()), n)]
     for _ in range(inst.t - 1):
-        counts = in_s * (_convolve(counts, chars) // n)
+        counts = in_s * (_convolve(counts, g) // n)
         probs.append(Fraction(int(counts.sum()), n * g.degree ** len(probs)))
     return probs
 

@@ -10,6 +10,8 @@ with lambda_A strictly between 0 and 1, so the hypothesis
 lambda_A <= lambda_B^2 is met by a nonzero lambda_A only on its systems.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,20 @@ def skew16():
     # nonzero alpha is 1 - (-1)^parity(alpha), so lambda_A = 2/16 = 1/8
     gens = np.repeat(np.arange(8), [3, 2, 2, 2, 2, 2, 2, 1])
     return CayleyGraph(dim=3, generators=gens, name="skew16", multigraph=True)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The name of each graph whose character table is built while the
+    test runs, once per build: CayleyGraph's cached table, counted."""
+    builds = []
+    build = CayleyGraph._character_table.func
+
+    def counted(graph):
+        builds.append(graph.name)
+        return build(graph)
+
+    table = cached_property(counted)
+    table.__set_name__(CayleyGraph, "_character_table")
+    monkeypatch.setattr(CayleyGraph, "_character_table", table)
+    return builds

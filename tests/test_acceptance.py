@@ -220,6 +220,24 @@ def test_acceptance_11_hitting_probabilities(k16):
             ok = False
         if not all(row.exact == row.bound for row in report.rows):
             ok = False
+    # rho = 1/4 as well: S = ker(alpha) & ker(beta) for the first pair of top
+    # characters whose xor is top too (142 and 284 on AGHP(10,5)).  At rho =
+    # 1/2 a bound with rho and 1 - rho swapped reads the same; here it
+    # differs from the exact survival at every t
+    g = build_aghp(10, 5)
+    lam = spectrum(g).lambda_exact
+    top = {int(a) for a in np.flatnonzero(character_table(g) == int(lam * g.degree))}
+    alpha, beta = min((a, b) for a in top for b in top if a < b and a ^ b in top)
+    kernel = [v for v in range(g.num_vertices)
+              if (v & alpha).bit_count() % 2 == 0 and (v & beta).bit_count() % 2 == 0]
+    report = check_hitting(g, kernel, 12)
+    if (alpha, beta) != (142, 284) or report.rho != Fraction(1, 4) or len(report.rows) != 12:
+        ok = False
+    if not all(row.exact == row.bound for row in report.rows):
+        ok = False
+    swapped = [hitting_bound(1 - report.rho, lam, t) for t in range(1, 13)]
+    if any(row.exact == bound for row, bound in zip(report.rows, swapped)):
+        ok = False
     record(11, "hitting-probabilities", ok)
 
 

@@ -425,6 +425,25 @@ def test_compact_levels_bound_the_transform_work(witness, monkeypatch):
     assert 0 < sum(cost) <= 19 * cells
 
 
+def test_identity_without_tables_converts_two_levels(witness, monkeypatch):
+    # the transforms along the last axis: one primal conversion per level
+    # that leaves the loop, and the via side's R^.  Streaming levels k-s..k
+    # converted s + 1 = 6 levels and kept 2
+    import widewalk.amplify as amplify
+
+    f = SignedFn.from_support(8, {0, 1, 2})
+    want = check_middle_start_identity(witness, f, 6, dp_gk(witness, f, 6))
+    last_axis = []
+
+    def counted(a, axis=-1, work=None):
+        last_axis.append(axis == -1)
+        return fwht(a, axis, work)
+
+    monkeypatch.setattr(amplify, "fwht", counted)
+    assert check_middle_start_identity(witness, f, 6) == want
+    assert sum(last_axis) == 3
+
+
 def test_dp_backwards_matches_enumeration(g8_system, g8_f):
     sys, f = g8_system, g8_f
     d = sys.params.d_inner
@@ -462,8 +481,7 @@ def pure_tables(g, f, kmax, H=None):
     """The pure-walk levels 1..kmax as a list indexed by level (slot 0
     None), unweighted, or weighted by H when it is given."""
     weight = 1.0 if H is None else H
-    return [None, *_pure_levels(g, f, weight, kmax, "h" if H is None else "hhat",
-                                character_table(g))]
+    return [None, *_pure_levels(g, f, weight, kmax, "h" if H is None else "hhat")]
 
 
 def test_dp_hk_matches_enumeration(g8_system, g8_f):
@@ -499,27 +517,46 @@ def test_pure_walk_tables_are_pinned_bit_for_bit(k16):
             assert digest.hexdigest() == PURE_TABLES_SHA256[g.name, kind], (g.name, kind)
 
 
-def test_pure_walk_dp_builds_the_character_table_once(k16, monkeypatch):
-    # counted under both names it is called by, so a table rebuilt at every
-    # level would count once per level, and a check that read its spectrum
-    # from a table of its own (as mixing_check did) would count 2
-    from widewalk import amplify, graphs
-
-    calls = []
-
-    def counted(G):
-        calls.append(G)
-        return character_table(G)
-
-    monkeypatch.setattr(amplify, "character_table", counted)
-    monkeypatch.setattr(graphs, "character_table", counted)
+def test_pure_walk_dp_builds_the_character_table_once(table_builds):
+    # a table rebuilt at every level would count once per level, and one
+    # built for the spectrum and again for the DP twice; the three checks
+    # share the graph's one table
+    k16 = build_complete_selfloop(4, selfloop=False)
     f = SignedFn.balanced(16)
-    for run in (lambda: check_pure_walk_bounds(k16, f, 8),
-                lambda: check_weighted_walk_bounds(k16, f, np.ones(16), 8),
-                lambda: mixing_check(k16, f.signs, f.signs)):
-        calls.clear()
-        run()
-        assert calls == [k16]
+    assert check_pure_walk_bounds(k16, f, 8).all_passed
+    assert check_weighted_walk_bounds(k16, f, np.ones(16), 8).all_passed
+    assert mixing_check(k16, f.signs, f.signs).passed
+    assert table_builds == [k16.name]
+
+
+def test_every_check_reads_one_table_per_graph(table_builds):
+    # measured before each graph kept its table: one witness-dp round built
+    # the inner table 6 times and the outer one 3, the identity without
+    # tables the inner 3, check_hitting 2 and code_report at t = 2 the
+    # inner 4; a fresh graph per case
+    from widewalk.code import AmplifiedCode, LinearCode, code_report
+    from widewalk.hitting import check_hitting
+
+    def witness_system():
+        return ReplacementSystem(build_complete_selfloop(3), build_aghp(15, 5), WalkParams(3, 5, 5))
+
+    sys, f = witness_system(), SignedFn.from_support(8, {0, 1, 2})
+    tables = dp_gk(sys, f, 6)
+    check_base_case(sys, f, tables)
+    check_induction_step(sys, f, 6, tables)
+    check_bias_reduction_lemma(sys, f, 6, tables)
+    check_middle_start_identity(sys, f, 6, tables)
+    assert sorted(table_builds) == ["aghp-r15-l5", "complete-selfloop-m3"]
+    table_builds.clear()
+    check_middle_start_identity(witness_system(), f, 6)
+    assert table_builds == ["aghp-r15-l5"]
+    table_builds.clear()
+    check_hitting(build_aghp(10, 5), range(512), 12)
+    assert table_builds == ["aghp-r10-l5"]
+    table_builds.clear()
+    flagship = ReplacementSystem(build_complete_selfloop(2), build_aghp(10, 5), WalkParams(2, 5, 5))
+    code_report(AmplifiedCode(LinearCode(2, 4, [0x3, 0x5]), flagship, 2))
+    assert sorted(table_builds) == ["aghp-r10-l5", "complete-selfloop-m2"]
 
 
 def test_dp_hk_weighted_unit_weight_equals_plain(k16):
@@ -694,6 +731,22 @@ def test_base_case_and_induction_with_positive_lambda_a(skew16):
     assert [r.k for r in rows] == list(range(11))
     assert [r.k for r in rows if not r.vacuous] == [6, 7, 8, 9, 10]
     assert all(r.epsilon > 0 for r in rows)
+
+
+def test_first_step_and_middle_start_with_positive_lambda_a(skew16):
+    # lambda_A = 1/8: the outer graph's expansion enters both checks.  The
+    # balanced support {0,1,2,4} has direct = 0 at even k, so only odd k
+    # compare a nonzero mean
+    sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    for support, nonzero in (([0, 1, 2], range(5, 9)), ([0, 1, 2, 4], (5, 7))):
+        f = SignedFn.from_support(8, support)
+        tables = dp_gk(sys, f, 8)
+        for k in range(1, 9):
+            assert check_first_step_trick(sys, f, k, tables).passed, (support, k)
+        for k in range(5, 9):
+            chk = check_middle_start_identity(sys, f, k, tables)
+            assert chk.residual == 0.0 and chk.passed, (support, k)
+            assert (chk.direct != 0.0) == (k in nonzero), (support, k)
 
 
 def test_hypothesis_gate_disconnected_outer(g8_system, g8_f):

@@ -231,10 +231,28 @@ def traced_peak(call) -> int:
 
 def test_character_table_peaks_at_two_tables():
     # the counts and the transform's other buffer: no int64 bincount, no
-    # copy of the read-only generators, no cast (4 tables before)
+    # copy of the read-only generators, no cast (4 tables before); traced
+    # on the graph's first call, the one that builds its table
     g = build_aghp(16, 8)
-    table = character_table(g).nbytes
-    assert traced_peak(lambda: character_table(g)) <= 2.25 * table
+    peak = traced_peak(lambda: character_table(g))
+    assert peak <= 2.25 * character_table(g).nbytes
+
+
+def test_each_graph_keeps_one_read_only_table(table_builds):
+    # the first spectrum builds the table (two tables at the peak) and
+    # keeps the array the transform wrote; later calls read it
+    g = build_aghp(12, 6)
+    table = 4 * g.num_vertices  # int32
+    assert traced_peak(lambda: spectrum(g)) <= 2.25 * table
+    assert traced_peak(lambda: spectrum(g)) < table
+    assert traced_peak(lambda: character_table(g)) < table
+    assert table_builds == [g.name]
+    chars = character_table(g)
+    assert chars is character_table(g) and chars.nbytes == table
+    assert not chars.flags.writeable
+    with pytest.raises(ValueError):
+        chars[0] = 0
+    assert chars[0] == g.degree and spectrum(g).lambda_exact == Fraction(11, 64)
 
 
 def test_spectrum_argmax_breaks_ties_as_argmax_of_abs():
@@ -417,17 +435,16 @@ def test_fwht_consumes_its_input_lent_as_the_first_read_buffer():
 
 def test_convolve_reuses_one_pair_of_buffers():
     # the product is taken in the first transform's output and the second
-    # transform consumes it: two tables at the peak, where three were
+    # transform consumes it: two tables at the peak, where three were; the
+    # graph's character table is built once, before the traced call
     g = build_aghp(16, 8)
-    chars = character_table(g)
     values = np.random.default_rng(13).standard_normal(g.num_vertices)
-    want = fwht(fwht(values) * chars)
-    assert _convolve(values, chars).tobytes() == want.tobytes()
-    assert traced_peak(lambda: _convolve(values, chars)) <= 2.25 * values.nbytes
+    want = fwht(fwht(values) * character_table(g))
+    assert _convolve(values, g).tobytes() == want.tobytes()
+    assert traced_peak(lambda: _convolve(values, g)) <= 2.25 * values.nbytes
     big = np.array([(1 << 70) + v for v in range(16)], dtype=object)
     k16 = build_complete_selfloop(4, selfloop=False)
-    assert _convolve(big, character_table(k16)).tolist() == (
-        fwht(fwht(big) * character_table(k16))).tolist()
+    assert _convolve(big, k16).tolist() == (fwht(fwht(big) * character_table(k16))).tolist()
 
 
 def brute_average(values, g):

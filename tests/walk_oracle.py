@@ -25,14 +25,14 @@ import itertools
 import numpy as np
 
 from widewalk import walks as ww
-from widewalk.graphs import _convolve, character_table
+from widewalk.graphs import _convolve
 
 
 def cayley_average(values, graph):
     """Average of values[..., v ^ u] over the generators u of graph, for
     every vertex v of the last axis: the library's one Cayley convolution
     over n * degree, as the pure-walk levels and mixing_check divide it."""
-    return _convolve(values, character_table(graph)) / (graph.num_vertices * graph.degree)
+    return _convolve(values, graph) / (graph.num_vertices * graph.degree)
 
 
 def neighbor(graph, v, i):
