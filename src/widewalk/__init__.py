@@ -41,7 +41,6 @@ from .graphs import (
     SpectralReport,
     build_aghp,
     build_complete_selfloop,
-    character_table,
     mixing_check,
     spectrum,
 )
@@ -61,7 +60,6 @@ from .walks import (
     check_local_invertibility,
     check_pseudorandomness,
     middle_start_distribution_equal,
-    middle_start_sample,
     sample_swalk,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "WalkParams",
     "build_aghp",
     "build_complete_selfloop",
-    "character_table",
     "check_base_case",
     "check_bias_reduction_lemma",
     "check_first_coord_uniform",
@@ -107,7 +104,6 @@ __all__ = [
     "hitting_bound",
     "hitting_prob_exact",
     "middle_start_distribution_equal",
-    "middle_start_sample",
     "mixing_check",
     "moments",
     "rate",

@@ -5,7 +5,7 @@ sign factors f(a_0)..f(a_k); pure-walk tables h_k cover k vertices (k-1
 steps).  A walk step averages a table over a Cayley graph's generators by
 the convolution theorem: a Walsh-Hadamard transform, a pointwise product
 with the character table that each graph builds once and keeps
-(graphs.character_table), and the transform back.  The pure-walk DPs
+(CayleyGraph.character_table), and the transform back.  The pure-walk DPs
 take the whole step through graphs._convolve; the wide-walk DPs stay in
 the transformed domain of inner blocks 2..s between levels, transform
 only block 1 per step, and leave that domain only for the levels they
@@ -25,7 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .graphs import (
     CayleyGraph,
     InequalityCheck,
     _convolve,
-    character_table,
     fwht,
     holds,
     spectrum,
@@ -196,7 +195,7 @@ def _wide_levels(
         raise ValueError(f"the level count must be nonnegative, got {levels}")
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
-    chars = character_table(sys.inner).reshape((d,) * s).T / (d * sys.params.d_inner)
+    chars = sys.inner.character_table.reshape((d,) * s).T / (d * sys.params.d_inner)
     if kind == "g":  # the product precedes the roll, so index it as the unshifted table
         chars = np.moveaxis(chars, 0, -1)
     hops = np.arange(n_a)[:, None] ^ sys.hop(np.arange(d))
@@ -394,14 +393,11 @@ def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> Moment
 
 
 def check_weighted_walk_bounds(
-    graph: CayleyGraph,
-    f: SignedFn,
-    H: Union[np.ndarray, Callable[[int], float]],
-    kmax: int,
+    graph: CayleyGraph, f: SignedFn, H: np.ndarray, kmax: int
 ) -> MomentReport:
     """Terminal-weighted analogue: bounds in terms of the level-1 moments.
-    H takes values in [-1, 1], so that, as vacuous() assumes, every eps and
-    sigma of the walk lies in [0, 1]."""
+    H is a per-vertex array with values in [-1, 1], so that, as vacuous()
+    assumes, every eps and sigma of the walk lies in [0, 1]."""
     weight = vertex_values(H, graph, "H")
     if not np.all(np.abs(weight) <= 1):
         raise ValueError("H must take values in [-1, 1]")
@@ -592,7 +588,7 @@ def check_middle_start_identity(
     order = np.arange(n_b).reshape((d,) * s).T.ravel()
     out = x.reshape(n_a, n_b)
     np.take(rhat, sys.shift(order), axis=1, out=out, mode="wrap")
-    ghat *= character_table(sys.inner).reshape((d,) * s).T.ravel()
+    ghat *= sys.inner.character_table.reshape((d,) * s).T.ravel()
     ghat *= out
     via = float(ghat.sum()) / (n_a * n_b * n_b * sys.params.d_inner)
     residual = abs(direct - via)

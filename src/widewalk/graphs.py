@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -118,8 +118,21 @@ class CayleyGraph:
         return 1 << self.dim
 
     @cached_property
-    def _character_table(self) -> np.ndarray:
-        """character_table(self), built on the first read and kept."""
+    def character_table(self) -> np.ndarray:
+        """Integer numerators of all character sums: entry alpha is
+        sum over generators u of (-1)^<alpha, u>.  Dividing by the degree
+        gives the full eigenvalue spectrum of the normalized adjacency
+        operator.
+
+        The table is built on the first read and kept, read-only, so every
+        spectrum, convolution and DP on the graph reads the one table.
+        Every partial sum of the transform is at most the degree in
+        absolute value, so the table is int32 unless the degree reaches
+        2**31.  The generator counts go straight into a table of that
+        dtype (np.bincount would copy the read-only generators and count
+        in int64), which the transform then consumes: two tables at the
+        peak, and the one it writes is kept.
+        """
         counts = np.zeros(self.num_vertices, np.int32 if self.degree < 1 << 31 else np.int64)
         # a scalar of the table's own dtype keeps add.at on its fast path
         np.add.at(counts, self.generators, counts.dtype.type(1))
@@ -316,22 +329,6 @@ def _work_pair(work, a: np.ndarray, shape: tuple, stages: int) -> list[np.ndarra
     return bufs
 
 
-def character_table(G: CayleyGraph) -> np.ndarray:
-    """Integer numerators of all character sums: entry alpha is
-    sum over generators u of (-1)^<alpha, u>.  Dividing by the degree gives
-    the full eigenvalue spectrum of the normalized adjacency operator.
-
-    The table is built on G's first call and kept on G, read-only, so every
-    spectrum, convolution and DP on G reads the one table.  Every partial
-    sum of the transform is at most the degree in absolute value, so the
-    table is int32 unless the degree reaches 2**31.  The generator counts go
-    straight into a table of that dtype (np.bincount would copy the
-    read-only generators and count in int64), which the transform then
-    consumes: two tables at the peak, and the one it writes is kept.
-    """
-    return G._character_table
-
-
 def _consuming(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The work pair with which fwht, along a's last axis, consumes a: a as
     work[log2(n) % 2], the buffer its first stage only reads, and spare as
@@ -352,7 +349,7 @@ def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
     first ends in one of them, the product is taken there in place, and
     the second transform consumes it.  So the peak is two arrays of
     values' size, where a product and a fresh pair would be three."""
-    chars = character_table(G)
+    chars = G.character_table
     pair = np.empty((2, *np.shape(values)), np.result_type(values, chars))
     x = fwht(np.asarray(values, pair.dtype), work=pair)
     np.multiply(x, chars, out=x)
@@ -362,16 +359,16 @@ def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
 def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     """Expansion of G: max over nonzero alpha of |character sum|.
 
-    The character-sum method reads the table character_table keeps on G,
-    is exact (integer arithmetic throughout) and refuses dim beyond
-    SPECTRUM_SCAN_LIMIT.  The dense-eigen method builds the normalized
-    adjacency matrix and takes the largest eigenvalue magnitude on the
-    complement of the constant vector; it exists as an independent
-    cross-check.  Its matrix products start OpenBLAS's thread pool.  Under
-    the package's OPENBLAS_THREAD_TIMEOUT default the idle pool costs later
-    numpy work nothing measurable (encode right after a 2^18-float np.vdot:
-    15.5 against 15.3 ms after an elementwise sum, on 2 vCPUs); with
-    OpenBLAS's own default spin it took 27.1 ms.
+    The character-sum method reads G.character_table, is exact (integer
+    arithmetic throughout) and refuses dim beyond SPECTRUM_SCAN_LIMIT.  The
+    dense-eigen method builds the normalized adjacency matrix and takes the
+    largest eigenvalue magnitude on the complement of the constant vector;
+    it exists as an independent cross-check.  Its matrix products start
+    OpenBLAS's thread pool.  Under the package's OPENBLAS_THREAD_TIMEOUT
+    default the idle pool costs later numpy work nothing measurable (encode
+    right after a 2^18-float np.vdot: 15.5 against 15.3 ms after an
+    elementwise sum, on 2 vCPUs); with OpenBLAS's own default spin it took
+    27.1 ms.
     """
     if method == "dense-eigen":
         return _spectrum_dense(G)
@@ -382,7 +379,7 @@ def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
             f"dim {G.dim} exceeds the exhaustive character scan limit "
             f"{SPECTRUM_SCAN_LIMIT}; no exact spectrum is available"
         )
-    numer = character_table(G)[1:]
+    numer = G.character_table[1:]
     num = max(int(numer.max()), -int(numer.min()))
     # np.argmax(np.abs(numer)) over the nontrivial characters, found by
     # comparison (argmax would copy the read-only table), and character 0
@@ -428,22 +425,17 @@ class InequalityCheck:
     detail: str
 
 
-def mixing_check(
-    G: CayleyGraph,
-    f: Sequence[float] | np.ndarray | Callable[[int], float],
-    g: Sequence[float] | np.ndarray | Callable[[int], float],
-    lam: Optional[float] = None,
-) -> InequalityCheck:
-    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g by holds.
+def mixing_check(G: CayleyGraph, f: np.ndarray, g: np.ndarray) -> InequalityCheck:
+    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g by
+    holds, for per-vertex arrays f and g and the measured expansion lam of G.
 
     The edge expectation pairs f with the generator average of g over
-    every vertex: _convolve over n * degree.  lam defaults to the measured
-    expansion of G.
+    every vertex: _convolve over n * degree.
     """
     n = G.num_vertices
     fv = vertex_values(f, G, "f")
     gv = vertex_values(g, G, "g")
-    lam = spectrum(G).lam if lam is None else lam
+    lam = spectrum(G).lam
     # an elementwise product and sum, not np.dot, whose summation order
     # would differ, and which starts BLAS's thread pool (see spectrum)
     edge_mean = float((fv * (_convolve(gv, G) / (n * G.degree))).sum()) / n
@@ -456,11 +448,8 @@ def mixing_check(
 
 
 def vertex_values(f, graph: CayleyGraph, name: str) -> np.ndarray:
-    """f (a callable on the vertices, or an array of one value per vertex)
-    as a float64 array with one value per vertex of graph."""
+    """f, an array of one value per vertex of graph, as float64."""
     n = graph.num_vertices
-    if callable(f):
-        return np.array([float(f(v)) for v in range(n)], dtype=np.float64)
     arr = np.asarray(f, dtype=np.float64)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a per-vertex array of {n} values, got shape {arr.shape}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -113,22 +113,15 @@ class HittingReport:
         return any(not vacuous(float(r.bound)) for r in self.rows)
 
 
-def check_hitting(
-    graph: CayleyGraph,
-    subset: Iterable[int],
-    tmax: int,
-    lam: Optional[Fraction] = None,
-) -> HittingReport:
-    """Exact survival vs the closed-form bound for t = 1..tmax.
-
-    lam defaults to the measured expansion; with exact rationals on both
-    sides the comparison needs no slack.
+def check_hitting(graph: CayleyGraph, subset: Iterable[int], tmax: int) -> HittingReport:
+    """Exact survival vs the closed-form bound at the measured expansion,
+    for t = 1..tmax; with exact rationals on both sides the comparison
+    needs no slack.
     """
     if tmax < 1:
         raise ValueError(f"tmax must be at least 1, got {tmax}")
     inst = HittingInstance(graph, frozenset(subset), tmax)
-    if lam is None:
-        lam = spectrum(graph).lambda_exact
+    lam = spectrum(graph).lambda_exact
     rows = []
     for t, exact in enumerate(_survival(inst), 1):
         bound = hitting_bound(inst.rho, lam, t)

@@ -112,7 +112,9 @@ class ReplacementSystem:
     """Outer graph + inner graph wired together by the rotation map.
 
     The outer graph must have exactly 2**m generators (block 1 of an inner
-    vertex indexes them) and the inner graph must live over F_2^(m*s).
+    vertex indexes them), and the inner graph must live over F_2^(m*s) and
+    have exactly 4**ell generators (every walk, DP and enumeration draws
+    its inner steps from 4**ell indices).
     The walk rule is three bit operations, hop, shift and unshift, computed
     on an int or an integer array, so the system stores no array and its
     memory does not grow with the inner graph.
@@ -125,6 +127,8 @@ class ReplacementSystem:
             )
         if inner.dim != params.r:
             raise ValueError(f"inner dim {inner.dim} != m*s = {params.r}")
+        if inner.degree != params.d_inner:
+            raise ValueError(f"inner degree {inner.degree} != 4**ell = {params.d_inner}")
         self.outer = outer
         self.inner = inner
         self.params = params
@@ -183,7 +187,10 @@ class ReplacementSystem:
         backward to positions pivot-1..1; the outer vertices follow by
         rotation outward from the pivot.  pivot 0 is the standard order, in
         which the seed row (a_0, b_1, u_2..u_t) expands to its walk.  A
-        holds a_0..a_t, (N, t+1), and B holds b_1..b_t, (N, t), in the
+        backward step b_j = unshift(b_(j+1)) ^ u takes the same index as the
+        forward step b_(j+1) = shift(b_j ^ u), so a row's backward indices,
+        reversed, then its forward ones, are the standard-order seed of its
+        walk.  A holds a_0..a_t, (N, t+1), and B holds b_1..b_t, (N, t), in the
         smallest unsigned dtype that holds every vertex.
         """
         n, t = u.shape[0], u.shape[1] + 1
@@ -239,24 +246,13 @@ class ReplacementSystem:
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
 
 
-def sample_swalk(
-    sys: ReplacementSystem,
-    t: int,
-    rng: np.random.Generator,
-    start: Optional[tuple[int, int]] = None,
-) -> SWalk:
-    """Draw one t-step walk; deterministic given the rng state.
-
-    start optionally pins (a_0, b_1); otherwise both are uniform.  The
-    seed is checked and expanded by ReplacementSystem.walk_from_seed.
-    """
+def sample_swalk(sys: ReplacementSystem, t: int, rng: np.random.Generator) -> SWalk:
+    """Draw one t-step walk from a uniform seed; deterministic given the
+    rng state.  The seed is expanded by ReplacementSystem.walk_from_seed."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    if start is None:
-        a0 = int(rng.integers(sys.num_outer))
-        b1 = int(rng.integers(sys.num_inner))
-    else:
-        a0, b1 = start
+    a0 = int(rng.integers(sys.num_outer))
+    b1 = int(rng.integers(sys.num_inner))
     return sys.walk_from_seed(a0, b1, rng.integers(sys.params.d_inner, size=t - 1))
 
 
@@ -338,37 +334,6 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of sorted keys and how often each occurs."""
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     return keys[starts], np.diff(starts, append=len(keys))
-
-
-def middle_start_sample(
-    sys: ReplacementSystem, t: int, i: int, rng: np.random.Generator
-) -> SWalk:
-    """Draw a t-step walk by generating it outward from pivot position i.
-
-    The pivot outer vertex a_i and an inner edge into position i+1 are drawn
-    first; positions above i are generated forward and positions below i are
-    generated backward (inverse shifts, and rotations reusing the same block
-    because outer generators are self-inverse).  The output distribution is
-    identical to :func:`sample_swalk`'s.  i = 0 reduces to the standard
-    order.  The returned seed is the walk's standard-order seed: a backward
-    step b_j = shift_inverse(b_(j+1)) ^ u uses the same generator index as
-    the forward step b_(j+1) = shift(b_j ^ u), so the backward indices,
-    reversed, are u_2..u_p and the forward ones u_(p+1)..u_t, p = max(i, 1);
-    ReplacementSystem.walk_from_seed(*seed) gives the same walk back.
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    d = sys.params.d_inner
-    a_pivot = int(rng.integers(sys.num_outer))
-    b_pivot = int(rng.integers(sys.num_inner))
-    u_edge = int(rng.integers(d))
-    draws = rng.integers(d, size=max(t - 2, 0))
-    u = np.concatenate([[u_edge], draws])[: t - 1]
-    A, B = sys.expand(a_pivot, b_pivot, u[None], pivot=i)
-    forward = t - max(i, 1)
-    seed_u = tuple(u[forward:][::-1].tolist() + u[:forward].tolist())
-    a_list, b_list = tuple(A[0].tolist()), tuple(B[0].tolist())
-    return SWalk(a_list, b_list, (a_list[0], b_list[0], seed_u))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ conditional means are nonzero at every level, which makes it a better
 witness for identity tests than instances where everything collapses
 to an exact zero.  The skew16 outer multigraph is the one outer graph
 with lambda_A strictly between 0 and 1, so the hypothesis
-lambda_A <= lambda_B^2 is met by a nonzero lambda_A only on its systems.
+lambda_A <= lambda_B^2 is met by a nonzero lambda_A only on its systems;
+with the lazy AGHP(20,6) inner graph it is instance C, the one system
+whose headline bias-lemma row has lambda_A > 0 and is asserted.
 """
 
 from functools import cached_property
@@ -84,18 +86,29 @@ def skew16():
     return CayleyGraph(dim=3, generators=gens, name="skew16", multigraph=True)
 
 
+@pytest.fixture(scope="session")
+def lazy_aghp20():
+    # instance C's inner graph: AGHP(20,6) with its first 512 of 4096
+    # generators replaced by the zero word, a lazier walk whose lambda_B =
+    # 13/32 lies in [sqrt(1/8), 1/2), where skew16's lambda_A = 1/8 meets
+    # the hypotheses and the headline bound (2*lambda_B)^(t*(1-4/s)) informs
+    gens = build_aghp(20, 6).generators.copy()
+    gens[:512] = 0
+    return CayleyGraph(dim=20, generators=gens, name="aghp-r20-l6-lazy512", multigraph=True)
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """The name of each graph whose character table is built while the
     test runs, once per build: CayleyGraph's cached table, counted."""
     builds = []
-    build = CayleyGraph._character_table.func
+    build = CayleyGraph.character_table.func
 
     def counted(graph):
         builds.append(graph.name)
         return build(graph)
 
     table = cached_property(counted)
-    table.__set_name__(CayleyGraph, "_character_table")
-    monkeypatch.setattr(CayleyGraph, "_character_table", table)
+    table.__set_name__(CayleyGraph, "character_table")
+    monkeypatch.setattr(CayleyGraph, "character_table", table)
     return builds

@@ -1,4 +1,5 @@
-"""Acceptance suite: the twelve headline guarantees, one test each.
+"""Acceptance suite: the twelve headline guarantees, one test each, with
+07 and 08 also checked beyond the flagship.
 
 Every test prints exactly one line, "ACCEPTANCE NN <label>: PASS" or
 "... FAIL", before asserting, so a scan of the output (pytest -rA or
@@ -9,7 +10,9 @@ residuals.
 """
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +37,9 @@ from widewalk.amplify import (
     moments,
     verify_induction_arithmetic,
 )
+from widewalk.cli import EXIT_PASS, main
 from widewalk.code import AmplifiedCode, LinearCode, code_bias, rate
-from widewalk.graphs import CayleyGraph, character_table
+from widewalk.graphs import CayleyGraph
 from widewalk.hitting import HittingInstance, check_hitting, hitting_bound, hitting_prob_exact
 
 import walk_oracle as oracle
@@ -154,6 +158,51 @@ def test_acceptance_08_base_case_and_induction(flagship, flagship_f, flagship_ta
     record(8, "base-case-and-induction", ok)
 
 
+def test_acceptance_07_headline_bound_with_positive_lambda_a(skew16, lazy_aghp20, tmp_path, capsys):
+    # instance C: skew16 x lazy AGHP(20,6), (m, s, ell) = (4, 5, 6), f on
+    # {0,1,2}; the hypotheses exactly, then one bias-lemma run of the CLI
+    # from graph files written here (2^23 cells, the one DP of this test)
+    lam_a, lam_b = spectrum(skew16).lambda_exact, spectrum(lazy_aghp20).lambda_exact
+    bias = SignedFn.from_support(8, {0, 1, 2}).bias_exact
+    ok = (bias, lam_b, lam_a) == (Fraction(1, 4), Fraction(13, 32), Fraction(1, 8))
+    ok = ok and bias <= lam_b and lam_b**2 == Fraction(169, 1024) and lam_a <= lam_b**2
+    paths = {}
+    for role, graph in (("outer", skew16), ("inner", lazy_aghp20)):
+        paths[role] = str(tmp_path / f"{role}.json")
+        Path(paths[role]).write_text(graph.to_json())
+    cfg = tmp_path / "instance-c.json"
+    cfg.write_text(json.dumps({"m": 4, "s": 5, "ell": 6, **paths}))
+    capsys.readouterr()
+    argv = ["verify", "bias-lemma", "--config", str(cfg), "--t", "10", "--support", "0,1,2"]
+    ok = ok and main(argv) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)["report"]
+    ok = ok and report["hypotheses_met"] and len(report["rows"]) == 1
+    row = report["rows"][0]
+    # (2 * 13/32)^(10 * (1 - 4/5)) = (13/16)^2
+    ok = ok and row["k"] == 10 and row["pass"] and not row["vacuous"]
+    ok = ok and abs(row["bound_eps"] - 169 / 256) <= 1e-12 and 1.2e-4 < row["epsilon"] < 1.22e-4
+    record(7, "headline-bound-with-positive-lambda-a", ok)
+
+
+def test_acceptance_08_base_case_and_induction_beyond_the_flagship(witness, skew16):
+    # the witness (lambda_A = 0) and skew16 x AGHP(16,5) (lambda_A = 1/8):
+    # every asserted row passes and measures a nonzero eps, except that the
+    # balanced support {0,1,2,4} on skew16 has eps_k = 0 exactly at even k,
+    # where its row still bounds sigma_k > 0
+    skew = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    ok = True
+    for sys, support in ((witness, {0, 1, 2}), (skew, {0, 1, 2}), (skew, {0, 1, 2, 4})):
+        f, kmax = SignedFn.from_support(8, support), 2 * sys.params.s
+        tables = dp_gk(sys, f, kmax)
+        reports = (check_base_case(sys, f, tables), check_induction_step(sys, f, kmax, tables))
+        asserted = [r for report in reports for r in report.rows if not r.vacuous]
+        ok = ok and all(report.hypotheses_met for report in reports) and bool(asserted)
+        ok = ok and all(r.passed and r.sigma > 0 for r in asserted)
+        zero_at_even_k = f.bias_exact == 0 and sys is skew
+        ok = ok and all((r.epsilon == 0) == (zero_at_even_k and r.k % 2 == 0) for r in asserted)
+    record(8, "base-case-and-induction-beyond-the-flagship", ok)
+
+
 def test_acceptance_09_splitting_identities(
     flagship, flagship_f, flagship_tables, g8_system, g8_f
 ):
@@ -190,8 +239,10 @@ def test_acceptance_11_hitting_probabilities(k16):
     # (one prefix DP per subset gives every length)
     for size in (1, 2, 3, 4):
         for subset in itertools.combinations(range(16), size):
-            rows = check_hitting(k16, subset, 12, lam).rows
-            if [r.t for r in rows] != list(range(1, 13)) or not all(r.passed for r in rows):
+            report = check_hitting(k16, subset, 12)
+            if report.lam != lam or [r.t for r in report.rows] != list(range(1, 13)):
+                ok = False
+            if not report.all_passed:
                 ok = False
     # 100 random larger subsets
     rng = np.random.default_rng(0)
@@ -213,7 +264,7 @@ def test_acceptance_11_hitting_probabilities(k16):
     for r, ell in ((8, 4), (10, 5), (12, 6)):
         g = build_aghp(r, ell)
         lam = spectrum(g).lambda_exact
-        alpha = int(np.flatnonzero(character_table(g) == int(lam * g.degree))[0])
+        alpha = int(np.flatnonzero(g.character_table == int(lam * g.degree))[0])
         kernel = [v for v in range(g.num_vertices) if (v & alpha).bit_count() % 2 == 0]
         report = check_hitting(g, kernel, 8)
         if report.rho != Fraction(1, 2) or len(report.rows) != 8:
@@ -226,7 +277,7 @@ def test_acceptance_11_hitting_probabilities(k16):
     # differs from the exact survival at every t
     g = build_aghp(10, 5)
     lam = spectrum(g).lambda_exact
-    top = {int(a) for a in np.flatnonzero(character_table(g) == int(lam * g.degree))}
+    top = {int(a) for a in np.flatnonzero(g.character_table == int(lam * g.degree))}
     alpha, beta = min((a, b) for a in top for b in top if a < b and a ^ b in top)
     kernel = [v for v in range(g.num_vertices)
               if (v & alpha).bit_count() % 2 == 0 and (v & beta).bit_count() % 2 == 0]

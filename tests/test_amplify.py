@@ -48,7 +48,7 @@ from widewalk.amplify import (
     vacuous,
     verify_induction_arithmetic,
 )
-from widewalk.graphs import character_table, fwht, mixing_check, vertex_values
+from widewalk.graphs import fwht, mixing_check
 
 import walk_oracle as oracle
 
@@ -229,7 +229,7 @@ def allocating_levels(sys, f, levels, kind, first=0):
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     rest = sys.num_inner // d
     blocks = (n_a,) + (d,) * s
-    chars = character_table(sys.inner).reshape((d,) * s).T / (d * sys.params.d_inner)
+    chars = sys.inner.character_table.reshape((d,) * s).T / (d * sys.params.d_inner)
     if kind == "g":
         chars, roll = np.moveaxis(chars, 0, -1), (-1, 1)
     else:
@@ -562,18 +562,16 @@ def test_every_check_reads_one_table_per_graph(table_builds):
 def test_dp_hk_weighted_unit_weight_equals_plain(k16):
     f = SignedFn.balanced(16)
     plain = pure_tables(k16, f, 6)
-    for H in (np.ones(16), vertex_values(lambda a: 1.0, k16, "H")):
-        weighted = pure_tables(k16, f, 6, H)
-        for k in range(1, 7):
-            assert np.array_equal(plain[k].values, weighted[k].values)
-    # the checks measure the same walk, H given as an array or a callable
+    weighted = pure_tables(k16, f, 6, np.ones(16))
+    for k in range(1, 7):
+        assert np.array_equal(plain[k].values, weighted[k].values)
+    # the checks measure the same walk
     pure = check_pure_walk_bounds(k16, f, 6)
     measured = [(r.k, r.epsilon, r.sigma) for r in pure.rows[1:]]
     assert pure.hypotheses_met and [k for k, _, _ in measured] == [2, 3, 4, 5, 6]
-    for H in (np.ones(16), lambda a: 1.0):
-        report = check_weighted_walk_bounds(k16, f, H, 6)
-        assert report.hypotheses_met
-        assert [(r.k, r.epsilon, r.sigma) for r in report.rows] == measured
+    report = check_weighted_walk_bounds(k16, f, np.ones(16), 6)
+    assert report.hypotheses_met
+    assert [(r.k, r.epsilon, r.sigma) for r in report.rows] == measured
 
 
 def test_dp_hk_validation(k16):
@@ -747,6 +745,19 @@ def test_first_step_and_middle_start_with_positive_lambda_a(skew16):
             chk = check_middle_start_identity(sys, f, k, tables)
             assert chk.residual == 0.0 and chk.passed, (support, k)
             assert (chk.direct != 0.0) == (k in nonzero), (support, k)
+
+
+def test_eps_is_invariant_under_translation_and_complement(witness, skew16):
+    # on a Cayley outer graph the walk from a_0 ^ a is the walk from a_0
+    # translated by a, and the complement flips all k+1 signs of g_k: eps_10
+    # is one float, bit for bit, over all 8 translates of {1,3,4} and its
+    # complement
+    skew = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    support = {1, 3, 4}
+    supports = [{v ^ a for v in support} for a in range(8)] + [set(range(8)) - support]
+    for sys in (witness, skew):
+        eps = {moments(dp_gk_level(sys, SignedFn.from_support(8, sup), 10)).eps for sup in supports}
+        assert len(eps) == 1 and eps.pop() > 0, sys.outer.name
 
 
 def test_hypothesis_gate_disconnected_outer(g8_system, g8_f):

@@ -143,6 +143,19 @@ def test_verify_pseudorandomness_detects_gap(tmp_path, capsys):
     assert abs(doc["report"]["rows"][-1]["tv"] - 0.0625) <= 1e-12
 
 
+def test_inner_degree_other_than_four_to_the_ell_is_invalid_input(tmp_path, capsys):
+    # a degree-16 inner graph at ell = 1 used to pass "equal" after walking
+    # only its first 4 generators, and a degree-4 one at ell = 2 died with
+    # an IndexError traceback
+    for inner, ell in ((build_complete_selfloop(4), 1), (build_aghp(4, 1), 2)):
+        graph = tmp_path / f"inner{ell}.json"
+        graph.write_text(inner.to_json())
+        cfg = write_config(tmp_path, m=2, s=2, ell=ell, inner=str(graph))
+        prefix = f"error: inner degree {inner.degree} != 4**ell = {4 ** ell}"
+        for command in ("pseudorandomness", "base-case"):
+            assert_one_line_invalid(["verify", command, "--config", cfg], capsys, prefix)
+
+
 def test_verify_pseudorandomness_budget(tmp_path, capsys):
     cfg = sys22_config(tmp_path)
     assert main(

@@ -27,7 +27,6 @@ from widewalk.graphs import (
     _convolve,
     build_aghp,
     build_complete_selfloop,
-    character_table,
     fwht,
     holds,
     mixing_check,
@@ -201,7 +200,7 @@ def test_character_sum_agrees_with_dense_eigen():
 
 def test_character_table_row_zero_is_degree():
     g = build_aghp(4, 2)
-    tab = character_table(g)
+    tab = g.character_table
     assert tab[0] == g.degree
     assert tab.dtype == np.int32
 
@@ -214,7 +213,7 @@ def test_character_table_is_the_transform_of_the_generator_counts():
         CayleyGraph(1, (1,)), CayleyGraph(3, (5, 5, 5, 0), multigraph=True)]
     for g in graphs:
         want = fwht(np.bincount(g.generators, minlength=g.num_vertices).astype(np.int32))
-        got = character_table(g)
+        got = g.character_table
         assert got.dtype == np.int32 and got.tobytes() == want.tobytes(), g.name
         assert not g.generators.flags.writeable
 
@@ -234,8 +233,8 @@ def test_character_table_peaks_at_two_tables():
     # copy of the read-only generators, no cast (4 tables before); traced
     # on the graph's first call, the one that builds its table
     g = build_aghp(16, 8)
-    peak = traced_peak(lambda: character_table(g))
-    assert peak <= 2.25 * character_table(g).nbytes
+    peak = traced_peak(lambda: g.character_table)
+    assert peak <= 2.25 * g.character_table.nbytes
 
 
 def test_each_graph_keeps_one_read_only_table(table_builds):
@@ -245,10 +244,10 @@ def test_each_graph_keeps_one_read_only_table(table_builds):
     table = 4 * g.num_vertices  # int32
     assert traced_peak(lambda: spectrum(g)) <= 2.25 * table
     assert traced_peak(lambda: spectrum(g)) < table
-    assert traced_peak(lambda: character_table(g)) < table
+    assert traced_peak(lambda: g.character_table) < table
     assert table_builds == [g.name]
-    chars = character_table(g)
-    assert chars is character_table(g) and chars.nbytes == table
+    chars = g.character_table
+    assert chars is g.character_table and chars.nbytes == table
     assert not chars.flags.writeable
     with pytest.raises(ValueError):
         chars[0] = 0
@@ -267,7 +266,7 @@ def test_spectrum_argmax_breaks_ties_as_argmax_of_abs():
         gens = tuple(rng.integers(0, 1 << dim, degree).tolist())
         graphs.append(CayleyGraph(dim, gens, multigraph=True))
     for g in graphs:
-        numer = character_table(g).astype(np.int64)
+        numer = g.character_table.astype(np.int64)
         numer[0] = 0
         want = int(np.argmax(np.abs(numer)))
         rep = spectrum(g)
@@ -277,7 +276,7 @@ def test_spectrum_argmax_breaks_ties_as_argmax_of_abs():
 
 def test_character_table_matches_character_sums():
     g = build_aghp(6, 3)
-    tab = character_table(g)
+    tab = g.character_table
     for alpha in range(g.num_vertices):
         assert tab[alpha] == sum(
             -1 if bin(alpha & u).count("1") % 2 else 1 for u in g.generators
@@ -439,12 +438,12 @@ def test_convolve_reuses_one_pair_of_buffers():
     # graph's character table is built once, before the traced call
     g = build_aghp(16, 8)
     values = np.random.default_rng(13).standard_normal(g.num_vertices)
-    want = fwht(fwht(values) * character_table(g))
+    want = fwht(fwht(values) * g.character_table)
     assert _convolve(values, g).tobytes() == want.tobytes()
     assert traced_peak(lambda: _convolve(values, g)) <= 2.25 * values.nbytes
     big = np.array([(1 << 70) + v for v in range(16)], dtype=object)
     k16 = build_complete_selfloop(4, selfloop=False)
-    assert _convolve(big, k16).tolist() == (fwht(fwht(big) * character_table(k16))).tolist()
+    assert _convolve(big, k16).tolist() == (fwht(fwht(big) * k16.character_table)).tolist()
 
 
 def brute_average(values, g):
@@ -721,12 +720,18 @@ def test_mixing_check_random_functions():
 
 
 def test_mixing_check_callable_and_lam_override():
+    # per-vertex arrays only, at the measured lambda: the complete graph
+    # with self-loops has lambda 0, so the edge average of f(a) g(a') is
+    # the product of the means
     g = build_complete_selfloop(2)
-    mc = mixing_check(g, lambda v: float(v % 2), lambda v: 1.0 - (v % 2), lam=0.0)
-    assert mc.passed  # lambda 0 graph: edge average equals product of means
+    f = np.arange(g.num_vertices) % 2
+    mc = mixing_check(g, f, 1 - f)
+    assert mc.passed
     assert mc.lhs <= 1e-12
     assert mc.detail == "lam=0.0"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="g must be a per-vertex array of 4 values"):
+        mixing_check(g, [1.0, -1.0, 1.0, -1.0], [1.0, -1.0])
+    with pytest.raises(ValueError, match="f must be a per-vertex array of 4 values"):
         mixing_check(g, [1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
 
 

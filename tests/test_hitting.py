@@ -144,12 +144,6 @@ def test_check_hitting_asserts_only_informative_bounds(k16):
     assert not whole.asserted
 
 
-def test_check_hitting_explicit_lambda(k16):
-    report = check_hitting(k16, range(8), 6, lam=Fraction(1, 2))
-    assert report.lam == Fraction(1, 2)
-    assert report.all_passed  # looser lambda, weaker bound
-
-
 def test_check_hitting_rejects_unscannable_graph():
     g = CayleyGraph(dim=30, generators=(1, 2))
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """What importing widewalk does to its own process: the OpenBLAS idle-spin
 default that the package sets before numpy loads, and the public names it
-exports; and how a CLI process ends when the memory it asks for is refused."""
+exports, pinned as one list; and how a CLI process ends when the memory it asks for is refused."""
 
 import ast
 import json
@@ -72,6 +72,23 @@ def test_every_exported_name_resolves_once_and_survives_star_import():
     scope = {}
     exec("from widewalk import *", scope)
     assert {name: scope[name] for name in names} == {name: getattr(widewalk, name) for name in names}
+
+
+def test_the_public_surface_is_pinned():
+    # every name added to or removed from the package shows in this list
+    assert sorted(widewalk.__all__) == [
+        "AmplifiedCode", "BaseCodeSearchFailed", "BudgetExceeded", "CayleyGraph",
+        "DistributionCheck", "DpTable", "HittingInstance", "LinearCode", "Moments",
+        "ReplacementSystem", "SWalk", "SignedFn", "SpectralReport", "WalkParams",
+        "build_aghp", "build_complete_selfloop", "check_base_case",
+        "check_bias_reduction_lemma", "check_first_coord_uniform", "check_first_step_trick",
+        "check_hitting", "check_induction_step", "check_local_invertibility",
+        "check_middle_start_identity", "check_pseudorandomness", "check_pure_walk_bounds",
+        "check_weighted_walk_bounds", "code_bias", "code_report", "dp_backwards", "dp_gk",
+        "dp_gk_level", "embed", "encode", "gen_base_code", "hitting_bound",
+        "hitting_prob_exact", "middle_start_distribution_equal", "mixing_check", "moments",
+        "rate", "sample_swalk", "spectrum", "verify_induction_arithmetic", "word_bias",
+    ]
 
 
 def _address_space_of(limit):

@@ -25,7 +25,6 @@ from widewalk import (
     check_local_invertibility,
     check_pseudorandomness,
     middle_start_distribution_equal,
-    middle_start_sample,
     sample_swalk,
 )
 from widewalk.code import AmplifiedCode, LinearCode, encode
@@ -129,6 +128,12 @@ def test_system_wiring_validation():
     with pytest.raises(ValueError):
         # inner lives over F_2^2, needs F_2^4
         ReplacementSystem(build_complete_selfloop(2), build_aghp(2, 1), params)
+    # every walk draws its inner steps from 4**ell indices: a degree-16
+    # inner graph at ell = 1 walked only its first 4 generators, and a
+    # degree-4 one at ell = 2 indexed past its generators
+    for inner, ell in ((build_complete_selfloop(4), 1), (build_aghp(4, 1), 2)):
+        with pytest.raises(ValueError, match=f"inner degree {inner.degree} != 4[*][*]ell = {4 ** ell}"):
+            ReplacementSystem(build_complete_selfloop(2), inner, WalkParams(m=2, s=2, ell=ell))
 
 
 def test_rotation_uses_block_one():
@@ -186,14 +191,21 @@ def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
     for m, s, ell in ((8, 5, 5), (4, 6, 5)):
         sys = ReplacementSystem(build_complete_selfloop(m), build_aghp(m * s, ell), WalkParams(m, s, ell))
         rng = np.random.default_rng(3)
-        for draw in (lambda: sample_swalk(sys, 5, rng), lambda: middle_start_sample(sys, 5, 2, rng)):
+        a, b = int(rng.integers(sys.num_outer)), int(rng.integers(sys.num_inner))
+        u = rng.integers(sys.params.d_inner, size=(1, 4))
+        middle = (a, b, int(u[0, 0]), u[0, 1:].tolist())
+        for draw in (lambda: sample_swalk(sys, 5, rng), lambda: sys.expand(a, b, u, pivot=2)):
             tracemalloc.start()
             try:
                 w = draw()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert oracle.walk(sys, *w.seed) == (w.a_vertices, w.b_vertices), (m, s, ell)
+            if isinstance(w, SWalk):
+                assert oracle.walk(sys, *w.seed) == (w.a_vertices, w.b_vertices), (m, s, ell)
+            else:
+                got = tuple(tuple(x[0].tolist()) for x in w)
+                assert got == oracle.middle_start(sys, 5, 2, *middle), (m, s, ell)
             assert peak < 2 << 20, (m, s, ell, peak)
         assert check_local_invertibility(sys)
 
@@ -296,18 +308,6 @@ def test_sampler_matches_enumeration():
         assert abs(counts[key] / n_draws - p) <= 4 * sd, key
 
 
-def test_sampler_start_pin():
-    sys = sys_22()
-    rng = np.random.default_rng(0)
-    w = sample_swalk(sys, 4, rng, start=(2, 7))
-    assert w.a_vertices[0] == 2
-    assert w.b_vertices[0] == 7
-    with pytest.raises(ValueError):
-        sample_swalk(sys, 0, rng)
-    with pytest.raises(ValueError, match="out of range"):
-        sample_swalk(sys, 3, rng, start=(0, sys.num_inner))
-
-
 def test_walk_from_seed_refuses_out_of_range_seeds():
     # a negative generator index used to wrap to the last generator
     sys = sys_22()
@@ -330,7 +330,7 @@ def test_walk_from_seed_refuses_non_integer_seeds():
 
 def test_sampler_draws_are_pinned():
     # the first draws from default_rng(0), as the scalar sampler made them:
-    # a change in how the samplers consume the rng shows here
+    # a change in how the sampler consumes the rng shows here
     sys = sys_22()
     rng = np.random.default_rng(0)
     assert [sample_swalk(sys, t, rng) for t in (1, 3, 4)] == [
@@ -338,16 +338,18 @@ def test_sampler_draws_are_pinned():
         SWalk((2, 2, 3, 3), (4, 1, 4), (2, 4, (4, 0))),
         SWalk((0, 0, 0, 2, 0), (0, 0, 14, 2), (0, 0, (2, 13, 10))),
     ]
-    assert sample_swalk(sys, 4, rng, start=(2, 7)) == SWalk(
-        (2, 1, 1, 0, 3), (7, 4, 1, 3), (2, 7, (14, 8, 9))
-    )
+
+
+def test_sampler_start_pin():
+    # the walk starts at the seed's (a_0, b_1) and expands from its seed
+    sys = sys_22()
     rng = np.random.default_rng(0)
-    assert [middle_start_sample(sys, t, i, rng) for t, i in ((1, 0), (3, 1), (4, 3), (5, 2))] == [
-        SWalk((3, 1), (10,), (3, 10, ())),
-        SWalk((1, 1, 0, 0), (4, 1, 0), (1, 4, (0, 1))),
-        SWalk((1, 0, 2, 0, 2), (13, 14, 2, 6), (1, 13, (14, 10, 13))),
-        SWalk((1, 3, 2, 3, 1, 2), (6, 9, 1, 10, 3), (1, 6, (8, 15, 11, 10))),
-    ]
+    for t in range(1, 5):
+        w = sample_swalk(sys, t, rng)
+        assert (w.a_vertices[0], w.b_vertices[0]) == w.seed[:2]
+        assert sys.walk_from_seed(*w.seed) == w
+    with pytest.raises(ValueError, match="t must be at least 1"):
+        sample_swalk(sys, 0, rng)
 
 
 def test_pseudorandomness_within_window():
@@ -451,40 +453,6 @@ def test_middle_start_translation_keeps_a_nonzero_distance(monkeypatch):
                 assert chk == oracle.middle_start_all_starts(sys, t, i), (t, i)
 
 
-def test_middle_start_sample_is_valid_walk():
-    sys = sys_22()
-    rng = np.random.default_rng(7)
-    for t, i in ((1, 0), (3, 1), (4, 3), (5, 2)):
-        w = middle_start_sample(sys, t, i, rng)
-        assert len(w.a_vertices) - 1 == t
-        for j in range(t):
-            assert w.a_vertices[j + 1] == oracle.rotation(sys, w.a_vertices[j], w.b_vertices[j])
-        for j in range(t - 1):
-            diff = oracle.shift(w.b_vertices[j + 1], 2, 2, "backward") ^ w.b_vertices[j]
-            assert diff in sys.inner.generators
-
-
-def test_middle_start_sample_seed_expands_to_the_walk():
-    # the seed is the standard-order one, whatever the pivot; AGHP(4,2)
-    # repeats generators, so the indices are not recoverable from the walk
-    sys = sys_22()
-    rng = np.random.default_rng(11)
-    for t in range(1, 5):
-        for i in range(t):
-            for _ in range(8):
-                w = middle_start_sample(sys, t, i, rng)
-                assert sys.walk_from_seed(*w.seed) == w, (t, i)
-
-
-def test_middle_start_sample_validation():
-    sys = sys_22()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        middle_start_sample(sys, 3, 3, rng)
-    with pytest.raises(ValueError):
-        middle_start_sample(sys, 0, 0, rng)
-
-
 def test_invertibility_holds_with_selfloop_multigraph():
     # generators over F_2 are always self-inverse, so the check holds even
     # for multigraphs with repeated self-loops
@@ -544,18 +512,35 @@ def test_walk_from_seed_matches_oracle():
 
 def test_middle_start_expansion_matches_scalar_reference():
     for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
-        expand = sys.expand
         for t in range(1, tmax + 1):
             a, b, u = _seed_rows(sys, t)
             for i in range(t):
-                A, B = expand(a, b, u, pivot=i)
+                A, B = sys.expand(a, b, u, pivot=i)
                 for n in range(len(A)):
                     us = u[n].tolist()
                     u_edge, draws = (us[0], us[1:]) if us else (0, ())
                     expect = oracle.middle_start(sys, t, i, int(a[n]), int(b[n]), u_edge, draws)
                     assert (tuple(A[n].tolist()), tuple(B[n].tolist())) == expect
             with pytest.raises(ValueError):
-                expand(a, b, u, pivot=t)
+                sys.expand(a, b, u, pivot=t)
+
+
+def test_middle_start_sample_seed_expands_to_the_walk():
+    # a backward step b_j = unshift(b_(j+1)) ^ u takes the same generator
+    # index as the forward step b_(j+1) = shift(b_j ^ u), so the backward
+    # indices, reversed, then the forward ones, form the standard-order seed
+    # that expands from (a_0, b_1) to the same walk, whatever the pivot;
+    # AGHP(4,2) repeats generators, so the walk alone does not give the
+    # indices back
+    for sys, tmax in ((tiny_system(), 4), (sys_22(), 3), (sys_13(), 4)):
+        for t in range(1, tmax + 1):
+            a, b, u = _seed_rows(sys, t)
+            for i in range(t):
+                A, B = sys.expand(a, b, u, pivot=i)
+                forward = t - max(i, 1)
+                seed_u = np.hstack([u[:, forward:][:, ::-1], u[:, :forward]])
+                for got, want in zip(sys.expand(A[:, 0], B[:, 0], seed_u), (A, B)):
+                    assert np.array_equal(got, want), (t, i)
 
 
 def test_multiset_tv_hand_values():
