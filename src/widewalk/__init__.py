@@ -60,7 +60,6 @@ from .walks import (
     check_local_invertibility,
     check_pseudorandomness,
     middle_start_distribution_equal,
-    sample_swalk,
 )
 
 __version__ = "0.1.0"
@@ -107,7 +106,6 @@ __all__ = [
     "mixing_check",
     "moments",
     "rate",
-    "sample_swalk",
     "spectrum",
     "verify_induction_arithmetic",
     "word_bias",

@@ -349,7 +349,7 @@ def lemma_hypotheses(
     sys: ReplacementSystem, bias: Fraction
 ) -> tuple[bool, str, Fraction, Fraction]:
     """Bias <= lambda_B and lambda_A <= lambda_B^2, exactly on the measured
-    spectra (character sums, so lambda_exact is always there)."""
+    spectra."""
     lam_a, lam_b = spectrum(sys.outer).lambda_exact, spectrum(sys.inner).lambda_exact
     ok_bias = bias <= lam_b
     ok_lam = lam_a <= lam_b * lam_b
@@ -371,7 +371,7 @@ def _pure_report(kind: str, graph: CayleyGraph, f: SignedFn, kmax: int) -> Momen
     rep = spectrum(graph)
     met = f.bias_exact**2 <= rep.lambda_exact
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(rep.lam)!r}"
-    return MomentReport(kind, float(rep.lam), f.bias, met, detail)
+    return MomentReport(kind, rep.lam, f.bias, met, detail)
 
 
 def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
@@ -539,7 +539,7 @@ def check_first_step_trick(
     measured inner-graph expansion."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    lam = float(spectrum(sys.inner).lam)
+    lam = spectrum(sys.inner).lam
     mom_prev, mom_k = map(moments, _levels(sys, f, k, tables, k - 1))
     lhs = mom_k.sigma**2
     rhs = float((mom_prev.eps_a**2).mean()) + lam**2 * mom_prev.sigma**2
@@ -570,8 +570,7 @@ def check_middle_start_identity(
     block; without tables that reach level k, two forward runs take only
     g_k and g_{k-s} to the primal domain.  The sum is elementwise products
     and ndarray.sum, not np.dot or np.vdot: those would change the
-    summation order, and so the pinned bytes, and start BLAS's thread pool
-    (see graphs.spectrum).
+    summation order, and so the pinned bytes, and start BLAS's thread pool.
     """
     s = sys.params.s
     if k <= s:

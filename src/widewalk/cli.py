@@ -177,11 +177,14 @@ def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
     """Build a ReplacementSystem from a config file.
 
     Schema: {"m", "s", "ell", "t"?, "outer": "complete"|path,
-    "inner": "aghp"|path, "support"?: f-spec}.
+    "inner": "aghp"|path, "support"?: f-spec}, and no other key.
     """
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must be a JSON object")
+    unknown = sorted(cfg.keys() - {"m", "s", "ell", "t", "outer", "inner", "support"})
+    if unknown:
+        raise ValueError(f"unknown config field {unknown[0]!r}")
     params = WalkParams(*(json_field(cfg, key, int) for key in ("m", "s", "ell")))
     outer_spec = json_field(cfg, "outer", str, "complete")
     inner_spec = json_field(cfg, "inner", str, "aghp")
@@ -256,7 +259,7 @@ def _cmd_graph_complete(args) -> int:
 
 def _cmd_graph_spectrum(args) -> int:
     g = _load_graph(args.path)
-    rep = spectrum(g, method=args.method)
+    rep = spectrum(g)
     payload = {
         "name": g.name,
         "dim": g.dim,
@@ -264,7 +267,7 @@ def _cmd_graph_spectrum(args) -> int:
         "lambda": rep.lam,
         "lambda_exact": rep.lambda_exact,
         "argmax_character": rep.argmax_character,
-        "method": rep.method,
+        "method": "character-sum",  # the one method; the field keeps the output's bytes
     }
     _emit(args, _header(args, path=args.path), payload, ("name", "lambda", "method"), [payload])
     return EXIT_PASS
@@ -482,8 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-selfloop", action="store_true")
     p = sub(gsub, "spectrum", _cmd_graph_spectrum, "expansion of a stored graph")
     p.add_argument("path")
-    p.add_argument("--method", default="character-sum",
-                   choices=("character-sum", "dense-eigen"))
 
     verify = top.add_parser("verify", help="run an exact verification suite")
     vsub = verify.add_subparsers(dest="subcommand", required=True)

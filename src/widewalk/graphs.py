@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -194,16 +194,17 @@ def _check_dim(dim: int) -> None:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Expansion of a graph: the largest nontrivial eigenvalue magnitude.
+    """Expansion of a graph: the largest nontrivial eigenvalue magnitude,
+    exact.  The eigenvalues of a Cayley graph over F_2 are its character
+    sums over the degree, so lambda_exact is a rational with the degree
+    as denominator."""
 
-    lambda_exact is only available from the character-sum method, where the
-    eigenvalues are rationals with denominator equal to the degree.
-    """
-
-    lam: float
+    lambda_exact: Fraction
     argmax_character: int
-    method: str
-    lambda_exact: Optional[Fraction] = field(default=None, compare=False)
+
+    @property
+    def lam(self) -> float:
+        return float(self.lambda_exact)
 
 
 def build_aghp(r: int, ell: int) -> CayleyGraph:
@@ -356,24 +357,10 @@ def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
     return fwht(x, work=_consuming(x, pair[1]))
 
 
-def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
-    """Expansion of G: max over nonzero alpha of |character sum|.
-
-    The character-sum method reads G.character_table, is exact (integer
-    arithmetic throughout) and refuses dim beyond SPECTRUM_SCAN_LIMIT.  The
-    dense-eigen method builds the normalized adjacency matrix and takes the
-    largest eigenvalue magnitude on the complement of the constant vector;
-    it exists as an independent cross-check.  Its matrix products start
-    OpenBLAS's thread pool.  Under the package's OPENBLAS_THREAD_TIMEOUT
-    default the idle pool costs later numpy work nothing measurable (encode
-    right after a 2^18-float np.vdot: 15.5 against 15.3 ms after an
-    elementwise sum, on 2 vCPUs); with OpenBLAS's own default spin it took
-    27.1 ms.
-    """
-    if method == "dense-eigen":
-        return _spectrum_dense(G)
-    if method != "character-sum":
-        raise ValueError(f"unknown spectrum method {method!r}")
+def spectrum(G: CayleyGraph) -> SpectralReport:
+    """Expansion of G: max over nonzero alpha of |character sum|, over the
+    degree.  It reads G.character_table, is exact (integer arithmetic
+    throughout) and refuses dim beyond SPECTRUM_SCAN_LIMIT."""
     if G.dim > SPECTRUM_SCAN_LIMIT:
         raise ValueError(
             f"dim {G.dim} exceeds the exhaustive character scan limit "
@@ -385,34 +372,7 @@ def spectrum(G: CayleyGraph, method: str = "character-sum") -> SpectralReport:
     # comparison (argmax would copy the read-only table), and character 0
     # when all of them are 0 (complete graphs)
     idx = 1 + int(np.argmax((numer == num) | (numer == -num))) if num else 0
-    return SpectralReport(
-        lam=num / G.degree,
-        argmax_character=idx,
-        method="character-sum",
-        lambda_exact=Fraction(num, G.degree),
-    )
-
-
-def _spectrum_dense(G: CayleyGraph) -> SpectralReport:
-    """Expansion via eigendecomposition of the normalized adjacency matrix.
-
-    Projects out the constant vector and returns the largest remaining
-    eigenvalue magnitude.  Quadratic memory; intended for <= 2**12 vertices.
-    """
-    n = G.num_vertices
-    if n > (1 << 12):
-        raise ValueError("dense eigendecomposition limited to 2**12 vertices")
-    M = np.zeros((n, n), dtype=np.float64)
-    idx = np.arange(n)[:, None]
-    np.add.at(M, (idx, idx ^ G.generators), 1.0 / G.degree)
-    P = np.eye(n) - np.full((n, n), 1.0 / n)
-    vals = np.linalg.eigvalsh(P @ M @ P)
-    return SpectralReport(
-        lam=float(np.max(np.abs(vals))),
-        argmax_character=-1,
-        method="dense-eigen",
-        lambda_exact=None,
-    )
+    return SpectralReport(Fraction(num, G.degree), idx)
 
 
 @dataclass(frozen=True)
@@ -437,7 +397,7 @@ def mixing_check(G: CayleyGraph, f: np.ndarray, g: np.ndarray) -> InequalityChec
     gv = vertex_values(g, G, "g")
     lam = spectrum(G).lam
     # an elementwise product and sum, not np.dot, whose summation order
-    # would differ, and which starts BLAS's thread pool (see spectrum)
+    # would differ, and which starts BLAS's thread pool
     edge_mean = float((fv * (_convolve(gv, G) / (n * G.degree))).sum()) / n
     mu_f, mu_g = float(np.mean(fv)), float(np.mean(gv))
     sigma_f = float(np.sqrt(max(np.mean(fv * fv) - mu_f * mu_f, 0.0)))

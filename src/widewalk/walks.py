@@ -246,16 +246,6 @@ class ReplacementSystem:
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
 
 
-def sample_swalk(sys: ReplacementSystem, t: int, rng: np.random.Generator) -> SWalk:
-    """Draw one t-step walk from a uniform seed; deterministic given the
-    rng state.  The seed is expanded by ReplacementSystem.walk_from_seed."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    a0 = int(rng.integers(sys.num_outer))
-    b1 = int(rng.integers(sys.num_inner))
-    return sys.walk_from_seed(a0, b1, rng.integers(sys.params.d_inner, size=t - 1))
-
-
 def _xor_gather(out: np.ndarray, base: np.ndarray, gather, index: np.ndarray) -> None:
     """out = base ^ gather(index), GATHER_ROWS rows at a time, so that the
     index copy and the gathered temporary stay one block whatever the rows

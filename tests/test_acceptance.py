@@ -9,6 +9,7 @@ sides are rational, 1e-12 for float bound checks, 1e-9 for identity
 residuals.
 """
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -46,6 +47,7 @@ import walk_oracle as oracle
 
 TOL_BOUND = 1e-12
 TOL_IDENTITY = 1e-9
+INSTANCE_C_STDOUT_SHA256 = "3fba1e254b83e524e37164a207b1a3fadd219ab4fc0e9a84bb3e7c75b6799ef0"
 
 
 def record(num, label, ok):
@@ -158,24 +160,29 @@ def test_acceptance_08_base_case_and_induction(flagship, flagship_f, flagship_ta
     record(8, "base-case-and-induction", ok)
 
 
-def test_acceptance_07_headline_bound_with_positive_lambda_a(skew16, lazy_aghp20, tmp_path, capsys):
+def test_acceptance_07_headline_bound_with_positive_lambda_a(
+    skew16, lazy_aghp20, tmp_path, monkeypatch, capsys
+):
     # instance C: skew16 x lazy AGHP(20,6), (m, s, ell) = (4, 5, 6), f on
     # {0,1,2}; the hypotheses exactly, then one bias-lemma run of the CLI
-    # from graph files written here (2^23 cells, the one DP of this test)
+    # from graph files written here (2^23 cells, the one DP of this test),
+    # its stdout pinned; the paths are relative, so the run header echoes
+    # the same bytes in every directory
     lam_a, lam_b = spectrum(skew16).lambda_exact, spectrum(lazy_aghp20).lambda_exact
     bias = SignedFn.from_support(8, {0, 1, 2}).bias_exact
     ok = (bias, lam_b, lam_a) == (Fraction(1, 4), Fraction(13, 32), Fraction(1, 8))
     ok = ok and bias <= lam_b and lam_b**2 == Fraction(169, 1024) and lam_a <= lam_b**2
-    paths = {}
-    for role, graph in (("outer", skew16), ("inner", lazy_aghp20)):
-        paths[role] = str(tmp_path / f"{role}.json")
-        Path(paths[role]).write_text(graph.to_json())
-    cfg = tmp_path / "instance-c.json"
-    cfg.write_text(json.dumps({"m": 4, "s": 5, "ell": 6, **paths}))
+    monkeypatch.chdir(tmp_path)
+    Path("outer.json").write_text(skew16.to_json())
+    Path("inner.json").write_text(lazy_aghp20.to_json())
+    Path("instance-c.json").write_text(
+        json.dumps({"m": 4, "s": 5, "ell": 6, "outer": "outer.json", "inner": "inner.json"}))
     capsys.readouterr()
-    argv = ["verify", "bias-lemma", "--config", str(cfg), "--t", "10", "--support", "0,1,2"]
+    argv = ["verify", "bias-lemma", "--config", "instance-c.json", "--t", "10", "--support", "0,1,2"]
     ok = ok and main(argv) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)["report"]
+    out = capsys.readouterr().out
+    ok = ok and hashlib.sha256(out.encode()).hexdigest() == INSTANCE_C_STDOUT_SHA256
+    report = json.loads(out)["report"]
     ok = ok and report["hypotheses_met"] and len(report["rows"]) == 1
     row = report["rows"][0]
     # (2 * 13/32)^(10 * (1 - 4/5)) = (13/16)^2

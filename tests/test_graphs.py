@@ -182,6 +182,18 @@ def test_complete_no_selfloop_lambda():
         assert spectrum(g).lambda_exact == Fraction(1, (1 << m) - 1)
 
 
+def _dense_lambda(G):
+    """The largest eigenvalue magnitude of G's normalized adjacency matrix
+    on the complement of the constant vector, by a dense eigensolver: an
+    independent reference for spectrum, quadratic in memory."""
+    n = G.num_vertices
+    M = np.zeros((n, n))
+    idx = np.arange(n)[:, None]
+    np.add.at(M, (idx, idx ^ G.generators), 1.0 / G.degree)
+    P = np.eye(n) - np.full((n, n), 1.0 / n)
+    return float(np.max(np.abs(np.linalg.eigvalsh(P @ M @ P))))
+
+
 def test_character_sum_agrees_with_dense_eigen():
     graphs = [
         build_aghp(4, 2),
@@ -192,10 +204,7 @@ def test_character_sum_agrees_with_dense_eigen():
         CayleyGraph(dim=3, generators=(1, 2), name="g8"),
     ]
     for g in graphs:
-        exact = spectrum(g, method="character-sum")
-        dense = spectrum(g, method="dense-eigen")
-        assert abs(exact.lam - dense.lam) <= 1e-9, g.name
-        assert dense.lambda_exact is None
+        assert abs(spectrum(g).lam - _dense_lambda(g)) <= 1e-9, g.name
 
 
 def test_character_table_row_zero_is_degree():
@@ -470,12 +479,6 @@ def test_cayley_average_matches_generator_loop():
     assert oracle.cayley_average(e0, g)[0] == np.count_nonzero(g.generators == 0) / g.degree
 
 
-def test_spectrum_method_validation():
-    g = build_complete_selfloop(2)
-    with pytest.raises(ValueError):
-        spectrum(g, method="power-iteration")
-
-
 def test_neighbor_involution():
     # the scalar neighbor step of walk_oracle, which the brute-force
     # oracles walk by, is an involution and averages as cayley_average does
@@ -668,21 +671,18 @@ _BLAS_ANYWHERE = {"dot", "vdot", "matmul", "tensordot", "einsum", "linalg"}
 _BLAS_ON_NUMPY = _BLAS_ANYWHERE | {"inner"}
 
 
-def test_no_blas_call_outside_the_dense_spectrum():
+def test_no_blas_call_in_the_package():
     """BLAS's thread pool, once started, slows every later numpy call of
     the process, so the package sums with elementwise products and .sum()
     (see mixing_check and check_middle_start_identity).  No np.dot, vdot,
-    matmul, inner, tensordot, einsum, np.linalg, .dot( or @ appears in it
-    outside graphs._spectrum_dense, the dense-eigen cross-check, which the
-    CLI runs in a process of its own."""
+    matmul, inner, tensordot, einsum, np.linalg, .dot( or @ appears
+    anywhere in it."""
     import widewalk
 
     offenders = []
     for path in sorted(Path(widewalk.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for func, node in _nodes_by_function(tree):
-            if (path.name, func) == ("graphs.py", "_spectrum_dense"):
-                continue
+        for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 offenders.append(f"{where} uses @")

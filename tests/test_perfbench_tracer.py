@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import sys
 
-import numpy as np
 import widewalk
 from tracer import WRAPPED, Tracer
 
@@ -25,7 +24,7 @@ for origin, names in WRAPPED.items():
 sys_ = widewalk.ReplacementSystem(
     widewalk.build_complete_selfloop(1), widewalk.build_aghp(2, 1), widewalk.WalkParams(1, 2, 1)
 )
-widewalk.sample_swalk(sys_, 3, np.random.default_rng(0))
+sys_.walk_from_seed(0, 1, (2, 3))
 assert tracer.walk_from_seed_calls == [1], tracer.walk_from_seed_calls
 print("installed")
 """

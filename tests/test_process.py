@@ -87,7 +87,7 @@ def test_the_public_surface_is_pinned():
         "check_weighted_walk_bounds", "code_bias", "code_report", "dp_backwards", "dp_gk",
         "dp_gk_level", "embed", "encode", "gen_base_code", "hitting_bound",
         "hitting_prob_exact", "middle_start_distribution_equal", "mixing_check", "moments",
-        "rate", "sample_swalk", "spectrum", "verify_induction_arithmetic", "word_bias",
+        "rate", "spectrum", "verify_induction_arithmetic", "word_bias",
     ]
 
 

@@ -17,7 +17,8 @@ call expand on the system, so a test that patches ReplacementSystem.expand
 patches both sides.
 
 cayley_average is the generator average that the reference DPs of the
-tests step by.
+tests step by, and sample_swalk draws one walk from a uniform seed through
+ReplacementSystem.walk_from_seed.
 """
 
 import itertools
@@ -33,6 +34,16 @@ def cayley_average(values, graph):
     every vertex v of the last axis: the library's one Cayley convolution
     over n * degree, as the pure-walk levels and mixing_check divide it."""
     return _convolve(values, graph) / (graph.num_vertices * graph.degree)
+
+
+def sample_swalk(sys, t, rng):
+    """Draw one t-step walk from a uniform seed; deterministic given the
+    rng state.  The seed is expanded by ReplacementSystem.walk_from_seed."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    a0 = int(rng.integers(sys.num_outer))
+    b1 = int(rng.integers(sys.num_inner))
+    return sys.walk_from_seed(a0, b1, rng.integers(sys.params.d_inner, size=t - 1))
 
 
 def neighbor(graph, v, i):
