@@ -20,7 +20,6 @@ from .amplify import (
     check_weighted_walk_bounds,
     dp_backwards,
     dp_gk,
-    dp_gk_level,
     moments,
     verify_induction_arithmetic,
 )
@@ -30,11 +29,8 @@ from .code import (
     LinearCode,
     code_bias,
     code_report,
-    embed,
     encode,
     gen_base_code,
-    rate,
-    word_bias,
 )
 from .graphs import (
     CayleyGraph,
@@ -96,8 +92,6 @@ __all__ = [
     "code_report",
     "dp_backwards",
     "dp_gk",
-    "dp_gk_level",
-    "embed",
     "encode",
     "gen_base_code",
     "hitting_bound",
@@ -105,8 +99,6 @@ __all__ = [
     "middle_start_distribution_equal",
     "mixing_check",
     "moments",
-    "rate",
     "spectrum",
     "verify_induction_arithmetic",
-    "word_bias",
 ]

@@ -258,13 +258,6 @@ def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     return list(_wide_tables(sys, f, kmax, "g"))
 
 
-def dp_gk_level(sys: ReplacementSystem, f: SignedFn, k: int) -> DpTable:
-    """The table g_k of dp_gk alone: the same levels, but only level k is
-    taken back to the primal domain, and the loop's block is freed before
-    it returns."""
-    return next(_wide_tables(sys, f, k, "g", first=k))
-
-
 def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTable]:
     """Backward-walk tables levels 0..length.
 

@@ -16,8 +16,8 @@ from typing import Union
 import numpy as np
 
 from . import gf2core
-from .amplify import SignedFn, bias_bound, dp_gk_level, lemma_hypotheses, moments, vacuous
-from .graphs import CayleyGraph, json_field
+from .amplify import SignedFn, _levels, bias_bound, lemma_hypotheses, moments, vacuous
+from .graphs import json_field
 from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid
 
 MAX_EXHAUSTIVE_K = 16
@@ -36,19 +36,14 @@ class BaseCodeSearchFailed(Exception):
         self.best_bias = best_bias
 
 
-def word_bias(word: int, n0: int) -> Fraction:
-    """|n0 - 2*weight| / n0 of an n0-bit word."""
-    if not 0 <= word < (1 << n0):
-        raise ValueError(f"word out of range for {n0} bits")
-    return Fraction(abs(n0 - 2 * word.bit_count()), n0)
-
-
 class LinearCode:
     """Binary linear code given by k generator rows of n0 bits each.
 
     Bit i of a row is coordinate i of the codeword (low bit first).  The
     maximum codeword bias is verified exhaustively at construction, which
-    caps k at 16.
+    caps k at 16: one Gray-code pass visits every nonzero message, step i
+    XORing row ctz(i) into the one codeword it holds, and keeps the
+    largest |n0 - 2*weight|, so the bias is that over n0.
     """
 
     def __init__(self, k: int, n0: int, rows: list[int]):
@@ -64,9 +59,11 @@ class LinearCode:
         self.k = k
         self.n0 = n0
         self.rows = list(rows)
-        self.measured_bias_exact = max(
-            word_bias(self.encode(x), n0) for x in range(1, 1 << k)
-        )
+        word = worst = 0
+        for i in range(1, 1 << k):
+            word ^= self.rows[(i & -i).bit_length() - 1]
+            worst = max(worst, abs(n0 - 2 * word.bit_count()))
+        self.measured_bias_exact = Fraction(worst, n0)
 
     @property
     def measured_bias(self) -> float:
@@ -131,6 +128,8 @@ def gen_base_code(
         # str() round-trips the shortest decimal, so 0.28 means 28/100
         # rather than the nearest binary double
         target = Fraction(str(float(target_bias)))
+    if target < 0:  # no code has a negative bias: refused before anything is drawn
+        raise ValueError(f"target bias must be nonnegative, got {target_bias}")
     best = Fraction(1)
     for _ in range(max_tries):
         rows = []
@@ -144,28 +143,10 @@ def gen_base_code(
     raise BaseCodeSearchFailed(max_tries, best)
 
 
-def embed(word: int, n0: int, graph: CayleyGraph) -> SignedFn:
-    """Pad an n0-bit word to an assignment on the outer graph: coordinate
-    i lands on vertex i, every remaining vertex gets 0.
-
-    With a snug embedding (|A| = n0) the assignment's bias equals the
-    word's bias exactly; padding dilutes the codeword and adds |A| - n0
-    forced zeros, so the bias relation degrades as |A| grows past n0.
-    """
-    n = graph.num_vertices
-    if n < n0:
-        raise ValueError(f"outer graph has {n} vertices < n0 = {n0}")
-    bits = np.zeros(n, dtype=np.int64)
-    word &= (1 << n0) - 1
-    packed = np.frombuffer(word.to_bytes(-(-n0 // 8), "little"), dtype=np.uint8)
-    bits[:n0] = np.unpackbits(packed, count=n0, bitorder="little")
-    return SignedFn(bits)
-
-
 @dataclass(frozen=True)
 class AmplifiedCode:
     """Base code + walk system + walk length; the embedding is vertex i
-    <- coordinate i (the padded path of embed)."""
+    <- coordinate i (see f_for_message)."""
 
     base: LinearCode
     sys: ReplacementSystem
@@ -181,16 +162,23 @@ class AmplifiedCode:
             )
 
     def f_for_message(self, x: int) -> SignedFn:
-        return embed(self.base.encode(x), self.base.n0, self.sys.outer)
+        """The codeword of x as an assignment on the outer graph:
+        coordinate i lands on vertex i, every vertex past n0 gets 0.
+
+        With a snug embedding (|A| = n0) the assignment's bias equals the
+        codeword's bias exactly; padding dilutes the codeword and adds
+        |A| - n0 forced zeros, so the bias relation degrades as |A| grows
+        past n0.
+        """
+        n0 = self.base.n0
+        bits = np.zeros(self.sys.num_outer, dtype=np.int64)
+        packed = np.frombuffer(self.base.encode(x).to_bytes(-(-n0 // 8), "little"), dtype=np.uint8)
+        bits[:n0] = np.unpackbits(packed, count=n0, bitorder="little")
+        return SignedFn(bits)
 
     @property
     def block_length(self) -> int:
         return self.sys.seed_count(self.t)
-
-
-def rate(amp: AmplifiedCode) -> Fraction:
-    """Exact rational rate k / (|A| * |B| * d_B**(t-1))."""
-    return Fraction(amp.base.k, amp.block_length)
 
 
 def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -250,27 +238,32 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
 
 def code_bias(amp: AmplifiedCode) -> float:
     """Max bias over all nonzero messages, each evaluated by the exact DP
-    on its embedded assignment (codewords never materialized)."""
+    on its embedded assignment (codewords never materialized).  Each
+    message streams the DP to level t, as the bias lemma does, and only
+    that level is taken back to the primal domain; the stream runs to its
+    end, which frees the loop's block, before the moments are taken."""
     if amp.base.k > MAX_DP_SCAN_K:
         raise ValueError(
             f"k = {amp.base.k} exceeds the exhaustive message scan cap "
             f"{MAX_DP_SCAN_K}"
         )
-    return max(
-        moments(dp_gk_level(amp.sys, amp.f_for_message(x), amp.t)).eps
-        for x in range(1, 1 << amp.base.k)
-    )
+    bias = 0.0
+    for x in range(1, 1 << amp.base.k):
+        (table,) = _levels(amp.sys, amp.f_for_message(x), amp.t, None, amp.t)
+        bias = max(bias, moments(table).eps)
+    return bias
 
 
 def code_report(amp: AmplifiedCode) -> dict:
-    """Bias, exact rate, the one-sided distance bound and the lemma's
-    hypotheses on the base code's bias, JSON-ready; the headline bound is
-    flagged by amplify.vacuous, as in the bias-lemma check."""
+    """Bias, the exact rate k / (|A| * |B| * d_B**(t-1)), the one-sided
+    distance bound and the lemma's hypotheses on the base code's bias,
+    JSON-ready; the headline bound is flagged by amplify.vacuous, as in
+    the bias-lemma check."""
     bias = code_bias(amp)
     met, _, lam_a, lam_b = lemma_hypotheses(amp.sys, amp.base.measured_bias_exact)
     lam, s = float(lam_b), amp.sys.params.s
     bound = bias_bound(lam, amp.t, s)
-    r = rate(amp)
+    r = Fraction(amp.base.k, amp.block_length)
     return {
         "schema_version": 1,
         "k": amp.base.k,

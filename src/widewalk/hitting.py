@@ -37,6 +37,9 @@ class HittingInstance:
             raise ValueError("subset contains out-of-range vertices")
         if self.t < 1:
             raise ValueError("t must be at least 1")
+        # the survival DP's object-int work, refused before any table is built
+        if n * self.t > (1 << 28):
+            raise ValueError(f"instance too large: {n} vertices x t={self.t}")
 
     @property
     def rho(self) -> Fraction:
@@ -55,8 +58,6 @@ def _survival(inst: HittingInstance) -> list[Fraction]:
     """
     g = inst.graph
     n = g.num_vertices
-    if n * inst.t > (1 << 28):
-        raise ValueError(f"instance too large: {n} vertices x t={inst.t}")
     in_s = np.zeros(n, dtype=object)
     in_s[list(inst.subset)] = 1
     counts = in_s

@@ -39,7 +39,7 @@ from widewalk.amplify import (
     verify_induction_arithmetic,
 )
 from widewalk.cli import EXIT_PASS, main
-from widewalk.code import AmplifiedCode, LinearCode, code_bias, rate
+from widewalk.code import AmplifiedCode, LinearCode, code_report
 from widewalk.graphs import CayleyGraph
 from widewalk.hitting import HittingInstance, check_hitting, hitting_bound, hitting_prob_exact
 
@@ -322,9 +322,9 @@ def test_acceptance_12_end_to_end_code(flagship):
     # amplified along t=10 walks: final bias within the headline bound and
     # the exact rate equals k / seed-count
     base2 = LinearCode(2, 4, [0b0011, 0b0101])
-    amp = AmplifiedCode(base2, flagship, 10)
-    bias = code_bias(amp)
+    report = code_report(AmplifiedCode(base2, flagship, 10))
+    bias = report["bias"]
     ok = ok and base2.measured_bias_exact == 0
     ok = ok and bias <= (2 * 7 / 32) ** 2 + TOL_BOUND
-    ok = ok and rate(amp) == Fraction(2, 2**102)
+    ok = ok and Fraction(report["rate"]) == Fraction(2, 2**102)
     record(12, "end-to-end-code", ok)

@@ -31,6 +31,7 @@ from widewalk import (
 )
 from widewalk.amplify import (
     DpTable,
+    _levels,
     _pure_levels,
     _wide_tables,
     check_base_case,
@@ -42,12 +43,12 @@ from widewalk.amplify import (
     check_weighted_walk_bounds,
     dp_backwards,
     dp_gk,
-    dp_gk_level,
     lemma_hypotheses,
     moments,
     vacuous,
     verify_induction_arithmetic,
 )
+from widewalk.code import AmplifiedCode, LinearCode, code_bias
 from widewalk.graphs import fwht, mixing_check
 
 import walk_oracle as oracle
@@ -289,11 +290,13 @@ def traced_peak(call) -> int:
 def test_wide_walk_working_set_is_one_block_per_call(witness):
     # in units of one n_A * n_B float64 table (2 MiB on the witness): the
     # level loop holds three (x and fwht's work pair), the identity nothing
-    # more, dp_gk_level one returned table more and dp_gk seven
+    # more, code_bias's one-level read one returned table more and dp_gk
+    # seven; the one-row code's only codeword is f
     f = SignedFn.from_support(8, {0, 1, 2})
     tables = dp_gk(witness, f, 6)
     table = tables[0].values.nbytes
-    assert traced_peak(lambda: dp_gk_level(witness, f, 6)) < 4.5 * table
+    amp = AmplifiedCode(LinearCode(1, 8, [0b111]), witness, 6)
+    assert traced_peak(lambda: code_bias(amp)) < 4.5 * table
     assert traced_peak(lambda: dp_gk(witness, f, 6)) < 10.5 * table
     assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 4 * table
     # without tables a check reads each level as the loop yields it and
@@ -305,7 +308,7 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     assert traced_peak(lambda: check_first_step_trick(witness, f, 12)) < 6 * table
     # the identity keeps g_{k-s} and g_k of the stream, and its own block
     assert traced_peak(lambda: check_middle_start_identity(witness, f, 12)) < 7 * table
-    # the lemma reads its one level after dp_gk_level has freed the block
+    # the lemma reads its one level after the stream has freed the block
     assert traced_peak(lambda: check_bias_reduction_lemma(witness, f, 20)) < 4.5 * table
     # the pure walks stream their levels too, in units of one 2^16-entry table
     graph = build_aghp(16, 8)
@@ -355,8 +358,9 @@ def test_wide_levels_equal_the_full_transform_reference(flagship, g8_system, mon
             assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
             for a, b in zip(got, want):
                 assert np.array_equal(a.values, b.values), (sys.params, f.bits, a.kind, a.level)
-        # the single-level path runs the same levels and converts only the last
-        assert dp_gk_level(sys, f, kmax).values.tobytes() == forward[kmax].values.tobytes()
+        # the single-level stream runs the same levels and converts only the last
+        (last,) = _levels(sys, f, kmax, None, kmax)
+        assert last.values.tobytes() == forward[kmax].values.tobytes()
 
 
 def test_closed_form_on_complete_outer_graphs(flagship, witness):
@@ -372,9 +376,10 @@ def test_closed_form_on_complete_outer_graphs(flagship, witness):
         s = sys.params.s
         for k, table in enumerate(dp_gk(sys, f, s)):
             assert abs(float(table.values.mean())) == f.bias_exact ** (k + 1), (sys.params, f.bits, k)
-    # past s the inner walk enters: the closed form is off by 4.4e-6 relative
+    # past s the inner walk enters: the closed form is off by 4.4e-6 relative;
+    # code_bias reads eps_6 of the one-row code whose only codeword is f
     f = SignedFn.from_support(8, {0, 1, 2})
-    eps = abs(float(dp_gk_level(witness, f, 6).values.mean()))
+    eps = code_bias(AmplifiedCode(LinearCode(1, 8, [0b111]), witness, 6))
     assert eps != f.bias_exact**7 and abs(eps / float(f.bias_exact**7) - 1) < 1e-5
 
 
@@ -625,10 +630,11 @@ def test_pure_walk_bounds_k16(k16):
 
 def test_pure_walk_hypothesis_gate(k16):
     # constant assignment has bias 1 > sqrt(1/15): refused, no rows
-    report = check_pure_walk_bounds(k16, SignedFn.zero(16), 5)
-    assert not report.hypotheses_met
-    assert report.rows == []
-    assert not report.all_passed
+    for report in (check_pure_walk_bounds(k16, SignedFn.zero(16), 5),
+                   check_weighted_walk_bounds(k16, SignedFn.zero(16), np.ones(16), 5)):
+        assert not report.hypotheses_met
+        assert report.rows == [] and report.extra == {}
+        assert not report.all_passed
     # the hypothesis Bias(f)^2 <= lambda is exact and holds at equality
     complete4 = build_complete_selfloop(2)
     assert check_pure_walk_bounds(complete4, SignedFn.balanced(4), 3).hypotheses_met
@@ -756,7 +762,8 @@ def test_eps_is_invariant_under_translation_and_complement(witness, skew16):
     support = {1, 3, 4}
     supports = [{v ^ a for v in support} for a in range(8)] + [set(range(8)) - support]
     for sys in (witness, skew):
-        eps = {moments(dp_gk_level(sys, SignedFn.from_support(8, sup), 10)).eps for sup in supports}
+        eps = {moments(*_levels(sys, SignedFn.from_support(8, sup), 10, None, 10)).eps
+               for sup in supports}
         assert len(eps) == 1 and eps.pop() > 0, sys.outer.name
 
 
@@ -863,10 +870,8 @@ def test_eps_sequence_nonincreasing_on_admissible_instance(mono_system):
     # empirical observation, recorded as a regression: when the
     # hypotheses hold, the measured mean sequence has never increased.
     # No checker assumes this.
-    from widewalk.code import LinearCode, embed
-
     base = LinearCode(3, 8, [0b11, 0b1100, 0b110000])
-    f = embed(base.encode(1), 8, mono_system.outer)
+    f = AmplifiedCode(base, mono_system, 12).f_for_message(1)
     eps = [moments(t).eps for t in dp_gk(mono_system, f, 12)]
     assert eps[0] == 0.5
     for k in range(1, 13):

@@ -102,6 +102,8 @@ def test_graph_aghp_invalid_params(capsys):
     assert_one_line_invalid(["graph", "aghp", "--r", "70", "--ell", "1"], capsys, "error: r=70")
     # 4**16 generators are refused before anything is allocated
     assert_one_line_invalid(["graph", "aghp", "--r", "32", "--ell", "16"], capsys, "error: ell=16")
+    assert_one_line_invalid(["graph", "aghp", "--r", "40", "--ell", "17"], capsys,
+                            "error: no baked-in modulus for ell=17")
 
 
 def test_graph_complete_csv(capsys):
@@ -307,6 +309,16 @@ def test_code_gen_base_search_failure(capsys):
     assert "best found" in capsys.readouterr().err
 
 
+def test_code_gen_base_negative_target_fails_at_once(capsys):
+    # no code has a negative bias: one line and exit 2, not 50 tries and exit 1
+    assert_one_line_invalid(
+        ["code", "gen-base", "--k", "2", "--n0", "4", "--target-bias", "-0.5",
+         "--max-tries", "50"],
+        capsys,
+        "error: target bias must be nonnegative, got -0.5",
+    )
+
+
 def test_code_encode(tmp_path, capsys):
     cfg = tiny_config(tmp_path, t=2)
     base_path = tmp_path / "base1.json"
@@ -490,6 +502,12 @@ def test_invalid_inputs(tmp_path, capsys):
         capsys,
         "error: '\u0663' is not an ASCII decimal int",
     )
+    for count in (0, 17):
+        assert_one_line_invalid(
+            ["verify", "hitting", "--graph", str(gpath), "--set", f"first-{count}"],
+            capsys,
+            f"error: first-{count} out of range for 16 vertices",
+        )
     # an empty range of levels is refused, not passed with no rows
     hitting = ["verify", "hitting", "--graph", str(gpath), "--set", "first-1", "--tmax"]
     for argv, prefix in (

@@ -9,6 +9,7 @@ gives a reproducible low-bias generator matrix without any search.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +24,8 @@ from widewalk.code import (
     LinearCode,
     code_bias,
     code_report,
-    embed,
     encode,
     gen_base_code,
-    rate,
-    word_bias,
 )
 
 import walk_oracle as oracle
@@ -67,13 +65,37 @@ def bent_k8_code():
     return LinearCode(8, 64, rows)
 
 
-def test_word_bias():
-    assert word_bias(0, 4) == 1
-    assert word_bias(0b1111, 4) == 1
-    assert word_bias(0b0011, 4) == 0
-    assert word_bias(0b0001, 4) == Fraction(1, 2)
+def oracle_bias(rows, n0):
+    """The largest |n0 - 2*weight| / n0 over the nonzero messages, each
+    codeword the XOR of the rows its bits select."""
+    worst = 0
+    for x in range(1, 1 << len(rows)):
+        word = 0
+        for i, row in enumerate(rows):
+            if (x >> i) & 1:
+                word ^= row
+        worst = max(worst, abs(n0 - 2 * bin(word).count("1")))
+    return Fraction(worst, n0)
+
+
+def test_one_row_code_has_its_row_bias():
+    assert LinearCode(1, 4, [0]).measured_bias_exact == 1
+    assert LinearCode(1, 4, [0b1111]).measured_bias_exact == 1
+    assert LinearCode(1, 4, [0b0011]).measured_bias_exact == 0
+    assert LinearCode(1, 4, [0b0001]).measured_bias_exact == Fraction(1, 2)
     with pytest.raises(ValueError):
-        word_bias(16, 4)
+        LinearCode(1, 4, [16])
+
+
+def test_gray_code_bias_matches_the_message_oracle():
+    # seeded random codes, k = 1..12, with codewords of one, two and several
+    # 64-bit words
+    rng = random.Random(29)
+    for k in range(1, 13):
+        for n0 in (k, 64 + k, 200 + 7 * k):
+            rows = [rng.getrandbits(n0) for _ in range(k)]
+            code = LinearCode(k, n0, rows)
+            assert code.measured_bias_exact == oracle_bias(rows, n0), (k, n0)
 
 
 def test_linear_code_basics():
@@ -166,6 +188,11 @@ def test_gen_base_code_argument_errors_draw_nothing():
                                       (17, 10**12, 1, "k must be in 1..16")):
         with pytest.raises(ValueError, match=message):
             gen_base_code(k, n0, 0.5, rng, max_tries=max_tries)
+    # no code has a negative bias, so such a target fails at once, not
+    # after max_tries draws
+    for target in (-0.5, Fraction(-1, 2), -1e-300):
+        with pytest.raises(ValueError, match="target bias must be nonnegative"):
+            gen_base_code(2, 4, target, rng, max_tries=50)
     assert rng.bit_generator.state == state
 
 
@@ -177,20 +204,21 @@ def test_bent_code_bias():
     assert code.measured_bias_exact <= Fraction(7, 32)
 
 
-def test_embed_identity_and_padding(k16):
+def test_f_for_message_pads_to_the_outer_graph(mono_system):
     # snug embedding preserves the bias exactly
-    outer8 = build_complete_selfloop(3)
-    f = embed(0b00001111, 8, outer8)
+    base = LinearCode(1, 8, [0b00001111])
+    f = AmplifiedCode(base, mono_system, 1).f_for_message(1)
     assert f.bias_exact == 0
     assert list(f.bits) == [1, 1, 1, 1, 0, 0, 0, 0]
     # padding a balanced 8-bit word into 16 vertices forces 8 zeros: the
     # assignment's bias becomes 1/2 even though the word is balanced
-    g = embed(0b00001111, 8, k16)
+    params = WalkParams(m=4, s=2, ell=4)
+    sys16 = ReplacementSystem(build_complete_selfloop(4), build_aghp(8, 4), params)
+    g = AmplifiedCode(base, sys16, 1).f_for_message(1)
+    assert list(g.bits) == [1] * 4 + [0] * 12
     assert g.bias_exact == Fraction(1, 2)
-    # all-zero word: constant assignment, bias 1
-    assert embed(0, 8, outer8).bias_exact == 1
-    with pytest.raises(ValueError):
-        embed(0, 8, build_complete_selfloop(2))
+    # the zero message: constant assignment, bias 1
+    assert AmplifiedCode(base, mono_system, 1).f_for_message(0).bias_exact == 1
 
 
 def test_amplified_code_embedding_guard(flagship):
@@ -326,6 +354,10 @@ def test_code_bias_scan_cap():
     amp = AmplifiedCode(LinearCode(13, 16, rows), sys, 2)
     with pytest.raises(ValueError):
         code_bias(amp)
+
+
+def rate(amp):
+    return Fraction(code_report(amp)["rate"])
 
 
 def test_rate_examples(flagship):

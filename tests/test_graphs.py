@@ -158,6 +158,8 @@ def test_aghp_validation():
         build_aghp(63, 1)  # int64 words would wrap
     with pytest.raises(ValueError):
         build_aghp(32, 16)  # 4**16 generators, refused before allocating
+    with pytest.raises(ValueError, match="no baked-in modulus for ell=17"):
+        build_aghp(40, 17)
 
 
 def test_complete_selfloop_lambda_zero():

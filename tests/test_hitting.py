@@ -169,8 +169,23 @@ def test_csv_output(k16, tmp_path, capsys):
     assert lines[2].startswith("1,0.25,0.25,True")
 
 
-def test_budget_guard():
+def test_budget_guard(table_builds, tmp_path, capsys):
+    # n * t past 2^28 is refused by the instance, so neither check_hitting
+    # nor hitting_prob_exact builds a character table first
     g = CayleyGraph(dim=20, generators=(1, 2))
-    inst = HittingInstance(g, frozenset({0, 1}), 1 << 10)
-    with pytest.raises(ValueError):
-        hitting_prob_exact(inst)
+    with pytest.raises(ValueError, match="instance too large"):
+        HittingInstance(g, frozenset({0, 1}), 1 << 10)
+    cube = CayleyGraph(dim=22, generators=[1 << i for i in range(22)], name="cube22")
+    with pytest.raises(ValueError, match="instance too large: 4194304 vertices x t=65"):
+        check_hitting(cube, [0], 65)
+    assert table_builds == []
+    from widewalk.cli import main
+
+    gpath = tmp_path / "cube22.json"
+    gpath.write_text(cube.to_json())
+    capsys.readouterr()
+    assert main(["verify", "hitting", "--graph", str(gpath), "--set", "0", "--tmax", "65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance too large: 4194304 vertices x t=65\n"
+    assert table_builds == []
