@@ -417,13 +417,15 @@ def _cmd_code_encode(args) -> int:
     if not 0 <= x < (1 << amp.base.k):
         raise ValueError(f"message {args.message} out of range for k={amp.base.k}")
     bits = encode_message(amp, x, budget=args.budget)
+    length, ones = int(bits.size), int(bits.sum())
     packed = np.packbits(bits, bitorder="little")
+    del bits  # one byte a bit: dropped before the hex and JSON copies
     payload = {
         "message": args.message,
         "k": amp.base.k,
-        "length": int(bits.size),
+        "length": length,
         "bits_hex": packed.tobytes().hex(),
-        "ones": int(bits.sum()),
+        "ones": ones,
     }
     header = _header(args, system=resolved, base=args.base, message=args.message)
     _emit(args, header, payload, ("message", "length", "ones"), [payload])

@@ -5,8 +5,9 @@ array of them), bit 0 the least significant position: addition is ``^``
 and the inner product <x, y> is the parity of ``x & y``.  Serialization
 is lowercase hex with the least significant nibble first, so the wire
 format is bit-exact and independent of word length padding; one word at a
-time for Python ints, or a whole int64 array at once (decoding to it, or
-encoding it to an array of ASCII digits).
+time for Python ints, or a whole array at once (decoding to an array in the
+smallest unsigned dtype that holds a length-bit word, or encoding an array
+of words to an array of ASCII digits).
 
 Field elements of GF(2^ell) are polynomials over F_2 encoded the same way
 (bit i is the coefficient of x^i), reduced modulo a fixed irreducible
@@ -101,11 +102,17 @@ _HEX_VALUES[_HEX_DIGITS] = np.arange(16)
 _HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
+def _word_dtype(length: int) -> np.dtype:
+    """The dtype of every array of length-bit words: the smallest unsigned
+    dtype that holds one (uint8 up to 8 bits, then uint16, uint32, uint64)."""
+    return np.min_scalar_type((1 << length) - 1)
+
+
 def hex_digits_array(words: np.ndarray, length: int) -> np.ndarray:
-    """The ASCII digits of :func:`hex_encode` of every entry of a 1-D int64
-    array of length-bit words, as a (words, digits) uint8 array: one nibble
-    gather per digit.  The words must be in range, as a CayleyGraph's are;
-    they are not checked here."""
+    """The ASCII digits of :func:`hex_encode` of every entry of a 1-D
+    unsigned array of length-bit words, as a (words, digits) uint8 array:
+    one nibble gather per digit.  The words must be in range, as a
+    CayleyGraph's are; they are not checked here."""
     ndigits = (length + 3) // 4
     chars = np.empty((words.size, ndigits), dtype=np.uint8)
     for j in range(ndigits):
@@ -114,10 +121,12 @@ def hex_digits_array(words: np.ndarray, length: int) -> np.ndarray:
 
 
 def hex_decode_array(texts: list[str], length: int) -> np.ndarray:
-    """:func:`hex_decode` of every string at once, as an int64 array
-    (ASCII hex digits only)."""
+    """:func:`hex_decode` of every string at once (ASCII hex digits only),
+    as an array in the smallest unsigned dtype that holds a length-bit
+    word.  The range is checked on the top digit, before any word is
+    formed, so nothing wraps."""
     if not 0 < length < 64:
-        raise ValueError(f"array words are int64: length must be in 1..63, got {length}")
+        raise ValueError(f"array words must be 1..63 bits long, got {length}")
     ndigits = (length + 3) // 4
     if any(len(h) != ndigits for h in texts):
         raise ValueError(f"expected {ndigits} hex digits for every {length}-bit word")
@@ -128,9 +137,10 @@ def hex_decode_array(texts: list[str], length: int) -> np.ndarray:
     nibbles = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)].reshape(len(texts), ndigits)
     if np.any(nibbles == 255):
         raise ValueError("words must be ASCII hex strings")
-    words = np.zeros(len(texts), dtype=np.uint64)
-    for j in range(ndigits):
-        words |= nibbles[:, j].astype(np.uint64) << np.uint64(4 * j)
-    if np.any(words >> np.uint64(length)):
+    if np.any(nibbles[:, -1] >> (length - 4 * (ndigits - 1))):
         raise ValueError(f"a decoded word is out of range for {length}-bit words")
-    return words.view(np.int64)
+    dtype = _word_dtype(length)
+    words = np.zeros(len(texts), dtype=dtype)
+    for j in range(ndigits):
+        words |= nibbles[:, j].astype(dtype) << (4 * j)
+    return words

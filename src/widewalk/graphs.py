@@ -5,7 +5,8 @@ holds, the verdict rule of every float bound check in the package.
 Vertices are plain integers in [0, 2**dim); vertex v and generator u are
 adjacent endpoints of an edge v ~ v ^ u.  Every generator is its own inverse
 over F_2, so all graphs here are undirected by construction.  The generator
-list is one read-only int64 array; its order defines neighbor indexing, and
+list is one read-only array in the word dtype, the smallest unsigned dtype
+that holds a dim-bit word; its order defines neighbor indexing, and
 duplicates are permitted only when the graph is flagged as a multigraph.
 """
 from __future__ import annotations
@@ -19,11 +20,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf2core import IRREDUCIBLE_MODULI, field_mul, hex_decode_array, hex_digits_array
+from .gf2core import IRREDUCIBLE_MODULI, _word_dtype, field_mul, hex_decode_array, hex_digits_array
 
 SPECTRUM_SCAN_LIMIT = 24  # largest dim for an exhaustive character scan
-AGHP_MAX_DIM = 62  # generator words are built as int64 and must not wrap
-AGHP_MAX_GENERATORS = 1 << 24  # largest generator array a builder allocates (128 MiB)
+AGHP_MAX_DIM = 62  # largest dim: every word, and 2**dim, also fits an int64
+AGHP_MAX_GENERATORS = 1 << 24  # most words a builder allocates: 64 MiB to dim 32, 128 MiB beyond
 GENERATOR_BATCH = 1 << 12  # words per chunk of CayleyGraph.generators_json
 TOL_BOUND = 1e-12  # the slack of holds
 
@@ -65,8 +66,11 @@ class CayleyGraph:
         Group dimension, 1..AGHP_MAX_DIM; the graph has 2**dim vertices.
     generators : sequence or array of int
         Generator words, indexed 0..degree-1.  Order is significant.  They
-        are kept as one read-only int64 array; an int64 array passed in is
-        not copied, so the graph shares its memory.
+        are kept as one read-only array in the word dtype, the smallest
+        unsigned dtype that holds a dim-bit word (uint8 up to dim 8, uint16
+        up to 16, uint32 up to 32, else uint64); an array already in it is
+        not copied, so the graph shares its memory.  Signs and range are
+        checked on the input, before the cast, so no word can wrap.
     name : str
         Label used in reports and serialized files.
     multigraph : bool
@@ -85,11 +89,12 @@ class CayleyGraph:
             raise ValueError("generator list must be nonempty")
         if gens.ndim != 1 or gens.dtype.kind not in "iu":
             raise ValueError("generators must be a flat sequence of integers")
-        # a view, so that an int64 array passed in keeps its own writeable flag
-        gens = gens.astype(np.int64, copy=False).view()
         lo, hi = int(gens.min()), int(gens.max())
         if lo < 0 or hi >> self.dim:
             raise ValueError(f"generator {lo if lo < 0 else hi} out of range for dim {self.dim}")
+        # a view, so that an array already in the word dtype keeps its own
+        # writeable flag
+        gens = gens.astype(_word_dtype(self.dim), copy=False).view()
         # sort and compare rather than np.unique, whose first call imports numpy.ma
         if not self.multigraph:
             ordered = np.sort(gens)
@@ -132,10 +137,19 @@ class CayleyGraph:
         dtype (np.bincount would copy the read-only generators and count
         in int64), which the transform then consumes: two tables at the
         peak, and the one it writes is kept.
+
+        add.at copies indices that are not intp through a 64 KiB buffer,
+        more than a small table, so the words go in as intp slices of n/8
+        words (a quarter of an int32 table), at least 2**10 and at most
+        2**16 of them: from 2**11 entries up the scatter stays within the
+        transform's two tables, and no slice is a large transient.
         """
-        counts = np.zeros(self.num_vertices, np.int32 if self.degree < 1 << 31 else np.int64)
+        n = self.num_vertices
+        counts = np.zeros(n, np.int32 if self.degree < 1 << 31 else np.int64)
         # a scalar of the table's own dtype keeps add.at on its fast path
-        np.add.at(counts, self.generators, counts.dtype.type(1))
+        one, step = counts.dtype.type(1), min(max(n // 8, 1 << 10), 1 << 16)
+        for lo in range(0, self.degree, step):
+            np.add.at(counts, self.generators[lo:lo + step].astype(np.intp), one)
         table = fwht(counts, work=_consuming(counts, np.empty_like(counts)))
         table.flags.writeable = False
         return table
@@ -144,7 +158,7 @@ class CayleyGraph:
         """document, a json.dumps(indent=2) text whose top-level "generators"
         field is null, in chunks, with that null replaced by this graph's
         generator list: the bytes json.dumps(indent=2) writes there for the
-        list of hex_encode strings of the words, written from the int64
+        list of hex_encode strings of the words, written from the word
         array GENERATOR_BATCH words a chunk without building that list.
 
         The words were range-checked when the graph was built, so nothing
@@ -189,7 +203,7 @@ class CayleyGraph:
 
 def _check_dim(dim: int) -> None:
     if not 0 < dim <= AGHP_MAX_DIM:
-        raise ValueError(f"dim must be in 1..{AGHP_MAX_DIM} (words are int64), got {dim}")
+        raise ValueError(f"dim must be in 1..{AGHP_MAX_DIM}, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -223,25 +237,25 @@ def build_aghp(r: int, ell: int) -> CayleyGraph:
     if 2 * ell > r:
         raise ValueError(f"ell must satisfy ell <= r/2, got ell={ell}, r={r}")
     if r > AGHP_MAX_DIM:
-        raise ValueError(f"r={r} exceeds {AGHP_MAX_DIM}: generator words are int64")
+        raise ValueError(f"r={r} exceeds {AGHP_MAX_DIM}, the largest dim")
     if ell not in IRREDUCIBLE_MODULI:
         raise ValueError(f"no baked-in modulus for ell={ell}")
     if 1 << (2 * ell) > AGHP_MAX_GENERATORS:
         raise ValueError(
             f"ell={ell} gives 4**{ell} generators, more than {AGHP_MAX_GENERATORS}"
         )
-    elems = np.arange(1 << ell, dtype=np.int64)
-    powers = [np.ones_like(elems)]  # x^i for every x, with x^0 = 1 at x = 0 too
-    for _ in range(r - 1):
-        powers.append(field_mul(powers[-1], elems, ell))
     # word(x, y) is F_2-linear in y: basis[x, j] = word(x, 2^j) has bit i
     # equal to bit j of x^i, and the words of y in [2^j, 2^(j+1)) are those
     # of y - 2^j with basis[x, j] xored in
-    bits = np.arange(ell)
+    elems, bits = np.arange(1 << ell, dtype=np.int64), np.arange(ell)
     basis = np.zeros((elems.size, ell), dtype=np.int64)
-    for i, power in enumerate(powers):
+    power = np.ones_like(elems)  # x^i for every x, with x^0 = 1 at x = 0 too
+    for i in range(r):
+        if i:
+            power = field_mul(power, elems, ell)
         basis |= ((power[:, None] >> bits) & 1) << i
-    words = np.zeros((elems.size, elems.size), dtype=np.int64)  # words[x, y]
+    words = np.zeros((elems.size, elems.size), dtype=_word_dtype(r))  # words[x, y]
+    basis = basis.astype(words.dtype)
     for j in range(ell):
         np.bitwise_xor(words[:, : 1 << j], basis[:, j, None], out=words[:, 1 << j : 2 << j])
     return CayleyGraph(dim=r, generators=words.ravel(), name=f"aghp-r{r}-l{ell}", multigraph=True)
@@ -259,7 +273,7 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
         raise ValueError("m must be at least 1")
     if 1 << m > AGHP_MAX_GENERATORS:
         raise ValueError(f"m={m} gives 2**{m} generators, more than {AGHP_MAX_GENERATORS}")
-    gens = np.arange(0 if selfloop else 1, 1 << m, dtype=np.int64)
+    gens = np.arange(0 if selfloop else 1, 1 << m, dtype=_word_dtype(m))
     tag = "complete-selfloop" if selfloop else "complete-nonzero"
     return CayleyGraph(dim=m, generators=gens, name=f"{tag}-m{m}")
 

@@ -117,11 +117,16 @@ class HittingReport:
 def check_hitting(graph: CayleyGraph, subset: Iterable[int], tmax: int) -> HittingReport:
     """Exact survival vs the closed-form bound at the measured expansion,
     for t = 1..tmax; with exact rationals on both sides the comparison
-    needs no slack.
+    needs no slack.  A subset that lists a vertex twice is refused.
     """
     if tmax < 1:
         raise ValueError(f"tmax must be at least 1, got {tmax}")
-    inst = HittingInstance(graph, frozenset(subset), tmax)
+    vertices = list(subset)
+    inst = HittingInstance(graph, frozenset(vertices), tmax)
+    # the frozenset drops a repeated vertex silently
+    listed, distinct = len(vertices), len(inst.subset)
+    if listed != distinct:
+        raise ValueError(f"subset repeats a vertex: {listed} listed, {distinct} distinct")
     lam = spectrum(graph).lambda_exact
     rows = []
     for t, exact in enumerate(_survival(inst), 1):

@@ -143,15 +143,18 @@ class ReplacementSystem:
 
     @property
     def _dtype(self) -> np.dtype:
-        """The smallest unsigned dtype that holds every vertex."""
-        return np.min_scalar_type(max(self.num_outer, self.num_inner) - 1)
+        """The smallest unsigned dtype that holds every vertex: the wider of
+        the two graphs' word dtypes, which is the inner graph's whenever the
+        outer graph has at most its r = m*s bits."""
+        return np.result_type(self.outer.generators, self.inner.generators)
 
     def hop(self, b):
         """The outer generator that block 1 of inner vertex b selects (an
         int or an integer array b): the rotation map takes a to a ^ hop(b),
         forward and backward alike, since outer generators are
         self-inverse."""
-        return self.outer.generators.astype(self._dtype).take(b & (self.params.d_outer - 1))
+        gens = self.outer.generators.astype(self._dtype, copy=False)
+        return gens.take(b & (self.params.d_outer - 1))
 
     def shift(self, b):
         """The forward block shift of b: a rotate right of its r = m*s bits
@@ -198,7 +201,7 @@ class ReplacementSystem:
             raise ValueError(f"pivot {pivot} out of range 0..{t - 1}")
         p = max(pivot, 1)
         dtype = self._dtype
-        gens = self.inner.generators.astype(dtype)
+        gens = self.inner.generators.astype(dtype, copy=False)
         # one contiguous row per position (the transposes returned are views);
         # take gathers by these small-dtype rows about twice as fast as [] does
         A = np.empty((t + 1, n), dtype=dtype)
@@ -360,7 +363,7 @@ def check_pseudorandomness(
     seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
     A, _ = sys.expand(0, seeds[:, 0], seeds[:, 1:])
     steps = sys.outer.generators[choice_grid(*(sys.outer.degree,) * (k - 1))]
-    pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
+    pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), steps.dtype), steps]), axis=1)
     tv, gap = multiset_tv(A[:, :k], pure)
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
 

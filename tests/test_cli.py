@@ -74,7 +74,7 @@ def test_graph_aghp_json_output(tmp_path, capsys):
 
 
 def test_graph_json_streams_the_bytes_json_dumps_writes(tmp_path, capsys):
-    # the generator list is written from the int64 array in chunks of 4096
+    # the generator list is written from the word array in chunks of 4096
     # words; the document must be the one json.dumps(indent=2) writes with
     # the list of scalar hex_encode strings: one, several, and an inexact
     # number of chunks, digit counts 1..7, and dims that are not a multiple of 4
@@ -98,7 +98,7 @@ def test_graph_json_streams_the_bytes_json_dumps_writes(tmp_path, capsys):
 def test_graph_aghp_invalid_params(capsys):
     assert main(["graph", "aghp", "--r", "4", "--ell", "3"]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
-    # words wider than 62 bits would wrap in int64
+    # dims above 62 are refused
     assert_one_line_invalid(["graph", "aghp", "--r", "70", "--ell", "1"], capsys, "error: r=70")
     # 4**16 generators are refused before anything is allocated
     assert_one_line_invalid(["graph", "aghp", "--r", "32", "--ell", "16"], capsys, "error: ell=16")
@@ -223,6 +223,22 @@ def test_out_of_range_support_is_invalid_input(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: support vertex")
         assert captured.err.count("\n") == 1
+
+
+def test_repeated_vertices_are_invalid_input(tmp_path, capsys):
+    # support 0,0 would run the f of support 0 under a header echoing "0,0",
+    # and --set 1,1,2 would report rho = 2/8
+    assert_one_line_invalid(["verify", "base-case", "--config", flagship_config(tmp_path),
+                             "--support", "0,0"], capsys, "error: support vertex 0 is repeated")
+    cfg = flagship_config(tmp_path, support="1,2,1")
+    assert_one_line_invalid(["verify", "induction", "--config", cfg], capsys,
+                            "error: support vertex 1 is repeated")
+    gpath = tmp_path / "g8.json"
+    gpath.write_text(build_complete_selfloop(3).to_json())
+    assert_one_line_invalid(["verify", "hitting", "--graph", str(gpath), "--set", "1,1,2"], capsys,
+                            "error: subset repeats a vertex: 3 listed, 2 distinct")
+    assert main(["verify", "hitting", "--graph", str(gpath), "--set", "1,2"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["report"]["rho"] == "1/4"
 
 
 def test_verify_induction(tmp_path, capsys):
@@ -464,7 +480,7 @@ def test_invalid_inputs(tmp_path, capsys):
     gpath.write_text(build_complete_selfloop(4, selfloop=False).to_json())
     assert_one_line_invalid(spectrum_argv + ["--method", "dense-eigen"], capsys,
                             "error: widewalk: unrecognized arguments: --method dense-eigen")
-    # words wider than 62 bits do not fit int64: refused by dim, not by an overflow
+    # words wider than 62 bits are refused by dim, not by an overflow
     gpath.write_text(json.dumps({"dim": 70, "generators": ["0" * 17 + "2"]}))
     assert_one_line_invalid(spectrum_argv, capsys, "error: dim must be in 1..62")
     # 2**40 complete-graph generators are refused before anything is allocated

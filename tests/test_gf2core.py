@@ -116,11 +116,11 @@ def test_hex_array_codec_matches_scalar_codec():
     for length, words in cases:
         texts = [hex_encode(int(w), length) for w in words]
         decoded = hex_decode_array(texts, length)
-        assert decoded.dtype == np.int64
+        assert decoded.dtype == np.min_scalar_type((1 << length) - 1)
         assert decoded.tolist() == [hex_decode(h, length) for h in texts], length
         assert np.array_equal(hex_decode_array([h.upper() for h in texts], length), decoded)
     assert hex_decode_array([], 4).tolist() == []
-    # a top nibble past bit 62 would not fit int64 after decoding
+    # the widest array word, 63 bits, decodes into uint64
     assert hex_decode_array(["f" * 15 + "7"], 63).tolist() == [(1 << 63) - 1]
     for texts, length in ((["1"], 5), (["ff"], 5), (["0g"], 5), (["0\u0663"], 5),
                           (["1", "23"], 4), (["f" * 16], 63), (["1"], 64), (["1"], 0)):

@@ -155,7 +155,7 @@ def test_aghp_validation():
     with pytest.raises(ValueError):
         build_aghp(4, 0)
     with pytest.raises(ValueError):
-        build_aghp(63, 1)  # int64 words would wrap
+        build_aghp(63, 1)  # r is at most 62
     with pytest.raises(ValueError):
         build_aghp(32, 16)  # 4**16 generators, refused before allocating
     with pytest.raises(ValueError, match="no baked-in modulus for ell=17"):
@@ -246,6 +246,22 @@ def test_character_table_peaks_at_two_tables():
     g = build_aghp(16, 8)
     peak = traced_peak(lambda: g.character_table)
     assert peak <= 2.25 * g.character_table.nbytes
+
+
+def test_aghp_words_are_built_in_the_word_dtype():
+    # the uint16 words and a few small field arrays: int64 words on the
+    # way would be 4 times the words
+    words = 2 * build_aghp(16, 8).degree
+    assert traced_peak(lambda: build_aghp(16, 8)) <= 1.5 * words
+
+
+def test_aghp_20_10_build_and_first_table_peak_at_words_and_two_tables():
+    # 4 MiB of uint32 words, kept, beside the character table's build
+    def build_and_read():
+        build_aghp(20, 10).character_table
+
+    words, table = 4 << 20, 4 << 20
+    assert traced_peak(build_and_read) <= words + 2.25 * table
 
 
 def test_each_graph_keeps_one_read_only_table(table_builds):
@@ -507,7 +523,7 @@ def test_graph_validation():
         CayleyGraph(dim=2, generators=(1, 1))  # duplicates need multigraph
     CayleyGraph(dim=2, generators=(1, 1), multigraph=True)
     with pytest.raises(ValueError):
-        CayleyGraph(dim=63, generators=(1,))  # words are int64
+        CayleyGraph(dim=63, generators=(1,))  # dim is at most 62
     with pytest.raises(ValueError):
         CayleyGraph(dim=70, generators=(1 << 69,))  # ValueError, not OverflowError
     with pytest.raises(ValueError):
@@ -516,17 +532,28 @@ def test_graph_validation():
         CayleyGraph(dim=2, generators=((1, 2),))
 
 
-def test_generators_are_read_only_int64():
-    for g in (build_aghp(4, 2), build_complete_selfloop(2), CayleyGraph(dim=3, generators=(1, 2))):
-        assert g.generators.dtype == np.int64 and g.generators.ndim == 1
+def test_generators_are_read_only_words_in_the_smallest_unsigned_dtype():
+    widths = {1: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16,
+              17: np.uint32, 32: np.uint32, 33: np.uint64, 62: np.uint64}
+    for dim, dtype in widths.items():
+        top = (1 << dim) - 1
+        for gens in ((top, 0), np.array([top, 0], dtype=np.uint64)):
+            g = CayleyGraph(dim=dim, generators=gens)
+            assert g.generators.dtype == dtype and g.generators.tolist() == [top, 0], dim
+    for g in (build_aghp(4, 2), build_aghp(20, 3), build_aghp(40, 3), build_complete_selfloop(2),
+              build_complete_selfloop(9), CayleyGraph(dim=3, generators=(1, 2))):
+        assert g.generators.dtype == np.min_scalar_type(g.num_vertices - 1), g.name
         with pytest.raises(ValueError):
             g.generators[0] = 1
-    words = np.array([1, 2, 4], dtype=np.int64)
+    words = np.array([1, 2, 4], dtype=np.uint8)
     g = CayleyGraph(dim=3, generators=words)
-    assert np.shares_memory(g.generators, words)  # an int64 array is not copied
-    for same in ((1, 2, 4), [1, 2, 4], np.array([1, 2, 4], dtype=np.uint8)):
+    assert np.shares_memory(g.generators, words)  # an array in the word dtype is not copied
+    assert words.flags.writeable and not g.generators.flags.writeable
+    for same in ((1, 2, 4), [1, 2, 4], np.array([1, 2, 4], dtype=np.int64),
+                 np.array([1, 2, 4], dtype=np.int8), np.array([1, 2, 4], dtype=np.uint64)):
         h = CayleyGraph(dim=3, generators=same)
         assert h == g and hash(h) == hash(g)
+        assert h.generators.dtype == np.uint8
     assert g != CayleyGraph(dim=3, generators=(1, 4, 2))
     assert g != CayleyGraph(dim=3, generators=(1, 2, 4), name="other")
     assert g != CayleyGraph(dim=3, generators=(1, 2, 4), multigraph=True)
@@ -538,8 +565,25 @@ def test_json_round_trip():
         assert CayleyGraph.from_json(g.to_json()) == g
 
 
+def test_words_out_of_range_are_refused_before_the_cast():
+    # cast to the word dtype, -1 would wrap to the top word and 2**dim to 0
+    for dim in (3, 8, 16, 32, 62):
+        for bad in (np.array([1, -1], dtype=np.int8), np.array([1, -1], dtype=np.int64),
+                    np.array([1, 1 << dim], dtype=np.uint64), (1, 1 << dim)):
+            with pytest.raises(ValueError, match="out of range"):
+                CayleyGraph(dim=dim, generators=bad)
+
+
+def test_json_round_trip_at_dim_62_keeps_uint64_words():
+    g = CayleyGraph(dim=62, generators=((1 << 62) - 1, 0, 1 << 61, 12345), name="wide")
+    text = g.to_json()
+    h = CayleyGraph.from_json(text)
+    assert h.generators.dtype == np.uint64
+    assert h == g and hash(h) == hash(g) and h.to_json() == text
+
+
 def test_to_json_is_json_dumps_of_the_scalar_hex_strings():
-    # the generator list is written from the int64 array in chunks of
+    # the generator list is written from the word array in chunks of
     # GENERATOR_BATCH words: one, several and an inexact number of chunks,
     # digit counts 1..16, dims that are not a multiple of 4, and a name
     # that quotes the field the list is spliced into

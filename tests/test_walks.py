@@ -209,6 +209,26 @@ def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
         assert check_local_invertibility(sys)
 
 
+def test_vertex_dtype_is_the_inner_word_dtype(flagship, witness, skew16):
+    # r = m*s bits hold every outer vertex of these systems, so the vertex
+    # dtype is the inner graph's word dtype, and expand gathers from the
+    # inner words themselves: a copy of AGHP(16, 8)'s would be 128 KiB
+    wide = ReplacementSystem(build_complete_selfloop(2), build_aghp(16, 8), WalkParams(2, 8, 8))
+    skewed = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    for sys in (flagship, witness, skewed, wide):
+        assert sys._dtype == sys.inner.generators.dtype, sys.inner.name
+    tracemalloc.start()
+    try:
+        wide.expand(0, 0, np.zeros((1, 4), np.uint8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10
+    # an outer graph wider than the inner one sets the vertex dtype
+    narrow = ReplacementSystem(CayleyGraph(9, [0, 1]), build_aghp(2, 1), WalkParams(1, 2, 1))
+    assert narrow._dtype == np.uint16
+
+
 def test_choice_grid_is_in_the_smallest_unsigned_dtype():
     # rows in C order, values in the smallest unsigned dtype that holds
     # them: uint8 up to 256 choices (int64 would be 6 MiB at 64**3 rows)
