@@ -22,7 +22,6 @@ are bit-identical across runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -33,6 +32,7 @@ from .graphs import (
     CayleyGraph,
     InequalityCheck,
     _convolve,
+    _vertex_list,
     fwht,
     holds,
     spectrum,
@@ -75,19 +75,8 @@ class SignedFn:
 
     @classmethod
     def from_support(cls, n: int, support: Sequence[int]) -> "SignedFn":
-        support, seen = list(support), set()
-        for v in support:
-            # a float or bool would reach numpy indexing as a bad index or a mask
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"support vertex {v!r} must be an integer")
-            if not 0 <= v < n:
-                raise ValueError(f"support vertex {v} out of range 0..{n - 1}")
-            # indexing would set a repeated vertex once, silently
-            if v in seen:
-                raise ValueError(f"support vertex {v} is repeated")
-            seen.add(v)
         bits = np.zeros(n, dtype=np.int64)
-        bits[support] = 1
+        bits[_vertex_list(support, n, "support vertex", distinct=True)] = 1
         return cls(bits)
 
     @classmethod

@@ -51,6 +51,7 @@ from .gf2core import parse_hex
 from .graphs import (
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
+    _json_object,
     build_aghp,
     build_complete_selfloop,
     holds,
@@ -179,9 +180,7 @@ def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
     Schema: {"m", "s", "ell", "t"?, "outer": "complete"|path,
     "inner": "aghp"|path, "support"?: f-spec}, and no other key.
     """
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {path} must be a JSON object")
+    cfg = _json_object(Path(path).read_text(), f"config {path}")
     unknown = sorted(cfg.keys() - {"m", "s", "ell", "t", "outer", "inner", "support"})
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")
@@ -413,10 +412,7 @@ def _amplified_for(args) -> tuple[AmplifiedCode, dict]:
 
 def _cmd_code_encode(args) -> int:
     amp, resolved = _amplified_for(args)
-    x = parse_hex(args.message, "message")
-    if not 0 <= x < (1 << amp.base.k):
-        raise ValueError(f"message {args.message} out of range for k={amp.base.k}")
-    bits = encode_message(amp, x, budget=args.budget)
+    bits = encode_message(amp, parse_hex(args.message, "message"), budget=args.budget)
     length, ones = int(bits.size), int(bits.sum())
     packed = np.packbits(bits, bitorder="little")
     del bits  # one byte a bit: dropped before the hex and JSON copies
@@ -548,6 +544,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_PASS
+    digits = sys.get_int_max_str_digits()  # lifted so exact ints print in full
+    sys.set_int_max_str_digits(0)
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be nonnegative, got {args.budget}")
@@ -564,6 +562,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

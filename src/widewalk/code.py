@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf2core
 from .amplify import SignedFn, _levels, bias_bound, lemma_hypotheses, moments, vacuous
-from .graphs import json_field
+from .graphs import _json_object, json_field
 from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid
 
 MAX_EXHAUSTIVE_K = 16
@@ -71,7 +71,7 @@ class LinearCode:
 
     def encode(self, x: int) -> int:
         if not 0 <= x < (1 << self.k):
-            raise ValueError(f"message out of range for {self.k} bits")
+            raise ValueError(f"message {x:#x} out of range for {self.k} bits")
         word = 0
         for i in range(self.k):
             if (x >> i) & 1:
@@ -91,9 +91,7 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, text: str) -> "LinearCode":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a base code must be a JSON object")
+        data = _json_object(text, "a base code")
         k, n0 = json_field(data, "k", int), json_field(data, "n0", int)
         code = cls(k, n0, [gf2core.hex_decode(h, n0) for h in json_field(data, "rows", list)])
         bias = json_field(data, "bias", float, code.measured_bias)
@@ -201,6 +199,7 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     block length plus |A|.  b_1 goes in blocks of about 2**16 walks and the
     lanes in batches of about 2**16 words, so peak memory stays flat.
     """
+    f = amp.f_for_message(x)  # LinearCode.encode refuses x before the budget
     count = amp.block_length
     if count > budget:
         raise BudgetExceeded(count, budget)
@@ -208,7 +207,7 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_inner
     width = min(64, n_a)
     lane_type = np.dtype(f"<u{max(8, width) // 8}")
-    words = np.packbits(amp.f_for_message(x).bits.astype(np.uint8), bitorder="little")
+    words = np.packbits(f.bits.astype(np.uint8), bitorder="little")
     mask = np.repeat(words.view(lane_type), width).reshape(-1, width)
     for k in range(width.bit_length() - 1):
         s = 1 << k

@@ -1,6 +1,6 @@
 """Explicit Cayley graphs over F_2^dim, their exact spectra, and mixing checks,
-plus the typed JSON field reader that every input file goes through and
-holds, the verdict rule of every float bound check in the package.
+plus the rules the package shares: the JSON readers of every input file,
+the vertex rules and holds, the verdict rule of every float bound check.
 
 Vertices are plain integers in [0, 2**dim); vertex v and generator u are
 adjacent endpoints of an edge v ~ v ^ u.  Every generator is its own inverse
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +42,14 @@ _JSON_KINDS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     list: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
+
+
+def _json_object(text: str, what: str) -> dict:
+    """text parsed as JSON, refused unless it is an object."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return data
 
 
 def json_field(data: dict, key: str, kind: type, default=None):
@@ -188,9 +197,7 @@ class CayleyGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "CayleyGraph":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("a graph must be a JSON object")
+        payload = _json_object(text, "a graph")
         dim = json_field(payload, "dim", int)
         _check_dim(dim)
         return cls(
@@ -428,3 +435,20 @@ def vertex_values(f, graph: CayleyGraph, name: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a per-vertex array of {n} values, got shape {arr.shape}")
     return arr
+
+
+def _vertex_list(values, n: int, what: str, distinct: bool = False) -> list[int]:
+    """values as plain ints in 0..n-1, each listed once when distinct.  A bool
+    or a float is refused: numpy would read bools as a mask, or truncate."""
+    vertices, seen = [], set()
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{what} {v!r} must be an integer")
+        v = int(v)
+        if not 0 <= v < n:
+            raise ValueError(f"{what} {v} out of range 0..{n - 1}")
+        if distinct and v in seen:
+            raise ValueError(f"{what} {v} is repeated")
+        seen.add(v)
+        vertices.append(v)
+    return vertices

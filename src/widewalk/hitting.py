@@ -7,7 +7,6 @@ arbitrary-precision ints and the result is a Fraction with denominator
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -15,7 +14,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .amplify import vacuous
-from .graphs import CayleyGraph, _convolve, spectrum
+from .graphs import CayleyGraph, _convolve, _vertex_list, spectrum
 
 Real = Union[float, Fraction]
 
@@ -27,19 +26,21 @@ class HittingInstance:
     t: int
 
     def __post_init__(self) -> None:
-        n = self.graph.num_vertices
-        if not self.subset:
+        g = self.graph
+        vertices = _vertex_list(self.subset, g.num_vertices, "subset vertex", distinct=True)
+        if not vertices:
             raise ValueError("subset must be nonempty")
-        for v in self.subset:  # a float vertex is refused, not truncated
-            if not isinstance(v, numbers.Integral):
-                raise ValueError(f"subset vertex {v!r} is not an integer")
-        if any(not 0 <= v < n for v in self.subset):
-            raise ValueError("subset contains out-of-range vertices")
+        object.__setattr__(self, "subset", frozenset(vertices))  # from any iterable
         if self.t < 1:
             raise ValueError("t must be at least 1")
-        # the survival DP's object-int work, refused before any table is built
-        if n * self.t > (1 << 28):
-            raise ValueError(f"instance too large: {n} vertices x t={self.t}")
+        # the bits the exact DP holds, refused before any table is built: n
+        # object ints below d**(t-1), each at least its 64-bit pointer, and t
+        # rows, whose fractions take about 2j(dim + log2 d) bits in row j
+        n, t, word = g.num_vertices, self.t, (g.degree - 1).bit_length()
+        held = n * ((t - 1) * word + 64) + t * t * (g.dim + word)
+        if held > (1 << 30):
+            raise ValueError(f"instance too large: {n} vertices, degree {g.degree} and t={t} "
+                             f"hold about {held >> 23} MiB of exact integers, past 128 MiB")
 
     @property
     def rho(self) -> Fraction:
@@ -121,12 +122,7 @@ def check_hitting(graph: CayleyGraph, subset: Iterable[int], tmax: int) -> Hitti
     """
     if tmax < 1:
         raise ValueError(f"tmax must be at least 1, got {tmax}")
-    vertices = list(subset)
-    inst = HittingInstance(graph, frozenset(vertices), tmax)
-    # the frozenset drops a repeated vertex silently
-    listed, distinct = len(vertices), len(inst.subset)
-    if listed != distinct:
-        raise ValueError(f"subset repeats a vertex: {listed} listed, {distinct} distinct")
+    inst = HittingInstance(graph, subset, tmax)
     lam = spectrum(graph).lambda_exact
     rows = []
     for t, exact in enumerate(_survival(inst), 1):

@@ -44,14 +44,13 @@ the n_A translates leaves the total variation distance as it is.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import CayleyGraph
+from .graphs import CayleyGraph, _vertex_list
 
 DEFAULT_BUDGET = 1 << 28
 # rows per gather in expand: take copies its index block into intp, 8 bytes
@@ -226,20 +225,12 @@ class ReplacementSystem:
     def walk_from_seed(self, a0: int, b1: int, u_indices: Sequence[int]) -> SWalk:
         """Expand one seed (a_0, b_1, (u_2, ..., u_t)) into its walk.
 
-        Refuses a seed with a_0, b_1 or some u not an integer or out of
-        range, rather than truncating a float or letting a negative index
-        wrap.
+        Refuses a seed whose a_0, b_1 or some u is not an integer in range
+        (a float, a bool or a negative index), rather than reading it as one.
         """
-        us = tuple(u_indices)
-        if not all(isinstance(v, numbers.Integral) for v in (a0, b1, *us)):
-            raise ValueError(f"seed ({a0}, {b1}, {us}) must be integers")
-        us = tuple(map(int, us))
-        if not (0 <= a0 < self.num_outer and 0 <= b1 < self.num_inner
-                and all(0 <= u < self.params.d_inner for u in us)):
-            raise ValueError(
-                f"seed ({a0}, {b1}, {us}) out of range: a_0 < {self.num_outer}, "
-                f"b_1 < {self.num_inner} and every u < {self.params.d_inner}"
-            )
+        (a0,) = _vertex_list((a0,), self.num_outer, "a_0")
+        (b1,) = _vertex_list((b1,), self.num_inner, "b_1")
+        us = tuple(_vertex_list(u_indices, self.params.d_inner, "generator index"))
         A, B = self.expand(a0, b1, np.array(us, dtype=np.int64)[None])
         return SWalk(tuple(A[0].tolist()), tuple(B[0].tolist()), (a0, b1, us))
 

@@ -3,6 +3,7 @@ byte-level determinism.  All invocations go through main(argv)."""
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ def test_repeated_vertices_are_invalid_input(tmp_path, capsys):
     gpath = tmp_path / "g8.json"
     gpath.write_text(build_complete_selfloop(3).to_json())
     assert_one_line_invalid(["verify", "hitting", "--graph", str(gpath), "--set", "1,1,2"], capsys,
-                            "error: subset repeats a vertex: 3 listed, 2 distinct")
+                            "error: subset vertex 1 is repeated")
     assert main(["verify", "hitting", "--graph", str(gpath), "--set", "1,2"]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["report"]["rho"] == "1/4"
 
@@ -947,3 +948,51 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, cfg, graph,
     no_verdict = not report.get("hypotheses_met", True) or (judged and not asserted)
     assert (code == EXIT_HYPOTHESES) == no_verdict
     assert (code == EXIT_VIOLATION) == (not no_verdict and not all(asserted))
+
+
+@pytest.mark.parametrize("text", ["3", '"cfg"', "null"])  # a list: test_invalid_inputs
+@pytest.mark.parametrize("role", ["config", "graph", "base code"])
+def test_a_json_input_that_is_not_an_object_is_invalid(role, text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    base = tmp_path / "base1.json"
+    base.write_text(LinearCode(1, 2, [0b01]).to_json())
+    encode = ["code", "encode", "--message", "1"]
+    argv, message = {
+        "config": (encode + ["--config", str(bad), "--base", str(base)],
+                   f"config {bad} must be a JSON object"),
+        "graph": (["graph", "spectrum", str(bad)], "a graph must be a JSON object"),
+        "base code": (encode + ["--config", tiny_config(tmp_path, t=2), "--base", str(bad)],
+                      "a base code must be a JSON object"),
+    }[role]
+    assert_one_line_invalid(argv, capsys, f"error: {message}\n")
+
+
+def test_exact_integers_of_any_length_are_written(tmp_path, capsys):
+    # block_length 4 * 1024**1500 has 4,516 digits, past the 4,300 to which
+    # the interpreter limits int-to-str by default; main lifts the limit and
+    # puts the caller's back, on the error path too
+    base = tmp_path / "base.json"
+    base.write_text(LinearCode(2, 4, [0x3, 0x5]).to_json())
+    argv = ["--config", flagship_config(tmp_path), "--base", str(base), "--t", "1500"]
+    limit = sys.get_int_max_str_digits()
+    capsys.readouterr()
+    outs = []
+    for fmt in ("json", "csv"):
+        assert main(["code", "report", *argv, "--format", fmt]) == EXIT_PASS
+        assert sys.get_int_max_str_digits() == limit
+        outs.append(capsys.readouterr().out)
+    assert main(["code", "encode", *argv, "--message", "1"]) == EXIT_BUDGET
+    assert sys.get_int_max_str_digits() == limit
+    err = capsys.readouterr().err
+    assert err.startswith("error: enumeration needs ") and err.count("\n") == 1
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(outs[0])
+        rows = dict(line.split(",", 1) for line in outs[1].splitlines()[2:])
+        assert doc["report"]["block_length"] == 4 * 1024**1500
+        assert rows["block_length"] == str(4 * 1024**1500)
+        assert rows["rate"] == doc["report"]["rate"] == f"1/{2 * 1024**1500}"
+        assert err == f"error: enumeration needs {4 * 1024**1500} items, budget is {1 << 28}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

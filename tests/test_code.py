@@ -334,6 +334,10 @@ def test_encode_budget():
     with pytest.raises(BudgetExceeded):
         encode(amp, 1, budget=10)
     assert encode(amp, 1, budget=amp.block_length).shape == (amp.block_length,)
+    # a message out of range is refused by LinearCode.encode before the budget
+    for x in (-1, 1 << amp.base.k):
+        with pytest.raises(ValueError, match=f"message {x:#x} out of range for "):
+            encode(amp, x, budget=0)
 
 
 def test_code_bias_matches_materialized():

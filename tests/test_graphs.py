@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from widewalk.amplify import SignedFn
 from widewalk.gf2core import field_mul, hex_encode
 from widewalk.graphs import (
     GENERATOR_BATCH,
@@ -32,6 +33,8 @@ from widewalk.graphs import (
     mixing_check,
     spectrum,
 )
+from widewalk.hitting import HittingInstance, check_hitting
+from widewalk.walks import ReplacementSystem, WalkParams
 
 import walk_oracle as oracle
 
@@ -558,6 +561,9 @@ def test_generators_are_read_only_words_in_the_smallest_unsigned_dtype():
     assert g != CayleyGraph(dim=3, generators=(1, 2, 4), name="other")
     assert g != CayleyGraph(dim=3, generators=(1, 2, 4), multigraph=True)
     assert g != CayleyGraph(dim=4, generators=(1, 2, 4))
+    # a non-graph is left to the other operand, so == falls back to identity
+    assert g.__eq__((1, 2, 4)) is NotImplemented
+    assert g != (1, 2, 4) and g != "g" and g != None  # noqa: E711
 
 
 def test_json_round_trip():
@@ -785,3 +791,53 @@ def test_spectrum_scan_limit_enforced():
     g = CayleyGraph(dim=SPECTRUM_SCAN_LIMIT + 1, generators=(1, 2))
     with pytest.raises(ValueError):
         spectrum(g)
+
+
+# Every caller of the one vertex rule, graphs._vertex_list: what its
+# messages call a vertex, how many vertices there are, whether a set is
+# meant, and a call that puts a list of vertices where the caller reads one.
+_K16 = build_complete_selfloop(4, selfloop=False)
+_SYS = ReplacementSystem(build_complete_selfloop(2), build_aghp(4, 1), WalkParams(2, 2, 1))
+_VERTEX_CALLERS = {
+    "from_support": ("support vertex", 16, True, lambda vs: SignedFn.from_support(16, vs)),
+    "HittingInstance": ("subset vertex", 16, True, lambda vs: HittingInstance(_K16, vs, 3)),
+    "check_hitting": ("subset vertex", 16, True, lambda vs: check_hitting(_K16, vs, 3)),
+    "walk_from_seed a_0": ("a_0", 4, False, lambda vs: _SYS.walk_from_seed(vs[0], 0, ())),
+    "walk_from_seed b_1": ("b_1", 16, False, lambda vs: _SYS.walk_from_seed(0, vs[0], ())),
+    "walk_from_seed u": ("generator index", 4, False, lambda vs: _SYS.walk_from_seed(0, 0, vs)),
+}
+# a bad vertex (None stands for n, the vertex count) and how its message ends
+_BAD_VERTICES = {
+    "bool": (True, "True must be an integer"),
+    "numpy bool": (np.True_, f"{np.True_!r} must be an integer"),
+    "float": (1.0, "1.0 must be an integer"),
+    "numpy float": (np.float64(2), f"{np.float64(2)!r} must be an integer"),
+    "negative": (-1, "-1 out of range 0..{top}"),
+    "n": (None, "{n} out of range 0..{top}"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_VERTICES)
+@pytest.mark.parametrize("caller", _VERTEX_CALLERS)
+def test_one_vertex_rule_refuses_each_bad_vertex(caller, bad):
+    # the bools used to pass as vertex 1: check_hitting(k16, [True], 3) raised
+    # numpy's IndexError, and walk_from_seed ran the seed (1, 0, (1,))
+    what, n, _, call = _VERTEX_CALLERS[caller]
+    v, tail = _BAD_VERTICES[bad]
+    with pytest.raises(ValueError) as info:
+        call([n if v is None else v])
+    assert str(info.value) == f"{what} " + tail.format(n=n, top=n - 1)
+
+
+@pytest.mark.parametrize("caller", [c for c, spec in _VERTEX_CALLERS.items() if spec[2]])
+def test_one_vertex_rule_refuses_a_repeat_where_a_set_is_meant(caller):
+    what, _, _, call = _VERTEX_CALLERS[caller]
+    with pytest.raises(ValueError) as info:
+        call([1, 3, 1])
+    assert str(info.value) == f"{what} 1 is repeated"
+    call([np.int64(1), np.uint8(3)])  # numpy integers are integers
+
+
+def test_a_walk_may_repeat_a_generator_index():
+    _, _, _, call = _VERTEX_CALLERS["walk_from_seed u"]
+    assert call([1, 3, 1]).seed == (0, 0, (1, 3, 1))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from widewalk import build_complete_selfloop
+from widewalk import build_aghp, build_complete_selfloop
 from widewalk.graphs import CayleyGraph
 from widewalk.hitting import (
     HittingInstance,
@@ -54,9 +54,9 @@ def test_instance_validation(k16):
 def test_float_vertices_are_refused_not_truncated(k16):
     # [0.5, 1.7] used to run on the subset {0, 1}
     for subset in ([0.5, 1.7], [0, 1.0 + 2**-52], [2, np.float64(3)]):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="must be an integer"):
             check_hitting(k16, subset, 3)
-    with pytest.raises(ValueError, match="is not an integer"):
+    with pytest.raises(ValueError, match="must be an integer"):
         HittingInstance(k16, frozenset({1.5}), 3)
     exact = [r.exact for r in check_hitting(k16, [0, 1], 3).rows]
     assert [r.exact for r in check_hitting(k16, np.array([0, 1]), 3).rows] == exact
@@ -169,23 +169,36 @@ def test_csv_output(k16, tmp_path, capsys):
     assert lines[2].startswith("1,0.25,0.25,True")
 
 
-def test_budget_guard(table_builds, tmp_path, capsys):
-    # n * t past 2^28 is refused by the instance, so neither check_hitting
-    # nor hitting_prob_exact builds a character table first
+def test_budget_guard(k16, table_builds, tmp_path, capsys):
+    # an exact DP that would hold more than 128 MiB of integers is refused by
+    # the instance, so neither check_hitting nor hitting_prob_exact builds a
+    # character table first
     g = CayleyGraph(dim=20, generators=(1, 2))
     with pytest.raises(ValueError, match="instance too large"):
         HittingInstance(g, frozenset({0, 1}), 1 << 10)
     cube = CayleyGraph(dim=22, generators=[1 << i for i in range(22)], name="cube22")
-    with pytest.raises(ValueError, match="instance too large: 4194304 vertices x t=65"):
+    with pytest.raises(ValueError, match="instance too large: 4194304 vertices, degree 22 and t=65"):
         check_hitting(cube, [0], 65)
     assert table_builds == []
     from widewalk.cli import main
 
-    gpath = tmp_path / "cube22.json"
-    gpath.write_text(cube.to_json())
-    capsys.readouterr()
-    assert main(["verify", "hitting", "--graph", str(gpath), "--set", "0", "--tmax", "65"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: instance too large: 4194304 vertices x t=65\n"
+    # k16 at tmax 100,000 passed the old cap, |A| * t <= 2**28, yet its t rows
+    # of exact fractions grow as t**2
+    for graph, argv, err in (
+        (cube, ["--set", "0", "--tmax", "65"],
+         "4194304 vertices, degree 22 and t=65 hold about 192 MiB"),
+        (k16, ["--set", "first-4", "--tmax", "100000"],
+         "16 vertices, degree 15 and t=100000 hold about 9537 MiB"),
+    ):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(graph.to_json())
+        capsys.readouterr()
+        assert main(["verify", "hitting", "--graph", str(gpath), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: instance too large: {err} of exact integers, "
+                                "past 128 MiB\n")
     assert table_builds == []
+    # the instances the tests and the benchmark run stay accepted
+    for g, subset, t in ((build_aghp(10, 5), range(512), 12), (k16, range(4), 8000)):
+        assert HittingInstance(g, subset, t).subset == frozenset(subset)

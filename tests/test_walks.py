@@ -341,7 +341,7 @@ def test_walk_from_seed_refuses_non_integer_seeds():
     # (1.5, 2.9, (3.2,)) used to expand the seed (1, 2, (3,)) and echo the floats
     sys = sys_22()
     for seed in ((1.5, 2.9, (3.2,)), (1, 2, (3.0,)), (1.0, 2, (3,)), (1, "2", (3,))):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             sys.walk_from_seed(*seed)
     w = sys.walk_from_seed(np.int64(1), np.uint8(2), np.array([3]))
     assert w == sys.walk_from_seed(1, 2, (3,)) and w.seed == (1, 2, (3,))
