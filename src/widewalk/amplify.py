@@ -137,14 +137,13 @@ def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
 
 
 def _wide_levels(
-    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str
+    sys: ReplacementSystem, f: SignedFn, levels: int
 ) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """Levels 0..levels of the wide-walk recursion from g_0(a, b) = f(a),
-    yielded as (k, x, (w0, w1)) in the mixed domain described below.  A forward
-    level ("g") averages the shifted table over the inner generators, the
-    step shift(b ^ u); a backward level ("gbar") averages first and undoes
-    the shift after, the step shift_inverse(b) ^ u.  Both then take the row
-    the rotation map reaches and multiply by the sign.
+    yielded as (k, x, (w0, w1)) in the mixed domain described below.  A
+    level averages the shifted table over the inner generators, the step
+    shift(b ^ u), takes the row the rotation map reaches and multiplies by
+    the sign.
 
     The Hadamard matrix on F_2^(m*s) is the Kronecker power of the one on a
     block, so the loop keeps each level in a mixed domain: x has the axes
@@ -157,31 +156,28 @@ def _wide_levels(
     transforms the new block 1 back and gathers rows by (a, block 1).
 
     Active blocks.  A k-step walk from (a_0, b_1) reads blocks 1..k of b_1,
-    so g_k is constant along blocks k+1..s; gbar_k, read backwards, along
-    blocks 2..s-k+1.  Along such a block the transform is zero but at
-    frequency 0, and x keeps only that frequency, as an axis of length 1:
-    level k < s holds d^(k-1) of the d^(s-1) columns of blocks 2..s (level
-    0 one), "g" blocks 2..k and "gbar" blocks s-k+2..s, and level s and on
-    all of them.  Level 0 is constant along block 1 as well, so step 1 keeps
-    its frequency 0 alone.  The roll moves the old block 1 into the active
-    set, and while k <= s it brings an inactive block to block 1.  The
-    inverse transform of a vector that is zero but at frequency 0 is that
-    value at every point, so that step drops the second transform, and its
-    gather takes whole rows by a ^ hop(block 1) and broadcasts the new block
-    1.  From step s+1 on, the same step finds block 1 read and transforms
-    it back.  Butterfly stages: step k takes m over level k-1's cells, and
-    m more over all n_A * n_B once k > s, where two full transforms took
-    2*m*s; _wide_tables takes m*(k-1) over level k's cells, m*(s-1) from
-    level s on.
+    so g_k is constant along blocks k+1..s.  Along such a block the
+    transform is zero but at frequency 0, and x keeps only that frequency,
+    as an axis of length 1: level k < s holds d^(k-1) of the d^(s-1)
+    columns of blocks 2..s (level 0 one), those of blocks 2..k, and level s
+    and on all of them.  Level 0 is constant along block 1 as well, so step
+    1 keeps its frequency 0 alone.  The roll moves the old block 1 into the
+    active set, and while k <= s it brings an inactive block to block 1.
+    The inverse transform of a vector that is zero but at frequency 0 is
+    that value at every point, so that step drops the second transform,
+    and its gather takes whole rows by a ^ hop(block 1) and broadcasts the
+    new block 1.  From step s+1 on, the same step finds block 1 read and
+    transforms it back.  Butterfly stages: step k takes m over level k-1's
+    cells, and m more over all n_A * n_B once k > s, where two full
+    transforms took 2*m*s; _wide_tables takes m*(k-1) over level k's cells,
+    m*(s-1) from level s on.
 
     Working set: one (3, n_A * n_B) float64 block, allocated once per call,
-    holds x, w0 and w1 in the leading cells of its rows, and every step
-    stays inside it.  The first transform reads x and ends in w0; the roll
-    is a view of w0 ("g") or one copy into w1 ("gbar"); the second
-    transform reads the rolled table and ends in the free one of w0 and w1,
-    with x as its scratch; and np.take gathers the rows back into x.  All
-    three are reused by the next step: a caller reads x, and may use
-    (w0, w1), which have x's size, as scratch, before it resumes the loop.
+    holds x, w0 and w1 in the leading cells of its rows.  The first
+    transform ends in w0, the roll is a view of it, the second transform
+    ends in w1 with x as scratch, and np.take gathers the rows back into x.
+    A caller reads x, and may use (w0, w1), which have x's size, as
+    scratch, before it resumes the loop.
     """
     _require_f(sys, f)
     if levels < 0:
@@ -189,8 +185,7 @@ def _wide_levels(
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
     chars = sys.inner.character_table.reshape((d,) * s).T / (d * sys.params.d_inner)
-    if kind == "g":  # the product precedes the roll, so index it as the unshifted table
-        chars = np.moveaxis(chars, 0, -1)
+    chars = np.moveaxis(chars, 0, -1)  # the product precedes the roll: blocks 2..s, then 1
     hops = np.arange(n_a)[:, None] ^ sys.hop(np.arange(d))
     rows = {1: hops.ravel(), d: (hops * d + np.arange(d)).ravel()}  # by new block 1's length
     sign = f.signs.reshape((n_a,) + (1,) * s)
@@ -206,15 +201,10 @@ def _wide_levels(
             if k == 1:  # level 0 is constant along block 1 too: frequency 0 alone
                 y = y[:, :1]
             y *= chars[tuple(slice(n) for n in y.shape[1:])]
-            if kind == "g":  # block s moves to the front: a view of w0
-                rolled, free = np.moveaxis(y, -1, 1), block[2]
-            else:  # block 1 moves to the back: one copy into w1
-                moved = np.moveaxis(y, 1, -1)
-                rolled, free = block[2, : y.size].reshape(moved.shape), block[1]
-                np.copyto(rolled, moved)
+            rolled = np.moveaxis(y, -1, 1)  # block s moves to the front: a view of w0
             e, cols = rolled.shape[1], rolled.shape[2:]
             if e > 1:  # the walk has read the new block 1: transform it back
-                rolled = fwht(rolled, axis=1, work=(free, x))
+                rolled = fwht(rolled, axis=1, work=(block[2], x))
             x = block[0, : n_a * d * math.prod(cols)].reshape((n_a, d) + cols)
             # the rows are in range, and mode="wrap" lets take write into x unbuffered
             np.take(rolled.reshape(n_a * e, -1), rows[e], axis=0, out=x.reshape(n_a * d, -1), mode="wrap")
@@ -222,7 +212,7 @@ def _wide_levels(
 
 
 def _wide_tables(
-    sys: ReplacementSystem, f: SignedFn, levels: int, kind: str, first: int = 0
+    sys: ReplacementSystem, f: SignedFn, levels: int, first: int = 0
 ) -> Iterator[DpTable]:
     """Tables first..levels of _wide_levels as the loop reaches them, each
     taken back to the primal domain by one transform over its active blocks
@@ -235,20 +225,20 @@ def _wide_tables(
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     blocks = (n_a,) + (d,) * s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
-    for k, x, work in _wide_levels(sys, f, levels, kind):
+    for k, x, work in _wide_levels(sys, f, levels):
         if k >= first:
             values = np.empty((n_a, sys.num_inner))
             # x runs block 1..s along its axes, b's C order block s..1
             out = values.reshape(blocks).transpose(0, *range(s, 0, -1))
             primal = fwht(x.reshape(n_a * d, -1), work=work).reshape(x.shape)
             np.multiply(primal, scale, out=out)
-            yield DpTable(values, k, kind)
+            yield DpTable(values, k, "g")
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
     """Wide-walk tables g_0..g_kmax; g_k(a,b) is the conditional mean of
     the walk's sign product given start (a_0, b_1) = (a, b)."""
-    return list(_wide_tables(sys, f, kmax, "g"))
+    return list(_wide_tables(sys, f, kmax))
 
 
 def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTable]:
@@ -256,13 +246,14 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
 
     Level-j entry (a, b) is the mean of the sign product over a j-step
     wide walk conditioned on ending at (a_j, b_j) = (a, b).  Backward steps
-    undo the shift before taking the neighbor step; the outer step reuses
-    block 1 of the current inner vertex.  Only length <= s is meaningful
-    (and accepted): beyond that the conditioning argument breaks.
+    are forward steps of the block-reversed system (walks.py): level j is
+    its g_j with the columns gathered by sigma.  Only length <= s is
+    meaningful (and accepted): beyond that the conditioning argument breaks.
     """
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    return list(_wide_tables(sys, f, length, "gbar"))
+    rev, sigma = sys._reversed()
+    return [DpTable(g.values.take(sigma, 1), g.level, "gbar") for g in _wide_tables(rev, f, length)]
 
 
 def _pure_levels(
@@ -419,7 +410,7 @@ def _levels(
     DP, else the levels as the DP loop yields them, each dropped once read."""
     if tables is not None and len(tables) > k:
         return iter(tables[first : k + 1])
-    return _wide_tables(sys, f, k, "g", first)
+    return _wide_tables(sys, f, k, first)
 
 
 def check_base_case(
@@ -551,12 +542,14 @@ def check_middle_start_identity(
         via = sum over (a, xi) of G^ * chi * R^[:, shift] / (n_A * n_B^2 * d_B),
 
     where G^ is the block-1 transform of the mixed-domain gbar_s that the
-    level loop leaves (its blocks 2..s are transformed already): no primal
-    gbar_s and no primal average.  All of it runs in the level loop's one
-    block; without tables that reach level k, two forward runs take only
-    g_k and g_{k-s} to the primal domain.  The sum is elementwise products
-    and ndarray.sum, not np.dot or np.vdot: those would change the
-    summation order, and so the pinned bytes, and start BLAS's thread pool.
+    loop leaves on the block-reversed system (see dp_backwards): no primal
+    gbar_s and no primal average.  G^ and R^[:, shift] are read through
+    C-order views that run blocks 1..s, the order of the sum.  All of it
+    runs in the level loop's one block; without tables that reach level k,
+    two forward runs take only g_k and g_{k-s} to the primal domain.  The
+    sum is elementwise products and ndarray.sum, not np.dot or np.vdot:
+    those would change the summation order, and so the pinned bytes, and
+    start BLAS's thread pool.
     """
     s = sys.params.s
     if k <= s:
@@ -565,17 +558,14 @@ def check_middle_start_identity(
     direct = float(table.values.mean())
     (table,) = _levels(sys, f, k - s, tables, k - s)
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
-    for _, x, (w0, w1) in _wide_levels(sys, f, s, "gbar"):
-        pass  # the loop ends with x = gbar_s before its sign, in the mixed domain
-    ghat = fwht(x.reshape(n_a, d, n_b // d), axis=1, work=(w0, w1)).reshape(n_a, n_b)
-    rhat = fwht(np.asarray(table.values, dtype=np.float64), work=(w1, x))
-    # R^[:, shift] in the block-1-first order of the loop, gathered into x
-    order = np.arange(n_b).reshape((d,) * s).T.ravel()
-    out = x.reshape(n_a, n_b)
-    np.take(rhat, sys.shift(order), axis=1, out=out, mode="wrap")
-    ghat *= sys.inner.character_table.reshape((d,) * s).T.ravel()
-    ghat *= out
-    via = float(ghat.sum()) / (n_a * n_b * n_b * sys.params.d_inner)
+    for _, x, (w0, w1) in _wide_levels(sys._reversed()[0], f, s):
+        pass  # the loop ends with x = gbar_s before its sign, blocks 2..s reversed
+    view = (0, 1, *range(s, 1, -1))  # blocks 1..s
+    ghat = fwht(x, axis=1, work=(w0, w1)).transpose(view)
+    prod = np.multiply(ghat, sys.inner.character_table.reshape((d,) * s).T, out=w1.reshape(x.shape))
+    rhat = fwht(np.asarray(table.values, dtype=np.float64), work=(x, w0))
+    prod *= rhat.reshape(x.shape).transpose(view)
+    via = float(w1.sum()) / (n_a * n_b * n_b * sys.params.d_inner)
     residual = abs(direct - via)
     return IdentityCheck(residual <= TOL_IDENTITY, residual, direct, via)
 

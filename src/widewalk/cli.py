@@ -212,6 +212,11 @@ def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
     return system, resolved
 
 
+def _hex_list(spec: str, what: str) -> list[int]:
+    """The vertices of a comma-separated hex list, refusing an empty entry."""
+    return [parse_hex(tok.strip(), what) for tok in spec.split(",")]
+
+
 def _resolve_f(spec: str, n: int) -> SignedFn:
     """f from a spec string: "balanced", "empty" (bias 1), or a
     comma-separated hex list of support vertices."""
@@ -219,8 +224,7 @@ def _resolve_f(spec: str, n: int) -> SignedFn:
         return SignedFn.balanced(n)
     if spec == "empty":
         return SignedFn.zero(n)
-    support = [parse_hex(tok.strip(), "support vertex") for tok in spec.split(",") if tok.strip()]
-    return SignedFn.from_support(n, support)
+    return SignedFn.from_support(n, _hex_list(spec, "support vertex"))
 
 
 def _parse_set(spec: str, n: int) -> list[int]:
@@ -230,7 +234,7 @@ def _parse_set(spec: str, n: int) -> list[int]:
         if not 1 <= count <= n:
             raise ValueError(f"first-{count} out of range for {n} vertices")
         return list(range(count))
-    return [parse_hex(tok.strip(), "set vertex") for tok in spec.split(",") if tok.strip()]
+    return _hex_list(spec, "set vertex")
 
 
 def _emit_graph(args, g: CayleyGraph, **extra) -> int:

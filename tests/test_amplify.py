@@ -90,15 +90,6 @@ def test_signed_fn_refuses_non_integer_bits():
         assert f.bits.tolist() == [0, 1, 0, 1] and f.signs.tolist() == [1.0, -1.0, 1.0, -1.0]
 
 
-def test_from_support_refuses_a_non_integer_vertex():
-    # a float would reach numpy indexing as a bad index and a bool as a mask
-    for support in ([1.0], [0.5], [True]):
-        with pytest.raises(ValueError, match="must be an integer"):
-            SignedFn.from_support(8, support)
-    f = SignedFn.from_support(8, [np.int64(1), np.uint8(3)])
-    assert f.bits.tolist() == [0, 1, 0, 1, 0, 0, 0, 0]
-
-
 def test_signed_fn_balanced():
     b4 = SignedFn.balanced(4)
     assert list(b4.bits) == [1, 1, 0, 0]
@@ -265,16 +256,19 @@ def test_wide_tables_equal_the_allocating_loop_byte_for_byte(flagship, witness):
     cases += [(flagship, SignedFn.from_support(4, sup), 20) for sup in ({0}, {0, 3}, {1, 2, 3})]
     cases += [(witness, SignedFn.from_support(8, sup), 6) for sup in ({0, 1, 2}, {2, 6, 7})]
     for sys, f, levels in cases:
-        for kind in ("g", "gbar"):
-            # all levels, the middle-start's k-s.., the first step's k-1.. and k alone
-            for first in (0, levels - sys.params.s, levels - 1, levels):
-                got = list(_wide_tables(sys, f, levels, kind, first))
-                want = allocating_levels(sys, f, levels, kind, first)
-                assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
-                assert [t.level for t in got] == list(range(first, levels + 1))
-                for a, b in zip(got, want):
-                    assert a.values.shape == b.values.shape and a.values.flags.c_contiguous
-                    assert a.values.tobytes() == b.values.tobytes(), (sys.params, kind, a.level)
+        s = sys.params.s
+        # all levels, the middle-start's k-s.., the first step's k-1.. and k alone
+        runs = [(list(_wide_tables(sys, f, levels, first)),
+                 allocating_levels(sys, f, levels, "g", first))
+                for first in (0, levels - s, levels - 1, levels)]
+        # the backward tables, the forward loop on the block-reversed system,
+        # at every length dp_backwards accepts
+        runs += [(dp_backwards(sys, f, n), allocating_levels(sys, f, n, "gbar")) for n in range(s + 1)]
+        for got, want in runs:
+            assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
+            for a, b in zip(got, want):
+                assert a.values.shape == b.values.shape and a.values.flags.c_contiguous
+                assert a.values.tobytes() == b.values.tobytes(), (sys.params, a.kind, a.level)
 
 
 def traced_peak(call) -> int:
@@ -450,21 +444,23 @@ def test_identity_without_tables_converts_two_levels(witness, monkeypatch):
 
 
 def test_dp_backwards_matches_enumeration(g8_system, g8_f):
-    sys, f = g8_system, g8_f
+    # exact: every sum over walks and every division by d is a dyadic rational
+    sys = g8_system
     d = sys.params.d_inner
-    for length in (1, 2):
-        sums = defaultdict(float)
-        for _, a_vertices, b_vertices in oracle.walks(sys, length):
-            prod = 1.0
-            for a in a_vertices:
-                prod *= f.signs[a]
-            sums[(a_vertices[-1], b_vertices[-1])] += prod
-        # every end state is reached by exactly d**(length-1) seeds
-        brute = np.zeros((sys.num_outer, sys.num_inner))
-        for (a, b), ssum in sums.items():
-            brute[a, b] = ssum / d ** (length - 1)
-        got = dp_backwards(sys, f, length)[length].values
-        assert np.max(np.abs(got - brute)) <= 1e-12, length
+    for f in (g8_f, SignedFn.balanced(8), SignedFn.from_support(8, {1, 4, 6})):
+        for length in (1, 2):
+            sums = defaultdict(float)
+            for _, a_vertices, b_vertices in oracle.walks(sys, length):
+                prod = 1.0
+                for a in a_vertices:
+                    prod *= f.signs[a]
+                sums[(a_vertices[-1], b_vertices[-1])] += prod
+            # every end state is reached by exactly d**(length-1) seeds
+            brute = np.zeros((sys.num_outer, sys.num_inner))
+            for (a, b), ssum in sums.items():
+                brute[a, b] = ssum / d ** (length - 1)
+            got = dp_backwards(sys, f, length)[length].values
+            assert np.array_equal(got, brute), (f.bits, length)
 
 
 def test_dp_backwards_validation(g8_system, g8_f):
@@ -472,14 +468,18 @@ def test_dp_backwards_validation(g8_system, g8_f):
         dp_backwards(g8_system, g8_f, 3)  # length > s
 
 
-def test_backward_forward_means_agree(g8_system, g8_f, flagship, flagship_f):
-    # level-j averages agree between the two orientations
-    for sys, f in ((g8_system, g8_f), (flagship, flagship_f)):
+def test_backward_forward_means_agree(g8_system, g8_f, flagship, flagship_f, witness):
+    # level-j averages agree between the two orientations, float for float
+    cases = [(g8_system, f) for f in (g8_f, SignedFn.balanced(8), SignedFn.from_support(8, {1, 4, 6}))]
+    cases += [(flagship, f) for f in (flagship_f, SignedFn.from_support(4, {0}),
+                                      SignedFn.from_support(4, {0, 3}))]
+    cases += [(witness, SignedFn.from_support(8, sup)) for sup in ({0, 1, 2}, {2, 6, 7}, {1, 4, 6})]
+    for sys, f in cases:
         s = sys.params.s
         fwd = dp_gk(sys, f, s)
         bwd = dp_backwards(sys, f, s)
         for j in range(s + 1):
-            assert abs(float(fwd[j].values.mean()) - float(bwd[j].values.mean())) <= 1e-12
+            assert float(fwd[j].values.mean()) == float(bwd[j].values.mean()), (sys.params, f.bits, j)
 
 
 def pure_tables(g, f, kmax, H=None):

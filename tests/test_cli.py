@@ -226,6 +226,24 @@ def test_out_of_range_support_is_invalid_input(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_an_empty_hex_list_entry_is_invalid_input(tmp_path, capsys):
+    # --support "" used to run the all-zero f (bias 1) under a header echoing
+    # "support": "" and exit 4: empty entries were dropped, wherever they stood
+    cfg = flagship_config(tmp_path)
+    for spec in ("", ",", "1,,2", "1,2,"):
+        assert_one_line_invalid(["verify", "base-case", "--config", cfg, "--support", spec], capsys,
+                                "error: support vertex '' is not a string of ASCII hex digits")
+    assert_one_line_invalid(["verify", "induction", "--config", flagship_config(tmp_path, support="")],
+                            capsys, "error: support vertex ''")
+    gpath = tmp_path / "g8.json"
+    gpath.write_text(build_complete_selfloop(3).to_json())
+    for spec in ("", ","):
+        assert_one_line_invalid(["verify", "hitting", "--graph", str(gpath), "--set", spec], capsys,
+                                "error: set vertex ''")
+    # whitespace around an entry is still read past
+    assert main(["verify", "hitting", "--graph", str(gpath), "--set", " 1 , 2 "]) == EXIT_PASS
+
+
 def test_repeated_vertices_are_invalid_input(tmp_path, capsys):
     # support 0,0 would run the f of support 0 under a header echoing "0,0",
     # and --set 1,1,2 would report rho = 2/8

@@ -795,23 +795,28 @@ def test_spectrum_scan_limit_enforced():
 
 # Every caller of the one vertex rule, graphs._vertex_list: what its
 # messages call a vertex, how many vertices there are, whether a set is
-# meant, and a call that puts a list of vertices where the caller reads one.
+# meant, and a call that puts a list of vertices where the caller reads one
+# and returns what it read.
 _K16 = build_complete_selfloop(4, selfloop=False)
 _SYS = ReplacementSystem(build_complete_selfloop(2), build_aghp(4, 1), WalkParams(2, 2, 1))
 _VERTEX_CALLERS = {
-    "from_support": ("support vertex", 16, True, lambda vs: SignedFn.from_support(16, vs)),
-    "HittingInstance": ("subset vertex", 16, True, lambda vs: HittingInstance(_K16, vs, 3)),
-    "check_hitting": ("subset vertex", 16, True, lambda vs: check_hitting(_K16, vs, 3)),
-    "walk_from_seed a_0": ("a_0", 4, False, lambda vs: _SYS.walk_from_seed(vs[0], 0, ())),
-    "walk_from_seed b_1": ("b_1", 16, False, lambda vs: _SYS.walk_from_seed(0, vs[0], ())),
-    "walk_from_seed u": ("generator index", 4, False, lambda vs: _SYS.walk_from_seed(0, 0, vs)),
+    "from_support": ("support vertex", 16, True, lambda vs: SignedFn.from_support(16, vs).bits.tolist()),
+    "HittingInstance": ("subset vertex", 16, True, lambda vs: HittingInstance(_K16, vs, 3).subset),
+    "check_hitting": ("subset vertex", 16, True,
+                      lambda vs: [r.exact for r in check_hitting(_K16, vs, 3).rows]),
+    "walk_from_seed a_0": ("a_0", 4, False, lambda vs: _SYS.walk_from_seed(vs[0], 0, ()).seed),
+    "walk_from_seed b_1": ("b_1", 16, False, lambda vs: _SYS.walk_from_seed(0, vs[0], ()).seed),
+    "walk_from_seed u": ("generator index", 4, False, lambda vs: _SYS.walk_from_seed(0, 0, vs).seed),
 }
 # a bad vertex (None stands for n, the vertex count) and how its message ends
 _BAD_VERTICES = {
     "bool": (True, "True must be an integer"),
     "numpy bool": (np.True_, f"{np.True_!r} must be an integer"),
     "float": (1.0, "1.0 must be an integer"),
+    "float one ulp above an integer": (1.0 + 2**-52, f"{1.0 + 2**-52!r} must be an integer"),
+    "half": (0.5, "0.5 must be an integer"),
     "numpy float": (np.float64(2), f"{np.float64(2)!r} must be an integer"),
+    "str": ("2", "'2' must be an integer"),
     "negative": (-1, "-1 out of range 0..{top}"),
     "n": (None, "{n} out of range 0..{top}"),
 }
@@ -835,9 +840,21 @@ def test_one_vertex_rule_refuses_a_repeat_where_a_set_is_meant(caller):
     with pytest.raises(ValueError) as info:
         call([1, 3, 1])
     assert str(info.value) == f"{what} 1 is repeated"
-    call([np.int64(1), np.uint8(3)])  # numpy integers are integers
+
+
+@pytest.mark.parametrize("caller", _VERTEX_CALLERS)
+def test_one_vertex_rule_reads_numpy_integers_as_ints(caller):
+    # numpy integer scalars and an integer array are read as the plain ints
+    # they hold (the reprs match, so no numpy scalar is kept), up to the
+    # top vertex n - 1
+    _, n, _, call = _VERTEX_CALLERS[caller]
+    want = call([n - 1])
+    for vs in ([np.int64(n - 1)], [np.uint8(n - 1)], np.array([n - 1])):
+        got = call(vs)
+        assert got == want and repr(got) == repr(want), vs
+    assert repr(call([np.int64(1), np.uint8(3)])) == repr(call([1, 3]))
 
 
 def test_a_walk_may_repeat_a_generator_index():
     _, _, _, call = _VERTEX_CALLERS["walk_from_seed u"]
-    assert call([1, 3, 1]).seed == (0, 0, (1, 3, 1))
+    assert call([1, 3, 1]) == (0, 0, (1, 3, 1))

@@ -51,17 +51,6 @@ def test_instance_validation(k16):
             check_hitting(k16, [0], tmax)
 
 
-def test_float_vertices_are_refused_not_truncated(k16):
-    # [0.5, 1.7] used to run on the subset {0, 1}
-    for subset in ([0.5, 1.7], [0, 1.0 + 2**-52], [2, np.float64(3)]):
-        with pytest.raises(ValueError, match="must be an integer"):
-            check_hitting(k16, subset, 3)
-    with pytest.raises(ValueError, match="must be an integer"):
-        HittingInstance(k16, frozenset({1.5}), 3)
-    exact = [r.exact for r in check_hitting(k16, [0, 1], 3).rows]
-    assert [r.exact for r in check_hitting(k16, np.array([0, 1]), 3).rows] == exact
-
-
 def test_exact_matches_oracle_small():
     g = CayleyGraph(dim=3, generators=(1, 2, 4))
     for subset in ({0}, {0, 1}, {0, 3, 5}, {1, 2, 4, 7}):

@@ -277,6 +277,33 @@ def test_inner_step_round_trip():
             assert oracle.inner_step_back(sys, nxt, u) == b
 
 
+def test_a_backward_walk_is_the_forward_walk_of_the_reversed_system(g8_system, flagship):
+    # every seed at t = s + 1 on s222, g8 (both s = 2, where sigma is the
+    # identity) and the s = 3 system, and 4096 seeded rows of the flagship
+    # (s = 5): the walk read from its end with the generator indices
+    # reversed, on the block-reversed system, is the walk reversed, with
+    # sigma applied to its inner vertices
+    cases = [(sys, sys.params.s + 1, _seed_rows(sys, sys.params.s + 1))
+             for sys in (sys_22(), g8_system, sys_13())]
+    rng = np.random.default_rng(32)
+    n_a, n_b, d = flagship.num_outer, flagship.num_inner, flagship.params.d_inner
+    seeds = rng.integers(n_a, size=4096), rng.integers(n_b, size=4096), rng.integers(d, size=(4096, 5))
+    cases.append((flagship, 6, seeds))
+    for sys, t, (a0, b1, u) in cases:
+        rev, sigma = sys._reversed()
+        A, B = sys.expand(a0, b1, u)
+        RA, RB = rev.expand(A[:, t], sigma[B[:, t - 1]], u[:, ::-1])
+        assert np.array_equal(RA, A[:, ::-1]), sys.params
+        assert np.array_equal(RB, sigma[B[:, ::-1]]), sys.params
+        assert np.array_equal(sigma[sigma], np.arange(sys.num_inner))
+        # the seeded table is the one the reversed generators build
+        fresh = CayleyGraph(rev.inner.dim, rev.inner.generators, multigraph=rev.inner.multigraph)
+        assert np.array_equal(rev.inner.character_table, fresh.character_table)
+        # reversing twice gives back the inner graph, generator for generator
+        twice = rev._reversed()[0].inner
+        assert twice == sys.inner and twice.generators.dtype == sys.inner.generators.dtype
+
+
 def test_seed_count():
     sys = tiny_system()
     assert sys.seed_count(1) == 2 * 4
@@ -325,26 +352,6 @@ def test_sampler_matches_enumeration():
         p = mult / total
         sd = (p * (1 - p) / n_draws) ** 0.5
         assert abs(counts[key] / n_draws - p) <= 4 * sd, key
-
-
-def test_walk_from_seed_refuses_out_of_range_seeds():
-    # a negative generator index used to wrap to the last generator
-    sys = sys_22()
-    n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_inner
-    for seed in ((0, 1, (-1,)), (0, 1, (d,)), (0, n_b, ()), (n_a, 0, (0,)), (-1, 0, ())):
-        with pytest.raises(ValueError, match="out of range"):
-            sys.walk_from_seed(*seed)
-    assert sys.walk_from_seed(n_a - 1, n_b - 1, (d - 1,)).seed == (n_a - 1, n_b - 1, (d - 1,))
-
-
-def test_walk_from_seed_refuses_non_integer_seeds():
-    # (1.5, 2.9, (3.2,)) used to expand the seed (1, 2, (3,)) and echo the floats
-    sys = sys_22()
-    for seed in ((1.5, 2.9, (3.2,)), (1, 2, (3.0,)), (1.0, 2, (3,)), (1, "2", (3,))):
-        with pytest.raises(ValueError, match="must be an integer"):
-            sys.walk_from_seed(*seed)
-    w = sys.walk_from_seed(np.int64(1), np.uint8(2), np.array([3]))
-    assert w == sys.walk_from_seed(1, 2, (3,)) and w.seed == (1, 2, (3,))
 
 
 def test_sampler_draws_are_pinned():
