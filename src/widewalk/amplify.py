@@ -12,12 +12,12 @@ only block 1 per step, and leave that domain only for the levels they
 return (see _wide_levels).  A level k < s holds only the blocks its walk
 has read, d^(k-1) of the d^(s-1) columns of blocks 2..s, and its table
 is broadcast along the others.
-Their working set is one (3, n_A * n_B) float block per call, the level
-and the FWHT's two buffers, plus the tables they return.  The DP loops
-yield their levels one at a time, and a check given no tables reads the
-moments of each level as it comes and drops it (see _levels).  All
-arithmetic is double precision in a fixed operation order, so results
-are bit-identical across runs.
+Their working set is one (2, n_A * n_B) float block per call, the level
+and one spare row, plus the tables they return: every transform runs in
+place (graphs.fwht).  The DP loops yield their levels one at a time, and
+a check given no tables reads the moments of each level as it comes and
+drops it (see _levels).  All arithmetic is double precision in a fixed
+operation order, so results are bit-identical across runs.
 """
 from __future__ import annotations
 
@@ -39,8 +39,6 @@ from .graphs import (
     vertex_values,
 )
 from .walks import ReplacementSystem
-
-TOL_IDENTITY = 1e-9
 
 
 class SignedFn:
@@ -138,9 +136,9 @@ def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
 
 def _wide_levels(
     sys: ReplacementSystem, f: SignedFn, levels: int
-) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Levels 0..levels of the wide-walk recursion from g_0(a, b) = f(a),
-    yielded as (k, x, (w0, w1)) in the mixed domain described below.  A
+    yielded as (k, x, w) in the mixed domain described below.  A
     level averages the shifted table over the inner generators, the step
     shift(b ^ u), takes the row the rotation map reaches and multiplies by
     the sign.
@@ -172,12 +170,13 @@ def _wide_levels(
     transforms took 2*m*s; _wide_tables takes m*(k-1) over level k's cells,
     m*(s-1) from level s on.
 
-    Working set: one (3, n_A * n_B) float64 block, allocated once per call,
-    holds x, w0 and w1 in the leading cells of its rows.  The first
-    transform ends in w0, the roll is a view of it, the second transform
-    ends in w1 with x as scratch, and np.take gathers the rows back into x.
-    A caller reads x, and may use (w0, w1), which have x's size, as
-    scratch, before it resumes the loop.
+    Working set: one (2, n_A * n_B) float64 block, allocated once per call:
+    x in the leading cells of row 0, and row 1 spare.  Every transform runs
+    in place.  A step transforms x, multiplies it by the table and copies
+    the roll of the blocks, a view of x, into row 1 in C order; the new
+    block 1 is transformed back there, and np.take gathers its rows into
+    row 0, the new x.  A caller reads x, and may use w, the leading cells
+    of row 1 in x's size, as scratch before it resumes the loop.
     """
     _require_f(sys, f)
     if levels < 0:
@@ -190,47 +189,52 @@ def _wide_levels(
     rows = {1: hops.ravel(), d: (hops * d + np.arange(d)).ravel()}  # by new block 1's length
     sign = f.signs.reshape((n_a,) + (1,) * s)
 
-    block = np.empty((3, n_a * sys.num_inner))
+    block = np.empty((2, n_a * sys.num_inner))
     # level 0 is the constant 1, which has only the zero frequency of blocks 2..s
     x = block[0, : n_a * d].reshape((n_a, d) + (1,) * (s - 1))
     x.fill(sys.num_inner // d)
     for k in range(levels + 1):
         if k:
             x *= sign
-            y = fwht(x, axis=1, work=(block[1, : x.size], block[2, : x.size]))
+            y = fwht(x, axis=1)
             if k == 1:  # level 0 is constant along block 1 too: frequency 0 alone
                 y = y[:, :1]
             y *= chars[tuple(slice(n) for n in y.shape[1:])]
-            rolled = np.moveaxis(y, -1, 1)  # block s moves to the front: a view of w0
+            rolled = np.moveaxis(y, -1, 1)  # block s moves to the front
             e, cols = rolled.shape[1], rolled.shape[2:]
+            z = block[1, : rolled.size].reshape(rolled.shape)
+            np.copyto(z, rolled)
             if e > 1:  # the walk has read the new block 1: transform it back
-                rolled = fwht(rolled, axis=1, work=(block[2], x))
+                fwht(z, axis=1)
             x = block[0, : n_a * d * math.prod(cols)].reshape((n_a, d) + cols)
             # the rows are in range, and mode="wrap" lets take write into x unbuffered
-            np.take(rolled.reshape(n_a * e, -1), rows[e], axis=0, out=x.reshape(n_a * d, -1), mode="wrap")
-        yield k, x, (block[1, : x.size], block[2, : x.size])
+            np.take(z.reshape(n_a * e, -1), rows[e], axis=0, out=x.reshape(n_a * d, -1), mode="wrap")
+        yield k, x, block[1, : x.size]
 
 
 def _wide_tables(
     sys: ReplacementSystem, f: SignedFn, levels: int, first: int = 0
 ) -> Iterator[DpTable]:
     """Tables first..levels of _wide_levels as the loop reaches them, each
-    taken back to the primal domain by one transform over its active blocks
-    in the loop's work pair.  The sign f(a) and the 1/2^(m*(s-1)) of that
-    inverse transform are one factor, +-1 over a power of two, so a single
-    exact multiply, through the transposed view that puts b in C order,
-    writes each table once and broadcasts it along the blocks the walk has
-    not read.  As in a primal-domain step, f(a) is the last factor: a zero
-    gets f(a)'s sign times that of the transform's zero."""
+    taken back to the primal domain by one transform over its active blocks,
+    run in place on a copy of the level in the loop's spare row.  The sign
+    f(a) and the 1/2^(m*(s-1)) of that inverse transform are one factor,
+    +-1 over a power of two, so a single exact multiply, through the
+    transposed view that puts b in C order, writes each table once and
+    broadcasts it along the blocks the walk has not read.  As in a
+    primal-domain step, f(a) is the last factor: a zero gets f(a)'s sign
+    times that of the transform's zero."""
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     blocks = (n_a,) + (d,) * s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
-    for k, x, work in _wide_levels(sys, f, levels):
+    for k, x, w in _wide_levels(sys, f, levels):
         if k >= first:
             values = np.empty((n_a, sys.num_inner))
             # x runs block 1..s along its axes, b's C order block s..1
             out = values.reshape(blocks).transpose(0, *range(s, 0, -1))
-            primal = fwht(x.reshape(n_a * d, -1), work=work).reshape(x.shape)
+            primal = w.reshape(x.shape)
+            np.copyto(primal, x)
+            fwht(w.reshape(n_a * d, -1))
             np.multiply(primal, scale, out=out)
             yield DpTable(values, k, "g")
 
@@ -549,25 +553,38 @@ def check_middle_start_identity(
     two forward runs take only g_k and g_{k-s} to the primal domain.  The
     sum is elementwise products and ndarray.sum, not np.dot or np.vdot:
     those would change the summation order, and so the pinned bytes, and
-    start BLAS's thread pool.
+    start BLAS's thread pool.  G^ is transformed in place in x, and G^ * chi
+    written into the spare row in that order; x's row then takes R^, from
+    a copy of the caller's g_{k-s}, which is never written.
+
+    The verdict is a rounding band, not a fixed slack: each side sums
+    n_A * n_B terms, so by Higham's bound for a sum of n terms, n * u *
+    sum |terms| with u = 2^-53, the two may differ by u times the sum of
+    |g_k| and of |G^ * chi * R^| * n_A * n_B / (n_A * n_B^2 * d_B).  A
+    misread block order on the witness misses by 1e-11, well inside an
+    absolute 1e-9 but far outside the band.
     """
     s = sys.params.s
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
     (table,) = _levels(sys, f, k, tables, k)
-    direct = float(table.values.mean())
+    direct, size = float(table.values.mean()), float(np.abs(table.values).sum())
     (table,) = _levels(sys, f, k - s, tables, k - s)
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
-    for _, x, (w0, w1) in _wide_levels(sys._reversed()[0], f, s):
+    for _, x, w in _wide_levels(sys._reversed()[0], f, s):
         pass  # the loop ends with x = gbar_s before its sign, blocks 2..s reversed
     view = (0, 1, *range(s, 1, -1))  # blocks 1..s
-    ghat = fwht(x, axis=1, work=(w0, w1)).transpose(view)
-    prod = np.multiply(ghat, sys.inner.character_table.reshape((d,) * s).T, out=w1.reshape(x.shape))
-    rhat = fwht(np.asarray(table.values, dtype=np.float64), work=(x, w0))
-    prod *= rhat.reshape(x.shape).transpose(view)
-    via = float(w1.sum()) / (n_a * n_b * n_b * sys.params.d_inner)
+    prod = w.reshape(x.shape)
+    np.multiply(fwht(x, axis=1).transpose(view), sys.inner.character_table.reshape((d,) * s).T, out=prod)
+    rhat = x.reshape(table.values.shape)  # x is read: its row takes R^
+    np.copyto(rhat, table.values)
+    prod *= fwht(rhat).reshape(x.shape).transpose(view)
+    scale = n_a * n_b * n_b * sys.params.d_inner
+    via = float(w.sum()) / scale
+    size += float(np.abs(w, out=w).sum()) * (n_a * n_b / scale)
     residual = abs(direct - via)
-    return IdentityCheck(residual <= TOL_IDENTITY, residual, direct, via)
+    # each side sums n_A * n_B terms: Higham's n * u * sum |terms|, over both
+    return IdentityCheck(residual <= size * math.ulp(0.5), residual, direct, via)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ duplicates are permitted only when the graph is flagged as a multigraph.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -28,6 +29,7 @@ AGHP_MAX_DIM = 62  # largest dim: every word, and 2**dim, also fits an int64
 AGHP_MAX_GENERATORS = 1 << 24  # most words a builder allocates: 64 MiB to dim 32, 128 MiB beyond
 GENERATOR_BATCH = 1 << 12  # words per chunk of CayleyGraph.generators_json
 TOL_BOUND = 1e-12  # the slack of holds
+FWHT_SCRATCH = 1 << 16  # most bytes of fwht's one scratch buffer
 
 
 def holds(value: float, bound: float) -> bool:
@@ -144,23 +146,22 @@ class CayleyGraph:
         absolute value, so the table is int32 unless the degree reaches
         2**31.  The generator counts go straight into a table of that
         dtype (np.bincount would copy the read-only generators and count
-        in int64), which the transform then consumes: two tables at the
-        peak, and the one it writes is kept.
+        in int64), which the transform turns into the character table in
+        place: one table at the peak, the one that is kept.
 
         add.at copies indices that are not intp through a 64 KiB buffer,
-        more than a small table, so the words go in as intp slices of n/8
-        words (a quarter of an int32 table), at least 2**10 and at most
-        2**16 of them: from 2**11 entries up the scatter stays within the
-        transform's two tables, and no slice is a large transient.
+        more than a small table, so the words go in as intp slices of n/16
+        words (an eighth of an int32 table, as much as the transform's
+        scratch), at least 2**8 and at most 2**16 of them: no slice is a
+        large transient.
         """
         n = self.num_vertices
-        counts = np.zeros(n, np.int32 if self.degree < 1 << 31 else np.int64)
+        table = np.zeros(n, np.int32 if self.degree < 1 << 31 else np.int64)
         # a scalar of the table's own dtype keeps add.at on its fast path
-        one, step = counts.dtype.type(1), min(max(n // 8, 1 << 10), 1 << 16)
+        one, step = table.dtype.type(1), min(max(n // 16, 1 << 8), 1 << 16)
         for lo in range(0, self.degree, step):
-            np.add.at(counts, self.generators[lo:lo + step].astype(np.intp), one)
-        table = fwht(counts, work=_consuming(counts, np.empty_like(counts)))
-        table.flags.writeable = False
+            np.add.at(table, self.generators[lo:lo + step].astype(np.intp), one)
+        fwht(table).flags.writeable = False
         return table
 
     def generators_json(self, document: str) -> Iterator[str]:
@@ -285,77 +286,123 @@ def build_complete_selfloop(m: int, selfloop: bool = True) -> CayleyGraph:
     return CayleyGraph(dim=m, generators=gens, name=f"{tag}-m{m}")
 
 
-def fwht(a: np.ndarray, axis: int = -1, work=None) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along one axis (the last by
-    default), whose length must be a power of two, in a's dtype; a is left
-    unchanged unless it is lent as a work buffer.
+def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a along one axis (the last by
+    default), whose length must be a power of two, in place: a itself is
+    returned, transformed, in its own dtype.  a must be writeable, and its
+    axes before and after the transform axis must each merge into one, so
+    that its (pre, n, post) reshape is a view; a strided view qualifies
+    when they do.  Anything else is refused with a ValueError.
 
-    Stages run in constant geometry (Pease 1968) over a (pre, n, post) view
-    of a: each stage reads the neighbour pairs lo = x[:, 0::2], hi =
-    x[:, 1::2] and writes lo + hi to the low half of its output and lo - hi
-    to the high half, so every stage is two full-length ufunc calls, where
-    the strided butterfly of Fino & Algazi (1976) ran numpy inner loops of
-    h = 1, 2, 4 ... elements.  Each stage rotates the index bits right by
-    one, so stage j combines bit j and after all log2(n) stages natural
-    order is back.  That is the bit order (0 first) and the same two
-    operations on the same pairs as the strided butterfly, so the result is
-    bit-identical to it.
+    The bits of the axis run 0 first, each combining the pairs lo, hi that
+    differ in it into lo + hi and lo - hi: the bit order, pairs and two
+    operations of the strided butterfly of Fino & Algazi (1976), so the
+    result is bit-identical to it.  The scratch is one buffer of at most
+    FWHT_SCRATCH bytes.
 
-    The stages ping-pong between two buffers, one of which holds the
-    result.  By default they are one new allocation.  work=(out, scratch)
-    lends them instead: two C-contiguous arrays of a's size and dtype that
-    do not overlap each other.  Stage j of log2(n) writes
-    work[(log2(n) - 1 - j) % 2], so the last stage writes out and the
-    result is always a view of out (a length-1 axis is copied into it);
-    scratch is left as scratch.  Neither may overlap a, with one exception:
-    a itself, the same array object, may be lent as work[log2(n) % 2], the
-    buffer that the first stage only reads, and is then consumed.  a may be
-    a strided view; only the reshape to (pre, n, post) may copy it.
+    - An a of at most FWHT_SCRATCH bytes runs every stage by _pease,
+      ping-ponged with one array of its own size.
+    - A larger a takes an eighth of its size at most.  Along the last axis
+      (post = 1) its low bits, as many as the buffer holds, run by _pease
+      on tiles of whole rows (see _low_bits): two flat ufunc calls a
+      stage, with long inner loops where the strided butterfly ran loops
+      of 1, 2, 4 ... cells.  Every other bit runs as in-place butterflies
+      through the buffer in chunks, whose pairs are runs of 2**bit * post
+      cells: lo - hi into the buffer, lo + hi into lo, the buffer into hi.
     """
-    a = np.asarray(a)
     shape, axis = a.shape, range(a.ndim)[axis]
     n = shape[axis]
     if n < 1 or n & (n - 1):
         raise ValueError(f"fwht needs a power-of-two length, got {n}")
-    half, stages = n // 2, n.bit_length() - 1
-    x = a.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
-    bufs = np.empty((2, *x.shape), a.dtype) if work is None else _work_pair(work, a, x.shape, stages)
-    if not stages:
-        np.copyto(bufs[0], x)
+    if not a.flags.writeable:
+        raise ValueError("fwht transforms in place and cannot write a read-only array")
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    try:
+        x = a.reshape((pre, n, post), copy=False)
+    except ValueError:
+        raise ValueError(
+            "fwht transforms in place: the axes before and after the transform axis "
+            "must each merge into one without a copy") from None
+    bits = n.bit_length() - 1
+    if not bits or not a.size:
+        return a
+    if a.nbytes <= FWHT_SCRATCH:  # the fewest calls: all of a in each
+        y = x[:, :, 0] if post == 1 else x
+        y, ax = (y[0], 0) if pre == 1 else (y, 1)
+        spare = np.empty_like(y)
+        if _pease(y, spare, bits, ax) is spare:
+            np.copyto(y, spare)
+        return a
+    scratch = np.empty(min(FWHT_SCRATCH // a.itemsize, a.size // 8), a.dtype)
+    low = min(bits, scratch.size.bit_length() - 1) if post == 1 else 0
+    if low:
+        try:
+            runs = [x.reshape(-1, copy=False)]
+        except ValueError:  # rows that do not merge run one at a time
+            runs = x[:, :, 0]
+        for run in runs:
+            _low_bits(run, 1 << low, scratch)
+    for bit in range(low, bits):
+        v = x.reshape(pre, n >> (bit + 1), 2, 1 << bit, post)
+        for lo, hi, tmp in _chunks(v[:, :, 0], v[:, :, 1], scratch):
+            np.subtract(lo, hi, out=tmp)
+            np.add(lo, hi, out=lo)
+            np.copyto(hi, tmp)
+    return a
+
+
+def _pease(buf: np.ndarray, spare: np.ndarray, stages: int, axis: int) -> np.ndarray:
+    """stages of fwht in constant geometry (Pease 1968) along one axis of buf,
+    ping-ponged with spare, an array of buf's shape: each stage reads the
+    neighbour pairs lo = buf[..., 0::2, ...], hi = buf[..., 1::2, ...] and
+    writes lo + hi to the low half of the other buffer and lo - hi to its
+    high half, so stage j combines bit j and after all log2(n) stages
+    natural order is back.  Returns the buffer the last stage wrote."""
+    half, lead = buf.shape[axis] // 2, (slice(None),) * axis
+    pairs, halves = (slice(0, None, 2), slice(1, None, 2)), (slice(half), slice(half, None))
+    # (lo, hi, low half, high half) of the stages that read buf, then spare
+    steps = [[src[lead + (c,)] for c in pairs] + [dst[lead + (c,)] for c in halves]
+             for src, dst in ((buf, spare), (spare, buf))]
     for stage in range(stages):
-        out = bufs[(stages - 1 - stage) % 2]
-        lo, hi = x[:, 0::2], x[:, 1::2]
-        np.add(lo, hi, out=out[:, :half])
-        np.subtract(lo, hi, out=out[:, half:])
-        x = out
-    return bufs[0].reshape(shape)
+        lo, hi, low, high = steps[stage & 1]
+        np.add(lo, hi, out=low)
+        np.subtract(lo, hi, out=high)
+    return (buf, spare)[stages & 1]
 
 
-def _work_pair(work, a: np.ndarray, shape: tuple, stages: int) -> list[np.ndarray]:
-    """fwht's lent buffers, checked and viewed in the (pre, n, post) shape."""
-    if len(work) != 2:
-        raise ValueError("fwht's work must be a pair of arrays")
-    bufs = []
-    for i, w in enumerate(work):
-        if not isinstance(w, np.ndarray) or w.dtype != a.dtype or w.size != a.size:
-            raise ValueError(f"each fwht work array must be a {a.dtype} array of {a.size} items")
-        if not w.flags.c_contiguous:
-            raise ValueError("each fwht work array must be C-contiguous")
-        if np.shares_memory(w, a) and not (w is a and i == stages % 2):
-            raise ValueError(
-                f"an fwht work array overlaps the input (only the input itself, "
-                f"as work[{stages % 2}], may be lent)")
-        bufs.append(w.reshape(shape))
-    if np.shares_memory(*bufs):
-        raise ValueError("the two fwht work arrays overlap")
-    return bufs
+def _low_bits(run: np.ndarray, size: int, scratch: np.ndarray) -> None:
+    """Bits 0..log2(size)-1 of fwht on run, a 1-d view of rows of size cells,
+    by _pease on tiles of as many whole rows as fit scratch.  A tile of r
+    rows runs as one flat vector: its pairs share a row, and each stage
+    moves the bit it combines from the bottom of the flat index to the top,
+    so after log2(size) stages the rows are back in natural order but
+    transposed, (size, r), and are copied back in C order."""
+    k, step = size.bit_length() - 1, scratch.size // size * size
+    for start in range(0, run.size, step):
+        tile = run[start:start + step]
+        rows, spare = tile.size // size, scratch[: tile.size]
+        last = _pease(tile, spare, k, 0)
+        if rows > 1:  # back from the transposed order, through scratch
+            if last is tile:
+                np.copyto(spare, tile)
+            np.copyto(tile.reshape(rows, size), spare.reshape(size, rows).T)
+        elif last is spare:
+            np.copyto(tile, spare)
 
 
-def _consuming(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The work pair with which fwht, along a's last axis, consumes a: a as
-    work[log2(n) % 2], the buffer its first stage only reads, and spare as
-    the other."""
-    return (a, spare) if a.shape[-1].bit_length() % 2 else (spare, a)
+def _chunks(lo: np.ndarray, hi: np.ndarray, scratch: np.ndarray):
+    """(lo, hi, tmp) over tiles of two arrays of one shape, with the axes of
+    length 1 dropped, tmp a view of scratch in the tile's shape: whole axes
+    from the innermost out while they fit in scratch, then a part of the
+    next one."""
+    budget, ext = scratch.size, list(lo.shape)
+    for ax in reversed(range(lo.ndim)):
+        ext[ax] = min(ext[ax], budget)
+        budget //= ext[ax]
+    for start in itertools.product(*(range(0, n, e) for n, e in zip(lo.shape, ext))):
+        tile = tuple(slice(i, i + e) for i, e in zip(start, ext))
+        part = lo[tile].squeeze()
+        yield part, hi[tile].squeeze(), scratch[: part.size].reshape(part.shape)
 
 
 def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
@@ -367,15 +414,12 @@ def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
     inverse transform).  It divides nothing, so it is exact on integer and
     object arrays.
 
-    Both transforms run in the product's dtype, in one pair of buffers: the
-    first ends in one of them, the product is taken there in place, and
-    the second transform consumes it.  So the peak is two arrays of
-    values' size, where a product and a fresh pair would be three."""
-    chars = G.character_table
-    pair = np.empty((2, *np.shape(values)), np.result_type(values, chars))
-    x = fwht(np.asarray(values, pair.dtype), work=pair)
-    np.multiply(x, chars, out=x)
-    return fwht(x, work=_consuming(x, pair[1]))
+    Both transforms run in place on one copy of values in the product's
+    dtype, and the product with the table is taken in it too: one array of
+    values' size at the peak besides values itself."""
+    x = fwht(np.array(values, np.result_type(values, G.character_table)))
+    np.multiply(x, G.character_table, out=x)
+    return fwht(x)
 
 
 def spectrum(G: CayleyGraph) -> SpectralReport:

@@ -215,8 +215,8 @@ def full_transform_levels(sys, f, levels, kind):
 
 def allocating_levels(sys, f, levels, kind, first=0):
     """Reference: the mixed-domain level loop as it stood before it kept one
-    working set per call.  Every step allocates fwht's two buffers for each
-    block-1 transform, a moveaxis copy and the take; every returned level a
+    working set per call.  Every step allocates a moveaxis copy and the
+    take, and transforms in place; every returned level a copy, a
     transform, a divide, a transposed copy and the sign product."""
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     rest = sys.num_inner // d
@@ -231,7 +231,7 @@ def allocating_levels(sys, f, levels, kind, first=0):
     signs = np.repeat(f.signs, d)[:, None]
 
     def table(x, k):
-        primal = (fwht(x) / rest).reshape(blocks).transpose(0, *range(s, 0, -1))
+        primal = (fwht(x.copy()) / rest).reshape(blocks).transpose(0, *range(s, 0, -1))
         return DpTable(f.signs[:, None] * primal.reshape(n_a, sys.num_inner), k, kind)
 
     x = np.zeros((n_a * d, rest))
@@ -283,35 +283,40 @@ def traced_peak(call) -> int:
 
 def test_wide_walk_working_set_is_one_block_per_call(witness):
     # in units of one n_A * n_B float64 table (2 MiB on the witness): the
-    # level loop holds three (x and fwht's work pair), the identity nothing
-    # more, code_bias's one-level read one returned table more and dp_gk
-    # seven; the one-row code's only codeword is f
+    # level loop holds two (x and the spare row; every transform runs in
+    # place), the identity nothing more, code_bias's one-level read one
+    # returned table more and dp_gk seven; the one-row code's only
+    # codeword is f.  Each bound is one table below the one a three-row
+    # block needed; traced at 3.17, 9.17 and 2.26
     f = SignedFn.from_support(8, {0, 1, 2})
     tables = dp_gk(witness, f, 6)
     table = tables[0].values.nbytes
     amp = AmplifiedCode(LinearCode(1, 8, [0b111]), witness, 6)
-    assert traced_peak(lambda: code_bias(amp)) < 4.5 * table
-    assert traced_peak(lambda: dp_gk(witness, f, 6)) < 10.5 * table
-    assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 4 * table
+    assert traced_peak(lambda: code_bias(amp)) < 3.5 * table
+    assert traced_peak(lambda: dp_gk(witness, f, 6)) < 9.5 * table
+    assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 3 * table
     # without tables a check reads each level as the loop yields it and
     # drops it: the block, the level before, the new one and a moment's
-    # temporary, whatever the level count
+    # temporary, whatever the level count (traced at 4.13 to 4.19)
     for kmax in (12, 24):
-        assert traced_peak(lambda: check_induction_step(witness, f, kmax)) < 6 * table, kmax
-    assert traced_peak(lambda: check_base_case(witness, f)) < 6 * table
-    assert traced_peak(lambda: check_first_step_trick(witness, f, 12)) < 6 * table
+        assert traced_peak(lambda: check_induction_step(witness, f, kmax)) < 5 * table, kmax
+    assert traced_peak(lambda: check_base_case(witness, f)) < 5 * table
+    assert traced_peak(lambda: check_first_step_trick(witness, f, 12)) < 5 * table
     # the identity keeps g_{k-s} and g_k of the stream, and its own block
-    assert traced_peak(lambda: check_middle_start_identity(witness, f, 12)) < 7 * table
+    # (traced at 4.16)
+    assert traced_peak(lambda: check_middle_start_identity(witness, f, 12)) < 6 * table
     # the lemma reads its one level after the stream has freed the block
-    assert traced_peak(lambda: check_bias_reduction_lemma(witness, f, 20)) < 4.5 * table
-    # the pure walks stream their levels too, in units of one 2^16-entry table
+    # (traced at 3.16)
+    assert traced_peak(lambda: check_bias_reduction_lemma(witness, f, 20)) < 3.5 * table
+    # the pure walks stream their levels too, in units of one 2^16-entry
+    # table; each step's convolution holds one array (traced at 3.01)
     graph = build_aghp(16, 8)
     f = SignedFn.balanced(graph.num_vertices)
     H = np.linspace(-1.0, 1.0, graph.num_vertices)
     assert check_pure_walk_bounds(graph, f, 2).hypotheses_met  # builds the spectrum once
     table = graph.num_vertices * 8
-    assert traced_peak(lambda: check_pure_walk_bounds(graph, f, 24)) < 6 * table
-    assert traced_peak(lambda: check_weighted_walk_bounds(graph, f, H, 24)) < 6 * table
+    assert traced_peak(lambda: check_pure_walk_bounds(graph, f, 24)) < 5 * table
+    assert traced_peak(lambda: check_weighted_walk_bounds(graph, f, H, 24)) < 5 * table
 
 
 def test_moment_checks_agree_with_and_without_tables(
@@ -410,10 +415,9 @@ def test_compact_levels_bound_the_transform_work(witness, monkeypatch):
     tables = dp_gk(witness, f, 6)
     cost = []
 
-    def counted(a, axis=-1, work=None):
-        a = np.asarray(a)
+    def counted(a, axis=-1):
         cost.append(a.size * (a.shape[axis].bit_length() - 1))
-        return fwht(a, axis, work)
+        return fwht(a, axis)
 
     monkeypatch.setattr(amplify, "fwht", counted)
     cells = witness.num_outer * witness.num_inner
@@ -434,9 +438,9 @@ def test_identity_without_tables_converts_two_levels(witness, monkeypatch):
     want = check_middle_start_identity(witness, f, 6, dp_gk(witness, f, 6))
     last_axis = []
 
-    def counted(a, axis=-1, work=None):
+    def counted(a, axis=-1):
         last_axis.append(axis == -1)
-        return fwht(a, axis, work)
+        return fwht(a, axis)
 
     monkeypatch.setattr(amplify, "fwht", counted)
     assert check_middle_start_identity(witness, f, 6) == want
@@ -864,6 +868,43 @@ def test_middle_start_identity_is_exact_on_the_witness(witness):
             assert chk.via == full_transform_via(witness, f, k, tables), (sup, k)
         # without tables the check runs its own levels and agrees
         assert check_middle_start_identity(witness, f, 6) == check_middle_start_identity(witness, f, 6, tables)
+
+
+def test_identity_band_refuses_blocks_read_in_the_wrong_order(witness, flagship, monkeypatch):
+    # the verdict is residual <= n * u * sum |terms| over the two sums, not
+    # an absolute slack.  Reading blocks 2..s of G^ and R^ in the wrong
+    # order (each permuted before the check's transposed view reads it,
+    # which leaves the view's own order) misses by 2.3e-11, 1.4e-11 and
+    # 2.6e-12, which the former 1e-9 passed; the true residuals are 0
+    # there and 5.4e-20 on the flagship at k = 12
+    import widewalk.amplify as amplify
+
+    s, n_a, n_b = witness.params.s, witness.num_outer, witness.num_inner
+    blocks = (0, 1, *range(s, 1, -1))  # the check's view, its own inverse
+    cases = [((0, 1, 2), 7, 2.3e-11), ((0, 1, 2), 8, 1.4e-11), ((2, 6, 7), 7, 2.6e-12)]
+    tables = {sup: dp_gk(witness, SignedFn.from_support(8, sup), 8) for sup in ((0, 1, 2), (2, 6, 7))}
+    for sup, k, _ in cases:
+        chk = check_middle_start_identity(witness, SignedFn.from_support(8, sup), k, tables[sup])
+        assert chk.passed and chk.residual == 0.0
+    f = SignedFn.from_support(4, {0})
+    chk = check_middle_start_identity(flagship, f, 12, dp_gk(flagship, f, 12))
+    assert chk.passed and 0.0 < chk.residual < 1e-19
+    loop = amplify._wide_levels
+
+    def misread(sys, f, levels):
+        for k, x, w in loop(sys, f, levels):
+            if k == levels:  # the level the check reads, blocks 2..s permuted
+                np.copyto(w.reshape(x.shape), x.transpose(blocks))
+                np.copyto(x, w.reshape(x.shape))
+            yield k, x, w
+
+    monkeypatch.setattr(amplify, "_wide_levels", misread)
+    for sup, k, residual in cases:
+        wrong = list(tables[sup])
+        rest = wrong[k - s].values.reshape((n_a,) + (8,) * s).transpose(blocks)
+        wrong[k - s] = DpTable(rest.reshape(n_a, n_b), k - s, "g")  # a C-order copy
+        chk = check_middle_start_identity(witness, SignedFn.from_support(8, sup), k, wrong)
+        assert not chk.passed and residual / 2 < chk.residual < 1e-9, (sup, k, chk.residual)
 
 
 def test_eps_sequence_nonincreasing_on_admissible_instance(mono_system):

@@ -99,7 +99,7 @@ def _address_space_of(limit):
 
 def test_a_refused_allocation_exits_3_with_one_line(tmp_path):
     # m = 10, s = 2, ell = 1 meets its hypotheses; the DP's working set is
-    # 3 * 2^30 floats (24 GiB), more than the 4 GiB address space allowed
+    # 2 * 2^30 floats (16 GiB), more than the 4 GiB address space allowed
     # here, whatever the host's overcommit setting
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"m": 10, "s": 2, "ell": 1}))
