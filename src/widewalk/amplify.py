@@ -11,7 +11,8 @@ the transformed domain of inner blocks 2..s between levels, transform
 only block 1 per step, and leave that domain only for the levels they
 return (see _wide_levels).  A level k < s holds only the blocks its walk
 has read, d^(k-1) of the d^(s-1) columns of blocks 2..s, and its table
-is broadcast along the others.
+keeps only the d^k columns of blocks 1..k, which a read of its values
+expands (see DpTable).
 Their working set is one (2, n_A * n_B) float block per call, the level
 and one spare row, plus the tables they return: every transform runs in
 place (graphs.fwht).  The DP loops yield their levels one at a time, and
@@ -97,11 +98,31 @@ class SignedFn:
 
 @dataclass(frozen=True)
 class DpTable:
-    """One DP level; values indexed (a, b) for walk tables, (a,) for pure."""
+    """One DP level; values indexed (a, b) for walk tables, (a,) for pure.
 
-    values: np.ndarray
+    cells holds the level's distinct columns, repeated reps times along b.
+    A wide-walk level k < s reads only blocks 1..k of b, the low bits of
+    b's C order, so dp_gk keeps its (n_A, d^k) columns with reps =
+    n_B / d^k; every other table keeps itself whole (reps 1).  Reading
+    values costs nothing when reps is 1, as it is then cells itself, and
+    otherwise one fresh, writable, C-contiguous (n_A, n_B) table, copied
+    anew on each read: a reader takes it once and keeps it."""
+
+    cells: np.ndarray
     level: int
     kind: str
+    reps: int = 1
+
+    @property
+    def values(self) -> np.ndarray:
+        if self.reps == 1:
+            return self.cells
+        return self._expand(np.empty((len(self.cells), self.reps * self.cells.shape[1])))
+
+    def _expand(self, out: np.ndarray) -> np.ndarray:
+        """The whole walk table written into out, an (n_A, n_B) C-order array."""
+        np.copyto(out.reshape(len(out), self.reps, -1), self.cells[:, None])
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +140,10 @@ def moments(table: DpTable) -> Moments:
     """Mean/deviation moments of a table, plus the per-outer-vertex ones.
 
     eps_a keeps its sign (it is the conditional mean, not its absolute
-    value); the global eps is the absolute overall mean.
+    value); the global eps is the absolute overall mean.  The table's
+    values are read once, so a compact wide-walk level is expanded to one
+    whole (n_A, n_B) table for the call and summed in the same order as
+    one that was stored whole.
     """
     v = table.values
     mean = float(v.mean())
@@ -220,23 +244,30 @@ def _wide_tables(
     run in place on a copy of the level in the loop's spare row.  The sign
     f(a) and the 1/2^(m*(s-1)) of that inverse transform are one factor,
     +-1 over a power of two, so a single exact multiply, through the
-    transposed view that puts b in C order, writes each table once and
-    broadcasts it along the blocks the walk has not read.  As in a
-    primal-domain step, f(a) is the last factor: a zero gets f(a)'s sign
-    times that of the transform's zero."""
+    transposed view that puts b in C order, writes each table once.  As in
+    a primal-domain step, f(a) is the last factor: a zero gets f(a)'s sign
+    times that of the transform's zero.
+
+    Each table keeps the columns its walk has read (see DpTable): level k
+    stores n_A * d^min(k, s) cells, the blocks min(k, s)..1 of b's C order,
+    so dp_gk keeps the sum over k of n_A * d^min(k, s) * 8 bytes, and a
+    read of a level k < s's values expands it to a whole table."""
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
-    blocks = (n_a,) + (d,) * s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
     for k, x, w in _wide_levels(sys, f, levels):
         if k >= first:
-            values = np.empty((n_a, sys.num_inner))
-            # x runs block 1..s along its axes, b's C order block s..1
-            out = values.reshape(blocks).transpose(0, *range(s, 0, -1))
+            j = min(k, s)
+            cells = np.empty((n_a, d**j))
+            # x runs block 1..s along its axes, b's C order block s..1; the
+            # unread blocks j+1..s have length 1 in both
+            out = cells.reshape((n_a,) + (1,) * (s - j) + (d,) * j).transpose(0, *range(s, 0, -1))
             primal = w.reshape(x.shape)
             np.copyto(primal, x)
             fwht(w.reshape(n_a * d, -1))
+            if not k:  # level 0 is constant along block 1 too
+                primal = primal[:, :1]
             np.multiply(primal, scale, out=out)
-            yield DpTable(values, k, "g")
+            yield DpTable(cells, k, "g", sys.num_inner // d**j)
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
@@ -568,16 +599,17 @@ def check_middle_start_identity(
     if k <= s:
         raise ValueError(f"identity needs k > s={s}, got {k}")
     (table,) = _levels(sys, f, k, tables, k)
-    direct, size = float(table.values.mean()), float(np.abs(table.values).sum())
+    g = table.values
+    direct, size = float(g.mean()), float(np.abs(g).sum())
     (table,) = _levels(sys, f, k - s, tables, k - s)
+    del g  # g_k is read: only g_{k-s} is kept
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
     for _, x, w in _wide_levels(sys._reversed()[0], f, s):
         pass  # the loop ends with x = gbar_s before its sign, blocks 2..s reversed
     view = (0, 1, *range(s, 1, -1))  # blocks 1..s
     prod = w.reshape(x.shape)
     np.multiply(fwht(x, axis=1).transpose(view), sys.inner.character_table.reshape((d,) * s).T, out=prod)
-    rhat = x.reshape(table.values.shape)  # x is read: its row takes R^
-    np.copyto(rhat, table.values)
+    rhat = table._expand(x.reshape(n_a, n_b))  # x is read: its row takes R^
     prod *= fwht(rhat).reshape(x.shape).transpose(view)
     scale = n_a * n_b * n_b * sys.params.d_inner
     via = float(w.sum()) / scale

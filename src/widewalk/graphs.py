@@ -432,11 +432,13 @@ def spectrum(G: CayleyGraph) -> SpectralReport:
             f"{SPECTRUM_SCAN_LIMIT}; no exact spectrum is available"
         )
     numer = G.character_table[1:]
-    num = max(int(numer.max()), -int(numer.min()))
+    hi, lo = int(numer.max()), int(numer.min())
+    num = max(hi, -lo)
     # np.argmax(np.abs(numer)) over the nontrivial characters, found by
-    # comparison (argmax would copy the read-only table), and character 0
-    # when all of them are 0 (complete graphs)
-    idx = 1 + int(np.argmax((numer == num) | (numer == -num))) if num else 0
+    # comparison (np.abs would copy the read-only table): the first index
+    # of each of +num and -num that occurs, one bool mask at a time, and
+    # character 0 when all of them are 0 (complete graphs)
+    idx = 1 + min(int(np.argmax(numer == v)) for v in {num, -num} & {hi, lo}) if num else 0
     return SpectralReport(Fraction(num, G.degree), idx)
 
 

@@ -285,15 +285,24 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     # in units of one n_A * n_B float64 table (2 MiB on the witness): the
     # level loop holds two (x and the spare row; every transform runs in
     # place), the identity nothing more, code_bias's one-level read one
-    # returned table more and dp_gk seven; the one-row code's only
-    # codeword is f.  Each bound is one table below the one a three-row
-    # block needed; traced at 3.17, 9.17 and 2.26
+    # returned table more, and dp_gk the tables it keeps: levels 5 and 6
+    # whole, level k < 5 only its n_A * 8^k cells (2.14 tables in all);
+    # the one-row code's only codeword is f.  Traced at 3.17, 4.31 and
+    # 2.26
     f = SignedFn.from_support(8, {0, 1, 2})
     tables = dp_gk(witness, f, 6)
     table = tables[0].values.nbytes
+    n_a, d, s = witness.num_outer, witness.params.d_outer, witness.params.s
+    for k, t in enumerate(tables):
+        assert t.cells.shape == (n_a, d ** min(k, s)), k
+    assert sum(t.cells.nbytes for t in tables) <= 2.5 * table
+    # each read of a compact level's values is a fresh, writable table
+    first = tables[2].values
+    first.fill(7.0)
+    assert np.all(tables[2].values != 7.0)
     amp = AmplifiedCode(LinearCode(1, 8, [0b111]), witness, 6)
     assert traced_peak(lambda: code_bias(amp)) < 3.5 * table
-    assert traced_peak(lambda: dp_gk(witness, f, 6)) < 9.5 * table
+    assert traced_peak(lambda: dp_gk(witness, f, 6)) < 5 * table
     assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 3 * table
     # without tables a check reads each level as the loop yields it and
     # drops it: the block, the level before, the new one and a moment's
