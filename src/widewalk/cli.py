@@ -39,10 +39,10 @@ from .amplify import (
     verify_induction_arithmetic,
 )
 from .code import (
-    MAX_EXHAUSTIVE_K,
     AmplifiedCode,
     BaseCodeSearchFailed,
     LinearCode,
+    _check_shape,
     code_report,
     encode as encode_message,
     gen_base_code,
@@ -141,11 +141,11 @@ def _emit(
 
 
 def _decimal(kind):
-    """The parser of every decimal input: what kind() accepts, less non-ASCII
-    digits and "_" separators.  It is named after kind, so that argparse
-    errors read "invalid int value"."""
+    """The parser of every decimal input: what kind() accepts, less empty
+    text, non-ASCII digits and "_" separators.  It is named after kind, so
+    that argparse errors read "invalid int value"."""
     def parse(text: str):
-        if not text.isascii() or "_" in text:
+        if not text or not text.isascii() or "_" in text:
             raise ValueError(f"{text!r} is not an ASCII decimal {kind.__name__}")
         return kind(text)
 
@@ -174,47 +174,40 @@ def _load_graph(path: str) -> CayleyGraph:
     return CayleyGraph.from_json(Path(path).read_text())
 
 
-def _load_system(path: str) -> tuple[ReplacementSystem, dict]:
-    """Build a ReplacementSystem from a config file.
+# The config file's keys, and no other, each with its JSON kind and default:
+# None marks a required key, Ellipsis an optional one, echoed only when present.
+_CONFIG_SCHEMA = {
+    "m": (int, None), "s": (int, None), "ell": (int, None),
+    "outer": (str, "complete"), "inner": (str, "aghp"),  # a builtin graph or a graph file
+    "t": (int, ...), "support": (str, ...),  # the walk length and the f spec
+}
 
-    Schema: {"m", "s", "ell", "t"?, "outer": "complete"|path,
-    "inner": "aghp"|path, "support"?: f-spec}, and no other key.
-    """
+
+def _read_config(path: str) -> dict:
+    """The resolved fields of a config file, every one kind-checked before
+    any graph is built; the run header echoes them."""
     cfg = _json_object(Path(path).read_text(), f"config {path}")
-    unknown = sorted(cfg.keys() - {"m", "s", "ell", "t", "outer", "inner", "support"})
+    unknown = sorted(cfg.keys() - _CONFIG_SCHEMA.keys())
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")
-    params = WalkParams(*(json_field(cfg, key, int) for key in ("m", "s", "ell")))
-    outer_spec = json_field(cfg, "outer", str, "complete")
-    inner_spec = json_field(cfg, "inner", str, "aghp")
-    outer = (
-        build_complete_selfloop(params.m)
-        if outer_spec == "complete"
-        else _load_graph(outer_spec)
-    )
-    inner = (
-        build_aghp(params.r, params.ell)
-        if inner_spec == "aghp"
-        else _load_graph(inner_spec)
-    )
-    system = ReplacementSystem(outer, inner, params)
-    resolved = {
-        "m": params.m,
-        "s": params.s,
-        "ell": params.ell,
-        "outer": outer_spec,
-        "inner": inner_spec,
-    }
-    if "t" in cfg:
-        resolved["t"] = json_field(cfg, "t", int)
-    if "support" in cfg:
-        resolved["support"] = json_field(cfg, "support", str)
-    return system, resolved
+    return {key: json_field(cfg, key, kind, default)
+            for key, (kind, default) in _CONFIG_SCHEMA.items() if default is not ... or key in cfg}
 
 
-def _hex_list(spec: str, what: str) -> list[int]:
-    """The vertices of a comma-separated hex list, refusing an empty entry."""
-    return [parse_hex(tok.strip(), what) for tok in spec.split(",")]
+def _build_system(cfg: dict) -> ReplacementSystem:
+    params = WalkParams(cfg["m"], cfg["s"], cfg["ell"])
+    outer, inner = cfg["outer"], cfg["inner"]
+    return ReplacementSystem(
+        build_complete_selfloop(params.m) if outer == "complete" else _load_graph(outer),
+        build_aghp(params.r, params.ell) if inner == "aghp" else _load_graph(inner),
+        params,
+    )
+
+
+def _split(spec: str, parse, *args) -> list:
+    """The entries of every comma-separated list, each stripped and read by
+    parse(entry, *args); every such parse refuses an empty entry."""
+    return [parse(tok.strip(), *args) for tok in spec.split(",")]
 
 
 def _resolve_f(spec: str, n: int) -> SignedFn:
@@ -224,7 +217,7 @@ def _resolve_f(spec: str, n: int) -> SignedFn:
         return SignedFn.balanced(n)
     if spec == "empty":
         return SignedFn.zero(n)
-    return SignedFn.from_support(n, _hex_list(spec, "support vertex"))
+    return SignedFn.from_support(n, _split(spec, parse_hex, "support vertex"))
 
 
 def _parse_set(spec: str, n: int) -> list[int]:
@@ -234,7 +227,7 @@ def _parse_set(spec: str, n: int) -> list[int]:
         if not 1 <= count <= n:
             raise ValueError(f"first-{count} out of range for {n} vertices")
         return list(range(count))
-    return _hex_list(spec, "set vertex")
+    return _split(spec, parse_hex, "set vertex")
 
 
 def _emit_graph(args, g: CayleyGraph, **extra) -> int:
@@ -279,7 +272,8 @@ def _cmd_graph_spectrum(args) -> int:
 def _cmd_verify_distribution(args) -> int:
     """verify pseudorandomness (k = 1..s+1 by default) and verify
     uniformity (k = 1..s, whose rows also carry max_deviation)."""
-    system, resolved = _load_system(args.config)
+    resolved = _read_config(args.config)
+    system = _build_system(resolved)
     uniformity = args.subcommand == "uniformity"
     check = check_first_coord_uniform if uniformity else check_pseudorandomness
     columns = ("k", "tv", "max_deviation", "pass") if uniformity else ("k", "tv", "pass")
@@ -327,7 +321,8 @@ def _cmd_verify_moment(args) -> int:
     """verify base-case (k = 0..s), induction (k = s+1..kmax, 2s by
     default) and bias-lemma (one walk length t), for the f of --support,
     else of the config's "support", else balanced."""
-    system, resolved = _load_system(args.config)
+    resolved = _read_config(args.config)
+    system = _build_system(resolved)
     spec = args.support if args.support is not None else resolved.get("support", "balanced")
     resolved["support"] = spec
     f = _resolve_f(spec, system.num_outer)
@@ -341,8 +336,7 @@ def _cmd_verify_moment(args) -> int:
 
 
 def _cmd_verify_arithmetic(args) -> int:
-    lambdas = [_float(tok) for tok in args.lambdas.split(",") if tok.strip()]
-    s_values = [_int(tok) for tok in args.s_values.split(",") if tok.strip()]
+    lambdas, s_values = _split(args.lambdas, _float), _split(args.s_values, _int)
     report = verify_induction_arithmetic(lambdas, s_values, args.kmax)
     # ArithmeticRow's fields, in order
     columns = ("lambda", "s", "valid_region", "pass", "max_log_violation")
@@ -387,10 +381,10 @@ def _cmd_verify_hitting(args) -> int:
 
 
 def _cmd_code_gen_base(args) -> int:
-    # each try scans 2^k - 1 codewords of n0 bits, which bounds its k * n0
-    # drawn bits too (a k out of range is gen_base_code's argument error)
+    _check_shape(args.k, args.n0)  # before 2^k is computed
+    # each try scans 2^k - 1 codewords of n0 bits, which bounds its k * n0 drawn bits too
     scan = ((1 << args.k) - 1) * args.n0
-    if 1 <= args.k <= MAX_EXHAUSTIVE_K and scan > args.budget:
+    if scan > args.budget:
         raise BudgetExceeded(scan, args.budget)
     rng = np.random.default_rng(args.seed)
     base = gen_base_code(args.k, args.n0, args.target_bias, rng, max_tries=args.max_tries)
@@ -407,11 +401,11 @@ def _cmd_code_gen_base(args) -> int:
 
 
 def _amplified_for(args) -> tuple[AmplifiedCode, dict]:
-    system, resolved = _load_system(args.config)
+    """The code of --config, --base and --t, all checked before any graph is built."""
+    resolved = _read_config(args.config)
     base = LinearCode.from_json(Path(args.base).read_text())
-    t = _walk_length(args, resolved)
-    resolved["t"] = t
-    return AmplifiedCode(base, system, t), resolved
+    resolved["t"] = t = _walk_length(args, resolved)
+    return AmplifiedCode(base, _build_system(resolved), t), resolved
 
 
 def _cmd_code_encode(args) -> int:

@@ -36,6 +36,15 @@ class BaseCodeSearchFailed(Exception):
         self.best_bias = best_bias
 
 
+def _check_shape(k: int, n0: int) -> None:
+    """The one shape rule of a base code: k in 1..MAX_EXHAUSTIVE_K, the cap
+    of the exhaustive bias scan, and n0 at least k."""
+    if not 1 <= k <= MAX_EXHAUSTIVE_K:
+        raise ValueError(f"k must be in 1..{MAX_EXHAUSTIVE_K} for exhaustive bias")
+    if n0 < k:
+        raise ValueError("n0 must be at least k")
+
+
 class LinearCode:
     """Binary linear code given by k generator rows of n0 bits each.
 
@@ -47,10 +56,7 @@ class LinearCode:
     """
 
     def __init__(self, k: int, n0: int, rows: list[int]):
-        if not 1 <= k <= MAX_EXHAUSTIVE_K:
-            raise ValueError(f"k must be in 1..{MAX_EXHAUSTIVE_K} for exhaustive bias")
-        if n0 < k:
-            raise ValueError("n0 must be at least k")
+        _check_shape(k, n0)
         if len(rows) != k:
             raise ValueError(f"expected {k} rows, got {len(rows)}")
         for row in rows:
@@ -114,14 +120,13 @@ def gen_base_code(
     target.  Deterministic given the rng state; raises with the best bias
     found if max_tries is exhausted.  Each try draws k * n0 bits and
     scans the 2^k - 1 nonzero codewords of n0 bits."""
-    if not 1 <= k <= MAX_EXHAUSTIVE_K:
-        raise ValueError(f"k must be in 1..{MAX_EXHAUSTIVE_K} for exhaustive bias")
-    if n0 < k:
-        raise ValueError("n0 must be at least k")
+    _check_shape(k, n0)
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     if isinstance(target_bias, Fraction):
         target = target_bias
+    elif not np.isfinite(target_bias):
+        raise ValueError(f"target bias must be a finite number, got {target_bias}")
     else:
         # str() round-trips the shortest decimal, so 0.28 means 28/100
         # rather than the nearest binary double

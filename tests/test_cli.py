@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from widewalk import cli
 from widewalk.cli import (
     EXIT_BUDGET,
     EXIT_HYPOTHESES,
@@ -523,8 +524,9 @@ def test_invalid_inputs(tmp_path, capsys):
         ("--lambdas", "-1", "error: lambda must be positive and finite, got -1.0"),
         ("--kmax", "3", "error: s=5 must be at least 1 and below kmax=3"),
         ("--kmax", "32", "error: s=32 must be at least 1 and below kmax=32"),
-        ("--lambdas", "", "error: the lambda and s grids must each be nonempty"),
-        ("--s-values", ",", "error: the lambda and s grids must each be nonempty"),
+        # every comma list refuses an empty entry, as the hex lists do
+        ("--lambdas", "", "error: '' is not an ASCII decimal float"),
+        ("--s-values", ",", "error: '' is not an ASCII decimal int"),
         # decimals are ASCII only: no Arabic-Indic digits, no "_" separators
         ("--s-values", "\u0668,1_6", "error: '\u0668' is not an ASCII decimal int"),
         ("--s-values", "8,1_6", "error: '1_6' is not an ASCII decimal int"),
@@ -984,6 +986,46 @@ def test_a_json_input_that_is_not_an_object_is_invalid(role, text, tmp_path, cap
                       "a base code must be a JSON object"),
     }[role]
     assert_one_line_invalid(argv, capsys, f"error: {message}\n")
+
+
+VERIFY = ["verify", "bias-lemma", "--config", "cfg.json"]
+REPORT = ["code", "report", "--config", "cfg.json", "--base", "base.json"]
+GOOD = {"m": 2, "s": 5, "ell": 5, "t": 4}
+
+
+@pytest.mark.parametrize("cfg, argvs, prefix", [
+    # each config key with the wrong JSON kind, an unknown key, a missing key
+    ({**GOOD, "m": "2"}, [VERIFY, REPORT], "error: field 'm' must be an integer"),
+    ({**GOOD, "s": 2.5}, [VERIFY, REPORT], "error: field 's' must be an integer"),
+    ({**GOOD, "ell": True}, [VERIFY, REPORT], "error: field 'ell' must be an integer"),
+    ({**GOOD, "outer": 3}, [VERIFY, REPORT], "error: field 'outer' must be a string"),
+    ({**GOOD, "inner": []}, [VERIFY, REPORT], "error: field 'inner' must be a string"),
+    ({**GOOD, "t": "x"}, [VERIFY, REPORT], "error: field 't' must be an integer"),
+    ({**GOOD, "support": 5}, [VERIFY, REPORT], "error: field 'support' must be a string"),
+    ({**GOOD, "steps": 3}, [VERIFY, REPORT], "error: unknown config field 'steps'"),
+    ({"s": 5, "ell": 5, "t": 4}, [VERIFY, REPORT], "error: missing field 'm'"),
+    # an empty entry in a comma list
+    (GOOD, [["verify", "arithmetic", "--lambdas", "0.1,,0.2"]], "error: '' is not an ASCII decimal float"),
+    (GOOD, [["verify", "arithmetic", "--s-values", "5,,8"]], "error: '' is not an ASCII decimal int"),
+    # a missing base file
+    (GOOD, [REPORT[:-1] + ["missing.json"]], "error: [Errno 2] No such file or directory: 'missing.json'"),
+    # a base-code search with no finite target, or a k out of range
+    (GOOD, [["code", "gen-base", "--k", "2", "--n0", "4", "--target-bias", v] for v in ("nan", "1e400")],
+     "error: target bias must be a finite number, got "),
+    (GOOD, [["code", "gen-base", "--k", "-1", "--n0", "4", "--target-bias", "0.5"]],
+     "error: k must be in 1..16"),
+])
+def test_malformed_input_exits_2_before_any_graph_is_built(cfg, argvs, prefix, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, **cfg)
+    (tmp_path / "base.json").write_text(LinearCode(1, 2, [0b01]).to_json())
+    built = []
+    for name in ("build_aghp", "build_complete_selfloop", "_load_graph"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+    for argv in argvs:
+        assert_one_line_invalid(argv, capsys, prefix)
+    assert built == []
 
 
 def test_exact_integers_of_any_length_are_written(tmp_path, capsys):

@@ -193,6 +193,10 @@ def test_gen_base_code_argument_errors_draw_nothing():
     for target in (-0.5, Fraction(-1, 2), -1e-300):
         with pytest.raises(ValueError, match="target bias must be nonnegative"):
             gen_base_code(2, 4, target, rng, max_tries=50)
+    # nor can one meet a target that is not a finite number
+    for target in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"target bias must be a finite number, got {target}"):
+            gen_base_code(2, 4, target, rng, max_tries=50)
     assert rng.bit_generator.state == state
 
 

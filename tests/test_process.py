@@ -1,10 +1,12 @@
 """What importing widewalk does to its own process: the OpenBLAS idle-spin
 default that the package sets before numpy loads, and the public names it
-exports, pinned as one list; and how a CLI process ends when the memory it asks for is refused."""
+exports, pinned as one list; how a CLI process ends when the memory it asks for is refused;
+and the README's list of config keys, tied to the CLI's schema."""
 
 import ast
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,8 +14,10 @@ import time
 from pathlib import Path
 
 import widewalk
+from widewalk import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 READ_TIMEOUT = "import widewalk, os; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
 
 
@@ -111,3 +115,10 @@ def test_a_refused_allocation_exits_3_with_one_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_the_readme_lists_the_config_keys_of_the_schema():
+    # a key added to the schema or to the README alone fails here
+    match = re.search(r"config key outside\s+these \w+ \(([^)]*)\)", README.read_text())
+    assert match, "the README's config key sentence is missing"
+    assert sorted(re.findall(r"`(\w+)`", match.group(1))) == sorted(cli._CONFIG_SCHEMA)
