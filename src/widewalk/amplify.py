@@ -32,6 +32,7 @@ import numpy as np
 from .graphs import (
     CayleyGraph,
     InequalityCheck,
+    _check_walk_length,
     _convolve,
     _vertex_list,
     fwht,
@@ -469,6 +470,13 @@ def check_base_case(
     return report
 
 
+def _check_induction_kmax(kmax: int, s: int) -> int:
+    """kmax, refused unless the induction step has a level s+1..kmax."""
+    if kmax <= s:
+        raise ValueError(f"kmax must exceed s={s}")
+    return kmax
+
+
 def check_induction_step(
     sys: ReplacementSystem,
     f: SignedFn,
@@ -484,8 +492,7 @@ def check_induction_step(
                  + lam^s*sigma_{k-s}*sigma_{k-1} + lam^2*sigma_{k-1}^2
     """
     s = sys.params.s
-    if kmax <= s:
-        raise ValueError(f"kmax must exceed s={s}")
+    _check_induction_kmax(kmax, s)
     report = _lemma_report("induction-step", sys, f)
     if not report.hypotheses_met:
         return report
@@ -526,8 +533,7 @@ def check_bias_reduction_lemma(
     only where vacuous() finds it informative.  Without tables that reach
     level t, the stream runs to its end, which frees the loop's block,
     before the moments are taken."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_walk_length(t)
     report = _lemma_report("bias-reduction", sys, f)
     if not report.hypotheses_met:
         return report

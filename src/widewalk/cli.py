@@ -16,11 +16,18 @@ output, as a leading "# {...}" comment line in CSV output.  Outputs are
 deterministic given (config, seed).  --workers is accepted and echoed in
 the run header only: every computation is single-threaded, so it cannot
 change any other output byte.
+
+The program entry, run by the widewalk script and by python -m
+widewalk.cli, freezes the objects that importing the package made
+(gc.freeze) before main reads its arguments, so the collections at exit
+do not traverse them; output bytes, exit codes and flushing are as main
+gives them.  main(argv), called in-process, freezes nothing.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 from dataclasses import astuple
@@ -33,6 +40,7 @@ import numpy as np
 from .amplify import (
     MomentReport,
     SignedFn,
+    _check_induction_kmax,
     check_base_case,
     check_bias_reduction_lemma,
     check_induction_step,
@@ -51,6 +59,7 @@ from .gf2core import parse_hex
 from .graphs import (
     SPECTRUM_SCAN_LIMIT,
     CayleyGraph,
+    _check_walk_length,
     _json_object,
     build_aghp,
     build_complete_selfloop,
@@ -140,14 +149,18 @@ def _emit(
         out.writelines(chunks)
 
 
-def _decimal(kind):
+def _decimal(kind, least=None):
     """The parser of every decimal input: what kind() accepts, less empty
-    text, non-ASCII digits and "_" separators.  It is named after kind, so
-    that argparse errors read "invalid int value"."""
+    text, non-ASCII digits, "_" separators and, when given, values below
+    least.  It is named after kind, so that argparse errors read "invalid
+    int value"."""
     def parse(text: str):
         if not text or not text.isascii() or "_" in text:
             raise ValueError(f"{text!r} is not an ASCII decimal {kind.__name__}")
-        return kind(text)
+        value = kind(text)
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
 
     parse.__name__ = kind.__name__
     return parse
@@ -194,14 +207,16 @@ def _read_config(path: str) -> dict:
             for key, (kind, default) in _CONFIG_SCHEMA.items() if default is not ... or key in cfg}
 
 
-def _build_system(cfg: dict) -> ReplacementSystem:
+def _build_system(cfg: dict, flags=lambda params, num_outer: None) -> tuple[ReplacementSystem, object]:
+    """The system of a read config, and what flags(params, num_outer)
+    returns: the command's own checks, made after the walk parameters and
+    the outer graph and before the inner graph, the costly one, is built."""
     params = WalkParams(cfg["m"], cfg["s"], cfg["ell"])
     outer, inner = cfg["outer"], cfg["inner"]
-    return ReplacementSystem(
-        build_complete_selfloop(params.m) if outer == "complete" else _load_graph(outer),
-        build_aghp(params.r, params.ell) if inner == "aghp" else _load_graph(inner),
-        params,
-    )
+    outer = build_complete_selfloop(params.m) if outer == "complete" else _load_graph(outer)
+    checked = flags(params, outer.num_vertices)
+    inner = build_aghp(params.r, params.ell) if inner == "aghp" else _load_graph(inner)
+    return ReplacementSystem(outer, inner, params), checked
 
 
 def _split(spec: str, parse, *args) -> list:
@@ -272,15 +287,18 @@ def _cmd_graph_spectrum(args) -> int:
 def _cmd_verify_distribution(args) -> int:
     """verify pseudorandomness (k = 1..s+1 by default) and verify
     uniformity (k = 1..s, whose rows also carry max_deviation)."""
-    resolved = _read_config(args.config)
-    system = _build_system(resolved)
     uniformity = args.subcommand == "uniformity"
     check = check_first_coord_uniform if uniformity else check_pseudorandomness
     columns = ("k", "tv", "max_deviation", "pass") if uniformity else ("k", "tv", "pass")
-    s = system.params.s
-    kmax = args.kmax if args.kmax is not None else (s if uniformity else s + 1)
-    if kmax < 1:
-        raise ValueError(f"--kmax must be at least 1, got {kmax}")
+
+    def levels(params: WalkParams, num_outer: int) -> int:
+        kmax = args.kmax if args.kmax is not None else (params.s if uniformity else params.s + 1)
+        if kmax < 1:
+            raise ValueError(f"--kmax must be at least 1, got {kmax}")
+        return kmax
+
+    resolved = _read_config(args.config)
+    system, kmax = _build_system(resolved, levels)
     rows = []
     for k in range(1, kmax + 1):
         chk = check(system, k, budget=args.budget)
@@ -310,11 +328,11 @@ def _emit_moment(args, resolved: dict, report: MomentReport, **extra) -> int:
 
 
 def _walk_length(args, resolved: dict) -> int:
-    """--t, else the config's "t"."""
+    """--t, else the config's "t", checked."""
     t = args.t if args.t is not None else resolved.get("t")
     if t is None:
         raise ValueError("walk length required: pass --t or put \"t\" in the config")
-    return t
+    return _check_walk_length(t)
 
 
 def _cmd_verify_moment(args) -> int:
@@ -322,17 +340,23 @@ def _cmd_verify_moment(args) -> int:
     default) and bias-lemma (one walk length t), for the f of --support,
     else of the config's "support", else balanced."""
     resolved = _read_config(args.config)
-    system = _build_system(resolved)
     spec = args.support if args.support is not None else resolved.get("support", "balanced")
     resolved["support"] = spec
-    f = _resolve_f(spec, system.num_outer)
-    if args.subcommand == "base-case":
-        return _emit_moment(args, resolved, check_base_case(system, f))
-    if args.subcommand == "induction":
-        kmax = args.kmax if args.kmax is not None else 2 * system.params.s
-        return _emit_moment(args, resolved, check_induction_step(system, f, kmax), kmax=kmax)
-    t = _walk_length(args, resolved)
-    return _emit_moment(args, resolved, check_bias_reduction_lemma(system, f, t), t=t)
+
+    def f_and_level(params: WalkParams, num_outer: int) -> tuple[SignedFn, dict]:
+        """f, then the level flag of the subcommand, if it has one, by name."""
+        f = _resolve_f(spec, num_outer)
+        if args.subcommand == "induction":
+            kmax = args.kmax if args.kmax is not None else 2 * params.s
+            return f, {"kmax": _check_induction_kmax(kmax, params.s)}
+        if args.subcommand == "bias-lemma":
+            return f, {"t": _walk_length(args, resolved)}
+        return f, {}
+
+    system, (f, level) = _build_system(resolved, f_and_level)
+    check = {"base-case": check_base_case, "induction": check_induction_step,
+             "bias-lemma": check_bias_reduction_lemma}[args.subcommand]
+    return _emit_moment(args, resolved, check(system, f, *level.values()), **level)
 
 
 def _cmd_verify_arithmetic(args) -> int:
@@ -405,7 +429,8 @@ def _amplified_for(args) -> tuple[AmplifiedCode, dict]:
     resolved = _read_config(args.config)
     base = LinearCode.from_json(Path(args.base).read_text())
     resolved["t"] = t = _walk_length(args, resolved)
-    return AmplifiedCode(base, _build_system(resolved), t), resolved
+    system, _ = _build_system(resolved)
+    return AmplifiedCode(base, system, t), resolved
 
 
 def _cmd_code_encode(args) -> int:
@@ -448,7 +473,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_int, default=0, help="RNG seed (64-bit)")
+    p.add_argument("--seed", type=_decimal(int, least=0), default=0, help="RNG seed (64-bit)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--workers", type=_int, default=None,
@@ -564,5 +589,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(digits)
 
 
+def _entry() -> int:
+    """The program entry: main() on sys.argv, after gc.freeze() has moved
+    what the import made, which lives until exit, out of every collection,
+    the ones at exit included."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf2core
 from .amplify import SignedFn, _levels, bias_bound, lemma_hypotheses, moments, vacuous
-from .graphs import _json_object, json_field
+from .graphs import _check_walk_length, _json_object, json_field
 from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid
 
 MAX_EXHAUSTIVE_K = 16
@@ -156,8 +156,7 @@ class AmplifiedCode:
     t: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
+        _check_walk_length(self.t)
         if self.sys.num_outer < self.base.n0:
             raise ValueError(
                 f"outer graph has {self.sys.num_outer} vertices, "

@@ -483,6 +483,13 @@ def vertex_values(f, graph: CayleyGraph, name: str) -> np.ndarray:
     return arr
 
 
+def _check_walk_length(t: int) -> int:
+    """t, the one rule of every walk length: at least one step."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    return t
+
+
 def _vertex_list(values, n: int, what: str, distinct: bool = False) -> list[int]:
     """values as plain ints in 0..n-1, each listed once when distinct.  A bool
     or a float is refused: numpy would read bools as a mask, or truncate."""

@@ -14,7 +14,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .amplify import vacuous
-from .graphs import CayleyGraph, _convolve, _vertex_list, spectrum
+from .graphs import CayleyGraph, _check_walk_length, _convolve, _vertex_list, spectrum
 
 Real = Union[float, Fraction]
 
@@ -31,8 +31,7 @@ class HittingInstance:
         if not vertices:
             raise ValueError("subset must be nonempty")
         object.__setattr__(self, "subset", frozenset(vertices))  # from any iterable
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
+        _check_walk_length(self.t)
         # the bits the exact DP holds, refused before any table is built: n
         # object ints below d**(t-1), each at least its 64-bit pointer, and t
         # rows, whose fractions take about 2j(dim + log2 d) bits in row j
@@ -82,8 +81,7 @@ def hitting_bound(rho: Real, lam: Real, t: int) -> Real:
     and lam in [0, 1]: squared, the sides differ by Phi*(Phi - rho - lam +
     lam*rho), which is 0, and Phi - lam/2 = rho*(1 - lam) + lam/2 >= 0.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_walk_length(t)
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if not 0 <= lam <= 1:

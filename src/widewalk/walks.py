@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import CayleyGraph, _vertex_list
+from .graphs import CayleyGraph, _check_walk_length, _vertex_list
 
 DEFAULT_BUDGET = 1 << 28
 # rows per gather in expand: take copies its index block into intp, 8 bytes
@@ -251,8 +251,7 @@ class ReplacementSystem:
         return SWalk(tuple(A[0].tolist()), tuple(B[0].tolist()), (a0, b1, us))
 
     def seed_count(self, t: int) -> int:
-        if t < 1:
-            raise ValueError("t must be at least 1")
+        _check_walk_length(t)
         return self.num_outer * self.num_inner * self.params.d_inner ** (t - 1)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, output shapes, and
 byte-level determinism.  All invocations go through main(argv)."""
 
+import argparse
 import hashlib
 import json
 import sys
@@ -1016,16 +1017,82 @@ GOOD = {"m": 2, "s": 5, "ell": 5, "t": 4}
      "error: k must be in 1..16"),
 ])
 def test_malformed_input_exits_2_before_any_graph_is_built(cfg, argvs, prefix, tmp_path, monkeypatch, capsys):
+    assert _graphs_built_refusing(cfg, argvs, prefix, tmp_path, monkeypatch, capsys) == []
+
+
+def _graphs_built_refusing(cfg, argvs, prefix, tmp_path, monkeypatch, capsys) -> list[str]:
+    """The graph builds and loads made by the runs of argvs on cfg, each of
+    which must exit 2 with one line starting with prefix."""
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path, **cfg)
     (tmp_path / "base.json").write_text(LinearCode(1, 2, [0b01]).to_json())
+    (tmp_path / "k4.json").write_text(build_complete_selfloop(2).to_json())
+    (tmp_path / "inner.json").write_text(build_aghp(10, 5).to_json())
     built = []
     for name in ("build_aghp", "build_complete_selfloop", "_load_graph"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
     for argv in argvs:
         assert_one_line_invalid(argv, capsys, prefix)
-    assert built == []
+    return built
+
+
+MOMENT = [["verify", sub, "--config", "cfg.json"] for sub in ("base-case", "induction", "bias-lemma")]
+ENCODE = ["code", "encode", "--config", "cfg.json", "--base", "base.json", "--message", "1"]
+STORED = {**GOOD, "outer": "k4.json", "inner": "inner.json"}
+TWO = {"m": 1, "s": 5, "ell": 2}  # two outer vertices
+
+
+@pytest.mark.parametrize("cfg, argvs, prefix", [
+    # a support vertex out of range, with the outer graph builtin or stored
+    (GOOD, [argv + ["--support", "0,1,ff"] for argv in MOMENT], "error: support vertex 255 out of range 0..3"),
+    (STORED, [argv + ["--support", "0,1,ff"] for argv in MOMENT], "error: support vertex 255 out of range 0..3"),
+    # no walk length, or none of at least one step
+    ({"m": 2, "s": 5, "ell": 5}, [VERIFY], "error: walk length required"),
+    (GOOD, [argv + ["--t", "0"] for argv in (VERIFY, REPORT, ENCODE)], "error: t must be at least 1\n"),
+    (STORED, [argv + ["--t", "0"] for argv in (VERIFY, REPORT, ENCODE)], "error: t must be at least 1\n"),
+    # no level to check
+    (GOOD, [MOMENT[1] + ["--kmax", "3"]], "error: kmax must exceed s=5\n"),
+    (GOOD, [["verify", sub, "--config", "cfg.json", "--kmax", "0"] for sub in ("pseudorandomness", "uniformity")],
+     "error: --kmax must be at least 1, got 0\n"),
+])
+def test_a_flag_error_exits_2_before_the_inner_graph_is_built(cfg, argvs, prefix, tmp_path, monkeypatch, capsys):
+    # the outer graph may be built or loaded, as its vertex count bounds the
+    # support; the inner graph, the costly one, never is
+    built = _graphs_built_refusing(cfg, argvs, prefix, tmp_path, monkeypatch, capsys)
+    assert "build_aghp" not in built
+    assert built.count("_load_graph") <= (len(argvs) if cfg is STORED else 0)
+
+
+@pytest.mark.parametrize("cfg, argv, prefix", [
+    # of two flag errors, the one checked first in the run is the one refused
+    (TWO, VERIFY + ["--support", "5", "--t", "0"], "error: support vertex 5 out of range 0..1\n"),
+    (TWO, VERIFY + ["--support", "1"], "error: walk length required"),
+    (TWO, MOMENT[1] + ["--support", "5", "--kmax", "3"], "error: support vertex 5 out of range 0..1\n"),
+    # and the walk parameters before any flag
+    ({**TWO, "ell": 3}, VERIFY + ["--support", "5", "--t", "0"], "error: ell=3 must be at most r/2 with r=5\n"),
+])
+def test_flag_errors_keep_their_order(cfg, argv, prefix, tmp_path, monkeypatch, capsys):
+    built = _graphs_built_refusing(cfg, [argv], prefix, tmp_path, monkeypatch, capsys)
+    assert "build_aghp" not in built
+
+
+def _subcommands():
+    """(family, name) of every subcommand the parser knows."""
+    def choices(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for family, family_parser in choices(cli._build_parser()).items():
+        for name in choices(family_parser):
+            yield family, name
+
+
+@pytest.mark.parametrize("family, name", list(_subcommands()))
+def test_a_negative_seed_is_refused_by_every_subcommand(family, name, capsys):
+    # numpy's generator takes no negative seed, so no subcommand echoes one
+    assert_one_line_invalid([family, name, "--seed", "-1"], capsys,
+                            f"error: widewalk {family} {name}: argument --seed: must be at least 0, got -1\n")
+    assert_one_line_invalid([family, name, "--seed", "x"], capsys,
+                            f"error: widewalk {family} {name}: argument --seed: invalid int value: 'x'\n")
 
 
 def test_exact_integers_of_any_length_are_written(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """What importing widewalk does to its own process: the OpenBLAS idle-spin
 default that the package sets before numpy loads, and the public names it
 exports, pinned as one list; how a CLI process ends when the memory it asks for is refused;
-and the README's list of config keys, tied to the CLI's schema."""
+the README's list of config keys, tied to the CLI's schema; and the CLI's
+program entry, which freezes the import's objects and writes what main
+writes."""
 
 import ast
+import gc
 import json
 import os
 import re
@@ -122,3 +125,64 @@ def test_the_readme_lists_the_config_keys_of_the_schema():
     match = re.search(r"config key outside\s+these \w+ \(([^)]*)\)", README.read_text())
     assert match, "the README's config key sentence is missing"
     assert sorted(re.findall(r"`(\w+)`", match.group(1))) == sorted(cli._CONFIG_SCHEMA)
+
+
+FREEZE_COUNT_AT_EXIT = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["widewalk", "graph", "complete", "--m", "2"]
+runpy.run_module("widewalk.cli", run_name="__main__")
+"""
+
+
+def test_the_program_entry_freezes_the_import():
+    # the collections at exit skip frozen objects
+    proc = subprocess.run([sys.executable, "-c", FREEZE_COUNT_AT_EXIT], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["graph", "complete", "--m", "2"]) == cli.EXIT_PASS
+    assert gc.get_freeze_count() == before
+
+
+def test_the_script_and_the_module_share_one_entry():
+    # read as text: tomllib is not in Python 3.10, which pyproject allows
+    (script,) = re.findall(r'^widewalk = "widewalk\.cli:(\w+)"$',
+                           (SRC.parent / "pyproject.toml").read_text(), re.M)
+    (block,) = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block.body[0]) == f"sys.exit({script}())"
+    assert script != "main"
+
+
+def test_the_program_entry_writes_what_main_writes(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 3, "s": 3, "ell": 1}))
+    codes = []
+    for argv in (  # one for each exit code, 0 to 4, and one that writes --out
+        ["graph", "aghp", "--r", "16", "--ell", "8"],  # 786,746 bytes through the pipe
+        ["graph", "complete", "--m", "3", "--format", "csv", "--out", str(tmp_path / "k8.csv")],
+        ["code", "gen-base", "--k", "2", "--n0", "2", "--target-bias", "0", "--max-tries", "5"],
+        ["verify", "bias-lemma", "--config", str(config), "--seed", "-1"],
+        ["code", "gen-base", "--k", "2", "--n0", "3000000000", "--target-bias", "0.5"],
+        ["verify", "base-case", "--config", str(config), "--support", "empty"],
+    ):
+        out = Path(argv[-1]) if "--out" in argv else None
+        proc = subprocess.run([sys.executable, "-m", "widewalk.cli", *argv], env=_env(),
+                              capture_output=True, timeout=120)
+        written = out.read_bytes() if out else None
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert proc.returncode == code, argv
+        assert proc.stdout == captured.out.encode(), argv
+        # a report (exit 0 or 4) writes no stderr, an error (1, 2 or 3) one line
+        assert proc.stderr.decode() == captured.err, argv
+        assert captured.err.count("\n") == (code in (1, 2, 3)), argv
+        if out:
+            assert written == out.read_bytes() and written.startswith(b"# {")
+        codes.append(code)
+    assert codes == [0, 0, 1, 2, 3, 4]
