@@ -73,6 +73,7 @@ from .walks import (
     BudgetExceeded,
     ReplacementSystem,
     WalkParams,
+    _check_uniform_level,
     check_first_coord_uniform,
     check_pseudorandomness,
 )
@@ -207,16 +208,17 @@ def _read_config(path: str) -> dict:
             for key, (kind, default) in _CONFIG_SCHEMA.items() if default is not ... or key in cfg}
 
 
-def _build_system(cfg: dict, flags=lambda params, num_outer: None) -> tuple[ReplacementSystem, object]:
-    """The system of a read config, and what flags(params, num_outer)
-    returns: the command's own checks, made after the walk parameters and
-    the outer graph and before the inner graph, the costly one, is built."""
+def _walk_and_outer(cfg: dict) -> tuple[WalkParams, CayleyGraph]:
+    """The walk parameters and the outer graph: a command checks its own
+    flags against them before _system builds the inner graph, the costly one."""
     params = WalkParams(cfg["m"], cfg["s"], cfg["ell"])
-    outer, inner = cfg["outer"], cfg["inner"]
-    outer = build_complete_selfloop(params.m) if outer == "complete" else _load_graph(outer)
-    checked = flags(params, outer.num_vertices)
-    inner = build_aghp(params.r, params.ell) if inner == "aghp" else _load_graph(inner)
-    return ReplacementSystem(outer, inner, params), checked
+    outer = cfg["outer"]
+    return params, build_complete_selfloop(params.m) if outer == "complete" else _load_graph(outer)
+
+
+def _system(cfg: dict, params: WalkParams, outer: CayleyGraph) -> ReplacementSystem:
+    inner = build_aghp(params.r, params.ell) if cfg["inner"] == "aghp" else _load_graph(cfg["inner"])
+    return ReplacementSystem(outer, inner, params)
 
 
 def _split(spec: str, parse, *args) -> list:
@@ -290,15 +292,14 @@ def _cmd_verify_distribution(args) -> int:
     uniformity = args.subcommand == "uniformity"
     check = check_first_coord_uniform if uniformity else check_pseudorandomness
     columns = ("k", "tv", "max_deviation", "pass") if uniformity else ("k", "tv", "pass")
-
-    def levels(params: WalkParams, num_outer: int) -> int:
-        kmax = args.kmax if args.kmax is not None else (params.s if uniformity else params.s + 1)
-        if kmax < 1:
-            raise ValueError(f"--kmax must be at least 1, got {kmax}")
-        return kmax
-
     resolved = _read_config(args.config)
-    system, kmax = _build_system(resolved, levels)
+    params, outer = _walk_and_outer(resolved)
+    kmax = args.kmax if args.kmax is not None else (params.s if uniformity else params.s + 1)
+    if kmax < 1:
+        raise ValueError(f"--kmax must be at least 1, got {kmax}")
+    if uniformity:
+        _check_uniform_level(kmax, params.s)
+    system = _system(resolved, params, outer)
     rows = []
     for k in range(1, kmax + 1):
         chk = check(system, k, budget=args.budget)
@@ -342,18 +343,15 @@ def _cmd_verify_moment(args) -> int:
     resolved = _read_config(args.config)
     spec = args.support if args.support is not None else resolved.get("support", "balanced")
     resolved["support"] = spec
-
-    def f_and_level(params: WalkParams, num_outer: int) -> tuple[SignedFn, dict]:
-        """f, then the level flag of the subcommand, if it has one, by name."""
-        f = _resolve_f(spec, num_outer)
-        if args.subcommand == "induction":
-            kmax = args.kmax if args.kmax is not None else 2 * params.s
-            return f, {"kmax": _check_induction_kmax(kmax, params.s)}
-        if args.subcommand == "bias-lemma":
-            return f, {"t": _walk_length(args, resolved)}
-        return f, {}
-
-    system, (f, level) = _build_system(resolved, f_and_level)
+    params, outer = _walk_and_outer(resolved)
+    f = _resolve_f(spec, outer.num_vertices)
+    level = {}  # the subcommand's level flag, if it has one, by name
+    if args.subcommand == "induction":
+        kmax = args.kmax if args.kmax is not None else 2 * params.s
+        level["kmax"] = _check_induction_kmax(kmax, params.s)
+    elif args.subcommand == "bias-lemma":
+        level["t"] = _walk_length(args, resolved)
+    system = _system(resolved, params, outer)
     check = {"base-case": check_base_case, "induction": check_induction_step,
              "bias-lemma": check_bias_reduction_lemma}[args.subcommand]
     return _emit_moment(args, resolved, check(system, f, *level.values()), **level)
@@ -425,12 +423,12 @@ def _cmd_code_gen_base(args) -> int:
 
 
 def _amplified_for(args) -> tuple[AmplifiedCode, dict]:
-    """The code of --config, --base and --t, all checked before any graph is built."""
+    """The code of --config, --base and --t; --t is checked before the inner graph is built."""
     resolved = _read_config(args.config)
     base = LinearCode.from_json(Path(args.base).read_text())
+    params, outer = _walk_and_outer(resolved)
     resolved["t"] = t = _walk_length(args, resolved)
-    system, _ = _build_system(resolved)
-    return AmplifiedCode(base, system, t), resolved
+    return AmplifiedCode(base, _system(resolved, params, outer), t), resolved
 
 
 def _cmd_code_encode(args) -> int:
@@ -476,9 +474,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_decimal(int, least=0), default=0, help="RNG seed (64-bit)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--workers", type=_int, default=None,
+    p.add_argument("--workers", type=_decimal(int, least=1), default=None,
                    help="echoed in the run header only; computation is single-threaded")
-    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_decimal(int, least=0), default=DEFAULT_BUDGET,
                    help="enumeration budget (items)")
 
 
@@ -570,8 +568,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     digits = sys.get_int_max_str_digits()  # lifted so exact ints print in full
     sys.set_int_max_str_digits(0)
     try:
-        if args.budget < 0:
-            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
         return args.func(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)

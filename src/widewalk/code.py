@@ -101,11 +101,8 @@ class LinearCode:
         k, n0 = json_field(data, "k", int), json_field(data, "n0", int)
         code = cls(k, n0, [gf2core.hex_decode(h, n0) for h in json_field(data, "rows", list)])
         bias = json_field(data, "bias", float, code.measured_bias)
-        if not abs(code.measured_bias - bias) <= 1e-12:  # "not <=" also refuses NaN
-            raise ValueError(
-                f"stored bias {bias} disagrees with recomputed "
-                f"{code.measured_bias}"
-            )
+        if bias != code.measured_bias:  # the float to_json_dict writes; NaN equals nothing
+            raise ValueError(f"stored bias {bias} disagrees with recomputed {code.measured_bias}")
         return code
 
 

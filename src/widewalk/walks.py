@@ -374,6 +374,12 @@ def check_pseudorandomness(
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
 
 
+def _check_uniform_level(k: int, s: int) -> None:
+    """Refuse k outside 1..s, the levels at which the first-block tuple is uniform."""
+    if not 1 <= k <= s:
+        raise ValueError(f"k must be in 1..s={s}, got {k}")
+
+
 def check_first_coord_uniform(
     sys: ReplacementSystem, k: int, budget: int = DEFAULT_BUDGET
 ) -> DistributionCheck:
@@ -383,8 +389,7 @@ def check_first_coord_uniform(
     uniform on [2**m]^k.  Enumeration is over b_1 and k-1 inner generator
     choices; counts are compared cell by cell with the uniform count.
     """
-    if not 1 <= k <= sys.params.s:
-        raise ValueError(f"k must be in 1..s={sys.params.s}, got {k}")
+    _check_uniform_level(k, sys.params.s)
     total = sys.num_inner * sys.params.d_inner ** (k - 1)
     if total > budget:
         raise BudgetExceeded(total, budget)

@@ -49,7 +49,7 @@ from widewalk.amplify import (
     verify_induction_arithmetic,
 )
 from widewalk.code import AmplifiedCode, LinearCode, code_bias
-from widewalk.graphs import fwht, mixing_check
+from widewalk.graphs import CayleyGraph, fwht, mixing_check
 
 import walk_oracle as oracle
 
@@ -130,6 +130,71 @@ def test_dp_gk_matches_enumeration(g8_system, g8_f):
         assert np.max(np.abs(tables[t].values - brute)) <= 1e-12, t
     for t in range(5):
         assert abs(moments(tables[t]).eps - G8_FROZEN_EPS[t]) <= 1e-12
+
+
+# seeded random systems, checked against walks enumerated from the rule
+# alone; at most this many (walk, start) pairs a level, which keeps level
+# s + 1 of every system (8 starts, 2^10 inner vertices, 4^5 walks at most)
+ENUMERATED_PAIRS = 1 << 23
+
+
+def random_system(seed):
+    """m in {1, 2}, s in 3..5, ell = 1, outer dim m or m + 1, random
+    multigraph words for both graphs and a random f."""
+    rng = np.random.default_rng(seed)
+    m, s = int(rng.integers(1, 3)), int(rng.integers(3, 6))
+    dim = m + int(rng.integers(2))
+    outer = CayleyGraph(dim, rng.integers(1 << dim, size=1 << m), name="outer", multigraph=True)
+    inner = CayleyGraph(m * s, rng.integers(1 << (m * s), size=4), name="inner", multigraph=True)
+    f = SignedFn(rng.integers(2, size=1 << dim))
+    return ReplacementSystem(outer, inner, WalkParams(m, s, 1)), f
+
+
+def enumerated_walks(sys, f, kmax):
+    """(a_k, b_k, f(a_0)...f(a_k)) of every walk (a_0, b_1, u_2..u_k),
+    k = 0..kmax, each as an (n_A, n_B, d_B^(k-1)) array in the seed's C
+    order (level 0 as level 1, with b_1 and one factor).  Written from the
+    rule of the widewalk.walks docstring in base-d digits, d = 2^m: block 1
+    of b is b % d, a_i = a_(i-1) ^ (outer generator b_i % d), and
+    b_i = shift(b_(i-1) ^ u_i), the block tuple (c_1..c_s) moved to
+    (c_2..c_s, c_1)."""
+    d, s = sys.params.d_outer, sys.params.s
+    outer = sys.outer.generators.astype(np.uint16)
+    inner = sys.inner.generators.astype(np.uint16)
+    signs = (1 - 2 * f.bits).astype(np.int8)
+    a, b = np.broadcast_arrays(np.arange(sys.num_outer, dtype=np.uint16)[:, None, None],
+                               np.arange(sys.num_inner, dtype=np.uint16)[None, :, None])
+    prod = signs[a]
+    yield a, b, prod
+    for k in range(1, kmax + 1):
+        if k > 1:  # the seed's next inner choice u_k, along the last axis
+            c = (b[..., None] ^ inner).reshape(b.shape[:2] + (-1,))
+            b = c // d + c % d * d ** (s - 1)
+            a, prod = (np.repeat(x, len(inner), axis=2) for x in (a, prod))
+        a = a ^ outer[b % d]
+        prod = prod * signs[a]
+        yield a, b, prod
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_systems_match_an_independent_enumeration(seed):
+    # every mean is a sum of +-1 over a power of two, and every DP sum and
+    # scale is exact on such values, so the tables are equal, not close
+    sys, f = random_system(seed)
+    s, n = sys.params.s, sys.num_outer * sys.num_inner
+    kmax = min(2 * s + 1, 9)
+    while n * sys.params.d_inner ** (kmax - 1) > ENUMERATED_PAIRS:
+        kmax -= 1
+    assert kmax > s
+    forward, backward = dp_gk(sys, f, kmax), dp_backwards(sys, f, s)
+    for k, (a, b, prod) in enumerate(enumerated_walks(sys, f, kmax)):
+        g = prod.sum(axis=2, dtype=np.int64) / prod.shape[2]
+        assert np.array_equal(forward[k].values, g), ("forward", k)
+        if k <= s:  # the same walks, grouped by their end pair (a_k, b_k)
+            ends = (a.astype(np.intp) * sys.num_inner + b).ravel()
+            sums = np.bincount(ends, prod.ravel().astype(np.float64), n)
+            gbar = (sums / np.bincount(ends, minlength=n)).reshape(g.shape)
+            assert np.array_equal(backward[k].values, gbar), ("backward", k)
 
 
 def test_dp_gk_flagship_moments(flagship_tables):

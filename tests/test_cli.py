@@ -4,6 +4,7 @@ byte-level determinism.  All invocations go through main(argv)."""
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -470,7 +471,8 @@ def test_invalid_inputs(tmp_path, capsys):
     base_path.write_text("not json{")
     assert_one_line_invalid(encode_argv, capsys, "error: Expecting value: line 1 column 1 (char 0)")
     base_path.write_text(LinearCode(1, 2, [0b01]).to_json())
-    assert_one_line_invalid(encode_argv + ["--budget", "-1"], capsys, "error: --budget")
+    assert_one_line_invalid(encode_argv + ["--budget", "-1"], capsys,
+                            "error: widewalk code encode: argument --budget: must be at least 0, got -1\n")
     # config fields of the wrong JSON type; floats and bools are not integers
     good = {"m": 1, "s": 2, "ell": 1, "t": 2}
     for field, value in (("m", None), ("m", 2.7), ("m", True), ("t", "2"),
@@ -1055,6 +1057,7 @@ TWO = {"m": 1, "s": 5, "ell": 2}  # two outer vertices
     (GOOD, [MOMENT[1] + ["--kmax", "3"]], "error: kmax must exceed s=5\n"),
     (GOOD, [["verify", sub, "--config", "cfg.json", "--kmax", "0"] for sub in ("pseudorandomness", "uniformity")],
      "error: --kmax must be at least 1, got 0\n"),
+    (TWO, [["verify", "uniformity", "--config", "cfg.json", "--kmax", "6"]], "error: k must be in 1..s=5, got 6\n"),
 ])
 def test_a_flag_error_exits_2_before_the_inner_graph_is_built(cfg, argvs, prefix, tmp_path, monkeypatch, capsys):
     # the outer graph may be built or loaded, as its vertex count bounds the
@@ -1071,6 +1074,7 @@ def test_a_flag_error_exits_2_before_the_inner_graph_is_built(cfg, argvs, prefix
     (TWO, MOMENT[1] + ["--support", "5", "--kmax", "3"], "error: support vertex 5 out of range 0..1\n"),
     # and the walk parameters before any flag
     ({**TWO, "ell": 3}, VERIFY + ["--support", "5", "--t", "0"], "error: ell=3 must be at most r/2 with r=5\n"),
+    ({**TWO, "ell": 3}, REPORT + ["--t", "0"], "error: ell=3 must be at most r/2 with r=5\n"),
 ])
 def test_flag_errors_keep_their_order(cfg, argv, prefix, tmp_path, monkeypatch, capsys):
     built = _graphs_built_refusing(cfg, [argv], prefix, tmp_path, monkeypatch, capsys)
@@ -1093,6 +1097,27 @@ def test_a_negative_seed_is_refused_by_every_subcommand(family, name, capsys):
                             f"error: widewalk {family} {name}: argument --seed: must be at least 0, got -1\n")
     assert_one_line_invalid([family, name, "--seed", "x"], capsys,
                             f"error: widewalk {family} {name}: argument --seed: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize("family, name", list(_subcommands()))
+def test_a_common_count_below_its_floor_is_refused_by_every_subcommand(family, name, capsys):
+    for flag, value, least in (("--workers", "0", 1), ("--workers", "-3", 1), ("--budget", "-1", 0)):
+        assert_one_line_invalid([family, name, flag, value], capsys,
+                                f"error: widewalk {family} {name}: argument {flag}: must be at least {least}, "
+                                f"got {value}\n")
+
+
+@pytest.mark.parametrize("toward", [0.0, 1.0])
+def test_a_stored_bias_one_ulp_off_is_refused(toward, tmp_path, capsys):
+    # bias 1/3 is no dyadic float; to_json_dict writes the float it rounds to
+    payload = LinearCode(2, 3, [0b011, 0b110]).to_json_dict()
+    payload["bias"] = math.nextafter(payload["bias"], toward)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="stored bias"):
+        LinearCode.from_json(base.read_text())
+    assert_one_line_invalid(["code", "report", "--config", tiny_config(tmp_path, t=2), "--base", str(base)],
+                            capsys, f"error: stored bias {payload['bias']} disagrees with recomputed ")
 
 
 def test_exact_integers_of_any_length_are_written(tmp_path, capsys):

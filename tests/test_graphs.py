@@ -669,10 +669,9 @@ def _is_float(node: ast.AST) -> bool:
 def test_every_float_bound_verdict_goes_through_holds():
     """TOL_BOUND is assigned once, in graphs, and read only by holds, and no
     comparison in the package adds a float literal as its slack.  The
-    comparisons with other slacks are different rules: the rounding band
-    of check_middle_start_identity, derived from the two sums it compares,
-    and the stored-bias check of LinearCode.from_json, which is the one
-    comparison allowed a tolerance-sized float literal."""
+    comparison with another slack is a different rule: the rounding band
+    of check_middle_start_identity, derived from the two sums it compares.
+    No comparison is allowed a tolerance-sized float literal."""
     import widewalk
 
     offenders = []
@@ -693,8 +692,7 @@ def test_every_float_bound_verdict_goes_through_holds():
                     if isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Add, ast.Sub)) \
                             and any(map(_is_float, (sub.left, sub.right))):
                         offenders.append(f"{where} adds a float literal in a comparison")
-                tiny = _is_float(operand) and 0 < abs(operand.value) < 1e-6
-                if tiny and (path.name, func) != ("code.py", "from_json"):
+                if _is_float(operand) and 0 < abs(operand.value) < 1e-6:
                     offenders.append(f"{where} compares with a tolerance literal")
     assert offenders == []
 
