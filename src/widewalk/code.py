@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2core
 from .amplify import SignedFn, _levels, bias_bound, lemma_hypotheses, moments, vacuous
 from .graphs import _check_walk_length, _json_object, json_field
-from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, choice_grid
+from .walks import DEFAULT_BUDGET, BudgetExceeded, ReplacementSystem, _walk_blocks
 
 MAX_EXHAUSTIVE_K = 16
 MAX_DP_SCAN_K = 12
@@ -197,15 +197,16 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
 
     With N = |B| * d_B**(t-1) walks from 0, the work is O(|A|) to build
     mask, (t+1) N |A| / w gathers and |A| N bytes written: linear in the
-    block length plus |A|.  b_1 goes in blocks of about 2**16 walks and the
-    lanes in batches of about 2**16 words, so peak memory stays flat.
+    block length plus |A|.  The walks come from walks._walk_blocks in
+    blocks of about 2**16 and the lanes go in batches of about 2**16
+    words, so peak memory stays flat.
     """
     f = amp.f_for_message(x)  # LinearCode.encode refuses x before the budget
     count = amp.block_length
     if count > budget:
         raise BudgetExceeded(count, budget)
     sys, t = amp.sys, amp.t
-    n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_inner
+    n_a = sys.num_outer
     width = min(64, n_a)
     lane_type = np.dtype(f"<u{max(8, width) // 8}")
     words = np.packbits(f.bits.astype(np.uint8), bitorder="little")
@@ -216,14 +217,9 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
         moved = mask.reshape(len(mask), -1, 2, s)[:, :, 1]  # the columns r with bit k set
         moved[...] = (moved >> s) & low | (moved & low) << s
     mask = mask.ravel()
-    per_b = d ** (t - 1)
-    step = max(1, (1 << 16) // per_b)
-    out = np.empty((n_a, n_b * per_b), dtype=np.uint8)
-    for lo in range(0, n_b, step):
-        seeds = choice_grid(min(step, n_b - lo), *(d,) * (t - 1))
-        # the grid's dtype holds only its own values, so b_1 is summed in the system's
-        A, _ = sys.expand(0, np.add(seeds[:, 0], lo, dtype=sys._dtype), seeds[:, 1:])
-        cols = slice(lo * per_b, lo * per_b + len(A))
+    out = np.empty((n_a, count // n_a), dtype=np.uint8)
+    for start, A, _ in _walk_blocks(sys, t):
+        cols = slice(start, start + len(A))
         lanes = max(1, (1 << 16) // len(A))
         for g_lo in range(0, n_a, lanes * width):
             g = np.arange(g_lo, min(g_lo + lanes * width, n_a), width, dtype=A.dtype)[:, None]

@@ -32,7 +32,11 @@ every row at once: each step is a few whole-row bit operations.
 Two enumerations are compared as multisets of rows by :func:`multiset_tv`
 in exact rationals, each row packed into one int64 key by shift-or, so
 that each side sorts plain integers in place rather than np.void byte
-strings.
+strings.  The uniformity check needs no second multiset: it counts its
+first-block tuples into a histogram over [2**m]^k and decides them
+against the exact uniform count.  It and code.encode read one streamed
+enumeration of the walks from a_0 = 0, :func:`_walk_blocks`, a block of
+about 2**16 walks at a time, so neither holds every walk.
 
 The rotation a -> a ^ hop(b) also lets every exact check enumerate each
 inner walk once, from a_0 = 0: the walk of seed (a_0, b_1, u) has outer
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -264,6 +268,22 @@ def _xor_gather(out: np.ndarray, base: np.ndarray, gather, index: np.ndarray) ->
         np.bitwise_xor(base[rows], gather(index[rows]), out=out[rows])
 
 
+def _walk_blocks(sys: ReplacementSystem, t: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The t-step walks (0, b_1, u_2..u_t) of every seed from a_0 = 0, in
+    seed order: b_1 in blocks of about 2**16 walks, each block expanded by
+    ReplacementSystem.expand.  Yields (start, A, B) per block, start being
+    the seed index of the block's first walk, so that memory stays one
+    block whatever the walk count."""
+    n_b, d = sys.num_inner, sys.params.d_inner
+    per_b = d ** (t - 1)
+    step = max(1, (1 << 16) // per_b)
+    for lo in range(0, n_b, step):
+        seeds = choice_grid(min(step, n_b - lo), *(d,) * (t - 1))
+        # the grid's dtype holds only its own values, so b_1 is summed in the system's
+        A, B = sys.expand(0, np.add(seeds[:, 0], lo, dtype=sys._dtype), seeds[:, 1:])
+        yield lo * per_b, A, B
+
+
 def choice_grid(*sizes: int) -> np.ndarray:
     """Every tuple of range(sizes[0]) x range(sizes[1]) x ..., one per row,
     in C (lexicographic) order; one empty row when sizes is empty.  The
@@ -387,17 +407,31 @@ def check_first_coord_uniform(
 
     Valid for k <= s only; that is the regime where the tuple is exactly
     uniform on [2**m]^k.  Enumeration is over b_1 and k-1 inner generator
-    choices; counts are compared cell by cell with the uniform count.
+    choices, N walks from a_0 = 0 read block by block from
+    :func:`_walk_blocks`.  Each walk's tuple is packed into a key in
+    [0, 2**(m*k)), and the keys are counted into one int64 histogram, so
+    the memory is one block of walks plus 8 * 2**(m*k) bytes, whatever N.
+    The counts c are decided exactly against the uniform count
+    q = N / 2**(m*k), an integer since m*k <= m*s: the distance is
+    sum |c - q| / 2N and the largest gap max |c - q| / N, the values
+    :func:`multiset_tv` gives for the rows and the uniform grid.
     """
     _check_uniform_level(k, sys.params.s)
     total = sys.num_inner * sys.params.d_inner ** (k - 1)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (k - 1))
-    _, B = sys.expand(0, seeds[:, 0], seeds[:, 1:])
-    d_out = sys.params.d_outer
-    tv, gap = multiset_tv(B & (d_out - 1), choice_grid(*(d_out,) * k))
-    return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
+    m, block1 = sys.params.m, sys.params.d_outer - 1
+    counts = np.zeros(1 << (m * k), np.int64)
+    for _, _, B in _walk_blocks(sys, k):
+        # m*k <= r bits, so the keys fit the vertex dtype
+        keys = B[:, 0] & block1
+        for col in B.T[1:]:
+            keys <<= m
+            keys |= col & block1
+        counts += np.bincount(keys, minlength=len(counts))
+    gap = np.abs(counts - total // len(counts))
+    tv, dev = Fraction(int(gap.sum()), 2 * total), Fraction(int(gap.max()), total)
+    return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(dev))
 
 
 def check_local_invertibility(sys: ReplacementSystem) -> bool:

@@ -12,6 +12,7 @@ with the lazy AGHP(20,6) inner graph it is instance C, the one system
 whose headline bias-lemma row has lambda_A > 0 and is asserted.
 """
 
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,16 @@ from widewalk import (
 )
 from widewalk.amplify import dp_gk
 from widewalk.graphs import CayleyGraph
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees numpy and Python allocate in call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,6 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-import tracemalloc
-
 import mpmath
 import numpy as np
 import pytest
@@ -48,10 +46,11 @@ from widewalk.amplify import (
     vacuous,
     verify_induction_arithmetic,
 )
-from widewalk.code import AmplifiedCode, LinearCode, code_bias
+from widewalk.code import AmplifiedCode, LinearCode, code_bias, encode
 from widewalk.graphs import CayleyGraph, fwht, mixing_check
 
 import walk_oracle as oracle
+from conftest import traced_peak
 
 G8_FROZEN_EPS = [0.25, 0.5, 0.5, 0.5, 0.5]
 # SHA-256 of the 21 flagship dp_gk(..., 20) tables' float64 bytes, level
@@ -197,6 +196,23 @@ def test_random_systems_match_an_independent_enumeration(seed):
             assert np.array_equal(backward[k].values, gbar), ("backward", k)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_encode_matches_an_independent_enumeration(seed):
+    # a one-row code whose row is f: the codeword bit of seed (a_0, b_1, u)
+    # is the XOR of f over a_0..a_t, (1 - prod) / 2 of the enumerated sign
+    # product, in the same C order of seeds, at every level the cap admits
+    sys, f = random_system(seed)
+    base = LinearCode(1, sys.num_outer, [sum(int(v) << i for i, v in enumerate(f.bits))])
+    n, tmax = sys.num_outer * sys.num_inner, 1
+    while n * sys.params.d_inner ** tmax <= ENUMERATED_PAIRS:
+        tmax += 1
+    levels = enumerated_walks(sys, f, tmax)
+    next(levels)  # level 0 takes no step
+    for t, (_, _, prod) in enumerate(levels, 1):
+        bits = encode(AmplifiedCode(base, sys, t), 1)
+        assert np.array_equal(bits, (1 - prod.ravel()) // 2), t
+
+
 def test_dp_gk_flagship_moments(flagship_tables):
     # balanced f on the 4-vertex outer graph is a signed affine indicator,
     # so the means vanish identically; deviations are the live channel.
@@ -334,16 +350,6 @@ def test_wide_tables_equal_the_allocating_loop_byte_for_byte(flagship, witness):
             for a, b in zip(got, want):
                 assert a.values.shape == b.values.shape and a.values.flags.c_contiguous
                 assert a.values.tobytes() == b.values.tobytes(), (sys.params, a.kind, a.level)
-
-
-def traced_peak(call) -> int:
-    """Peak bytes that tracemalloc sees numpy and Python allocate in call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_wide_walk_working_set_is_one_block_per_call(witness):

@@ -11,7 +11,6 @@ import ast
 import hashlib
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from widewalk.hitting import HittingInstance, check_hitting
 from widewalk.walks import ReplacementSystem, WalkParams
 
 import walk_oracle as oracle
+from conftest import traced_peak
 
 FROZEN_LAMBDA = {
     (2, 1): Fraction(1, 2),
@@ -231,16 +231,6 @@ def test_character_table_is_the_transform_of_the_generator_counts():
         got = g.character_table
         assert got.dtype == np.int32 and got.tobytes() == want.tobytes(), g.name
         assert not g.generators.flags.writeable
-
-
-def traced_peak(call) -> int:
-    """Peak bytes that tracemalloc sees numpy and Python allocate in call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_character_table_peaks_at_one_table():

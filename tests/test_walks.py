@@ -6,7 +6,6 @@ walk_oracle.
 import itertools
 import os
 import subprocess
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +31,7 @@ from widewalk import walks
 from widewalk.walks import SWalk, choice_grid, multiset_tv
 
 import walk_oracle as oracle
+from conftest import traced_peak
 
 
 def tiny_system():
@@ -161,15 +161,9 @@ def test_walk_tables_invert_and_select_the_outer_generators():
 def test_walk_expansion_memory_does_not_grow_with_the_outer_graph():
     # 2**14 outer vertices and 2**10 inner ones: an (n_A, n_B) int64
     # rotation table would take 128 MiB
-    def peak(call):
+    def system():
         outer = CayleyGraph(14, [0, 1, 2, 3])
-        sys = ReplacementSystem(outer, build_aghp(10, 5), WalkParams(m=2, s=5, ell=5))
-        tracemalloc.start()
-        try:
-            out = call(sys)
-            return tracemalloc.get_traced_memory()[1], out
-        finally:
-            tracemalloc.stop()
+        return ReplacementSystem(outer, build_aghp(10, 5), WalkParams(m=2, s=5, ell=5))
 
     for call in (
         lambda sys: check_pseudorandomness(sys, 1),
@@ -177,10 +171,11 @@ def test_walk_expansion_memory_does_not_grow_with_the_outer_graph():
         lambda sys: middle_start_distribution_equal(sys, 1, 0),
         lambda sys: sys.walk_from_seed(5, 6, ()),
     ):
-        assert peak(call)[0] < 4 << 20
-    base = LinearCode(2, 4, [0b0011, 0b0101])
-    used, bits = peak(lambda sys: encode(AmplifiedCode(base, sys, 1), 1))
-    assert bits.size == 1 << 24 and used < 2 * bits.nbytes
+        sys = system()
+        assert traced_peak(lambda: call(sys)) < 4 << 20
+    amp, bits = AmplifiedCode(LinearCode(2, 4, [0b0011, 0b0101]), system(), 1), []
+    used = traced_peak(lambda: bits.append(encode(amp, 1)))
+    assert bits[0].size == 1 << 24 and used < 2 * bits[0].nbytes
 
 
 def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
@@ -194,12 +189,9 @@ def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
         u = rng.integers(sys.params.d_inner, size=(1, 4))
         middle = (a, b, int(u[0, 0]), u[0, 1:].tolist())
         for draw in (lambda: oracle.sample_swalk(sys, 5, rng), lambda: sys.expand(a, b, u, pivot=2)):
-            tracemalloc.start()
-            try:
-                w = draw()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            drawn = []
+            peak = traced_peak(lambda: drawn.append(draw()))
+            w = drawn.pop()
             if isinstance(w, SWalk):
                 assert oracle.walk(sys, *w.seed) == (w.a_vertices, w.b_vertices), (m, s, ell)
             else:
@@ -217,13 +209,7 @@ def test_vertex_dtype_is_the_inner_word_dtype(flagship, witness, skew16):
     skewed = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     for sys in (flagship, witness, skewed, wide):
         assert sys._dtype == sys.inner.generators.dtype, sys.inner.name
-    tracemalloc.start()
-    try:
-        wide.expand(0, 0, np.zeros((1, 4), np.uint8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 10
+    assert traced_peak(lambda: wide.expand(0, 0, np.zeros((1, 4), np.uint8))) < 16 << 10
     # an outer graph wider than the inner one sets the vertex dtype
     narrow = ReplacementSystem(CayleyGraph(9, [0, 1]), build_aghp(2, 1), WalkParams(1, 2, 1))
     assert narrow._dtype == np.uint16
@@ -237,13 +223,7 @@ def test_choice_grid_is_in_the_smallest_unsigned_dtype():
         grid = choice_grid(*sizes)
         assert grid.dtype == dtype, sizes
         assert grid.tolist() == [list(row) for row in itertools.product(*map(range, sizes))]
-    tracemalloc.start()
-    try:
-        choice_grid(64, 64, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1 << 20
+    assert traced_peak(lambda: choice_grid(64, 64, 64)) <= 1 << 20
 
 
 def test_rotation_is_involution():
@@ -426,6 +406,37 @@ def test_first_coord_uniform_larger_window():
         assert check_first_coord_uniform(sys, k).equal
 
 
+def test_first_coord_uniform_fails_on_a_walk_that_does_not_shift(monkeypatch):
+    # with a rotation that leaves b as it is, block 1 of b_k is block 1 of
+    # b_1 ^ u_2 ^ ... ^ u_k: no longer uniform.  The streamed histogram
+    # gives the distance and the largest gap that multiset_tv gives on the
+    # full rows of the same broken expansion
+    def no_rotate(self, b, k, out=None):
+        if out is None:
+            return b
+        out[...] = b
+        return out
+
+    monkeypatch.setattr(ReplacementSystem, "_rotate", no_rotate)
+    sys = ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), WalkParams(2, 3, 3))
+    for k, tv, gap in ((2, 0.0625, 0.015625), (3, 0.09765625, 0.0087890625)):
+        seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (k - 1))
+        _, B = sys.expand(0, seeds[:, 0], seeds[:, 1:])
+        want = multiset_tv(B & 3, choice_grid(*(4,) * k))
+        chk = check_first_coord_uniform(sys, k)
+        assert not chk.equal, k
+        assert (chk.tv_distance, chk.max_deviation) == tuple(map(float, want)) == (tv, gap), k
+
+
+def test_first_coord_uniform_holds_one_block_of_walks():
+    # (5, 3, 2) at k = 3 enumerates 2**23 walks, 288 MiB traced if every
+    # row were held at once; one block of 2**16 walks and the 2**15-cell
+    # histogram take about 3 MiB
+    params = WalkParams(m=5, s=3, ell=2)
+    sys = ReplacementSystem(build_complete_selfloop(5), build_aghp(15, 2), params)
+    assert traced_peak(lambda: check_first_coord_uniform(sys, 3)) < 8 << 20
+
+
 def test_middle_start_distribution_all_pivots():
     sys = tiny_system()
     for i in (0, 1, 2):
@@ -519,13 +530,7 @@ def test_expand_peaks_near_its_output():
     u = rng.integers(0, sys.params.d_inner, (n, 3)).astype(np.uint8)
     b = rng.integers(0, sys.num_inner, n).astype(np.uint16)
     for pivot in (0, 2):
-        tracemalloc.start()
-        try:
-            sys.expand(0, b, u, pivot=pivot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10.5 * 2 * n, pivot
+        assert traced_peak(lambda: sys.expand(0, b, u, pivot=pivot)) <= 10.5 * 2 * n, pivot
 
 
 def test_walk_from_seed_matches_oracle():
