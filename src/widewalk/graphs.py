@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +30,7 @@ AGHP_MAX_GENERATORS = 1 << 24  # most words a builder allocates: 64 MiB to dim 3
 GENERATOR_BATCH = 1 << 12  # words per chunk of CayleyGraph.generators_json
 TOL_BOUND = 1e-12  # the slack of holds
 FWHT_SCRATCH = 1 << 16  # most bytes of fwht's one scratch buffer
+_HADAMARD_PRODUCT = 1 << 10  # most multiply-adds of fwht's product with the Hadamard matrix
 
 
 def holds(value: float, bound: float) -> bool:
@@ -300,8 +301,14 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     result is bit-identical to it.  The scratch is one buffer of at most
     FWHT_SCRATCH bytes.
 
-    - An a of at most FWHT_SCRATCH bytes runs every stage by _pease,
-      ping-ponged with one array of its own size.
+    - A signed-integer a along its last axis, when its product with the
+      +-1 Hadamard matrix takes at most _HADAMARD_PRODUCT multiply-adds,
+      runs as that product, a broadcast multiply and one sum: integer sums
+      wrap modulo 2**bits in any order, so its bits are the butterfly's.
+    - Any other a of at most FWHT_SCRATCH bytes is ping-ponged with one
+      buffer of its own size: every stage by _pease, on all of a in each
+      call, or, along the last axis of two or more rows, on the rows as one
+      flat tile (_low_bits), whose 1-d calls cost less than 2-d ones.
     - A larger a takes an eighth of its size at most.  Along the last axis
       (post = 1) its low bits, as many as the buffer holds, run by _pease
       on tiles of whole rows (see _low_bits): two flat ufunc calls a
@@ -326,14 +333,19 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     bits = n.bit_length() - 1
     if not bits or not a.size:
         return a
-    if a.nbytes <= FWHT_SCRATCH:  # the fewest calls: all of a in each
+    if a.dtype.kind == "i" and post == 1 and n * a.size <= _HADAMARD_PRODUCT:
+        rows = x[:, :, 0]
+        np.add.reduce(np.multiply(rows[:, None, :], _hadamard(n, a.dtype)), axis=2, out=rows)
+        return a
+    small = a.nbytes <= FWHT_SCRATCH
+    if small and (pre == 1 or post > 1):  # the fewest calls: all of a in each
         y = x[:, :, 0] if post == 1 else x
         y, ax = (y[0], 0) if pre == 1 else (y, 1)
         spare = np.empty_like(y)
         if _pease(y, spare, bits, ax) is spare:
             np.copyto(y, spare)
         return a
-    scratch = np.empty(min(FWHT_SCRATCH // a.itemsize, a.size // 8), a.dtype)
+    scratch = np.empty(a.size if small else min(FWHT_SCRATCH // a.itemsize, a.size // 8), a.dtype)
     low = min(bits, scratch.size.bit_length() - 1) if post == 1 else 0
     if low:
         try:
@@ -349,6 +361,15 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
             np.add(lo, hi, out=lo)
             np.copyto(hi, tmp)
     return a
+
+
+@lru_cache(maxsize=None)
+def _hadamard(n: int, dtype: np.dtype) -> np.ndarray:
+    """The n x n Hadamard matrix of fwht, (-1)**popcount(i & j), in dtype,
+    read-only."""
+    h = np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(n)] for i in range(n)], dtype)
+    h.flags.writeable = False
+    return h
 
 
 def _pease(buf: np.ndarray, spare: np.ndarray, stages: int, axis: int) -> np.ndarray:
@@ -405,21 +426,43 @@ def _chunks(lo: np.ndarray, hi: np.ndarray, scratch: np.ndarray):
         yield part, hi[tile].squeeze(), scratch[: part.size].reshape(part.shape)
 
 
-def _convolve(values: np.ndarray, G: CayleyGraph) -> np.ndarray:
+def _convolve(values: np.ndarray, G: CayleyGraph, moduli: np.ndarray | None = None) -> np.ndarray:
     """n times the sum of values[..., v ^ u] over the generators u of G, for
     every vertex v of the last axis (repeated generators count with
     multiplicity): the XOR convolution with the generator multiset, which
     by the convolution theorem over F_2^dim is one FWHT, a pointwise
     product with G's character table, and a second FWHT (n times the
-    inverse transform).  It divides nothing, so it is exact on integer and
-    object arrays.
+    inverse transform).  It divides nothing, so it is exact on object
+    arrays of Python ints, and on integer arrays while no sum leaves their
+    dtype.
+
+    moduli, a (K, 1) int64 column of primes below 2**31, makes it a residue
+    convolution: values is then a (K, n) int64 array of residues in
+    [0, p), row i modulo p = moduli[i], and row i of the result is the sum
+    above modulo p, in [0, p).  A transform of cells below c in magnitude
+    leaves them below n * c, and the product below degree * c, so a
+    reduction modulo p runs where the next step could pass 2**63 and after
+    the second transform: for n and degree below 2**32 no cell reaches
+    2**63.  On small graphs (n * n * degree below 2**32) that is the last
+    reduction alone.
 
     Both transforms run in place on one copy of values in the product's
     dtype, and the product with the table is taken in it too: one array of
     values' size at the peak besides values itself."""
     x = fwht(np.array(values, np.result_type(values, G.character_table)))
+    if moduli is None:
+        np.multiply(x, G.character_table, out=x)
+        return fwht(x)
+    n, top = G.num_vertices, G.num_vertices << 31  # the bound after a transform
+    if top * G.degree >= 1 << 63:
+        x %= moduli
+        top = 1 << 31
     np.multiply(x, G.character_table, out=x)
-    return fwht(x)
+    if top * G.degree * n >= 1 << 63:
+        x %= moduli
+    fwht(x)
+    x %= moduli
+    return x
 
 
 def spectrum(G: CayleyGraph) -> SpectralReport:
@@ -434,12 +477,29 @@ def spectrum(G: CayleyGraph) -> SpectralReport:
     numer = G.character_table[1:]
     hi, lo = int(numer.max()), int(numer.min())
     num = max(hi, -lo)
-    # np.argmax(np.abs(numer)) over the nontrivial characters, found by
-    # comparison (np.abs would copy the read-only table): the first index
-    # of each of +num and -num that occurs, one bool mask at a time, and
-    # character 0 when all of them are 0 (complete graphs)
-    idx = 1 + min(int(np.argmax(numer == v)) for v in {num, -num} & {hi, lo}) if num else 0
+    # np.argmax(np.abs(numer)) over the nontrivial characters (np.abs would
+    # copy the read-only table), and character 0 when all of them are 0
+    # (complete graphs)
+    idx = 1 + _first_of(numer, {num, -num} & {hi, lo}) if num else 0
     return SpectralReport(Fraction(num, G.degree), idx)
+
+
+def _first_of(a: np.ndarray, values: set[int], step: int = FWHT_SCRATCH) -> int:
+    """The first index of the 1-d array a that holds one of values, which
+    must occur in a: a scan in slices of step cells through one bool mask
+    of a slice's size, which stops at the first slice that holds one."""
+    mask = np.empty(min(a.size, step), bool)
+    for start in range(0, a.size, mask.size):
+        part = a[start:start + mask.size]
+        hit = mask[: part.size]
+        firsts = []
+        for v in values:
+            i = int(np.equal(part, v, out=hit).argmax())
+            if hit[i]:
+                firsts.append(start + i)
+        if firsts:
+            return min(firsts)
+    raise ValueError(f"none of {sorted(values)} occurs")
 
 
 @dataclass(frozen=True)

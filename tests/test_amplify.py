@@ -175,25 +175,45 @@ def enumerated_walks(sys, f, kmax):
         yield a, b, prod
 
 
+def enumerated_via(sys, f, gbar, g):
+    """The via side of the middle-start identity from enumerated means: the
+    mean over (a, b) of f(a) * gbar_s(a, b) times the average over inner
+    generators u of g_(k-s)(a, shift(b ^ u)), the shift taken in base-d
+    digits as in enumerated_walks."""
+    d, s = sys.params.d_outer, sys.params.s
+    c = np.arange(sys.num_inner)[:, None] ^ sys.inner.generators.astype(np.intp)
+    average = g[:, c // d + c % d * d ** (s - 1)].mean(axis=2)
+    return float((f.signs[:, None] * gbar * average).mean())
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_systems_match_an_independent_enumeration(seed):
     # every mean is a sum of +-1 over a power of two, and every DP sum and
-    # scale is exact on such values, so the tables are equal, not close
+    # scale is exact on such values, so the tables are equal, not close.
+    # The middle-start identity's two sides are such sums too, each side of
+    # it at a level k > s that the cap admits: direct is the mean of g_k,
+    # and via is read from the backward level s and the forward level k - s
     sys, f = random_system(seed)
     s, n = sys.params.s, sys.num_outer * sys.num_inner
     kmax = min(2 * s + 1, 9)
     while n * sys.params.d_inner ** (kmax - 1) > ENUMERATED_PAIRS:
         kmax -= 1
     assert kmax > s
-    forward, backward = dp_gk(sys, f, kmax), dp_backwards(sys, f, s)
+    forward, backward, means = dp_gk(sys, f, kmax), dp_backwards(sys, f, s), []
     for k, (a, b, prod) in enumerate(enumerated_walks(sys, f, kmax)):
         g = prod.sum(axis=2, dtype=np.int64) / prod.shape[2]
         assert np.array_equal(forward[k].values, g), ("forward", k)
+        means.append(g)
         if k <= s:  # the same walks, grouped by their end pair (a_k, b_k)
             ends = (a.astype(np.intp) * sys.num_inner + b).ravel()
             sums = np.bincount(ends, prod.ravel().astype(np.float64), n)
             gbar = (sums / np.bincount(ends, minlength=n)).reshape(g.shape)
             assert np.array_equal(backward[k].values, gbar), ("backward", k)
+    for k in range(s + 1, kmax + 1):
+        chk = check_middle_start_identity(sys, f, k, forward)
+        assert chk.direct == float(means[k].mean()), ("direct", k)
+        assert chk.via == enumerated_via(sys, f, gbar, means[k - s]), ("via", k)  # gbar at level s
+        assert chk.residual == 0.0 and chk.passed
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -26,6 +26,7 @@ from widewalk.graphs import (
     TOL_BOUND,
     CayleyGraph,
     _convolve,
+    _first_of,
     build_aghp,
     build_complete_selfloop,
     fwht,
@@ -271,7 +272,9 @@ def test_each_graph_keeps_one_read_only_table(table_builds):
     g = build_aghp(12, 6)
     table = 4 * g.num_vertices  # int32
     assert traced_peak(lambda: spectrum(g)) <= 2.25 * table
-    assert traced_peak(lambda: spectrum(g)) < table
+    # a later call holds one slice of the argmax scan, here all n - 1
+    # nontrivial characters as bools (traced at 5,043 bytes)
+    assert traced_peak(lambda: spectrum(g)) <= min(g.num_vertices, FWHT_SCRATCH) + (1 << 11)
     assert traced_peak(lambda: g.character_table) < table
     assert table_builds == [g.name]
     chars = g.character_table
@@ -300,6 +303,29 @@ def test_spectrum_argmax_breaks_ties_as_argmax_of_abs():
         rep = spectrum(g)
         assert rep.argmax_character == want, g.generators
         assert rep.lambda_exact == Fraction(int(abs(numer[want])), g.degree)
+
+
+def test_spectrum_scans_the_table_in_slices():
+    # AGHP(20,10)'s argmax lies in the ninth slice of 2**16 characters: one
+    # slice's mask at the peak (traced at 65 KiB), where a mask over every
+    # nontrivial character held 1 MiB
+    g = build_aghp(20, 10)
+    rep = spectrum(g)
+    assert (rep.argmax_character, rep.lambda_exact) == (524434, Fraction(19, 1024))
+    assert traced_peak(lambda: spectrum(g)) <= FWHT_SCRATCH + (1 << 11)
+
+
+def test_first_of_finds_the_first_index_holding_any_value():
+    # slices of 1 to 7 cells, so that a first +v and a first -v fall in one
+    # slice, in two, or on a slice's edge
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        a = rng.integers(-4, 5, int(rng.integers(1, 40)))
+        v = int(rng.choice(a))
+        values = {v, -v} & set(a.tolist())
+        want = int(np.flatnonzero(np.isin(a, list(values)))[0])
+        for step in range(1, 8):
+            assert _first_of(a, values, step) == want, (a.tolist(), values, step)
 
 
 def test_character_table_matches_character_sums():
@@ -358,9 +384,11 @@ def test_fwht_is_bit_identical_to_the_strided_butterfly():
             shape = lead + (n,)
             wide = rng.standard_normal(shape) * np.exp2(rng.integers(-40, 41, shape))
             ints = rng.integers(-(1 << 40), 1 << 40, shape)
+            # sums that wrap modulo 2**64, in any order to the same bits
+            wraps = ints << 23
             # Python ints above 2**63, for which only object arrays are exact
             big = np.array([(1 << 70) + int(v) for v in ints.ravel()], dtype=object)
-            for x in (wide, ints, big.reshape(shape)):
+            for x in (wide, ints, wraps, big.reshape(shape)):
                 x0 = x.copy()
                 y = fwht(x.copy())
                 assert y.dtype == x.dtype and y.shape == shape
@@ -499,6 +527,31 @@ def test_convolve_holds_one_array():
     k16 = build_complete_selfloop(4, selfloop=False)
     assert _convolve(big, k16).tolist() == (fwht(fwht(big.copy()) * k16.character_table)).tolist()
     assert big.tolist() == [(1 << 70) + v for v in range(16)]
+
+
+def test_residue_convolve_is_the_exact_one_modulo_each_prime():
+    # residues below three primes near 2**31, on graphs where only the
+    # second transform is reduced (k16), the product too (AGHP(12,6),
+    # n * n * d = 2**36) and the first transform as well (AGHP(16,8),
+    # n * d = 2**32): each row is the exact object-int convolution of the
+    # same values modulo its prime, in [0, p)
+    primes = [2147483497, 2147483489, 2147483477]
+    moduli = np.array(primes, np.int64)[:, None]
+    rng = np.random.default_rng(42)
+    for g in (build_complete_selfloop(4, selfloop=False), build_aghp(12, 6), build_aghp(16, 8)):
+        values = rng.integers(0, moduli, (3, g.num_vertices))
+        before = values.copy()
+        got = _convolve(values, g, moduli)
+        assert got.dtype == np.int64 and np.array_equal(values, before)
+        for row, p, v in zip(got, primes, values):
+            assert row.tolist() == [c % p for c in _convolve(v.astype(object), g)], g.name
+    # rows of p - 1 on AGHP(18,9), whose sum over the generators times n,
+    # n * d * (p - 1) = 2**36 * (p - 1), would pass 2**63 on the way if the
+    # first transform, n * (p - 1) at character 0, were not reduced
+    g = build_aghp(18, 9)
+    got = _convolve(np.repeat(moduli - 1, g.num_vertices, axis=1), g, moduli)
+    for row, p in zip(got, primes):
+        assert set(row.tolist()) == {g.num_vertices * g.degree * (p - 1) % p}
 
 
 def brute_average(values, g):

@@ -1,14 +1,18 @@
 """Exact survival probabilities against an independent path-enumeration
-oracle and the closed-form bound."""
+oracle, a big-integer DP and the closed-form bound."""
 
+import ast
 import itertools
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
-from widewalk import build_aghp, build_complete_selfloop
-from widewalk.graphs import CayleyGraph
+from widewalk import build_aghp, build_complete_selfloop, hitting
+from widewalk.graphs import CayleyGraph, _convolve
 from widewalk.hitting import (
     HittingInstance,
     check_hitting,
@@ -17,6 +21,24 @@ from widewalk.hitting import (
 )
 
 import walk_oracle as oracle
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def object_survival(inst):
+    """The survival DP in Python ints: counts in object arrays through
+    _convolve's exact integer path, each level's neighbour sum divided by
+    n exactly.  No residue, no prime count, no CRT."""
+    g = inst.graph
+    n = g.num_vertices
+    in_s = np.zeros(n, dtype=object)
+    in_s[list(inst.subset)] = 1
+    counts = in_s
+    probs = [Fraction(int(counts.sum()), n)]
+    for _ in range(inst.t - 1):
+        counts = in_s * (_convolve(counts, g) // n)
+        probs.append(Fraction(int(counts.sum()), n * g.degree ** len(probs)))
+    return probs
 
 
 def oracle_prob(graph, subset, t):
@@ -158,10 +180,111 @@ def test_csv_output(k16, tmp_path, capsys):
     assert lines[2].startswith("1,0.25,0.25,True")
 
 
+def perfbench_hitting_moduli():
+    """perfbench's HITTING_MODULI, read from workloads.py as text."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HITTING_MODULI"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py has no HITTING_MODULI")
+
+
+def test_residue_primes_are_the_primes_below_their_ceiling():
+    # every prime that the accepted k16 instance at t = 8,000 needs (1,009),
+    # and a few more: prime, distinct, descending, and no prime between two
+    # of them or between the ceiling and the first; all below 2**31 and
+    # above the floor that _prime_count counts with, and none a modulus of
+    # perfbench's independent hitting check
+    primes = hitting._primes(1100)
+    assert hitting._prime_count(4, 15, 8000) == 1009
+    assert len(set(primes)) == len(primes) == 1100
+    assert primes[0] == sympy.prevprime(hitting._PRIME_CEILING)
+    assert all(sympy.prevprime(p) == q for p, q in zip(primes, primes[1:]))
+    assert all(sympy.isprime(p) for p in primes)
+    assert hitting._PRIME_FLOOR < primes[-1] and primes[0] < hitting._PRIME_CEILING < 1 << 31
+    moduli = perfbench_hitting_moduli()
+    # all four lie above the ceiling, so no residue prime can ever be one
+    assert len(moduli) == 4 and min(moduli) > hitting._PRIME_CEILING
+
+
+def test_is_prime_decides_every_odd_candidate():
+    # strong pseudoprimes to bases 2, 3 and 5 below 2**31, which
+    # base 7 refutes, and odd numbers just below the residue window
+    for c in (25326001, 161304001, 960946321, 1157839381):
+        assert not hitting._is_prime(c) and not sympy.isprime(c)
+    for c in range(hitting._PRIME_FLOOR - 20001, hitting._PRIME_FLOOR + 1, 2):
+        assert hitting._is_prime(c) == sympy.isprime(c), c
+
+
+def test_prime_count_is_the_fewest_whose_product_passes_the_bound():
+    # K primes multiply past n * d**(t-1), the largest total of any level,
+    # and K - 1 do not reach it on these instances
+    for dim, degree, t in ((4, 15, 12), (4, 15, 100), (4, 15, 1000), (10, 1024, 12),
+                           (3, 3, 1), (1, 1, 50), (16, 256, 40)):
+        k = hitting._prime_count(dim, degree, t)
+        primes, bound = hitting._primes(k), (1 << dim) * degree ** (t - 1)
+        assert math.prod(primes) > bound, (dim, degree, t)
+        assert math.prod(primes[:-1]) <= bound, (dim, degree, t)
+
+
+def test_the_prime_count_is_load_bearing(k16, monkeypatch):
+    # k16 with |S| = 4 keeps a step in S with probability 3/15, so its
+    # survival is 1/4 * (1/5)**(t-1) at every t; its total at t = 1000,
+    # 4 * 3**999, needs 52 primes of the 127 that the bound asks for, and
+    # 16 primes give a wrong Fraction there
+    inst = HittingInstance(k16, range(4), 1000)
+    want = [Fraction(1, 4) * Fraction(1, 5) ** (t - 1) for t in range(1, 1001)]
+    assert hitting._prime_count(4, 15, 1000) == 127
+    assert hitting._survival(inst) == want == object_survival(inst)
+    monkeypatch.setattr(hitting, "_prime_count", lambda dim, degree, t: 16)
+    assert hitting._survival(inst)[-1] != want[-1]
+    # at rho = 1 every total is the bound n * d**(t-1) itself, so K - 1
+    # primes miss the last row, which is 1
+    monkeypatch.undo()
+    for t in (12, 1000):
+        whole = HittingInstance(k16, range(16), t)
+        k = hitting._prime_count(4, 15, t)
+        assert hitting._survival(whole) == [1] * t
+        monkeypatch.setattr(hitting, "_prime_count", lambda dim, degree, t, k=k: k - 1)
+        assert hitting._survival(whole)[-1] != 1, t
+        monkeypatch.undo()
+
+
+def test_residue_dp_matches_the_object_int_dp():
+    # seeded random Cayley multigraphs and subsets of at least half the
+    # vertices; a third or more of the final totals pass 2**63, where an
+    # int64 count would have wrapped
+    rng = np.random.default_rng(40)
+    past = 0
+    for _ in range(60):
+        dim = int(rng.integers(1, 8))
+        gens = rng.integers(0, 1 << dim, int(rng.integers(1, 13)))
+        g = CayleyGraph(dim, gens, multigraph=True)
+        size = int(rng.integers(1 << dim >> 1, (1 << dim) + 1))
+        subset = rng.choice(1 << dim, size, replace=False)
+        inst = HittingInstance(g, subset, int(rng.integers(1, 60)))
+        exact = object_survival(inst)
+        assert hitting._survival(inst) == exact, (dim, gens.tolist(), sorted(inst.subset), inst.t)
+        past += exact[-1] * g.num_vertices * g.degree ** (inst.t - 1) >= 1 << 63
+    assert past >= 20
+
+
+def test_residue_dp_matches_the_object_int_dp_on_aghp():
+    # the benchmark's instance shape, AGHP(10,5) with |S| = 512 to t = 12,
+    # where only the second transform is reduced; AGHP(12,6), whose product
+    # with the table is reduced too (n * n * d = 2**36), and AGHP(16,8),
+    # whose first transform is as well (n * d = 2**32)
+    rng = np.random.default_rng(41)
+    for g, t in ((build_aghp(10, 5), 12), (build_aghp(12, 6), 12), (build_aghp(16, 8), 3)):
+        subset = rng.choice(g.num_vertices, g.num_vertices // 2, replace=False)
+        inst = HittingInstance(g, subset, t)
+        assert hitting._survival(inst) == object_survival(inst)
+
+
 def test_budget_guard(k16, table_builds, tmp_path, capsys):
-    # an exact DP that would hold more than 128 MiB of integers is refused by
-    # the instance, so neither check_hitting nor hitting_prob_exact builds a
-    # character table first
+    # a residue DP that would hold more than 128 MiB, its (K, n) int64
+    # counts and their working copy with the rows' fractions, is refused
+    # by the instance, so neither check_hitting nor hitting_prob_exact
+    # builds a character table first
     g = CayleyGraph(dim=20, generators=(1, 2))
     with pytest.raises(ValueError, match="instance too large"):
         HittingInstance(g, frozenset({0, 1}), 1 << 10)
@@ -175,9 +298,9 @@ def test_budget_guard(k16, table_builds, tmp_path, capsys):
     # of exact fractions grow as t**2
     for graph, argv, err in (
         (cube, ["--set", "0", "--tmax", "65"],
-         "4194304 vertices, degree 22 and t=65 hold about 192 MiB"),
+         "4194304 vertices, degree 22 and t=65 hold about 640 MiB"),
         (k16, ["--set", "first-4", "--tmax", "100000"],
-         "16 vertices, degree 15 and t=100000 hold about 9537 MiB"),
+         "16 vertices, degree 15 and t=100000 hold about 9539 MiB"),
     ):
         gpath = tmp_path / "g.json"
         gpath.write_text(graph.to_json())
