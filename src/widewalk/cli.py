@@ -109,9 +109,16 @@ def _json_default(obj):
 
 
 def _csv_cell(value) -> str:
+    """None as an empty cell, a number as its repr, and a string as it is,
+    or quoted with its quotes doubled when it holds a comma, a quote, CR
+    or LF (RFC 4180; the rule of csv.QUOTE_MINIMAL)."""
     if value is None:
         return ""
-    return value if isinstance(value, str) else repr(value)
+    if not isinstance(value, str):
+        return repr(value)
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def _emit(

@@ -29,14 +29,16 @@ its inverse unshift rotates them left by m.  ReplacementSystem.expand
 expands walks with them.  The exact checks enumerate their random choices
 as the rows of one integer grid (:func:`choice_grid`, C order) and expand
 every row at once: each step is a few whole-row bit operations.
-Two enumerations are compared as multisets of rows by :func:`multiset_tv`
-in exact rationals, each row packed into one int64 key by shift-or, so
-that each side sorts plain integers in place rather than np.void byte
-strings.  The uniformity check needs no second multiset: it counts its
-first-block tuples into a histogram over [2**m]^k and decides them
-against the exact uniform count.  It and code.encode read one streamed
-enumeration of the walks from a_0 = 0, :func:`_walk_blocks`, a block of
-about 2**16 walks at a time, so neither holds every walk.
+code.encode and both first-block checks, pseudorandomness and uniformity,
+read one streamed enumeration of the walks from a_0 = 0,
+:func:`_walk_blocks`, at most 2**16 walks at a time, so none holds every
+walk.  The two checks count block-1 tuples into one histogram over
+[2**m]^k and decide it exactly against a product histogram
+(:func:`_first_block_check`): from a_0 = 0 an outer trajectory is fixed
+by the outer words its steps select.  Only the middle-start check still
+compares two multisets of rows, by :func:`multiset_tv` in exact
+rationals, each row packed into one int64 key by shift-or, so that each
+side sorts plain integers in place rather than np.void byte strings.
 
 The rotation a -> a ^ hop(b) also lets every exact check enumerate each
 inner walk once, from a_0 = 0: the walk of seed (a_0, b_1, u) has outer
@@ -50,6 +52,7 @@ the n_A translates leaves the total variation distance as it is.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -270,18 +273,25 @@ def _xor_gather(out: np.ndarray, base: np.ndarray, gather, index: np.ndarray) ->
 
 def _walk_blocks(sys: ReplacementSystem, t: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The t-step walks (0, b_1, u_2..u_t) of every seed from a_0 = 0, in
-    seed order: b_1 in blocks of about 2**16 walks, each block expanded by
-    ReplacementSystem.expand.  Yields (start, A, B) per block, start being
-    the seed index of the block's first walk, so that memory stays one
-    block whatever the walk count."""
-    n_b, d = sys.num_inner, sys.params.d_inner
-    per_b = d ** (t - 1)
-    step = max(1, (1 << 16) // per_b)
-    for lo in range(0, n_b, step):
-        seeds = choice_grid(min(step, n_b - lo), *(d,) * (t - 1))
-        # the grid's dtype holds only its own values, so b_1 is summed in the system's
-        A, B = sys.expand(0, np.add(seeds[:, 0], lo, dtype=sys._dtype), seeds[:, 1:])
-        yield lo * per_b, A, B
+    seed order, in blocks of at most 2**16 walks, each expanded by
+    ReplacementSystem.expand: the first seed axis whose trailing grid fits
+    2**16 walks is sliced, and the axes before it are held fixed (b_1 is
+    sliced whenever d_B**(t-1) <= 2**16).  Yields (start, A, B) per block,
+    start being the seed index of the block's first walk, so that memory
+    stays one block whatever the walk count."""
+    sizes = (sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    j = next(j for j in range(t) if math.prod(sizes[j + 1:]) <= 1 << 16)
+    step, start = (1 << 16) // math.prod(sizes[j + 1:]), 0
+    for head in np.ndindex(*sizes[:j]):
+        for lo in range(0, sizes[j], step):
+            seeds = choice_grid(*(1,) * j, min(step, sizes[j] - lo), *sizes[j + 1:])
+            first = (*head, lo)
+            # the grid's dtype holds only its own values, so b_1 is summed in the system's
+            b, u = np.add(seeds[:, 0], first[0], dtype=sys._dtype), seeds[:, 1:]
+            if j:  # and the generator indices in one that holds d_B - 1
+                u = u + np.array(first[1:] + (0,) * (t - 1 - j), np.min_scalar_type(sizes[1] - 1))
+            yield (start, *sys.expand(0, b, u))
+            start += len(seeds)
 
 
 def choice_grid(*sizes: int) -> np.ndarray:
@@ -369,15 +379,12 @@ def check_pseudorandomness(
 ) -> DistributionCheck:
     """Compare k-vertex wide-walk trajectories with pure outer-graph walks.
 
-    k counts vertices (so k-1 steps).  For every start a the distribution of
-    (a_2, ..., a_k) under the wide walk is computed exactly by enumerating
-    b_1 and the k-2 inner generator choices, and under the pure walk by
-    enumerating the k-1 outer generator indices.  Returns the max over
-    starts of the total-variation distance and of the largest single-row
-    gap, both computed in exact rationals.  Both sides from start a are
-    their sides from start 0 translated by a (the module docstring), so
-    every start has the same distance and only a = 0 is enumerated.  The
-    budget still counts the rows of every start.
+    k counts vertices (so k-1 steps).  Returns the max over starts of the
+    exact total-variation distance and of the largest single-trajectory
+    gap.  Every start has the distances of a = 0 (the module docstring),
+    though the budget counts the rows of every start.  From 0 a trajectory
+    is fixed by the outer words of its k-1 steps, so :func:`_first_block_check`
+    compares the wide walks' block-1 tuples, read as words, with the pure walks'.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -385,13 +392,9 @@ def check_pseudorandomness(
     n_pure = sys.outer.degree ** (k - 1)
     if sys.num_outer * (n_wide + n_pure) > budget:
         raise BudgetExceeded(sys.num_outer * (n_wide + n_pure), budget)
-    # walks of max(k-1, 1) steps from every (0, b_1), truncated to k vertices
-    seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
-    A, _ = sys.expand(0, seeds[:, 0], seeds[:, 1:])
-    steps = sys.outer.generators[choice_grid(*(sys.outer.degree,) * (k - 1))]
-    pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), steps.dtype), steps]), axis=1)
-    tv, gap = multiset_tv(A[:, :k], pure)
-    return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))
+    if k == 1:  # both sides are the one trajectory (a_0)
+        return DistributionCheck(equal=True, tv_distance=0.0, max_deviation=0.0)
+    return _first_block_check(sys, k - 1, words=True)
 
 
 def _check_uniform_level(k: int, s: int) -> None:
@@ -406,31 +409,41 @@ def check_first_coord_uniform(
     """Exact distribution of (block 1 of b_1, ..., block 1 of b_k).
 
     Valid for k <= s only; that is the regime where the tuple is exactly
-    uniform on [2**m]^k.  Enumeration is over b_1 and k-1 inner generator
-    choices, N walks from a_0 = 0 read block by block from
-    :func:`_walk_blocks`.  Each walk's tuple is packed into a key in
-    [0, 2**(m*k)), and the keys are counted into one int64 histogram, so
-    the memory is one block of walks plus 8 * 2**(m*k) bytes, whatever N.
-    The counts c are decided exactly against the uniform count
-    q = N / 2**(m*k), an integer since m*k <= m*s: the distance is
-    sum |c - q| / 2N and the largest gap max |c - q| / N, the values
-    :func:`multiset_tv` gives for the rows and the uniform grid.
+    uniform on [2**m]^k.  :func:`_first_block_check` compares the tuples of
+    the walks from a_0 = 0 with the uniform count N / 2**(m*k), an integer
+    since m*k <= m*s.
     """
     _check_uniform_level(k, sys.params.s)
     total = sys.num_inner * sys.params.d_inner ** (k - 1)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    m, block1 = sys.params.m, sys.params.d_outer - 1
+    return _first_block_check(sys, k, words=False)
+
+
+def _first_block_check(sys: ReplacementSystem, k: int, words: bool) -> DistributionCheck:
+    """Exact distance between the histogram of (block 1 of b_1, ..., block 1
+    of b_k) over the k-step walks of :func:`_walk_blocks` and a product
+    histogram over [2**m]^k whose factor counts each block value once, or
+    with words, each outer word as often as it repeats (a block reads as
+    its word's dense rank).  The memory is one block of walks plus
+    8 * 2**(m*k) bytes; the values are those :func:`multiset_tv` gives."""
+    m, d = sys.params.m, sys.params.d_outer
+    dtype = sys._dtype if m * k <= sys.params.r else np.uint64  # the vertex dtype holds r bits
+    read, mult = (lambda col: col & (d - 1)), np.ones(d, np.int64)
+    if words and sys.outer.multigraph:
+        rank = _dense_ranks(sys.outer.generators)[0].astype(dtype)
+        read, mult = (lambda col: rank.take(col & (d - 1))), np.bincount(rank, minlength=d)
     counts = np.zeros(1 << (m * k), np.int64)
     for _, _, B in _walk_blocks(sys, k):
-        # m*k <= r bits, so the keys fit the vertex dtype
-        keys = B[:, 0] & block1
+        keys = read(B[:, 0]).astype(dtype, copy=False)
         for col in B.T[1:]:
             keys <<= m
-            keys |= col & block1
+            keys |= read(col)
         counts += np.bincount(keys, minlength=len(counts))
-    gap = np.abs(counts - total // len(counts))
-    tv, dev = Fraction(int(gap.sum()), 2 * total), Fraction(int(gap.max()), total)
+    n, ref = int(counts.sum()), functools.reduce(np.multiply.outer, [mult] * k).ravel()
+    lcm = math.lcm(n, len(ref))  # both totals are powers of two: the larger, so gaps fit int64
+    gap = np.abs(counts * (lcm // n) - ref * (lcm // len(ref)))
+    tv, dev = Fraction(int(gap.sum()), 2 * lcm), Fraction(int(gap.max()), lcm)
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(dev))
 
 

@@ -2,6 +2,7 @@
 byte-level determinism.  All invocations go through main(argv)."""
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -127,6 +128,16 @@ def test_graph_spectrum(tmp_path, capsys):
     assert doc["report"]["lambda_exact"] == "1/15"
     assert doc["report"]["method"] == "character-sum"
     assert main(["graph", "spectrum", str(tmp_path / "absent.json")]) == EXIT_INVALID
+
+
+def test_csv_quotes_a_cell_that_holds_a_comma_or_a_line_break(tmp_path, capsys):
+    # a graph name with a comma, a quote and LF reads back as one cell
+    name = 'a,b\n"c"'
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"name": name, "dim": 2, "generators": ["1", "2", "3"]}))
+    assert main(["graph", "spectrum", str(gpath), "--format", "csv"]) == EXIT_PASS
+    rows = list(csv.reader(capsys.readouterr().out.splitlines(keepends=True)[1:]))
+    assert rows == [["name", "lambda", "method"], [name, repr(1 / 3), "character-sum"]]
 
 
 def test_verify_pseudorandomness_pass(tmp_path, capsys):

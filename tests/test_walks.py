@@ -4,6 +4,7 @@ walk_oracle.
 """
 
 import itertools
+import math
 import os
 import subprocess
 from collections import Counter
@@ -379,6 +380,17 @@ def test_pseudorandomness_breaks_past_window():
     assert chk.max_deviation == float(Fraction(3, 1024))
 
 
+def test_pseudorandomness_past_window_on_an_outer_graph_of_uint64_words():
+    # 2**40 outer vertices take uint64 words; past the window the keys
+    # outgrow the r bits of the vertex dtype and are widened, and the
+    # distances are those of the same four words on the 4-vertex graph
+    outer = CayleyGraph(40, (0, 1, 2, 3))
+    sys = ReplacementSystem(outer, build_aghp(4, 2), WalkParams(m=2, s=2, ell=2))
+    for k in (3, 4):
+        wide = check_pseudorandomness(sys, k, budget=1 << 62)
+        assert wide == check_pseudorandomness(sys_22(), k), k
+
+
 def test_pseudorandomness_validation_and_budget():
     sys = sys_22()
     with pytest.raises(ValueError):
@@ -437,6 +449,42 @@ def test_first_coord_uniform_holds_one_block_of_walks():
     assert traced_peak(lambda: check_first_coord_uniform(sys, 3)) < 8 << 20
 
 
+def test_pseudorandomness_holds_one_block_of_walks():
+    # (4, 3, 2) at k = 4 enumerates 2**20 wide trajectories; holding and
+    # sorting one key a row took 30 MiB traced, one block of walks and the
+    # 2**12-cell histogram take about 3 MiB
+    params = WalkParams(m=4, s=3, ell=2)
+    sys = ReplacementSystem(build_complete_selfloop(4), build_aghp(12, 2), params)
+    assert traced_peak(lambda: check_pseudorandomness(sys, 4)) < 8 << 20
+
+
+def test_walk_blocks_tile_the_seeds_in_blocks_of_at_most_2_16_walks():
+    # (1, 2, 1) has 4**(t-1) walks per b_1: at t = 9 that is one block per
+    # b_1, and past it the first generator axis (t = 10) or the first two
+    # (t = 11) are sliced with the axes before them held fixed
+    sys = tiny_system()
+    for t in (1, 2, 9, 10, 11):
+        sizes = (sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+        at = 0
+        for start, A, B in walks._walk_blocks(sys, t):
+            assert start == at and 0 < len(A) <= 1 << 16, (t, start)
+            for row in (0, len(A) - 1):
+                b1, *u = np.unravel_index(start + row, sizes)
+                w = sys.walk_from_seed(0, int(b1), [int(x) for x in u])
+                got = tuple(A[row].tolist()), tuple(B[row].tolist())
+                assert got == (w.a_vertices, w.b_vertices), (t, start)
+            at += len(A)
+        assert at == math.prod(sizes), t
+
+
+def test_encode_holds_one_block_of_walks_past_2_16_walks_per_b1():
+    # (1, 2, 1) at t = 10 has 2**18 walks per b_1: blocks of one b_1 each
+    # took 16 MiB traced, blocks of 2**16 walks take about 7 MiB
+    amp, bits = AmplifiedCode(LinearCode(1, 2, [0b11]), tiny_system(), 10), []
+    assert traced_peak(lambda: bits.append(encode(amp, 1))) < 10 << 20
+    assert bits[0].size == amp.block_length == 1 << 21
+
+
 def test_middle_start_distribution_all_pivots():
     sys = tiny_system()
     for i in (0, 1, 2):
@@ -459,14 +507,24 @@ def sys_128():
     return ReplacementSystem(outer, build_aghp(2, 1), WalkParams(m=1, s=2, ell=1))
 
 
+def sys_repeated_words():
+    # four outer generators that are two words, each twice
+    outer = CayleyGraph(dim=2, generators=(1, 1, 2, 2), multigraph=True)
+    return ReplacementSystem(outer, build_aghp(4, 1), WalkParams(2, 2, 1))
+
+
 def test_checks_from_start_zero_equal_the_all_starts_enumeration():
-    for sys in (tiny_system(), sys_13(), sys_22(), sys_128()):
+    for sys in (tiny_system(), sys_13(), sys_22(), sys_128(), sys_repeated_words()):
         for k in (1, 2, 3, 4):
             assert check_pseudorandomness(sys, k) == oracle.pseudorandomness_all_starts(sys, k)
         for t in (1, 2, 3):
             for i in range(t):
                 assert middle_start_distribution_equal(sys, t, i) == \
                     oracle.middle_start_all_starts(sys, t, i), (t, i)
+    # repeated words at k = 4: counting raw generator indices, not words,
+    # would give 1/4 and 3/256
+    chk = check_pseudorandomness(sys_repeated_words(), 4)
+    assert (chk.tv_distance, chk.max_deviation) == (1 / 8, 1 / 32)
 
 
 def test_middle_start_translation_keeps_a_nonzero_distance(monkeypatch):
