@@ -17,7 +17,6 @@ from .amplify import (
     check_induction_step,
     check_middle_start_identity,
     check_pure_walk_bounds,
-    check_weighted_walk_bounds,
     dp_backwards,
     dp_gk,
     moments,
@@ -37,7 +36,6 @@ from .graphs import (
     SpectralReport,
     build_aghp,
     build_complete_selfloop,
-    mixing_check,
     spectrum,
 )
 from .hitting import (
@@ -87,7 +85,6 @@ __all__ = [
     "check_middle_start_identity",
     "check_pseudorandomness",
     "check_pure_walk_bounds",
-    "check_weighted_walk_bounds",
     "code_bias",
     "code_report",
     "dp_backwards",
@@ -97,7 +94,6 @@ __all__ = [
     "hitting_bound",
     "hitting_prob_exact",
     "middle_start_distribution_equal",
-    "mixing_check",
     "moments",
     "spectrum",
     "verify_induction_arithmetic",

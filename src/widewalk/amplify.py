@@ -31,14 +31,12 @@ import numpy as np
 
 from .graphs import (
     CayleyGraph,
-    InequalityCheck,
     _check_walk_length,
     _convolve,
     _vertex_list,
     fwht,
     holds,
     spectrum,
-    vertex_values,
 )
 from .walks import ReplacementSystem
 
@@ -203,7 +201,6 @@ def _wide_levels(
     row 0, the new x.  A caller reads x, and may use w, the leading cells
     of row 1 in x's size, as scratch before it resumes the loop.
     """
-    _require_f(sys, f)
     if levels < 0:
         raise ValueError(f"the level count must be nonnegative, got {levels}")
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
@@ -253,6 +250,7 @@ def _wide_tables(
     stores n_A * d^min(k, s) cells, the blocks min(k, s)..1 of b's C order,
     so dp_gk keeps the sum over k of n_A * d^min(k, s) * 8 bytes, and a
     read of a level k < s's values expands it to a whole table."""
+    _require_f(sys, f)
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
     for k, x, w in _wide_levels(sys, f, levels):
@@ -292,19 +290,18 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
     return [DpTable(g.values.take(sigma, 1), g.level, "gbar") for g in _wide_tables(rev, f, length)]
 
 
-def _pure_levels(
-    graph: CayleyGraph, f: SignedFn, weight, kmax: int, kind: str
-) -> Iterator[DpTable]:
+def _pure_levels(graph: CayleyGraph, f: SignedFn, kmax: int) -> Iterator[DpTable]:
     """Pure-walk tables 1..kmax as the recursion reaches them, from level 1
-    = sign * weight: each further level is the sign times the generator
-    average of the previous one, graphs._convolve over n * degree.  The
-    caller has checked its arguments (see _pure_report)."""
+    = a copy of the signs (a table's moments hand out its own array): each
+    further level is the sign times the generator average of the previous
+    one, graphs._convolve over n * degree.  The caller has checked its
+    arguments (see check_pure_walk_bounds)."""
     scale = graph.num_vertices * graph.degree
-    h = f.signs * weight
-    yield DpTable(h, 1, kind)
+    h = f.signs.copy()
+    yield DpTable(h, 1, "h")
     for k in range(2, kmax + 1):
         h = f.signs * (_convolve(h, graph) / scale)
-        yield DpTable(h, k, kind)
+        yield DpTable(h, k, "h")
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +370,11 @@ def lemma_hypotheses(
     return ok_bias and ok_lam, detail, lam_a, lam_b
 
 
-def _pure_report(kind: str, graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
-    """A pure-walk report with no rows yet: the arguments checked, then the
-    hypothesis Bias(f) <= sqrt(lambda), as Bias(f)^2 <= lambda exactly on
-    the measured spectrum."""
+def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
+    """Measured pure-walk moments against the eps <= (4*lam)^(k/2)/2 and
+    E[h_k^2] <= (4*lam)^(k-1) bounds, lam the measured expansion of the
+    graph; hypothesis Bias(f) <= sqrt(lam), as Bias(f)^2 <= lam exactly on
+    the measured spectrum, judged after the arguments are checked."""
     if f.n != graph.num_vertices:
         raise ValueError("f size does not match the graph")
     if kmax < 1:
@@ -384,48 +382,16 @@ def _pure_report(kind: str, graph: CayleyGraph, f: SignedFn, kmax: int) -> Momen
     rep = spectrum(graph)
     met = f.bias_exact**2 <= rep.lambda_exact
     detail = f"Bias(f)={f.bias!r} vs sqrt(lambda)={math.sqrt(rep.lam)!r}"
-    return MomentReport(kind, rep.lam, f.bias, met, detail)
-
-
-def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> MomentReport:
-    """Measured pure-walk moments against the eps <= (4*lam)^(k/2)/2 and
-    E[h_k^2] <= (4*lam)^(k-1) bounds, lam the measured expansion of the
-    graph; hypothesis Bias(f) <= sqrt(lam)."""
-    report = _pure_report("pure-walk", graph, f, kmax)
-    if not report.hypotheses_met:
+    report = MomentReport("pure-walk", rep.lam, f.bias, met, detail)
+    if not met:
         return report
-    lam = report.lam
-    for table in _pure_levels(graph, f, 1.0, kmax, "h"):
+    lam = rep.lam
+    for table in _pure_levels(graph, f, kmax):
         k, mom = table.level, moments(table)
         bound_eps = 0.5 * (4 * lam) ** (k / 2)
         bound_sq = (4 * lam) ** (k - 1)
         ok = holds(mom.eps, bound_eps) and holds(mom.second_moment, bound_sq)
         rms, bound_rms = math.sqrt(mom.second_moment), math.sqrt(bound_sq)
-        report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, vacuous(bound_eps)))
-    return report
-
-
-def check_weighted_walk_bounds(
-    graph: CayleyGraph, f: SignedFn, H: np.ndarray, kmax: int
-) -> MomentReport:
-    """Terminal-weighted analogue: bounds in terms of the level-1 moments.
-    H is a per-vertex array with values in [-1, 1], so that, as vacuous()
-    assumes, every eps and sigma of the walk lies in [0, 1]."""
-    weight = vertex_values(H, graph, "H")
-    if not np.all(np.abs(weight) <= 1):
-        raise ValueError("H must take values in [-1, 1]")
-    report = _pure_report("weighted-walk", graph, f, kmax)
-    if not report.hypotheses_met:
-        return report
-    lam = report.lam
-    levels = map(moments, _pure_levels(graph, f, weight, kmax, "hhat"))
-    e1, s1 = next((m.eps, m.sigma) for m in levels)  # level 1's eps_a is not kept
-    report.extra.update(eps1=e1, sigma1=s1)
-    for k, mom in enumerate(levels, 2):
-        bound_eps = 2.0 ** (k - 2) * (lam ** ((k - 1) / 2) * e1 + lam ** (k / 2) * s1)
-        bound_rms = 2.0 ** (k - 2) * (lam ** ((k - 2) / 2) * e1 + lam ** ((k - 1) / 2) * s1)
-        rms = math.sqrt(mom.second_moment)
-        ok = holds(mom.eps, bound_eps) and holds(rms, bound_rms)
         report.rows.append(LevelRow(k, mom.eps, rms, bound_eps, bound_rms, ok, vacuous(bound_eps)))
     return report
 
@@ -443,7 +409,9 @@ def _levels(
 ) -> Iterator[DpTable]:
     """The g tables first..k that every wide-walk check reads: the caller's
     dp_gk tables when they reach level k, so that several checks share one
-    DP, else the levels as the DP loop yields them, each dropped once read."""
+    DP, else the levels as the DP loop yields them, each dropped once read.
+    f is checked against the outer graph on the call, before either."""
+    _require_f(sys, f)
     if tables is not None and len(tables) > k:
         return iter(tables[first : k + 1])
     return _wide_tables(sys, f, k, first)
@@ -545,6 +513,16 @@ def check_bias_reduction_lemma(
     report.extra["eps0"] = f.bias
     report.extra["eps_t_le_eps0"] = holds(mom.eps, f.bias)
     return report
+
+
+@dataclass(frozen=True)
+class InequalityCheck:
+    """One inequality lhs <= rhs, judged by holds."""
+
+    passed: bool
+    lhs: float
+    rhs: float
+    detail: str
 
 
 def check_first_step_trick(

@@ -1,6 +1,6 @@
-"""Explicit Cayley graphs over F_2^dim, their exact spectra, and mixing checks,
-plus the rules the package shares: the JSON readers of every input file,
-the vertex rules and holds, the verdict rule of every float bound check.
+"""Explicit Cayley graphs over F_2^dim and their exact spectra, plus the
+rules the package shares: the JSON readers of every input file, the vertex
+rules and holds, the verdict rule of every float bound check.
 
 Vertices are plain integers in [0, 2**dim); vertex v and generator u are
 adjacent endpoints of an edge v ~ v ^ u.  Every generator is its own inverse
@@ -500,47 +500,6 @@ def _first_of(a: np.ndarray, values: set[int], step: int = FWHT_SCRATCH) -> int:
         if firsts:
             return min(firsts)
     raise ValueError(f"none of {sorted(values)} occurs")
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    """One inequality lhs <= rhs, judged by holds."""
-
-    passed: bool
-    lhs: float
-    rhs: float
-    detail: str
-
-
-def mixing_check(G: CayleyGraph, f: np.ndarray, g: np.ndarray) -> InequalityCheck:
-    """Check |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g by
-    holds, for per-vertex arrays f and g and the measured expansion lam of G.
-
-    The edge expectation pairs f with the generator average of g over
-    every vertex: _convolve over n * degree.
-    """
-    n = G.num_vertices
-    fv = vertex_values(f, G, "f")
-    gv = vertex_values(g, G, "g")
-    lam = spectrum(G).lam
-    # an elementwise product and sum, not np.dot, whose summation order
-    # would differ, and which starts BLAS's thread pool
-    edge_mean = float((fv * (_convolve(gv, G) / (n * G.degree))).sum()) / n
-    mu_f, mu_g = float(np.mean(fv)), float(np.mean(gv))
-    sigma_f = float(np.sqrt(max(np.mean(fv * fv) - mu_f * mu_f, 0.0)))
-    sigma_g = float(np.sqrt(max(np.mean(gv * gv) - mu_g * mu_g, 0.0)))
-    lhs = abs(edge_mean - mu_f * mu_g)
-    rhs = lam * sigma_f * sigma_g
-    return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"lam={lam!r}")
-
-
-def vertex_values(f, graph: CayleyGraph, name: str) -> np.ndarray:
-    """f, an array of one value per vertex of graph, as float64."""
-    n = graph.num_vertices
-    arr = np.asarray(f, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must be a per-vertex array of {n} values, got shape {arr.shape}")
-    return arr
 
 
 def _check_walk_length(t: int) -> int:

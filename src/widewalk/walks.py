@@ -381,17 +381,18 @@ def check_pseudorandomness(
 
     k counts vertices (so k-1 steps).  Returns the max over starts of the
     exact total-variation distance and of the largest single-trajectory
-    gap.  Every start has the distances of a = 0 (the module docstring),
-    though the budget counts the rows of every start.  From 0 a trajectory
-    is fixed by the outer words of its k-1 steps, so :func:`_first_block_check`
-    compares the wide walks' block-1 tuples, read as words, with the pure walks'.
+    gap.  Every start has the distances of a = 0 (the module docstring).
+    From 0 a trajectory is fixed by the outer words of its k-1 steps, so
+    :func:`_first_block_check` compares the wide walks' block-1 tuples, read
+    as words, with the pure walks'.  The budget counts what that expands
+    and holds: the walks from 0 and the 2**(m*(k-1)) histogram cells.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n_wide = sys.num_inner * sys.params.d_inner ** max(k - 2, 0)
-    n_pure = sys.outer.degree ** (k - 1)
-    if sys.num_outer * (n_wide + n_pure) > budget:
-        raise BudgetExceeded(sys.num_outer * (n_wide + n_pure), budget)
+    total = n_wide + (1 << (sys.params.m * (k - 1)))
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     if k == 1:  # both sides are the one trajectory (a_0)
         return DistributionCheck(equal=True, tv_distance=0.0, max_deviation=0.0)
     return _first_block_check(sys, k - 1, words=True)

@@ -38,7 +38,6 @@ from widewalk.amplify import (
     check_induction_step,
     check_middle_start_identity,
     check_pure_walk_bounds,
-    check_weighted_walk_bounds,
     dp_backwards,
     dp_gk,
     lemma_hypotheses,
@@ -47,7 +46,7 @@ from widewalk.amplify import (
     verify_induction_arithmetic,
 )
 from widewalk.code import AmplifiedCode, LinearCode, code_bias, encode
-from widewalk.graphs import CayleyGraph, fwht, mixing_check
+from widewalk.graphs import CayleyGraph, fwht
 
 import walk_oracle as oracle
 from conftest import traced_peak
@@ -56,14 +55,12 @@ G8_FROZEN_EPS = [0.25, 0.5, 0.5, 0.5, 0.5]
 # SHA-256 of the 21 flagship dp_gk(..., 20) tables' float64 bytes, level
 # order, as the per-generator gather DP produced them
 FLAGSHIP_TABLES_SHA256 = "78bf62b5d94dd7c890aa4ae0a21da7c10f7a5c7e6d19aa3504f78310f6ae2c80"
-# SHA-256 of the float64 bytes of pure-walk levels 1..12, unweighted (h) and
-# weighted by H (hhat), with f balanced and H = default_rng(5).uniform(-1, 1, n),
-# as the loop that rebuilt the character table at every level produced them
+# SHA-256 of the float64 bytes of pure-walk levels 1..12 (h), with f
+# balanced, as the loop that rebuilt the character table at every level
+# produced them
 PURE_TABLES_SHA256 = {
     ("complete-nonzero-m4", "h"): "638ff1ecd56d5a7576cbff01f3195cd8ccdf4f2b1b7f6c799a4a74e0caa2cd8f",
-    ("complete-nonzero-m4", "hhat"): "9f5562ca16cb80d5629051165f097569a6241a0181bfb5a70a9fc27b0de6e6cf",
     ("aghp-r10-l5", "h"): "5b01b6d8c3741c24ff4367a5d8cbd8091155c063f9b5aad069880cdca48955a9",
-    ("aghp-r10-l5", "hhat"): "e85c65da20fb9410634aa19550d64b6efee9e7f7f1939b4c72a02b47773e4b92",
 }
 
 
@@ -408,15 +405,13 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     # the lemma reads its one level after the stream has freed the block
     # (traced at 3.16)
     assert traced_peak(lambda: check_bias_reduction_lemma(witness, f, 20)) < 3.5 * table
-    # the pure walks stream their levels too, in units of one 2^16-entry
+    # the pure walk streams its levels too, in units of one 2^16-entry
     # table; each step's convolution holds one array (traced at 3.01)
     graph = build_aghp(16, 8)
     f = SignedFn.balanced(graph.num_vertices)
-    H = np.linspace(-1.0, 1.0, graph.num_vertices)
     assert check_pure_walk_bounds(graph, f, 2).hypotheses_met  # builds the spectrum once
     table = graph.num_vertices * 8
     assert traced_peak(lambda: check_pure_walk_bounds(graph, f, 24)) < 5 * table
-    assert traced_peak(lambda: check_weighted_walk_bounds(graph, f, H, 24)) < 5 * table
 
 
 def test_moment_checks_agree_with_and_without_tables(
@@ -586,11 +581,9 @@ def test_backward_forward_means_agree(g8_system, g8_f, flagship, flagship_f, wit
             assert float(fwd[j].values.mean()) == float(bwd[j].values.mean()), (sys.params, f.bits, j)
 
 
-def pure_tables(g, f, kmax, H=None):
-    """The pure-walk levels 1..kmax as a list indexed by level (slot 0
-    None), unweighted, or weighted by H when it is given."""
-    weight = 1.0 if H is None else H
-    return [None, *_pure_levels(g, f, weight, kmax, "h" if H is None else "hhat")]
+def pure_tables(g, f, kmax):
+    """The pure-walk levels 1..kmax as a list indexed by level (slot 0 None)."""
+    return [None, *_pure_levels(g, f, kmax)]
 
 
 def test_dp_hk_matches_enumeration(g8_system, g8_f):
@@ -618,23 +611,23 @@ def test_pure_walk_tables_are_pinned_bit_for_bit(k16):
     for g in (k16, build_aghp(10, 5)):
         n = g.num_vertices
         f = SignedFn.balanced(n)
-        H = np.random.default_rng(5).uniform(-1, 1, n)
-        for kind, tables in (("h", pure_tables(g, f, 12)), ("hhat", pure_tables(g, f, 12, H))):
-            digest = hashlib.sha256()
-            for t in tables[1:]:
-                digest.update(t.values.tobytes())
-            assert digest.hexdigest() == PURE_TABLES_SHA256[g.name, kind], (g.name, kind)
+        tables = pure_tables(g, f, 12)
+        # moments hand out a pure table's own array as eps_a, so level 1
+        # is a copy of the signs, never f's own array
+        assert not np.shares_memory(tables[1].values, f.signs)
+        digest = hashlib.sha256()
+        for t in tables[1:]:
+            digest.update(t.values.tobytes())
+        assert digest.hexdigest() == PURE_TABLES_SHA256[g.name, "h"], g.name
 
 
 def test_pure_walk_dp_builds_the_character_table_once(table_builds):
     # a table rebuilt at every level would count once per level, and one
-    # built for the spectrum and again for the DP twice; the three checks
-    # share the graph's one table
+    # built for the spectrum and again for the DP twice; the check's
+    # spectrum and levels share the graph's one table
     k16 = build_complete_selfloop(4, selfloop=False)
     f = SignedFn.balanced(16)
     assert check_pure_walk_bounds(k16, f, 8).all_passed
-    assert check_weighted_walk_bounds(k16, f, np.ones(16), 8).all_passed
-    assert mixing_check(k16, f.signs, f.signs).passed
     assert table_builds == [k16.name]
 
 
@@ -668,44 +661,24 @@ def test_every_check_reads_one_table_per_graph(table_builds):
     assert sorted(table_builds) == ["aghp-r10-l5", "complete-selfloop-m2"]
 
 
-def test_dp_hk_weighted_unit_weight_equals_plain(k16):
-    f = SignedFn.balanced(16)
-    plain = pure_tables(k16, f, 6)
-    weighted = pure_tables(k16, f, 6, np.ones(16))
-    for k in range(1, 7):
-        assert np.array_equal(plain[k].values, weighted[k].values)
-    # the checks measure the same walk
-    pure = check_pure_walk_bounds(k16, f, 6)
-    measured = [(r.k, r.epsilon, r.sigma) for r in pure.rows[1:]]
-    assert pure.hypotheses_met and [k for k, _, _ in measured] == [2, 3, 4, 5, 6]
-    report = check_weighted_walk_bounds(k16, f, np.ones(16), 6)
-    assert report.hypotheses_met
-    assert [(r.k, r.epsilon, r.sigma) for r in report.rows] == measured
-
-
 def test_dp_hk_validation(k16):
-    f = SignedFn.balanced(16)
-    weighted = lambda f, kmax: check_weighted_walk_bounds(k16, f, np.ones(16), kmax)
-    for check in (lambda f, kmax: check_pure_walk_bounds(k16, f, kmax), weighted):
-        with pytest.raises(ValueError, match="kmax must be at least 1"):
-            check(f, 0)
-        with pytest.raises(ValueError, match="f size does not match the graph"):
-            check(SignedFn.balanced(4), 2)
-    with pytest.raises(ValueError, match="H must be a per-vertex array of 16 values"):
-        check_weighted_walk_bounds(k16, f, np.ones(7), 2)
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        check_pure_walk_bounds(k16, SignedFn.balanced(16), 0)
+    with pytest.raises(ValueError, match="f size does not match the graph"):
+        check_pure_walk_bounds(k16, SignedFn.balanced(4), 2)
 
 
 def test_weighted_level_one_recovers_two_back(g8_system, g8_f, flagship, flagship_f, flagship_tables):
     # with terminal weight H(a) = eps_{k-1}(a), the level-1 weighted mean
-    # equals eps_{k-2}: stepping the pair (a, H) once undoes one level
+    # |mean(f * H)| equals eps_{k-2}: stepping the pair (a, H) once undoes
+    # one level
     for sys, f, tables in (
         (g8_system, g8_f, dp_gk(g8_system, g8_f, 6)),
         (flagship, flagship_f, flagship_tables),
     ):
         for k in range(2, 7):
             H = moments(tables[k - 1]).eps_a
-            hw = pure_tables(sys.outer, f, 1, H)
-            assert abs(moments(hw[1]).eps - moments(tables[k - 2]).eps) <= 1e-12
+            assert abs(abs(float((f.signs * H).mean())) - moments(tables[k - 2]).eps) <= 1e-12
 
 
 def test_backwards_terminal_mean_is_pure_walk(g8_system, g8_f, flagship, flagship_f):
@@ -734,58 +707,39 @@ def test_pure_walk_bounds_k16(k16):
 
 def test_pure_walk_hypothesis_gate(k16):
     # constant assignment has bias 1 > sqrt(1/15): refused, no rows
-    for report in (check_pure_walk_bounds(k16, SignedFn.zero(16), 5),
-                   check_weighted_walk_bounds(k16, SignedFn.zero(16), np.ones(16), 5)):
-        assert not report.hypotheses_met
-        assert report.rows == [] and report.extra == {}
-        assert not report.all_passed
+    report = check_pure_walk_bounds(k16, SignedFn.zero(16), 5)
+    assert not report.hypotheses_met
+    assert report.rows == [] and report.extra == {}
+    assert not report.all_passed
     # the hypothesis Bias(f)^2 <= lambda is exact and holds at equality
     complete4 = build_complete_selfloop(2)
     assert check_pure_walk_bounds(complete4, SignedFn.balanced(4), 3).hypotheses_met
 
 
 def test_argument_errors_come_before_the_hypotheses(k16, g8_system, g8_f):
-    # every f, kmax and H below has unmet hypotheses (bias 1, or g8's
+    # every f and kmax below has unmet hypotheses (bias 1, or g8's
     # lambda_A = 1), so a check that read the spectra first would return
     # an unmet report in place of the error
     zero = SignedFn.zero(16)
     with pytest.raises(ValueError, match="kmax must be at least 1"):
         check_pure_walk_bounds(k16, zero, 0)
-    with pytest.raises(ValueError, match="kmax must be at least 1"):
-        check_weighted_walk_bounds(k16, zero, np.ones(16), 0)
-    with pytest.raises(ValueError, match="H must be a per-vertex array"):
-        check_weighted_walk_bounds(k16, zero, np.ones(3), 4)
     with pytest.raises(ValueError, match="f size does not match"):
         check_pure_walk_bounds(k16, SignedFn.zero(8), 3)
     with pytest.raises(ValueError, match="kmax must exceed s=2"):
         check_induction_step(g8_system, g8_f, 2)
-    for check in (check_base_case, lambda sys, f: check_bias_reduction_lemma(sys, f, 3)):
+    # a wrong-sized f is refused with one message on every wide-walk path,
+    # the DPs and the checks given a caller's tables too, before any reshape
+    tables = dp_gk(g8_system, g8_f, 6)
+    for check in (
+        check_base_case,
+        lambda sys, f: check_bias_reduction_lemma(sys, f, 3),
+        lambda sys, f: dp_gk(sys, f, 3),
+        lambda sys, f: dp_backwards(sys, f, 2),
+        lambda sys, f: check_middle_start_identity(sys, f, 3),
+        lambda sys, f: check_first_step_trick(sys, f, 3, tables),
+    ):
         with pytest.raises(ValueError, match="f has 4 entries, outer graph has 8"):
             check(g8_system, SignedFn.zero(4))
-
-
-def test_weighted_walk_bounds_k16(k16):
-    f = SignedFn.balanced(16)
-    rng = np.random.default_rng(5)
-    H = rng.uniform(-1, 1, 16)
-    report = check_weighted_walk_bounds(k16, f, H, 8)
-    assert report.all_passed
-    assert report.rows[0].k == 2
-    assert "eps1" in report.extra and "sigma1" in report.extra
-    # unit weight reduces to the plain tables, bounds still hold
-    assert check_weighted_walk_bounds(k16, f, np.ones(16), 8).all_passed
-
-
-def test_weighted_walk_refuses_weights_beyond_1(k16):
-    # the vacuity rule takes a bound of 1 or more as trivial, which holds
-    # only while |H| <= 1: doubling H doubles every eps and every bound, so
-    # a row failing against a bound of 0.6 would fail against 1.2, flagged
-    # vacuous and unseen by all_passed; such an H is refused, as is NaN
-    f = SignedFn.balanced(16)
-    assert check_weighted_walk_bounds(k16, f, -np.ones(16), 8).all_passed
-    for bad in (2 * np.ones(16), np.full(16, np.nan)):
-        with pytest.raises(ValueError, match=r"H must take values in \[-1, 1\]"):
-            check_weighted_walk_bounds(k16, f, bad, 8)
 
 
 def test_measured_lambdas(flagship, g8_system):

@@ -31,7 +31,6 @@ from widewalk.graphs import (
     build_complete_selfloop,
     fwht,
     holds,
-    mixing_check,
     spectrum,
 )
 from widewalk.hitting import HittingInstance, check_hitting
@@ -802,9 +801,8 @@ _BLAS_ON_NUMPY = _BLAS_ANYWHERE | {"inner"}
 def test_no_blas_call_in_the_package():
     """BLAS's thread pool, once started, slows every later numpy call of
     the process, so the package sums with elementwise products and .sum()
-    (see mixing_check and check_middle_start_identity).  No np.dot, vdot,
-    matmul, inner, tensordot, einsum, np.linalg, .dot( or @ appears
-    anywhere in it."""
+    (see check_middle_start_identity).  No np.dot, vdot, matmul, inner,
+    tensordot, einsum, np.linalg, .dot( or @ appears anywhere in it."""
     import widewalk
 
     offenders = []
@@ -827,15 +825,30 @@ def test_no_blas_call_in_the_package():
     assert offenders == []
 
 
+def mixing_check(G, f, g):
+    """The expander mixing lemma in floats, as (lhs, rhs) of
+    |E_{a~a'}[f(a) g(a')] - mu_f mu_g| <= lam * sigma_f * sigma_g for
+    per-vertex arrays f and g and the measured expansion lam of G: a test
+    of spectrum and of _convolve, whose generator average over n * degree
+    gives the edge expectation."""
+    fv, gv = np.asarray(f, np.float64), np.asarray(g, np.float64)
+    n = G.num_vertices
+    edge_mean = float((fv * (_convolve(gv, G) / (n * G.degree))).sum()) / n
+    mu_f, mu_g = float(fv.mean()), float(gv.mean())
+    sigma_f = math.sqrt(max(float((fv * fv).mean()) - mu_f * mu_f, 0.0))
+    sigma_g = math.sqrt(max(float((gv * gv).mean()) - mu_g * mu_g, 0.0))
+    return abs(edge_mean - mu_f * mu_g), spectrum(G).lam * sigma_f * sigma_g
+
+
 def test_mixing_check_equality_at_top_character():
     # the bound is tight when f = g = the argmax character
     for g in (build_aghp(4, 2), build_complete_selfloop(4, selfloop=False)):
         rep = spectrum(g)
         alpha = rep.argmax_character
         chi = [(-1.0) ** bin(alpha & v).count("1") for v in range(g.num_vertices)]
-        mc = mixing_check(g, chi, chi)
-        assert mc.passed
-        assert abs(mc.lhs - mc.rhs) <= 1e-12
+        lhs, rhs = mixing_check(g, chi, chi)
+        assert holds(lhs, rhs)
+        assert abs(lhs - rhs) <= 1e-12
 
 
 def test_mixing_check_random_functions():
@@ -844,23 +857,17 @@ def test_mixing_check_random_functions():
     for _ in range(20):
         f = rng.uniform(-1, 1, size=g.num_vertices)
         h = rng.uniform(-1, 1, size=g.num_vertices)
-        assert mixing_check(g, f, h).passed
+        assert holds(*mixing_check(g, f, h))
 
 
 def test_mixing_check_callable_and_lam_override():
-    # per-vertex arrays only, at the measured lambda: the complete graph
-    # with self-loops has lambda 0, so the edge average of f(a) g(a') is
-    # the product of the means
+    # at the measured lambda: the complete graph with self-loops has
+    # lambda 0, so the edge average of f(a) g(a') is the product of the
+    # means
     g = build_complete_selfloop(2)
     f = np.arange(g.num_vertices) % 2
-    mc = mixing_check(g, f, 1 - f)
-    assert mc.passed
-    assert mc.lhs <= 1e-12
-    assert mc.detail == "lam=0.0"
-    with pytest.raises(ValueError, match="g must be a per-vertex array of 4 values"):
-        mixing_check(g, [1.0, -1.0, 1.0, -1.0], [1.0, -1.0])
-    with pytest.raises(ValueError, match="f must be a per-vertex array of 4 values"):
-        mixing_check(g, [1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
+    lhs, rhs = mixing_check(g, f, 1 - f)
+    assert rhs == 0.0 and lhs <= 1e-12
 
 
 def test_spectrum_scan_limit_enforced():

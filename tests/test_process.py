@@ -91,9 +91,9 @@ def test_the_public_surface_is_pinned():
         "check_bias_reduction_lemma", "check_first_coord_uniform", "check_first_step_trick",
         "check_hitting", "check_induction_step", "check_local_invertibility",
         "check_middle_start_identity", "check_pseudorandomness", "check_pure_walk_bounds",
-        "check_weighted_walk_bounds", "code_bias", "code_report", "dp_backwards", "dp_gk",
+        "code_bias", "code_report", "dp_backwards", "dp_gk",
         "encode", "gen_base_code", "hitting_bound", "hitting_prob_exact",
-        "middle_start_distribution_equal", "mixing_check", "moments", "spectrum",
+        "middle_start_distribution_equal", "moments", "spectrum",
         "verify_induction_arithmetic",
     ]
 

@@ -399,6 +399,17 @@ def test_pseudorandomness_validation_and_budget():
         check_pseudorandomness(sys, 3, budget=10)
 
 
+def test_pseudorandomness_budget_counts_what_the_check_expands_and_holds():
+    # the check expands the 16 * 16 walks from a_0 = 0 and holds one
+    # histogram of 2**(2*2) cells, whatever |A|: 2**20 outer vertices fit
+    # the default budget
+    sys = ReplacementSystem(CayleyGraph(20, (1, 2, 4, 8)), build_aghp(4, 2), WalkParams(m=2, s=2, ell=2))
+    assert check_pseudorandomness(sys, 3).equal
+    assert check_pseudorandomness(sys, 3, budget=272).equal
+    with pytest.raises(BudgetExceeded, match="needs 272 items, budget is 271"):
+        check_pseudorandomness(sys, 3, budget=271)
+
+
 def test_first_coord_uniform():
     sys = sys_22()
     for k in (1, 2):

@@ -32,7 +32,7 @@ from widewalk.graphs import _convolve
 def cayley_average(values, graph):
     """Average of values[..., v ^ u] over the generators u of graph, for
     every vertex v of the last axis: the library's one Cayley convolution
-    over n * degree, as the pure-walk levels and mixing_check divide it."""
+    over n * degree, as the pure-walk levels divide it."""
     return _convolve(values, graph) / (graph.num_vertices * graph.degree)
 
 
