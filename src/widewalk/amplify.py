@@ -40,6 +40,8 @@ from .graphs import (
 )
 from .walks import ReplacementSystem
 
+_PAIRWISE_LEAF = 128  # cells of a leaf of numpy's pairwise sum
+
 
 class SignedFn:
     """A {0,1} assignment on outer vertices together with its sign table."""
@@ -119,8 +121,8 @@ class DpTable:
         return self._expand(np.empty((len(self.cells), self.reps * self.cells.shape[1])))
 
     def _expand(self, out: np.ndarray) -> np.ndarray:
-        """The whole walk table written into out, an (n_A, n_B) C-order array."""
-        np.copyto(out.reshape(len(out), self.reps, -1), self.cells[:, None])
+        """out, (n_A, w) in C order, filled with each row's cells repeated."""
+        np.copyto(out.reshape(len(out), -1, self.cells.shape[1]), self.cells[:, None])
         return out
 
 
@@ -139,12 +141,15 @@ def moments(table: DpTable) -> Moments:
     """Mean/deviation moments of a table, plus the per-outer-vertex ones.
 
     eps_a keeps its sign (it is the conditional mean, not its absolute
-    value); the global eps is the absolute overall mean.  The table's
-    values are read once, so a compact wide-walk level is expanded to one
-    whole (n_A, n_B) table for the call and summed in the same order as
-    one that was stored whole.
+    value); the global eps is the absolute overall mean.  A compact level
+    is read through W = min(n_B, max(d^k, 128)) columns, its cells or one
+    tile of them, and gives the whole table's moments bit for bit: numpy's
+    pairwise sum halves a power-of-two length down to 128-cell leaves, and
+    2^j equal partial sums add to exactly 2^j times one.
     """
-    v = table.values
+    v, width = table.cells, table.cells.shape[-1]
+    if table.reps > 1 and width < _PAIRWISE_LEAF:
+        v = table._expand(np.empty((len(v), min(table.reps * width, _PAIRWISE_LEAF))))
     mean = float(v.mean())
     second = float((v * v).mean())
     sigma = math.sqrt(max(second - mean * mean, 0.0))
@@ -397,9 +402,9 @@ def check_pure_walk_bounds(graph: CayleyGraph, f: SignedFn, kmax: int) -> Moment
 
 
 def _lemma_report(kind: str, sys: ReplacementSystem, f: SignedFn) -> MomentReport:
-    """A wide-walk report with no rows yet: f checked against the outer
-    graph, then the lemma's hypotheses on the measured spectra."""
-    _require_f(sys, f)
+    """A wide-walk report with no rows yet, the lemma's hypotheses judged on
+    the measured spectra.  Its callers take their levels from _levels
+    first, which checks f and the tables."""
     met, detail, _, lam_b = lemma_hypotheses(sys, f.bias_exact)
     return MomentReport(kind, float(lam_b), f.bias, met, detail)
 
@@ -410,11 +415,14 @@ def _levels(
     """The g tables first..k that every wide-walk check reads: the caller's
     dp_gk tables when they reach level k, so that several checks share one
     DP, else the levels as the DP loop yields them, each dropped once read.
-    f is checked against the outer graph on the call, before either."""
+    f is checked against the outer graph on the call, before either, and
+    the caller's tables against f, whose signs are their level 0 exactly."""
     _require_f(sys, f)
-    if tables is not None and len(tables) > k:
-        return iter(tables[first : k + 1])
-    return _wide_tables(sys, f, k, first)
+    if tables is None or len(tables) <= k:
+        return _wide_tables(sys, f, k, first)
+    if tables[0].level != 0 or not np.array_equal(tables[0].cells[:, 0], f.signs):
+        raise ValueError("the tables were not built by dp_gk from this f")
+    return iter(tables[first : k + 1])
 
 
 def check_base_case(
@@ -422,11 +430,12 @@ def check_base_case(
 ) -> MomentReport:
     """Wide-walk base-case bounds for k = 0..s:
     eps_k <= (2*lam)^(k+1)/2 and sigma_k <= 2*(2*lam)^(k-1)."""
+    levels = _levels(sys, f, sys.params.s, tables)
     report = _lemma_report("base-case", sys, f)
     if not report.hypotheses_met:
         return report
-    lam, s = report.lam, sys.params.s
-    for k, mom in enumerate(map(moments, _levels(sys, f, s, tables))):
+    lam = report.lam
+    for k, mom in enumerate(map(moments, levels)):
         bound_eps = 0.5 * (2 * lam) ** (k + 1)
         # 0**0 = 1 keeps the k=1 bound meaningful on a lam = 0 inner graph;
         # only k=0 (negative exponent at lam=0) needs the inf escape
@@ -461,11 +470,12 @@ def check_induction_step(
     """
     s = sys.params.s
     _check_induction_kmax(kmax, s)
+    levels = _levels(sys, f, kmax, tables)
     report = _lemma_report("induction-step", sys, f)
     if not report.hypotheses_met:
         return report
     lam = report.lam
-    mom = [moments(t) for t in _levels(sys, f, kmax, tables)]
+    mom = [moments(t) for t in levels]
     eps = [m.eps for m in mom]
     sig = [m.sigma for m in mom]
     for k in range(s + 1, kmax + 1):
@@ -502,10 +512,11 @@ def check_bias_reduction_lemma(
     level t, the stream runs to its end, which frees the loop's block,
     before the moments are taken."""
     _check_walk_length(t)
+    levels = _levels(sys, f, t, tables, t)
     report = _lemma_report("bias-reduction", sys, f)
     if not report.hypotheses_met:
         return report
-    (table,) = _levels(sys, f, t, tables, t)
+    (table,) = levels
     mom, s = moments(table), sys.params.s
     bound = bias_bound(report.lam, t, s)
     flag = vacuous(bound, lam=report.lam, s=s)
@@ -535,8 +546,9 @@ def check_first_step_trick(
     measured inner-graph expansion."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    levels = _levels(sys, f, k, tables, k - 1)
     lam = spectrum(sys.inner).lam
-    mom_prev, mom_k = map(moments, _levels(sys, f, k, tables, k - 1))
+    mom_prev, mom_k = map(moments, levels)
     lhs = mom_k.sigma**2
     rhs = float((mom_prev.eps_a**2).mean()) + lam**2 * mom_prev.sigma**2
     return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"k={k} lam={lam!r}")

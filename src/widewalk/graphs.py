@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +30,6 @@ AGHP_MAX_GENERATORS = 1 << 24  # most words a builder allocates: 64 MiB to dim 3
 GENERATOR_BATCH = 1 << 12  # words per chunk of CayleyGraph.generators_json
 TOL_BOUND = 1e-12  # the slack of holds
 FWHT_SCRATCH = 1 << 16  # most bytes of fwht's one scratch buffer
-_HADAMARD_PRODUCT = 1 << 10  # most multiply-adds of fwht's product with the Hadamard matrix
 
 
 def holds(value: float, bound: float) -> bool:
@@ -153,13 +152,15 @@ class CayleyGraph:
         add.at copies indices that are not intp through a 64 KiB buffer,
         more than a small table, so the words go in as intp slices of n/16
         words (an eighth of an int32 table, as much as the transform's
-        scratch), at least 2**8 and at most 2**16 of them: no slice is a
-        large transient.
+        scratch), at least 2**8 of them and at most FWHT_SCRATCH bytes:
+        the build holds the table and at most FWHT_SCRATCH bytes beside it
+        at every size.
         """
         n = self.num_vertices
         table = np.zeros(n, np.int32 if self.degree < 1 << 31 else np.int64)
         # a scalar of the table's own dtype keeps add.at on its fast path
-        one, step = table.dtype.type(1), min(max(n // 16, 1 << 8), 1 << 16)
+        cap = FWHT_SCRATCH // np.dtype(np.intp).itemsize
+        one, step = table.dtype.type(1), min(max(n // 16, 1 << 8), cap)
         for lo in range(0, self.degree, step):
             np.add.at(table, self.generators[lo:lo + step].astype(np.intp), one)
         fwht(table).flags.writeable = False
@@ -301,14 +302,10 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     result is bit-identical to it.  The scratch is one buffer of at most
     FWHT_SCRATCH bytes.
 
-    - A signed-integer a along its last axis, when its product with the
-      +-1 Hadamard matrix takes at most _HADAMARD_PRODUCT multiply-adds,
-      runs as that product, a broadcast multiply and one sum: integer sums
-      wrap modulo 2**bits in any order, so its bits are the butterfly's.
-    - Any other a of at most FWHT_SCRATCH bytes is ping-ponged with one
-      buffer of its own size: every stage by _pease, on all of a in each
-      call, or, along the last axis of two or more rows, on the rows as one
-      flat tile (_low_bits), whose 1-d calls cost less than 2-d ones.
+    - An a of at most FWHT_SCRATCH bytes is ping-ponged with one buffer of
+      its own size: every stage by _pease, on all of a in each call, or,
+      along the last axis, on its rows as one flat tile (_low_bits), whose
+      1-d calls cost less than 2-d ones.
     - A larger a takes an eighth of its size at most.  Along the last axis
       (post = 1) its low bits, as many as the buffer holds, run by _pease
       on tiles of whole rows (see _low_bits): two flat ufunc calls a
@@ -333,14 +330,9 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     bits = n.bit_length() - 1
     if not bits or not a.size:
         return a
-    if a.dtype.kind == "i" and post == 1 and n * a.size <= _HADAMARD_PRODUCT:
-        rows = x[:, :, 0]
-        np.add.reduce(np.multiply(rows[:, None, :], _hadamard(n, a.dtype)), axis=2, out=rows)
-        return a
     small = a.nbytes <= FWHT_SCRATCH
-    if small and (pre == 1 or post > 1):  # the fewest calls: all of a in each
-        y = x[:, :, 0] if post == 1 else x
-        y, ax = (y[0], 0) if pre == 1 else (y, 1)
+    if small and post > 1:  # the fewest calls: all of a in each
+        y, ax = (x[0], 0) if pre == 1 else (x, 1)
         spare = np.empty_like(y)
         if _pease(y, spare, bits, ax) is spare:
             np.copyto(y, spare)
@@ -361,15 +353,6 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
             np.add(lo, hi, out=lo)
             np.copyto(hi, tmp)
     return a
-
-
-@lru_cache(maxsize=None)
-def _hadamard(n: int, dtype: np.dtype) -> np.ndarray:
-    """The n x n Hadamard matrix of fwht, (-1)**popcount(i & j), in dtype,
-    read-only."""
-    h = np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(n)] for i in range(n)], dtype)
-    h.flags.writeable = False
-    return h
 
 
 def _pease(buf: np.ndarray, spare: np.ndarray, stages: int, axis: int) -> np.ndarray:

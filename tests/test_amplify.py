@@ -26,6 +26,7 @@ from widewalk import (
     WalkParams,
     build_aghp,
     build_complete_selfloop,
+    check_pseudorandomness,
 )
 from widewalk.amplify import (
     DpTable,
@@ -230,6 +231,39 @@ def test_encode_matches_an_independent_enumeration(seed):
         assert np.array_equal(bits, (1 - prod.ravel()) // 2), t
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_pseudorandomness_matches_an_independent_enumeration(seed):
+    # every start's k-vertex trajectories (a_0..a_(k-1)) of the enumerated
+    # wide walks against the pure walks a_j = a_(j-1) ^ u_j over the outer
+    # generators, enumerated here; the distances are exact Fractions, max
+    # over starts, and the check returns their floats.  k runs to s + 2,
+    # past the window, where four of the systems are at a nonzero distance
+    sys, f = random_system(seed)
+    n_a, s, d = sys.num_outer, sys.params.s, sys.params.d_inner
+    bits = (n_a - 1).bit_length()  # a trajectory's key: a_j in bits j*bits up
+    levels = enumerated_walks(sys, f, s + 1)
+    keys = next(levels)[0].astype(np.int32)
+    for k in range(2, s + 3):
+        if n_a * sys.num_inner * d ** (k - 2) > ENUMERATED_PAIRS:
+            break
+        a = next(levels)[0]
+        keys = np.repeat(keys, a.shape[2] // keys.shape[2], axis=2)
+        keys |= a.astype(np.int32) << (bits * (k - 1))
+        wide = np.bincount(keys.ravel(), minlength=n_a**k)
+        paths = np.array([list(itertools.accumulate(us, lambda v, u: v ^ int(u), initial=0))
+                          for us in itertools.product(sys.outer.generators, repeat=k - 1)])
+        n_wide, n_pure = sys.num_inner * d ** (k - 2), len(paths)
+        tv = gap = Fraction(0)
+        for a0 in range(n_a):
+            pure = np.bincount(((paths ^ a0) << (bits * np.arange(k))).sum(axis=1), minlength=n_a**k)
+            diff = np.abs(wide[a0::n_a] * n_pure - pure[a0::n_a] * n_wide)
+            tv = max(tv, Fraction(int(diff.sum()), 2 * n_wide * n_pure))
+            gap = max(gap, Fraction(int(diff.max()), n_wide * n_pure))
+        chk = check_pseudorandomness(sys, k)
+        assert (chk.tv_distance, chk.max_deviation) == (float(tv), float(gap)), k
+        assert chk.equal == (tv == 0), k
+
+
 def test_dp_gk_flagship_moments(flagship_tables):
     # balanced f on the 4-vertex outer graph is a signed affine indicator,
     # so the means vanish identically; deviations are the live channel.
@@ -285,6 +319,69 @@ def test_moment_consistency(g8_system, g8_f):
         assert abs(m.second_moment - (mean * mean + m.sigma**2)) <= 1e-12
         # per-vertex means average back to the global (signed) mean
         assert abs(float(m.eps_a.mean()) - mean) <= 1e-15
+
+
+def whole_table_moments(t):
+    """(eps, sigma, eps_a bytes, second moment) by the formula on the
+    expanded (n_A, n_B) values, as moments took them before it read tiles."""
+    v = t.values
+    mean, second = float(v.mean()), float((v * v).mean())
+    return abs(mean), math.sqrt(max(second - mean * mean, 0.0)), v.mean(axis=1).tobytes(), second
+
+
+def test_moments_equal_the_whole_table_formula_bit_for_bit(flagship_tables, witness, skew16):
+    # moments sums a compact level's cells, or a tile of them 128 columns
+    # wide, never the whole table.  The DP tables' sums are exact in any
+    # order, so random cells of every width and repeat count carry the
+    # order: a 64-column tile misses on about half of them
+    tables = list(flagship_tables) + dp_gk(witness, SignedFn.from_support(8, {0, 1, 2}), 6)
+    skew = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
+    tables += dp_gk(skew, SignedFn.from_support(8, {0, 3, 5}), 5)
+    for seed in range(20):
+        sys, f = random_system(seed)
+        tables += dp_gk(sys, f, sys.params.s + 1)
+    rng = np.random.default_rng(17)
+    for n_a in (1, 2, 8):
+        for b_bits in range(16):
+            for w_bits in range(b_bits + 1):
+                shape = (n_a, 1 << w_bits)
+                cells = rng.standard_normal(shape) * np.exp2(rng.integers(-20, 21, shape))
+                tables.append(DpTable(cells, w_bits, "g", 1 << (b_bits - w_bits)))
+    for t in tables:
+        m = moments(t)
+        assert (m.eps, m.sigma, m.eps_a.tobytes(), m.second_moment) == whole_table_moments(t), t.cells.shape
+
+
+def test_moments_of_a_compact_level_hold_two_tiles(witness):
+    # a tile is the cells from 128 columns up, else the cells repeated to
+    # 128 columns: moments holds it and its square, where a read of the
+    # values held two whole 2 MiB tables.  Traced at two tiles + 1.2 KiB
+    # (8 KiB tiles), and at one tile + 1.1 KiB from 512 columns up, where
+    # the tile is the cells themselves
+    for t in dp_gk(witness, SignedFn.from_support(8, {0, 1, 2}), 4):
+        tile = len(t.cells) * max(t.cells.shape[1], 128) * 8
+        assert traced_peak(lambda: moments(t)) <= 2 * tile + (4 << 10), t.level
+
+
+def test_tables_built_from_another_f_are_refused(g8_system, g8_f):
+    # level 0 of a dp_gk list is f's sign table, so a list built from
+    # another f is refused before anything is read, and before the
+    # hypotheses (unmet on g8); the identity took such a list and reported
+    # a false violation, direct 0.5 against via 0.0
+    assert check_middle_start_identity(g8_system, g8_f, 4).passed
+    foreign = dp_gk(g8_system, SignedFn.from_support(8, [5]), 6)
+    own = dp_gk(g8_system, g8_f, 6)
+    for tables in (foreign, own[1:]):
+        for check in (
+            lambda t: check_middle_start_identity(g8_system, g8_f, 4, t),
+            lambda t: check_base_case(g8_system, g8_f, t),
+            lambda t: check_induction_step(g8_system, g8_f, 4, t),
+            lambda t: check_bias_reduction_lemma(g8_system, g8_f, 3, t),
+            lambda t: check_first_step_trick(g8_system, g8_f, 3, t),
+        ):
+            with pytest.raises(ValueError, match="not built by dp_gk from this f") as err:
+                check(tables)
+            assert "\n" not in str(err.value)
 
 
 def full_transform_levels(sys, f, levels, kind):
