@@ -198,8 +198,8 @@ def encode(amp: AmplifiedCode, x: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     With N = |B| * d_B**(t-1) walks from 0, the work is O(|A|) to build
     mask, (t+1) N |A| / w gathers and |A| N bytes written: linear in the
     block length plus |A|.  The walks come from walks._walk_blocks in
-    blocks of about 2**16 and the lanes go in batches of about 2**16
-    words, so peak memory stays flat.
+    blocks of 2**16 seeds (fewer when N is smaller) and the lanes go in
+    batches of about 2**16 words, so peak memory stays flat.
     """
     f = amp.f_for_message(x)  # LinearCode.encode refuses x before the budget
     count = amp.block_length

@@ -26,9 +26,9 @@ ReplacementSystem computes the walk rule as three bit operations on an int
 or an integer array, with no table over inner vertices: hop masks block 1
 and looks up its generator, shift rotates the r = m*s bits right by m and
 its inverse unshift rotates them left by m.  ReplacementSystem.expand
-expands walks with them.  The exact checks enumerate their random choices
-as the rows of one integer grid (:func:`choice_grid`, C order) and expand
-every row at once: each step is a few whole-row bit operations.
+expands walks with them.  The exact checks decode their random choices
+from seed indices (:func:`_seeds`) and expand every row at once: each
+step is a few whole-row bit operations.
 code.encode and both first-block checks, pseudorandomness and uniformity,
 read one streamed enumeration of the walks from a_0 = 0,
 :func:`_walk_blocks`, at most 2**16 walks at a time, so none holds every
@@ -271,37 +271,31 @@ def _xor_gather(out: np.ndarray, base: np.ndarray, gather, index: np.ndarray) ->
         np.bitwise_xor(base[rows], gather(index[rows]), out=out[rows])
 
 
+def _seeds(sys: ReplacementSystem, t: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b_1, u) of the t-step walks from a_0 = 0 with seed indices lo..hi-1.
+    Index b_1*d_B**(t-1) + u_2*d_B**(t-2) + ... + u_t has d_B = 2**(2*ell),
+    so each digit is a shift and a mask.  The index, and b_1 made from it
+    in place, is in the smallest unsigned dtype that holds hi - 1 (numpy
+    shifts past its width to 0); u, (hi - lo, t-1) with contiguous columns,
+    in the smallest that holds d_B - 1."""
+    w, d = 2 * sys.params.ell, sys.params.d_inner
+    index = np.arange(lo, hi, dtype=np.min_scalar_type(hi - 1))
+    u = np.empty((t - 1, hi - lo), np.min_scalar_type(d - 1))
+    for j, col in enumerate(u, start=2):
+        np.right_shift(index, w * (t - j), out=col, casting="unsafe")
+        col &= d - 1
+    index >>= w * (t - 1)
+    return index, u.T
+
+
 def _walk_blocks(sys: ReplacementSystem, t: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The t-step walks (0, b_1, u_2..u_t) of every seed from a_0 = 0, in
-    seed order, in blocks of at most 2**16 walks, each expanded by
-    ReplacementSystem.expand: the first seed axis whose trailing grid fits
-    2**16 walks is sliced, and the axes before it are held fixed (b_1 is
-    sliced whenever d_B**(t-1) <= 2**16).  Yields (start, A, B) per block,
-    start being the seed index of the block's first walk, so that memory
-    stays one block whatever the walk count."""
-    sizes = (sys.num_inner, *(sys.params.d_inner,) * (t - 1))
-    j = next(j for j in range(t) if math.prod(sizes[j + 1:]) <= 1 << 16)
-    step, start = (1 << 16) // math.prod(sizes[j + 1:]), 0
-    for head in np.ndindex(*sizes[:j]):
-        for lo in range(0, sizes[j], step):
-            seeds = choice_grid(*(1,) * j, min(step, sizes[j] - lo), *sizes[j + 1:])
-            first = (*head, lo)
-            # the grid's dtype holds only its own values, so b_1 is summed in the system's
-            b, u = np.add(seeds[:, 0], first[0], dtype=sys._dtype), seeds[:, 1:]
-            if j:  # and the generator indices in one that holds d_B - 1
-                u = u + np.array(first[1:] + (0,) * (t - 1 - j), np.min_scalar_type(sizes[1] - 1))
-            yield (start, *sys.expand(0, b, u))
-            start += len(seeds)
-
-
-def choice_grid(*sizes: int) -> np.ndarray:
-    """Every tuple of range(sizes[0]) x range(sizes[1]) x ..., one per row,
-    in C (lexicographic) order; one empty row when sizes is empty.  The
-    grid is in the smallest unsigned dtype that holds max(sizes) - 1, so a
-    caller that adds an offset to a column forms the sum in a dtype wide
-    enough for it."""
-    dtype = np.min_scalar_type(max((1, *sizes)) - 1)
-    return np.indices(sizes, dtype=dtype).reshape(len(sizes), math.prod(sizes)).T
+    """The t-step walks from a_0 = 0 in seed order, decoded by :func:`_seeds`
+    and expanded by ReplacementSystem.expand 2**16 at a time: (start, A, B)
+    per block, start the seed index of its first walk, so that memory stays
+    one block whatever the walk count."""
+    total = sys.num_inner * sys.params.d_inner ** (t - 1)
+    for lo in range(0, total, 1 << 16):
+        yield (lo, *sys.expand(0, *_seeds(sys, t, lo, min(lo + (1 << 16), total))))
 
 
 def _dense_ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -483,9 +477,10 @@ def middle_start_distribution_equal(
         raise ValueError(f"pivot {i} out of range 0..{t - 1}")
     if 2 * total > budget:
         raise BudgetExceeded(2 * total, budget)
-    seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (t - 1))
-    standard = np.hstack(sys.expand(0, seeds[:, 0], seeds[:, 1:]))
-    A, B = sys.expand(0, seeds[:, 0], seeds[:, 1:], pivot=i)
+    # decoded once a side, so no choice row is held while the rows are compared
+    rows = total // sys.num_outer
+    standard = np.hstack(sys.expand(0, *_seeds(sys, t, 0, rows)))
+    A, B = sys.expand(0, *_seeds(sys, t, 0, rows), pivot=i)
     tv, gap = multiset_tv(standard, np.hstack([A ^ A[:, :1], B]))
     gap /= sys.num_outer
     return DistributionCheck(equal=(tv == 0), tv_distance=float(tv), max_deviation=float(gap))

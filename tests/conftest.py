@@ -88,13 +88,26 @@ def witness():
     return ReplacementSystem(build_complete_selfloop(3), build_aghp(15, 5), params)
 
 
-@pytest.fixture(scope="session")
-def skew16():
-    # every vertex of F_2^3 twice, except 0 three times and 7 once: 16
-    # generators (an outer graph for m = 4) whose character sum at a
-    # nonzero alpha is 1 - (-1)^parity(alpha), so lambda_A = 2/16 = 1/8
+def skew16_graph():
+    """The skew16 outer multigraph, built fresh: every vertex of F_2^3
+    twice, except 0 three times and 7 once.  Its 16 generators (an outer
+    graph for m = 4) have character sum 1 - (-1)^parity(alpha) at a
+    nonzero alpha, so lambda_A = 2/16 = 1/8."""
     gens = np.repeat(np.arange(8), [3, 2, 2, 2, 2, 2, 2, 1])
     return CayleyGraph(dim=3, generators=gens, name="skew16", multigraph=True)
+
+
+@pytest.fixture(scope="session")
+def skew16():
+    return skew16_graph()
+
+
+@pytest.fixture(scope="session")
+def skewed(skew16):
+    # skew16 x AGHP(16,5) at (m, s, ell) = (4, 4, 5): lambda_A = 1/8 meets
+    # lambda_A <= lambda_B**2 = 225/1024; a test that traces memory or
+    # counts table builds builds its own
+    return ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
 
 
 @pytest.fixture(scope="session")

@@ -192,21 +192,20 @@ def test_acceptance_07_headline_bound_with_positive_lambda_a(
     record(7, "headline-bound-with-positive-lambda-a", ok)
 
 
-def test_acceptance_08_base_case_and_induction_beyond_the_flagship(witness, skew16):
+def test_acceptance_08_base_case_and_induction_beyond_the_flagship(witness, skewed):
     # the witness (lambda_A = 0) and skew16 x AGHP(16,5) (lambda_A = 1/8):
     # every asserted row passes and measures a nonzero eps, except that the
     # balanced support {0,1,2,4} on skew16 has eps_k = 0 exactly at even k,
     # where its row still bounds sigma_k > 0
-    skew = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     ok = True
-    for sys, support in ((witness, {0, 1, 2}), (skew, {0, 1, 2}), (skew, {0, 1, 2, 4})):
+    for sys, support in ((witness, {0, 1, 2}), (skewed, {0, 1, 2}), (skewed, {0, 1, 2, 4})):
         f, kmax = SignedFn.from_support(8, support), 2 * sys.params.s
         tables = dp_gk(sys, f, kmax)
         reports = (check_base_case(sys, f, tables), check_induction_step(sys, f, kmax, tables))
         asserted = [r for report in reports for r in report.rows if not r.vacuous]
         ok = ok and all(report.hypotheses_met for report in reports) and bool(asserted)
         ok = ok and all(r.passed and r.sigma > 0 for r in asserted)
-        zero_at_even_k = f.bias_exact == 0 and sys is skew
+        zero_at_even_k = f.bias_exact == 0 and sys is skewed
         ok = ok and all((r.epsilon == 0) == (zero_at_even_k and r.k % 2 == 0) for r in asserted)
     record(8, "base-case-and-induction-beyond-the-flagship", ok)
 

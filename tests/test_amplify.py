@@ -329,14 +329,13 @@ def whole_table_moments(t):
     return abs(mean), math.sqrt(max(second - mean * mean, 0.0)), v.mean(axis=1).tobytes(), second
 
 
-def test_moments_equal_the_whole_table_formula_bit_for_bit(flagship_tables, witness, skew16):
+def test_moments_equal_the_whole_table_formula_bit_for_bit(flagship_tables, witness, skewed):
     # moments sums a compact level's cells, or a tile of them 128 columns
     # wide, never the whole table.  The DP tables' sums are exact in any
     # order, so random cells of every width and repeat count carry the
     # order: a 64-column tile misses on about half of them
     tables = list(flagship_tables) + dp_gk(witness, SignedFn.from_support(8, {0, 1, 2}), 6)
-    skew = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
-    tables += dp_gk(skew, SignedFn.from_support(8, {0, 3, 5}), 5)
+    tables += dp_gk(skewed, SignedFn.from_support(8, {0, 3, 5}), 5)
     for seed in range(20):
         sys, f = random_system(seed)
         tables += dp_gk(sys, f, sys.params.s + 1)
@@ -875,15 +874,14 @@ def test_base_case_zero_lambda_inner():
     assert by_k[2].bound_sigma == 0.0
 
 
-def test_base_case_and_induction_with_positive_lambda_a(skew16):
+def test_base_case_and_induction_with_positive_lambda_a(skewed):
     # lambda_A = 1/8 <= lambda_B^2 = 225/1024: the outer graph's expansion
     # enters met hypotheses, and every eps_k is nonzero
-    sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     f = SignedFn.from_support(8, [0, 1, 2])
-    assert lemma_hypotheses(sys, f.bias_exact)[2:] == (Fraction(1, 8), Fraction(15, 32))
-    tables = dp_gk(sys, f, 10)
-    base = check_base_case(sys, f, tables)
-    ind = check_induction_step(sys, f, 10, tables)
+    assert lemma_hypotheses(skewed, f.bias_exact)[2:] == (Fraction(1, 8), Fraction(15, 32))
+    tables = dp_gk(skewed, f, 10)
+    base = check_base_case(skewed, f, tables)
+    ind = check_induction_step(skewed, f, 10, tables)
     assert base.hypotheses_met and base.all_passed
     assert ind.hypotheses_met and ind.all_passed
     rows = base.rows + ind.rows
@@ -892,31 +890,29 @@ def test_base_case_and_induction_with_positive_lambda_a(skew16):
     assert all(r.epsilon > 0 for r in rows)
 
 
-def test_first_step_and_middle_start_with_positive_lambda_a(skew16):
+def test_first_step_and_middle_start_with_positive_lambda_a(skewed):
     # lambda_A = 1/8: the outer graph's expansion enters both checks.  The
     # balanced support {0,1,2,4} has direct = 0 at even k, so only odd k
     # compare a nonzero mean
-    sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     for support, nonzero in (([0, 1, 2], range(5, 9)), ([0, 1, 2, 4], (5, 7))):
         f = SignedFn.from_support(8, support)
-        tables = dp_gk(sys, f, 8)
+        tables = dp_gk(skewed, f, 8)
         for k in range(1, 9):
-            assert check_first_step_trick(sys, f, k, tables).passed, (support, k)
+            assert check_first_step_trick(skewed, f, k, tables).passed, (support, k)
         for k in range(5, 9):
-            chk = check_middle_start_identity(sys, f, k, tables)
+            chk = check_middle_start_identity(skewed, f, k, tables)
             assert chk.residual == 0.0 and chk.passed, (support, k)
             assert (chk.direct != 0.0) == (k in nonzero), (support, k)
 
 
-def test_eps_is_invariant_under_translation_and_complement(witness, skew16):
+def test_eps_is_invariant_under_translation_and_complement(witness, skewed):
     # on a Cayley outer graph the walk from a_0 ^ a is the walk from a_0
     # translated by a, and the complement flips all k+1 signs of g_k: eps_10
     # is one float, bit for bit, over all 8 translates of {1,3,4} and its
     # complement
-    skew = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     support = {1, 3, 4}
     supports = [{v ^ a for v in support} for a in range(8)] + [set(range(8)) - support]
-    for sys in (witness, skew):
+    for sys in (witness, skewed):
         eps = {moments(*_levels(sys, SignedFn.from_support(8, sup), 10, None, 10)).eps
                for sup in supports}
         assert len(eps) == 1 and eps.pop() > 0, sys.outer.name
@@ -964,11 +960,10 @@ def test_vacuous_is_one_rule_for_every_bound():
     assert vacuous(0.5, lam=0.5, s=5) and vacuous(1.0, lam=0.375, s=5)
 
 
-def test_bias_reduction_lemma_is_vacuous_below_s_5(skew16):
+def test_bias_reduction_lemma_is_vacuous_below_s_5(skewed):
     # s = 4: the exponent t*(1-4/s) is 0, the bound reads 1 and asserts
     # nothing, although eps_t > 0 and the hypotheses hold
-    sys = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
-    report = check_bias_reduction_lemma(sys, SignedFn.from_support(8, [0, 1, 2]), 6)
+    report = check_bias_reduction_lemma(skewed, SignedFn.from_support(8, [0, 1, 2]), 6)
     assert report.hypotheses_met and report.all_passed
     (row,) = report.rows
     assert row.vacuous and row.bound_eps == 1.0 and row.epsilon > 0

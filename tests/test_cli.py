@@ -8,7 +8,6 @@ import json
 import math
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +25,8 @@ from widewalk.code import LinearCode
 from widewalk.gf2core import hex_encode
 from widewalk.graphs import CayleyGraph, build_aghp, build_complete_selfloop
 from widewalk.hitting import HittingReport, HittingRow
+
+from conftest import skew16_graph
 
 
 def write_config(tmp_path, name="cfg.json", **cfg):
@@ -48,12 +49,6 @@ def tiny_config(tmp_path, **extra):
     return write_config(
         tmp_path, name="tiny.json", m=1, s=2, ell=1, outer="complete", inner="aghp", **extra
     )
-
-
-def skew16_graph():
-    """The skew16 outer multigraph of tests/conftest.py, lambda_A = 1/8."""
-    gens = np.repeat(np.arange(8), [3, 2, 2, 2, 2, 2, 2, 1])
-    return CayleyGraph(dim=3, generators=gens, name="skew16", multigraph=True)
 
 
 def assert_one_line_invalid(argv, capsys, prefix):

@@ -1,6 +1,7 @@
 """Static checks on the package source, read with ast: no module imports
-a name it never uses (pyflakes' F401, with no linter to install), and no
-exported function lacks a caller."""
+a name it never uses (pyflakes' F401, with no linter to install), no
+exported function lacks a caller, and no top-level helper is left behind
+with no reader."""
 
 import ast
 import inspect
@@ -62,11 +63,11 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def loaded_names(source: str) -> set[str]:
     """The names source loads, as a name or an attribute, outside the body
-    of the function that defines each name."""
+    of the function or class that defines each name."""
     found = set()
 
     def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
         name = getattr(node, "id", None) or getattr(node, "attr", None)
         if name and isinstance(getattr(node, "ctx", None), ast.Load) and name not in inside:
@@ -82,6 +83,40 @@ def test_the_loaded_name_scan_skips_the_defining_body():
     source = "def f(n):\n    return f(n - 1) + g.h\ndef g():\n    f(1)\nx = y\n"
     assert loaded_names(source) == {"f", "g", "h", "n", "y"}
     assert "f" not in loaded_names("def f(n):\n    return f(n - 1)\n")
+    assert "C" not in loaded_names("class C:\n    def make(self):\n        return C()\n")
+
+
+def left_behind(modules: dict[str, str], exported: set[str], bench: str) -> list[str]:
+    """The top-level functions and classes of modules (file name -> source)
+    that no module loads outside their own body, that exported does not
+    hold and that the benchmark source bench does not name."""
+    read = set().union(*map(loaded_names, modules.values()))
+    defined = [(module, node.name) for module, source in modules.items()
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read | exported and not re.search(rf"\b{name}\b", bench)]
+
+
+def test_the_left_behind_scan_finds_what_it_should():
+    modules = {
+        "a.py": "def used():\n    return 1\ndef grid(n):\n    return grid(n - 1)\n"
+                "class Old:\n    def copy(self):\n        return Old()\n",
+        "b.py": "from .a import used\ndef public():\n    return used()\ndef timed():\n    pass\n",
+    }
+    assert left_behind(modules, {"public"}, "") == ["a.py: grid", "a.py: Old", "b.py: timed"]
+    # the benchmark naming a helper keeps it, a longer name does not
+    assert left_behind(modules, {"public"}, "ww.timed()\ngrid_old = 1\n") == ["a.py: grid", "a.py: Old"]
+
+
+def test_no_helper_is_left_behind():
+    # every top-level def and class of the package is read by the package
+    # outside its own body, exported, or named by the benchmark: a helper
+    # that only tests call is deleted with its last caller in src/
+    modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(modules) >= 8
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    assert left_behind(modules, set(widewalk.__all__), bench) == []
 
 
 def test_every_exported_function_has_a_caller():

@@ -3,7 +3,6 @@ and the exact distribution checks, held against the scalar walk rule of
 walk_oracle.
 """
 
-import itertools
 import math
 import os
 import subprocess
@@ -29,7 +28,7 @@ from widewalk import (
 from widewalk.code import AmplifiedCode, LinearCode, encode
 from widewalk.graphs import CayleyGraph
 from widewalk import walks
-from widewalk.walks import SWalk, choice_grid, multiset_tv
+from widewalk.walks import SWalk, multiset_tv
 
 import walk_oracle as oracle
 from conftest import traced_peak
@@ -76,7 +75,7 @@ def sys_23():
 
 
 def _seed_rows(sys, t):
-    seeds = choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    seeds = oracle.grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
     return seeds[:, 0], seeds[:, 1], seeds[:, 2:]
 
 
@@ -202,12 +201,11 @@ def test_walk_rule_needs_no_memory_that_grows_with_the_inner_graph():
         assert check_local_invertibility(sys)
 
 
-def test_vertex_dtype_is_the_inner_word_dtype(flagship, witness, skew16):
+def test_vertex_dtype_is_the_inner_word_dtype(flagship, witness, skewed):
     # r = m*s bits hold every outer vertex of these systems, so the vertex
     # dtype is the inner graph's word dtype, and expand gathers from the
     # inner words themselves: a copy of AGHP(16, 8)'s would be 128 KiB
     wide = ReplacementSystem(build_complete_selfloop(2), build_aghp(16, 8), WalkParams(2, 8, 8))
-    skewed = ReplacementSystem(skew16, build_aghp(16, 5), WalkParams(4, 4, 5))
     for sys in (flagship, witness, skewed, wide):
         assert sys._dtype == sys.inner.generators.dtype, sys.inner.name
     assert traced_peak(lambda: wide.expand(0, 0, np.zeros((1, 4), np.uint8))) < 16 << 10
@@ -216,15 +214,31 @@ def test_vertex_dtype_is_the_inner_word_dtype(flagship, witness, skew16):
     assert narrow._dtype == np.uint16
 
 
-def test_choice_grid_is_in_the_smallest_unsigned_dtype():
-    # rows in C order, values in the smallest unsigned dtype that holds
-    # them: uint8 up to 256 choices (int64 would be 6 MiB at 64**3 rows)
-    for sizes, dtype in (((64, 64, 64), np.uint8), ((3, 256), np.uint8),
-                         ((257, 2), np.uint16), ((2, 1), np.uint8), ((), np.uint8)):
-        grid = choice_grid(*sizes)
-        assert grid.dtype == dtype, sizes
-        assert grid.tolist() == [list(row) for row in itertools.product(*map(range, sizes))]
-    assert traced_peak(lambda: choice_grid(64, 64, 64)) <= 1 << 20
+def test_seed_decoder_gives_the_divmod_digits_in_the_smallest_dtypes(flagship):
+    # the flagship at t = 7 has 2**10 * 1024**6 = 2**70 seeds: a block at
+    # 0, one that crosses 2**32 and one that ends at 2**64 give the digits
+    # that Python ints give, each index in the smallest unsigned dtype that
+    # holds hi - 1 (every digit above the bits of a uint8 index is 0) and
+    # the generator indices in uint16 with contiguous columns
+    t, d = 7, flagship.params.d_inner
+    for lo, hi, dtype in ((0, 200, np.uint8), ((1 << 32) - 300, (1 << 32) + 300, np.uint64),
+                          ((1 << 64) - 600, 1 << 64, np.uint64)):
+        b1, u = walks._seeds(flagship, t, lo, hi)
+        assert (b1.dtype, u.dtype, u.shape) == (dtype, np.uint16, (hi - lo, t - 1)), lo
+        assert all(col.flags.c_contiguous for col in u.T), lo
+        want = []
+        for seed in range(lo, hi):
+            digits = []
+            for _ in range(t - 1):
+                seed, digit = divmod(seed, d)
+                digits.append(digit)
+            want.append([seed, *digits[::-1]])
+        assert np.column_stack([b1, u]).tolist() == want, lo
+    # one block of 2**16 seeds at t = 4 takes its uint64 index and three
+    # uint16 columns, 896 KiB, and no temporary of the index's size (a
+    # 64 KiB cast buffer at most)
+    lo = 1 << 39
+    assert traced_peak(lambda: walks._seeds(flagship, 4, lo, lo + (1 << 16))) <= 1 << 20
 
 
 def test_rotation_is_involution():
@@ -443,9 +457,9 @@ def test_first_coord_uniform_fails_on_a_walk_that_does_not_shift(monkeypatch):
     monkeypatch.setattr(ReplacementSystem, "_rotate", no_rotate)
     sys = ReplacementSystem(build_complete_selfloop(2), build_aghp(6, 3), WalkParams(2, 3, 3))
     for k, tv, gap in ((2, 0.0625, 0.015625), (3, 0.09765625, 0.0087890625)):
-        seeds = choice_grid(sys.num_inner, *(sys.params.d_inner,) * (k - 1))
+        seeds = oracle.grid(sys.num_inner, *(sys.params.d_inner,) * (k - 1))
         _, B = sys.expand(0, seeds[:, 0], seeds[:, 1:])
-        want = multiset_tv(B & 3, choice_grid(*(4,) * k))
+        want = multiset_tv(B & 3, oracle.grid(*(4,) * k))
         chk = check_first_coord_uniform(sys, k)
         assert not chk.equal, k
         assert (chk.tv_distance, chk.max_deviation) == tuple(map(float, want)) == (tv, gap), k
@@ -470,15 +484,15 @@ def test_pseudorandomness_holds_one_block_of_walks():
 
 
 def test_walk_blocks_tile_the_seeds_in_blocks_of_at_most_2_16_walks():
-    # (1, 2, 1) has 4**(t-1) walks per b_1: at t = 9 that is one block per
-    # b_1, and past it the first generator axis (t = 10) or the first two
-    # (t = 11) are sliced with the axes before them held fixed
+    # (1, 2, 1) has 4**(t-1) walks per b_1: every block but the last holds
+    # 2**16 seeds, whether a block spans several b_1 (t = 9) or a fraction
+    # of one (t = 10, 11)
     sys = tiny_system()
     for t in (1, 2, 9, 10, 11):
         sizes = (sys.num_inner, *(sys.params.d_inner,) * (t - 1))
         at = 0
         for start, A, B in walks._walk_blocks(sys, t):
-            assert start == at and 0 < len(A) <= 1 << 16, (t, start)
+            assert start == at and len(A) == min(1 << 16, math.prod(sizes) - at), (t, start)
             for row in (0, len(A) - 1):
                 b1, *u = np.unravel_index(start + row, sizes)
                 w = sys.walk_from_seed(0, int(b1), [int(x) for x in u])

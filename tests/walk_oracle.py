@@ -12,8 +12,10 @@ independent statement of it:
 It also holds the exact checks and the encoder without the outer
 translation symmetry: every start a_0 is expanded through
 ReplacementSystem.expand, so the tests can hold the a_0 = 0 enumerations
-of widewalk.walks and widewalk.code.encode against the full ones.  They
-call expand on the system, so a test that patches ReplacementSystem.expand
+of widewalk.walks and widewalk.code.encode against the full ones.  Their
+choice rows come from grid, an np.indices grid of this module, so they
+share no enumeration code with the package's seed decoder.  They call
+expand on the system, so a test that patches ReplacementSystem.expand
 patches both sides.
 
 cayley_average is the generator average that the reference DPs of the
@@ -22,6 +24,7 @@ ReplacementSystem.walk_from_seed.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -34,6 +37,12 @@ def cayley_average(values, graph):
     every vertex v of the last axis: the library's one Cayley convolution
     over n * degree, as the pure-walk levels divide it."""
     return _convolve(values, graph) / (graph.num_vertices * graph.degree)
+
+
+def grid(*sizes):
+    """Every tuple of range(sizes[0]) x range(sizes[1]) x ..., one int64
+    row each, in lexicographic order; one empty row when sizes is empty."""
+    return np.indices(sizes, dtype=np.int64).reshape(len(sizes), math.prod(sizes)).T
 
 
 def sample_swalk(sys, t, rng):
@@ -126,8 +135,8 @@ def encode_all_starts(amp, x):
     pos = 0
     for a0 in range(amp.sys.num_outer):
         for lo in range(0, n_b, step):
-            seeds = ww.choice_grid(min(step, n_b - lo), *(d,) * (amp.t - 1))
-            A, _ = expand(a0, np.add(seeds[:, 0], lo, dtype=np.int64), seeds[:, 1:])
+            seeds = grid(min(step, n_b - lo), *(d,) * (amp.t - 1))
+            A, _ = expand(a0, seeds[:, 0] + lo, seeds[:, 1:])
             out[pos:pos + len(A)] = np.bitwise_xor.reduce(bits.take(A.T), axis=0)
             pos += len(A)
     return out
@@ -138,10 +147,10 @@ def pseudorandomness_all_starts(sys, k):
     a: the max over a of the exact distances."""
     n_wide = sys.num_inner * sys.params.d_inner ** max(k - 2, 0)
     n_pure = sys.outer.degree ** (k - 1)
-    seeds = ww.choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
+    seeds = grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * max(k - 2, 0))
     A, _ = sys.expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:])
     wide = A[:, :k].reshape(sys.num_outer, n_wide, k)
-    steps = sys.outer.generators[ww.choice_grid(*(sys.outer.degree,) * (k - 1))]
+    steps = sys.outer.generators[grid(*(sys.outer.degree,) * (k - 1))]
     pure = np.bitwise_xor.accumulate(np.hstack([np.zeros((n_pure, 1), np.int64), steps]), axis=1)
     tvs, gaps = zip(*(ww.multiset_tv(wide[a], pure ^ a) for a in range(sys.num_outer)))
     worst = max(tvs)
@@ -154,7 +163,7 @@ def middle_start_all_starts(sys, t, i):
     """middle_start_distribution_equal with every choice row (a, b, u)
     expanded once from a_0 = a and once from pivot vertex a_i = a."""
     expand = sys.expand
-    seeds = ww.choice_grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
+    seeds = grid(sys.num_outer, sys.num_inner, *(sys.params.d_inner,) * (t - 1))
     standard = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:]))
     middle = np.hstack(expand(seeds[:, 0], seeds[:, 1], seeds[:, 2:], pivot=i))
     tv, gap = ww.multiset_tv(standard, middle)
