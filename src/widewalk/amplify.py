@@ -10,9 +10,9 @@ take the whole step through graphs._convolve; the wide-walk DPs stay in
 the transformed domain of inner blocks 2..s between levels, transform
 only block 1 per step, and leave that domain only for the levels they
 return (see _wide_levels).  A level k < s holds only the blocks its walk
-has read, d^(k-1) of the d^(s-1) columns of blocks 2..s, and its table
-keeps only the d^k columns of blocks 1..k, which a read of its values
-expands (see DpTable).
+has read, d^(k-1) of the d^(s-1) columns of blocks 2..s, and a forward
+table keeps only the d^k columns of blocks 1..k, which a read of its
+values expands (see DpTable).
 Their working set is one (2, n_A * n_B) float block per call, the level
 and one spare row, plus the tables they return: every transform runs in
 place (graphs.fwht).  The DP loops yield their levels one at a time, and
@@ -163,13 +163,15 @@ def _require_f(sys: ReplacementSystem, f: SignedFn) -> None:
 
 
 def _wide_levels(
-    sys: ReplacementSystem, f: SignedFn, levels: int
+    sys: ReplacementSystem, f: SignedFn, levels: int, backward: bool = False
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Levels 0..levels of the wide-walk recursion from g_0(a, b) = f(a),
-    yielded as (k, x, w) in the mixed domain described below.  A
+    yielded as (k, x, w) in the mixed domain described below.  A forward
     level averages the shifted table over the inner generators, the step
     shift(b ^ u), takes the row the rotation map reaches and multiplies by
-    the sign.
+    the sign.  A backward level (dp_backwards) steps from the walk's end:
+    gbar_k(a, b) = f(a) * E_u gbar_(k-1)(a ^ hop(b), unshift(b) ^ u), an
+    average and then an unshift.
 
     The Hadamard matrix on F_2^(m*s) is the Kronecker power of the one on a
     block, so the loop keeps each level in a mixed domain: x has the axes
@@ -179,7 +181,10 @@ def _wide_levels(
     commutes with per-block transforms, and the rotation map reads block 1
     only.  So one level transforms block 1, multiplies by the character
     table (scaled by 1 / (2^m * d_B), a power of two), rolls the block axes,
-    transforms the new block 1 back and gathers rows by (a, block 1).
+    transforms the new block 1 back and gathers rows by (a, block 1).  A
+    forward step reads the table in the rolled order, blocks 2..s then 1,
+    and rolls block s to the front; a backward step reads it in block
+    order, as it averages before the unshift, and rolls block 1 to the end.
 
     Active blocks.  A k-step walk from (a_0, b_1) reads blocks 1..k of b_1,
     so g_k is constant along blocks k+1..s.  Along such a block the
@@ -193,10 +198,12 @@ def _wide_levels(
     that value at every point, so that step drops the second transform,
     and its gather takes whole rows by a ^ hop(block 1) and broadcasts the
     new block 1.  From step s+1 on, the same step finds block 1 read and
-    transforms it back.  Butterfly stages: step k takes m over level k-1's
-    cells, and m more over all n_A * n_B once k > s, where two full
-    transforms took 2*m*s; _wide_tables takes m*(k-1) over level k's cells,
-    m*(s-1) from level s on.
+    transforms it back.  A backward walk to (a_k, b_k) reads blocks 1 and
+    s-k+2..s of b_k, so there level k < s holds blocks s-k+2..s of 2..s.
+    Butterfly stages: step k takes m over level k-1's cells, and m more
+    over all n_A * n_B once k > s, where two full transforms took 2*m*s;
+    _wide_tables takes m*(k-1) over level k's cells, m*(s-1) from level s
+    on.
 
     Working set: one (2, n_A * n_B) float64 block, allocated once per call:
     x in the leading cells of row 0, and row 1 spare.  Every transform runs
@@ -211,7 +218,9 @@ def _wide_levels(
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     # bit block j of b is axis s-j of the C-order reshape; .T puts block 1 first
     chars = sys.inner.character_table.reshape((d,) * s).T / (d * sys.params.d_inner)
-    chars = np.moveaxis(chars, 0, -1)  # the product precedes the roll: blocks 2..s, then 1
+    roll = (1, -1) if backward else (-1, 1)
+    if not backward:  # the product precedes the roll: blocks 2..s, then 1
+        chars = np.moveaxis(chars, 0, -1)
     hops = np.arange(n_a)[:, None] ^ sys.hop(np.arange(d))
     rows = {1: hops.ravel(), d: (hops * d + np.arange(d)).ravel()}  # by new block 1's length
     sign = f.signs.reshape((n_a,) + (1,) * s)
@@ -227,7 +236,7 @@ def _wide_levels(
             if k == 1:  # level 0 is constant along block 1 too: frequency 0 alone
                 y = y[:, :1]
             y *= chars[tuple(slice(n) for n in y.shape[1:])]
-            rolled = np.moveaxis(y, -1, 1)  # block s moves to the front
+            rolled = np.moveaxis(y, *roll)
             e, cols = rolled.shape[1], rolled.shape[2:]
             z = block[1, : rolled.size].reshape(rolled.shape)
             np.copyto(z, rolled)
@@ -240,7 +249,7 @@ def _wide_levels(
 
 
 def _wide_tables(
-    sys: ReplacementSystem, f: SignedFn, levels: int, first: int = 0
+    sys: ReplacementSystem, f: SignedFn, levels: int, first: int = 0, backward: bool = False
 ) -> Iterator[DpTable]:
     """Tables first..levels of _wide_levels as the loop reaches them, each
     taken back to the primal domain by one transform over its active blocks,
@@ -251,16 +260,18 @@ def _wide_tables(
     a primal-domain step, f(a) is the last factor: a zero gets f(a)'s sign
     times that of the transform's zero.
 
-    Each table keeps the columns its walk has read (see DpTable): level k
-    stores n_A * d^min(k, s) cells, the blocks min(k, s)..1 of b's C order,
-    so dp_gk keeps the sum over k of n_A * d^min(k, s) * 8 bytes, and a
-    read of a level k < s's values expands it to a whole table."""
+    Each forward table keeps the columns its walk has read (see DpTable):
+    level k stores n_A * d^min(k, s) cells, the blocks min(k, s)..1 of b's
+    C order, so dp_gk keeps the sum over k of n_A * d^min(k, s) * 8 bytes,
+    and a read of a level k < s's values expands it to a whole table.  A
+    backward level, whose read blocks are not the low bits of b, is written
+    whole through the same view, which broadcasts its unread blocks."""
     _require_f(sys, f)
     n_a, d, s = sys.num_outer, sys.params.d_outer, sys.params.s
     scale = (f.signs / (sys.num_inner // d)).reshape((n_a,) + (1,) * s)
-    for k, x, w in _wide_levels(sys, f, levels):
+    for k, x, w in _wide_levels(sys, f, levels, backward):
         if k >= first:
-            j = min(k, s)
+            j = s if backward else min(k, s)
             cells = np.empty((n_a, d**j))
             # x runs block 1..s along its axes, b's C order block s..1; the
             # unread blocks j+1..s have length 1 in both
@@ -271,7 +282,7 @@ def _wide_tables(
             if not k:  # level 0 is constant along block 1 too
                 primal = primal[:, :1]
             np.multiply(primal, scale, out=out)
-            yield DpTable(cells, k, "g", sys.num_inner // d**j)
+            yield DpTable(cells, k, "gbar" if backward else "g", sys.num_inner // d**j)
 
 
 def dp_gk(sys: ReplacementSystem, f: SignedFn, kmax: int) -> list[DpTable]:
@@ -284,15 +295,14 @@ def dp_backwards(sys: ReplacementSystem, f: SignedFn, length: int) -> list[DpTab
     """Backward-walk tables levels 0..length.
 
     Level-j entry (a, b) is the mean of the sign product over a j-step
-    wide walk conditioned on ending at (a_j, b_j) = (a, b).  Backward steps
-    are forward steps of the block-reversed system (walks.py): level j is
-    its g_j with the columns gathered by sigma.  Only length <= s is
-    meaningful (and accepted): beyond that the conditioning argument breaks.
+    wide walk conditioned on ending at (a_j, b_j) = (a, b): the level loop
+    with its roll reversed, averaging before the unshift (see _wide_levels).
+    Only length <= s is meaningful (and accepted): beyond that the
+    conditioning argument breaks.
     """
     if not 0 <= length <= sys.params.s:
         raise ValueError(f"length must be in 0..s={sys.params.s}, got {length}")
-    rev, sigma = sys._reversed()
-    return [DpTable(g.values.take(sigma, 1), g.level, "gbar") for g in _wide_tables(rev, f, length)]
+    return list(_wide_tables(sys, f, length, backward=True))
 
 
 def _pure_levels(graph: CayleyGraph, f: SignedFn, kmax: int) -> Iterator[DpTable]:
@@ -573,9 +583,9 @@ def check_middle_start_identity(
         via = sum over (a, xi) of G^ * chi * R^[:, shift] / (n_A * n_B^2 * d_B),
 
     where G^ is the block-1 transform of the mixed-domain gbar_s that the
-    loop leaves on the block-reversed system (see dp_backwards): no primal
-    gbar_s and no primal average.  G^ and R^[:, shift] are read through
-    C-order views that run blocks 1..s, the order of the sum.  All of it
+    backward loop leaves (see dp_backwards), already in block order 1..s:
+    no primal gbar_s and no primal average.  R^[:, shift] is read through
+    a transposed view that runs blocks 1..s, the order of the sum.  All of it
     runs in the level loop's one block; without tables that reach level k,
     two forward runs take only g_k and g_{k-s} to the primal domain.  The
     sum is elementwise products and ndarray.sum, not np.dot or np.vdot:
@@ -600,12 +610,12 @@ def check_middle_start_identity(
     (table,) = _levels(sys, f, k - s, tables, k - s)
     del g  # g_k is read: only g_{k-s} is kept
     n_a, n_b, d = sys.num_outer, sys.num_inner, sys.params.d_outer
-    for _, x, w in _wide_levels(sys._reversed()[0], f, s):
-        pass  # the loop ends with x = gbar_s before its sign, blocks 2..s reversed
-    view = (0, 1, *range(s, 1, -1))  # blocks 1..s
+    for _, x, w in _wide_levels(sys, f, s, backward=True):
+        pass  # the loop ends with x = gbar_s before its sign
     prod = w.reshape(x.shape)
-    np.multiply(fwht(x, axis=1).transpose(view), sys.inner.character_table.reshape((d,) * s).T, out=prod)
+    np.multiply(fwht(x, axis=1), sys.inner.character_table.reshape((d,) * s).T, out=prod)
     rhat = table._expand(x.reshape(n_a, n_b))  # x is read: its row takes R^
+    view = (0, 1, *range(s, 1, -1))  # R^ at shift(xi), read in blocks 1..s of xi
     prod *= fwht(rhat).reshape(x.shape).transpose(view)
     scale = n_a * n_b * n_b * sys.params.d_inner
     via = float(w.sum()) / scale

@@ -14,11 +14,7 @@ Conventions used throughout (they fix every off-by-one):
 
 A walk segment generated backwards (middle starts, reverse dynamic
 programs) takes the inner step b_j = unshift(b_(j+1)) ^ u and the outer
-step by block 1 of b_(j+1).  With sigma the reversal of blocks 2..s,
-sigma(unshift(b)) = shift(sigma(b)) and hop(sigma(b)) = hop(b), so that is
-the forward step c -> shift(c ^ u') of c = sigma(b), u' = unshift(sigma(u)):
-read backwards, a walk is the forward walk of ReplacementSystem._reversed,
-its generator indices reversed and sigma applied to its inner vertices.
+step by block 1 of b_(j+1).
 
 The outer graph is a Cayley graph over F_2, so the rotation map takes a to
 a ^ hop(b), where hop(b) is the outer generator that block 1 of b selects.
@@ -54,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -188,19 +184,6 @@ class ReplacementSystem:
         low <<= r - k
         out |= low
         return out
-
-    def _reversed(self) -> tuple["ReplacementSystem", np.ndarray]:
-        """The block-reversed system of the module docstring, and sigma over
-        the inner vertices.  Its generators are p(u), p = unshift(sigma(.)) an
-        involution, and its table, chi gathered at p, is cached, not built."""
-        d, s = self.params.d_outer, self.params.s
-        blocks = np.arange(self.num_inner, dtype=self._dtype).reshape((d,) * s)
-        sigma = blocks.transpose(*range(s - 2, -1, -1), s - 1).ravel()  # block j is axis s-j
-        p = self.unshift(sigma)
-        rev = replace(self.inner, generators=p.take(self.inner.generators))
-        vars(rev)["character_table"] = chars = self.inner.character_table.take(p)
-        chars.flags.writeable = False
-        return ReplacementSystem(self.outer, rev, self.params), sigma
 
     def expand(self, a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The array form of the walk rule: (A, B) for one walk per row.

@@ -455,8 +455,8 @@ def test_wide_tables_equal_the_allocating_loop_byte_for_byte(flagship, witness):
         runs = [(list(_wide_tables(sys, f, levels, first)),
                  allocating_levels(sys, f, levels, "g", first))
                 for first in (0, levels - s, levels - 1, levels)]
-        # the backward tables, the forward loop on the block-reversed system,
-        # at every length dp_backwards accepts
+        # the backward tables, the loop that averages and then unshifts, at
+        # every length dp_backwards accepts
         runs += [(dp_backwards(sys, f, n), allocating_levels(sys, f, n, "gbar")) for n in range(s + 1)]
         for got, want in runs:
             assert [(t.level, t.kind) for t in got] == [(t.level, t.kind) for t in want]
@@ -487,6 +487,10 @@ def test_wide_walk_working_set_is_one_block_per_call(witness):
     amp = AmplifiedCode(LinearCode(1, 8, [0b111]), witness, 6)
     assert traced_peak(lambda: code_bias(amp)) < 3.5 * table
     assert traced_peak(lambda: dp_gk(witness, f, 6)) < 5 * table
+    # dp_backwards keeps its six levels whole, as a backward level reads
+    # blocks 1 and s-k+2..s, not the low bits of b, and the loop's block
+    # (traced at 8.16)
+    assert traced_peak(lambda: dp_backwards(witness, f, 5)) < 8.5 * table
     assert traced_peak(lambda: check_middle_start_identity(witness, f, 6, tables)) < 3 * table
     # without tables a check reads each level as the loop yields it and
     # drops it: the block, the level before, the new one and a moment's
@@ -918,6 +922,28 @@ def test_eps_is_invariant_under_translation_and_complement(witness, skewed):
         assert len(eps) == 1 and eps.pop() > 0, sys.outer.name
 
 
+def test_translating_or_complementing_f_moves_every_table_bit_for_bit(witness, skewed):
+    # the walks from a ^ c are the walks from a translated by c, forward
+    # and backward alike, so f'(a) = f(a ^ c) gives every level of f with
+    # its rows taken at a ^ c; the complement flips all k + 1 signs of a
+    # level k.  dp_gk to k = 8 and dp_backwards at length s, over the 7
+    # nonzero translates of {0,1,2} and its complement
+    support = {0, 1, 2}
+    for sys in (witness, skewed):
+        n, s = sys.num_outer, sys.params.s
+
+        def tables(sup):
+            f = SignedFn.from_support(n, sup)
+            return dp_gk(sys, f, 8) + dp_backwards(sys, f, s)
+
+        base = [(t.kind, t.level, t.values) for t in tables(support)]
+        for c in range(1, n):
+            for (kind, k, v), t in zip(base, tables({a ^ c for a in support}), strict=True):
+                assert t.values.tobytes() == v[np.arange(n) ^ c].tobytes(), (sys.outer.name, c, kind, k)
+        for (kind, k, v), t in zip(base, tables(set(range(n)) - support), strict=True):
+            assert t.values.tobytes() == (v if k % 2 else -v).tobytes(), (sys.outer.name, kind, k)
+
+
 def test_hypothesis_gate_disconnected_outer(g8_system, g8_f):
     # lambda_A = 1 > lambda_B^2: every wide-walk checker must refuse
     report = check_base_case(g8_system, g8_f)
@@ -1037,8 +1063,8 @@ def test_identity_band_refuses_blocks_read_in_the_wrong_order(witness, flagship,
     assert chk.passed and 0.0 < chk.residual < 1e-19
     loop = amplify._wide_levels
 
-    def misread(sys, f, levels):
-        for k, x, w in loop(sys, f, levels):
+    def misread(sys, f, levels, backward=False):
+        for k, x, w in loop(sys, f, levels, backward):
             if k == levels:  # the level the check reads, blocks 2..s permuted
                 np.copyto(w.reshape(x.shape), x.transpose(blocks))
                 np.copyto(x, w.reshape(x.shape))

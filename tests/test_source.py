@@ -61,6 +61,36 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def forged_caches(source: str) -> list[str]:
+    """The places where source calls vars() or reads an attribute named
+    __dict__: the ways to write a cached property's value, such as a
+    graph's character table, from outside the object that builds it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+            found.append((node.lineno, "vars"))
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append((node.lineno, "__dict__"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_forged_cache_scan_finds_what_it_should():
+    source = (
+        "vars(graph)['character_table'] = table\n"
+        "x = graph.character_table\n"
+        "graph.__dict__.update(character_table=table)\n"
+        "names = vars\n"
+    )
+    assert forged_caches(source) == ["vars (line 1)", "__dict__ (line 3)"]
+
+
+def test_no_module_forges_a_cached_table():
+    # a character table is built only by its own graph (CayleyGraph's
+    # cached property), never written into another object's dict
+    found = {path.name: forged_caches(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def loaded_names(source: str) -> set[str]:
     """The names source loads, as a name or an attribute, outside the body
     of the function or class that defines each name."""

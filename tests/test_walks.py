@@ -272,33 +272,6 @@ def test_inner_step_round_trip():
             assert oracle.inner_step_back(sys, nxt, u) == b
 
 
-def test_a_backward_walk_is_the_forward_walk_of_the_reversed_system(g8_system, flagship):
-    # every seed at t = s + 1 on s222, g8 (both s = 2, where sigma is the
-    # identity) and the s = 3 system, and 4096 seeded rows of the flagship
-    # (s = 5): the walk read from its end with the generator indices
-    # reversed, on the block-reversed system, is the walk reversed, with
-    # sigma applied to its inner vertices
-    cases = [(sys, sys.params.s + 1, _seed_rows(sys, sys.params.s + 1))
-             for sys in (sys_22(), g8_system, sys_13())]
-    rng = np.random.default_rng(32)
-    n_a, n_b, d = flagship.num_outer, flagship.num_inner, flagship.params.d_inner
-    seeds = rng.integers(n_a, size=4096), rng.integers(n_b, size=4096), rng.integers(d, size=(4096, 5))
-    cases.append((flagship, 6, seeds))
-    for sys, t, (a0, b1, u) in cases:
-        rev, sigma = sys._reversed()
-        A, B = sys.expand(a0, b1, u)
-        RA, RB = rev.expand(A[:, t], sigma[B[:, t - 1]], u[:, ::-1])
-        assert np.array_equal(RA, A[:, ::-1]), sys.params
-        assert np.array_equal(RB, sigma[B[:, ::-1]]), sys.params
-        assert np.array_equal(sigma[sigma], np.arange(sys.num_inner))
-        # the seeded table is the one the reversed generators build
-        fresh = CayleyGraph(rev.inner.dim, rev.inner.generators, multigraph=rev.inner.multigraph)
-        assert np.array_equal(rev.inner.character_table, fresh.character_table)
-        # reversing twice gives back the inner graph, generator for generator
-        twice = rev._reversed()[0].inner
-        assert twice == sys.inner and twice.generators.dtype == sys.inner.generators.dtype
-
-
 def test_seed_count():
     sys = tiny_system()
     assert sys.seed_count(1) == 2 * 4
