@@ -426,13 +426,19 @@ def _levels(
     dp_gk tables when they reach level k, so that several checks share one
     DP, else the levels as the DP loop yields them, each dropped once read.
     f is checked against the outer graph on the call, before either, and
-    the caller's tables against f, whose signs are their level 0 exactly."""
+    the caller's tables against f, whose signs are their level 0 exactly,
+    and the system: level 0 and each table read must expand to n_A x n_B
+    (a same-shape system's tables are not told apart)."""
     _require_f(sys, f)
     if tables is None or len(tables) <= k:
         return _wide_tables(sys, f, k, first)
-    if tables[0].level != 0 or not np.array_equal(tables[0].cells[:, 0], f.signs):
-        raise ValueError("the tables were not built by dp_gk from this f")
-    return iter(tables[first : k + 1])
+    zero, read = tables[0], tables[first : k + 1]
+    shapes = {(len(t.cells), t.reps * t.cells.shape[-1]) for t in [zero, *read]}
+    if shapes != {(sys.num_outer, sys.num_inner)} or not (
+        zero.level == 0 and np.array_equal(zero.cells[:, 0], f.signs)
+    ):
+        raise ValueError("the tables were not built by dp_gk from this f on this system")
+    return iter(read)
 
 
 def check_base_case(
@@ -543,7 +549,6 @@ class InequalityCheck:
     passed: bool
     lhs: float
     rhs: float
-    detail: str
 
 
 def check_first_step_trick(
@@ -561,7 +566,7 @@ def check_first_step_trick(
     mom_prev, mom_k = map(moments, levels)
     lhs = mom_k.sigma**2
     rhs = float((mom_prev.eps_a**2).mean()) + lam**2 * mom_prev.sigma**2
-    return InequalityCheck(holds(lhs, rhs), lhs, rhs, f"k={k} lam={lam!r}")
+    return InequalityCheck(holds(lhs, rhs), lhs, rhs)
 
 
 def check_middle_start_identity(

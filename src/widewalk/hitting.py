@@ -37,7 +37,6 @@ Real = Union[float, Fraction]
 # the cap below admits no instance that needs more than 8,313 of them
 _PRIME_CEILING = (1 << 31) - (1 << 7)
 _PRIME_FLOOR = (1 << 31) - (1 << 18)
-_PRIMES: list[int] = []
 
 
 def _is_prime(c: int) -> bool:
@@ -62,16 +61,16 @@ def _is_prime(c: int) -> bool:
 
 
 def _primes(k: int) -> list[int]:
-    """The first k residue primes, found once and kept: _PRIMES only grows,
-    and every caller reads the same primes."""
-    c = _PRIMES[-1] if _PRIMES else _PRIME_CEILING + 1
-    while len(_PRIMES) < k:
+    """The first k residue primes, found anew on each call: one survival DP
+    needs them once, and nothing is kept that two threads could share."""
+    primes, c = [], _PRIME_CEILING + 1
+    while len(primes) < k:
         c -= 2
         if c < _PRIME_FLOOR:
             raise ValueError(f"{k} residue primes are more than lie above {_PRIME_FLOOR}")
         if _is_prime(c):
-            _PRIMES.append(c)
-    return _PRIMES[:k]
+            primes.append(c)
+    return primes
 
 
 def _prime_count(dim: int, degree: int, t: int) -> int:

@@ -172,18 +172,13 @@ class ReplacementSystem:
         return self._rotate(b, self.params.r - self.params.m)
 
     def _rotate(self, b, k: int, out: Optional[np.ndarray] = None):
-        """b's r = m*s bits rotated right by k (an int or an integer array
-        b).  With out, an array of b's shape and dtype that may be b
-        itself, the rotation is written there with one temporary, b's low
-        k bits.  The dtype holds r bits, so neither shift loses one."""
-        r = self.params.r
-        if out is None:
-            return (b >> k) | (b & ((1 << k) - 1)) << (r - k)
-        low = np.bitwise_and(b, (1 << k) - 1)
-        np.right_shift(b, k, out=out)
-        low <<= r - k
-        out |= low
-        return out
+        """b's r = m*s bits rotated right by k (an int, which gives a numpy
+        integer, or an integer array b), with one temporary, b's low k bits;
+        written to out if given, an array of b's shape and dtype that may be
+        b itself.  The dtype holds r bits, so neither shift loses one."""
+        low = b & ((1 << k) - 1)
+        low <<= self.params.r - k
+        return np.bitwise_or(np.right_shift(b, k, out=out), low, out=out)
 
     def expand(self, a, b, u: np.ndarray, pivot: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The array form of the walk rule: (A, B) for one walk per row.

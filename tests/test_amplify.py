@@ -15,6 +15,7 @@ import json
 import math
 from collections import defaultdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -47,7 +48,7 @@ from widewalk.amplify import (
     verify_induction_arithmetic,
 )
 from widewalk.code import AmplifiedCode, LinearCode, code_bias, encode
-from widewalk.graphs import CayleyGraph, fwht
+from widewalk.graphs import TOL_BOUND, CayleyGraph, fwht
 
 import walk_oracle as oracle
 from conftest import traced_peak
@@ -381,6 +382,28 @@ def test_tables_built_from_another_f_are_refused(g8_system, g8_f):
             with pytest.raises(ValueError, match="not built by dp_gk from this f") as err:
                 check(tables)
             assert "\n" not in str(err.value)
+
+
+def test_tables_built_on_another_system_are_refused(witness):
+    # S = K8 x AGHP(12,4) at (3, 4, 4) has the witness's outer graph, so its
+    # tables from the same f begin with f's signs; on them the induction
+    # step read S's eps values and passed, and the identity reported a
+    # false violation (residual 1.06e-6).  S's tables hold 2^12 inner
+    # columns once expanded, the witness's 2^15; one such table among the
+    # witness's own is refused too, wherever the check reads it
+    f = SignedFn.from_support(8, {0, 1, 2})
+    other = ReplacementSystem(build_complete_selfloop(3), build_aghp(12, 4), WalkParams(3, 4, 4))
+    foreign = dp_gk(other, f, 8)
+    mixed = dp_gk(witness, f, 6)
+    mixed[1], mixed[5] = foreign[1], foreign[5]  # the identity reads 1, the first step 5
+    for check in (
+        lambda: check_induction_step(witness, f, 8, foreign),
+        lambda: check_middle_start_identity(witness, f, 6, foreign),
+        lambda: check_first_step_trick(witness, f, 6, mixed),
+        lambda: check_middle_start_identity(witness, f, 6, mixed),
+    ):
+        with pytest.raises(ValueError, match="not built by dp_gk from this f"):
+            check()
 
 
 def full_transform_levels(sys, f, levels, kind):
@@ -1006,6 +1029,68 @@ def test_first_step_trick(flagship, flagship_f, flagship_tables, g8_system, g8_f
         check_first_step_trick(flagship, flagship_f, 0)
 
 
+def bisect_flip(passed, lo, hi, steps=60):
+    """The edge between lo, where passed is False, and hi, where it is True
+    (either may be the larger), to within (hi - lo) / 2**steps."""
+    assert not passed(lo) and passed(hi)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if passed(mid) else (mid, hi)
+    return hi
+
+
+def sigma_sq(v):
+    """The variance of a table's cells, E[g^2] - E[g]^2."""
+    return float((v * v).mean()) - float(v.mean()) ** 2
+
+
+def test_first_step_verdict_flips_where_the_inequality_does(witness, monkeypatch):
+    # sigma_k^2 <= E_a[eps_{k-1}(a)^2] + lam^2 * sigma_{k-1}^2 with holds'
+    # slack: lam enters only the bound, so a spectrum stand-in moves it, and
+    # the verdict must flip at lam^2 = (sigma_k^2 - E_a[eps_{k-1}(a)^2] -
+    # TOL_BOUND) / sigma_{k-1}^2, 0.0371731189423894 on the witness at k = 6
+    # (lam * sigma^2 in the bound would put it near 1.4e-3, 1.01 * rhs
+    # near 0.028)
+    import widewalk.amplify as amplify
+
+    f, k = SignedFn.from_support(8, {0, 1, 2}), 6
+    tables = dp_gk(witness, f, k)
+    g, prev = tables[k].values, tables[k - 1].values
+    eps_a_sq = float((prev.mean(axis=1) ** 2).mean())
+    flip = math.sqrt((sigma_sq(g) - eps_a_sq - TOL_BOUND) / sigma_sq(prev))
+
+    def passed(lam):
+        monkeypatch.setattr(amplify, "spectrum", lambda graph: SimpleNamespace(lam=lam))
+        return check_first_step_trick(witness, f, k, tables).passed
+
+    assert abs(bisect_flip(passed, 0.0, 1.0) - flip) <= 1e-12
+
+
+def test_bias_lemma_verdict_flips_at_its_bound(witness):
+    # the headline eps_t <= (2*lambda_B)^(t*(1-4/s)), asserted on the
+    # witness at t = 12 (s = 5, lambda_B = 3/8), flips only at lambda_B
+    # near 2.7e-4, far below the hypothesis Bias(f) = 1/4 <= lambda_B.  So
+    # level t is scaled by c instead (level 0 stays f's signs, so the list
+    # is accepted), and the verdict must flip at c = bound / eps_t
+    f, t, s = SignedFn.from_support(8, {0, 1, 2}), 12, witness.params.s
+    tables = dp_gk(witness, f, t)
+    chars = witness.inner.character_table
+    lam = float(np.abs(chars[1:]).max()) / witness.inner.degree
+    bound = (2 * lam) ** (t * (1 - 4 / s))
+    eps = abs(float(tables[t].values.mean()))
+    assert lam == 0.375 and 0 < eps < bound < 1
+
+    def passed(c):
+        scaled = tables[:t] + [DpTable(tables[t].cells * c, t, "g")]
+        report = check_bias_reduction_lemma(witness, f, t, scaled)
+        (row,) = report.rows
+        assert report.hypotheses_met and not row.vacuous and row.bound_eps == bound
+        return row.passed
+
+    flip = bound / eps
+    assert abs(bisect_flip(passed, 4 * flip, 0.0) - flip) <= 1e-9 * flip
+
+
 def test_middle_start_identity(flagship, flagship_f, flagship_tables, g8_system, g8_f):
     chk = check_middle_start_identity(flagship, flagship_f, 7, flagship_tables)
     assert chk.passed
@@ -1164,6 +1249,16 @@ def test_induction_arithmetic_flags_invalid_region():
     report = verify_induction_arithmetic([0.3], [4, 8], 50)
     assert all(not r.valid for r in report.rows)
     assert report.all_passed  # only invalid rows present
+
+
+def test_induction_arithmetic_validity_region_ends_at_s_5_and_a_quarter():
+    # the proof covers 0 < lam <= 1/4 and s >= 5: both edges are valid, the
+    # s below and the float above 1/4 are not
+    up = math.nextafter(0.25, 1.0)
+    rows = verify_induction_arithmetic([0.25, up], [4, 5], 50).rows
+    assert {(r.lam, r.s): r.valid for r in rows} == {
+        (0.25, 4): False, (0.25, 5): True, (up, 4): False, (up, 5): False,
+    }
 
 
 def test_moment_report_serialization(k16, capsys):

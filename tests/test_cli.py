@@ -23,7 +23,7 @@ from widewalk.cli import (
 )
 from widewalk.code import LinearCode
 from widewalk.gf2core import hex_encode
-from widewalk.graphs import CayleyGraph, build_aghp, build_complete_selfloop
+from widewalk.graphs import TOL_BOUND, CayleyGraph, build_aghp, build_complete_selfloop
 from widewalk.hitting import HittingReport, HittingRow
 
 from conftest import skew16_graph
@@ -410,6 +410,22 @@ def test_code_report_hypotheses_unmet(tmp_path, capsys):
     assert main(
         ["code", "report", "--config", cfg, "--base", str(base_path)]
     ) == EXIT_HYPOTHESES
+
+
+def test_code_report_verdict_flips_at_its_bound(tmp_path, monkeypatch, capsys):
+    # no small system meets the hypotheses with an informative bound, so
+    # code_report is stubbed to one that does: bias = bound passes, and a
+    # bias two holds() slacks past the bound fails
+    cfg = write_config(tmp_path, m=3, s=2, ell=3, outer="complete", inner="aghp", t=5)
+    base_path = tmp_path / "base3.json"
+    base_path.write_text(LinearCode(3, 8, [0b11, 0b1100, 0b110000]).to_json())
+    report = cli.code_report
+    bound = 0.25
+    for bias, code in ((bound, EXIT_PASS), (bound + 2 * TOL_BOUND, EXIT_VIOLATION)):
+        stub = {"hypotheses_met": True, "bias_bound_vacuous": False, "bias": bias, "bias_bound": bound}
+        monkeypatch.setattr(cli, "code_report", lambda amp, stub=stub: {**report(amp), **stub})
+        assert main(["code", "report", "--config", cfg, "--base", str(base_path)]) == code, bias
+        assert json.loads(capsys.readouterr().out)["report"]["bias"] == bias
 
 
 def test_untabulable_inner_graph_keeps_its_exit_codes(tmp_path, capsys):

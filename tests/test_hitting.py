@@ -4,14 +4,18 @@ oracle, a big-integer DP and the closed-form bound."""
 import ast
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
 
 from widewalk import build_aghp, build_complete_selfloop, hitting
+from widewalk.amplify import vacuous
 from widewalk.graphs import CayleyGraph, _convolve
 from widewalk.hitting import (
     HittingInstance,
@@ -155,6 +159,24 @@ def test_check_hitting_asserts_only_informative_bounds(k16):
     assert not whole.asserted
 
 
+def test_the_verdict_fails_below_the_measured_lambda(monkeypatch):
+    # on ker(alpha) of AGHP(10,5), alpha a character at +lambda, the
+    # survival meets the bound with equality at every t (acceptance 11):
+    # the measured lambda passes every row, and a spectrum stand-in 2^-20
+    # below it must fail every row past t = 1, each of them asserted
+    g = build_aghp(10, 5)
+    lam = hitting.spectrum(g).lambda_exact
+    alpha = int(np.flatnonzero(g.character_table == int(lam * g.degree))[0])
+    kernel = [v for v in range(g.num_vertices) if (v & alpha).bit_count() % 2 == 0]
+    assert check_hitting(g, kernel, 8).all_passed
+    lower = SimpleNamespace(lambda_exact=lam - Fraction(1, 1 << 20))
+    monkeypatch.setattr(hitting, "spectrum", lambda graph: lower)
+    report = check_hitting(g, kernel, 8)
+    assert report.lam == lower.lambda_exact
+    assert [r.t for r in report.rows if not r.passed] == list(range(2, 9))
+    assert not any(vacuous(float(r.bound)) for r in report.rows)
+
+
 def test_check_hitting_rejects_unscannable_graph():
     g = CayleyGraph(dim=30, generators=(1, 2))
     with pytest.raises(ValueError):
@@ -204,6 +226,33 @@ def test_residue_primes_are_the_primes_below_their_ceiling():
     moduli = perfbench_hitting_moduli()
     # all four lie above the ceiling, so no residue prime can ever be one
     assert len(moduli) == 4 and min(moduli) > hitting._PRIME_CEILING
+
+
+def test_residue_primes_are_the_same_on_two_threads():
+    # _primes keeps no state between calls: two threads asking for 3,000
+    # primes at once each get the same distinct, descending primes (a
+    # module cache grown without a lock gave both a list with repeats)
+    start, got = threading.Barrier(2, timeout=60), [None, None]
+
+    def run(i):
+        start.wait()
+        got[i] = hitting._primes(3000)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    primes = got[0]
+    assert got[1] == primes and len(primes) == 3000
+    assert all(p > q for p, q in zip(primes, primes[1:]))
+    assert all(sympy.isprime(p) for p in primes)
 
 
 def test_is_prime_decides_every_odd_candidate():
